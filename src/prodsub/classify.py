@@ -60,9 +60,7 @@ class CodimTwoFrame:
     xi2: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
-    valid: bool
     eta_gauge_fixed: bool = False
-    ortho_defect: float = 0.0
 
 
 def codim_two_frame(pg: PointGeometry, ed: ExtrinsicData, tol_h: float = 1e-10) -> CodimTwoFrame:
@@ -72,12 +70,10 @@ def codim_two_frame(pg: PointGeometry, ed: ExtrinsicData, tol_h: float = 1e-10) 
     if ed.H_norm <= tol_h:
         raise InvalidFrame("H vanishes; xi_1 = H/|H| is undefined")
     xi1 = ed.H / ed.H_norm
-    defect = 0.0
     eta_perp = pg.eta - inner(sp, pg.eta, xi1) * xi1
     perp_norm = math.sqrt(max(inner(sp, eta_perp, eta_perp), 0.0))
     gauge_fixed = False
     if pg.eta_norm > 1e-8 and perp_norm > 1e-8:
-        defect = abs(inner(sp, pg.eta / pg.eta_norm, xi1))
         xi2 = eta_perp / perp_norm
     else:
         # eta = 0 (or eta parallel to H): complete the frame orthogonally
@@ -96,9 +92,7 @@ def codim_two_frame(pg: PointGeometry, ed: ExtrinsicData, tol_h: float = 1e-10) 
         xi2=xi2,
         A1=ed.shape_in_direction(xi1),
         A2=ed.shape_in_direction(xi2),
-        valid=True,
         eta_gauge_fixed=gauge_fixed,
-        ortho_defect=defect,
     )
 
 

@@ -30,15 +30,8 @@ __all__ = [
     "normal_laplacian_H",
     "structure_residuals",
     "T_eta_residuals",
-    "TOL_JET",
-    "TOL_FD",
-    "TOL_FD2",
     "FD_NESTED_STEP",
 ]
-
-TOL_JET = 1e-9
-TOL_FD = 1e-6
-TOL_FD2 = 1e-4
 
 #: outer step for nested finite differences (inner layer carries ~1e-10 noise)
 FD_NESTED_STEP = 5e-4
@@ -66,13 +59,6 @@ class ExtrinsicData:
         out = np.zeros_like(self.shape_ops[0])
         for a, xi in enumerate(self.pg.normal_onb):
             out += inner(sp, w, xi) * self.shape_ops[a]
-        return out
-
-    def alpha_vec(self, x_onb: np.ndarray, y_onb: np.ndarray) -> np.ndarray:
-        """alpha(X, Y) as an ambient vector, for tangent ONB coordinates."""
-        out = np.zeros(self.pg.space.ambient_dim)
-        for a, xi in enumerate(self.pg.normal_onb):
-            out += float(x_onb @ self.alpha[a] @ y_onb) * xi
         return out
 
 

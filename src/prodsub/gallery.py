@@ -15,7 +15,7 @@ import numpy as np
 from . import exprlang, jets
 from .ambient import ProductSpace
 from .errors import ChartError
-from .immersion import Chart, probe_grid
+from .immersion import Chart, probe_grid, wrap_expr
 from .jets import VecJet2, fd_gradient
 
 __all__ = [
@@ -101,15 +101,7 @@ def _curve_coords(space: ProductSpace, curve: dict, m: int, var: str, var_names)
         if len(srcs) != space.n + 1:
             raise ChartError(f"curve needs {space.n + 1} coordinate expressions")
         params = curve.get("params", {})
-        out = []
-        for src in srcs:
-            ast = exprlang.parse(src) if isinstance(src, str) else src
-
-            def coord(us, ast=ast):
-                return exprlang.eval_jet(ast, dict(zip(var_names, us)), params)
-
-            out.append(coord)
-        return out
+        return [wrap_expr(src, params, var_names) for src in srcs]
     raise ChartError(f"unknown curve kind {kind!r}")
 
 
@@ -191,14 +183,8 @@ def _custom_phi(phi_params: dict):
     if not srcs or len(srcs) != 4:
         raise ChartError("custom phi needs 4 coordinate expressions in (u1, u2)")
     params = phi_params.get("params", {})
-    names = ["u1", "u2"]
-
-    def wrap(src):
-        ast = exprlang.parse(src) if isinstance(src, str) else src
-        return lambda us: exprlang.eval_jet(ast, dict(zip(names, us)), params)
-
     dom = [tuple(iv) for iv in phi_params.get("domain", [(-1.0, 1.0), (-1.0, 1.0)])]
-    coords = [wrap(s) for s in srcs]
+    coords = [wrap_expr(s, params, ["u1", "u2"]) for s in srcs]
     return coords[:3], coords[3], dom
 
 
@@ -363,10 +349,6 @@ def make_partial_tube(
     xdom = tuple(base.get("domain", (-1.2, 1.2)))
 
     _validate_tube_data(space, gamma, normal_fns, alpha_asts, pparams, xdom, sdom, k)
-
-    def gamma_floats(x: float) -> np.ndarray:
-        seeds = (jets.jet_const(x, m), jets.jet_const(0.0, m))
-        return np.array([c(seeds).value for c in gamma])
 
     def coord_factory(slot: int):
         def coord(us):

@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 
-def _wrap_expr(ast, params: dict, var_names: Sequence[str]) -> Callable:
+def wrap_expr(src, params: dict, var_names: Sequence[str]) -> Callable:
+    """Jet closure of one coordinate given as an expression AST or source."""
+    ast = exprlang.parse(src) if isinstance(src, str) else src
     names = list(var_names)
 
     def coord(us: Sequence[Jet2]) -> Jet2:
@@ -63,14 +65,10 @@ class Chart:
             )
         if len(self.domain) != self.m:
             raise ChartError("domain must give one interval per chart variable")
-        fixed = []
-        for c in self.coords:
-            if isinstance(c, str):
-                c = exprlang.parse(c)
-            if not callable(c):
-                c = _wrap_expr(c, self.params, self.var_names)
-            fixed.append(c)
-        self.coords = fixed
+        self.coords = [
+            c if callable(c) else wrap_expr(c, self.params, self.var_names)
+            for c in self.coords
+        ]
 
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
@@ -89,12 +87,19 @@ class Chart:
         return worst
 
 
-def probe_grid(domain, per_axis: int = 5):
-    """Regular grid over the domain box, inset 2% from each edge."""
+def probe_grid(domain, counts=5):
+    """Regular grid over the domain box, inset 2% from each edge.
+
+    ``counts`` is one point count for every axis or a list with one per axis;
+    an axis with count 1 takes the midpoint of its inset interval.
+    """
+    if np.ndim(counts) == 0:
+        counts = [counts] * len(domain)
     axes = []
-    for lo, hi in domain:
+    for (lo, hi), k in zip(domain, counts):
         pad = 0.02 * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, per_axis))
+        lo, hi = lo + pad, hi - pad
+        axes.append(np.linspace(lo, hi, int(k)) if k > 1 else np.array([0.5 * (lo + hi)]))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -183,7 +188,6 @@ class PointGeometry:
     eta_norm: float
     theta: float
     nu: float | None
-    regular: bool = True
 
     @property
     def space(self) -> ProductSpace:

@@ -31,7 +31,7 @@ from .classify import (
 from .errors import EngineError, InvalidFrame, SceneError
 from .extrinsic import FieldCache, normal_derivative_H, structure_residuals, T_eta_residuals
 from .gallery import make_chart
-from .immersion import Chart
+from .immersion import Chart, probe_grid
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -133,11 +133,13 @@ def load_scene(path: str) -> dict:
     return scene
 
 
+_VALIDATOR = jsonschema.Draft202012Validator(SCENE_SCHEMA)
+
+
 def validate_scene(scene: dict) -> None:
-    try:
-        jsonschema.validate(scene, SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SceneError(f"scene does not match the schema: {exc.message}") from exc
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(scene))
+    if err is not None:
+        raise SceneError(f"scene does not match the schema: {err.message}") from err
 
 
 def build_chart(scene: dict) -> Chart:
@@ -168,25 +170,17 @@ def build_chart(scene: dict) -> Chart:
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
     """Deterministic sample set, inset 2% from the domain boundary so that
     finite-difference stencils stay inside."""
-    mode = sampling.get("mode", "grid")
+    if sampling.get("mode", "grid") == "grid":
+        counts = sampling.get("grid")
+        if counts is None:
+            counts = max(int(round(sampling.get("counts", 125) ** (1.0 / chart.m))), 2)
+        elif len(counts) != chart.m:
+            raise SceneError(f"grid needs {chart.m} axis counts")
+        return probe_grid(chart.domain, counts)
     lo = np.array([d[0] for d in chart.domain])
     hi = np.array([d[1] for d in chart.domain])
     pad = 0.02 * (hi - lo)
     lo, hi = lo + pad, hi - pad
-    if mode == "grid":
-        counts = sampling.get("grid")
-        if counts is None:
-            per = int(round(sampling.get("counts", 125) ** (1.0 / chart.m)))
-            counts = [max(per, 2)] * chart.m
-        if len(counts) != chart.m:
-            raise SceneError(f"grid needs {chart.m} axis counts")
-        axes = [
-            np.linspace(lo[i], hi[i], int(counts[i])) if counts[i] > 1 else
-            np.array([0.5 * (lo[i] + hi[i])])
-            for i in range(chart.m)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mm.ravel() for mm in mesh], axis=-1)
     n = int(sampling.get("counts", 100))
     seed = int(sampling.get("seed", 0))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -399,9 +393,8 @@ def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
     return tol
 
 
-def _compute_rows(scene: dict, names: list, samples: np.ndarray, indices, seed: int):
-    """Residual rows for the given sample indices (worker entry point)."""
-    chart = build_chart(scene)
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int):
+    """Residual rows for the given sample indices."""
     rows = []
     for idx in indices:
         u = samples[idx]
@@ -423,6 +416,20 @@ def _compute_rows(scene: dict, names: list, samples: np.ndarray, indices, seed: 
 
 def _check_id(name: str) -> int:
     return sorted(CHECKS).index(name)
+
+
+_worker_chart: Chart | None = None
+
+
+def _init_worker(chart: Chart) -> None:
+    # Under "fork" the initargs reach the worker without pickling, which a
+    # chart of lambdas would not survive.
+    global _worker_chart
+    _worker_chart = chart
+
+
+def _worker_rows(names: list, samples: np.ndarray, indices, seed: int):
+    return _compute_rows(_worker_chart, names, samples, indices, seed)
 
 
 def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
@@ -478,11 +485,26 @@ def run_scene(
     are identical for any job count.
     """
     t0 = time.perf_counter()
-    validate_scene(scene)
-    chart = build_chart(scene)
     sampling = dict(scene.get("sampling", {}))
     if sampling_override:
         sampling.update(sampling_override)
+    validate_scene({**scene, "sampling": sampling})
+    chart = build_chart(scene)
+    report = _run_checks(scene, chart, sampling, checks, tolerances, jobs, csv_path)
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    return report
+
+
+def _run_checks(
+    scene: dict,
+    chart: Chart,
+    sampling: dict,
+    checks: list | None,
+    tolerances: dict | None,
+    jobs: int,
+    csv_path: str | None,
+) -> dict:
+    """The body of ``run_scene`` on an already validated scene and its chart."""
     seed = int(sampling.get("seed", 0))
     names = list(checks if checks is not None else scene.get("checks", []))
     if not names:
@@ -501,16 +523,16 @@ def run_scene(
     rows = []
     if jobs > 1 and len(indices) > 1 and per_sample:
         chunks = [indices[i::jobs] for i in range(jobs)]
-        args = [(scene, per_sample, samples, chunk, seed) for chunk in chunks if chunk]
+        args = [(per_sample, samples, chunk, seed) for chunk in chunks if chunk]
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=len(args)) as pool:
-                for part in pool.starmap(_compute_rows, args):
+            with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
+                for part in pool.starmap(_worker_rows, args):
                     rows.extend(part)
         except (ValueError, OSError):
-            rows = _compute_rows(scene, per_sample, samples, indices, seed)
+            rows = _compute_rows(chart, per_sample, samples, indices, seed)
     elif per_sample:
-        rows = _compute_rows(scene, per_sample, samples, indices, seed)
+        rows = _compute_rows(chart, per_sample, samples, indices, seed)
     rows.sort(key=lambda r: (r[0], r[1]))
 
     center = chart.center()
@@ -527,7 +549,7 @@ def run_scene(
     if csv_path:
         _write_csv(csv_path, chart, rows)
 
-    report = {
+    return {
         "engine": {"name": "prodsub", "version": __version__},
         "rng": {"name": RNG_NAME, "seed": seed},
         "scene": scene,
@@ -535,9 +557,7 @@ def run_scene(
         "samples": len(samples),
         "checks": checks_report,
         "all_pass": not any_fail,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    return report
 
 
 def _write_csv(path: str, chart: Chart, rows) -> None:
@@ -552,11 +572,6 @@ def _write_csv(path: str, chart: Chart, rows) -> None:
 
 # --------------------------------------------------------------------------
 # parameter scans
-
-SCAN_SIGNED_COMPANIONS = {
-    "biharmonic_normal": "biharmonic_predicate_signed",
-}
-
 
 def _set_scene_param(scene: dict, name: str, value: float) -> dict:
     out = json.loads(json.dumps(scene))
@@ -578,27 +593,31 @@ def scan_parameter(
     jobs: int = 1,
 ) -> dict:
     """Sweep one immersion parameter and record the max residual of one
-    check per value, with a signed companion column (the biharmonic
-    predicate) when the residual has one."""
+    check per value.  A biharmonic_normal scan also records the signed
+    biharmonic predicate at the chart center (the residual itself is a
+    norm), whose sign changes bracket the zeros."""
     if residual not in CHECKS:
         raise SceneError(f"unknown residual {residual!r}")
-    values = np.linspace(float(lo), float(hi), int(steps))
+    if int(steps) < 1:
+        raise SceneError(f"a scan needs at least one step, got {steps}")
+    signed = residual == "biharmonic_normal"
     rows = []
-    signed_name = SCAN_SIGNED_COMPANIONS.get(residual)
-    for v in values:
+    for v in np.linspace(float(lo), float(hi), int(steps)):
         sc = _set_scene_param(scene, param, float(v))
-        rep = run_scene(sc, checks=[residual], jobs=jobs)
-        by = {c["name"]: c for c in rep["checks"]}
-        row = {"value": float(v), "max_residual": by[residual]["max_residual"]}
-        if signed_name:
-            row["signed"] = _scene_predicate_signed(sc)
+        validate_scene(sc)
+        chart = build_chart(sc)
+        rep = _run_checks(sc, chart, sc.get("sampling", {}), [residual], None, jobs, None)
+        row = {"value": float(v), "max_residual": rep["checks"][0]["max_residual"]}
+        if signed:
+            r = biharmonic_residual(chart, chart.center(), assume_pmc=True)
+            row["signed"] = float(r["predicate"])
         rows.append(row)
 
     brackets = []
-    if signed_name:
+    if signed:
         for a, b in zip(rows, rows[1:]):
-            sa, sb = a.get("signed"), b.get("signed")
-            if sa is not None and sb is not None and np.isfinite(sa) and np.isfinite(sb):
+            sa, sb = a["signed"], b["signed"]
+            if np.isfinite(sa) and np.isfinite(sb):
                 if sa == 0.0 or (sa < 0) != (sb < 0):
                     brackets.append((a["value"], b["value"]))
     resid = [r["max_residual"] for r in rows]
@@ -611,14 +630,6 @@ def scan_parameter(
         "min_residual": float(resid[i_min]),
         "min_at": float(rows[i_min]["value"]),
     }
-
-
-def _scene_predicate_signed(scene: dict) -> float:
-    """Signed biharmonic predicate at the chart center (sign source for scan
-    bracketing; the residual itself is a norm)."""
-    chart = build_chart(scene)
-    r = biharmonic_residual(chart, chart.center(), assume_pmc=True)
-    return float(r["predicate"])
 
 
 def format_scan_table(scan: dict) -> str:

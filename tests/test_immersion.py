@@ -25,7 +25,9 @@ def test_slice_t_jet(slice_s4):
 def test_gallery_membership_exact(all_gallery_charts):
     for ch in all_gallery_charts:
         worst = 0.0
-        for u in probe_grid(ch.domain, 4):
+        grid = probe_grid(ch.domain, 4)
+        assert np.array_equal(grid, probe_grid(ch.domain, [4] * ch.m)), ch.label
+        for u in grid:
             worst = max(worst, membership_residual(ch.space, evaluate_jet(ch, u).values))
         assert worst <= 1e-12, ch.label
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prodsub.scene
 from prodsub.cli import main
 from prodsub.errors import SceneError
 from prodsub.scene import (
@@ -86,6 +88,11 @@ def test_csv_header_and_shape(tmp_path):
     assert len(lines) == 1 + 4 * 4 * 4
     first = lines[1].split(",")
     assert first[0] == "membership" and first[1] == "0" and len(first) == 6
+    # a count-1 axis of the grid sits at the midpoint of its interval
+    chart = build_chart(scene)
+    pts = sample_points(chart, {"mode": "grid", "grid": [1, 3, 2]})
+    assert pts.shape == (1 * 3 * 2, 3)
+    assert np.allclose(pts[:, 0], chart.center()[0], rtol=0.0, atol=1e-15)
 
 
 def test_random_sampling_deterministic():
@@ -96,6 +103,33 @@ def test_random_sampling_deterministic():
     c = sample_points(chart, {"mode": "random", "counts": 17, "seed": 6})
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_chart_built_once_per_run_and_scan_step(monkeypatch):
+    parent, calls = os.getpid(), []
+    original = prodsub.scene.build_chart
+
+    def counting_build_chart(scene):
+        # raised in a pool worker, this escapes the serial fallback
+        if os.getpid() != parent:
+            raise RuntimeError("a pool worker rebuilt the chart")
+        calls.append(scene)
+        return original(scene)
+
+    monkeypatch.setattr(prodsub.scene, "build_chart", counting_build_chart)
+    scene = _load("theorem1_cylinder.json")
+    for jobs in (1, 2):
+        calls.clear()
+        run_scene(
+            scene,
+            checks=["membership", "pmc"],
+            sampling_override={"mode": "grid", "grid": [2, 2, 2]},
+            jobs=jobs,
+        )
+        assert len(calls) == 1, jobs
+    calls.clear()
+    scan_parameter(_load("biharmonic_scan_eps1.json"), "a2", 0.4, 0.6, 3, "biharmonic_normal")
+    assert len(calls) == 3
 
 
 def test_unknown_check_is_scene_error():
@@ -158,6 +192,15 @@ def test_cli_scene_error_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"ambient": {"epsilon": 1, "n": 4}}))
     assert main(["run", "--scene", str(bad)]) == 2
     assert main(["run", "--scene", str(tmp_path / "missing.json")]) == 2
+    # sampling overrides and scan steps are held to the schema's bounds too
+    cyl, sl = str(SCENES / "theorem1_cylinder.json"), str(SCENES / "slice.json")
+    for extra in (["--samples", "-1"], ["--samples", "0"], ["--seed", "-1"], ["--grid", "0x2x2"]):
+        assert main(["run", "--scene", cyl, *extra]) == 2, extra
+    assert main(["run", "--scene", sl, "--grid", "0x2"]) == 2
+    scan = ["scan", "--scene", str(SCENES / "biharmonic_scan_eps1.json"), "--param", "a2"]
+    scan += ["--from", "0.3", "--to", "0.9", "--residual", "biharmonic_normal"]
+    for steps in ("0", "-2"):
+        assert main([*scan, "--steps", steps]) == 2, steps
 
 
 def test_cli_computation_error_exit_3(tmp_path):
