@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,20 +44,22 @@ class ProductSpace:
     def t_index(self) -> int:
         return self.n + 1
 
-    @property
+    @cached_property
     def signature(self) -> np.ndarray:
         s = np.ones(self.ambient_dim)
         if self.epsilon == -1:
             s[0] = -1.0
+        s.flags.writeable = False
         return s
 
     def q_part(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v)[: self.n + 1]
+        return np.asarray(v)[..., : self.n + 1]
 
     def q_padded(self, p: np.ndarray) -> np.ndarray:
-        """Position vector of the quadric factor, zero in the t slot."""
+        """Position vector of the quadric factor, zero in the t slot (per
+        row for stacked points)."""
         out = np.array(p, dtype=float)
-        out[self.t_index] = 0.0
+        out[..., self.t_index] = 0.0
         return out
 
     def t_axis(self) -> np.ndarray:
@@ -65,23 +68,33 @@ class ProductSpace:
         return v
 
 
-def inner(space: ProductSpace, x: np.ndarray, y: np.ndarray) -> float:
-    """Signature-aware inner product on E^{n+2}."""
+def inner(space: ProductSpace, x: np.ndarray, y: np.ndarray):
+    """Signature-aware inner product on E^{n+2}.
+
+    Two vectors give a float; stacked vectors (..., n+2) give the products
+    over the last axis, one BLAS dot per row, so a row's value does not
+    depend on the other rows."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.ndim > 1 or y.ndim > 1:
+        if space.epsilon == -1:
+            x = x * space.signature
+        return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
     if space.epsilon == -1:
         return float(-x[0] * y[0] + np.dot(x[1:], y[1:]))
     return float(np.dot(x, y))
 
 
-def membership_residual(space: ProductSpace, p: np.ndarray) -> float:
-    """|<p_Q, p_Q> - eps|, +inf when eps = -1 and p is not on the upper sheet."""
+def membership_residual(space: ProductSpace, p: np.ndarray):
+    """|<p_Q, p_Q> - eps|, +inf when eps = -1 and p is not on the upper sheet.
+
+    One point gives a float; stacked points (..., n+2) give one value each."""
+    p = np.asarray(p, dtype=float)
     pq = space.q_part(p)
+    out = np.abs(np.add.reduce(pq * pq * space.signature[: space.n + 1], axis=-1) - space.epsilon)
     if space.epsilon == -1:
-        if p[0] <= 0.0:
-            return math.inf
-        val = -pq[0] * pq[0] + float(np.dot(pq[1:], pq[1:]))
-    else:
-        val = float(np.dot(pq, pq))
-    return abs(val - space.epsilon)
+        out = np.where(p[..., 0] <= 0.0, math.inf, out)
+    return float(out) if p.ndim == 1 else out
 
 
 def inclusion_sff(

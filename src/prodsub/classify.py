@@ -20,11 +20,12 @@ from .errors import InvalidFrame
 from .extrinsic import (
     ExtrinsicData,
     FieldCache,
+    first_layer,
     normal_derivative_H,
     normal_laplacian_H,
     second_fundamental,
 )
-from .immersion import Chart, PointGeometry, evaluate_jet
+from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet, probe_grid
 from .jets import fd_gradient
 
 __all__ = [
@@ -116,6 +117,7 @@ def biconservative_residual(
     cache = cache or FieldCache(chart)
     if pg is None or ed is None:
         pg, ed = cache.geometry(u)
+    cache.prefetch(first_layer(pg.u))
     sp = chart.space
     m = chart.m
 
@@ -239,8 +241,6 @@ def e0_structure(
     """Symmetric eigenanalysis of A_H with the kernel split, filling the
     residuals of the codimension-2 biconservative block structure."""
     if pg is None:
-        from .immersion import analyze_point
-
         pg = analyze_point(chart, u)
     if ed is None:
         ed = second_fundamental(pg)
@@ -327,16 +327,12 @@ def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
     when the chart splits as Gamma_1(s) + Gamma_2(u)."""
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
-    from .immersion import probe_grid
-
     s = chart.s_index
+    d2 = evaluate_jet(chart, probe_grid(chart.domain, per_axis)).d2
     worst = 0.0
-    for u in probe_grid(chart.domain, per_axis):
-        vj = evaluate_jet(chart, u)
-        for i in range(chart.m):
-            if i == s:
-                continue
-            worst = max(worst, float(np.linalg.norm(vj.second(s, i))))
+    for i in range(chart.m):
+        if i != s:
+            worst = max(worst, float(np.fmax.reduce(np.linalg.norm(d2[:, :, s, i], axis=-1))))
     return worst
 
 
@@ -347,28 +343,18 @@ def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
     u0 = chart.center() if u0 is None else np.asarray(u0, dtype=float)
-    vj = evaluate_jet(chart, u0)
-    acc = vj.second(s, s)
+    lo, hi = chart.domain[s]
+    pad = 0.02 * (hi - lo)
+    U = np.repeat(u0[None], 1 + max(n_samples, 8), axis=0)
+    U[1:, s] = np.linspace(lo + pad, hi - pad, max(n_samples, 8))
+    vj = evaluate_jet(chart, U)
+    acc = vj.second(s, s)[0]
     kappa = float(np.linalg.norm(acc))
     radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
 
-    lo, hi = chart.domain[s]
-    pad = 0.02 * (hi - lo)
-    svals = np.linspace(lo + pad, hi - pad, max(n_samples, 8))
-    base = None
-    diffs = []
-    for sv in svals:
-        u = u0.copy()
-        u[s] = sv
-        p = evaluate_jet(chart, u).values
-        if base is None:
-            base = p
-        else:
-            diffs.append(p - base)
-    sv = np.linalg.svd(np.array(diffs), compute_uv=False)
+    diffs = vj.values[2:] - vj.values[1]
+    sv = np.linalg.svd(diffs, compute_uv=False)
     plane_rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
-
-    from .immersion import analyze_point
 
     pg = analyze_point(chart, u0)
     ed = second_fundamental(pg)

@@ -11,14 +11,14 @@ never a frame vector from the pivoted normal Gram-Schmidt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import ProductSpace, inner
-from .immersion import Chart, PointGeometry, analyze_point
-from .jets import fd_gradient
+from .errors import ChartError
+from .immersion import Chart, PointBatch, PointGeometry, analyze_point
+from .jets import fd_gradient, fd_stencil
 
 __all__ = [
     "ExtrinsicData",
@@ -29,6 +29,9 @@ __all__ = [
     "normal_derivative_H",
     "normal_laplacian_H",
     "structure_residuals",
+    "gauss_residual",
+    "codazzi_residual",
+    "ricci_residual",
     "T_eta_residuals",
     "FD_NESTED_STEP",
 ]
@@ -62,7 +65,7 @@ class ExtrinsicData:
         return out
 
 
-def second_fundamental(pg: PointGeometry, with_connection: bool = False) -> ExtrinsicData:
+def second_fundamental(pg, with_connection: bool = False):
     """alpha, shape operators and the mean curvature vector at a point.
 
     alpha^a_{ij} = <d2f/du_i du_j, xi_a>: the normal frame is orthogonal to
@@ -70,26 +73,43 @@ def second_fundamental(pg: PointGeometry, with_connection: bool = False) -> Extr
     Christoffel and inclusion-umbilic parts of the flat second derivative.
     ``with_connection`` also fills the ONB connection coefficients, which
     need a finite-difference stencil around the point.
+
+    ``pg`` is one PointGeometry, or a PointBatch, for which the result is a
+    list with one ExtrinsicData per row (None where the row failed).  One
+    point runs as a batch of one.
     """
-    sp = pg.space
-    m = pg.chart.m
-    d2 = pg.jet.d2  # (n+2, m, m)
-    sig = sp.signature
-    C = pg.tangent_coeffs
-    alpha = []
-    for xi in pg.normal_onb:
-        a_chart = np.einsum("c,cij->ij", sig * xi, d2)
-        a_onb = C @ a_chart @ C.T
-        alpha.append(0.5 * (a_onb + a_onb.T))
-    H = np.zeros(sp.ambient_dim)
-    for a, xi in enumerate(pg.normal_onb):
-        H += np.trace(alpha[a]) * xi
-    H /= m
-    H_norm = math.sqrt(max(inner(sp, H, H), 0.0))
-    ed = ExtrinsicData(pg=pg, alpha=alpha, shape_ops=alpha, H=H, H_norm=H_norm)
+    if isinstance(pg, PointBatch):
+        alpha, H, H_norm = _sff(pg.chart.space, pg.normal_onb, pg.jet.d2, pg.tangent_coeffs)
+        return [
+            None if err is not None else _extrinsic(pg.point(i), alpha[i], H[i], H_norm[i])
+            for i, err in enumerate(pg.errors)
+        ]
+    alpha, H, H_norm = _sff(
+        pg.space, np.array(pg.normal_onb)[None], pg.jet.d2[None], pg.tangent_coeffs[None]
+    )
+    ed = _extrinsic(pg, alpha[0], H[0], H_norm[0])
     if with_connection:
         ed.conn = onb_connection(pg)
     return ed
+
+
+def _extrinsic(pg: PointGeometry, alpha: np.ndarray, H: np.ndarray, H_norm) -> ExtrinsicData:
+    alpha = list(alpha)
+    return ExtrinsicData(pg=pg, alpha=alpha, shape_ops=alpha, H=H, H_norm=float(H_norm))
+
+
+def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
+    """alpha (N, r, m, m) in the tangent ONB, H (N, n+2) and |H| (N,) from
+    the stacked normal frames xi (N, r, n+2), position Hessians d2
+    (N, n+2, m, m) and frame coefficients C (N, m, m)."""
+    n_rows, k, m, _ = d2.shape
+    a_chart = ((sp.signature * xi) @ d2.reshape(n_rows, k, m * m)).reshape(n_rows, -1, m, m)
+    a_onb = C[:, None] @ a_chart @ np.swapaxes(C, -1, -2)[:, None]
+    alpha = 0.5 * (a_onb + np.swapaxes(a_onb, -1, -2))
+    traces = np.diagonal(alpha, axis1=-2, axis2=-1).sum(axis=-1)
+    H = (traces[:, None, :] @ xi)[:, 0] / m
+    H_norm = np.sqrt(np.maximum(inner(sp, H, H), 0.0))
+    return alpha, H, H_norm
 
 
 def christoffels(pg: PointGeometry) -> np.ndarray:
@@ -114,6 +134,7 @@ def onb_connection(pg: PointGeometry, cache: "FieldCache | None" = None) -> np.n
     """Connection coefficients in the tangent ONB,
     conn[i, j, k] = <nabla_{E_i} E_j, E_k> (one finite-difference layer)."""
     cache = cache or FieldCache(pg.chart)
+    cache.prefetch(first_layer(pg.u))
     sp = pg.space
     m = pg.chart.m
     C = pg.tangent_coeffs
@@ -133,11 +154,28 @@ def onb_connection(pg: PointGeometry, cache: "FieldCache | None" = None) -> np.n
     return conn
 
 
+def first_layer(u) -> np.ndarray:
+    """u followed by the 4m points of its base-step ``fd_stencil`` along each
+    chart direction: every point a first-layer difference around u reads."""
+    u = np.asarray(u, dtype=float)
+    return np.vstack([u[None]] + [fd_stencil(u, i)[1] for i in range(len(u))])
+
+
+def nested_layer(u) -> np.ndarray:
+    """The first layer of u, then for each point of u's ``FD_NESTED_STEP``
+    stencils that point's first layer: (1 + 4m)^2 points, all a nested
+    difference around u reads."""
+    u = np.asarray(u, dtype=float)
+    outer = [v for p in range(len(u)) for v in fd_stencil(u, p, FD_NESTED_STEP)[1]]
+    return np.vstack([first_layer(u)] + [first_layer(v) for v in outer])
+
+
 class FieldCache:
     """Memo for point geometry across finite-difference stencils.
 
-    Keys are exact float tuples: the stencil offsets of repeated fd calls
-    around the same center are computed identically, so lookups hit.
+    Keys are exact float tuples: ``fd_stencil`` computes the offsets of
+    repeated fd calls around the same center identically, so lookups hit.
+    ``prefetch`` fills the memo for a whole stencil in one batched call.
     """
 
     def __init__(self, chart: Chart):
@@ -145,13 +183,35 @@ class FieldCache:
         self._memo: dict = {}
 
     def geometry(self, u) -> tuple[PointGeometry, ExtrinsicData]:
-        key = tuple(float(x) for x in np.asarray(u))
+        key = tuple(np.asarray(u, dtype=float).tolist())
         hit = self._memo.get(key)
         if hit is None:
             pg = analyze_point(self.chart, np.asarray(u, dtype=float))
             hit = (pg, second_fundamental(pg))
             self._memo[key] = hit
         return hit
+
+    def prefetch(self, points) -> None:
+        """Compute the geometry of every point of ``points`` (P, m) that the
+        memo lacks with one batched ``analyze_point`` and
+        ``second_fundamental`` call.  A row that fails is left out, and an
+        error of the whole batch caches nothing, so a later ``geometry``
+        call at that point raises what it would have raised without the
+        prefetch."""
+        todo: dict = {}
+        for row in np.asarray(points, dtype=float):
+            key = tuple(row.tolist())
+            if key not in self._memo:
+                todo.setdefault(key, row)
+        if not todo:
+            return
+        try:
+            batch = analyze_point(self.chart, np.array(list(todo.values())))
+        except (ChartError, ArithmeticError, ValueError):
+            return
+        for key, ed in zip(todo, second_fundamental(batch)):
+            if ed is not None:
+                self._memo[key] = (ed.pg, ed)
 
     # -- gauge-invariant fields -------------------------------------------
 
@@ -177,6 +237,7 @@ def normal_derivative_H(
     """nabla^perp_{d_i} H per chart direction: normal projection of the
     finite-difference ambient derivative of the H field (gauge-free)."""
     cache = cache or FieldCache(chart)
+    cache.prefetch(first_layer(u))
     pg, _ = cache.geometry(u)
     out = []
     for i in range(chart.m):
@@ -190,6 +251,7 @@ def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.n
     (tol_fd2 accuracy): sum g^{pq} (nabla^perp_p nabla^perp_q H
     - Gamma^k_{pq} nabla^perp_k H)."""
     cache = cache or FieldCache(chart)
+    cache.prefetch(nested_layer(u))
     pg, _ = cache.geometry(u)
     m = chart.m
     G = christoffels(pg)
@@ -229,21 +291,37 @@ def structure_residuals(
     """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors) for
     constant-coefficient coordinate fields X, Y, Z and normal index ``a``."""
     cache = cache or FieldCache(chart)
-    pg, ed = cache.geometry(u)
+    return {
+        name: residual(chart, u, X, Y, Z, a, cache)
+        for name, residual in (
+            ("gauss", gauss_residual),
+            ("codazzi", codazzi_residual),
+            ("ricci", ricci_residual),
+        )
+    }
+
+
+def _structure_point(chart: Chart, u, cache: FieldCache | None):
+    """The cache, with u's first layer prefetched, and the geometry at u."""
+    cache = cache or FieldCache(chart)
+    cache.prefetch(first_layer(u))
+    return (cache,) + cache.geometry(u)
+
+
+def gauss_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
+    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms) as an
+    ambient vector.  The three residual functions take the arguments of
+    ``structure_residuals``; Gauss and Codazzi do not use ``a``."""
+    cache, pg, ed = _structure_point(chart, u, cache)
+    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
     sp = chart.space
     m = chart.m
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     d2 = pg.jet.d2
     G = christoffels(pg)
-    P0 = pg.normal_projector()
-
     Xa, Ya, Za = pg.push(X), pg.push(Y), pg.push(Z)
     X_onb, Y_onb = pg.onb_coords(Xa), pg.onb_coords(Ya)
     T = pg.T_ambient
 
-    # ---- Gauss: R(X,Y)Z = A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms
     DG = np.array(
         [
             fd_gradient(cache.christoffel_field, pg.u, i).reshape(m, m, m)
@@ -266,10 +344,23 @@ def structure_residuals(
         + inner(sp, Xa, T) * _wedge(sp, Ya, T, Za)
         - inner(sp, Ya, T) * _wedge(sp, Xa, T, Za)
     )
+    return lhs_gauss - rhs_gauss
 
-    # ---- Codazzi: the nabla_X Y terms cancel between the two sides because
-    # coordinate fields commute, leaving
-    #   P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z) + alpha(X, nab_Y Z)
+
+def codazzi_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
+    """Codazzi equation LHS - RHS as an ambient vector.  The nabla_X Y terms
+    cancel between the two sides because coordinate fields commute, leaving
+    P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z) + alpha(X, nab_Y Z)
+    against eps <(X ^ Y) T, Z> eta."""
+    cache, pg, _ = _structure_point(chart, u, cache)
+    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
+    sp = chart.space
+    m = chart.m
+    d2 = pg.jet.d2
+    G = christoffels(pg)
+    P0 = pg.normal_projector()
+    Xa, Ya, Za = pg.push(X), pg.push(Y), pg.push(Z)
+
     def alpha_field(A, B):
         def field(v):
             pgv, _ = cache.geometry(v)
@@ -287,12 +378,24 @@ def structure_residuals(
         - pg.proj_normal(np.einsum("cjk,j,k->c", d2, Y, nabXZ))
         + pg.proj_normal(np.einsum("cjk,j,k->c", d2, X, nabYZ))
     )
-    rhs_cod = sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, T), Za) * pg.eta
+    rhs_cod = sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, pg.T_ambient), Za) * pg.eta
+    return lhs_cod - rhs_cod
 
-    # ---- Ricci: with the projector field P(u) and the extension xi = P xi0,
-    #   R^perp(X,Y)xi = P [D_X P, D_Y P] xi0   (coordinate fields commute)
+
+def ricci_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
+    """Ricci equation LHS - RHS against normal ``a`` as an ambient vector (Z
+    is not used).  With the projector field P(u) and the extension
+    xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate fields
+    commute)."""
+    cache, pg, ed = _structure_point(chart, u, cache)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    m = chart.m
+    d2 = pg.jet.d2
+    P0 = pg.normal_projector()
+    X_onb, Y_onb = pg.onb_coords(pg.push(X)), pg.onb_coords(pg.push(Y))
+
     xi = pg.normal_onb[a]
-    k = sp.ambient_dim
+    k = chart.space.ambient_dim
     DP = [fd_gradient(cache.projector_field, pg.u, i).reshape(k, k) for i in range(m)]
     DPX = sum(X[i] * DP[i] for i in range(m))
     DPY = sum(Y[j] * DP[j] for j in range(m))
@@ -304,18 +407,14 @@ def structure_residuals(
     rhs_ricci = pg.proj_normal(
         np.einsum("cjk,j,k->c", d2, X, w1)
     ) - pg.proj_normal(np.einsum("cjk,j,k->c", d2, w2, Y))
-
-    return {
-        "gauss": lhs_gauss - rhs_gauss,
-        "codazzi": lhs_cod - rhs_cod,
-        "ricci": lhs_ricci - rhs_ricci,
-    }
+    return lhs_ricci - rhs_ricci
 
 
 def T_eta_residuals(chart: Chart, u, cache: FieldCache | None = None) -> dict:
     """Residuals of nabla_X T = A_eta X and alpha(X, T) = -nabla^perp_X eta,
     maximized over the tangent ONB directions."""
     cache = cache or FieldCache(chart)
+    cache.prefetch(first_layer(u))
     pg, ed = cache.geometry(u)
     sp = chart.space
     m = chart.m

@@ -195,36 +195,36 @@ def _phi_geometry_check(space, a, qc, fr, dom, check_T: bool, tol_min: float = 1
     sig = np.array([eps if eps == -1 else 1.0, 1.0, 1.0, 1.0])
 
     def sdot(x, y):
-        return float(np.sum(sig * x * y))
+        return np.sum(sig * x * y, axis=-1)
 
-    worst_h = 0.0
-    min_t = math.inf
-    for u in probe_grid(dom, 5):
-        seeds = (jets.jet_var(0, u[0], 2), jets.jet_var(1, u[1], 2))
-        vj = VecJet2([qc[0](seeds), qc[1](seeds), qc[2](seeds), fr(seeds)])
-        J = vj.jac
-        phiq = vj.values.copy()
-        phiq[3] = 0.0
-        g = np.array([[sdot(J[:, i], J[:, j]) for j in range(2)] for i in range(2)])
-        det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-        if det <= 1e-14:
-            raise ChartError("phi factor is degenerate on the probe grid")
-        g_inv = np.linalg.inv(g)
+    # one batched jet over the probe grid; every step below is row by row
+    u = probe_grid(dom, 5)
+    seeds = (jets.jet_var(0, u[:, 0], 2), jets.jet_var(1, u[:, 1], 2))
+    vj = VecJet2([qc[0](seeds), qc[1](seeds), qc[2](seeds), fr(seeds)])
+    J = vj.jac  # (N, 4, 2)
+    JtS = np.swapaxes(J * sig[:, None], -1, -2)
+    phiq = vj.values.copy()
+    phiq[:, 3] = 0.0
+    g = JtS @ J
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+    if np.any(det <= 1e-14):
+        raise ChartError("phi factor is degenerate on the probe grid")
+    g_inv = np.linalg.inv(g)
 
-        def proj(v):
-            out = v - (sdot(v, phiq) / (eps * a * a)) * phiq
-            coef = g_inv @ np.array([sdot(out, J[:, 0]), sdot(out, J[:, 1])])
-            return out - J @ coef
+    def proj(v):
+        out = v - (sdot(v, phiq) / (eps * a * a))[:, None] * phiq
+        return out - (J @ g_inv @ JtS @ out[..., None])[..., 0]
 
-        hvec = np.zeros(4)
-        for i in range(2):
-            for j in range(2):
-                hvec += g_inv[i, j] * vj.second(i, j)
-        hvec = 0.5 * proj(hvec)
-        worst_h = max(worst_h, math.sqrt(abs(sdot(hvec, hvec))))
-        if check_T:
-            tq = np.array([J[3, 0], J[3, 1]])
-            min_t = min(min_t, float(tq @ g_inv @ tq))
+    hvec = np.zeros_like(phiq)
+    for i in range(2):
+        for j in range(2):
+            hvec += g_inv[:, i, j, None] * vj.second(i, j)
+    hvec = 0.5 * proj(hvec)
+    # fmax/fmin skip NaN rows, as the running max/min over points did
+    worst_h = float(np.fmax.reduce(np.sqrt(np.abs(sdot(hvec, hvec))), initial=0.0))
+    if check_T:
+        tq = J[:, 3, :, None]
+        min_t = float(np.fmin.reduce((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0], initial=math.inf))
     if worst_h > tol_min:
         raise ChartError(
             f"phi is not minimal: ||H_phi|| reaches {worst_h:.3e} > {tol_min:.1e}"

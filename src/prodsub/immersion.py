@@ -8,7 +8,6 @@ analytic 2-jets with no parse step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,6 +21,7 @@ from .jets import Jet2, VecJet2
 __all__ = [
     "Chart",
     "PointGeometry",
+    "PointBatch",
     "evaluate_jet",
     "analyze_point",
     "pushforward",
@@ -74,11 +74,12 @@ class Chart:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
 
     def validate_membership(self, tol: float = 1e-9, per_axis: int = 5) -> float:
-        """Worst membership residual on a probe grid; raises past ``tol``."""
-        worst = 0.0
-        for u in probe_grid(self.domain, per_axis):
-            r = membership_residual(self.space, evaluate_jet(self, u).values)
-            worst = max(worst, r)
+        """Worst membership residual on a probe grid; raises past ``tol``.
+
+        The grid is one batched jet evaluation; a NaN residual is skipped
+        like any value that does not exceed the running maximum."""
+        values = evaluate_jet(self, probe_grid(self.domain, per_axis)).values
+        worst = float(np.fmax.reduce(membership_residual(self.space, values), initial=0.0))
         if not worst <= tol:
             raise ChartError(
                 f"chart {self.label or '<unnamed>'} leaves the product: "
@@ -105,16 +106,106 @@ def probe_grid(domain, counts=5):
 
 
 def evaluate_jet(chart: Chart, u) -> VecJet2:
-    """2-jet of all ambient coordinates at the chart point ``u``."""
+    """2-jet of all ambient coordinates at the chart point ``u`` (m,), or at
+    every row of a batch ``u`` (N, m) in one pass through the coordinate maps.
+
+    A single point runs as a batch of one, so its jet is bit for bit the
+    matching row of any batch.  When a coordinate map fails on a batch, the
+    rows are replayed one by one, so the error is the one the first failing
+    point raises on its own.
+    """
     u = np.asarray(u, dtype=float)
-    seeds = tuple(jets.jet_var(i, u[i], chart.m) for i in range(chart.m))
+    U = u.reshape(-1, chart.m)
+    seeds = tuple(jets.jet_var(i, U[:, i], chart.m) for i in range(chart.m))
     comps = []
-    for k, coord in enumerate(chart.coords):
-        try:
-            comps.append(coord(seeds))
-        except (ValueError, ZeroDivisionError, exprlang.EvalError) as exc:
-            raise ChartError(f"coordinate {k} failed at u={u.tolist()}: {exc}") from exc
-    return VecJet2(comps)
+    # inf and NaN arise silently, as they do in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, coord in enumerate(chart.coords):
+            try:
+                c = coord(seeds)
+            except (ValueError, ZeroDivisionError, exprlang.EvalError) as exc:
+                if u.ndim == 1:
+                    raise ChartError(f"coordinate {k} failed at u={u.tolist()}: {exc}") from exc
+                for row in U:
+                    evaluate_jet(chart, row)
+                raise ChartError(f"coordinate {k} failed on a batch: {exc}") from exc
+            # a coordinate that ignores the seeds comes back without the batch axis
+            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess))
+    vj = VecJet2(comps)
+    return vj if u.ndim > 1 else vj.row(0)
+
+
+def _mgs(space: ProductSpace, vectors: np.ndarray, pivot: bool, drop_tol):
+    """Signature-aware modified Gram-Schmidt on every row of a stack (N, c, k).
+
+    Returns (basis, coeffs, count, errors): the first count[r] vectors of
+    basis[r] are the selected unit vectors, coeffs[r, i] expresses basis
+    vector i over the inputs (without pivoting only), and errors[r] is the
+    NullFrame row r raises, else None.  Without ``pivot`` the inputs are
+    taken in order and one with <v,v> <= drop_tol fails its row.  With
+    ``pivot`` each row takes its own largest remaining |<v,v>| (argmax,
+    first index on ties), stops once that falls below ``drop_tol`` and
+    fails if the vector taken is timelike.  Rows never mix, and the values
+    of a failed row mean nothing (callers silence numpy's warnings for them).
+    """
+    work = np.array(vectors, dtype=float)
+    n_rows, c, _ = work.shape
+    drop_tol = np.broadcast_to(np.asarray(drop_tol, dtype=float), (n_rows,))
+    errors = [None] * n_rows
+
+    def fail(bad, nrm2, kind) -> None:
+        for r in np.flatnonzero(bad):
+            if errors[r] is None:
+                if kind == "pivot":
+                    msg = f"pivoted Gram-Schmidt selected <v,v>={nrm2[r]:.3e} < 0"
+                elif nrm2[r] > -drop_tol[r]:
+                    msg = f"Gram-Schmidt hit a near-null vector (<v,v>={nrm2[r]:.3e})"
+                else:
+                    msg = f"Gram-Schmidt hit a timelike vector (<v,v>={nrm2[r]:.3e})"
+                errors[r] = NullFrame(msg)
+
+    if not pivot:
+        coeffs = np.tile(np.eye(c), (n_rows, 1, 1))
+        for j in range(c):
+            v = work[:, j]
+            nrm2 = inner(space, v, v)
+            bad = nrm2 <= drop_tol
+            if bad.any():
+                fail(bad, nrm2, "order")
+            s = np.sqrt(np.abs(nrm2))[:, None]
+            e = v / s
+            ce = coeffs[:, j] / s
+            work[:, j] = e
+            coeffs[:, j] = ce
+            if j + 1 < c:
+                cc = inner(space, work[:, j + 1 :], e[:, None])[..., None]
+                work[:, j + 1 :] -= cc * e[:, None]
+                coeffs[:, j + 1 :] -= cc * ce[:, None]
+        return work, coeffs, np.full(n_rows, c), errors
+
+    rows = np.arange(n_rows)
+    basis = np.zeros_like(work)
+    count = np.zeros(n_rows, dtype=int)
+    alive = np.ones((n_rows, c), dtype=bool)
+    active = np.ones(n_rows, dtype=bool)
+    for _ in range(c):
+        n2 = inner(space, work, work)
+        j = np.argmax(np.where(alive, np.abs(n2), -np.inf), axis=1)
+        nrm2 = n2[rows, j]
+        active &= ~(np.abs(nrm2) < drop_tol)
+        bad = active & (nrm2 < 0.0)
+        if bad.any():
+            fail(bad, nrm2, "pivot")
+            active &= ~bad
+        if not active.any():
+            break
+        e = work[rows, j] / np.sqrt(np.abs(nrm2))[:, None]
+        sel = rows[active]
+        basis[sel, count[sel]] = e[sel]
+        count += active
+        alive[rows, j] = False
+        work -= inner(space, work, e[:, None])[..., None] * e[:, None]
+    return basis, None, count, errors
 
 
 def gram_schmidt(
@@ -126,46 +217,17 @@ def gram_schmidt(
     """Signature-aware modified Gram-Schmidt.
 
     Returns (basis, coeffs) where basis[i] are unit spacelike vectors and
-    coeffs[i] expresses basis[i] over the input vectors (only meaningful
-    without pivoting).  With ``pivot`` the largest remaining |<v,v>| is taken
-    each round and vectors with squared norm below ``drop_tol`` in absolute
-    value are discarded; a selected vector that is not spacelike raises
-    NullFrame.
+    coeffs[i] expresses basis[i] over the input vectors (None with
+    pivoting).  With ``pivot`` the largest remaining |<v,v>| is taken each
+    round and vectors with squared norm below ``drop_tol`` in absolute value
+    are discarded; a selected vector that is not spacelike raises NullFrame.
+    This is ``_mgs`` on a batch of one.
     """
-    work = [np.array(v, dtype=float) for v in vectors]
-    k = len(work)
-    coeffs = [np.eye(k)[i] for i in range(k)]
-    basis = []
-    alive = list(range(k))
-    while alive:
-        if pivot:
-            norms = [abs(inner(space, work[i], work[i])) for i in alive]
-            j = alive[int(np.argmax(norms))]
-            if norms[int(np.argmax(norms))] < drop_tol:
-                break
-        else:
-            j = alive[0]
-        v = work[j]
-        nrm2 = inner(space, v, v)
-        if not pivot and nrm2 <= drop_tol:
-            if nrm2 > -drop_tol:
-                raise NullFrame(
-                    f"Gram-Schmidt hit a near-null vector (<v,v>={nrm2:.3e})"
-                )
-            raise NullFrame(f"Gram-Schmidt hit a timelike vector (<v,v>={nrm2:.3e})")
-        if pivot and nrm2 < 0.0:
-            raise NullFrame(f"pivoted Gram-Schmidt selected <v,v>={nrm2:.3e} < 0")
-        s = math.sqrt(abs(nrm2))
-        e = v / s
-        ce = coeffs[j] / s
-        basis.append(e)
-        coeffs[j] = ce
-        alive.remove(j)
-        for i in alive:
-            c = inner(space, work[i], e)
-            work[i] = work[i] - c * e
-            coeffs[i] = coeffs[i] - c * ce
-    return basis, coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis, coeffs, count, errors = _mgs(space, np.asarray(vectors, dtype=float)[None], pivot, drop_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return list(basis[0, : count[0]]), None if coeffs is None else list(coeffs[0])
 
 
 @dataclass
@@ -249,79 +311,140 @@ class PointGeometry:
         return replace(self, normal_onb=flipped)
 
 
-def analyze_point(chart: Chart, u) -> PointGeometry:
-    """Metric, orthonormal frames and the d_t = f_* T + eta decomposition."""
-    sp = chart.space
-    u = np.asarray(u, dtype=float)
-    jet = evaluate_jet(chart, u)
-    pos = jet.values
-    m = chart.m
+@dataclass
+class PointBatch:
+    """Frame-bundle samples of a chart at N points, stacked on a leading axis.
 
-    sig = sp.signature
-    J = jet.jac
-    g = (J * sig[:, None]).T @ J
-    g = 0.5 * (g + g.T)
+    ``errors[i]`` is the IrregularPoint or NullFrame that point i raises on
+    its own, else None; the array rows of a failed point mean nothing.
+    ``point(i)`` gives one row as a PointGeometry or raises its error.
+    """
 
-    scale = max(1.0, float(np.max(np.abs(np.diag(g)))))
-    det = float(np.linalg.det(g))
-    if det <= 1e-12 * scale**m:
-        raise IrregularPoint(f"det g = {det:.3e} at u={u.tolist()}")
-    eigmin = float(np.linalg.eigvalsh(g)[0])
-    if eigmin <= 0.0:
-        raise IrregularPoint(f"induced metric not positive definite at u={u.tolist()}")
-    g_inv = np.linalg.inv(g)
+    chart: Chart
+    u: np.ndarray  # (N, m)
+    jet: VecJet2
+    g: np.ndarray
+    g_inv: np.ndarray
+    tangent_onb: np.ndarray  # (N, m, n+2)
+    tangent_coeffs: np.ndarray
+    normal_onb: np.ndarray  # (N, n+1-m, n+2)
+    T_ambient: np.ndarray
+    T_coeffs: np.ndarray
+    T_norm: np.ndarray
+    eta: np.ndarray
+    eta_norm: np.ndarray
+    theta: np.ndarray
+    nu: np.ndarray | None
+    errors: list
 
-    cols = [J[:, i] for i in range(m)]
-    tangent_onb, coeffs = gram_schmidt(sp, cols, pivot=False, drop_tol=1e-12 * scale)
-    C = np.array(coeffs)
+    def __len__(self) -> int:
+        return len(self.u)
 
-    # normal frame: project the canonical basis onto the complement of
-    # span(tangent) + span(p_Q), then pivoted MGS
-    phat = sp.q_padded(pos)
-    cands = []
-    for k in range(sp.ambient_dim):
-        e = np.zeros(sp.ambient_dim)
-        e[k] = 1.0
-        w = e - sp.epsilon * inner(sp, e, phat) * phat
-        for t in tangent_onb:
-            w -= inner(sp, w, t) * t
-        cands.append(w)
-    normal_onb, _ = gram_schmidt(sp, cands, pivot=True, drop_tol=1e-8)
-    want = sp.n + 1 - m
-    if len(normal_onb) != want:
-        raise NullFrame(
-            f"normal frame has {len(normal_onb)} vectors, expected {want}"
+    def point(self, i: int) -> PointGeometry:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return PointGeometry(
+            chart=self.chart,
+            u=self.u[i],
+            jet=self.jet.row(i),
+            pos=self.jet.values[i],
+            g=self.g[i],
+            g_inv=self.g_inv[i],
+            tangent_onb=list(self.tangent_onb[i]),
+            tangent_coeffs=self.tangent_coeffs[i],
+            normal_onb=list(self.normal_onb[i]),
+            T_ambient=self.T_ambient[i],
+            T_coeffs=self.T_coeffs[i],
+            T_norm=float(self.T_norm[i]),
+            eta=self.eta[i],
+            eta_norm=float(self.eta_norm[i]),
+            theta=float(self.theta[i]),
+            nu=None if self.nu is None else float(self.nu[i]),
         )
 
-    dt = sp.t_axis()
-    t_onb = np.array([inner(sp, dt, e) for e in tangent_onb])
-    T = np.zeros(sp.ambient_dim)
-    for c, e in zip(t_onb, tangent_onb):
-        T += c * e
-    T_coeffs = t_onb @ C
-    T_norm = math.sqrt(max(inner(sp, T, T), 0.0))
-    eta = dt - T
-    eta_norm = math.sqrt(max(inner(sp, eta, eta), 0.0))
-    theta = math.atan2(eta_norm, T_norm)
-    nu = inner(sp, eta, normal_onb[0]) if want == 1 else None
 
-    return PointGeometry(
+def analyze_point(chart: Chart, u):
+    """Metric, orthonormal frames and the d_t = f_* T + eta decomposition.
+
+    ``u`` (m,) gives a PointGeometry and raises where the point is irregular
+    or a frame degenerates; ``u`` (N, m) gives a PointBatch that records
+    those errors per row.  A single point runs as a batch of one, so its
+    geometry is bit for bit the matching row of any batch.
+    """
+    u = np.array(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0
+        batch = _analyze(chart, u.reshape(-1, chart.m))
+    return batch if u.ndim > 1 else batch.point(0)
+
+
+def _analyze(chart: Chart, U: np.ndarray) -> PointBatch:
+    sp = chart.space
+    m = chart.m
+    n_rows = len(U)
+    jet = evaluate_jet(chart, U)
+    pos = jet.values
+    errors: list = [None] * n_rows
+
+    def fail(bad, make) -> None:
+        if np.any(bad):
+            for r in np.flatnonzero(bad):
+                if errors[r] is None:
+                    errors[r] = make(r)
+
+    sig = sp.signature
+    J = jet.jac  # (N, n+2, m)
+    g = np.swapaxes(J * sig[:, None], -1, -2) @ J
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+
+    scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
+    det = np.linalg.det(g)
+    fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
+    eigmin = np.linalg.eigvalsh(g)[:, 0]
+    fail(eigmin <= 0.0, lambda r: IrregularPoint(f"induced metric not positive definite at u={U[r].tolist()}"))
+    irregular = np.array([e is not None for e in errors])
+    g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))
+
+    E, C, _, gs_errors = _mgs(sp, np.swapaxes(J, -1, -2), False, 1e-12 * scale)
+    fail(np.array([e is not None for e in gs_errors]), lambda r: gs_errors[r])
+
+    # normal frame: project the canonical basis onto the complement of
+    # span(tangent) + span(p_Q), then pivoted MGS.  The tangent projection
+    # runs twice: one pass leaves tangent components of up to 2.5 ulp in
+    # the normals, the second brings the frame defect back under 2 ulp.
+    phat = sp.q_padded(pos)
+    cands = np.eye(sp.ambient_dim) - (sp.epsilon * (sig * phat))[:, :, None] * phat[:, None, :]
+    Et = np.swapaxes(E, -1, -2)
+    for _ in range(2):
+        cands = cands - ((cands * sig) @ Et) @ E
+    xi, _, count, nf_errors = _mgs(sp, cands, True, 1e-8)
+    fail(np.array([e is not None for e in nf_errors]), lambda r: nf_errors[r])
+    want = sp.n + 1 - m
+    fail(count != want, lambda r: NullFrame(f"normal frame has {count[r]} vectors, expected {want}"))
+    xi = xi[:, :want]
+
+    t_onb = E[:, :, sp.t_index]  # <d_t, E_i>
+    T = (t_onb[:, None, :] @ E)[:, 0]
+    T_coeffs = (t_onb[:, None, :] @ C)[:, 0]
+    T_norm = np.sqrt(np.maximum(inner(sp, T, T), 0.0))
+    eta = sp.t_axis() - T
+    eta_norm = np.sqrt(np.maximum(inner(sp, eta, eta), 0.0))
+    return PointBatch(
         chart=chart,
-        u=u,
+        u=U,
         jet=jet,
-        pos=pos,
         g=g,
         g_inv=g_inv,
-        tangent_onb=tangent_onb,
+        tangent_onb=E,
         tangent_coeffs=C,
-        normal_onb=normal_onb,
+        normal_onb=xi,
         T_ambient=T,
         T_coeffs=T_coeffs,
         T_norm=T_norm,
         eta=eta,
         eta_norm=eta_norm,
-        theta=theta,
-        nu=nu,
+        theta=np.arctan2(eta_norm, T_norm),
+        nu=inner(sp, eta, xi[:, 0]) if want == 1 else None,
+        errors=errors,
     )
 
 

@@ -10,8 +10,6 @@ higher-order jets.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import StencilError
@@ -25,6 +23,7 @@ __all__ = [
     "jet_unary",
     "UNARY_FNS",
     "fd_gradient",
+    "fd_stencil",
     "FD_BASE_STEP",
 ]
 
@@ -41,69 +40,111 @@ class JetDomainError(ValueError):
         self.value = value
 
 
+def _check_domain(fn: str, value, bad) -> None:
+    """Raise for the first entry of ``value`` (in batch order) where ``bad``."""
+    if np.any(bad):
+        raise JetDomainError(fn, float(np.asarray(value)[np.asarray(bad)][0]))
+
+
+def _check_range(arg, *results, power: bool = False) -> None:
+    """Raise OverflowError where a finite argument overflowed, with the
+    message of ``math`` (or of a float power); numpy would return inf."""
+    finite = np.isfinite(arg)
+    if any(np.any(np.isinf(r) & finite) for r in results):
+        if power:
+            raise OverflowError(34, "Numerical result out of range")
+        raise OverflowError("math range error")
+
+
 def _check_same_m(a: "Jet2", b: "Jet2") -> None:
     if a.m != b.m:
         raise ValueError(f"jet dimension mismatch: {a.m} vs {b.m}")
 
 
+def _col(x):
+    """Broadcast a batch of scalars against a trailing vector axis."""
+    return np.asarray(x)[..., None]
+
+
+def _mat(x):
+    """Broadcast a batch of scalars against trailing (m, m) axes."""
+    return np.asarray(x)[..., None, None]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
 class Jet2:
-    """Truncated 2-jet: value, gradient (m,) and symmetric Hessian (m, m)."""
+    """Truncated 2-jet: value, gradient (m,) and symmetric Hessian (m, m).
+
+    Every field may carry one leading batch axis: value (N,), grad (N, m) and
+    hess (N, m, m) hold the jets of N points, and every operation acts row
+    by row.  A jet without the axis is the N-less case of the same class;
+    operands broadcast, so constants mix with batches.
+    """
 
     __slots__ = ("m", "value", "grad", "hess")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = float(value)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-        self.m = self.grad.shape[0]
+        self.m = self.grad.shape[-1]
 
     def __repr__(self) -> str:
-        return f"Jet2(value={self.value!r}, m={self.m})"
+        if self.value.ndim:
+            return f"Jet2(batch={self.value.shape[0]}, m={self.m})"
+        return f"Jet2(value={float(self.value)!r}, m={self.m})"
 
     # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x, m: int) -> "Jet2":
-        if isinstance(x, Jet2):
-            return x
-        return jet_const(float(x), m)
+    # A plain number operand scales or shifts the jet directly; the values
+    # equal those of the same operation against a constant jet.
 
     def __add__(self, other) -> "Jet2":
-        o = Jet2._coerce(other, self.m)
-        _check_same_m(self, o)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value + float(other), self.grad, self.hess)
+        _check_same_m(self, other)
+        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
-        o = Jet2._coerce(other, self.m)
-        _check_same_m(self, o)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - float(other), self.grad, self.hess)
+        _check_same_m(self, other)
+        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __rsub__(self, other) -> "Jet2":
-        return Jet2._coerce(other, self.m).__sub__(self)
+        return Jet2(float(other) - self.value, -self.grad, -self.hess)
 
     def __mul__(self, other) -> "Jet2":
-        o = Jet2._coerce(other, self.m)
+        if not isinstance(other, Jet2):
+            c = float(other)
+            return Jet2(self.value * c, self.grad * c, self.hess * c)
+        o = other
         _check_same_m(self, o)
-        cross = np.outer(self.grad, o.grad)
+        cross = _outer(self.grad, o.grad)
         return Jet2(
             self.value * o.value,
-            self.grad * o.value + o.grad * self.value,
-            self.hess * o.value + o.hess * self.value + cross + cross.T,
+            self.grad * _col(o.value) + o.grad * _col(self.value),
+            self.hess * _mat(o.value) + o.hess * _mat(self.value) + cross + np.swapaxes(cross, -1, -2),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet2":
-        o = Jet2._coerce(other, self.m)
-        _check_same_m(self, o)
-        if o.value == 0.0:
-            raise ZeroDivisionError("jet division by zero value")
-        return self * _reciprocal(o)
+        if not isinstance(other, Jet2):
+            c = float(other)
+            if c == 0.0:
+                raise ZeroDivisionError("jet division by zero value")
+            return self * (1.0 / c)
+        _check_same_m(self, other)
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet2":
-        return Jet2._coerce(other, self.m).__truediv__(self)
+        return _reciprocal(self) * other
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.value, -self.grad, -self.hess)
@@ -112,13 +153,16 @@ class Jet2:
         return pow_const(self, p)
 
 
-def jet_var(index: int, value: float, m: int) -> Jet2:
-    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot."""
+def jet_var(index: int, value, m: int) -> Jet2:
+    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot.
+
+    ``value`` is one number or a batch (N,) of them."""
     if not 0 <= index < m:
         raise ValueError(f"variable index {index} out of range for m={m}")
-    grad = np.zeros(m)
-    grad[index] = 1.0
-    return Jet2(value, grad, np.zeros((m, m)))
+    value = np.array(value, dtype=float)
+    grad = np.zeros(value.shape + (m,))
+    grad[..., index] = 1.0
+    return Jet2(value, grad, np.zeros(value.shape + (m, m)))
 
 
 def jet_const(value: float, m: int) -> Jet2:
@@ -127,74 +171,80 @@ def jet_const(value: float, m: int) -> Jet2:
 
 def _reciprocal(a: Jet2) -> Jet2:
     v = a.value
+    if np.any(v == 0.0):
+        raise ZeroDivisionError("jet division by zero value")
     inv = 1.0 / v
     inv2 = inv * inv
-    outer = np.outer(a.grad, a.grad)
-    return Jet2(inv, -a.grad * inv2, -a.hess * inv2 + 2.0 * outer * (inv2 * inv))
+    outer = _outer(a.grad, a.grad)
+    return Jet2(inv, -a.grad * _col(inv2), -a.hess * _mat(inv2) + 2.0 * outer * _mat(inv2 * inv))
 
 
-def _chain(a: Jet2, f: float, fp: float, fpp: float) -> Jet2:
+def _chain(a: Jet2, f, fp, fpp) -> Jet2:
     """Apply the scalar chain rule with derivative table (f, f', f'')."""
-    return Jet2(f, fp * a.grad, fp * a.hess + fpp * np.outer(a.grad, a.grad))
+    return Jet2(
+        f, _col(fp) * a.grad, _mat(fp) * a.hess + _mat(fpp) * _outer(a.grad, a.grad)
+    )
 
 
 def sin(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = np.sin(a.value), np.cos(a.value)
     return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = np.sin(a.value), np.cos(a.value)
     return _chain(a, c, -s, -c)
 
 
 def tan(a: Jet2) -> Jet2:
-    c = math.cos(a.value)
-    if c == 0.0:
-        raise JetDomainError("tan", a.value)
-    t = math.tan(a.value)
+    _check_domain("tan", a.value, np.cos(a.value) == 0.0)
+    t = np.tan(a.value)
     sec2 = 1.0 + t * t
     return _chain(a, t, sec2, 2.0 * t * sec2)
 
 
 def sinh(a: Jet2) -> Jet2:
-    s, c = math.sinh(a.value), math.cosh(a.value)
+    with np.errstate(over="ignore"):
+        s, c = np.sinh(a.value), np.cosh(a.value)
+    _check_range(a.value, s, c)
     return _chain(a, s, c, s)
 
 
 def cosh(a: Jet2) -> Jet2:
-    s, c = math.sinh(a.value), math.cosh(a.value)
+    with np.errstate(over="ignore"):
+        s, c = np.sinh(a.value), np.cosh(a.value)
+    _check_range(a.value, s, c)
     return _chain(a, c, s, c)
 
 
 def tanh(a: Jet2) -> Jet2:
-    t = math.tanh(a.value)
+    t = np.tanh(a.value)
     sech2 = 1.0 - t * t
     return _chain(a, t, sech2, -2.0 * t * sech2)
 
 
 def exp(a: Jet2) -> Jet2:
-    e = math.exp(a.value)
+    with np.errstate(over="ignore"):
+        e = np.exp(a.value)
+    _check_range(a.value, e)
     return _chain(a, e, e, e)
 
 
 def log(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
-        raise JetDomainError("log", a.value)
+    _check_domain("log", a.value, a.value <= 0.0)
     inv = 1.0 / a.value
-    return _chain(a, math.log(a.value), inv, -inv * inv)
+    return _chain(a, np.log(a.value), inv, -inv * inv)
 
 
 def sqrt(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
-        raise JetDomainError("sqrt", a.value)
-    r = math.sqrt(a.value)
+    _check_domain("sqrt", a.value, a.value <= 0.0)
+    r = np.sqrt(a.value)
     return _chain(a, r, 0.5 / r, -0.25 / (r * a.value))
 
 
 def atan(a: Jet2) -> Jet2:
     d = 1.0 + a.value * a.value
-    return _chain(a, math.atan(a.value), 1.0 / d, -2.0 * a.value / (d * d))
+    return _chain(a, np.arctan(a.value), 1.0 / d, -2.0 * a.value / (d * d))
 
 
 def neg(a: Jet2) -> Jet2:
@@ -208,19 +258,23 @@ def pow_const(a: Jet2, p: float) -> Jet2:
     """
     if isinstance(p, float) and p.is_integer():
         p = int(p)
+    v = a.value
     if isinstance(p, int):
         if p == 0:
-            return jet_const(1.0, a.m)
-        if a.value == 0.0 and p < 0:
+            return Jet2(np.ones_like(v), np.zeros_like(a.grad), np.zeros_like(a.hess))
+        if p < 0 and np.any(v == 0.0):
             raise ZeroDivisionError("pow_const: zero base with negative exponent")
-        f = a.value**p
-        fp = p * a.value ** (p - 1)
-        fpp = p * (p - 1) * (a.value ** (p - 2) if p != 1 else 0.0)
+        with np.errstate(over="ignore"):
+            f = v**p
+            fp = p * v ** (p - 1)
+            fpp = p * (p - 1) * (v ** (p - 2) if p != 1 else 0.0)
+        _check_range(v, f, fp, fpp, power=True)
         return _chain(a, f, fp, fpp)
-    if a.value <= 0.0:
-        raise JetDomainError("pow_const", a.value)
-    f = a.value**p
-    return _chain(a, f, p * f / a.value, p * (p - 1) * f / (a.value * a.value))
+    _check_domain("pow_const", v, v <= 0.0)
+    with np.errstate(over="ignore"):
+        f = v**p
+    _check_range(v, f, power=True)
+    return _chain(a, f, p * f / v, p * (p - 1) * f / (v * v))
 
 
 UNARY_FNS = {
@@ -266,14 +320,14 @@ def jet_unary(fn: str, a: Jet2, p: float | None = None) -> Jet2:
 
 
 class VecJet2:
-    """Ambient-vector-valued 2-jet: one Jet2 per ambient coordinate.
+    """Ambient-vector-valued 2-jet, stacked for downstream linear algebra.
 
-    Stacks the component jets into arrays for fast downstream linear algebra:
     ``values`` (k,), ``jac`` (k, m) with jac[c, i] = d f_c / d u_i, and
-    ``d2`` (k, m, m) with the per-component Hessians.
+    ``d2`` (k, m, m) with the per-component Hessians.  A batch of N points
+    adds a leading axis to all three: (N, k), (N, k, m), (N, k, m, m).
     """
 
-    __slots__ = ("jets", "m", "values", "jac", "d2")
+    __slots__ = ("m", "values", "jac", "d2")
 
     def __init__(self, jets):
         jets = list(jets)
@@ -283,43 +337,63 @@ class VecJet2:
         for j in jets:
             if j.m != m:
                 raise ValueError("VecJet2 components disagree on m")
-        self.jets = jets
+        shape = np.broadcast_shapes(*(j.value.shape for j in jets))
+
+        def stack(parts, tail, axis):
+            want = shape + tail
+            return np.stack([p if p.shape == want else np.broadcast_to(p, want) for p in parts], axis)
+
         self.m = m
-        self.values = np.array([j.value for j in jets])
-        self.jac = np.array([j.grad for j in jets])
-        self.d2 = np.array([j.hess for j in jets])
+        self.values = stack([j.value for j in jets], (), -1)
+        self.jac = stack([j.grad for j in jets], (m,), -2)
+        self.d2 = stack([j.hess for j in jets], (m, m), -3)
 
     def __len__(self) -> int:
-        return len(self.jets)
+        return self.values.shape[-1]
+
+    def row(self, i: int) -> "VecJet2":
+        """The jet of point ``i`` of a batch."""
+        out = object.__new__(VecJet2)
+        out.m = self.m
+        out.values, out.jac, out.d2 = self.values[i], self.jac[i], self.d2[i]
+        return out
 
     def second(self, i: int, j: int) -> np.ndarray:
         """Mixed second derivative vector d^2 f / du_i du_j, shape (k,)."""
-        return self.d2[:, i, j]
+        return self.d2[..., i, j]
+
+
+def fd_stencil(u, i: int, step: float | None = None) -> tuple[float, np.ndarray]:
+    """Base step h and the four points ``fd_gradient`` evaluates along chart
+    direction ``i``, in its order: u + h e_i, u - h e_i, u + h/2 e_i and
+    u - h/2 e_i.  h = cbrt(machine eps) * max(1, |u_i|) unless ``step`` is
+    given."""
+    u = np.asarray(u, dtype=float)
+    h = step if step is not None else FD_BASE_STEP * max(1.0, abs(u[i]))
+    pts = np.repeat(u[None], 4, axis=0)
+    pts[:, i] += (h, -h, 0.5 * h, -0.5 * h)
+    return h, pts
 
 
 def fd_gradient(field, u, i: int, step: float | None = None) -> np.ndarray:
     """Derivative of a vector-valued field along chart direction ``i``.
 
     Central differences with one Richardson extrapolation step over the two
-    step sizes (h, h/2).  Base step h = cbrt(machine eps) * max(1, |u_i|)
-    unless ``step`` overrides it (nested differences use a coarser step).
+    step sizes (h, h/2) of ``fd_stencil`` (nested differences pass a coarser
+    ``step``).
     """
-    u = np.asarray(u, dtype=float)
-    h = step if step is not None else FD_BASE_STEP * max(1.0, abs(u[i]))
+    h, pts = fd_stencil(u, i, step)
 
-    def delta(hh: float) -> np.ndarray:
-        up = u.copy()
-        um = u.copy()
-        up[i] += hh
-        um[i] -= hh
-        fp = np.atleast_1d(np.asarray(field(up), dtype=float))
-        fm = np.atleast_1d(np.asarray(field(um), dtype=float))
+    def delta(k: int, hh: float) -> np.ndarray:
+        fp = np.atleast_1d(np.asarray(field(pts[k]), dtype=float))
+        fm = np.atleast_1d(np.asarray(field(pts[k + 1]), dtype=float))
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise StencilError(
-                f"non-finite field value near u={u.tolist()} along direction {i}"
+                f"non-finite field value near u={np.asarray(u, dtype=float).tolist()} "
+                f"along direction {i}"
             )
         return (fp - fm) / (2.0 * hh)
 
-    d1 = delta(h)
-    d2 = delta(0.5 * h)
+    d1 = delta(0, h)
+    d2 = delta(2, 0.5 * h)
     return (4.0 * d2 - d1) / 3.0

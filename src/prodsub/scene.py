@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import jsonschema
 import numpy as np
@@ -29,7 +30,14 @@ from .classify import (
     splitting_residual,
 )
 from .errors import EngineError, InvalidFrame, SceneError
-from .extrinsic import FieldCache, normal_derivative_H, structure_residuals, T_eta_residuals
+from .extrinsic import (
+    FieldCache,
+    T_eta_residuals,
+    codazzi_residual,
+    gauss_residual,
+    normal_derivative_H,
+    ricci_residual,
+)
 from .gallery import make_chart
 from .immersion import Chart, probe_grid
 
@@ -196,7 +204,12 @@ class CheckContext:
     chart: Chart
     u: np.ndarray
     cache: FieldCache
-    rng: np.random.Generator
+    rng_key: tuple  # (seed, sample index, check id)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The check's own stream, built on first use: most checks draw nothing."""
+        return np.random.Generator(np.random.PCG64(self.rng_key))
 
     def geometry(self):
         return self.cache.geometry(self.u)
@@ -288,13 +301,13 @@ def _random_directions(ctx: CheckContext, k: int = 3) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _chk_structure(name: str):
+def _chk_structure(residual):
     def chk(ctx: CheckContext):
         X, Y, Z = _random_directions(ctx)
         pg, _ = ctx.geometry()
         a = int(ctx.rng.integers(0, pg.codim))
-        res = structure_residuals(ctx.chart, ctx.u, X, Y, Z, a=a, cache=ctx.cache)
-        return float(np.linalg.norm(res[name])), None, False
+        res = residual(ctx.chart, ctx.u, X, Y, Z, a=a, cache=ctx.cache)
+        return float(np.linalg.norm(res)), None, False
 
     return chk
 
@@ -370,13 +383,16 @@ CHECKS = {
     "biharmonic_normal": _chk_biharmonic_normal,
     "biharmonic_predicate": _chk_biharmonic_predicate,
     "class_a": _chk_class_a,
-    "gauss": _chk_structure("gauss"),
-    "codazzi": _chk_structure("codazzi"),
-    "ricci": _chk_structure("ricci"),
+    "gauss": _chk_structure(gauss_residual),
+    "codazzi": _chk_structure(codazzi_residual),
+    "ricci": _chk_structure(ricci_residual),
     "vector_t": _chk_vector_t,
     "vector_eta": _chk_vector_eta,
     "e0": _chk_e0,
 }
+
+# keys the per-check random streams: (seed, sample index, _CHECK_ID[name])
+_CHECK_ID = {name: i for i, name in enumerate(sorted(CHECKS))}
 
 CHART_LEVEL_CHECKS = {
     "splitting": _chk_splitting,
@@ -402,8 +418,7 @@ def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed:
         for name in names:
             if name in CHART_LEVEL_CHECKS:
                 continue
-            rng = np.random.Generator(np.random.PCG64((seed, idx, _check_id(name))))
-            ctx = CheckContext(chart=chart, u=np.asarray(u), cache=cache, rng=rng)
+            ctx = CheckContext(chart, u, cache, (seed, idx, _CHECK_ID[name]))
             try:
                 value, note, degen = CHECKS[name](ctx)
             except EngineError as exc:
@@ -412,10 +427,6 @@ def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed:
                 ) from exc
             rows.append((name, int(idx), [float(x) for x in u], float(value), note, degen))
     return rows
-
-
-def _check_id(name: str) -> int:
-    return sorted(CHECKS).index(name)
 
 
 _worker_chart: Chart | None = None
@@ -521,6 +532,7 @@ def _run_checks(
     per_sample = [n for n in names if n in CHECKS]
 
     rows = []
+    parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
     if jobs > 1 and len(indices) > 1 and per_sample:
         chunks = [indices[i::jobs] for i in range(jobs)]
         args = [(per_sample, samples, chunk, seed) for chunk in chunks if chunk]
@@ -529,7 +541,9 @@ def _run_checks(
             with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
                 for part in pool.starmap(_worker_rows, args):
                     rows.extend(part)
-        except (ValueError, OSError):
+            parallel["used"] = len(args)
+        except (ValueError, OSError) as exc:
+            parallel["fallback_reason"] = f"{type(exc).__name__}: {exc}"
             rows = _compute_rows(chart, per_sample, samples, indices, seed)
     elif per_sample:
         rows = _compute_rows(chart, per_sample, samples, indices, seed)
@@ -557,6 +571,7 @@ def _run_checks(
         "samples": len(samples),
         "checks": checks_report,
         "all_pass": not any_fail,
+        "parallel": parallel,
     }
 
 
@@ -583,6 +598,24 @@ def _set_scene_param(scene: dict, name: str, value: float) -> dict:
     return out
 
 
+def _scan_row(scene: dict, param: str, value: float, residual: str):
+    """One scan step on its own chart, run serially.  An engine error is
+    returned, not raised, so that the caller reports the first failing step
+    whichever worker ran it."""
+    try:
+        sc = _set_scene_param(scene, param, value)
+        validate_scene(sc)
+        chart = build_chart(sc)
+        rep = _run_checks(sc, chart, sc.get("sampling", {}), [residual], None, 1, None)
+        row = {"value": value, "max_residual": rep["checks"][0]["max_residual"]}
+        if residual == "biharmonic_normal":
+            r = biharmonic_residual(chart, chart.center(), assume_pmc=True)
+            row["signed"] = float(r["predicate"])
+        return row
+    except EngineError as exc:
+        return exc
+
+
 def scan_parameter(
     scene: dict,
     param: str,
@@ -601,16 +634,21 @@ def scan_parameter(
     if int(steps) < 1:
         raise SceneError(f"a scan needs at least one step, got {steps}")
     signed = residual == "biharmonic_normal"
+    tasks = [(scene, param, float(v), residual) for v in np.linspace(float(lo), float(hi), int(steps))]
+    # the steps, not the samples of a step, go to the pool: one fork per
+    # worker for the whole scan
+    done = None
+    if jobs > 1 and len(tasks) > 1:
+        try:
+            with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+                done = pool.starmap(_scan_row, tasks)
+        except (ValueError, OSError):
+            pass  # run the steps serially below
     rows = []
-    for v in np.linspace(float(lo), float(hi), int(steps)):
-        sc = _set_scene_param(scene, param, float(v))
-        validate_scene(sc)
-        chart = build_chart(sc)
-        rep = _run_checks(sc, chart, sc.get("sampling", {}), [residual], None, jobs, None)
-        row = {"value": float(v), "max_residual": rep["checks"][0]["max_residual"]}
-        if signed:
-            r = biharmonic_residual(chart, chart.center(), assume_pmc=True)
-            row["signed"] = float(r["predicate"])
+    for i, task in enumerate(tasks):
+        row = done[i] if done is not None else _scan_row(*task)
+        if isinstance(row, EngineError):
+            raise row
         rows.append(row)
 
     brackets = []

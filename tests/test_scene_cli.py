@@ -9,7 +9,7 @@ import pytest
 
 import prodsub.scene
 from prodsub.cli import main
-from prodsub.errors import SceneError
+from prodsub.errors import ChartError, SceneError
 from prodsub.scene import (
     SCENE_SCHEMA,
     build_chart,
@@ -77,6 +77,69 @@ def test_jobs_determinism(tmp_path):
     v4 = [(c["name"], c["verdict"], c["max_residual"], c["mean_residual"]) for c in r4["checks"]]
     assert v1 == v4
     assert p1.read_bytes() == p4.read_bytes()
+
+
+STRUCTURE_CHECKS = [
+    "gauss", "codazzi", "ricci", "vector_t", "vector_eta",
+    "pmc", "biconservative_full", "biharmonic_normal",
+]
+
+
+@pytest.mark.parametrize("name", ["theorem1_helicoid.json", "slice_expr.json"])
+def test_jobs_determinism_structure_checks(tmp_path, name):
+    scene = _load(name)
+    scene["checks"] = STRUCTURE_CHECKS
+    sampling = {"mode": "random", "counts": 5, "seed": 4}
+    p1, p2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
+    r1 = run_scene(scene, sampling_override=sampling, jobs=1, csv_path=str(p1))
+    r2 = run_scene(scene, sampling_override=sampling, jobs=2, csv_path=str(p2))
+    v1 = [(c["name"], c["verdict"], c["max_residual"], c["mean_residual"]) for c in r1["checks"]]
+    v2 = [(c["name"], c["verdict"], c["max_residual"], c["mean_residual"]) for c in r2["checks"]]
+    assert v1 == v2
+    assert p1.read_bytes() == p2.read_bytes()
+    assert r1["parallel"] == {"requested": 1, "used": 1, "fallback_reason": None}
+    assert r2["parallel"] == {"requested": 2, "used": 2, "fallback_reason": None}
+
+
+def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
+    class NoFork:
+        def Pool(self, *args, **kwargs):
+            raise OSError("fork refused")
+
+    scene = _load("theorem1_cylinder.json")
+    kw = dict(checks=["pmc", "gauss"], sampling_override={"mode": "grid", "grid": [2, 2, 2]})
+    serial = run_scene(scene, jobs=1, csv_path=str(tmp_path / "a.csv"), **kw)
+    monkeypatch.setattr(prodsub.scene.multiprocessing, "get_context", lambda method: NoFork())
+    fallback = run_scene(scene, jobs=2, csv_path=str(tmp_path / "b.csv"), **kw)
+    assert fallback["parallel"] == {
+        "requested": 2,
+        "used": 1,
+        "fallback_reason": "OSError: fork refused",
+    }
+    assert fallback["checks"] == serial["checks"]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_scan_jobs_table_byte_identical(tmp_path):
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"scan{jobs}.dat"
+        argv = ["scan", "--scene", str(SCENES / "biharmonic_scan_eps1.json"), "--param", "a2"]
+        argv += ["--from", "0.3", "--to", "0.9", "--steps", "7", "--residual", "biharmonic_normal"]
+        assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_scan_reports_the_first_failing_step_under_jobs():
+    # a2 = 1 leaves 0 < |a| < 1 on S^4: steps 3 and 4 of 5 both fail
+    scene = _load("biharmonic_scan_eps1.json")
+    msgs = []
+    for jobs in (1, 2):
+        with pytest.raises(ChartError) as err:
+            scan_parameter(scene, "a2", 0.5, 1.3, 5, "biharmonic_normal", jobs=jobs)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1] and "a=1" in msgs[0]
 
 
 def test_csv_header_and_shape(tmp_path):
