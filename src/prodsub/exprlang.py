@@ -251,7 +251,7 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
         if isinstance(node, Call):
             try:
                 return jets.UNARY_FNS[node.fn](rec(node.arg))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise EvalError(node.pos, str(exc)) from exc
         # BinOp
         left = rec(node.left)
@@ -272,7 +272,7 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
             if isinstance(r, Neg) and isinstance(r.arg, Num) and r.arg.is_int:
                 return jets.pow_const(left, -int(r.arg.value))
             return jets.exp(rec(r) * jets.log(left))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(node.pos, str(exc)) from exc
 
     return rec(ast)

@@ -76,10 +76,10 @@ class Chart:
     def validate_membership(self, tol: float = 1e-9, per_axis: int = 5) -> float:
         """Worst membership residual on a probe grid; raises past ``tol``.
 
-        The grid is one batched jet evaluation; a NaN residual is skipped
-        like any value that does not exceed the running maximum."""
+        The grid is one batched jet evaluation.  A non-finite residual at
+        any probe point counts as the worst and raises as well."""
         values = evaluate_jet(self, probe_grid(self.domain, per_axis)).values
-        worst = float(np.fmax.reduce(membership_residual(self.space, values), initial=0.0))
+        worst = float(np.max(membership_residual(self.space, values), initial=0.0))
         if not worst <= tol:
             raise ChartError(
                 f"chart {self.label or '<unnamed>'} leaves the product: "
@@ -123,7 +123,7 @@ def evaluate_jet(chart: Chart, u) -> VecJet2:
         for k, coord in enumerate(chart.coords):
             try:
                 c = coord(seeds)
-            except (ValueError, ZeroDivisionError, exprlang.EvalError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
                 if u.ndim == 1:
                     raise ChartError(f"coordinate {k} failed at u={u.tolist()}: {exc}") from exc
                 for row in U:

@@ -34,6 +34,7 @@ from .extrinsic import (
     FieldCache,
     T_eta_residuals,
     codazzi_residual,
+    first_layer,
     gauss_residual,
     normal_derivative_H,
     ricci_residual,
@@ -391,6 +392,13 @@ CHECKS = {
     "e0": _chk_e0,
 }
 
+# checks that difference fields around their sample: a run computes each
+# sample's first layer with the samples, not only its center
+FIRST_LAYER_CHECKS = frozenset({
+    "pmc", "biconservative", "biconservative_full", "biharmonic_normal",
+    "gauss", "codazzi", "ricci", "vector_t", "vector_eta",
+})
+
 # keys the per-check random streams: (seed, sample index, _CHECK_ID[name])
 _CHECK_ID = {name: i for i, name in enumerate(sorted(CHECKS))}
 
@@ -410,11 +418,17 @@ def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
 
 
 def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int):
-    """Residual rows for the given sample indices."""
+    """Residual rows for the given sample indices.
+
+    ``FieldCache.batched`` computes the geometry of the samples, with their
+    first layers when a check differences, in one call per up to 1,024
+    points; each sample still gets its own cache, dropped after its checks.
+    """
     rows = []
-    for idx in indices:
+    layer = first_layer if FIRST_LAYER_CHECKS.intersection(names) else (lambda u: u[None])
+    caches = FieldCache.batched(chart, [layer(samples[idx]) for idx in indices])
+    for idx, cache in zip(indices, caches):
         u = samples[idx]
-        cache = FieldCache(chart)
         for name in names:
             if name in CHART_LEVEL_CHECKS:
                 continue
@@ -466,12 +480,18 @@ def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
             notes.append("no samples evaluated")
         if verdict == "FAIL":
             any_fail = True
+        # the worst row: a non-finite residual counts as largest, and
+        # argmax takes the first of equals, so ties go to the lowest index
+        worst = rows[int(np.argmax(np.where(np.isfinite(values), values, np.inf)))] if rows else None
         checks_report.append(
             {
                 "name": name,
                 "samples_evaluated": n_eval,
+                "samples_degenerate": sum(degen),
                 "max_residual": float(np.max(values)) if values else math.nan,
                 "mean_residual": float(np.mean(values)) if values else math.nan,
+                "argmax_index": worst[1] if worst else None,
+                "argmax_u": worst[2] if worst else None,
                 "verdict": verdict,
                 "tolerance_used": tol,
                 "notes": "; ".join(notes),

@@ -259,3 +259,151 @@ def test_irregular_stencil_point_exits_3(tmp_path, capsys):
         f"computation error: check pmc failed at sample 0, u={center.tolist()}: {err.value}"
     )
     assert capsys.readouterr().err.strip() == want
+
+
+# -- the run-level batch: every sample of a chunk in one call ----------------
+
+POINTWISE_CHECKS = [
+    "membership", "frames", "unit_norm", "h_eta", "mean_curvature", "class_a",
+    "e0", "biharmonic_predicate",
+]
+
+
+def _reference_rows(chart, names, samples, seed):
+    """The per-sample loop a run replaces: each sample gets a fresh cache and
+    computes its own geometry, with no batch across samples."""
+    rows = []
+    for idx, u in enumerate(samples):
+        cache = FieldCache(chart)
+        for name in names:
+            ctx = prodsub.scene.CheckContext(chart, u, cache, (seed, idx, prodsub.scene._CHECK_ID[name]))
+            try:
+                value, note, degen = prodsub.scene.CHECKS[name](ctx)
+            except prodsub.errors.EngineError as exc:
+                raise prodsub.errors.EngineError(
+                    f"check {name} failed at sample {idx}, u={list(map(float, u))}: {exc}"
+                ) from exc
+            rows.append((name, idx, [float(x) for x in u], float(value), note, degen))
+    return rows
+
+
+def _run_rows(chart, names, samples, seed):
+    return prodsub.scene._compute_rows(chart, names, samples, range(len(samples)), seed)
+
+
+def _outcome(rows_of, *args):
+    try:
+        return rows_of(*args)
+    except prodsub.errors.EngineError as exc:
+        return str(exc)
+
+
+def _same_rows(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x[:3] == y[:3] and x[4:] == y[4:] and _same(x[3], y[3]) for x, y in zip(a, b)
+    )
+
+
+def test_a_run_evaluates_its_samples_in_one_batch(monkeypatch):
+    shapes = []
+    original = prodsub.immersion.evaluate_jet
+
+    def counting(chart, u):
+        shapes.append(np.shape(u))
+        return original(chart, u)
+
+    monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
+    scene = _load("theorem1_cylinder.json")
+    sampling = {"mode": "random", "counts": 7, "seed": 2}
+    prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS, sampling_override=sampling)
+    assert shapes == [(125, 3), (7, 3)]  # the membership probe, then the samples
+    shapes.clear()
+    prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS + ["pmc"], sampling_override=sampling)
+    assert shapes == [(125, 3), (7 * 13, 3)]  # each sample with its first layer
+
+
+@pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
+def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
+    # a check missing from FIRST_LAYER_CHECKS would compute its stencil in a
+    # second call; only the nested Laplacian, where PMC fails (the helicoid),
+    # adds one per sample: its points less the first layer already cached
+    chart = request.getfixturevalue(chart_fixture)
+    samples = random_interior_points(chart, 3, seed=4)
+    m = chart.m
+    shapes = _count_analyze(monkeypatch)
+    for name in sorted(prodsub.scene.CHECKS):
+        shapes.clear()
+        _run_rows(chart, [name], samples, 0)
+        k = 1 + 4 * m if name in prodsub.scene.FIRST_LAYER_CHECKS else 1
+        nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
+        assert shapes == [(3 * k, m)] + [((1 + 4 * m) ** 2 - (1 + 4 * m), m)] * nested, name
+    assert set(prodsub.scene.FIRST_LAYER_CHECKS) <= set(prodsub.scene.CHECKS)
+
+
+def test_run_rows_equal_the_per_sample_loop(batch_charts):
+    for ch in batch_charts:
+        samples = random_interior_points(ch, 3, seed=17)
+        names = []
+        for name in sorted(prodsub.scene.CHECKS):
+            ref = _outcome(_reference_rows, ch, [name], samples, 9)
+            if isinstance(ref, str):  # the check raises on this chart, and so must the run
+                assert _outcome(_run_rows, ch, [name], samples, 9) == ref, (ch.label, name)
+            else:
+                names.append(name)
+        assert names, ch.label
+        pointwise = [n for n in names if n not in prodsub.scene.FIRST_LAYER_CHECKS]
+        for subset in (names, pointwise):
+            ref = _reference_rows(ch, subset, samples, 9)
+            assert _same_rows(_run_rows(ch, subset, samples, 9), ref), (ch.label, subset)
+
+
+def test_a_long_run_splits_into_batches_of_whole_samples(monkeypatch, theorem1_cyl):
+    samples = random_interior_points(theorem1_cyl, 5, seed=6)
+    whole = _run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1)
+    monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 30)  # two first layers
+    shapes = _count_analyze(monkeypatch)
+    assert _same_rows(_run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1), whole)
+    assert shapes == [(26, 3), (26, 3), (13, 3)]
+
+
+def _center_error_scene(tmp_path, t_coord, grid, checks):
+    scene = {
+        "ambient": {"epsilon": 1, "n": 2},
+        "immersion": {
+            "expressions": {
+                "m": 2,
+                "coords": ["cos(u2)", "sin(u2)", "0", t_coord],
+                "domain": [[-1.0, 1.0], [-0.5, 0.5]],
+                "var_names": ["u1", "u2"],
+            }
+        },
+        "sampling": {"mode": "grid", "grid": grid},
+        "checks": checks,
+    }
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(scene))
+    return path, scene
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # failed rows stay silent
+@pytest.mark.parametrize("checks", [["membership", "class_a"], ["membership", "pmc"]])
+@pytest.mark.parametrize(
+    "t_coord, grid, bad_sample",
+    [
+        # t = u1^3 is irregular at u1 = 0, the middle sample of three
+        ("u1^3", [3, 1], 1),
+        # sqrt of a negative number at u1 = 0.32, the third of four samples
+        # (the membership probe at u1 = 0, +-0.48, +-0.96 stays clear)
+        ("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], 2),
+    ],
+)
+def test_error_at_a_sample_center_matches_the_per_sample_loop(
+    tmp_path, capsys, t_coord, grid, bad_sample, checks
+):
+    path, scene = _center_error_scene(tmp_path, t_coord, grid, checks)
+    chart = build_chart(scene)
+    samples = prodsub.scene.sample_points(chart, scene["sampling"])
+    ref = _outcome(_reference_rows, chart, checks, samples, 0)
+    assert ref.startswith(f"check membership failed at sample {bad_sample}, u=")
+    assert main(["run", "--scene", str(path)]) == 3
+    assert capsys.readouterr().err.strip() == f"computation error: {ref}"

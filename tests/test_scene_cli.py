@@ -377,3 +377,107 @@ def test_mixed_degenerate_and_live_samples():
     report, any_fail = _merge_stats(rows, chart, ["class_a"], {})
     assert not any_fail
     assert report[0]["verdict"] == "PASS"  # live samples decide the verdict
+
+
+def _s2_scene(tmp_path, t_coord, s_coord="cos(u2)"):
+    scene = {
+        "ambient": {"epsilon": 1, "n": 2},
+        "immersion": {
+            "expressions": {
+                "m": 2,
+                "coords": [s_coord, "sin(u2)", "0", t_coord],
+                "domain": [[-1.0, 1.0], [-0.5, 0.5]],
+                "var_names": ["u1", "u2"],
+            }
+        },
+        "sampling": {"mode": "grid", "grid": [3, 3]},
+        "checks": ["membership"],
+    }
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+def test_coordinate_overflow_exits_3(tmp_path, capsys):
+    # exp(1000 u1) overflows for u1 > 0.71; the first such probe point is
+    # (0.96, -0.48)
+    path = _s2_scene(tmp_path, "u1", "cos(u2) + (exp(1000*u1) - exp(1000*u1))")
+    assert main(["run", "--scene", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        "computation error: coordinate 0 failed at u=[0.96, -0.48]: "
+        "at position 11: math range error"
+    )
+
+
+def test_nan_chart_fails_the_membership_gate(tmp_path, capsys):
+    # inf - inf: the coordinate is NaN wherever u1 != 0
+    path = _s2_scene(tmp_path, "u1", "cos(u2) + (1e200*u1)*(1e200*u1) - (1e200*u1)*(1e200*u1)")
+    assert main(["run", "--scene", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        "computation error: chart expressions leaves the product: "
+        "membership residual nan > 1.0e-09"
+    )
+    with pytest.raises(ChartError, match="membership residual nan"):
+        build_chart(json.loads(path.read_text()))
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()[1:]
+    out = {}
+    for line in lines:
+        name, idx, *u, value = line.split(",")
+        out.setdefault(name, []).append((int(idx), [float(x) for x in u], float(value)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["theorem1_helicoid.json", "slice.json"])
+def test_report_names_the_worst_sample_of_every_check(tmp_path, name):
+    scene = _load(name)
+    checks = ["membership", "pmc", "biconservative", "class_a"]
+    if name != "slice.json":  # a slice has no s variable to split along
+        checks.append("splitting")
+    sampling = {"mode": "random", "counts": 6, "seed": 8}
+    reports = []
+    for jobs in (1, 2):
+        csv = tmp_path / f"j{jobs}.csv"
+        rep = run_scene(scene, checks, sampling_override=sampling, jobs=jobs, csv_path=str(csv))
+        rows = _csv_rows(csv)
+        for c in rep["checks"]:
+            worst = max(rows[c["name"]], key=lambda r: r[2])  # first of equals
+            assert (c["argmax_index"], c["argmax_u"]) == (worst[0], worst[1]), c["name"]
+            assert 0 <= c["samples_degenerate"] <= c["samples_evaluated"]
+        reports.append(rep["checks"])
+    fields = ("argmax_index", "argmax_u", "samples_degenerate")
+    assert [[c[f] for f in fields] for c in reports[0]] == [[c[f] for f in fields] for c in reports[1]]
+    by = {c["name"]: c for c in reports[0]}
+    if name == "slice.json":  # T = 0 everywhere on a slice
+        assert by["biconservative"]["samples_degenerate"] == 6
+        assert by["membership"]["samples_degenerate"] == 0
+    else:
+        center = build_chart(scene).center().tolist()
+        assert (by["splitting"]["argmax_index"], by["splitting"]["argmax_u"]) == (0, center)
+
+
+def test_worst_sample_counts_non_finite_first_and_breaks_ties_by_index():
+    from prodsub.scene import _merge_stats
+
+    chart = build_chart(_load("slice.json"))
+    rows = {
+        "membership": [
+            ("membership", 0, [0.1, 0.2], 2.0, None, False),
+            ("membership", 1, [0.3, 0.4], float("nan"), None, False),
+            ("membership", 2, [0.5, 0.6], float("inf"), None, False),
+        ],
+        "class_a": [
+            ("class_a", 0, [0.1, 0.2], 0.0, "T = 0 (slice-type point)", True),
+            ("class_a", 1, [0.3, 0.4], 3.0, None, False),
+            ("class_a", 2, [0.5, 0.6], 3.0, None, False),
+        ],
+    }
+    report, _ = _merge_stats(rows, chart, ["membership", "class_a"], {})
+    assert [(c["argmax_index"], c["argmax_u"], c["samples_degenerate"]) for c in report] == [
+        (1, [0.3, 0.4], 0),
+        (1, [0.3, 0.4], 1),
+    ]
