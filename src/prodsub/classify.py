@@ -11,7 +11,7 @@ even in each xi_a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -19,11 +19,13 @@ from .ambient import curvature, inner
 from .errors import InvalidFrame
 from .extrinsic import (
     ExtrinsicData,
+    ExtrinsicRows,
     FieldCache,
     first_layer,
     normal_derivative_H,
     normal_laplacian_H,
     second_fundamental,
+    shape_operator,
 )
 from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet, probe_grid
 from .jets import fd_gradient
@@ -31,11 +33,18 @@ from .jets import fd_gradient
 __all__ = [
     "CodimTwoFrame",
     "E0Analysis",
+    "DEGENERATE",
     "codim_two_frame",
+    "codim_two_frames",
+    "biconservative_simple",
     "biconservative_residual",
+    "biharmonic_normal",
+    "biharmonic_predicates",
     "biharmonic_residual",
     "class_A_residual",
+    "class_A_residuals",
     "e0_structure",
+    "e0_structures",
     "splitting_residual",
     "circle_geometry",
     "TOL_EIG",
@@ -43,19 +52,47 @@ __all__ = [
 
 TOL_EIG = 1e-7
 
+#: degeneracy thresholds: a point whose quantity is at or below its entry
+#: counts as T = 0, H = 0 or eta = 0 for the named use
+DEGENERATE = {
+    "T_biconservative": 1e-10,  # the biconservative check's slice-type points
+    "T_class_a": 1e-8,  # class A is zero by convention
+    "H_minimal": 1e-9,  # biharmonic_residual's minimal flag
+    "H_frame": 1e-10,  # xi_1 = H/|H| of the codim-2 frame is undefined
+    "eta_frame": 1e-8,  # |eta| and |eta_perp|: xi_2 is gauge-fixed instead
+    "frame_completion": 1e-10,  # no normal is left to gauge-fix xi_2 with
+}
+
 
 def _sign_fix(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    for x in v:
-        if abs(x) > tol:
-            return v if x > 0 else -v
-    return v
+    """Each vector of v (..., k) flipped so that its first entry above tol
+    in absolute value is positive."""
+    big = np.abs(v) > tol
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
+
+
+def _first_row(stacked, errors: list):
+    """Row 0 of a dataclass of arrays stacked over a batch (scalars as
+    Python numbers), or the error of that row."""
+    if errors[0] is not None:
+        raise errors[0]
+    out = {}
+    for f in fields(stacked):
+        v = getattr(stacked, f.name)
+        if is_dataclass(v):
+            out[f.name] = _first_row(v, errors)
+        elif v is not None:
+            out[f.name] = v[0].item() if np.ndim(v[0]) == 0 else v[0]
+    return replace(stacked, **out)
 
 
 @dataclass
 class CodimTwoFrame:
     """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
     codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
-    is gauge-fixed as the unit normal orthogonal to xi_1."""
+    is gauge-fixed as the unit normal orthogonal to xi_1.  The batch form
+    stacks every field over the rows."""
 
     xi1: np.ndarray
     xi2: np.ndarray
@@ -64,44 +101,50 @@ class CodimTwoFrame:
     eta_gauge_fixed: bool = False
 
 
-def codim_two_frame(pg: PointGeometry, ed: ExtrinsicData, tol_h: float = 1e-10) -> CodimTwoFrame:
-    sp = pg.space
-    if pg.codim != 2:
-        raise InvalidFrame(f"codimension is {pg.codim}, need exactly 2")
-    if ed.H_norm <= tol_h:
-        raise InvalidFrame("H vanishes; xi_1 = H/|H| is undefined")
-    xi1 = ed.H / ed.H_norm
-    eta_perp = pg.eta - inner(sp, pg.eta, xi1) * xi1
-    perp_norm = math.sqrt(max(inner(sp, eta_perp, eta_perp), 0.0))
-    gauge_fixed = False
-    if pg.eta_norm > 1e-8 and perp_norm > 1e-8:
-        xi2 = eta_perp / perp_norm
-    else:
+def codim_two_frames(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
+    """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
+    (None when the codimension is not 2) and a list with the InvalidFrame
+    each row raises, else None.  The fields of a failed row mean nothing."""
+    b = rows.batch
+    sp = b.chart.space
+    n_rows, codim = b.normal_onb.shape[:2]
+    if codim != 2:
+        return None, [InvalidFrame(f"codimension is {codim}, need exactly 2")] * n_rows
+    tol_eta = DEGENERATE["eta_frame"]
+    xi, all_rows = b.normal_onb, np.arange(n_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi1 = rows.H / rows.H_norm[:, None]
+        eta_perp = b.eta - inner(sp, b.eta, xi1)[:, None] * xi1
+        perp_norm = np.sqrt(np.maximum(inner(sp, eta_perp, eta_perp), 0.0))
+        fixed = ~((b.eta_norm > tol_eta) & (perp_norm > tol_eta))
         # eta = 0 (or eta parallel to H): complete the frame orthogonally
-        gauge_fixed = True
-        best, best_n = None, 0.0
-        for xi in pg.normal_onb:
-            w = xi - inner(sp, xi, xi1) * xi1
-            n = math.sqrt(max(inner(sp, w, w), 0.0))
-            if n > best_n:
-                best, best_n = w, n
-        if best is None or best_n < 1e-10:
-            raise InvalidFrame("cannot complete the codim-2 frame")
-        xi2 = _sign_fix(best / best_n)
-    return CodimTwoFrame(
-        xi1=xi1,
-        xi2=xi2,
-        A1=ed.shape_in_direction(xi1),
-        A2=ed.shape_in_direction(xi2),
-        eta_gauge_fixed=gauge_fixed,
-    )
+        w = xi - inner(sp, xi, xi1[:, None])[..., None] * xi1[:, None]
+        w_norm = np.sqrt(np.maximum(inner(sp, w, w), 0.0))
+        best = np.argmax(w_norm, axis=1)
+        w_best = w_norm[all_rows, best]
+        fill = _sign_fix(w[all_rows, best] / w_best[:, None])
+        xi2 = np.where(fixed[:, None], fill, eta_perp / perp_norm[:, None])
+        A1, A2 = (shape_operator(sp, xi, rows.alpha, v) for v in (xi1, xi2))
+    stuck = fixed & ~(w_best >= DEGENERATE["frame_completion"])
+    errors = [
+        InvalidFrame("H vanishes; xi_1 = H/|H| is undefined") if h
+        else InvalidFrame("cannot complete the codim-2 frame") if s else None
+        for h, s in zip((rows.H_norm <= tol_h).tolist(), stuck.tolist())
+    ]
+    return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
 
 
-def _tangential(pg: PointGeometry, v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    for e in pg.tangent_onb:
-        out += inner(pg.space, v, e) * e
-    return out
+def codim_two_frame(
+    pg: PointGeometry, ed: ExtrinsicData, tol_h: float = DEGENERATE["H_frame"]
+) -> CodimTwoFrame:
+    """``codim_two_frames`` at one point; raises its InvalidFrame."""
+    return _first_row(*codim_two_frames(ExtrinsicRows.of(pg, ed), tol_h))
+
+
+def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
+    """|eps <H, eta> T| of every row, the biconservative criterion under
+    parallel mean curvature (jet level)."""
+    return np.abs(inner(rows.batch.chart.space, rows.H, rows.batch.eta)) * rows.batch.T_norm
 
 
 def biconservative_residual(
@@ -111,8 +154,8 @@ def biconservative_residual(
     pg: PointGeometry | None = None,
     ed: ExtrinsicData | None = None,
 ) -> dict:
-    """simple: |eps <H, eta> T| (the criterion under parallel mean curvature);
-    full: norm of the tangential bitension vector
+    """simple: ``biconservative_simple``; full: norm of the tangential
+    bitension vector
     m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T."""
     cache = cache or FieldCache(chart)
     if pg is None or ed is None:
@@ -121,7 +164,7 @@ def biconservative_residual(
     sp = chart.space
     m = chart.m
 
-    simple = abs(inner(sp, ed.H, pg.eta)) * pg.T_norm
+    simple = float(biconservative_simple(ExtrinsicRows.of(pg, ed))[0])
 
     dhh = np.array(
         [
@@ -138,9 +181,53 @@ def biconservative_residual(
     for i in range(m):
         Wi = np.einsum("p,pc->c", C[i], np.array(Wp))
         sumA += pg.from_onb(ed.shape_in_direction(Wi)[:, i])
-        sumR += _tangential(pg, curvature(sp, pg.tangent_onb[i], ed.H, pg.tangent_onb[i]))
+        e = pg.tangent_onb[i]
+        sumR += pg.from_onb(pg.onb_coords(curvature(sp, e, ed.H, e)))
     vec = m * grad_hh + 4.0 * sumA + 4.0 * sumR
     return {"simple": simple, "full": float(np.linalg.norm(vec))}
+
+
+def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
+    """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
+    trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the codim-2
+    frame is undefined."""
+    b = rows.batch
+    frame, errors = codim_two_frames(rows)
+    undefined = np.array([e is not None for e in errors])
+    if frame is None:
+        return np.full(len(b), math.nan), np.full(len(b), math.nan)
+    tr = np.where(undefined, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
+    t2 = b.T_norm**2
+    return tr + t2 - b.chart.m, tr + b.chart.space.epsilon * (t2 - b.chart.m)
+
+
+def biharmonic_normal(
+    chart: Chart,
+    pg: PointGeometry,
+    ed: ExtrinsicData,
+    assume_pmc: bool = False,
+    cache: FieldCache | None = None,
+) -> tuple[float, bool]:
+    """Norm of trace alpha(., A_H .) - lap^perp H + trace (R(., H) .)^perp
+    at one point, and whether H vanishes there (|H| at or below
+    DEGENERATE["H_minimal"]).  The normal Laplacian takes nested
+    differences unless ``assume_pmc`` or H = 0."""
+    sp = chart.space
+    minimal = ed.H_norm <= DEGENERATE["H_minimal"]
+    trace_alpha = np.zeros(sp.ambient_dim)
+    A_H = ed.shape_in_direction(ed.H)
+    for a, xi in enumerate(pg.normal_onb):
+        trace_alpha += float(np.trace(ed.shape_ops[a] @ A_H)) * xi
+    lap = (
+        np.zeros(sp.ambient_dim)
+        if assume_pmc or minimal
+        else normal_laplacian_H(chart, pg.u, cache or FieldCache(chart))
+    )
+    curvN = np.zeros(sp.ambient_dim)
+    for e in pg.tangent_onb:
+        curvN += curvature(sp, e, ed.H, e)
+    curvN = pg.proj_normal(curvN)
+    return float(np.linalg.norm(trace_alpha - lap + curvN)), minimal
 
 
 def biharmonic_residual(
@@ -151,76 +238,57 @@ def biharmonic_residual(
     pg: PointGeometry | None = None,
     ed: ExtrinsicData | None = None,
 ) -> dict:
-    """normal: norm of trace alpha(., A_H .) - lap^perp H + trace (R(., H) .)^perp.
+    """normal and minimal: ``biharmonic_normal``.
 
     The curvature trace enters with coefficient one: that is the form whose
     restriction to the parallel-H biconservative case reduces to the
     codimension-2 predicate trace A_{xi1}^2 + |T|^2 = m, and it reproduces
     the classical small-hypersphere locus in the round sphere.  ``predicate``
-    reports trace A_{xi1}^2 + |T|^2 - m and ``predicate_eps`` the
-    eps-explicit candidate trace A_{xi1}^2 + eps (|T|^2 - m); neither is
-    asserted as ground truth for eps = -1, only the direct residual is.
+    and ``predicate_eps`` are ``biharmonic_predicates`` at the point;
+    neither is asserted as ground truth for eps = -1, only the direct
+    residual is.
     """
     cache = cache or FieldCache(chart)
     if pg is None or ed is None:
         pg, ed = cache.geometry(u)
-    sp = chart.space
-    m = chart.m
-
-    minimal = ed.H_norm <= 1e-9
-    trace_alpha = np.zeros(sp.ambient_dim)
-    A_H = ed.shape_in_direction(ed.H)
-    for a, xi in enumerate(pg.normal_onb):
-        trace_alpha += float(np.trace(ed.shape_ops[a] @ A_H)) * xi
-    lap = (
-        np.zeros(sp.ambient_dim)
-        if assume_pmc or minimal
-        else normal_laplacian_H(chart, pg.u, cache)
-    )
-    curvN = np.zeros(sp.ambient_dim)
-    for e in pg.tangent_onb:
-        curvN += curvature(sp, e, ed.H, e)
-    curvN = pg.proj_normal(curvN)
-    normal = float(np.linalg.norm(trace_alpha - lap + curvN))
-
-    out = {"normal": normal, "minimal": minimal}
-    try:
-        fr = codim_two_frame(pg, ed)
-        tr = float(np.trace(fr.A1 @ fr.A1))
-        t2 = pg.T_norm**2
-        out["predicate"] = tr + t2 - m
-        out["predicate_eps"] = tr + sp.epsilon * (t2 - m)
-    except InvalidFrame:
-        out["predicate"] = math.nan
-        out["predicate_eps"] = math.nan
-    return out
+    normal, minimal = biharmonic_normal(chart, pg, ed, assume_pmc, cache)
+    pred, pred_eps = biharmonic_predicates(ExtrinsicRows.of(pg, ed))
+    return {
+        "normal": normal,
+        "minimal": minimal,
+        "predicate": float(pred[0]),
+        "predicate_eps": float(pred_eps[0]),
+    }
 
 
-def class_A_residual(pg: PointGeometry, ed: ExtrinsicData, tol_t: float = 1e-8) -> float:
+def class_A_residuals(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"]) -> np.ndarray:
     """Deviation of T from being an eigenvector of every shape operator,
-    relative to max(1, |A_xi|); zero by convention when T vanishes."""
-    if pg.T_norm <= tol_t:
-        return 0.0
-    t = pg.onb_coords(pg.T_ambient)
-    t2 = float(t @ t)
-    worst = 0.0
-    for A in ed.shape_ops:
-        At = A @ t
-        dev = At - (float(At @ t) / t2) * t
-        worst = max(worst, float(np.linalg.norm(dev)) / max(1.0, float(np.linalg.norm(A, 2))))
-    return worst
+    relative to max(1, |A_xi|), for every row of a batch; zero by
+    convention where T vanishes."""
+    b = rows.batch
+    t = inner(b.chart.space, b.tangent_onb, b.T_ambient[:, None])  # T in the tangent ONB
+    At = (rows.alpha @ t[:, None, :, None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = (At[..., None, :] @ t[:, None, :, None])[..., 0] / (t[:, None, :] @ t[:, :, None])
+        dev = np.linalg.norm(At - coef * t[:, None, :], axis=-1)
+    worst = np.max(dev / np.maximum(1.0, np.linalg.norm(rows.alpha, 2, axis=(-2, -1))), axis=-1, initial=0.0)
+    return np.where(b.T_norm <= tol_t, 0.0, worst)
+
+
+def class_A_residual(pg: PointGeometry, ed: ExtrinsicData, tol_t: float = DEGENERATE["T_class_a"]) -> float:
+    """``class_A_residuals`` at one point."""
+    return float(class_A_residuals(ExtrinsicRows.of(pg, ed), tol_t)[0])
 
 
 @dataclass
 class E0Analysis:
-    """Eigenstructure of A_H and the block form of the codim-2 frame."""
+    """Eigenstructure of A_H and the block form of the codim-2 frame, with
+    B and S1 the diagonal non-kernel blocks of A_{xi2} and A_{xi1}.  The
+    batch form stacks every field over the rows."""
 
     eigenvalues: np.ndarray  # of A_H, E_0 block first then descending |.|
     eigenvectors: np.ndarray  # columns, tangent-ONB coordinates
     dim_E0: int
-    S1: np.ndarray  # diagonal non-kernel block of A_{xi1}
-    B: np.ndarray  # diagonal non-kernel block of A_{xi2}
-    S2: np.ndarray  # E_0 block of A_{xi2}
     aht: float  # |A_H T|
     aetat: float  # dist(A_eta T, E_0(H))
     offblock: float  # off-diagonal blocks of A_{xi2}
@@ -231,6 +299,79 @@ class E0Analysis:
     frame: CodimTwoFrame
 
 
+def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: float) -> None:
+    """Within near-degenerate eigengroups of A_H, rotate V in place to
+    diagonalize A_xi2."""
+    start = 0
+    for i in range(1, len(lam) + 1):
+        if i == len(lam) or abs(lam[i] - lam[start]) > 10.0 * tol_abs:
+            if i - start > 1:
+                sub = V[:, start:i].T @ A2 @ V[:, start:i]
+                V[:, start:i] = V[:, start:i] @ np.linalg.eigh(0.5 * (sub + sub.T))[1]
+            start = i
+
+
+def e0_structures(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
+    """Symmetric eigenanalysis of A_H with the kernel split, filling the
+    residuals of the codimension-2 biconservative block structure, for
+    every row of a batch: a stacked E0Analysis (None when the codimension
+    is not 2) and the rows' errors as in ``codim_two_frames``."""
+    frame, errors = codim_two_frames(rows)
+    if frame is None:
+        return None, errors
+    b = rows.batch
+    m = b.chart.m
+    failed = np.array([e is not None for e in errors])[:, None, None]
+    A1, A2 = np.where(failed, 0.0, frame.A1), np.where(failed, 0.0, frame.A2)
+    A_H = rows.H_norm[:, None, None] * A1
+    lam, V = np.linalg.eigh(A_H)
+    absl = np.abs(lam)
+    tol_abs = tol_eig * np.maximum(np.max(absl, axis=-1), 1e-300)[:, None]
+    is_zero = absl <= tol_abs
+    warn = np.any((absl > 0.1 * tol_abs) & (absl < 10.0 * tol_abs), axis=-1)
+
+    # order: E_0 block first, then descending |lambda| (stable)
+    order = np.lexsort((np.where(is_zero, 0.0, -absl), ~is_zero), axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
+    for r in np.flatnonzero(np.any(np.abs(np.diff(lam, axis=-1)) <= 10.0 * tol_abs, axis=-1)):
+        _rotate_groups(lam[r], V[r], A2[r], tol_abs[r, 0])
+    V = np.swapaxes(_sign_fix(np.swapaxes(V, -1, -2)), -1, -2)
+
+    k0 = np.sum(is_zero, axis=-1)
+    rest = np.arange(m) >= k0[:, None]  # the E_0 columns come first
+    Vt = np.swapaxes(V, -1, -2)
+    d1 = np.diagonal(Vt @ A1 @ V, axis1=-2, axis2=-1)
+    M2 = Vt @ A2 @ V
+    d2 = np.diagonal(M2, axis1=-2, axis2=-1)
+    cross = ~rest[:, :, None] & rest[:, None, :]  # E_0 rows against the other columns
+    within = rest[:, :, None] & rest[:, None, :] & ~np.eye(m, dtype=bool)
+    off = np.max([np.sqrt(np.sum(np.where(k, M2 * M2, 0.0), axis=(-2, -1))) for k in (cross, within)], axis=0)
+
+    sp = b.chart.space
+    t = inner(sp, b.tangent_onb, b.T_ambient[:, None])
+    w = (shape_operator(sp, b.normal_onb, rows.alpha, b.eta) @ t[..., None])[..., 0]
+    w0 = ((V * ~rest[:, None, :]) @ (Vt @ w[..., None]))[..., 0]
+    form3 = None
+    if m == 3:
+        want = np.sort(np.stack([0.0 * rows.H_norm, 0.0 * rows.H_norm, 3.0 * rows.H_norm], axis=-1))
+        form3 = np.max(np.abs(np.linalg.eigvalsh(A1) - want), axis=-1)
+    e0 = E0Analysis(
+        eigenvalues=lam,
+        eigenvectors=V,
+        dim_E0=k0,
+        aht=np.linalg.norm((A_H @ t[..., None])[..., 0], axis=-1),
+        aetat=np.linalg.norm(w - w0, axis=-1),
+        offblock=off,
+        traceBS1=np.abs(np.sum(np.where(rest, d1 * d2, 0.0), axis=-1)),
+        a_last=np.where(k0 < m, d2[np.arange(len(k0)), np.minimum(k0, m - 1)], 0.0),
+        form3_residual=form3,
+        warn_eigengap=warn,
+        frame=frame,
+    )
+    return e0, errors
+
+
 def e0_structure(
     chart: Chart,
     u,
@@ -238,87 +379,12 @@ def e0_structure(
     ed: ExtrinsicData | None = None,
     tol_eig: float = TOL_EIG,
 ) -> E0Analysis:
-    """Symmetric eigenanalysis of A_H with the kernel split, filling the
-    residuals of the codimension-2 biconservative block structure."""
+    """``e0_structures`` at one point; raises its InvalidFrame."""
     if pg is None:
         pg = analyze_point(chart, u)
     if ed is None:
         ed = second_fundamental(pg)
-    fr = codim_two_frame(pg, ed)
-    m = chart.m
-    A_H = ed.H_norm * fr.A1
-    lam, V = np.linalg.eigh(A_H)
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
-    tol_abs = tol_eig * scale
-    is_zero = np.abs(lam) <= tol_abs
-    warn = bool(np.any((np.abs(lam) > 0.1 * tol_abs) & (np.abs(lam) < 10.0 * tol_abs)))
-
-    # order: E_0 block first, then descending |lambda|
-    idx0 = [i for i in range(m) if is_zero[i]]
-    idx1 = sorted(
-        [i for i in range(m) if not is_zero[i]], key=lambda i: -abs(lam[i])
-    )
-    order = idx0 + idx1
-    lam = lam[order]
-    V = V[:, order]
-
-    # within near-degenerate eigengroups of A_H, rotate to diagonalize A_xi2
-    groups = []
-    start = 0
-    for i in range(1, m + 1):
-        if i == m or abs(lam[i] - lam[start]) > 10.0 * tol_abs:
-            groups.append((start, i))
-            start = i
-    A2 = fr.A2
-    for s, e in groups:
-        if e - s > 1:
-            sub = V[:, s:e].T @ A2 @ V[:, s:e]
-            _, R = np.linalg.eigh(0.5 * (sub + sub.T))
-            V[:, s:e] = V[:, s:e] @ R
-    for j in range(m):
-        V[:, j] = _sign_fix(V[:, j])
-
-    k0 = len(idx0)
-    V0, V1 = V[:, :k0], V[:, k0:]
-    A1b = V1.T @ fr.A1 @ V1
-    S1 = np.diag(np.diag(A1b))
-    Bb = V1.T @ A2 @ V1
-    B = np.diag(np.diag(Bb))
-    S2 = V0.T @ A2 @ V0
-    off = 0.0
-    if k0 and k0 < m:
-        off = float(np.linalg.norm(V0.T @ A2 @ V1))
-    off = max(off, float(np.linalg.norm(Bb - B)))
-
-    t = pg.onb_coords(pg.T_ambient)
-    aht = float(np.linalg.norm(A_H @ t))
-    w = ed.shape_in_direction(pg.eta) @ t
-    aetat = float(np.linalg.norm(w - V0 @ (V0.T @ w))) if k0 else float(np.linalg.norm(w))
-    traceBS1 = abs(float(np.trace(B @ S1)))
-    a_last = float((V[:, k0] @ A2 @ V[:, k0])) if k0 < m else 0.0
-
-    form3 = None
-    if m == 3:
-        want = np.sort(np.array([0.0, 0.0, 3.0 * ed.H_norm]))
-        have = np.sort(np.linalg.eigvalsh(fr.A1))
-        form3 = float(np.max(np.abs(have - want)))
-
-    return E0Analysis(
-        eigenvalues=lam,
-        eigenvectors=V,
-        dim_E0=k0,
-        S1=S1,
-        B=B,
-        S2=S2,
-        aht=aht,
-        aetat=aetat,
-        offblock=off,
-        traceBS1=traceBS1,
-        a_last=a_last,
-        form3_residual=form3,
-        warn_eigengap=warn,
-        frame=fr,
-    )
+    return _first_row(*e0_structures(ExtrinsicRows.of(pg, ed), tol_eig))
 
 
 def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
@@ -338,7 +404,9 @@ def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
 
 def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
     """Curvature radius and plane rank of the s-curves, and the gap to the
-    radius relation 1/sqrt(c^2 + 1) with c = 3 |H| at the base point."""
+    radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
+    s-curve's normal curvature at the base point (E_s the unit s
+    direction); the gap is inf where c^2 + eps <= 0."""
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
@@ -357,8 +425,7 @@ def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
     plane_rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
 
     pg = analyze_point(chart, u0)
-    ed = second_fundamental(pg)
-    c = 3.0 * ed.H_norm
-    predicted = 1.0 / math.sqrt(c * c + 1.0)
-    gap = abs(radius - predicted) if math.isfinite(radius) else math.inf
+    c = float(np.linalg.norm(inner(chart.space, np.asarray(pg.normal_onb), acc)) / pg.g[s, s])
+    c2 = c * c + chart.space.epsilon
+    gap = abs(radius - 1.0 / math.sqrt(c2)) if math.isfinite(radius) and c2 > 0 else math.inf
     return {"radius": radius, "plane_rank": plane_rank, "c": c, "gap": gap}

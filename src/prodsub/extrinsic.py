@@ -25,7 +25,9 @@ __all__ = [
     "ExtrinsicData",
     "ExtrinsicRows",
     "FieldCache",
+    "batched_rows",
     "second_fundamental",
+    "shape_operator",
     "christoffels",
     "onb_connection",
     "normal_derivative_H",
@@ -41,7 +43,7 @@ __all__ = [
 #: outer step for nested finite differences (inner layer carries ~1e-10 noise)
 FD_NESTED_STEP = 5e-4
 
-# most points in one batched call of FieldCache.batched: a batch holds about
+# most points in one call of batched_rows: a batch holds about
 # 2.4 KiB per point, and past about a thousand points a larger batch barely
 # lowers the cost per point (theorem1_cylinder on one core of a 2-vCPU
 # Xeon: 8.5 us at 1,024 points, 7.9 us at 4,096, 1 ms for a batch of one)
@@ -66,11 +68,14 @@ class ExtrinsicData:
 
     def shape_in_direction(self, w: np.ndarray) -> np.ndarray:
         """Shape operator A_w for an ambient normal vector w (ONB matrix)."""
-        sp = self.pg.space
-        out = np.zeros_like(self.shape_ops[0])
-        for a, xi in enumerate(self.pg.normal_onb):
-            out += inner(sp, w, xi) * self.shape_ops[a]
-        return out
+        return shape_operator(self.pg.space, np.asarray(self.pg.normal_onb), np.asarray(self.alpha), w)
+
+
+def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np.ndarray:
+    """A_w = sum_a <w, xi_a> alpha^a in the tangent ONB, for normal frames xi
+    (..., r, n+2), alpha (..., r, m, m) and normal vectors w (..., n+2)."""
+    c = inner(sp, xi, np.asarray(w)[..., None, :])
+    return (c[..., None, None] * alpha).sum(axis=-3)
 
 
 def second_fundamental(pg, with_connection: bool = False):
@@ -103,11 +108,20 @@ class ExtrinsicRows(Sequence):
     and |H| (N,) stacked, read as a sequence of N ExtrinsicData (None where
     the row failed).  A row's PointGeometry and ExtrinsicData are built when
     the row is read, so a large batch holds only its arrays.  Slices and
-    ``+`` give plain lists."""
+    ``+`` give plain lists.  The batch kernels of the checks read the
+    arrays; ``of`` makes one point a batch of one for them."""
 
     def __init__(self, batch: PointBatch, alpha, H, H_norm):
         self.batch = batch
         self.alpha, self.H, self.H_norm = alpha, H, H_norm
+
+    @classmethod
+    def of(cls, pg: PointGeometry, ed: ExtrinsicData) -> "ExtrinsicRows":
+        return cls(PointBatch.of(pg), np.array(ed.alpha)[None], ed.H[None], np.array([ed.H_norm]))
+
+    def take(self, rows) -> "ExtrinsicRows":
+        """The rows given by a slice or an index array."""
+        return ExtrinsicRows(self.batch.take(rows), self.alpha[rows], self.H[rows], self.H_norm[rows])
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -165,7 +179,6 @@ def onb_connection(pg: PointGeometry, cache: "FieldCache | None" = None) -> np.n
     conn[i, j, k] = <nabla_{E_i} E_j, E_k> (one finite-difference layer)."""
     cache = cache or FieldCache(pg.chart)
     cache.prefetch(first_layer(pg.u))
-    sp = pg.space
     m = pg.chart.m
     C = pg.tangent_coeffs
 
@@ -178,9 +191,7 @@ def onb_connection(pg: PointGeometry, cache: "FieldCache | None" = None) -> np.n
     conn = np.zeros((m, m, m))
     for i in range(m):
         for j in range(m):
-            dv = np.einsum("p,pc->c", C[i], d_frames[j])
-            for k in range(m):
-                conn[i, j, k] = inner(sp, dv, pg.tangent_onb[k])
+            conn[i, j] = pg.onb_coords(np.einsum("p,pc->c", C[i], d_frames[j]))
     return conn
 
 
@@ -206,32 +217,12 @@ class FieldCache:
     Keys are exact float tuples: ``fd_stencil`` computes the offsets of
     repeated fd calls around the same center identically, so lookups hit.
     ``prefetch`` fills the memo for a whole stencil in one batched call, and
-    ``batched`` fills one cache per sample, with one call for many samples.
+    ``store`` fills it from rows of a batch computed elsewhere.
     """
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._memo: dict = {}
-
-    @classmethod
-    def batched(cls, chart: Chart, point_sets) -> Iterator["FieldCache"]:
-        """One cache per point set (P_s, m) of ``point_sets``, yielded in
-        order and holding the geometry of its points.  Consecutive sets of
-        up to ``_BATCH_POINTS`` points in all (at least one set) share one
-        batched call.  A cache's entries are built when it is yielded and
-        belong to it alone, so they go when the caller drops the cache.
-        Failed rows and a failed batch store nothing, as in ``prefetch``."""
-        sets = [np.asarray(p, dtype=float) for p in point_sets]
-        step = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
-        for first in range(0, len(sets), step):
-            block = sets[first : first + step]
-            rows = _geometry_rows(chart, np.vstack(block))
-            start = 0
-            for points in block:
-                cache = cls(chart)
-                cache._store(points, rows, start)
-                start += len(points)
-                yield cache
 
     def geometry(self, u) -> tuple[PointGeometry, ExtrinsicData]:
         key = tuple(np.asarray(u, dtype=float).tolist())
@@ -256,9 +247,9 @@ class FieldCache:
                 todo.setdefault(key, row)
         if todo:
             points = np.array(list(todo.values()))
-            self._store(points, _geometry_rows(self.chart, points))
+            self.store(points, _geometry_rows(self.chart, points))
 
-    def _store(self, points: np.ndarray, rows, start: int = 0) -> None:
+    def store(self, points: np.ndarray, rows, start: int = 0) -> None:
         """Memo entries for ``points``, rows start, start + 1, ... of the
         batch ``rows``; nothing for a failed row or a failed batch (None)."""
         if rows is None:
@@ -284,6 +275,18 @@ class FieldCache:
 
     def christoffel_field(self, v) -> np.ndarray:
         return christoffels(self.geometry(v)[0]).ravel()
+
+
+def batched_rows(chart: Chart, point_sets) -> Iterator[tuple[list, ExtrinsicRows | None]]:
+    """Yield (sets, rows) for consecutive point sets (P_s, m) of
+    ``point_sets``: up to ``_BATCH_POINTS`` points in all (at least one
+    set) go to one batched call, whose geometry ``rows`` holds the sets'
+    points in order, or is None when the batch raised as a whole."""
+    sets = [np.asarray(p, dtype=float) for p in point_sets]
+    step = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
+    for first in range(0, len(sets), step):
+        block = sets[first : first + step]
+        yield block, _geometry_rows(chart, np.vstack(block))
 
 
 def _geometry_rows(chart: Chart, points: np.ndarray) -> ExtrinsicRows | None:
@@ -481,7 +484,6 @@ def T_eta_residuals(chart: Chart, u, cache: FieldCache | None = None) -> dict:
     cache = cache or FieldCache(chart)
     cache.prefetch(first_layer(u))
     pg, ed = cache.geometry(u)
-    sp = chart.space
     m = chart.m
     G = christoffels(pg)
     C = pg.tangent_coeffs
@@ -492,21 +494,10 @@ def T_eta_residuals(chart: Chart, u, cache: FieldCache | None = None) -> dict:
     )  # dT[p, k] = d_p T^k
     d_eta = np.array([fd_gradient(cache.eta_field, pg.u, p) for p in range(m)])
 
-    A_eta = ed.shape_in_direction(pg.eta)
-    T_onb = pg.onb_coords(pg.T_ambient)
-
-    vt = 0.0
-    veta = 0.0
-    for i in range(m):
-        nab_chart = np.einsum(
-            "p,pk->k", C[i], dT + np.einsum("kpq,q->pk", G, pg.T_coeffs)
-        )
-        nab_T = pg.push(nab_chart)
-        vt = max(vt, float(np.linalg.norm(nab_T - pg.from_onb(A_eta[:, i]))))
-
-        alpha_iT = np.zeros(sp.ambient_dim)
-        for aa, xi in enumerate(pg.normal_onb):
-            alpha_iT += float(ed.alpha[aa][i] @ T_onb) * xi
-        nab_eta = P0 @ np.einsum("p,pc->c", C[i], d_eta)
-        veta = max(veta, float(np.linalg.norm(alpha_iT + nab_eta)))
+    # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
+    nab_T = C @ (dT + np.einsum("kpq,q->pk", G, pg.T_coeffs)) @ pg.jet.jac.T
+    vt = nab_T - ed.shape_in_direction(pg.eta).T @ np.asarray(pg.tangent_onb)
+    alpha_T = (np.asarray(ed.alpha) @ pg.onb_coords(pg.T_ambient)).T @ np.asarray(pg.normal_onb)
+    veta = alpha_T + C @ d_eta @ P0.T
+    vt, veta = (float(np.max(np.linalg.norm(v, axis=1))) for v in (vt, veta))
     return {"vt": vt, "veta": veta}

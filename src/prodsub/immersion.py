@@ -8,7 +8,7 @@ analytic 2-jets with no parse step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -268,45 +268,38 @@ class PointGeometry:
 
     def onb_coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of a tangent ambient vector in the tangent ONB."""
-        return np.array([inner(self.space, v, e) for e in self.tangent_onb])
+        return inner(self.space, np.asarray(self.tangent_onb), v)
 
     def from_onb(self, c) -> np.ndarray:
-        out = np.zeros(self.space.ambient_dim)
-        for ci, e in zip(c, self.tangent_onb):
-            out += ci * e
-        return out
-
-    def chart_coords(self, v: np.ndarray) -> np.ndarray:
-        """Chart-basis components of a tangent ambient vector."""
-        return self.onb_coords(v) @ self.tangent_coeffs
+        return np.asarray(c, dtype=float) @ np.asarray(self.tangent_onb)
 
     def proj_normal(self, v: np.ndarray) -> np.ndarray:
-        """Projection onto the normal space of f inside T(Q^n_eps x R)."""
-        sp = self.space
-        phat = self.q_padded()
-        out = np.array(v, dtype=float)
-        out -= sp.epsilon * inner(sp, out, phat) * phat
-        for e in self.tangent_onb:
-            out -= inner(sp, out, e) * e
-        return out
+        """Projection onto the normal space of f inside T(Q^n_eps x R).
 
-    def normal_projector(self) -> np.ndarray:
-        """The projection above as an (n+2, n+2) matrix; depends only on the
-        normal subspace, not on the frame, so it is a smooth field."""
+        The components along p^ and each E_i come off one after the other,
+        each read from the vector the previous step left (the modified
+        Gram-Schmidt order), with signature-weighted dot products."""
         sp = self.space
         sig = sp.signature
         phat = self.q_padded()
-        P = np.eye(sp.ambient_dim)
-        P -= sp.epsilon * np.outer(phat, sig * phat)
+        out = np.array(v, dtype=float)
+        out -= sp.epsilon * np.dot(out, sig * phat) * phat
         for e in self.tangent_onb:
-            P -= np.outer(e, sig * e)
-        return P
+            out -= np.dot(out, sig * e) * e
+        return out
+
+    def normal_projector(self) -> np.ndarray:
+        """The projection above as an (n+2, n+2) matrix,
+        I - eps p^ p^T S - E^T E S with S the signature; depends only on the
+        normal subspace, not on the frame, so it is a smooth field."""
+        sp = self.space
+        phat = self.q_padded()
+        E = np.asarray(self.tangent_onb)
+        return np.eye(sp.ambient_dim) - (sp.epsilon * phat[:, None] * phat + E.T @ E) * sp.signature
 
     def with_flipped_normals(self, signs) -> "PointGeometry":
         """Copy with normal frame vectors flipped by the given +-1 signs;
         used to exercise gauge invariance of the classifier residuals."""
-        from dataclasses import replace
-
         flipped = [s * xi for s, xi in zip(signs, self.normal_onb)]
         return replace(self, normal_onb=flipped)
 
@@ -339,6 +332,27 @@ class PointBatch:
 
     def __len__(self) -> int:
         return len(self.u)
+
+    @classmethod
+    def of(cls, pg: PointGeometry) -> "PointBatch":
+        """A batch of one holding ``pg`` as it is (flipped normals included)."""
+        rows = {
+            f.name: np.asarray(getattr(pg, f.name), dtype=float)[None]
+            for f in fields(cls)
+            if f.name not in ("chart", "jet", "nu", "errors")
+        }
+        nu = None if pg.nu is None else np.array([pg.nu])
+        return cls(chart=pg.chart, jet=pg.jet.row(None), nu=nu, errors=[None], **rows)
+
+    def take(self, rows) -> "PointBatch":
+        """The batch of the given rows (a slice or an index array)."""
+        arrays = {
+            f.name: getattr(self, f.name)[rows]
+            for f in fields(self)
+            if f.name not in ("chart", "jet", "errors") and getattr(self, f.name) is not None
+        }
+        errors = [self.errors[i] for i in np.arange(len(self))[rows]]
+        return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
     def point(self, i: int) -> PointGeometry:
         if self.errors[i] is not None:

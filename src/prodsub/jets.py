@@ -351,8 +351,9 @@ class VecJet2:
     def __len__(self) -> int:
         return self.values.shape[-1]
 
-    def row(self, i: int) -> "VecJet2":
-        """The jet of point ``i`` of a batch."""
+    def row(self, i) -> "VecJet2":
+        """The jet of point ``i`` of a batch; an index array or a slice gives
+        a smaller batch, and None makes a single jet a batch of one."""
         out = object.__new__(VecJet2)
         out.m = self.m
         out.values, out.jac, out.d2 = self.values[i], self.jac[i], self.d2[i]

@@ -2,9 +2,16 @@
 
 A scene is a JSON document validated against SCENE_SCHEMA: an ambient block,
 an immersion (gallery spec or expression list), a sampling spec, the list of
-checks to run and optional tolerance overrides.  Residual rows are
-deterministic functions of (scene, seed); the worker partitioning never
-changes values because per-sample randomness is keyed by (seed, index).
+checks to run and optional tolerance overrides.
+
+A run checks its samples a chunk at a time: one batched geometry call per
+chunk of up to 1,024 points of whole samples, and one call of each CHECKS
+entry on the chunk's arrays, which returns a residual, a note and a
+degenerate flag per sample.  The jet-level entries are array code; the
+finite-difference entries loop over the chunk's samples with one cache
+each.  Residual rows are deterministic functions of (scene, seed): nothing
+reduces across samples, and per-sample randomness is keyed by (seed,
+index), so neither the chunking nor the worker partitioning changes values.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import jsonschema
@@ -22,17 +29,22 @@ import numpy as np
 from . import __version__
 from .ambient import ProductSpace, inner, membership_residual
 from .classify import (
+    DEGENERATE,
     biconservative_residual,
-    biharmonic_residual,
+    biconservative_simple,
+    biharmonic_normal,
+    biharmonic_predicates,
     circle_geometry,
-    class_A_residual,
-    e0_structure,
+    class_A_residuals,
+    e0_structures,
     splitting_residual,
 )
-from .errors import EngineError, InvalidFrame, SceneError
+from .errors import EngineError, SceneError
 from .extrinsic import (
+    ExtrinsicRows,
     FieldCache,
     T_eta_residuals,
+    batched_rows,
     codazzi_residual,
     first_layer,
     gauss_residual,
@@ -201,6 +213,117 @@ def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
 
 
 @dataclass
+class Chunk:
+    """Samples of a run checked together, the argument of every CHECKS entry.
+
+    ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
+    (N, r, m, m), H (N, n+2) and |H| (N,).  ``errors[i]`` is the error the
+    geometry at sample i raises, else None.  When a requested check
+    differences, ``stencils[i]`` holds the ``FieldCache.store`` arguments of
+    sample i's first layer, from which ``cache(i)`` builds its cache.
+    """
+
+    chart: Chart
+    indices: np.ndarray
+    u: np.ndarray  # (N, m)
+    seed: int
+    geo: ExtrinsicRows | None
+    errors: list
+    stencils: list | None = None
+    _caches: dict = field(default_factory=dict, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def cache(self, i: int) -> FieldCache:
+        """Sample i's FieldCache, built on first use and kept with the chunk."""
+        if i not in self._caches:
+            self._caches[i] = FieldCache(self.chart)
+            self._caches[i].store(*self.stencils[i])
+        return self._caches[i]
+
+    def take(self, rows: slice) -> "Chunk":
+        geo = None if self.geo is None else self.geo.take(rows)
+        stencils = None if self.stencils is None else self.stencils[rows]
+        return replace(
+            self, indices=self.indices[rows], u=self.u[rows], geo=geo,
+            errors=self.errors[rows], stencils=stencils, _caches={},
+        )
+
+
+class _RowFailure(Exception):
+    """args: a chunk entry's first failing row (its position in the chunk)
+    and the EngineError it raised."""
+
+
+def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
+    """``values`` with the rows where T = 0 noted and flagged degenerate."""
+    flat = c.geo.batch.T_norm <= DEGENERATE[tol_key]
+    return values, ["T = 0 (slice-type point)" if f else None for f in flat.tolist()], flat
+
+
+def _chk_membership(c: Chunk):
+    return membership_residual(c.chart.space, c.geo.batch.jet.values), None, False
+
+
+def _chk_frames(c: Chunk):
+    b, sp = c.geo.batch, c.chart.space
+    frame = np.concatenate([b.tangent_onb, b.normal_onb], axis=1)
+    gram = inner(sp, frame[:, :, None], frame[:, None])  # one dot per pair, so symmetric
+    off_quadric = inner(sp, b.normal_onb, sp.q_padded(b.jet.values)[:, None])
+    worst = np.max(np.abs(gram - np.eye(frame.shape[1])), axis=(1, 2))
+    return np.maximum(worst, np.max(np.abs(off_quadric), axis=1)), None, False
+
+
+def _chk_unit_norm(c: Chunk):
+    b = c.geo.batch
+    return np.abs(b.T_norm**2 + b.eta_norm**2 - 1.0), None, False
+
+
+def _chk_h_eta(c: Chunk):
+    return np.abs(inner(c.chart.space, c.geo.H, c.geo.batch.eta)), None, False
+
+
+def _chk_mean_curvature(c: Chunk):
+    return c.geo.H_norm, "reports |H| itself, not a residual", False
+
+
+def _chk_biconservative(c: Chunk):
+    return _slice_type(c, biconservative_simple(c.geo), "T_biconservative")
+
+
+def _chk_class_a(c: Chunk):
+    return _slice_type(c, class_A_residuals(c.geo), "T_class_a")
+
+
+def _chk_biharmonic_predicate(c: Chunk):
+    pred, pred_eps = biharmonic_predicates(c.geo)
+    undefined = np.isnan(pred)
+    notes = [
+        "codim-2 frame undefined (H = 0 or wrong codimension)" if bad else f"eps-explicit candidate {p:.6g}"
+        for bad, p in zip(undefined.tolist(), pred_eps.tolist())
+    ]
+    return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
+
+
+def _chk_e0(c: Chunk):
+    e0, errors = e0_structures(c.geo)
+    vanish = [e is not None and "H vanishes" in str(e) for e in errors]
+    for i, (e, v) in enumerate(zip(errors, vanish)):
+        if e is not None and not v:
+            raise _RowFailure(i, e)
+    val = np.max([e0.aht, e0.aetat, e0.offblock, e0.traceBS1, np.abs(e0.a_last)], axis=0)
+    notes = [
+        str(e) if v else f"dim_E0={k}" + ("; eigengap warning" if w else "")
+        for e, v, k, w in zip(errors, vanish, e0.dim_E0.tolist(), e0.warn_eigengap.tolist())
+    ]
+    return np.where(vanish, 0.0, val), notes, np.array(vanish)
+
+
+# -- finite-difference checks: one sample at a time, each with its own cache
+
+
+@dataclass
 class CheckContext:
     chart: Chart
     u: np.ndarray
@@ -216,53 +339,26 @@ class CheckContext:
         return self.cache.geometry(self.u)
 
 
-def _chk_membership(ctx: CheckContext):
-    pg, _ = ctx.geometry()
-    return membership_residual(ctx.chart.space, pg.pos), None, False
+def _per_sample(name: str, body):
+    """The chunk entry that runs ``body(CheckContext)`` on each sample in
+    turn; the first sample that raises stops it."""
 
+    def entry(c: Chunk):
+        out = []
+        for i, (idx, u) in enumerate(zip(c.indices.tolist(), c.u)):
+            try:
+                out.append(body(CheckContext(c.chart, u, c.cache(i), (c.seed, idx, _CHECK_ID[name]))))
+            except EngineError as exc:
+                raise _RowFailure(i, exc) from exc
+        values, notes, degen = zip(*out)
+        return np.array(values, dtype=float), list(notes), np.array(degen)
 
-def _chk_frames(ctx: CheckContext):
-    pg, _ = ctx.geometry()
-    sp = ctx.chart.space
-    frame = pg.tangent_onb + pg.normal_onb
-    worst = 0.0
-    for i, a in enumerate(frame):
-        for j in range(i, len(frame)):
-            worst = max(
-                worst, abs(inner(sp, a, frame[j]) - (1.0 if i == j else 0.0))
-            )
-    phat = pg.q_padded()
-    for xi in pg.normal_onb:
-        worst = max(worst, abs(inner(sp, xi, phat)))
-    return worst, None, False
-
-
-def _chk_unit_norm(ctx: CheckContext):
-    pg, _ = ctx.geometry()
-    return abs(pg.T_norm**2 + pg.eta_norm**2 - 1.0), None, False
-
-
-def _chk_h_eta(ctx: CheckContext):
-    pg, ed = ctx.geometry()
-    return abs(inner(ctx.chart.space, ed.H, pg.eta)), None, False
+    return entry
 
 
 def _chk_pmc(ctx: CheckContext):
     ws = normal_derivative_H(ctx.chart, ctx.u, ctx.cache)
     return max(float(np.linalg.norm(w)) for w in ws), None, False
-
-
-def _chk_mean_curvature(ctx: CheckContext):
-    _, ed = ctx.geometry()
-    return ed.H_norm, "reports |H| itself, not a residual", False
-
-
-def _chk_biconservative(ctx: CheckContext):
-    pg, ed = ctx.geometry()
-    r = biconservative_residual(ctx.chart, ctx.u, ctx.cache, pg, ed)
-    if pg.T_norm <= 1e-10:
-        return r["simple"], "T = 0 (slice-type point)", True
-    return r["simple"], None, False
 
 
 def _chk_biconservative_full(ctx: CheckContext):
@@ -274,27 +370,11 @@ def _chk_biconservative_full(ctx: CheckContext):
 def _chk_biharmonic_normal(ctx: CheckContext):
     pmc, _, _ = _chk_pmc(ctx)
     assume = pmc <= DEFAULT_TOLERANCES["pmc"]
-    r = biharmonic_residual(ctx.chart, ctx.u, assume_pmc=assume, cache=ctx.cache)
-    if r["minimal"]:
-        return r["normal"], "H = 0 (minimal point)", True
+    normal, minimal = biharmonic_normal(ctx.chart, *ctx.geometry(), assume, ctx.cache)
+    if minimal:
+        return normal, "H = 0 (minimal point)", True
     note = None if assume else "PMC not verified; nested differences (tol_fd2)"
-    return r["normal"], note, False
-
-
-def _chk_biharmonic_predicate(ctx: CheckContext):
-    r = biharmonic_residual(ctx.chart, ctx.u, assume_pmc=True, cache=ctx.cache)
-    if math.isnan(r["predicate"]):
-        return 0.0, "codim-2 frame undefined (H = 0 or wrong codimension)", True
-    note = f"eps-explicit candidate {r['predicate_eps']:.6g}"
-    return abs(r["predicate"]), note, False
-
-
-def _chk_class_a(ctx: CheckContext):
-    pg, ed = ctx.geometry()
-    r = class_A_residual(pg, ed)
-    if pg.T_norm <= 1e-8:
-        return r, "T = 0 (slice-type point)", True
-    return r, None, False
+    return normal, note, False
 
 
 def _random_directions(ctx: CheckContext, k: int = 3) -> np.ndarray:
@@ -319,19 +399,6 @@ def _chk_vector_t(ctx: CheckContext):
 
 def _chk_vector_eta(ctx: CheckContext):
     return T_eta_residuals(ctx.chart, ctx.u, ctx.cache)["veta"], None, False
-
-
-def _chk_e0(ctx: CheckContext):
-    pg, ed = ctx.geometry()
-    try:
-        e0 = e0_structure(ctx.chart, ctx.u, pg, ed)
-    except InvalidFrame as exc:
-        if "H vanishes" in str(exc):
-            return 0.0, str(exc), True
-        raise
-    val = max(e0.aht, e0.aetat, e0.offblock, e0.traceBS1, abs(e0.a_last))
-    note = f"dim_E0={e0.dim_E0}" + ("; eigengap warning" if e0.warn_eigengap else "")
-    return val, note, False
 
 
 def _chk_splitting(chart: Chart):
@@ -372,32 +439,34 @@ DEFAULT_TOLERANCES = {
     "circle": 1e-8,
 }
 
-CHECKS = {
-    "membership": _chk_membership,
-    "frames": _chk_frames,
-    "unit_norm": _chk_unit_norm,
-    "h_eta": _chk_h_eta,
+# checks that difference fields around their sample: a run computes each
+# sample's first layer with the samples, not only its center
+_FIRST_LAYER = {
     "pmc": _chk_pmc,
-    "mean_curvature": _chk_mean_curvature,
-    "biconservative": _chk_biconservative,
     "biconservative_full": _chk_biconservative_full,
     "biharmonic_normal": _chk_biharmonic_normal,
-    "biharmonic_predicate": _chk_biharmonic_predicate,
-    "class_a": _chk_class_a,
     "gauss": _chk_structure(gauss_residual),
     "codazzi": _chk_structure(codazzi_residual),
     "ricci": _chk_structure(ricci_residual),
     "vector_t": _chk_vector_t,
     "vector_eta": _chk_vector_eta,
-    "e0": _chk_e0,
 }
+FIRST_LAYER_CHECKS = frozenset(_FIRST_LAYER)
 
-# checks that difference fields around their sample: a run computes each
-# sample's first layer with the samples, not only its center
-FIRST_LAYER_CHECKS = frozenset({
-    "pmc", "biconservative", "biconservative_full", "biharmonic_normal",
-    "gauss", "codazzi", "ricci", "vector_t", "vector_eta",
-})
+# every entry maps a Chunk of N samples to (N,) residuals, (N,) notes (or
+# one note for all) and an (N,) degenerate mask (or one flag for all)
+CHECKS = {
+    "membership": _chk_membership,
+    "frames": _chk_frames,
+    "unit_norm": _chk_unit_norm,
+    "h_eta": _chk_h_eta,
+    "mean_curvature": _chk_mean_curvature,
+    "biconservative": _chk_biconservative,
+    "biharmonic_predicate": _chk_biharmonic_predicate,
+    "class_a": _chk_class_a,
+    "e0": _chk_e0,
+    **{name: _per_sample(name, body) for name, body in _FIRST_LAYER.items()},
+}
 
 # keys the per-check random streams: (seed, sample index, _CHECK_ID[name])
 _CHECK_ID = {name: i for i, name in enumerate(sorted(CHECKS))}
@@ -417,30 +486,99 @@ def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
     return tol
 
 
-def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int):
-    """Residual rows for the given sample indices.
+def _chunks(chart: Chart, names: list, samples: np.ndarray, indices, seed: int, probe=None):
+    """The chunks of a run, in sample order.
 
-    ``FieldCache.batched`` computes the geometry of the samples, with their
-    first layers when a check differences, in one call per up to 1,024
-    points; each sample still gets its own cache, dropped after its checks.
+    The samples' points (the center alone, or the center and its first
+    layer when a check in ``names`` differences) go to ``batched_rows``,
+    which takes up to 1,024 points of whole samples in one call; each call
+    gives one chunk.  A ``probe`` point joins the batch as a last sample
+    with index -1 and only its center.  When a call fails as a whole, each
+    of its samples computes its own geometry in a chunk of one, and raises
+    what it raises on its own.
     """
-    rows = []
-    layer = first_layer if FIRST_LAYER_CHECKS.intersection(names) else (lambda u: u[None])
-    caches = FieldCache.batched(chart, [layer(samples[idx]) for idx in indices])
-    for idx, cache in zip(indices, caches):
-        u = samples[idx]
-        for name in names:
-            if name in CHART_LEVEL_CHECKS:
-                continue
-            ctx = CheckContext(chart, u, cache, (seed, idx, _CHECK_ID[name]))
-            try:
-                value, note, degen = CHECKS[name](ctx)
-            except EngineError as exc:
-                raise EngineError(
-                    f"check {name} failed at sample {idx}, u={list(map(float, u))}: {exc}"
-                ) from exc
-            rows.append((name, int(idx), [float(x) for x in u], float(value), note, degen))
-    return rows
+    differences = not FIRST_LAYER_CHECKS.isdisjoint(names)
+    idx = list(indices)
+    us = [samples[i] for i in idx]
+    sets = [first_layer(u) if differences else u[None] for u in us]
+    if probe is not None:
+        idx.append(-1)
+        us.append(np.asarray(probe, dtype=float))
+        sets.append(us[-1][None])
+    start = 0
+    for block, rows in batched_rows(chart, sets):
+        stop = start + len(block)
+        if rows is None:
+            yield from (_sample_chunk(chart, idx[k], us[k], seed, differences) for k in range(start, stop))
+        else:
+            offsets = np.cumsum([0] + [len(p) for p in block[:-1]])
+            stencils = list(zip(block, [rows] * len(block), offsets)) if differences else None
+            geo = rows.take(offsets)
+            indices, points = np.array(idx[start:stop]), np.array(us[start:stop])
+            yield Chunk(chart, indices, points, seed, geo, geo.batch.errors, stencils)
+        start = stop
+
+
+def _sample_chunk(chart: Chart, idx: int, u: np.ndarray, seed: int, differences: bool) -> Chunk:
+    try:
+        geo, error = ExtrinsicRows.of(*FieldCache(chart).geometry(u)), None
+    except EngineError as exc:
+        geo, error = None, exc
+    stencils = [(u[None], geo, 0)] if differences else None
+    return Chunk(chart, np.array([idx]), u[None], seed, geo, [error], stencils)
+
+
+def _chunk_rows(chunk: Chunk, names: list) -> list:
+    """The rows of a chunk, sample by sample in the order of ``names``.
+
+    A failing chunk raises the error of its first (sample, check) pair: the
+    checks run on the samples before the first one whose geometry fails,
+    which fails in every check."""
+    n = len(chunk)
+    bad = next((i for i, e in enumerate(chunk.errors) if e is not None), n)
+    failures = [] if bad == n else [(bad, 0, chunk.errors[bad])]
+    columns = {name: ([], [], []) for name in names}
+
+    def run(pos: int, name: str, part: Chunk, start: int) -> bool:
+        try:
+            values, notes, degen = CHECKS[name](part)
+        except _RowFailure as f:
+            failures.append((start + f.args[0], pos, f.args[1]))
+            return False
+        k = len(part)
+        columns[name][0].extend(np.broadcast_to(np.asarray(values, dtype=float), (k,)).tolist())
+        columns[name][1].extend(notes if isinstance(notes, list) else [notes] * k)
+        columns[name][2].extend(np.broadcast_to(degen, (k,)).tolist())
+        return True
+
+    live = chunk.take(slice(0, bad))
+    differencing = [(pos, name) for pos, name in enumerate(names) if name in FIRST_LAYER_CHECKS]
+    for pos, name in enumerate(names):
+        if bad and name not in FIRST_LAYER_CHECKS:
+            run(pos, name, live, 0)
+    # the differencing checks go one sample at a time, so that a sample's
+    # cache, nested layers included, goes after its checks
+    for i in range(bad if differencing else 0):
+        one = live.take(slice(i, i + 1))
+        if not all(run(pos, name, one, i) for pos, name in differencing):
+            break
+    if failures:
+        row, pos, exc = min(failures, key=lambda f: f[:2])
+        raise EngineError(
+            f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.u[row].tolist()}: {exc}"
+        ) from exc
+    us = chunk.u.tolist()
+    return [
+        (name, idx, us[i], columns[name][0][i], columns[name][1][i], columns[name][2][i])
+        for i, idx in enumerate(chunk.indices.tolist())
+        for name in names
+    ]
+
+
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int):
+    """Residual rows for the given sample indices, one chunk at a time."""
+    chunks = _chunks(chart, names, samples, indices, seed)
+    return [row for chunk in chunks for row in _chunk_rows(chunk, names)]
 
 
 _worker_chart: Chart | None = None
@@ -621,16 +759,27 @@ def _set_scene_param(scene: dict, name: str, value: float) -> dict:
 def _scan_row(scene: dict, param: str, value: float, residual: str):
     """One scan step on its own chart, run serially.  An engine error is
     returned, not raised, so that the caller reports the first failing step
-    whichever worker ran it."""
+    whichever worker ran it.  For the signed predicate the chart center
+    joins the step's batch as a probe."""
     try:
         sc = _set_scene_param(scene, param, value)
         validate_scene(sc)
         chart = build_chart(sc)
-        rep = _run_checks(sc, chart, sc.get("sampling", {}), [residual], None, 1, None)
-        row = {"value": value, "max_residual": rep["checks"][0]["max_residual"]}
-        if residual == "biharmonic_normal":
-            r = biharmonic_residual(chart, chart.center(), assume_pmc=True)
-            row["signed"] = float(r["predicate"])
+        sampling = sc.get("sampling", {})
+        samples = sample_points(chart, sampling)
+        signed = residual == "biharmonic_normal"
+        seed = int(sampling.get("seed", 0))
+        probe = chart.center() if signed else None
+        chunks = list(_chunks(chart, [residual], samples, range(len(samples)), seed, probe))
+        if signed:
+            center = chunks[-1].take(slice(-1, None))
+            chunks[-1] = chunks[-1].take(slice(0, -1))
+        values = [r[3] for chunk in chunks for r in _chunk_rows(chunk, [residual])]
+        row = {"value": value, "max_residual": float(np.max(values))}
+        if signed:
+            if center.errors[0] is not None:
+                raise center.errors[0]
+            row["signed"] = float(biharmonic_predicates(center.geo)[0][0])
         return row
     except EngineError as exc:
         return exc

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prodsub.ambient
+import prodsub.classify
 import prodsub.extrinsic
 import prodsub.immersion
 import prodsub.scene
@@ -155,7 +157,7 @@ def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
     u = chart.center() + np.array([0.1, -0.2, 0.3])
     cache = FieldCache(chart)
     ctx = prodsub.scene.CheckContext(chart, u, cache, (0, 0, 0))
-    prodsub.scene.CHECKS["pmc"](ctx)
+    prodsub.scene._chk_pmc(ctx)  # the per-sample body of the pmc entry
     m = chart.m
     assert shapes == [(1 + 4 * m, m)]
     keys = {tuple(p) for p in first_layer(u).tolist()}
@@ -270,20 +272,11 @@ POINTWISE_CHECKS = [
 
 
 def _reference_rows(chart, names, samples, seed):
-    """The per-sample loop a run replaces: each sample gets a fresh cache and
-    computes its own geometry, with no batch across samples."""
+    """The rows of each sample on its own: one chunk of one sample per call,
+    so its geometry and its checks see no other sample."""
     rows = []
-    for idx, u in enumerate(samples):
-        cache = FieldCache(chart)
-        for name in names:
-            ctx = prodsub.scene.CheckContext(chart, u, cache, (seed, idx, prodsub.scene._CHECK_ID[name]))
-            try:
-                value, note, degen = prodsub.scene.CHECKS[name](ctx)
-            except prodsub.errors.EngineError as exc:
-                raise prodsub.errors.EngineError(
-                    f"check {name} failed at sample {idx}, u={list(map(float, u))}: {exc}"
-                ) from exc
-            rows.append((name, idx, [float(x) for x in u], float(value), note, degen))
+    for idx in range(len(samples)):
+        rows += prodsub.scene._compute_rows(chart, names, samples, [idx], seed)
     return rows
 
 
@@ -407,3 +400,95 @@ def test_error_at_a_sample_center_matches_the_per_sample_loop(
     assert ref.startswith(f"check membership failed at sample {bad_sample}, u=")
     assert main(["run", "--scene", str(path)]) == 3
     assert capsys.readouterr().err.strip() == f"computation error: {ref}"
+
+
+# -- chunk-level checks: every entry runs on the arrays of a whole chunk ------
+
+JET_LEVEL_CHECKS = sorted(set(prodsub.scene.CHECKS) - prodsub.scene.FIRST_LAYER_CHECKS)
+
+
+def _rows_by_sample(rows):
+    return sorted(rows, key=lambda r: (r[1], r[0]))
+
+
+def test_every_check_is_independent_of_its_batch(batch_charts):
+    # a batch of N, a reversed batch and a split batch give the rows that
+    # batches of one give (``_reference_rows``), bit for bit
+    for ch in batch_charts:
+        samples = random_interior_points(ch, 4, seed=29)
+        for name in sorted(prodsub.scene.CHECKS):
+            ref = _outcome(_reference_rows, ch, [name], samples, 3)
+            if isinstance(ref, str):
+                continue  # the check raises on this chart (wrong codimension)
+            for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+                rows = prodsub.scene._compute_rows(ch, [name], samples, order, 3)
+                assert _same_rows(_rows_by_sample(rows), ref), (ch.label, name, order)
+            split = _run_rows(ch, [name], samples[:1], 3)
+            split += prodsub.scene._compute_rows(ch, [name], samples, [1, 2, 3], 3)
+            assert _same_rows(split, ref), (ch.label, name)
+
+
+def _chunk_of(pg, ed, idx=0):
+    geo = prodsub.extrinsic.ExtrinsicRows.of(pg, ed)
+    return prodsub.scene.Chunk(pg.chart, np.array([idx]), pg.u[None], 0, geo, [None])
+
+
+def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
+    for ch in batch_charts:
+        for u in random_interior_points(ch, 3, seed=41):
+            pg = analyze_point(ch, u)
+            ed = second_fundamental(pg)
+            codim = len(pg.normal_onb)
+            flips = [[-1.0 if (k >> a) & 1 else 1.0 for a in range(codim)] for k in range(1, 2**codim)]
+            for name in JET_LEVEL_CHECKS:
+                try:
+                    base = prodsub.scene.CHECKS[name](_chunk_of(pg, ed))
+                except prodsub.scene._RowFailure:
+                    continue  # e0 off codimension 2
+                for signs in flips:
+                    pg2 = pg.with_flipped_normals(signs)
+                    values, notes, degen = prodsub.scene.CHECKS[name](_chunk_of(pg2, second_fundamental(pg2)))
+                    want = np.asarray(base[0], dtype=float)
+                    got = np.asarray(values, dtype=float)
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (ch.label, name, signs)
+                    assert notes == base[1] and np.array_equal(degen, base[2]), (ch.label, name, signs)
+
+
+def _count_inner(monkeypatch):
+    calls = []
+    original = prodsub.ambient.inner
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for mod in (prodsub.ambient, prodsub.immersion, prodsub.extrinsic, prodsub.classify, prodsub.scene):
+        if getattr(mod, "inner", None) is original:
+            monkeypatch.setattr(mod, "inner", counting)
+    return calls
+
+
+def test_pointwise_inner_products_do_not_grow_with_the_samples(monkeypatch):
+    calls = _count_inner(monkeypatch)
+    scene = _load("theorem1_cylinder.json")
+    counts = []
+    for n in (4, 40):
+        calls.clear()
+        rep = prodsub.scene.run_scene(
+            scene, checks=POINTWISE_CHECKS, sampling_override={"mode": "random", "counts": n, "seed": 2}
+        )
+        assert rep["samples"] == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[0] < 100
+
+
+def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
+    shapes = _count_analyze(monkeypatch)
+    scene = _load("biharmonic_scan_eps1.json")
+    scan = prodsub.scene.scan_parameter(scene, "a2", 0.4, 0.6, 3, "biharmonic_normal")
+    m = 3
+    assert shapes == [(8 * (1 + 4 * m) + 1, m)] * 3  # 8 samples with first layers, then the center
+    for row in scan["rows"]:
+        chart = build_chart(prodsub.scene._set_scene_param(scene, "a2", row["value"]))
+        want = prodsub.classify.biharmonic_residual(chart, chart.center(), assume_pmc=True)["predicate"]
+        assert _same(row["signed"], want)

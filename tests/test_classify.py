@@ -267,18 +267,17 @@ def test_splitting_residuals(theorem1_cyl, vcyl_geodesic, s4):
     assert splitting_residual(twisted) >= 1.0
 
 
-def test_circle_geometry_theorem1(s4):
-    for a, b in ((0.8, 0.6), (0.6, 0.8)):
-        ch = make_theorem1(s4, a=a)
-        r = circle_geometry(ch)
+def test_circle_geometry_theorem1(s4, h4):
+    """The s-circle has radius b and normal curvature c = a/b, so the radius
+    relation 1/sqrt(c^2 + eps) closes: b^2 (a^2/b^2 + eps) = a^2 + eps b^2 = 1
+    with b^2 = eps (1 - a^2)."""
+    for space, a in ((s4, 0.8), (s4, 0.6), (h4, 1.25), (h4, 2.0)):
+        b = math.sqrt(abs(1.0 - a * a))
+        r = circle_geometry(make_theorem1(space, a=a))
         assert r["radius"] == pytest.approx(b, abs=1e-10)
         assert r["plane_rank"] == 2
-        forms = theorem1_closed_forms(a)
-        assert r["c"] == pytest.approx(3 * forms["H_norm"], abs=1e-9)
-        # the paper's radius relation 1/sqrt(c^2+1) does NOT close on this
-        # family; the honest gap follows from |H| = |a^2-b^2| / (3ab)
-        want_gap = abs(b - 1.0 / math.sqrt((3 * forms["H_norm"]) ** 2 + 1.0))
-        assert r["gap"] == pytest.approx(want_gap, abs=1e-9)
+        assert r["c"] == pytest.approx(a / b, abs=1e-12)
+        assert r["gap"] <= 1e-14
 
 
 def test_circle_geometry_straight_lines(vcyl_circle):
