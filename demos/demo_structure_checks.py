@@ -41,7 +41,8 @@ for kind, params in (("geodesic_cylinder", {}), ("helicoid", {"pitch": 0.5})):
     print(f"  class-A deviation: {class_A_residual(pg, ed):.2e}")
 
 print(
-    "\nThe Gauss/Codazzi/Ricci and T/eta identities hold on every immersion,"
-    "\nso their residuals stay at finite-difference noise for both charts;"
-    "\nonly the parallel-mean-curvature residual separates the two fibers."
+    "\nThe Gauss/Codazzi/Ricci and T/eta identities hold on every immersion."
+    "\nRicci and T/eta are jet-exact and close to rounding; Gauss and Codazzi"
+    "\ndifference the Christoffels and alpha and stay at finite-difference noise."
+    "\nOnly the parallel-mean-curvature residual separates the two fibers."
 )

@@ -21,14 +21,11 @@ from .extrinsic import (
     ExtrinsicData,
     ExtrinsicRows,
     FieldCache,
-    first_layer,
-    normal_derivative_H,
     normal_laplacian_H,
     second_fundamental,
     shape_operator,
 )
 from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet, probe_grid
-from .jets import fd_gradient
 
 __all__ = [
     "CodimTwoFrame",
@@ -160,21 +157,14 @@ def biconservative_residual(
     cache = cache or FieldCache(chart)
     if pg is None or ed is None:
         pg, ed = cache.geometry(u)
-    cache.prefetch(first_layer(pg.u))
     sp = chart.space
     m = chart.m
 
     simple = float(biconservative_simple(ExtrinsicRows.of(pg, ed))[0])
 
-    dhh = np.array(
-        [
-            fd_gradient(lambda v: inner(sp, cache.H_field(v), cache.H_field(v)), pg.u, p)[0]
-            for p in range(m)
-        ]
-    )
-    grad_hh = pg.push(pg.g_inv @ dhh)
-
-    Wp = normal_derivative_H(chart, pg.u, cache)
+    # d_p |H|^2 = 2 <d_p H, H> = 2 <nabla^perp_p H, H>, as H is normal
+    Wp = cache.nabla_H(pg.u)
+    grad_hh = pg.push(pg.g_inv @ (2.0 * inner(sp, np.array(Wp), ed.H)))
     C = pg.tangent_coeffs
     sumA = np.zeros(sp.ambient_dim)
     sumR = np.zeros(sp.ambient_dim)

@@ -2,10 +2,14 @@
 residuals of the first-order structure equations.
 
 Derivative depth discipline: quantities built from the position 2-jet are
-exact ("jet level"); one finite-difference layer on top of jet-level fields
-is accurate to about tol_fd = 1e-6; nested differences (only the normal
-Laplacian of H needs them) to about tol_fd2 = 1e-4.  Every differentiated
-field is gauge-invariant (H, eta, alpha contractions, the normal projector),
+exact ("jet level"), and so are their first chart derivatives that the 2-jet
+determines in closed form (``JetDerivatives``: the metric, Christoffels,
+the normal projector, T and eta), which make the Ricci equation, the T/eta
+rules and the ONB connection jet-exact.  Derivatives of H, alpha and the
+Christoffels need the 3-jet and take one finite-difference layer on top of
+jet-level fields, accurate to about tol_fd = 1e-6; nested differences (only
+the normal Laplacian of H needs them) to about tol_fd2 = 1e-4.  Every
+differenced field is gauge-invariant (H, alpha contractions, Christoffels),
 never a frame vector from the pivoted normal Gram-Schmidt.
 """
 
@@ -13,18 +17,20 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ambient import ProductSpace, inner
 from .errors import ChartError
 from .immersion import Chart, PointBatch, PointGeometry, analyze_point
-from .jets import fd_gradient, fd_stencil
+from .jets import VecJet2, fd_gradient, fd_stencil
 
 __all__ = [
     "ExtrinsicData",
     "ExtrinsicRows",
     "FieldCache",
+    "JetDerivatives",
     "batched_rows",
     "second_fundamental",
     "shape_operator",
@@ -36,7 +42,9 @@ __all__ = [
     "gauss_residual",
     "codazzi_residual",
     "ricci_residual",
+    "ricci_residuals",
     "T_eta_residuals",
+    "T_eta_rows",
     "FD_NESTED_STEP",
 ]
 
@@ -84,8 +92,7 @@ def second_fundamental(pg, with_connection: bool = False):
     alpha^a_{ij} = <d2f/du_i du_j, xi_a>: the normal frame is orthogonal to
     both the tangent space and the quadric position, which removes the
     Christoffel and inclusion-umbilic parts of the flat second derivative.
-    ``with_connection`` also fills the ONB connection coefficients, which
-    need a finite-difference stencil around the point.
+    ``with_connection`` also fills the ONB connection coefficients.
 
     ``pg`` is one PointGeometry, or a PointBatch, for which the result is an
     ExtrinsicRows sequence with one ExtrinsicData per row (None where the
@@ -123,6 +130,11 @@ class ExtrinsicRows(Sequence):
         """The rows given by a slice or an index array."""
         return ExtrinsicRows(self.batch.take(rows), self.alpha[rows], self.H[rows], self.H_norm[rows])
 
+    @cached_property
+    def derivatives(self) -> "JetDerivatives":
+        """The rows' ``JetDerivatives``, shared by the kernels that read them."""
+        return JetDerivatives(self.batch.chart.space, self.batch.jet, self.batch.g_inv)
+
     def __len__(self) -> int:
         return len(self.batch)
 
@@ -156,43 +168,81 @@ def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
     return alpha, H, H_norm
 
 
-def christoffels(pg: PointGeometry) -> np.ndarray:
-    """Chart-coordinate Christoffel symbols, exact at jet level.
+class JetDerivatives:
+    """First chart derivatives of the jet-level fields at every row of a
+    batch, in closed form from its 2-jet (J = df (N, k, m), d2 (N, k, m, m))
+    and g^-1.  Each array is computed on first use and carries the direction
+    of differentiation i on the axis after the batch axis:
 
-    Returns G[l, i, j] = Gamma^l_{ij}; the metric first derivatives come from
-    the position 2-jet, d_k g_ij = <f_ik, f_j> + <f_i, f_jk>.
+    - dg[:, i, j, l] = d_i g_jl = <d2_ji, J_l> + <J_j, d2_li>
+    - gamma[:, l, i, j] = Gamma^l_ij
+    - dg_inv[:, i] = d_i g^-1 = -g^-1 (d_i g) g^-1
+    - dP[:, i] = d_i P for the normal projector
+      P = I - (eps p^ p^T + J g^-1 J^T) S, where d_i p^ = q_padded(J_i)
+    - dT[:, i] = d_i T_coeffs = (d_i g^-1) J_t + g^-1 d_i J_t
+    - deta[:, i] = d_i eta = (d_i P) e_t, as eta = P e_t
     """
-    J = pg.jet.jac
-    d2 = pg.jet.d2
-    sig = pg.space.signature
-    # dg[k, i, j] = d_k g_ij
-    dg = np.einsum("c,cik,cj->kij", sig, d2, J) + np.einsum(
-        "c,ci,cjk->kij", sig, J, d2
-    )
-    # Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-    low = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return np.einsum("lk,ijk->lij", pg.g_inv, low)
+
+    def __init__(self, space: ProductSpace, jet: VecJet2, g_inv: np.ndarray):
+        self.space, self.jet, self.g_inv = space, jet, g_inv
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        sig, J, d2 = self.space.signature, self.jet.jac, self.jet.d2
+        return np.einsum("c,ncik,ncj->nkij", sig, d2, J) + np.einsum("c,nci,ncjk->nkij", sig, J, d2)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        dg = self.dg  # Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
+        low = 0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))
+        return np.einsum("nlk,nijk->nlij", self.g_inv, low)
+
+    @cached_property
+    def dg_inv(self) -> np.ndarray:
+        return -(self.g_inv[:, None] @ self.dg @ self.g_inv[:, None])
+
+    @cached_property
+    def dP(self) -> np.ndarray:
+        sp, J = self.space, self.jet.jac
+        Jt = np.swapaxes(J, -1, -2)
+        phat = sp.q_padded(self.jet.values)[:, None, None, :]
+        pp = sp.q_padded(Jt)[..., None] * phat  # (d_i p^) p^T
+        K = np.moveaxis(self.jet.d2, -1, 1) @ (self.g_inv @ Jt)[:, None]  # (d_i J) g^-1 J^T
+        dE = K + np.swapaxes(K, -1, -2) + J[:, None] @ self.dg_inv @ Jt[:, None]
+        return -(sp.epsilon * (pp + np.swapaxes(pp, -1, -2)) + dE) * sp.signature
+
+    @cached_property
+    def dT(self) -> np.ndarray:
+        t = self.space.t_index
+        J_t, d2_t = self.jet.jac[:, t], self.jet.d2[:, t]
+        return (self.dg_inv @ J_t[:, None, :, None])[..., 0] + (self.g_inv[:, None] @ d2_t[..., None])[..., 0]
+
+    @cached_property
+    def deta(self) -> np.ndarray:
+        return self.dP[..., self.space.t_index]
 
 
-def onb_connection(pg: PointGeometry, cache: "FieldCache | None" = None) -> np.ndarray:
+def christoffels(pg: PointGeometry) -> np.ndarray:
+    """Chart-coordinate Christoffel symbols G[l, i, j] = Gamma^l_{ij}, exact
+    at jet level: ``JetDerivatives.gamma`` on a batch of one."""
+    return JetDerivatives(pg.space, pg.jet.row(None), pg.g_inv[None]).gamma[0]
+
+
+def onb_connection(pg: PointGeometry) -> np.ndarray:
     """Connection coefficients in the tangent ONB,
-    conn[i, j, k] = <nabla_{E_i} E_j, E_k> (one finite-difference layer)."""
-    cache = cache or FieldCache(pg.chart)
-    cache.prefetch(first_layer(pg.u))
-    m = pg.chart.m
+    conn[i, j, k] = <nabla_{E_i} E_j, E_k>, exact at jet level.
+
+    The tangent Gram-Schmidt is unpivoted, so E = C J^T with C = L^-1 for
+    g = L L^T, and d_q C = -Phi(C d_q g C^T) C, where Phi keeps the strict
+    lower triangle and half the diagonal.  Then
+    nabla_{f_q} E_j = sum_p (d_q C + C Gamma_q^T)[j, p] f_p with
+    Gamma_q[p, r] = Gamma^p_{qr}, and <f_p, E_k> = (g C^T)[p, k]."""
+    d = JetDerivatives(pg.space, pg.jet.row(None), pg.g_inv[None])
     C = pg.tangent_coeffs
-
-    def frame_field(j):
-        return lambda v: cache.geometry(v)[0].tangent_onb[j]
-
-    d_frames = np.array(
-        [[fd_gradient(frame_field(j), pg.u, p) for p in range(m)] for j in range(m)]
-    )  # (j, p, coord)
-    conn = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            conn[i, j] = pg.onb_coords(np.einsum("p,pc->c", C[i], d_frames[j]))
-    return conn
+    B = C @ d.dg[0] @ C.T
+    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(pg.chart.m)) @ C
+    M = dC + C @ d.gamma[0].transpose(1, 2, 0)  # M[q, j, p]
+    return np.einsum("iq,qjk->ijk", C, M @ (pg.g @ C.T))
 
 
 def first_layer(u) -> np.ndarray:
@@ -217,12 +267,14 @@ class FieldCache:
     Keys are exact float tuples: ``fd_stencil`` computes the offsets of
     repeated fd calls around the same center identically, so lookups hit.
     ``prefetch`` fills the memo for a whole stencil in one batched call, and
-    ``store`` fills it from rows of a batch computed elsewhere.
+    ``store`` fills it from rows of a batch computed elsewhere.  ``nabla_H``
+    keeps nabla^perp H per center, which several checks of a sample read.
     """
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._memo: dict = {}
+        self._nabla_H: dict = {}
 
     def geometry(self, u) -> tuple[PointGeometry, ExtrinsicData]:
         key = tuple(np.asarray(u, dtype=float).tolist())
@@ -259,19 +311,17 @@ class FieldCache:
             if ed is not None:
                 self._memo[tuple(point.tolist())] = (ed.pg, ed)
 
+    def nabla_H(self, u) -> list[np.ndarray]:
+        """``normal_derivative_H`` at u, computed once per cache."""
+        key = tuple(np.asarray(u, dtype=float).tolist())
+        if key not in self._nabla_H:
+            self._nabla_H[key] = normal_derivative_H(self.chart, u, self)
+        return self._nabla_H[key]
+
     # -- gauge-invariant fields -------------------------------------------
 
     def H_field(self, v) -> np.ndarray:
         return self.geometry(v)[1].H
-
-    def eta_field(self, v) -> np.ndarray:
-        return self.geometry(v)[0].eta
-
-    def T_chart_field(self, v) -> np.ndarray:
-        return self.geometry(v)[0].T_coeffs
-
-    def projector_field(self, v) -> np.ndarray:
-        return self.geometry(v)[0].normal_projector().ravel()
 
     def christoffel_field(self, v) -> np.ndarray:
         return christoffels(self.geometry(v)[0]).ravel()
@@ -450,54 +500,54 @@ def codazzi_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | N
     return lhs_cod - rhs_cod
 
 
+def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Ricci equation LHS - RHS against normal a[r] as ambient vectors
+    (N, n+2), for chart directions X, Y (N, m) and normal indices a (N,) of
+    every row, exact at jet level.  With the projector field P and the
+    extension xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate
+    fields commute); the right side is P d2(X, A_xi Y) - P d2(A_xi X, Y)."""
+    b, dP = rows.batch, rows.derivatives.dP
+    n_rows, m, k = dP.shape[:3]
+    on, C = np.arange(n_rows), b.tangent_coeffs
+    DPX, DPY = ((v[:, None] @ dP.reshape(n_rows, m, k * k)).reshape(n_rows, k, k) for v in (X, Y))
+    # A_xi on chart coordinates: chart -> ONB is C g, ONB -> chart is C^T
+    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
+    lhs = (DPX @ DPY - DPY @ DPX) @ b.normal_onb[on, a][..., None]
+    vec = lhs - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
+    return (b.normal_projector() @ vec)[..., 0]
+
+
+def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d2f(v, w) as columns (N, n+2, 1) for chart vectors v, w (N, m)."""
+    return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
+
+
 def ricci_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """Ricci equation LHS - RHS against normal ``a`` as an ambient vector (Z
-    is not used).  With the projector field P(u) and the extension
-    xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate fields
-    commute)."""
-    cache, pg, ed = _structure_point(chart, u, cache)
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    m = chart.m
-    d2 = pg.jet.d2
-    P0 = pg.normal_projector()
-    X_onb, Y_onb = pg.onb_coords(pg.push(X)), pg.onb_coords(pg.push(Y))
+    """``ricci_residuals`` at one point (Z is not used)."""
+    pg, ed = (cache or FieldCache(chart)).geometry(u)
+    X, Y = (np.asarray(v, dtype=float)[None] for v in (X, Y))
+    return ricci_residuals(ExtrinsicRows.of(pg, ed), X, Y, np.array([a]))[0]
 
-    xi = pg.normal_onb[a]
-    k = chart.space.ambient_dim
-    DP = [fd_gradient(cache.projector_field, pg.u, i).reshape(k, k) for i in range(m)]
-    DPX = sum(X[i] * DP[i] for i in range(m))
-    DPY = sum(Y[j] * DP[j] for j in range(m))
-    lhs_ricci = P0 @ (DPX @ DPY - DPY @ DPX) @ xi
 
-    A_a = ed.shape_ops[a]
-    w1 = (A_a @ Y_onb) @ pg.tangent_coeffs  # chart coords of A_xi Y
-    w2 = (A_a @ X_onb) @ pg.tangent_coeffs
-    rhs_ricci = pg.proj_normal(
-        np.einsum("cjk,j,k->c", d2, X, w1)
-    ) - pg.proj_normal(np.einsum("cjk,j,k->c", d2, w2, Y))
-    return lhs_ricci - rhs_ricci
+def T_eta_rows(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (vt, veta) of nabla_X T = A_eta X and
+    alpha(X, T) = -nabla^perp_X eta for every row, maximized over the
+    tangent ONB directions, exact at jet level."""
+    b, d = rows.batch, rows.derivatives
+    sp, C = b.chart.space, b.tangent_coeffs
+    # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
+    GT = (d.gamma.transpose(0, 2, 1, 3) @ b.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
+    nab_T = C @ (d.dT + GT) @ np.swapaxes(b.jet.jac, -1, -2)
+    A_eta = shape_operator(sp, b.normal_onb, rows.alpha, b.eta)
+    vt = nab_T - np.swapaxes(A_eta, -1, -2) @ b.tangent_onb
+    t = inner(sp, b.tangent_onb, b.T_ambient[:, None])  # T in the tangent ONB
+    alpha_T = np.swapaxes((rows.alpha @ t[:, None, :, None])[..., 0], -1, -2) @ b.normal_onb
+    veta = alpha_T + C @ d.deta @ np.swapaxes(b.normal_projector(), -1, -2)
+    return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))
 
 
 def T_eta_residuals(chart: Chart, u, cache: FieldCache | None = None) -> dict:
-    """Residuals of nabla_X T = A_eta X and alpha(X, T) = -nabla^perp_X eta,
-    maximized over the tangent ONB directions."""
-    cache = cache or FieldCache(chart)
-    cache.prefetch(first_layer(u))
-    pg, ed = cache.geometry(u)
-    m = chart.m
-    G = christoffels(pg)
-    C = pg.tangent_coeffs
-    P0 = pg.normal_projector()
-
-    dT = np.array(
-        [fd_gradient(cache.T_chart_field, pg.u, p) for p in range(m)]
-    )  # dT[p, k] = d_p T^k
-    d_eta = np.array([fd_gradient(cache.eta_field, pg.u, p) for p in range(m)])
-
-    # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
-    nab_T = C @ (dT + np.einsum("kpq,q->pk", G, pg.T_coeffs)) @ pg.jet.jac.T
-    vt = nab_T - ed.shape_in_direction(pg.eta).T @ np.asarray(pg.tangent_onb)
-    alpha_T = (np.asarray(ed.alpha) @ pg.onb_coords(pg.T_ambient)).T @ np.asarray(pg.normal_onb)
-    veta = alpha_T + C @ d_eta @ P0.T
-    vt, veta = (float(np.max(np.linalg.norm(v, axis=1))) for v in (vt, veta))
-    return {"vt": vt, "veta": veta}
+    """``T_eta_rows`` at one point."""
+    pg, ed = (cache or FieldCache(chart)).geometry(u)
+    vt, veta = T_eta_rows(ExtrinsicRows.of(pg, ed))
+    return {"vt": float(vt[0]), "veta": float(veta[0])}

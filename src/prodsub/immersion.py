@@ -230,6 +230,14 @@ def gram_schmidt(
     return list(basis[0, : count[0]]), None if coeffs is None else list(coeffs[0])
 
 
+def _normal_projector(sp: ProductSpace, pos: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """I - (eps p^ p^T + E^T E) S for positions (..., n+2) and tangent ONBs
+    (..., m, n+2), per row for stacked points."""
+    phat = sp.q_padded(pos)
+    EtE = np.swapaxes(E, -1, -2) @ E
+    return np.eye(sp.ambient_dim) - (sp.epsilon * phat[..., :, None] * phat[..., None, :] + EtE) * sp.signature
+
+
 @dataclass
 class PointGeometry:
     """Frame-bundle sample of a chart at one regular point."""
@@ -292,10 +300,7 @@ class PointGeometry:
         """The projection above as an (n+2, n+2) matrix,
         I - eps p^ p^T S - E^T E S with S the signature; depends only on the
         normal subspace, not on the frame, so it is a smooth field."""
-        sp = self.space
-        phat = self.q_padded()
-        E = np.asarray(self.tangent_onb)
-        return np.eye(sp.ambient_dim) - (sp.epsilon * phat[:, None] * phat + E.T @ E) * sp.signature
+        return _normal_projector(self.space, self.pos, np.asarray(self.tangent_onb))
 
     def with_flipped_normals(self, signs) -> "PointGeometry":
         """Copy with normal frame vectors flipped by the given +-1 signs;
@@ -332,6 +337,10 @@ class PointBatch:
 
     def __len__(self) -> int:
         return len(self.u)
+
+    def normal_projector(self) -> np.ndarray:
+        """``PointGeometry.normal_projector`` of every row, (N, n+2, n+2)."""
+        return _normal_projector(self.chart.space, self.jet.values, self.tangent_onb)
 
     @classmethod
     def of(cls, pg: PointGeometry) -> "PointBatch":

@@ -43,13 +43,12 @@ from .errors import EngineError, SceneError
 from .extrinsic import (
     ExtrinsicRows,
     FieldCache,
-    T_eta_residuals,
+    T_eta_rows,
     batched_rows,
     codazzi_residual,
     first_layer,
     gauss_residual,
-    normal_derivative_H,
-    ricci_residual,
+    ricci_residuals,
 )
 from .gallery import make_chart
 from .immersion import Chart, probe_grid
@@ -242,6 +241,11 @@ class Chunk:
             self._caches[i].store(*self.stencils[i])
         return self._caches[i]
 
+    @cached_property
+    def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
+        """``T_eta_rows`` of the samples, which vector_t and vector_eta share."""
+        return T_eta_rows(self.geo)
+
     def take(self, rows: slice) -> "Chunk":
         geo = None if self.geo is None else self.geo.take(rows)
         stencils = None if self.stencils is None else self.stencils[rows]
@@ -306,6 +310,23 @@ def _chk_biharmonic_predicate(c: Chunk):
     return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
 
 
+def _chk_ricci(c: Chunk):
+    # each sample draws X, Y, Z and then a from its own stream
+    rngs = [_check_rng((c.seed, idx, _CHECK_ID["ricci"])) for idx in c.indices.tolist()]
+    X, Y, _ = np.stack([_random_directions(rng, c.chart.m) for rng in rngs], axis=1)
+    codim = c.geo.batch.normal_onb.shape[1]
+    a = np.array([rng.integers(0, codim) for rng in rngs])
+    return np.linalg.norm(ricci_residuals(c.geo, X, Y, a), axis=-1), None, False
+
+
+def _chk_vector_t(c: Chunk):
+    return c.t_eta[0], None, False
+
+
+def _chk_vector_eta(c: Chunk):
+    return c.t_eta[1], None, False
+
+
 def _chk_e0(c: Chunk):
     e0, errors = e0_structures(c.geo)
     vanish = [e is not None and "H vanishes" in str(e) for e in errors]
@@ -333,7 +354,7 @@ class CheckContext:
     @cached_property
     def rng(self) -> np.random.Generator:
         """The check's own stream, built on first use: most checks draw nothing."""
-        return np.random.Generator(np.random.PCG64(self.rng_key))
+        return _check_rng(self.rng_key)
 
     def geometry(self):
         return self.cache.geometry(self.u)
@@ -356,8 +377,13 @@ def _per_sample(name: str, body):
     return entry
 
 
+def _check_rng(key: tuple) -> np.random.Generator:
+    """The stream of one (seed, sample index, check id) key."""
+    return np.random.Generator(np.random.PCG64(key))
+
+
 def _chk_pmc(ctx: CheckContext):
-    ws = normal_derivative_H(ctx.chart, ctx.u, ctx.cache)
+    ws = ctx.cache.nabla_H(ctx.u)
     return max(float(np.linalg.norm(w)) for w in ws), None, False
 
 
@@ -377,28 +403,20 @@ def _chk_biharmonic_normal(ctx: CheckContext):
     return normal, note, False
 
 
-def _random_directions(ctx: CheckContext, k: int = 3) -> np.ndarray:
-    v = ctx.rng.standard_normal((k, ctx.chart.m))
+def _random_directions(rng: np.random.Generator, m: int, k: int = 3) -> np.ndarray:
+    v = rng.standard_normal((k, m))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _chk_structure(residual):
     def chk(ctx: CheckContext):
-        X, Y, Z = _random_directions(ctx)
+        X, Y, Z = _random_directions(ctx.rng, ctx.chart.m)
         pg, _ = ctx.geometry()
         a = int(ctx.rng.integers(0, pg.codim))
         res = residual(ctx.chart, ctx.u, X, Y, Z, a=a, cache=ctx.cache)
         return float(np.linalg.norm(res)), None, False
 
     return chk
-
-
-def _chk_vector_t(ctx: CheckContext):
-    return T_eta_residuals(ctx.chart, ctx.u, ctx.cache)["vt"], None, False
-
-
-def _chk_vector_eta(ctx: CheckContext):
-    return T_eta_residuals(ctx.chart, ctx.u, ctx.cache)["veta"], None, False
 
 
 def _chk_splitting(chart: Chart):
@@ -447,9 +465,6 @@ _FIRST_LAYER = {
     "biharmonic_normal": _chk_biharmonic_normal,
     "gauss": _chk_structure(gauss_residual),
     "codazzi": _chk_structure(codazzi_residual),
-    "ricci": _chk_structure(ricci_residual),
-    "vector_t": _chk_vector_t,
-    "vector_eta": _chk_vector_eta,
 }
 FIRST_LAYER_CHECKS = frozenset(_FIRST_LAYER)
 
@@ -465,6 +480,9 @@ CHECKS = {
     "biharmonic_predicate": _chk_biharmonic_predicate,
     "class_a": _chk_class_a,
     "e0": _chk_e0,
+    "ricci": _chk_ricci,
+    "vector_t": _chk_vector_t,
+    "vector_eta": _chk_vector_eta,
     **{name: _per_sample(name, body) for name, body in _FIRST_LAYER.items()},
 }
 
@@ -564,9 +582,11 @@ def _chunk_rows(chunk: Chunk, names: list) -> list:
             break
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
-        raise EngineError(
+        err = EngineError(
             f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.u[row].tolist()}: {exc}"
-        ) from exc
+        )
+        err.at = (int(chunk.indices[row]), pos)  # where a pool's errors are ordered
+        raise err from exc
     us = chunk.u.tolist()
     return [
         (name, idx, us[i], columns[name][0][i], columns[name][1][i], columns[name][2][i])
@@ -592,7 +612,12 @@ def _init_worker(chart: Chart) -> None:
 
 
 def _worker_rows(names: list, samples: np.ndarray, indices, seed: int):
-    return _compute_rows(_worker_chart, names, samples, indices, seed)
+    """A worker's rows, or its error: returned, not raised, so that the
+    parent raises the first failing (sample, check) pair of all workers."""
+    try:
+        return _compute_rows(_worker_chart, names, samples, indices, seed)
+    except EngineError as exc:
+        return exc
 
 
 def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
@@ -689,7 +714,7 @@ def _run_checks(
     indices = list(range(len(samples)))
     per_sample = [n for n in names if n in CHECKS]
 
-    rows = []
+    parts: list = []
     parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
     if jobs > 1 and len(indices) > 1 and per_sample:
         chunks = [indices[i::jobs] for i in range(jobs)]
@@ -697,14 +722,17 @@ def _run_checks(
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
-                for part in pool.starmap(_worker_rows, args):
-                    rows.extend(part)
+                parts = pool.starmap(_worker_rows, args)
             parallel["used"] = len(args)
         except (ValueError, OSError) as exc:
             parallel["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-            rows = _compute_rows(chart, per_sample, samples, indices, seed)
+            parts = [_compute_rows(chart, per_sample, samples, indices, seed)]
     elif per_sample:
-        rows = _compute_rows(chart, per_sample, samples, indices, seed)
+        parts = [_compute_rows(chart, per_sample, samples, indices, seed)]
+    errors = [p for p in parts if isinstance(p, EngineError)]
+    if errors:
+        raise min(errors, key=lambda e: e.at)
+    rows = [r for part in parts for r in part]
     rows.sort(key=lambda r: (r[0], r[1]))
 
     center = chart.center()

@@ -315,22 +315,73 @@ def test_a_run_evaluates_its_samples_in_one_batch(monkeypatch):
     assert shapes == [(125, 3), (7 * 13, 3)]  # each sample with its first layer
 
 
+def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsic, prodsub.classify, prodsub.scene)):
+    """Count the calls of the function ``name`` under every module that holds it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
     # a check missing from FIRST_LAYER_CHECKS would compute its stencil in a
     # second call; only the nested Laplacian, where PMC fails (the helicoid),
-    # adds one per sample: its points less the first layer already cached
+    # adds one per sample: its points less the first layer already cached.
+    # A check outside FIRST_LAYER_CHECKS (ricci, vector_t and vector_eta
+    # among them) differences nothing.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
     shapes = _count_analyze(monkeypatch)
+    fd_calls = _count_calls(monkeypatch, "fd_gradient")
     for name in sorted(prodsub.scene.CHECKS):
         shapes.clear()
+        fd_calls.clear()
         _run_rows(chart, [name], samples, 0)
-        k = 1 + 4 * m if name in prodsub.scene.FIRST_LAYER_CHECKS else 1
+        differences = name in prodsub.scene.FIRST_LAYER_CHECKS
+        k = 1 + 4 * m if differences else 1
         nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
         assert shapes == [(3 * k, m)] + [((1 + 4 * m) ** 2 - (1 + 4 * m), m)] * nested, name
+        assert bool(fd_calls) == differences, name
     assert set(prodsub.scene.FIRST_LAYER_CHECKS) <= set(prodsub.scene.CHECKS)
+    assert prodsub.scene.FIRST_LAYER_CHECKS.isdisjoint({"ricci", "vector_t", "vector_eta"})
+
+
+STRUCTURE_CHECKS = [
+    "gauss", "codazzi", "ricci", "vector_t", "vector_eta", "pmc", "biconservative_full", "biharmonic_normal",
+]
+
+
+@pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
+def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request, chart_fixture):
+    # pmc, biharmonic_normal and biconservative_full share the sample's memo
+    chart = request.getfixturevalue(chart_fixture)
+    samples = random_interior_points(chart, 4, seed=5)
+    calls = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
+    assert len(rows) == 4 * len(STRUCTURE_CHECKS)
+    assert len(calls) == 4
+
+
+def test_jet_exact_checks_close_to_rounding(all_gallery_charts):
+    # ricci, vector_t and vector_eta on every gallery chart (both signs of
+    # eps) and every corpus scene with its own sampling
+    names = ["ricci", "vector_t", "vector_eta"]
+    for ch in all_gallery_charts:
+        rows = _run_rows(ch, names, random_interior_points(ch, 20, seed=7), 7)
+        assert max(r[3] for r in rows) <= 1e-12, ch.label
+    for path in sorted(SCENES.glob("*.json")):
+        rep = prodsub.scene.run_scene(_load(path.name), checks=names)
+        for c in rep["checks"]:
+            assert c["max_residual"] <= 1e-12, (path.name, c["name"])
 
 
 def test_run_rows_equal_the_per_sample_loop(batch_charts):

@@ -6,6 +6,7 @@ import pytest
 from prodsub import ProductSpace, analyze_point, inner
 from prodsub.extrinsic import (
     FieldCache,
+    JetDerivatives,
     T_eta_residuals,
     christoffels,
     normal_derivative_H,
@@ -15,6 +16,7 @@ from prodsub.extrinsic import (
     structure_residuals,
 )
 from prodsub.gallery import make_theorem1
+from prodsub.jets import fd_gradient
 from conftest import random_interior_points, theorem1_closed_forms
 
 
@@ -117,10 +119,46 @@ def test_onb_connection_antisymmetric(theorem1_heli):
     assert np.array_equal(ed.conn, conn)
 
 
+def test_onb_connection_matches_fd_of_the_frame(all_gallery_charts):
+    """The jet-exact connection against one finite-difference layer of the
+    tangent frame field, <d_{E_i} E_j, E_k>."""
+    for ch in all_gallery_charts:
+        m = ch.m
+        for u in random_interior_points(ch, 3, seed=12):
+            pg = analyze_point(ch, u)
+            d_frames = np.array(
+                [[fd_gradient(lambda v: analyze_point(ch, v).tangent_onb[j], u, p) for p in range(m)] for j in range(m)]
+            )  # (j, p, ambient)
+            want = np.array(
+                [[pg.onb_coords(pg.tangent_coeffs[i] @ d_frames[j]) for j in range(m)] for i in range(m)]
+            )
+            assert np.abs(onb_connection(pg) - want).max() <= 1e-8, ch.label
+
+
+def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
+    """dg, dP, dT_coeffs and d eta in closed form against one finite-difference
+    layer of the metric, normal projector, T and eta fields."""
+
+    def fields(ch):
+        def field(v):
+            pg = analyze_point(ch, v)
+            return np.concatenate([pg.g.ravel(), pg.normal_projector().ravel(), pg.T_coeffs, pg.eta])
+
+        return field
+
+    for ch in all_gallery_charts:
+        m, k = ch.m, ch.space.ambient_dim
+        U = random_interior_points(ch, 3, seed=13)
+        d = JetDerivatives(ch.space, analyze_point(ch, U).jet, analyze_point(ch, U).g_inv)
+        for r, u in enumerate(U):
+            for i in range(m):
+                fd = fd_gradient(fields(ch), u, i)
+                exact = np.concatenate([d.dg[r, i].ravel(), d.dP[r, i].ravel(), d.dT[r, i], d.deta[r, i]])
+                assert np.abs(exact - fd).max() <= 1e-8, (ch.label, i)
+
+
 def test_christoffels_match_fd_of_metric(theorem1_heli):
     """Jet-level Christoffels against finite differences of the metric."""
-    from prodsub.jets import fd_gradient
-
     u = np.array([0.25, -0.35, 0.45])
     pg = analyze_point(theorem1_heli, u)
     G = christoffels(pg)

@@ -142,6 +142,19 @@ def test_scan_reports_the_first_failing_step_under_jobs():
     assert msgs[0] == msgs[1] and "a=1" in msgs[0]
 
 
+def test_run_reports_the_first_failing_sample_under_jobs(capsys):
+    # e0 fails on every sample of the slice (codimension 3): each job count
+    # reports sample 0, whichever worker fails first in time
+    argv = ["run", "--scene", str(SCENES / "slice.json"), "--samples", "40", "--seed", "5"]
+    argv += ["--check", "membership", "--check", "e0", "--check", "biconservative"]
+    errs = []
+    for jobs in ("1", "2", "4"):
+        assert main([*argv, "--jobs", jobs]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    assert "check e0 failed at sample 0, u=" in errs[0]
+
+
 def test_csv_header_and_shape(tmp_path):
     scene = _load("theorem1_cylinder.json")
     csv = tmp_path / "r.csv"
