@@ -125,13 +125,9 @@ def curvature(
         R(X, Y)Z = eps (<Y^, Z^> X^ - <X^, Z^> Y^)
 
     where the hat drops the t component.  For eps = +1 and orthonormal
-    spacelike X, Y this gives <R(X,Y)Y, X> = +1.
+    spacelike X, Y this gives <R(X,Y)Y, X> = +1.  Stacked vectors
+    (..., n+2) broadcast and give one vector per row.
     """
-    t = space.t_index
-    xh = np.array(x, dtype=float)
-    yh = np.array(y, dtype=float)
-    zh = np.array(z, dtype=float)
-    xh[t] = 0.0
-    yh[t] = 0.0
-    zh[t] = 0.0
-    return space.epsilon * (inner(space, yh, zh) * xh - inner(space, xh, zh) * yh)
+    xh, yh, zh = (space.q_padded(v) for v in (x, y, z))
+    yz, xz = (np.asarray(inner(space, a, zh))[..., None] for a in (yh, xh))
+    return space.epsilon * (yz * xh - xz * yh)

@@ -21,6 +21,8 @@ from .extrinsic import (
     ExtrinsicData,
     ExtrinsicRows,
     FieldCache,
+    _one,
+    normal_derivatives_H,
     normal_laplacian_H,
     second_fundamental,
     shape_operator,
@@ -34,8 +36,10 @@ __all__ = [
     "codim_two_frame",
     "codim_two_frames",
     "biconservative_simple",
+    "biconservative_full",
     "biconservative_residual",
     "biharmonic_normal",
+    "biharmonic_normals",
     "biharmonic_predicates",
     "biharmonic_residual",
     "class_A_residual",
@@ -144,37 +148,35 @@ def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
     return np.abs(inner(rows.batch.chart.space, rows.H, rows.batch.eta)) * rows.batch.T_norm
 
 
-def biconservative_residual(
-    chart: Chart,
-    u,
-    cache: FieldCache | None = None,
-    pg: PointGeometry | None = None,
-    ed: ExtrinsicData | None = None,
-) -> dict:
-    """simple: ``biconservative_simple``; full: norm of the tangential
-    bitension vector
-    m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T."""
-    cache = cache or FieldCache(chart)
-    if pg is None or ed is None:
-        pg, ed = cache.geometry(u)
-    sp = chart.space
-    m = chart.m
+def _curvature_trace(rows: ExtrinsicRows) -> np.ndarray:
+    """trace R(., H) . = sum_i R(E_i, H) E_i of every row, (N, n+2)."""
+    E = rows.batch.tangent_onb
+    return curvature(rows.batch.chart.space, E, rows.H[:, None], E).sum(axis=1)
 
-    simple = float(biconservative_simple(ExtrinsicRows.of(pg, ed))[0])
 
+def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
+    """Norm of the tangential bitension vector
+    m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T of every
+    row, from nabla^perp_{d_p} H (N, m, n+2) in chart directions."""
+    b = rows.batch
+    sp, m, E = b.chart.space, b.chart.m, b.tangent_onb
     # d_p |H|^2 = 2 <d_p H, H> = 2 <nabla^perp_p H, H>, as H is normal
-    Wp = cache.nabla_H(pg.u)
-    grad_hh = pg.push(pg.g_inv @ (2.0 * inner(sp, np.array(Wp), ed.H)))
-    C = pg.tangent_coeffs
-    sumA = np.zeros(sp.ambient_dim)
-    sumR = np.zeros(sp.ambient_dim)
-    for i in range(m):
-        Wi = np.einsum("p,pc->c", C[i], np.array(Wp))
-        sumA += pg.from_onb(ed.shape_in_direction(Wi)[:, i])
-        e = pg.tangent_onb[i]
-        sumR += pg.from_onb(pg.onb_coords(curvature(sp, e, ed.H, e)))
-    vec = m * grad_hh + 4.0 * sumA + 4.0 * sumR
-    return {"simple": simple, "full": float(np.linalg.norm(vec))}
+    grad_hh = b.jet.jac @ b.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
+    # A_{nabla^perp_{E_i} H} for every i, of which trace A takes column i
+    A = shape_operator(sp, b.normal_onb[:, None], rows.alpha[:, None], b.tangent_coeffs @ W)
+    onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, E, _curvature_trace(rows)[:, None])
+    return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
+
+
+def biconservative_residual(
+    chart: Chart, u, cache: FieldCache | None = None, pg: PointGeometry | None = None, ed: ExtrinsicData | None = None
+) -> dict:
+    """simple: ``biconservative_simple``; full: ``biconservative_full``, at
+    one point (at ``pg`` and ``ed`` when given)."""
+    layer = (cache or FieldCache(chart)).layer(u if pg is None else pg.u)
+    W = _one(normal_derivatives_H, layer)
+    rows = layer.centers if pg is None or ed is None else ExtrinsicRows.of(pg, ed)
+    return {"simple": float(biconservative_simple(rows)[0]), "full": float(biconservative_full(rows, W[None])[0])}
 
 
 def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
@@ -191,33 +193,26 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     return tr + t2 - b.chart.m, tr + b.chart.space.epsilon * (t2 - b.chart.m)
 
 
-def biharmonic_normal(
-    chart: Chart,
-    pg: PointGeometry,
-    ed: ExtrinsicData,
-    assume_pmc: bool = False,
-    cache: FieldCache | None = None,
-) -> tuple[float, bool]:
+def biharmonic_normals(rows: ExtrinsicRows, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm of trace alpha(., A_H .) - lap^perp H + trace (R(., H) .)^perp
-    at one point, and whether H vanishes there (|H| at or below
-    DEGENERATE["H_minimal"]).  The normal Laplacian takes nested
-    differences unless ``assume_pmc`` or H = 0."""
-    sp = chart.space
+    of every row, for the normal Laplacians ``lap`` (N, n+2), and whether H
+    vanishes there (|H| at or below DEGENERATE["H_minimal"])."""
+    b = rows.batch
+    A_H = shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H)
+    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ b.normal_onb)[:, 0]
+    curv = b.proj_normal(_curvature_trace(rows))
+    return np.linalg.norm(trace_alpha - lap + curv, axis=-1), rows.H_norm <= DEGENERATE["H_minimal"]
+
+
+def biharmonic_normal(
+    chart: Chart, pg: PointGeometry, ed: ExtrinsicData, assume_pmc: bool = False, cache: FieldCache | None = None
+) -> tuple[float, bool]:
+    """``biharmonic_normals`` at one point.  The normal Laplacian takes
+    nested differences unless ``assume_pmc`` or H = 0."""
     minimal = ed.H_norm <= DEGENERATE["H_minimal"]
-    trace_alpha = np.zeros(sp.ambient_dim)
-    A_H = ed.shape_in_direction(ed.H)
-    for a, xi in enumerate(pg.normal_onb):
-        trace_alpha += float(np.trace(ed.shape_ops[a] @ A_H)) * xi
-    lap = (
-        np.zeros(sp.ambient_dim)
-        if assume_pmc or minimal
-        else normal_laplacian_H(chart, pg.u, cache or FieldCache(chart))
-    )
-    curvN = np.zeros(sp.ambient_dim)
-    for e in pg.tangent_onb:
-        curvN += curvature(sp, e, ed.H, e)
-    curvN = pg.proj_normal(curvN)
-    return float(np.linalg.norm(trace_alpha - lap + curvN)), minimal
+    nested = not (assume_pmc or minimal)
+    lap = normal_laplacian_H(chart, pg.u, cache or FieldCache(chart)) if nested else np.zeros(chart.space.ambient_dim)
+    return float(biharmonic_normals(ExtrinsicRows.of(pg, ed), lap[None])[0][0]), minimal
 
 
 def biharmonic_residual(

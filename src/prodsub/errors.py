@@ -30,3 +30,8 @@ class ChartError(EngineError):
 
 class SceneError(EngineError):
     """A scene file failed schema validation or refers to unknown names."""
+
+
+class RowFailure(Exception):
+    """args: the first failing row of a batch kernel and the error that row
+    raises; a caller reports the row or raises the error itself."""

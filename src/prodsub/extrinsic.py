@@ -2,15 +2,15 @@
 residuals of the first-order structure equations.
 
 Derivative depth discipline: quantities built from the position 2-jet are
-exact ("jet level"), and so are their first chart derivatives that the 2-jet
-determines in closed form (``JetDerivatives``: the metric, Christoffels,
-the normal projector, T and eta), which make the Ricci equation, the T/eta
-rules and the ONB connection jet-exact.  Derivatives of H, alpha and the
-Christoffels need the 3-jet and take one finite-difference layer on top of
-jet-level fields, accurate to about tol_fd = 1e-6; nested differences (only
-the normal Laplacian of H needs them) to about tol_fd2 = 1e-4.  Every
-differenced field is gauge-invariant (H, alpha contractions, Christoffels),
-never a frame vector from the pivoted normal Gram-Schmidt.
+exact ("jet level"), and so are the first chart derivatives the 2-jet gives
+in closed form (``JetDerivatives``: metric, Christoffels, normal projector,
+T and eta), so Ricci, the T/eta rules and the ONB connection are jet-exact.
+Derivatives of H, alpha and the Christoffels need the 3-jet and take one
+finite-difference layer (tol_fd = 1e-6): array kernels over a batch's
+``FirstLayer`` that difference along its stencil axis, and the single-point
+functions run them on a batch of one.  Only the normal Laplacian of H nests
+differences (tol_fd2 = 1e-4), point by point over a ``FieldCache``.  Every
+differenced field is gauge-invariant, never a frame vector.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import ProductSpace, inner
-from .errors import ChartError
+from .errors import ChartError, RowFailure
 from .immersion import Chart, PointBatch, PointGeometry, analyze_point
-from .jets import VecJet2, fd_gradient, fd_stencil
+from .jets import VecJet2, fd_difference, fd_gradient, fd_stencil, fd_steps, nonfinite_error
 
 __all__ = [
     "ExtrinsicData",
     "ExtrinsicRows",
     "FieldCache",
+    "FirstLayer",
     "JetDerivatives",
     "batched_rows",
     "second_fundamental",
@@ -37,10 +38,13 @@ __all__ = [
     "christoffels",
     "onb_connection",
     "normal_derivative_H",
+    "normal_derivatives_H",
     "normal_laplacian_H",
     "structure_residuals",
     "gauss_residual",
+    "gauss_residuals",
     "codazzi_residual",
+    "codazzi_residuals",
     "ricci_residual",
     "ricci_residuals",
     "T_eta_residuals",
@@ -262,19 +266,16 @@ def nested_layer(u) -> np.ndarray:
 
 
 class FieldCache:
-    """Memo for point geometry across finite-difference stencils.
-
-    Keys are exact float tuples: ``fd_stencil`` computes the offsets of
-    repeated fd calls around the same center identically, so lookups hit.
-    ``prefetch`` fills the memo for a whole stencil in one batched call, and
-    ``store`` fills it from rows of a batch computed elsewhere.  ``nabla_H``
-    keeps nabla^perp H per center, which several checks of a sample read.
-    """
+    """Memo for point geometry across finite-difference stencils, keyed by
+    exact float tuples (``fd_stencil`` computes repeated offsets around a
+    center identically).  ``prefetch`` fills it for a stencil in one batched
+    call, for the nested normal Laplacian; ``layer`` keeps the FirstLayer
+    of each center that the single-point residuals read."""
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._memo: dict = {}
-        self._nabla_H: dict = {}
+        self._layers: dict = {}
 
     def geometry(self, u) -> tuple[PointGeometry, ExtrinsicData]:
         key = tuple(np.asarray(u, dtype=float).tolist())
@@ -286,82 +287,136 @@ class FieldCache:
         return hit
 
     def prefetch(self, points) -> None:
-        """Compute the geometry of every point of ``points`` (P, m) that the
-        memo lacks with one batched ``analyze_point`` and
-        ``second_fundamental`` call.  A row that fails is left out, and an
-        error of the whole batch caches nothing, so a later ``geometry``
-        call at that point raises what it would have raised without the
-        prefetch."""
-        todo: dict = {}
-        for row in np.asarray(points, dtype=float):
-            key = tuple(row.tolist())
-            if key not in self._memo:
-                todo.setdefault(key, row)
-        if todo:
-            points = np.array(list(todo.values()))
-            self.store(points, _geometry_rows(self.chart, points))
-
-    def store(self, points: np.ndarray, rows, start: int = 0) -> None:
-        """Memo entries for ``points``, rows start, start + 1, ... of the
-        batch ``rows``; nothing for a failed row or a failed batch (None)."""
-        if rows is None:
-            return
-        for i, point in enumerate(points, start):
-            ed = rows[i]
+        """Compute the geometry of the points (P, m) the memo lacks in one
+        batched call.  A failed row, or a failed batch, caches nothing, so a
+        later ``geometry`` call there raises what it raises without this."""
+        keys = map(tuple, np.asarray(points, dtype=float).tolist())
+        todo = {key: None for key in keys if key not in self._memo}
+        rows = _geometry_rows(self.chart, np.array(list(todo))) if todo else ()
+        for key, ed in zip(todo, rows if isinstance(rows, ExtrinsicRows) else ()):
             if ed is not None:
-                self._memo[tuple(point.tolist())] = (ed.pg, ed)
+                self._memo[key] = (ed.pg, ed)
 
-    def nabla_H(self, u) -> list[np.ndarray]:
-        """``normal_derivative_H`` at u, computed once per cache."""
+    def layer(self, u) -> "FirstLayer":
+        """u's FirstLayer, computed in one batch on first use."""
         key = tuple(np.asarray(u, dtype=float).tolist())
-        if key not in self._nabla_H:
-            self._nabla_H[key] = normal_derivative_H(self.chart, u, self)
-        return self._nabla_H[key]
-
-    # -- gauge-invariant fields -------------------------------------------
+        if key not in self._layers:
+            self._layers[key] = FirstLayer.at(self.chart, key)
+        return self._layers[key]
 
     def H_field(self, v) -> np.ndarray:
         return self.geometry(v)[1].H
 
-    def christoffel_field(self, v) -> np.ndarray:
-        return christoffels(self.geometry(v)[0]).ravel()
+
+class FirstLayer:
+    """The geometry of N centers and of the 4m points of their base-step
+    ``fd_stencil``s: k = 1 + 4m ``rows`` per center, in ``first_layer``
+    order.  ``diff`` differences jet-level fields along the stencil axis,
+    so the first-layer residuals are array kernels over the centers."""
+
+    def __init__(self, rows: ExtrinsicRows):
+        self.rows = rows
+        self.k = 1 + 4 * rows.batch.u.shape[1]
+
+    @classmethod
+    def at(cls, chart: Chart, U) -> "FirstLayer":
+        """The first layers of the points U (N, m) from one ``batched_rows``
+        call; the first center raises when every point does."""
+        U = np.asarray(U, dtype=float).reshape(-1, chart.m)
+        ((_, rows, errors),) = batched_rows(chart, [np.vstack([first_layer(u) for u in U])])
+        if rows is None:
+            raise errors[0]
+        return cls(rows)
+
+    def __len__(self) -> int:
+        return len(self.rows) // self.k
+
+    @cached_property
+    def centers(self) -> ExtrinsicRows:
+        # an index array copies the rows: ``inner`` may sum strided rows in another order
+        return self.rows.take(np.arange(0, len(self.rows), self.k))
+
+    def take(self, samples: slice) -> "FirstLayer":
+        r = range(len(self))[samples]
+        return FirstLayer(self.rows.take(slice(r.start * self.k, r.stop * self.k)))
+
+    def diff(self, *fields) -> list[np.ndarray]:
+        """The first-layer derivatives (N, m, ...) of fields given at every row
+        (N k, ...), by ``fd_difference`` with the steps of ``fd_stencil``.
+        Raises RowFailure for the first center that fails, with the error
+        ``fd_gradient`` meets first there, taking the fields in turn."""
+        n, k, m = len(self), self.k, (self.k - 1) // 4
+        errors = self.rows.batch.errors
+        values = [np.reshape(f, (n, k, -1))[:, 1:].reshape(n, m, 4, -1) for f in fields]
+        bad = np.reshape([e is not None for e in errors], (n, k))
+        # pairs of stencil points, in fd_gradient's order: a non-finite value or (first field) a failed point
+        pairs = np.concatenate([~np.isfinite(v.reshape(n, 2 * m, -1)).all(axis=-1) for v in values], axis=1)
+        pairs[:, : 2 * m] |= bad[:, 1:].reshape(n, 2 * m, 2).any(axis=-1)
+        failed = bad[:, 0] | pairs.any(axis=1)
+        if failed.any():
+            s = int(np.argmax(failed))
+            q = int(np.argmax(pairs[s])) % (2 * m)  # the pair, of direction q // 2
+            p = s * k + 1 + 2 * q
+            first = [e for e in errors[s * k : s * k + 1] + errors[p : p + 2] if e is not None]
+            raise RowFailure(s, first[0] if first else nonfinite_error(self.centers.batch.u[s], q // 2))
+        h = fd_steps(self.centers.batch.u)
+        return [fd_difference(v, h).reshape((n, m) + np.shape(f)[1:]) for v, f in zip(values, fields)]
 
 
-def batched_rows(chart: Chart, point_sets) -> Iterator[tuple[list, ExtrinsicRows | None]]:
-    """Yield (sets, rows) for consecutive point sets (P_s, m) of
+def batched_rows(chart: Chart, point_sets) -> Iterator[tuple[list, ExtrinsicRows | None, list]]:
+    """Yield (sets, rows, errors) for consecutive point sets (P_s, m) of
     ``point_sets``: up to ``_BATCH_POINTS`` points in all (at least one
     set) go to one batched call, whose geometry ``rows`` holds the sets'
-    points in order, or is None when the batch raised as a whole."""
+    points in order; errors[j] is the error point j raises on its own, else
+    None.  When the call raises as a whole, each point is computed alone
+    first, the row of one that raises holds another point's geometry, and
+    rows is None when every point raises."""
     sets = [np.asarray(p, dtype=float) for p in point_sets]
     step = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
     for first in range(0, len(sets), step):
         block = sets[first : first + step]
-        yield block, _geometry_rows(chart, np.vstack(block))
+        points = np.vstack(block)
+        rows = _geometry_rows(chart, points)
+        if isinstance(rows, ExtrinsicRows):
+            yield block, rows, rows.batch.errors
+            continue
+        alone = [_geometry_rows(chart, p[None]) for p in points]
+        errors = [r.batch.errors[0] if isinstance(r, ExtrinsicRows) else r for r in alone]
+        ok, rows = [e is None for e in errors], None
+        if any(ok):  # a point that raises takes the place of the first one that does not
+            rows = second_fundamental(analyze_point(chart, np.where(np.c_[ok], points, points[ok.index(True)])))
+            rows.batch.errors = errors
+        yield block, rows, errors
 
 
-def _geometry_rows(chart: Chart, points: np.ndarray) -> ExtrinsicRows | None:
+def _geometry_rows(chart: Chart, points: np.ndarray) -> ExtrinsicRows | Exception:
     """The geometry of points (P, m) from one batched ``analyze_point`` and
-    ``second_fundamental`` call, or None when the whole batch raised."""
+    ``second_fundamental`` call, or the error the whole batch raised."""
     try:
         batch = analyze_point(chart, points)
-    except (ChartError, ArithmeticError, ValueError):
-        return None
+    except (ChartError, ArithmeticError, ValueError) as exc:
+        return exc
     return second_fundamental(batch)
 
 
-def normal_derivative_H(
-    chart: Chart, u, cache: FieldCache | None = None
-) -> list[np.ndarray]:
-    """nabla^perp_{d_i} H per chart direction: normal projection of the
-    finite-difference ambient derivative of the H field (gauge-free)."""
-    cache = cache or FieldCache(chart)
-    cache.prefetch(first_layer(u))
-    pg, _ = cache.geometry(u)
-    out = []
-    for i in range(chart.m):
-        d = fd_gradient(cache.H_field, pg.u, i)
-        out.append(pg.proj_normal(d))
-    return out
+def _one(kernel, *args):
+    """Row 0 of a batch kernel run on batches of one; raises its error."""
+    try:
+        return kernel(*args)[0]
+    except RowFailure as f:
+        raise f.args[1] from None
+
+
+def normal_derivatives_H(layer: FirstLayer) -> np.ndarray:
+    """nabla^perp_{d_i} H (N, m, n+2) at every center of a first layer: the normal
+    projection of the first-layer derivative of the H field (gauge-free)."""
+    (dH,) = layer.diff(layer.rows.H)
+    return layer.centers.batch.proj_normal(dH)
+
+
+def normal_derivative_H(chart: Chart, u, cache: FieldCache | None = None) -> list[np.ndarray]:
+    """``normal_derivatives_H`` at one point, as m vectors."""
+    return list(_one(normal_derivatives_H, (cache or FieldCache(chart)).layer(u)))
 
 
 def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.ndarray:
@@ -393,111 +448,75 @@ def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.n
 
 
 def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:
-    """(a ^ b) c = <b, c> a - <a, c> b with the signature inner product."""
-    return inner(sp, b, c) * a - inner(sp, a, c) * b
+    """(a ^ b) c = <b, c> a - <a, c> b, signature-weighted, for vectors (n+2,) or stacked (N, n+2)."""
+    bc, ac = (np.asarray(inner(sp, v, c))[..., None] for v in (b, a))
+    return bc * a - ac * b
 
 
-def structure_residuals(
-    chart: Chart,
-    u,
-    X,
-    Y,
-    Z,
-    a: int = 0,
-    cache: FieldCache | None = None,
-) -> dict:
+def structure_residuals(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> dict:
     """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors) for
     constant-coefficient coordinate fields X, Y, Z and normal index ``a``."""
     cache = cache or FieldCache(chart)
-    return {
-        name: residual(chart, u, X, Y, Z, a, cache)
-        for name, residual in (
-            ("gauss", gauss_residual),
-            ("codazzi", codazzi_residual),
-            ("ricci", ricci_residual),
-        )
-    }
+    pairs = (("gauss", gauss_residual), ("codazzi", codazzi_residual), ("ricci", ricci_residual))
+    return {name: residual(chart, u, X, Y, Z, a, cache) for name, residual in pairs}
 
 
-def _structure_point(chart: Chart, u, cache: FieldCache | None):
-    """The cache, with u's first layer prefetched, and the geometry at u."""
-    cache = cache or FieldCache(chart)
-    cache.prefetch(first_layer(u))
-    return (cache,) + cache.geometry(u)
+def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """alpha(v, w) = P d2f(v, w) (N, n+2) at every row, for chart vectors v, w (N, m)."""
+    return b.proj_normal(_d2(b.jet.d2, v, w)[..., 0])
+
+
+def gauss_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms) as ambient
+    vectors (N, n+2) for chart directions X, Y, Z (N, m) at every center of
+    a first layer.  R comes from the Christoffels and their first-layer
+    derivatives DG[:, i, l, j, k] = d_i Gamma^l_jk."""
+    c = layer.centers
+    b, sp = c.batch, c.batch.chart.space
+    n, m = X.shape
+    (DG,) = layer.diff(layer.rows.derivatives.gamma)
+    G = c.derivatives.gamma
+    DX, DY = ((v[:, None] @ DG.reshape(n, m, -1)).reshape(n, m, m, m) for v in (X, Y))
+    GX, GY = ((v[:, None, None] @ G)[:, :, 0] for v in (X, Y))  # GX[l, p] = Gamma^l_ip X^i
+    curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + GX @ _d2(G, Y, Z) - GY @ _d2(G, X, Z)
+    E, T = b.tangent_onb, b.T_ambient
+    Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
+    A_YZ, A_XZ = (shape_operator(sp, b.normal_onb, c.alpha, _alpha(b, v, Z)) for v in (Y, X))
+    X_onb, Y_onb = (inner(sp, E, v[:, None])[..., None] for v in (Xa, Ya))
+    rhs = np.swapaxes(A_YZ @ X_onb - A_XZ @ Y_onb, -1, -2) @ E
+    eps_terms = _wedge(sp, Xa, Ya, Za) + inner(sp, Xa, T)[:, None] * _wedge(sp, Ya, T, Za)
+    eps_terms -= inner(sp, Ya, T)[:, None] * _wedge(sp, Xa, T, Za)
+    return (b.jet.jac @ curv)[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
 
 
 def gauss_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms) as an
-    ambient vector.  The three residual functions take the arguments of
-    ``structure_residuals``; Gauss and Codazzi do not use ``a``."""
-    cache, pg, ed = _structure_point(chart, u, cache)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    sp = chart.space
-    m = chart.m
-    d2 = pg.jet.d2
-    G = christoffels(pg)
-    Xa, Ya, Za = pg.push(X), pg.push(Y), pg.push(Z)
-    X_onb, Y_onb = pg.onb_coords(Xa), pg.onb_coords(Ya)
-    T = pg.T_ambient
+    """``gauss_residuals`` at one point.  The three residual functions take
+    the arguments of ``structure_residuals``; Gauss and Codazzi do not use
+    ``a``."""
+    X, Y, Z = (np.asarray(v, dtype=float)[None] for v in (X, Y, Z))
+    return _one(gauss_residuals, (cache or FieldCache(chart)).layer(u), X, Y, Z)
 
-    DG = np.array(
-        [
-            fd_gradient(cache.christoffel_field, pg.u, i).reshape(m, m, m)
-            for i in range(m)
-        ]
-    )  # DG[i, l, j, k] = d_i Gamma^l_{jk}
-    t1 = np.einsum("i,iljk,j,k->l", X, DG, Y, Z)
-    t2 = np.einsum("j,jlik,i,k->l", Y, DG, X, Z)
-    t3 = np.einsum("lim,mjk,i,j,k->l", G, G, X, Y, Z)
-    t4 = np.einsum("ljm,mik,i,j,k->l", G, G, X, Y, Z)
-    lhs_gauss = pg.push(t1 - t2 + t3 - t4)
 
-    aYZ = pg.proj_normal(np.einsum("cjk,j,k->c", d2, Y, Z))
-    aXZ = pg.proj_normal(np.einsum("cjk,j,k->c", d2, X, Z))
-    rhs_gauss = pg.from_onb(ed.shape_in_direction(aYZ) @ X_onb) - pg.from_onb(
-        ed.shape_in_direction(aXZ) @ Y_onb
-    )
-    rhs_gauss += sp.epsilon * (
-        _wedge(sp, Xa, Ya, Za)
-        + inner(sp, Xa, T) * _wedge(sp, Ya, T, Za)
-        - inner(sp, Ya, T) * _wedge(sp, Xa, T, Za)
-    )
-    return lhs_gauss - rhs_gauss
+def codazzi_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Codazzi equation LHS - RHS as ambient vectors (N, n+2) for chart
+    directions X, Y, Z (N, m) at every center of a first layer.  The
+    nabla_X Y terms cancel between the two sides because coordinate fields
+    commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z)
+    + alpha(X, nab_Y Z) against eps <(X ^ Y) T, Z> eta, where d_X alpha is
+    the first-layer derivative of the field P d2f(Y, Z)."""
+    c, k = layer.centers, layer.k
+    b, sp = c.batch, c.batch.chart.space
+    dYZ, dXZ = layer.diff(*(_alpha(layer.rows.batch, *np.repeat([v, Z], k, axis=1)) for v in (Y, X)))
+    nab_XZ, nab_YZ = (_d2(c.derivatives.gamma, v, Z)[..., 0] for v in (X, Y))
+    lhs = b.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(b, Y, nab_XZ) + _alpha(b, X, nab_YZ)
+    Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
+    return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, b.T_ambient), Za)[:, None] * b.eta
 
 
 def codazzi_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """Codazzi equation LHS - RHS as an ambient vector.  The nabla_X Y terms
-    cancel between the two sides because coordinate fields commute, leaving
-    P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z) + alpha(X, nab_Y Z)
-    against eps <(X ^ Y) T, Z> eta."""
-    cache, pg, _ = _structure_point(chart, u, cache)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    sp = chart.space
-    m = chart.m
-    d2 = pg.jet.d2
-    G = christoffels(pg)
-    P0 = pg.normal_projector()
-    Xa, Ya, Za = pg.push(X), pg.push(Y), pg.push(Z)
-
-    def alpha_field(A, B):
-        def field(v):
-            pgv, _ = cache.geometry(v)
-            return pgv.proj_normal(np.einsum("cjk,j,k->c", pgv.jet.d2, A, B))
-
-        return field
-
-    dYZ = sum(X[i] * fd_gradient(alpha_field(Y, Z), pg.u, i) for i in range(m))
-    dXZ = sum(Y[j] * fd_gradient(alpha_field(X, Z), pg.u, j) for j in range(m))
-    nabXZ = np.einsum("kij,i,j->k", G, X, Z)
-    nabYZ = np.einsum("kij,i,j->k", G, Y, Z)
-    lhs_cod = (
-        P0 @ dYZ
-        - P0 @ dXZ
-        - pg.proj_normal(np.einsum("cjk,j,k->c", d2, Y, nabXZ))
-        + pg.proj_normal(np.einsum("cjk,j,k->c", d2, X, nabYZ))
-    )
-    rhs_cod = sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, pg.T_ambient), Za) * pg.eta
-    return lhs_cod - rhs_cod
+    """``codazzi_residuals`` at one point."""
+    X, Y, Z = (np.asarray(v, dtype=float)[None] for v in (X, Y, Z))
+    return _one(codazzi_residuals, (cache or FieldCache(chart)).layer(u), X, Y, Z)
 
 
 def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:

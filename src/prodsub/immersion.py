@@ -238,6 +238,22 @@ def _normal_projector(sp: ProductSpace, pos: np.ndarray, E: np.ndarray) -> np.nd
     return np.eye(sp.ambient_dim) - (sp.epsilon * phat[..., :, None] * phat[..., None, :] + EtE) * sp.signature
 
 
+def _proj_normal(sp: ProductSpace, pos: np.ndarray, E: np.ndarray, v) -> np.ndarray:
+    """Vectors v (N, ..., n+2) less their components along p^ and then each
+    E_i, each read from what the previous step left (the modified
+    Gram-Schmidt order), for positions (N, n+2) and tangent ONBs (N, m, n+2).
+    Contiguous frame vectors keep a row's dot products independent of the
+    batch layout."""
+    out = np.array(v, dtype=float)
+    rows = (slice(None),) + (None,) * (out.ndim - 2)
+    phat = sp.q_padded(pos)[rows]
+    out -= sp.epsilon * inner(sp, out, phat)[..., None] * phat
+    for e in np.swapaxes(E, 0, 1):
+        e = np.ascontiguousarray(e[rows])
+        out -= inner(sp, out, e)[..., None] * e
+    return out
+
+
 @dataclass
 class PointGeometry:
     """Frame-bundle sample of a chart at one regular point."""
@@ -278,23 +294,11 @@ class PointGeometry:
         """Coordinates of a tangent ambient vector in the tangent ONB."""
         return inner(self.space, np.asarray(self.tangent_onb), v)
 
-    def from_onb(self, c) -> np.ndarray:
-        return np.asarray(c, dtype=float) @ np.asarray(self.tangent_onb)
-
     def proj_normal(self, v: np.ndarray) -> np.ndarray:
-        """Projection onto the normal space of f inside T(Q^n_eps x R).
-
-        The components along p^ and each E_i come off one after the other,
-        each read from the vector the previous step left (the modified
-        Gram-Schmidt order), with signature-weighted dot products."""
-        sp = self.space
-        sig = sp.signature
-        phat = self.q_padded()
-        out = np.array(v, dtype=float)
-        out -= sp.epsilon * np.dot(out, sig * phat) * phat
-        for e in self.tangent_onb:
-            out -= np.dot(out, sig * e) * e
-        return out
+        """Projection onto the normal space of f inside T(Q^n_eps x R):
+        ``_proj_normal`` on a batch of one."""
+        E = np.asarray(self.tangent_onb)[None]
+        return _proj_normal(self.space, self.pos[None], E, np.asarray(v, dtype=float)[None])[0]
 
     def normal_projector(self) -> np.ndarray:
         """The projection above as an (n+2, n+2) matrix,
@@ -341,6 +345,11 @@ class PointBatch:
     def normal_projector(self) -> np.ndarray:
         """``PointGeometry.normal_projector`` of every row, (N, n+2, n+2)."""
         return _normal_projector(self.chart.space, self.jet.values, self.tangent_onb)
+
+    def proj_normal(self, v: np.ndarray) -> np.ndarray:
+        """``PointGeometry.proj_normal`` of vectors v (N, ..., n+2) at every
+        row."""
+        return _proj_normal(self.chart.space, self.jet.values, self.tangent_onb, v)
 
     @classmethod
     def of(cls, pg: PointGeometry) -> "PointBatch":

@@ -5,7 +5,10 @@ respect to the chart coordinates.  All arithmetic implements exact truncated
 Taylor rules, so polynomial expressions of degree <= 2 are differentiated
 exactly.  Derivatives of *derived* fields (mean curvature, frames, ...) are
 taken by the finite-difference helpers at the bottom of the module, never by
-higher-order jets.
+higher-order jets: ``fd_difference`` differences values already taken at
+the ``fd_stencil`` points of any number of centers at once, and
+``fd_gradient`` evaluates a field on one stencil and differences it the
+same way.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "jet_arith",
     "jet_unary",
     "UNARY_FNS",
+    "fd_difference",
+    "fd_steps",
     "fd_gradient",
     "fd_stencil",
     "FD_BASE_STEP",
@@ -364,37 +369,49 @@ class VecJet2:
         return self.d2[..., i, j]
 
 
+def fd_steps(u) -> np.ndarray:
+    """Base steps h = cbrt(machine eps) * max(1, |u_i|) along every chart
+    direction, for points u (..., m)."""
+    return FD_BASE_STEP * np.maximum(1.0, np.abs(np.asarray(u, dtype=float)))
+
+
 def fd_stencil(u, i: int, step: float | None = None) -> tuple[float, np.ndarray]:
     """Base step h and the four points ``fd_gradient`` evaluates along chart
     direction ``i``, in its order: u + h e_i, u - h e_i, u + h/2 e_i and
-    u - h/2 e_i.  h = cbrt(machine eps) * max(1, |u_i|) unless ``step`` is
-    given."""
+    u - h/2 e_i.  h is ``fd_steps(u)[i]`` unless ``step`` is given."""
     u = np.asarray(u, dtype=float)
-    h = step if step is not None else FD_BASE_STEP * max(1.0, abs(u[i]))
+    h = step if step is not None else float(fd_steps(u)[i])
     pts = np.repeat(u[None], 4, axis=0)
     pts[:, i] += (h, -h, 0.5 * h, -0.5 * h)
     return h, pts
 
 
-def fd_gradient(field, u, i: int, step: float | None = None) -> np.ndarray:
-    """Derivative of a vector-valued field along chart direction ``i``.
+def nonfinite_error(u, i: int) -> StencilError:
+    """The error of a stencil around u along direction i that met a non-finite field value."""
+    return StencilError(f"non-finite field value near u={np.asarray(u, dtype=float).tolist()} along direction {i}")
 
-    Central differences with one Richardson extrapolation step over the two
-    step sizes (h, h/2) of ``fd_stencil`` (nested differences pass a coarser
-    ``step``).
+
+def fd_difference(values, h) -> np.ndarray:
+    """Central differences with one Richardson extrapolation step from a
+    field's values (..., 4, k) at the four points of ``fd_stencil``, in its
+    order, with base steps h (...): (4 d_{h/2} - d_h) / 3, shape (..., k).
+    The leading axes are any number of stencils, differenced at once."""
+    h = np.asarray(h, dtype=float)[..., None]
+    d1 = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
+    d2 = (values[..., 2, :] - values[..., 3, :]) / (2.0 * (0.5 * h))
+    return (4.0 * d2 - d1) / 3.0
+
+
+def fd_gradient(field, u, i: int, step: float | None = None) -> np.ndarray:
+    """Derivative of a vector-valued field along chart direction ``i``:
+    ``fd_difference`` of the field at the points of ``fd_stencil`` (nested
+    differences pass a coarser ``step``), read as two pairs in order.
     """
     h, pts = fd_stencil(u, i, step)
-
-    def delta(k: int, hh: float) -> np.ndarray:
-        fp = np.atleast_1d(np.asarray(field(pts[k]), dtype=float))
-        fm = np.atleast_1d(np.asarray(field(pts[k + 1]), dtype=float))
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise StencilError(
-                f"non-finite field value near u={np.asarray(u, dtype=float).tolist()} "
-                f"along direction {i}"
-            )
-        return (fp - fm) / (2.0 * hh)
-
-    d1 = delta(0, h)
-    d2 = delta(2, 0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    values = []
+    for k in (0, 2):
+        pair = [np.atleast_1d(np.asarray(field(p), dtype=float)) for p in pts[k : k + 2]]
+        if not all(np.all(np.isfinite(v)) for v in pair):
+            raise nonfinite_error(u, i)
+        values += pair
+    return fd_difference(np.array(values), h)

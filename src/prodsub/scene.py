@@ -7,11 +7,12 @@ checks to run and optional tolerance overrides.
 A run checks its samples a chunk at a time: one batched geometry call per
 chunk of up to 1,024 points of whole samples, and one call of each CHECKS
 entry on the chunk's arrays, which returns a residual, a note and a
-degenerate flag per sample.  The jet-level entries are array code; the
-finite-difference entries loop over the chunk's samples with one cache
-each.  Residual rows are deterministic functions of (scene, seed): nothing
-reduces across samples, and per-sample randomness is keyed by (seed,
-index), so neither the chunking nor the worker partitioning changes values.
+degenerate flag per sample.  Every entry is array code; the finite-difference
+ones difference along the stencil axis of the chunk's first layer, and only
+the nested normal Laplacian goes sample by sample.  Residual rows are
+deterministic functions of (scene, seed): nothing reduces across samples,
+and per-sample randomness is keyed by (seed, index), so neither the
+chunking nor the worker partitioning changes values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import jsonschema
@@ -30,24 +31,27 @@ from . import __version__
 from .ambient import ProductSpace, inner, membership_residual
 from .classify import (
     DEGENERATE,
-    biconservative_residual,
+    biconservative_full,
     biconservative_simple,
-    biharmonic_normal,
+    biharmonic_normals,
     biharmonic_predicates,
     circle_geometry,
     class_A_residuals,
     e0_structures,
     splitting_residual,
 )
-from .errors import EngineError, SceneError
+from .errors import EngineError, RowFailure, SceneError
 from .extrinsic import (
     ExtrinsicRows,
     FieldCache,
+    FirstLayer,
     T_eta_rows,
     batched_rows,
-    codazzi_residual,
+    codazzi_residuals,
     first_layer,
-    gauss_residual,
+    gauss_residuals,
+    normal_derivatives_H,
+    normal_laplacian_H,
     ricci_residuals,
 )
 from .gallery import make_chart
@@ -218,8 +222,8 @@ class Chunk:
     ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
     (N, r, m, m), H (N, n+2) and |H| (N,).  ``errors[i]`` is the error the
     geometry at sample i raises, else None.  When a requested check
-    differences, ``stencils[i]`` holds the ``FieldCache.store`` arguments of
-    sample i's first layer, from which ``cache(i)`` builds its cache.
+    differences, ``layer`` holds the FirstLayer of the samples, whose
+    centers are ``geo``.
     """
 
     chart: Chart
@@ -228,36 +232,26 @@ class Chunk:
     seed: int
     geo: ExtrinsicRows | None
     errors: list
-    stencils: list | None = None
-    _caches: dict = field(default_factory=dict, repr=False)
+    layer: FirstLayer | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def cache(self, i: int) -> FieldCache:
-        """Sample i's FieldCache, built on first use and kept with the chunk."""
-        if i not in self._caches:
-            self._caches[i] = FieldCache(self.chart)
-            self._caches[i].store(*self.stencils[i])
-        return self._caches[i]
 
     @cached_property
     def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
         """``T_eta_rows`` of the samples, which vector_t and vector_eta share."""
         return T_eta_rows(self.geo)
 
+    @cached_property
+    def nabla_H(self) -> np.ndarray:
+        """nabla^perp H (N, m, n+2), which pmc, biconservative_full and biharmonic_normal share."""
+        return normal_derivatives_H(self.layer)
+
     def take(self, rows: slice) -> "Chunk":
         geo = None if self.geo is None else self.geo.take(rows)
-        stencils = None if self.stencils is None else self.stencils[rows]
-        return replace(
-            self, indices=self.indices[rows], u=self.u[rows], geo=geo,
-            errors=self.errors[rows], stencils=stencils, _caches={},
-        )
-
-
-class _RowFailure(Exception):
-    """args: a chunk entry's first failing row (its position in the chunk)
-    and the EngineError it raised."""
+        layer = None if self.layer is None else self.layer.take(rows)
+        part = {"indices": self.indices[rows], "u": self.u[rows], "errors": self.errors[rows]}
+        return replace(self, geo=geo, layer=layer, **part)
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
@@ -310,13 +304,28 @@ def _chk_biharmonic_predicate(c: Chunk):
     return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
 
 
-def _chk_ricci(c: Chunk):
-    # each sample draws X, Y, Z and then a from its own stream
-    rngs = [_check_rng((c.seed, idx, _CHECK_ID["ricci"])) for idx in c.indices.tolist()]
-    X, Y, _ = np.stack([_random_directions(rng, c.chart.m) for rng in rngs], axis=1)
+def _draws(c: Chunk, name: str):
+    """X, Y, Z (N, m) and a (N,): each sample draws three unit chart
+    directions and then a normal index from its own stream."""
+    rngs = [_check_rng((c.seed, idx, _CHECK_ID[name])) for idx in c.indices.tolist()]
+    X, Y, Z = np.stack([_random_directions(rng, c.chart.m) for rng in rngs], axis=1)
     codim = c.geo.batch.normal_onb.shape[1]
-    a = np.array([rng.integers(0, codim) for rng in rngs])
+    return X, Y, Z, np.array([rng.integers(0, codim) for rng in rngs])
+
+
+def _chk_ricci(c: Chunk):
+    X, Y, _, a = _draws(c, "ricci")
     return np.linalg.norm(ricci_residuals(c.geo, X, Y, a), axis=-1), None, False
+
+
+def _chk_gauss(c: Chunk):
+    X, Y, Z, _ = _draws(c, "gauss")
+    return np.linalg.norm(gauss_residuals(c.layer, X, Y, Z), axis=-1), None, False
+
+
+def _chk_codazzi(c: Chunk):
+    X, Y, Z, _ = _draws(c, "codazzi")
+    return np.linalg.norm(codazzi_residuals(c.layer, X, Y, Z), axis=-1), None, False
 
 
 def _chk_vector_t(c: Chunk):
@@ -332,7 +341,7 @@ def _chk_e0(c: Chunk):
     vanish = [e is not None and "H vanishes" in str(e) for e in errors]
     for i, (e, v) in enumerate(zip(errors, vanish)):
         if e is not None and not v:
-            raise _RowFailure(i, e)
+            raise RowFailure(i, e)
     val = np.max([e0.aht, e0.aetat, e0.offblock, e0.traceBS1, np.abs(e0.a_last)], axis=0)
     notes = [
         str(e) if v else f"dim_E0={k}" + ("; eigengap warning" if w else "")
@@ -341,66 +350,9 @@ def _chk_e0(c: Chunk):
     return np.where(vanish, 0.0, val), notes, np.array(vanish)
 
 
-# -- finite-difference checks: one sample at a time, each with its own cache
-
-
-@dataclass
-class CheckContext:
-    chart: Chart
-    u: np.ndarray
-    cache: FieldCache
-    rng_key: tuple  # (seed, sample index, check id)
-
-    @cached_property
-    def rng(self) -> np.random.Generator:
-        """The check's own stream, built on first use: most checks draw nothing."""
-        return _check_rng(self.rng_key)
-
-    def geometry(self):
-        return self.cache.geometry(self.u)
-
-
-def _per_sample(name: str, body):
-    """The chunk entry that runs ``body(CheckContext)`` on each sample in
-    turn; the first sample that raises stops it."""
-
-    def entry(c: Chunk):
-        out = []
-        for i, (idx, u) in enumerate(zip(c.indices.tolist(), c.u)):
-            try:
-                out.append(body(CheckContext(c.chart, u, c.cache(i), (c.seed, idx, _CHECK_ID[name]))))
-            except EngineError as exc:
-                raise _RowFailure(i, exc) from exc
-        values, notes, degen = zip(*out)
-        return np.array(values, dtype=float), list(notes), np.array(degen)
-
-    return entry
-
-
 def _check_rng(key: tuple) -> np.random.Generator:
     """The stream of one (seed, sample index, check id) key."""
     return np.random.Generator(np.random.PCG64(key))
-
-
-def _chk_pmc(ctx: CheckContext):
-    ws = ctx.cache.nabla_H(ctx.u)
-    return max(float(np.linalg.norm(w)) for w in ws), None, False
-
-
-def _chk_biconservative_full(ctx: CheckContext):
-    pg, ed = ctx.geometry()
-    r = biconservative_residual(ctx.chart, ctx.u, ctx.cache, pg, ed)
-    return r["full"], None, False
-
-
-def _chk_biharmonic_normal(ctx: CheckContext):
-    pmc, _, _ = _chk_pmc(ctx)
-    assume = pmc <= DEFAULT_TOLERANCES["pmc"]
-    normal, minimal = biharmonic_normal(ctx.chart, *ctx.geometry(), assume, ctx.cache)
-    if minimal:
-        return normal, "H = 0 (minimal point)", True
-    note = None if assume else "PMC not verified; nested differences (tol_fd2)"
-    return normal, note, False
 
 
 def _random_directions(rng: np.random.Generator, m: int, k: int = 3) -> np.ndarray:
@@ -408,15 +360,37 @@ def _random_directions(rng: np.random.Generator, m: int, k: int = 3) -> np.ndarr
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _chk_structure(residual):
-    def chk(ctx: CheckContext):
-        X, Y, Z = _random_directions(ctx.rng, ctx.chart.m)
-        pg, _ = ctx.geometry()
-        a = int(ctx.rng.integers(0, pg.codim))
-        res = residual(ctx.chart, ctx.u, X, Y, Z, a=a, cache=ctx.cache)
-        return float(np.linalg.norm(res)), None, False
+def _chk_pmc(c: Chunk):
+    return np.max(np.linalg.norm(c.nabla_H, axis=-1), axis=-1), None, False
 
-    return chk
+
+def _chk_biconservative_full(c: Chunk):
+    return biconservative_full(c.geo, c.nabla_H), None, False
+
+
+_NESTED_NOTE = "PMC not verified; nested differences (tol_fd2)"
+
+
+def _chk_biharmonic_normal(c: Chunk):
+    """The samples where PMC fails and H does not vanish take the nested
+    normal Laplacian, one at a time, each with a FieldCache of its own."""
+    try:
+        pmc = _chk_pmc(c)[0]
+    except RowFailure as f:
+        if f.args[0]:  # a nested Laplacian before the failing sample comes first
+            _chk_biharmonic_normal(c.take(slice(0, f.args[0])))
+        raise
+    minimal = c.geo.H_norm <= DEGENERATE["H_minimal"]
+    nested = ~(pmc <= DEFAULT_TOLERANCES["pmc"]) & ~minimal
+    lap = np.zeros_like(c.geo.H)
+    for i in np.flatnonzero(nested):
+        try:
+            lap[i] = normal_laplacian_H(c.chart, c.u[i], FieldCache(c.chart))
+        except EngineError as exc:
+            raise RowFailure(i, exc) from exc
+    normal, _ = biharmonic_normals(c.geo, lap)
+    notes = ["H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(minimal, nested)]
+    return normal, notes, minimal
 
 
 def _chk_splitting(chart: Chart):
@@ -459,14 +433,7 @@ DEFAULT_TOLERANCES = {
 
 # checks that difference fields around their sample: a run computes each
 # sample's first layer with the samples, not only its center
-_FIRST_LAYER = {
-    "pmc": _chk_pmc,
-    "biconservative_full": _chk_biconservative_full,
-    "biharmonic_normal": _chk_biharmonic_normal,
-    "gauss": _chk_structure(gauss_residual),
-    "codazzi": _chk_structure(codazzi_residual),
-}
-FIRST_LAYER_CHECKS = frozenset(_FIRST_LAYER)
+FIRST_LAYER_CHECKS = frozenset({"pmc", "biconservative_full", "biharmonic_normal", "gauss", "codazzi"})
 
 # every entry maps a Chunk of N samples to (N,) residuals, (N,) notes (or
 # one note for all) and an (N,) degenerate mask (or one flag for all)
@@ -483,7 +450,11 @@ CHECKS = {
     "ricci": _chk_ricci,
     "vector_t": _chk_vector_t,
     "vector_eta": _chk_vector_eta,
-    **{name: _per_sample(name, body) for name, body in _FIRST_LAYER.items()},
+    "pmc": _chk_pmc,
+    "biconservative_full": _chk_biconservative_full,
+    "biharmonic_normal": _chk_biharmonic_normal,
+    "gauss": _chk_gauss,
+    "codazzi": _chk_codazzi,
 }
 
 # keys the per-check random streams: (seed, sample index, _CHECK_ID[name])
@@ -507,43 +478,36 @@ def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
 def _chunks(chart: Chart, names: list, samples: np.ndarray, indices, seed: int, probe=None):
     """The chunks of a run, in sample order.
 
-    The samples' points (the center alone, or the center and its first
-    layer when a check in ``names`` differences) go to ``batched_rows``,
-    which takes up to 1,024 points of whole samples in one call; each call
-    gives one chunk.  A ``probe`` point joins the batch as a last sample
-    with index -1 and only its center.  When a call fails as a whole, each
-    of its samples computes its own geometry in a chunk of one, and raises
-    what it raises on its own.
+    The samples' points (the center alone, or its first layer when a check
+    in ``names`` differences) go to ``batched_rows``, which takes up to
+    1,024 points of whole samples in one call; each call gives one chunk.
+    A ``probe`` point joins the last call with its center alone and comes
+    back as a chunk of its own, with index -1.  A point whose call fails as
+    a whole holds the error it raises on its own.
     """
-    differences = not FIRST_LAYER_CHECKS.isdisjoint(names)
+    k = 1 + 4 * chart.m if not FIRST_LAYER_CHECKS.isdisjoint(names) else 1
     idx = list(indices)
-    us = [samples[i] for i in idx]
-    sets = [first_layer(u) if differences else u[None] for u in us]
+    sets = [first_layer(samples[i]) if k > 1 else samples[i][None] for i in idx]
     if probe is not None:
-        idx.append(-1)
-        us.append(np.asarray(probe, dtype=float))
-        sets.append(us[-1][None])
+        sets.append(np.asarray(probe, dtype=float)[None])
     start = 0
-    for block, rows in batched_rows(chart, sets):
-        stop = start + len(block)
-        if rows is None:
-            yield from (_sample_chunk(chart, idx[k], us[k], seed, differences) for k in range(start, stop))
-        else:
-            offsets = np.cumsum([0] + [len(p) for p in block[:-1]])
-            stencils = list(zip(block, [rows] * len(block), offsets)) if differences else None
-            geo = rows.take(offsets)
-            indices, points = np.array(idx[start:stop]), np.array(us[start:stop])
-            yield Chunk(chart, indices, points, seed, geo, geo.batch.errors, stencils)
-        start = stop
+    for block, rows, errors in batched_rows(chart, sets):
+        n = min(len(block), len(idx) - start)  # the samples of the block, the probe aside
+        if n:
+            yield _chunk(chart, idx[start : start + n], block[:n], rows, errors, 0, seed)
+        if n < len(block):
+            yield _chunk(chart, [-1], block[n:], rows, errors, n * k, seed)
+        start += n
 
 
-def _sample_chunk(chart: Chart, idx: int, u: np.ndarray, seed: int, differences: bool) -> Chunk:
-    try:
-        geo, error = ExtrinsicRows.of(*FieldCache(chart).geometry(u)), None
-    except EngineError as exc:
-        geo, error = None, exc
-    stencils = [(u[None], geo, 0)] if differences else None
-    return Chunk(chart, np.array([idx]), u[None], seed, geo, [error], stencils)
+def _chunk(chart: Chart, ids: list, sets: list, rows, errors: list, first: int, seed: int) -> Chunk:
+    """The chunk of samples ``ids``, whose point sets are a batch's rows from ``first`` on."""
+    k = len(sets[0])
+    part = slice(first, first + k * len(ids))
+    layer = FirstLayer(rows.take(part)) if rows is not None and k > 1 else None
+    geo = layer.centers if layer is not None else None if rows is None else rows.take(part)
+    centers = np.array([s[0] for s in sets])
+    return Chunk(chart, np.array(ids), centers, seed, geo, errors[part][::k], layer)
 
 
 def _chunk_rows(chunk: Chunk, names: list) -> list:
@@ -555,31 +519,19 @@ def _chunk_rows(chunk: Chunk, names: list) -> list:
     n = len(chunk)
     bad = next((i for i, e in enumerate(chunk.errors) if e is not None), n)
     failures = [] if bad == n else [(bad, 0, chunk.errors[bad])]
-    columns = {name: ([], [], []) for name in names}
-
-    def run(pos: int, name: str, part: Chunk, start: int) -> bool:
-        try:
-            values, notes, degen = CHECKS[name](part)
-        except _RowFailure as f:
-            failures.append((start + f.args[0], pos, f.args[1]))
-            return False
-        k = len(part)
-        columns[name][0].extend(np.broadcast_to(np.asarray(values, dtype=float), (k,)).tolist())
-        columns[name][1].extend(notes if isinstance(notes, list) else [notes] * k)
-        columns[name][2].extend(np.broadcast_to(degen, (k,)).tolist())
-        return True
-
+    columns = {}
     live = chunk.take(slice(0, bad))
-    differencing = [(pos, name) for pos, name in enumerate(names) if name in FIRST_LAYER_CHECKS]
-    for pos, name in enumerate(names):
-        if bad and name not in FIRST_LAYER_CHECKS:
-            run(pos, name, live, 0)
-    # the differencing checks go one sample at a time, so that a sample's
-    # cache, nested layers included, goes after its checks
-    for i in range(bad if differencing else 0):
-        one = live.take(slice(i, i + 1))
-        if not all(run(pos, name, one, i) for pos, name in differencing):
-            break
+    for pos, name in enumerate(names if bad else ()):
+        try:
+            values, notes, degen = CHECKS[name](live)
+        except RowFailure as f:
+            failures.append((f.args[0], pos, f.args[1]))
+            continue
+        columns[name] = (
+            np.broadcast_to(np.asarray(values, dtype=float), (bad,)).tolist(),
+            notes if isinstance(notes, list) else [notes] * bad,
+            np.broadcast_to(degen, (bad,)).tolist(),
+        )
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
         err = EngineError(
@@ -620,6 +572,14 @@ def _worker_rows(names: list, samples: np.ndarray, indices, seed: int):
         return exc
 
 
+def _derivative_tier(name: str, rows: list) -> str:
+    """How a check's residuals were obtained: at jet level ("jet-exact"), over one finite-difference
+    layer ("fd") or, where a sample took the nested normal Laplacian, nested differences ("nested-fd")."""
+    if name not in FIRST_LAYER_CHECKS:
+        return "jet-exact"
+    return "nested-fd" if any(r[4] == _NESTED_NOTE for r in rows) else "fd"
+
+
 def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
     checks_report = []
     any_fail = False
@@ -658,6 +618,7 @@ def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
                 "verdict": verdict,
                 "tolerance_used": tol,
                 "notes": "; ".join(notes),
+                "derivative_tier": _derivative_tier(name, rows),
             }
         )
     return checks_report, any_fail
@@ -799,9 +760,7 @@ def _scan_row(scene: dict, param: str, value: float, residual: str):
         seed = int(sampling.get("seed", 0))
         probe = chart.center() if signed else None
         chunks = list(_chunks(chart, [residual], samples, range(len(samples)), seed, probe))
-        if signed:
-            center = chunks[-1].take(slice(-1, None))
-            chunks[-1] = chunks[-1].take(slice(0, -1))
+        center = chunks.pop() if signed else None
         values = [r[3] for chunk in chunks for r in _chunk_rows(chunk, [residual])]
         row = {"value": value, "max_residual": float(np.max(values))}
         if signed:

@@ -26,10 +26,13 @@ from prodsub.classify import (
 )
 from prodsub.extrinsic import (
     FieldCache,
-    T_eta_residuals,
+    FirstLayer,
+    T_eta_rows,
+    codazzi_residuals,
+    gauss_residuals,
     normal_derivative_H,
+    ricci_residuals,
     second_fundamental,
-    structure_residuals,
 )
 from prodsub.gallery import make_theorem1
 from prodsub.scene import run_scene, scan_parameter
@@ -241,20 +244,21 @@ def test_criterion_5_structure_equation_suite():
     rng = np.random.default_rng(1234)
     for eps in (1, -1):
         for ch in gallery_charts(eps):
-            cache = FieldCache(ch)
-            worst = {k: 0.0 for k in ("gauss", "codazzi", "ricci", "vt", "veta")}
             pts = random_interior_points(ch, 200, seed=eps * 7 + 11)
-            for u in pts:
-                X, Y, Z = rng.standard_normal((3, ch.m))
-                pg, _ = cache.geometry(u)
-                res = structure_residuals(
-                    ch, u, X, Y, Z, a=int(rng.integers(0, pg.codim)), cache=cache
-                )
-                for k in ("gauss", "codazzi", "ricci"):
-                    worst[k] = max(worst[k], float(np.linalg.norm(res[k])))
-                te = T_eta_residuals(ch, u, cache)
-                worst["vt"] = max(worst["vt"], te["vt"])
-                worst["veta"] = max(worst["veta"], te["veta"])
+            layer = FirstLayer.at(ch, pts)
+            codim = layer.centers.batch.normal_onb.shape[1]
+            # per point, X, Y, Z and then a, in the order of the point loop
+            draws = [(rng.standard_normal((3, ch.m)), int(rng.integers(0, codim))) for _ in pts]
+            X, Y, Z = np.stack([d[0] for d in draws], axis=1)
+            a = np.array([d[1] for d in draws])
+            vt, veta = T_eta_rows(layer.centers)
+            worst = {
+                "gauss": np.linalg.norm(gauss_residuals(layer, X, Y, Z), axis=-1).max(),
+                "codazzi": np.linalg.norm(codazzi_residuals(layer, X, Y, Z), axis=-1).max(),
+                "ricci": np.linalg.norm(ricci_residuals(layer.centers, X, Y, a), axis=-1).max(),
+                "vt": vt.max(),
+                "veta": veta.max(),
+            }
             ok = max(worst.values()) <= 1e-5
             crit.check(
                 f"eps={eps:+d} {ch.label}: all residuals <= 1e-5 on 200 tuples",
@@ -301,17 +305,13 @@ def test_criterion_7_invariant_suites():
     for eps in (1, -1):
         tol_frames = 1e-12 if eps == 1 else 1e-10
         for ch in gallery_charts(eps):
-            worst_u, worst_f = 0.0, 0.0
-            for u in random_interior_points(ch, 1000, seed=abs(hash(ch.label)) % 2**31):
-                pg = analyze_point(ch, u)
-                worst_u = max(worst_u, abs(pg.T_norm**2 + pg.eta_norm**2 - 1.0))
-                frame = pg.tangent_onb + pg.normal_onb
-                for i, a in enumerate(frame):
-                    for j in range(i, len(frame)):
-                        worst_f = max(
-                            worst_f,
-                            abs(sp_inner(ch.space, a, frame[j]) - (1.0 if i == j else 0.0)),
-                        )
+            pts = random_interior_points(ch, 1000, seed=abs(hash(ch.label)) % 2**31)
+            pg = analyze_point(ch, pts)
+            assert not any(pg.errors), ch.label
+            worst_u = np.max(np.abs(pg.T_norm**2 + pg.eta_norm**2 - 1.0))
+            frame = np.concatenate([pg.tangent_onb, pg.normal_onb], axis=1)
+            gram = sp_inner(ch.space, frame[:, :, None], frame[:, None])
+            worst_f = np.max(np.abs(gram - np.eye(frame.shape[1])))
             crit.check(
                 f"eps={eps:+d} {ch.label}: |T|^2+|eta|^2 = 1 within 1e-10 (10^3 samples)",
                 worst_u <= 1e-10,

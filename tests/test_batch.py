@@ -25,6 +25,7 @@ from prodsub.extrinsic import (
     FieldCache,
     first_layer,
     nested_layer,
+    normal_derivative_H,
     normal_laplacian_H,
     second_fundamental,
 )
@@ -152,17 +153,25 @@ def _count_analyze(monkeypatch):
 
 
 def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
+    # through the single-point wrapper of the kernel that the pmc entry runs
     chart = build_chart(_load("theorem1_cylinder.json"))
-    shapes = _count_analyze(monkeypatch)
+    seen = []
+    original = prodsub.extrinsic.analyze_point
+
+    def recording(chart, u):
+        seen.append(np.array(u))
+        return original(chart, u)
+
+    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", recording)
     u = chart.center() + np.array([0.1, -0.2, 0.3])
     cache = FieldCache(chart)
-    ctx = prodsub.scene.CheckContext(chart, u, cache, (0, 0, 0))
-    prodsub.scene._chk_pmc(ctx)  # the per-sample body of the pmc entry
+    normal_derivative_H(chart, u, cache)
     m = chart.m
-    assert shapes == [(1 + 4 * m, m)]
-    keys = {tuple(p) for p in first_layer(u).tolist()}
-    assert len(keys) == 1 + 4 * m
-    assert set(cache._memo) == keys
+    assert [p.shape for p in seen] == [(1 + 4 * m, m)]
+    assert _same(seen[0], first_layer(u))  # the points fd_gradient reads, in its order
+    assert len({tuple(p) for p in first_layer(u).tolist()}) == 1 + 4 * m
+    normal_derivative_H(chart, u, cache)  # the cache keeps u's layer
+    assert len(seen) == 1
 
 
 def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theorem1_heli):
@@ -333,10 +342,11 @@ def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsi
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
     # a check missing from FIRST_LAYER_CHECKS would compute its stencil in a
-    # second call; only the nested Laplacian, where PMC fails (the helicoid),
-    # adds one per sample: its points less the first layer already cached.
-    # A check outside FIRST_LAYER_CHECKS (ricci, vector_t and vector_eta
-    # among them) differences nothing.
+    # second call.  Every first-layer difference is taken on the chunk's
+    # arrays: only the nested Laplacian, where PMC fails (the helicoid),
+    # adds one batch per sample (its (1 + 4m)^2 points) and calls
+    # fd_gradient.  A check outside FIRST_LAYER_CHECKS (ricci, vector_t
+    # and vector_eta among them) differences nothing.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
@@ -349,8 +359,8 @@ def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request,
         differences = name in prodsub.scene.FIRST_LAYER_CHECKS
         k = 1 + 4 * m if differences else 1
         nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
-        assert shapes == [(3 * k, m)] + [((1 + 4 * m) ** 2 - (1 + 4 * m), m)] * nested, name
-        assert bool(fd_calls) == differences, name
+        assert shapes == [(3 * k, m)] + [((1 + 4 * m) ** 2, m)] * nested, name
+        assert bool(fd_calls) == bool(nested), name
     assert set(prodsub.scene.FIRST_LAYER_CHECKS) <= set(prodsub.scene.CHECKS)
     assert prodsub.scene.FIRST_LAYER_CHECKS.isdisjoint({"ricci", "vector_t", "vector_eta"})
 
@@ -362,13 +372,119 @@ STRUCTURE_CHECKS = [
 
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request, chart_fixture):
-    # pmc, biharmonic_normal and biconservative_full share the sample's memo
+    # once per chunk: pmc, biharmonic_normal and biconservative_full share
+    # the chunk's nabla^perp H, and the single-point wrapper is not called
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 4, seed=5)
-    calls = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    kernel = _count_calls(monkeypatch, "normal_derivatives_H", (prodsub.extrinsic, prodsub.scene))
+    single = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
-    assert len(calls) == 4
+    assert (len(kernel), len(single)) == (1, 0)
+    monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
+    kernel.clear()
+    assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
+    assert (len(kernel), len(single)) == (2, 0)
+
+
+def _rel_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def test_chunk_differences_match_fd_gradient(batch_charts):
+    # every gallery kind at both signs of eps and the three *_expr scenes:
+    # the chunk's array differences against fd_gradient point by point
+    for ch in batch_charts:
+        m = ch.m
+        samples = random_interior_points(ch, 3, seed=13)
+        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
+        layer, b = chunk.layer, chunk.layer.rows.batch
+        X, Y, Z = np.random.default_rng(3).standard_normal((3, 3, m))
+        (DG,) = layer.diff(layer.rows.derivatives.gamma)
+        alpha = prodsub.extrinsic._alpha  # P d2f(v, w) per row, the field of the Codazzi kernel
+        (dYZ,) = layer.diff(alpha(b, *np.repeat([Y, Z], layer.k, axis=1)))
+        dXYZ = layer.centers.batch.proj_normal(np.einsum("ni,nic->nc", X, dYZ))
+        cache = FieldCache(ch)
+        for r, u in enumerate(samples):
+            pg, _ = cache.geometry(u)
+            want = [pg.proj_normal(fd_gradient(cache.H_field, u, i)) for i in range(m)]
+            assert _rel_gap(chunk.nabla_H[r], np.array(want)) <= 1e-12, ch.label
+            gamma = lambda v: prodsub.extrinsic.christoffels(cache.geometry(v)[0]).ravel()
+            want = [fd_gradient(gamma, u, i).reshape(m, m, m) for i in range(m)]
+            assert _rel_gap(DG[r], np.array(want)) <= 1e-12, ch.label
+
+            def alpha_YZ(v):  # on a batch of one
+                return alpha(prodsub.immersion.PointBatch.of(cache.geometry(v)[0]), Y[r : r + 1], Z[r : r + 1])[0]
+
+            want = pg.proj_normal(sum(X[r, i] * fd_gradient(alpha_YZ, u, i) for i in range(m)))
+            assert _rel_gap(dXYZ[r], want) <= 1e-12, ch.label
+
+
+def test_first_layer_differences_raise_what_fd_gradient_raises(theorem1_cyl):
+    U = random_interior_points(theorem1_cyl, 3, seed=2)
+    layer = prodsub.extrinsic.FirstLayer.at(theorem1_cyl, U)
+    k, H = layer.k, layer.rows.H
+
+    def fd_error(field_rows, sample):
+        """What fd_gradient raises on the field, point by point at the sample."""
+        at = {tuple(p): r for r, p in enumerate(first_layer(U[sample]))}
+        fields = [lambda v, f=f: f[sample * k + at[tuple(v)]] for f in field_rows]
+        try:
+            for field in fields:
+                for i in range(theorem1_cyl.m):
+                    fd_gradient(field, U[sample], i)
+        except prodsub.errors.StencilError as exc:
+            return str(exc)
+
+    for sample, point, second in ((1, 1 + 4 * 2 + 3, False), (2, 1 + 4 * 1 + 1, True), (2, 1, True)):
+        bad = H.copy()
+        bad[sample * k + point, 0] = np.nan
+        fields = (H, bad) if second else (bad, H)
+        with pytest.raises(prodsub.errors.RowFailure) as err:
+            layer.diff(*fields)
+        assert err.value.args[0] == sample
+        assert str(err.value.args[1]) == fd_error(fields, sample)
+    # a point that fails comes before a non-finite value of a later pair
+    failed = prodsub.errors.IrregularPoint("stand-in")
+    layer.rows.batch.errors[k + 1 + 4 * 1] = failed
+    bad = H.copy()
+    bad[k + 1 + 4 * 2, 0] = np.nan
+    with pytest.raises(prodsub.errors.RowFailure) as err:
+        layer.diff(bad)
+    assert err.value.args == (1, failed)
+
+
+FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"]
+
+
+def test_differencing_work_does_not_grow_with_the_samples(monkeypatch):
+    # the five differencing checks on the cylinder (PMC holds, so nothing
+    # nests) take every difference on the chunk's arrays
+    fd_calls = _count_calls(monkeypatch, "fd_gradient")
+    gamma_calls = _count_calls(monkeypatch, "christoffels", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    geometry_calls = []
+    original = FieldCache.geometry
+    monkeypatch.setattr(FieldCache, "geometry", lambda self, u: geometry_calls.append(1) or original(self, u))
+    scene = _load("theorem1_cylinder.json")
+    for n in (4, 40):
+        rep = prodsub.scene.run_scene(
+            scene, checks=FIVE_CHECKS, sampling_override={"mode": "random", "counts": n, "seed": 2}
+        )
+        assert rep["samples"] == n and {c["derivative_tier"] for c in rep["checks"]} == {"fd"}
+        assert (len(fd_calls), len(gamma_calls), len(geometry_calls)) == (0, 0, 0), n
+
+
+def test_reports_name_the_derivative_tier_of_each_check():
+    names = FIVE_CHECKS + ["ricci", "vector_t", "membership", "class_a", "splitting"]
+    tiers = {"cylinder": "fd", "helicoid": "nested-fd"}
+    for kind, nested in tiers.items():
+        rep = prodsub.scene.run_scene(
+            _load(f"theorem1_{kind}.json"), checks=names, sampling_override={"mode": "random", "counts": 3, "seed": 1}
+        )
+        got = {c["name"]: c["derivative_tier"] for c in rep["checks"]}
+        want = {n: "fd" if n in FIVE_CHECKS else "jet-exact" for n in names}
+        want["biharmonic_normal"] = nested
+        assert got == want, kind
 
 
 def test_jet_exact_checks_close_to_rounding(all_gallery_charts):
@@ -494,7 +610,7 @@ def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
             for name in JET_LEVEL_CHECKS:
                 try:
                     base = prodsub.scene.CHECKS[name](_chunk_of(pg, ed))
-                except prodsub.scene._RowFailure:
+                except prodsub.errors.RowFailure:
                     continue  # e0 off codimension 2
                 for signs in flips:
                     pg2 = pg.with_flipped_normals(signs)
