@@ -9,8 +9,9 @@ Derivatives of H, alpha and the Christoffels need the 3-jet and take one
 finite-difference layer (tol_fd = 1e-6): array kernels over a batch's
 ``FirstLayer`` that difference along its stencil axis, and the single-point
 functions run them on a batch of one.  Only the normal Laplacian of H nests
-differences (tol_fd2 = 1e-4), point by point over a ``FieldCache``.  Every
-differenced field is gauge-invariant, never a frame vector.
+differences (tol_fd2 = 1e-4), an array kernel too: nabla^perp H on the first
+layers of the outer stencils, differenced along them.  Every differenced
+field is gauge-invariant, never a frame vector.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import ProductSpace, inner
-from .errors import ChartError, RowFailure
+from .errors import ChartError, EngineError, RowFailure
 from .immersion import Chart, PointBatch, PointGeometry, analyze_point
-from .jets import VecJet2, fd_difference, fd_gradient, fd_stencil, fd_steps, nonfinite_error
+from .jets import VecJet2, fd_difference, fd_stencil, fd_steps, nonfinite_error
 
 __all__ = [
     "ExtrinsicData",
@@ -40,6 +41,7 @@ __all__ = [
     "normal_derivative_H",
     "normal_derivatives_H",
     "normal_laplacian_H",
+    "normal_laplacians_H",
     "structure_residuals",
     "gauss_residual",
     "gauss_residuals",
@@ -60,6 +62,10 @@ FD_NESTED_STEP = 5e-4
 # lowers the cost per point (theorem1_cylinder on one core of a 2-vCPU
 # Xeon: 8.5 us at 1,024 points, 7.9 us at 4,096, 1 ms for a batch of one)
 _BATCH_POINTS = 1024
+
+# most points in one call of the nested Laplacian's stencil geometry, in
+# whole rows (two at m = 3): larger calls run no faster and raise peak memory
+_NESTED_POINTS = 384
 
 
 @dataclass
@@ -256,21 +262,10 @@ def first_layer(u) -> np.ndarray:
     return np.vstack([u[None]] + [fd_stencil(u, i)[1] for i in range(len(u))])
 
 
-def nested_layer(u) -> np.ndarray:
-    """The first layer of u, then for each point of u's ``FD_NESTED_STEP``
-    stencils that point's first layer: (1 + 4m)^2 points, all a nested
-    difference around u reads."""
-    u = np.asarray(u, dtype=float)
-    outer = [v for p in range(len(u)) for v in fd_stencil(u, p, FD_NESTED_STEP)[1]]
-    return np.vstack([first_layer(u)] + [first_layer(v) for v in outer])
-
-
 class FieldCache:
-    """Memo for point geometry across finite-difference stencils, keyed by
-    exact float tuples (``fd_stencil`` computes repeated offsets around a
-    center identically).  ``prefetch`` fills it for a stencil in one batched
-    call, for the nested normal Laplacian; ``layer`` keeps the FirstLayer
-    of each center that the single-point residuals read."""
+    """Memo of the single-point functions, keyed by exact float tuples:
+    ``geometry`` keeps a point's geometry and ``layer`` the FirstLayer of
+    each center that the differencing ones read."""
 
     def __init__(self, chart: Chart):
         self.chart = chart
@@ -286,26 +281,12 @@ class FieldCache:
             self._memo[key] = hit
         return hit
 
-    def prefetch(self, points) -> None:
-        """Compute the geometry of the points (P, m) the memo lacks in one
-        batched call.  A failed row, or a failed batch, caches nothing, so a
-        later ``geometry`` call there raises what it raises without this."""
-        keys = map(tuple, np.asarray(points, dtype=float).tolist())
-        todo = {key: None for key in keys if key not in self._memo}
-        rows = _geometry_rows(self.chart, np.array(list(todo))) if todo else ()
-        for key, ed in zip(todo, rows if isinstance(rows, ExtrinsicRows) else ()):
-            if ed is not None:
-                self._memo[key] = (ed.pg, ed)
-
     def layer(self, u) -> "FirstLayer":
         """u's FirstLayer, computed in one batch on first use."""
         key = tuple(np.asarray(u, dtype=float).tolist())
         if key not in self._layers:
             self._layers[key] = FirstLayer.at(self.chart, key)
         return self._layers[key]
-
-    def H_field(self, v) -> np.ndarray:
-        return self.geometry(v)[1].H
 
 
 class FirstLayer:
@@ -419,32 +400,45 @@ def normal_derivative_H(chart: Chart, u, cache: FieldCache | None = None) -> lis
     return list(_one(normal_derivatives_H, (cache or FieldCache(chart)).layer(u)))
 
 
-def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.ndarray:
-    """Trace Laplacian of H in the normal bundle by nested finite differences
-    (tol_fd2 accuracy): sum g^{pq} (nabla^perp_p nabla^perp_q H
-    - Gamma^k_{pq} nabla^perp_k H)."""
-    cache = cache or FieldCache(chart)
-    cache.prefetch(nested_layer(u))
-    pg, _ = cache.geometry(u)
-    m = chart.m
-    G = christoffels(pg)
-
-    def w_field(q):
-        def field(v):
-            pgv, _ = cache.geometry(v)
-            d = fd_gradient(cache.H_field, pgv.u, q)
-            return pgv.proj_normal(d)
-
-        return field
-
-    W0 = [w_field(q)(pg.u) for q in range(m)]
-    out = np.zeros(pg.space.ambient_dim)
-    for p in range(m):
+def normal_laplacians_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
+    """Trace Laplacian of H in the normal bundle (K, n+2) at every row of
+    ``centers`` by nested finite differences (tol_fd2 accuracy):
+    sum g^{pq} (nabla^perp_p nabla^perp_q H - Gamma^k_{pq} nabla^perp_k H),
+    given nabla^perp H (K, m, n+2) there.  nabla^perp_q H is differenced
+    along p over the rows' ``FD_NESTED_STEP`` stencils, whose first layers
+    are computed in calls of whole rows of at most ``_NESTED_POINTS``
+    points.  Raises RowFailure for the first row whose stencils fail."""
+    b = centers.batch
+    K, m = b.u.shape
+    outer = np.array([fd_stencil(u, p, FD_NESTED_STEP)[1] for u in b.u for p in range(m)]).reshape(K, 4 * m, m)
+    step = max(1, _NESTED_POINTS // (4 * m * (1 + 4 * m)))
+    W = []
+    for first in range(0, K, step):
+        try:
+            W.append(normal_derivatives_H(FirstLayer.at(b.chart, outer[first : first + step])))
+        except RowFailure as f:  # from an outer point to its row
+            raise RowFailure(first + f.args[0] // (4 * m), f.args[1]) from None
+        except EngineError as exc:  # every point of the call failed
+            raise RowFailure(first, exc) from None
+    W = np.concatenate(W).reshape(K, m, 4, -1)  # [row, p, stencil point, (q, c)]
+    bad = ~np.isfinite(W).reshape(K, m, -1).all(axis=-1)
+    if bad.any():
+        s, p = np.unravel_index(np.argmax(bad), bad.shape)
+        raise RowFailure(int(s), nonfinite_error(b.u[s], int(p)))
+    dW = fd_difference(W, FD_NESTED_STEP).reshape(K, m, m, -1)
+    G = centers.derivatives.gamma
+    out = np.zeros_like(centers.H)
+    for p in range(m):  # term by term, the order of a sum at one point
         for q in range(m):
-            dW = fd_gradient(w_field(q), pg.u, p, step=FD_NESTED_STEP)
-            corr = np.einsum("k,kc->c", G[:, p, q], np.array(W0))
-            out += pg.g_inv[p, q] * (dW - corr)
-    return pg.proj_normal(out)
+            corr = np.einsum("nk,nkc->nc", G[:, :, p, q], nabla_H)
+            out += b.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
+    return b.proj_normal(out)
+
+
+def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.ndarray:
+    """``normal_laplacians_H`` at one point."""
+    layer = (cache or FieldCache(chart)).layer(u)
+    return _one(normal_laplacians_H, layer.centers, _one(normal_derivatives_H, layer)[None])
 
 
 def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:

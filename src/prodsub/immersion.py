@@ -353,12 +353,15 @@ class PointBatch:
 
     @classmethod
     def of(cls, pg: PointGeometry) -> "PointBatch":
-        """A batch of one holding ``pg`` as it is (flipped normals included)."""
+        """A batch of one holding ``pg`` as it is (flipped normals included),
+        its tangent frame in ``analyze_point``'s layout: ``inner`` sums a
+        strided row in another order than a contiguous one."""
         rows = {
             f.name: np.asarray(getattr(pg, f.name), dtype=float)[None]
             for f in fields(cls)
             if f.name not in ("chart", "jet", "nu", "errors")
         }
+        rows["tangent_onb"] = np.stack(pg.tangent_onb, axis=1).T[None]
         nu = None if pg.nu is None else np.array([pg.nu])
         return cls(chart=pg.chart, jet=pg.jet.row(None), nu=nu, errors=[None], **rows)
 

@@ -7,12 +7,13 @@ checks to run and optional tolerance overrides.
 A run checks its samples a chunk at a time: one batched geometry call per
 chunk of up to 1,024 points of whole samples, and one call of each CHECKS
 entry on the chunk's arrays, which returns a residual, a note and a
-degenerate flag per sample.  Every entry is array code; the finite-difference
-ones difference along the stencil axis of the chunk's first layer, and only
-the nested normal Laplacian goes sample by sample.  Residual rows are
-deterministic functions of (scene, seed): nothing reduces across samples,
-and per-sample randomness is keyed by (seed, index), so neither the
-chunking nor the worker partitioning changes values.
+degenerate flag per sample.  Every entry is array code: the finite-difference
+ones difference along the stencil axis of the chunk's first layer, and the
+nested normal Laplacian is one kernel call over the chunk's samples that
+need it.  Residual rows are deterministic functions of (scene, seed):
+nothing reduces across samples, and per-sample randomness is keyed by
+(seed, index), so neither the chunking nor the worker partitioning changes
+values.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .classify import (
 from .errors import EngineError, RowFailure, SceneError
 from .extrinsic import (
     ExtrinsicRows,
-    FieldCache,
     FirstLayer,
     T_eta_rows,
     batched_rows,
@@ -51,7 +51,7 @@ from .extrinsic import (
     first_layer,
     gauss_residuals,
     normal_derivatives_H,
-    normal_laplacian_H,
+    normal_laplacians_H,
     ricci_residuals,
 )
 from .gallery import make_chart
@@ -373,7 +373,7 @@ _NESTED_NOTE = "PMC not verified; nested differences (tol_fd2)"
 
 def _chk_biharmonic_normal(c: Chunk):
     """The samples where PMC fails and H does not vanish take the nested
-    normal Laplacian, one at a time, each with a FieldCache of its own."""
+    normal Laplacian, all in one kernel call."""
     try:
         pmc = _chk_pmc(c)[0]
     except RowFailure as f:
@@ -383,11 +383,12 @@ def _chk_biharmonic_normal(c: Chunk):
     minimal = c.geo.H_norm <= DEGENERATE["H_minimal"]
     nested = ~(pmc <= DEFAULT_TOLERANCES["pmc"]) & ~minimal
     lap = np.zeros_like(c.geo.H)
-    for i in np.flatnonzero(nested):
+    at = np.flatnonzero(nested)
+    if at.size:
         try:
-            lap[i] = normal_laplacian_H(c.chart, c.u[i], FieldCache(c.chart))
-        except EngineError as exc:
-            raise RowFailure(i, exc) from exc
+            lap[at] = normal_laplacians_H(c.geo.take(at), c.nabla_H[at])
+        except RowFailure as f:
+            raise RowFailure(int(at[f.args[0]]), f.args[1]) from None
     normal, _ = biharmonic_normals(c.geo, lap)
     notes = ["H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(minimal, nested)]
     return normal, notes, minimal

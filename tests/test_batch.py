@@ -22,11 +22,12 @@ from prodsub import jets
 from prodsub.cli import main
 from prodsub.errors import ChartError
 from prodsub.extrinsic import (
+    FD_NESTED_STEP,
     FieldCache,
     first_layer,
-    nested_layer,
     normal_derivative_H,
     normal_laplacian_H,
+    normal_laplacians_H,
     second_fundamental,
 )
 from prodsub.immersion import Chart, analyze_point, evaluate_jet, probe_grid
@@ -174,13 +175,23 @@ def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
     assert len(seen) == 1
 
 
+def _outer_layers(u) -> np.ndarray:
+    """The first layers of the 4m points of u's FD_NESTED_STEP stencils, in order."""
+    outer = [v for p in range(len(u)) for v in fd_stencil(u, p, FD_NESTED_STEP)[1]]
+    return np.vstack([first_layer(v) for v in outer])
+
+
 def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theorem1_heli):
-    shapes = _count_analyze(monkeypatch)
-    cache = FieldCache(theorem1_heli)
-    normal_laplacian_H(theorem1_heli, np.array([0.2, -0.3, 0.4]), cache)
+    # the batch-of-one wrapper: u's first layer, then the first layers of
+    # the 4m points of u's nested stencils in one 4m (1 + 4m)-point call
+    seen = []
+    original = prodsub.extrinsic.analyze_point
+    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u: seen.append(np.array(u)) or original(ch, u))
+    u = np.array([0.2, -0.3, 0.4])
+    normal_laplacian_H(theorem1_heli, u, FieldCache(theorem1_heli))
     m = theorem1_heli.m
-    assert shapes == [((1 + 4 * m) ** 2, m)]
-    assert len(cache._memo) == (1 + 4 * m) ** 2 == len(nested_layer([0.2, -0.3, 0.4]))
+    assert [p.shape for p in seen] == [(1 + 4 * m, m), (4 * m * (1 + 4 * m), m)]
+    assert _same(seen[0], first_layer(u)) and _same(seen[1], _outer_layers(u))
 
 
 def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
@@ -339,28 +350,37 @@ def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsi
     return calls
 
 
+def _nested_calls(n_nested: int, m: int) -> list:
+    """The nested Laplacian's geometry calls for n_nested samples of one
+    chunk: whole samples, at most _NESTED_POINTS points per call."""
+    size = 4 * m * (1 + 4 * m)
+    per = max(1, prodsub.extrinsic._NESTED_POINTS // size)
+    return [(min(per, n_nested - i) * size, m) for i in range(0, n_nested, per)]
+
+
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
     # a check missing from FIRST_LAYER_CHECKS would compute its stencil in a
-    # second call.  Every first-layer difference is taken on the chunk's
-    # arrays: only the nested Laplacian, where PMC fails (the helicoid),
-    # adds one batch per sample (its (1 + 4m)^2 points) and calls
+    # second call.  Every difference is taken on arrays: the first layers
+    # on the chunk's, and the nested Laplacian, where PMC fails (the
+    # helicoid), on the first layers of its samples' outer stencils, taken
+    # in calls of whole samples within the point budget.  No run calls
     # fd_gradient.  A check outside FIRST_LAYER_CHECKS (ricci, vector_t
     # and vector_eta among them) differences nothing.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
+    assert _nested_calls(3, 3) == [(2 * 156, 3), (156, 3)]  # two m = 3 samples per call
     shapes = _count_analyze(monkeypatch)
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     for name in sorted(prodsub.scene.CHECKS):
         shapes.clear()
-        fd_calls.clear()
         _run_rows(chart, [name], samples, 0)
         differences = name in prodsub.scene.FIRST_LAYER_CHECKS
         k = 1 + 4 * m if differences else 1
         nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
-        assert shapes == [(3 * k, m)] + [((1 + 4 * m) ** 2, m)] * nested, name
-        assert bool(fd_calls) == bool(nested), name
+        assert shapes == [(3 * k, m)] + _nested_calls(nested, m), name
+    assert not fd_calls
     assert set(prodsub.scene.FIRST_LAYER_CHECKS) <= set(prodsub.scene.CHECKS)
     assert prodsub.scene.FIRST_LAYER_CHECKS.isdisjoint({"ricci", "vector_t", "vector_eta"})
 
@@ -373,18 +393,22 @@ STRUCTURE_CHECKS = [
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request, chart_fixture):
     # once per chunk: pmc, biharmonic_normal and biconservative_full share
-    # the chunk's nabla^perp H, and the single-point wrapper is not called
+    # the chunk's nabla^perp H, and the single-point wrapper is not called.
+    # The nested Laplacian (the helicoid's four samples) adds one kernel
+    # call per call of its outer-stencil geometry.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 4, seed=5)
     kernel = _count_calls(monkeypatch, "normal_derivatives_H", (prodsub.extrinsic, prodsub.scene))
     single = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
-    assert (len(kernel), len(single)) == (1, 0)
+    nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
+    assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
+    assert (len(kernel), len(single)) == (1 + len(_nested_calls(nested, chart.m)), 0)
     monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
     kernel.clear()
     assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
-    assert (len(kernel), len(single)) == (2, 0)
+    assert (len(kernel), len(single)) == (2 + 2 * len(_nested_calls(nested // 2, chart.m)), 0)
 
 
 def _rel_gap(got, want) -> float:
@@ -407,7 +431,7 @@ def test_chunk_differences_match_fd_gradient(batch_charts):
         cache = FieldCache(ch)
         for r, u in enumerate(samples):
             pg, _ = cache.geometry(u)
-            want = [pg.proj_normal(fd_gradient(cache.H_field, u, i)) for i in range(m)]
+            want = [pg.proj_normal(fd_gradient(lambda v: cache.geometry(v)[1].H, u, i)) for i in range(m)]
             assert _rel_gap(chunk.nabla_H[r], np.array(want)) <= 1e-12, ch.label
             gamma = lambda v: prodsub.extrinsic.christoffels(cache.geometry(v)[0]).ravel()
             want = [fd_gradient(gamma, u, i).reshape(m, m, m) for i in range(m)]
@@ -452,6 +476,191 @@ def test_first_layer_differences_raise_what_fd_gradient_raises(theorem1_cyl):
     with pytest.raises(prodsub.errors.RowFailure) as err:
         layer.diff(bad)
     assert err.value.args == (1, failed)
+
+
+def _nested_oracle(chart, u):
+    """The nested normal Laplacian at u point by point over a FieldCache, as
+    runs took it sample by sample: fd_gradient of nabla^perp_q H along p
+    with the nested step, where nabla^perp_q H is the normal projection of
+    fd_gradient of H.  The geometry of every point it reads is filled in
+    one batch first."""
+    cache = FieldCache(chart)
+    m = chart.m
+    points = np.vstack([first_layer(u), _outer_layers(u)])
+    try:
+        rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
+        cache._memo.update({tuple(v): (ed.pg, ed) for v, ed in zip(points.tolist(), rows) if ed is not None})
+    except (ChartError, ArithmeticError, ValueError):
+        pass  # the batch failed as a whole: every point alone
+    pg, _ = cache.geometry(u)
+    G = prodsub.extrinsic.christoffels(pg)
+
+    def nabla_H(q):
+        return lambda v: cache.geometry(v)[0].proj_normal(fd_gradient(lambda x: cache.geometry(x)[1].H, v, q))
+
+    W0 = np.array([nabla_H(q)(pg.u) for q in range(m)])
+    out = np.zeros(chart.space.ambient_dim)
+    for p in range(m):
+        for q in range(m):
+            dW = fd_gradient(nabla_H(q), pg.u, p, step=FD_NESTED_STEP)
+            out += pg.g_inv[p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
+    return pg.proj_normal(out)
+
+
+def test_nested_laplacians_match_the_per_point_oracle(batch_charts):
+    # every gallery kind at both signs of eps and the three *_expr scenes;
+    # three m = 3 samples take two calls of outer-stencil geometry
+    for ch in batch_charts:
+        samples = random_interior_points(ch, 3, seed=13)
+        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
+        lap = normal_laplacians_H(chunk.geo, chunk.nabla_H)
+        for r, u in enumerate(samples):
+            assert _rel_gap(lap[r], _nested_oracle(ch, u)) <= 1e-12, ch.label
+            assert _rel_gap(normal_laplacian_H(ch, u), lap[r]) <= 1e-12, ch.label
+
+
+def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path):
+    # the helicoid's biharmonic_normal rows, whole, when _BATCH_POINTS
+    # splits the chunk, when the point budget splits the nested samples
+    # (one per call, or all five in one), and under --jobs 1/2/4
+    scene = _load("theorem1_helicoid.json")
+    sampling = {"mode": "random", "counts": 5, "seed": 3}
+    chart = build_chart(scene)
+    samples = prodsub.scene.sample_points(chart, sampling)
+    m, names = chart.m, ["biharmonic_normal"]
+    shapes = _count_analyze(monkeypatch)
+    rows = _run_rows(chart, names, samples, 0)
+    assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
+    size = 4 * m * (1 + 4 * m)
+    splits = [
+        ("_BATCH_POINTS", 2 * (1 + 4 * m), [(2 * size, m)] * 2 + [(size, m)]),
+        ("_NESTED_POINTS", 1, [(size, m)] * 5),
+        ("_NESTED_POINTS", 5 * size, [(5 * size, m)]),
+    ]
+    for name, value, nested_calls in splits:
+        with monkeypatch.context() as mp:
+            mp.setattr(prodsub.extrinsic, name, value)
+            shapes.clear()
+            assert _same_rows(_run_rows(chart, names, samples, 0), rows), name
+            assert [s for s in shapes if s[0] % size == 0] == nested_calls, name
+    csv = []
+    for jobs in (1, 2, 4):
+        path = tmp_path / f"jobs{jobs}.csv"
+        prodsub.scene.run_scene(scene, checks=names, sampling_override=sampling, jobs=jobs, csv_path=str(path))
+        csv.append(path.read_bytes())
+    assert csv[0] == csv[1] == csv[2]
+
+
+def _inject(monkeypatch, faults):
+    """Make the geometry of the given points fail ("failed"), fail every
+    call that holds them, as a domain error does ("raises"), or hold a
+    non-finite H ("nan", by a NaN second derivative), in a batch or alone."""
+    original = prodsub.immersion._analyze
+
+    def faulty(chart, U):
+        batch = original(chart, U)
+        for kind, point in faults:
+            for r in np.flatnonzero((U == point).all(axis=1)):
+                if kind == "raises":
+                    raise ChartError(f"injected at u={point.tolist()}")
+                if kind == "failed":
+                    batch.errors[r] = prodsub.errors.IrregularPoint(f"injected at u={point.tolist()}")
+                else:
+                    batch.jet.d2[r] = np.nan
+        return batch
+
+    monkeypatch.setattr(prodsub.immersion, "_analyze", faulty)
+
+
+def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeypatch, theorem1_heli):
+    # a failed row or a non-finite H among the outer-stencil rows of the
+    # nested Laplacian gives the failing sample, check and message the
+    # per-sample path gave (the first sample whose oracle raises)
+    chart, m = theorem1_heli, theorem1_heli.m
+    samples = random_interior_points(chart, 3, seed=8)
+    clean = _run_rows(chart, ["biharmonic_normal"], samples, 0)
+    assert all(r[4] == prodsub.scene._NESTED_NOTE for r in clean)
+
+    def per_sample():
+        """The first failing sample of the per-sample path and its report."""
+        for i, u in enumerate(samples):
+            try:
+                _nested_oracle(chart, u)
+            except prodsub.errors.EngineError as exc:
+                return i, f"check biharmonic_normal failed at sample {i}, u={u.tolist()}: {exc}"
+        return None, None
+
+    def outer(sample, p, j, r):
+        """Row r of the first layer of point j of the sample's nested stencil along p."""
+        return first_layer(fd_stencil(samples[sample], p, FD_NESTED_STEP)[1][j])[r]
+
+    cases = [
+        [("failed", outer(1, 1, 2, 1 + 4 * 2 + 1))],
+        [("nan", outer(1, 0, 3, 1 + 4 * 0 + 2))],
+        [("failed", outer(2, 2, 0, 0))],  # an outer point itself, in the second call
+        [("nan", outer(2, 1, 1, 1 + 4 * 1 + 3))],
+        [("nan", outer(0, 1, 1, 0))],  # H at an outer point is never differenced
+        [("nan", outer(2, 0, 0, 3)), ("failed", outer(1, 2, 3, 5))],  # the lower sample first
+        [("failed", first_layer(samples[2])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails after
+        [("failed", first_layer(samples[0])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails first
+        [("raises", v) for v in _outer_layers(samples[2])],  # every point of the second call
+    ]
+    seen = []
+    for faults in cases:
+        with monkeypatch.context() as mp:
+            _inject(mp, faults)
+            sample, want = per_sample()
+            got = _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0)
+        if want is None:
+            assert _same_rows(got, clean), faults
+        else:
+            assert got == want, faults
+        seen.append((sample, want and ("injected" in want, "non-finite field value" in want)))
+    failed, nonfinite = (True, False), (False, True)
+    assert seen == [(1, failed), (1, nonfinite), (2, failed), (2, nonfinite), (None, None),
+                    (1, failed), (1, nonfinite), (0, failed), (2, failed)]
+    # under a looser PMC tolerance only sample 1 nests; it fails as sample 1
+    with monkeypatch.context() as mp:
+        mp.setitem(prodsub.scene.DEFAULT_TOLERANCES, "pmc", 0.05)
+        rows = _run_rows(chart, ["biharmonic_normal"], samples, 0)
+        assert [r[4] == prodsub.scene._NESTED_NOTE for r in rows] == [False, True, False]
+        _inject(mp, [("failed", outer(1, 1, 2, 9))])
+        sample, want = per_sample()
+        assert sample == 1 and _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == want
+    # a non-finite nabla^perp H at an outer point fails its sample along
+    # that outer direction, as fd_gradient did on the outer pair
+    original = prodsub.extrinsic.normal_derivatives_H
+
+    def poisoned(layer):
+        W = original(layer)
+        if len(layer) == 4 * m:  # the second call, of sample 2 alone
+            W[4 * 1 + 2, 0, 0] = np.nan  # direction p = 1, point 2
+        return W
+
+    monkeypatch.setattr(prodsub.extrinsic, "normal_derivatives_H", poisoned)
+    want = f"sample 2, u={samples[2].tolist()}: {jets.nonfinite_error(samples[2], 1)}"
+    assert _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == f"check biharmonic_normal failed at {want}"
+
+
+def test_single_point_wrappers_equal_the_run_rows_bit_for_bit(all_gallery_charts):
+    # class_A_residual and T_eta_residuals against the run's rows, on
+    # chunks without (k = 1) and with a first layer, every gallery chart
+    # at both signs of eps
+    for ch in all_gallery_charts:
+        samples = random_interior_points(ch, 6, seed=3)
+        for names in (["class_a", "vector_t", "vector_eta"], ["class_a", "vector_t", "vector_eta", "pmc"]):
+            rows = {(r[0], r[1]): r[3] for r in _run_rows(ch, names, samples, 0)}
+            for i, u in enumerate(samples):
+                cache = FieldCache(ch)
+                pg, ed = cache.geometry(u)
+                vt_veta = prodsub.extrinsic.T_eta_residuals(ch, u, cache)
+                want = {
+                    "class_a": prodsub.classify.class_A_residual(pg, ed),
+                    "vector_t": vt_veta["vt"],
+                    "vector_eta": vt_veta["veta"],
+                }
+                for name, value in want.items():
+                    assert _same(rows[name, i], value), (ch.label, names, name, i)
 
 
 FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"]

@@ -234,7 +234,7 @@ def test_fd_gradient_pmc_h_norm_squared():
     cache = FieldCache(ch)
 
     def hh(v):
-        return np.array([inner(ch.space, cache.H_field(v), cache.H_field(v))])
+        return np.array([inner(ch.space, cache.geometry(v)[1].H, cache.geometry(v)[1].H)])
 
     u = np.array([0.2, -0.1, 0.3])
     for i in range(3):

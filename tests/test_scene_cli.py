@@ -346,8 +346,12 @@ def test_cli_list_gallery(capsys):
 
 
 def test_console_entry_point_smoke():
+    # the child finds the package where this process does, installed or not
+    src = Path(prodsub.scene.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "prodsub.cli", "list-gallery", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
