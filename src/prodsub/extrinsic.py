@@ -16,7 +16,7 @@ field is gauge-invariant, never a frame vector.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,7 +82,6 @@ class ExtrinsicData:
     shape_ops: list
     H: np.ndarray
     H_norm: float
-    conn: np.ndarray | None = None
 
     def shape_in_direction(self, w: np.ndarray) -> np.ndarray:
         """Shape operator A_w for an ambient normal vector w (ONB matrix)."""
@@ -96,17 +95,16 @@ def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np
     return (c[..., None, None] * alpha).sum(axis=-3)
 
 
-def second_fundamental(pg, with_connection: bool = False):
+def second_fundamental(pg):
     """alpha, shape operators and the mean curvature vector at a point.
 
     alpha^a_{ij} = <d2f/du_i du_j, xi_a>: the normal frame is orthogonal to
     both the tangent space and the quadric position, which removes the
     Christoffel and inclusion-umbilic parts of the flat second derivative.
-    ``with_connection`` also fills the ONB connection coefficients.
 
-    ``pg`` is one PointGeometry, or a PointBatch, for which the result is an
-    ExtrinsicRows sequence with one ExtrinsicData per row (None where the
-    row failed).  One point runs as a batch of one.
+    ``pg`` is one PointGeometry, for which the result is its ExtrinsicData,
+    or a PointBatch, for which it is the ExtrinsicRows of the stacked arrays
+    (rows that failed hold garbage).  One point runs as a batch of one.
     """
     if isinstance(pg, PointBatch):
         with np.errstate(invalid="ignore", over="ignore"):  # failed rows hold garbage
@@ -114,19 +112,13 @@ def second_fundamental(pg, with_connection: bool = False):
     alpha, H, H_norm = _sff(
         pg.space, np.array(pg.normal_onb)[None], pg.jet.d2[None], pg.tangent_coeffs[None]
     )
-    ed = _extrinsic(pg, alpha[0], H[0], H_norm[0])
-    if with_connection:
-        ed.conn = onb_connection(pg)
-    return ed
+    return _extrinsic(pg, alpha[0], H[0], H_norm[0])
 
 
-class ExtrinsicRows(Sequence):
+class ExtrinsicRows:
     """``second_fundamental`` of a PointBatch: alpha (N, r, m, m), H (N, n+2)
-    and |H| (N,) stacked, read as a sequence of N ExtrinsicData (None where
-    the row failed).  A row's PointGeometry and ExtrinsicData are built when
-    the row is read, so a large batch holds only its arrays.  Slices and
-    ``+`` give plain lists.  The batch kernels of the checks read the
-    arrays; ``of`` makes one point a batch of one for them."""
+    and |H| (N,) stacked.  The batch kernels of the checks read the arrays;
+    ``of`` makes one point a batch of one for them."""
 
     def __init__(self, batch: PointBatch, alpha, H, H_norm):
         self.batch = batch
@@ -147,16 +139,6 @@ class ExtrinsicRows(Sequence):
 
     def __len__(self) -> int:
         return len(self.batch)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        if self.batch.errors[i] is not None:
-            return None
-        return _extrinsic(self.batch.point(i), self.alpha[i], self.H[i], self.H_norm[i])
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
 
 
 def _extrinsic(pg: PointGeometry, alpha: np.ndarray, H: np.ndarray, H_norm) -> ExtrinsicData:

@@ -10,10 +10,12 @@ entry on the chunk's arrays, which returns a residual, a note and a
 degenerate flag per sample.  Every entry is array code: the finite-difference
 ones difference along the stencil axis of the chunk's first layer, and the
 nested normal Laplacian is one kernel call over the chunk's samples that
-need it.  Residual rows are deterministic functions of (scene, seed):
-nothing reduces across samples, and per-sample randomness is keyed by
-(seed, index), so neither the chunking nor the worker partitioning changes
-values.
+need it.  The results stay one column per check from the kernel to the
+report and the CSV: chunks, and a pool's contiguous blocks of samples,
+follow sample order, so joining a check's columns gives row i for sample i.
+Residuals are deterministic functions of (scene, seed): nothing reduces
+across samples, and per-sample randomness is keyed by (seed, index), so
+neither the chunking nor the worker partitioning changes values.
 """
 
 from __future__ import annotations
@@ -511,8 +513,9 @@ def _chunk(chart: Chart, ids: list, sets: list, rows, errors: list, first: int, 
     return Chunk(chart, np.array(ids), centers, seed, geo, errors[part][::k], layer)
 
 
-def _chunk_rows(chunk: Chunk, names: list) -> list:
-    """The rows of a chunk, sample by sample in the order of ``names``.
+def _chunk_columns(chunk: Chunk, names: list) -> dict:
+    """The columns of a chunk: for each check in ``names``, its (N,)
+    residuals, N notes and (N,) degenerate mask, one row per sample.
 
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
@@ -529,9 +532,9 @@ def _chunk_rows(chunk: Chunk, names: list) -> list:
             failures.append((f.args[0], pos, f.args[1]))
             continue
         columns[name] = (
-            np.broadcast_to(np.asarray(values, dtype=float), (bad,)).tolist(),
+            np.broadcast_to(np.asarray(values, dtype=float), (bad,)),
             notes if isinstance(notes, list) else [notes] * bad,
-            np.broadcast_to(degen, (bad,)).tolist(),
+            np.broadcast_to(np.asarray(degen, dtype=bool), (bad,)),
         )
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
@@ -540,18 +543,12 @@ def _chunk_rows(chunk: Chunk, names: list) -> list:
         )
         err.at = (int(chunk.indices[row]), pos)  # where a pool's errors are ordered
         raise err from exc
-    us = chunk.u.tolist()
-    return [
-        (name, idx, us[i], columns[name][0][i], columns[name][1][i], columns[name][2][i])
-        for i, idx in enumerate(chunk.indices.tolist())
-        for name in names
-    ]
+    return columns
 
 
-def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int):
-    """Residual rows for the given sample indices, one chunk at a time."""
-    chunks = _chunks(chart, names, samples, indices, seed)
-    return [row for chunk in chunks for row in _chunk_rows(chunk, names)]
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int) -> list:
+    """The chunk columns of the given sample indices, one chunk at a time."""
+    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, indices, seed)]
 
 
 _worker_chart: Chart | None = None
@@ -565,61 +562,62 @@ def _init_worker(chart: Chart) -> None:
 
 
 def _worker_rows(names: list, samples: np.ndarray, indices, seed: int):
-    """A worker's rows, or its error: returned, not raised, so that the
-    parent raises the first failing (sample, check) pair of all workers."""
+    """A worker's chunk columns, or its error: returned, not raised, so that
+    the parent raises the first failing (sample, check) pair of all workers."""
     try:
         return _compute_rows(_worker_chart, names, samples, indices, seed)
     except EngineError as exc:
         return exc
 
 
-def _derivative_tier(name: str, rows: list) -> str:
+def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
+    """The points of a check's column: row i of a per-sample check is sample
+    i, the one row of a chart-level check the chart center."""
+    return samples if name in CHECKS else chart.center()[None]
+
+
+def _derivative_tier(name: str, notes: list) -> str:
     """How a check's residuals were obtained: at jet level ("jet-exact"), over one finite-difference
     layer ("fd") or, where a sample took the nested normal Laplacian, nested differences ("nested-fd")."""
     if name not in FIRST_LAYER_CHECKS:
         return "jet-exact"
-    return "nested-fd" if any(r[4] == _NESTED_NOTE for r in rows) else "fd"
+    return "nested-fd" if _NESTED_NOTE in notes else "fd"
 
 
-def _merge_stats(rows_by_check: dict, chart: Chart, names: list, tols: dict):
+def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, tols: dict):
+    """The report entry of each check in ``names`` from its column
+    (values, notes, degenerate) in ``columns``, and whether any fails.
+    The worst row counts a non-finite residual as largest and takes the
+    lowest index of equals."""
     checks_report = []
     any_fail = False
     for name in names:
-        rows = rows_by_check.get(name, [])
+        values, notes, degen = columns[name]
         tol = _resolve_tol(name, chart.space, tols)
-        values = [r[3] for r in rows]
-        degen = [r[5] for r in rows]
-        notes = sorted({r[4] for r in rows if r[4]})
-        n_eval = len(rows)
-        live = [v for v, d in zip(values, degen) if not d]
+        summary = sorted({n for n in notes if n})
+        live = values[~degen]
         if not np.all(np.isfinite(values)):
             verdict = "FAIL"
-            notes.append("non-finite residual encountered")
-        elif live:
-            verdict = "PASS" if max(live) <= tol else "FAIL"
-        elif n_eval:
-            verdict = "DEGENERATE"
+            summary.append("non-finite residual encountered")
+        elif live.size:
+            verdict = "PASS" if live.max() <= tol else "FAIL"
         else:
-            verdict = "FAIL"
-            notes.append("no samples evaluated")
-        if verdict == "FAIL":
-            any_fail = True
-        # the worst row: a non-finite residual counts as largest, and
-        # argmax takes the first of equals, so ties go to the lowest index
-        worst = rows[int(np.argmax(np.where(np.isfinite(values), values, np.inf)))] if rows else None
+            verdict = "DEGENERATE"
+        any_fail |= verdict == "FAIL"
+        worst = int(np.argmax(np.where(np.isfinite(values), values, np.inf)))
         checks_report.append(
             {
                 "name": name,
-                "samples_evaluated": n_eval,
-                "samples_degenerate": sum(degen),
-                "max_residual": float(np.max(values)) if values else math.nan,
-                "mean_residual": float(np.mean(values)) if values else math.nan,
-                "argmax_index": worst[1] if worst else None,
-                "argmax_u": worst[2] if worst else None,
+                "samples_evaluated": len(values),
+                "samples_degenerate": int(np.count_nonzero(degen)),
+                "max_residual": float(np.max(values)),
+                "mean_residual": float(np.mean(values)),
+                "argmax_index": worst,
+                "argmax_u": _points(name, samples, chart)[worst].tolist(),
                 "verdict": verdict,
                 "tolerance_used": tol,
-                "notes": "; ".join(notes),
-                "derivative_tier": _derivative_tier(name, rows),
+                "notes": "; ".join(summary),
+                "derivative_tier": _derivative_tier(name, notes),
             }
         )
     return checks_report, any_fail
@@ -636,8 +634,8 @@ def run_scene(
     """Execute the scene's checks and return the report mapping.
 
     Exit-code semantics live in the CLI; here FAIL is only recorded in the
-    report.  With ``jobs > 1`` samples are partitioned over a fork pool; the
-    per-sample RNG is keyed by (seed, sample index), so verdicts and CSV rows
+    report.  With ``jobs > 1`` contiguous blocks of samples go to a fork
+    pool; the per-sample RNG is keyed by (seed, sample index), so verdicts and CSV rows
     are identical for any job count.
     """
     t0 = time.perf_counter()
@@ -673,14 +671,15 @@ def _run_checks(
         tols.update(tolerances)
 
     samples = sample_points(chart, sampling)
-    indices = list(range(len(samples)))
+    indices = range(len(samples))
     per_sample = [n for n in names if n in CHECKS]
 
     parts: list = []
     parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
-    if jobs > 1 and len(indices) > 1 and per_sample:
-        chunks = [indices[i::jobs] for i in range(jobs)]
-        args = [(per_sample, samples, chunk, seed) for chunk in chunks if chunk]
+    if jobs > 1 and len(samples) > 1 and per_sample:
+        # contiguous blocks: the workers' chunk columns follow sample order
+        blocks = [b for b in np.array_split(indices, jobs) if len(b)]
+        args = [(per_sample, samples, block, seed) for block in blocks]
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
@@ -694,22 +693,19 @@ def _run_checks(
     errors = [p for p in parts if isinstance(p, EngineError)]
     if errors:
         raise min(errors, key=lambda e: e.at)
-    rows = [r for part in parts for r in part]
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    center = chart.center()
+    chunks = [c for part in parts for c in part]  # in sample order
+    columns = {}
     for name in names:
         if name in CHART_LEVEL_CHECKS:
             value, note, degen = CHART_LEVEL_CHECKS[name](chart)
-            rows.append((name, 0, [float(x) for x in center], float(value), note, degen))
-
-    rows_by_check: dict = {}
-    for r in rows:
-        rows_by_check.setdefault(r[0], []).append(r)
-    checks_report, any_fail = _merge_stats(rows_by_check, chart, names, tols)
+            columns[name] = (np.array([value], dtype=float), [note], np.array([degen]))
+        else:
+            values, notes, degen = zip(*(c[name] for c in chunks))
+            columns[name] = (np.concatenate(values), [x for n in notes for x in n], np.concatenate(degen))
+    checks_report, any_fail = _merge_stats(columns, samples, chart, names, tols)
 
     if csv_path:
-        _write_csv(csv_path, chart, rows)
+        _write_csv(csv_path, chart, columns, samples, names)
 
     return {
         "engine": {"name": "prodsub", "version": __version__},
@@ -723,12 +719,15 @@ def _run_checks(
     }
 
 
-def _write_csv(path: str, chart: Chart, rows) -> None:
-    header = "check,sample_index," + ",".join(chart.var_names) + ",residual"
-    lines = [header]
-    for name, idx, u, value, _note, _deg in rows:
-        cols = [name, str(idx)] + [f"{x:.17g}" for x in u] + [f"{value:.17g}"]
-        lines.append(",".join(cols))
+def _write_csv(path: str, chart: Chart, columns: dict, samples: np.ndarray, names: list) -> None:
+    """One line per row of each check's column: the per-sample checks in
+    sorted name order, sample by sample, then the chart-level checks in the
+    order of ``names`` at index 0 and the chart center."""
+    lines = ["check,sample_index," + ",".join(chart.var_names) + ",residual"]
+    for name in sorted(n for n in names if n in CHECKS) + [n for n in names if n not in CHECKS]:
+        us = _points(name, samples, chart).tolist()
+        for idx, (u, value) in enumerate(zip(us, columns[name][0].tolist())):
+            lines.append(",".join([name, str(idx)] + [f"{x:.17g}" for x in u] + [f"{value:.17g}"]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -762,7 +761,7 @@ def _scan_row(scene: dict, param: str, value: float, residual: str):
         probe = chart.center() if signed else None
         chunks = list(_chunks(chart, [residual], samples, range(len(samples)), seed, probe))
         center = chunks.pop() if signed else None
-        values = [r[3] for chunk in chunks for r in _chunk_rows(chunk, [residual])]
+        values = np.concatenate([_chunk_columns(chunk, [residual])[residual][0] for chunk in chunks])
         row = {"value": value, "max_residual": float(np.max(values))}
         if signed:
             if center.errors[0] is not None:

@@ -82,24 +82,22 @@ def test_batch_rows_equal_single_point_calls(batch_charts):
             for a, b in zip(_geometry_fields(batch.point(i)), _geometry_fields(pg)):
                 assert _same(a, b), ch.label
             ed = second_fundamental(pg)
-            assert _same(np.array(eds[i].alpha), np.array(ed.alpha)), ch.label
-            assert _same(eds[i].H, ed.H) and _same(eds[i].H_norm, ed.H_norm), ch.label
+            assert _same(eds.alpha[i], np.array(ed.alpha)), ch.label
+            assert _same(eds.H[i], ed.H) and _same(eds.H_norm[i], ed.H_norm), ch.label
 
 
 def test_batch_rows_do_not_depend_on_batch_composition(batch_charts):
     for ch in batch_charts:
         U = random_interior_points(ch, 10, seed=5)
-        full = second_fundamental(analyze_point(ch, U))
-        rev = second_fundamental(analyze_point(ch, U[::-1]))[::-1]
-        halves = second_fundamental(analyze_point(ch, U[:3])) + second_fundamental(
-            analyze_point(ch, U[3:])
-        )
-        for other in (rev, halves):
-            for a, b in zip(full, other):
-                for x, y in zip(_geometry_fields(a.pg), _geometry_fields(b.pg)):
+        full, rev, first, last = (second_fundamental(analyze_point(ch, V)) for V in (U, U[::-1], U[:3], U[3:]))
+        n = len(U)
+        # (rows, row) of sample i in the reversed and in the split batches
+        for i in range(n):
+            for eds, r in ((rev, n - 1 - i), (first, i) if i < 3 else (last, i - 3)):
+                for x, y in zip(_geometry_fields(full.batch.point(i)), _geometry_fields(eds.batch.point(r))):
                     assert _same(x, y), ch.label
-                assert _same(np.array(a.alpha), np.array(b.alpha)), ch.label
-                assert _same(a.H, b.H), ch.label
+                assert _same(full.alpha[i], eds.alpha[r]), ch.label
+                assert _same(full.H[i], eds.H[r]), ch.label
 
 
 def test_batched_unary_jets_equal_scalar_jets():
@@ -291,17 +289,29 @@ POINTWISE_CHECKS = [
 ]
 
 
+def _rows(chart, names, samples, indices, seed):
+    """The chunk columns of ``_compute_rows`` flattened into (check, index,
+    u, value, note, degenerate) records, sample by sample in the order of
+    ``names``."""
+    chunks = prodsub.scene._compute_rows(chart, names, samples, indices, seed)
+    cells = {  # each check's (value, note, degenerate) in the order of indices
+        name: [cell for c in chunks for cell in zip(c[name][0].tolist(), c[name][1], c[name][2].tolist())]
+        for name in names
+    }
+    return [(name, idx, samples[idx].tolist(), *cells[name][j]) for j, idx in enumerate(indices) for name in names]
+
+
 def _reference_rows(chart, names, samples, seed):
     """The rows of each sample on its own: one chunk of one sample per call,
     so its geometry and its checks see no other sample."""
     rows = []
     for idx in range(len(samples)):
-        rows += prodsub.scene._compute_rows(chart, names, samples, [idx], seed)
+        rows += _rows(chart, names, samples, [idx], seed)
     return rows
 
 
 def _run_rows(chart, names, samples, seed):
-    return prodsub.scene._compute_rows(chart, names, samples, range(len(samples)), seed)
+    return _rows(chart, names, samples, range(len(samples)), seed)
 
 
 def _outcome(rows_of, *args):
@@ -489,7 +499,10 @@ def _nested_oracle(chart, u):
     points = np.vstack([first_layer(u), _outer_layers(u)])
     try:
         rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
-        cache._memo.update({tuple(v): (ed.pg, ed) for v, ed in zip(points.tolist(), rows) if ed is not None})
+        for i, v in enumerate(points.tolist()):
+            if rows.batch.errors[i] is None:
+                pg = rows.batch.point(i)
+                cache._memo[tuple(v)] = (pg, prodsub.extrinsic._extrinsic(pg, rows.alpha[i], rows.H[i], rows.H_norm[i]))
     except (ChartError, ArithmeticError, ValueError):
         pass  # the batch failed as a whole: every point alone
     pg, _ = cache.geometry(u)
@@ -797,10 +810,10 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
             if isinstance(ref, str):
                 continue  # the check raises on this chart (wrong codimension)
             for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
-                rows = prodsub.scene._compute_rows(ch, [name], samples, order, 3)
+                rows = _rows(ch, [name], samples, order, 3)
                 assert _same_rows(_rows_by_sample(rows), ref), (ch.label, name, order)
             split = _run_rows(ch, [name], samples[:1], 3)
-            split += prodsub.scene._compute_rows(ch, [name], samples, [1, 2, 3], 3)
+            split += _rows(ch, [name], samples, [1, 2, 3], 3)
             assert _same_rows(split, ref), (ch.label, name)
 
 

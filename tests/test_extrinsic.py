@@ -115,8 +115,6 @@ def test_onb_connection_antisymmetric(theorem1_heli):
     pg = analyze_point(theorem1_heli, [0.3, -0.2, 0.5])
     conn = onb_connection(pg)
     assert np.abs(conn + conn.transpose(0, 2, 1)).max() <= 1e-6
-    ed = second_fundamental(pg, with_connection=True)
-    assert np.array_equal(ed.conn, conn)
 
 
 def test_onb_connection_matches_fd_of_the_frame(all_gallery_charts):

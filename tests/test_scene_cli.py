@@ -369,13 +369,9 @@ def test_nonfinite_residual_fails_with_diagnostic():
     from prodsub.scene import _merge_stats
 
     chart = build_chart(_load("slice.json"))
-    rows = {
-        "membership": [
-            ("membership", 0, [0.1, 0.2], float("nan"), None, False),
-            ("membership", 1, [0.3, 0.4], 0.0, None, False),
-        ]
-    }
-    report, any_fail = _merge_stats(rows, chart, ["membership"], {})
+    samples = np.array([[0.1, 0.2], [0.3, 0.4]])
+    columns = {"membership": (np.array([float("nan"), 0.0]), [None, None], np.array([False, False]))}
+    report, any_fail = _merge_stats(columns, samples, chart, ["membership"], {})
     assert any_fail
     assert report[0]["verdict"] == "FAIL"
     assert "non-finite" in report[0]["notes"]
@@ -385,13 +381,9 @@ def test_mixed_degenerate_and_live_samples():
     from prodsub.scene import _merge_stats
 
     chart = build_chart(_load("slice.json"))
-    rows = {
-        "class_a": [
-            ("class_a", 0, [0.1, 0.2], 0.0, "T = 0 (slice-type point)", True),
-            ("class_a", 1, [0.3, 0.4], 1e-12, None, False),
-        ]
-    }
-    report, any_fail = _merge_stats(rows, chart, ["class_a"], {})
+    samples = np.array([[0.1, 0.2], [0.3, 0.4]])
+    columns = {"class_a": (np.array([0.0, 1e-12]), ["T = 0 (slice-type point)", None], np.array([True, False]))}
+    report, any_fail = _merge_stats(columns, samples, chart, ["class_a"], {})
     assert not any_fail
     assert report[0]["verdict"] == "PASS"  # live samples decide the verdict
 
@@ -477,23 +469,39 @@ def test_report_names_the_worst_sample_of_every_check(tmp_path, name):
         assert (by["splitting"]["argmax_index"], by["splitting"]["argmax_u"]) == (0, center)
 
 
+def test_csv_lines_follow_check_order_under_uneven_pool_blocks(tmp_path):
+    # 7 samples split into blocks of 3/2/2 (--jobs 3) and 2/2/2/1 (--jobs 4)
+    scene = _load("theorem1_cylinder.json")
+    checks = ["pmc", "splitting", "membership", "class_a"]
+    sampling = {"mode": "random", "counts": 7, "seed": 4}
+    csv = []
+    for jobs in (1, 3, 4):
+        path = tmp_path / f"j{jobs}.csv"
+        rep = run_scene(scene, checks, sampling_override=sampling, jobs=jobs, csv_path=str(path))
+        assert rep["parallel"]["used"] == jobs
+        json.dumps(rep)  # no numpy scalar in the report
+        for c in rep["checks"]:
+            for field in ("samples_evaluated", "samples_degenerate", "argmax_index"):
+                assert type(c[field]) is int, (c["name"], field)
+        csv.append(path.read_bytes())
+    assert csv[0] == csv[1] == csv[2]
+    keys = [line.split(",")[:2] for line in csv[0].decode().splitlines()[1:]]
+    want = [[name, str(i)] for name in ("class_a", "membership", "pmc") for i in range(7)] + [["splitting", "0"]]
+    assert keys == want
+    center = build_chart(scene).center().tolist()
+    assert [float(x) for x in csv[0].decode().splitlines()[-1].split(",")[2:-1]] == center
+
+
 def test_worst_sample_counts_non_finite_first_and_breaks_ties_by_index():
     from prodsub.scene import _merge_stats
 
     chart = build_chart(_load("slice.json"))
-    rows = {
-        "membership": [
-            ("membership", 0, [0.1, 0.2], 2.0, None, False),
-            ("membership", 1, [0.3, 0.4], float("nan"), None, False),
-            ("membership", 2, [0.5, 0.6], float("inf"), None, False),
-        ],
-        "class_a": [
-            ("class_a", 0, [0.1, 0.2], 0.0, "T = 0 (slice-type point)", True),
-            ("class_a", 1, [0.3, 0.4], 3.0, None, False),
-            ("class_a", 2, [0.5, 0.6], 3.0, None, False),
-        ],
+    samples = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    columns = {
+        "membership": (np.array([2.0, float("nan"), float("inf")]), [None] * 3, np.array([False, False, False])),
+        "class_a": (np.array([0.0, 3.0, 3.0]), ["T = 0 (slice-type point)", None, None], np.array([True, False, False])),
     }
-    report, _ = _merge_stats(rows, chart, ["membership", "class_a"], {})
+    report, _ = _merge_stats(columns, samples, chart, ["membership", "class_a"], {})
     assert [(c["argmax_index"], c["argmax_u"], c["samples_degenerate"]) for c in report] == [
         (1, [0.3, 0.4], 0),
         (1, [0.3, 0.4], 1),
