@@ -7,6 +7,7 @@ Exit codes: 0 all checks PASS or DEGENERATE, 1 any FAIL, 2 scene error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +43,10 @@ def _parse_grid(text: str) -> list:
         raise SceneError(f"--grid expects AxBxC, got {text!r}") from exc
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built on first use and kept: parsing
+    leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="prodsub",
         description="Residual checks for submanifolds of S^n x R and H^n x R.",

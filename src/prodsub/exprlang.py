@@ -222,7 +222,8 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
     """Evaluate through the jet layer.
 
     ``vars`` maps chart variable names to Jet2 seeds, ``params`` maps
-    parameter names to reals (entered as constant jets).  Every free
+    parameter names to reals, or to row arrays (N,) with one value per
+    batch row (entered as constant jets).  Every free
     identifier must be bound exactly once across vars, params and constants.
     """
     both = set(vars) & set(params)
@@ -242,7 +243,7 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
             if node.name in vars:
                 return vars[node.name]
             if node.name in params:
-                return jets.jet_const(float(params[node.name]), m)
+                return jets.jet_const(params[node.name], m)
             if node.name in CONSTANTS:
                 return jets.jet_const(CONSTANTS[node.name], m)
             raise EvalError(node.pos, f"unbound identifier {node.name!r}")

@@ -57,11 +57,16 @@ __all__ = [
 #: outer step for nested finite differences (inner layer carries ~1e-10 noise)
 FD_NESTED_STEP = 5e-4
 
-# most points in one call of batched_rows: a batch holds about
-# 2.4 KiB per point, and past about a thousand points a larger batch barely
-# lowers the cost per point (theorem1_cylinder on one core of a 2-vCPU
-# Xeon: 8.5 us at 1,024 points, 7.9 us at 4,096, 1 ms for a batch of one)
-_BATCH_POINTS = 1024
+# most points in one call of batched_rows: past a few hundred points a
+# larger batch barely lowers the cost per point, while the call's arrays and
+# temporaries take a few KiB per point.  analyze_point and
+# second_fundamental on theorem1_cylinder, one core of a 2-vCPU Xeon:
+# 0.4 ms for a batch of one, 9.3 us per point at 105 points, 5.6 us at 512,
+# 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405 points) took
+# 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s, in
+# reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
+# over the 45 MiB of the scan that ran step by step.
+_BATCH_POINTS = 512
 
 # most points in one call of the nested Laplacian's stencil geometry, in
 # whole rows (two at m = 3): larger calls run no faster and raise peak memory
@@ -282,11 +287,14 @@ class FirstLayer:
         self.k = 1 + 4 * rows.batch.u.shape[1]
 
     @classmethod
-    def at(cls, chart: Chart, U) -> "FirstLayer":
-        """The first layers of the points U (N, m) from one ``batched_rows``
-        call; the first center raises when every point does."""
+    def at(cls, chart: Chart, U, steps=None) -> "FirstLayer":
+        """The first layers of the points U (N, m), at the scan steps
+        ``steps`` (N,) on a family chart, from one ``batched_rows`` call; the
+        first center raises when every point does."""
         U = np.asarray(U, dtype=float).reshape(-1, chart.m)
-        ((_, rows, errors),) = batched_rows(chart, [np.vstack([first_layer(u) for u in U])])
+        k = 1 + 4 * chart.m
+        steps = None if steps is None else [np.repeat(steps, k)]
+        ((_, rows, errors),) = batched_rows(chart, [np.vstack([first_layer(u) for u in U])], steps)
         if rows is None:
             raise errors[0]
         return cls(rows)
@@ -326,37 +334,45 @@ class FirstLayer:
         return [fd_difference(v, h).reshape((n, m) + np.shape(f)[1:]) for v, f in zip(values, fields)]
 
 
-def batched_rows(chart: Chart, point_sets) -> Iterator[tuple[list, ExtrinsicRows | None, list]]:
+def batched_rows(chart: Chart, point_sets, steps=None) -> Iterator[tuple[list, ExtrinsicRows | None, list]]:
     """Yield (sets, rows, errors) for consecutive point sets (P_s, m) of
     ``point_sets``: up to ``_BATCH_POINTS`` points in all (at least one
     set) go to one batched call, whose geometry ``rows`` holds the sets'
     points in order; errors[j] is the error point j raises on its own, else
-    None.  When the call raises as a whole, each point is computed alone
-    first, the row of one that raises holds another point's geometry, and
-    rows is None when every point raises."""
+    None.  On a family chart, ``steps[s]`` is the scan step of set s's
+    points, one for all of them or one each.  When the call raises as a
+    whole, each point is computed alone first, the row of one that raises
+    holds another point's geometry, and rows is None when every point
+    raises."""
     sets = [np.asarray(p, dtype=float) for p in point_sets]
-    step = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
-    for first in range(0, len(sets), step):
-        block = sets[first : first + step]
+    per = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
+    for first in range(0, len(sets), per):
+        block = sets[first : first + per]
         points = np.vstack(block)
-        rows = _geometry_rows(chart, points)
+        at = None
+        if steps is not None:
+            at = np.concatenate([np.broadcast_to(s, len(p)) for s, p in zip(steps[first : first + per], block)])
+        rows = _geometry_rows(chart, points, at)
         if isinstance(rows, ExtrinsicRows):
             yield block, rows, rows.batch.errors
             continue
-        alone = [_geometry_rows(chart, p[None]) for p in points]
+        alone = [_geometry_rows(chart, p[None], None if at is None else at[j : j + 1]) for j, p in enumerate(points)]
         errors = [r.batch.errors[0] if isinstance(r, ExtrinsicRows) else r for r in alone]
         ok, rows = [e is None for e in errors], None
         if any(ok):  # a point that raises takes the place of the first one that does not
-            rows = second_fundamental(analyze_point(chart, np.where(np.c_[ok], points, points[ok.index(True)])))
+            sub = ok.index(True)
+            at = None if at is None else np.where(ok, at, at[sub])
+            rows = second_fundamental(analyze_point(chart, np.where(np.c_[ok], points, points[sub]), at))
             rows.batch.errors = errors
         yield block, rows, errors
 
 
-def _geometry_rows(chart: Chart, points: np.ndarray) -> ExtrinsicRows | Exception:
-    """The geometry of points (P, m) from one batched ``analyze_point`` and
+def _geometry_rows(chart: Chart, points: np.ndarray, steps=None) -> ExtrinsicRows | Exception:
+    """The geometry of points (P, m), at the scan steps ``steps`` (P,) on a
+    family chart, from one batched ``analyze_point`` and
     ``second_fundamental`` call, or the error the whole batch raised."""
     try:
-        batch = analyze_point(chart, points)
+        batch = analyze_point(chart, points, steps)
     except (ChartError, ArithmeticError, ValueError) as exc:
         return exc
     return second_fundamental(batch)
@@ -396,8 +412,9 @@ def normal_laplacians_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarr
     step = max(1, _NESTED_POINTS // (4 * m * (1 + 4 * m)))
     W = []
     for first in range(0, K, step):
+        at = None if b.steps is None else np.repeat(b.steps[first : first + step], 4 * m)
         try:
-            W.append(normal_derivatives_H(FirstLayer.at(b.chart, outer[first : first + step])))
+            W.append(normal_derivatives_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
         except RowFailure as f:  # from an outer point to its row
             raise RowFailure(first + f.args[0] // (4 * m), f.args[1]) from None
         except EngineError as exc:  # every point of the call failed

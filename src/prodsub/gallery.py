@@ -14,8 +14,8 @@ import numpy as np
 
 from . import exprlang, jets
 from .ambient import ProductSpace
-from .errors import ChartError
-from .immersion import Chart, probe_grid, wrap_expr
+from .errors import ChartError, EngineError, SceneError
+from .immersion import Chart, Family, probe_grid, wrap_expr
 from .jets import VecJet2, fd_gradient
 
 __all__ = [
@@ -41,31 +41,38 @@ def _zero(m: int = 0):
 def make_slice(space: ProductSpace, t0: float = 0.0) -> Chart:
     """Coordinate patch of a totally geodesic Q^2 sitting in the slice
     Q^n_eps x {t0}; T vanishes identically."""
-    m = 2
-    if space.epsilon == 1:
-        coords = [
-            lambda us: jets.cos(us[0]) * jets.cos(us[1]),
-            lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-            lambda us: jets.sin(us[0]),
-        ]
-    else:
-        coords = [
-            lambda us: jets.cosh(us[0]) * jets.cosh(us[1]),
-            lambda us: jets.sinh(us[0]),
-            lambda us: jets.cosh(us[0]) * jets.sinh(us[1]),
-        ]
-    coords += [_zero(m)] * (space.n - 2)
-    coords.append(_const(t0, m))
+    return _one_step(_slice_family(space, "t0", [t0]))
+
+
+def _slice_family(space: ProductSpace, param: str, values: list, t0: float = 0.0) -> Chart:
+    """The slices at the heights ``values``; see ``make_slice``."""
+    T0 = np.array(values, dtype=float)
+
+    def coords(t0):
+        m = 2
+        if space.epsilon == 1:
+            qc = [
+                lambda us: jets.cos(us[0]) * jets.cos(us[1]),
+                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
+                lambda us: jets.sin(us[0]),
+            ]
+        else:
+            qc = [
+                lambda us: jets.cosh(us[0]) * jets.cosh(us[1]),
+                lambda us: jets.sinh(us[0]),
+                lambda us: jets.cosh(us[0]) * jets.sinh(us[1]),
+            ]
+        return qc + [_zero(m)] * (space.n - 2) + [_const(t0, m)]
+
     chart = Chart(
         space=space,
-        m=m,
-        coords=coords,
+        m=2,
+        coords=coords(values[0]),
         domain=[(-0.6, 0.6), (-0.6, 0.6)],
         var_names=["u1", "u2"],
-        label=f"slice(t0={t0})",
+        label=f"slice(t0={values[0]})",
     )
-    chart.validate_membership()
-    return chart
+    return _with_family(chart, values, lambda steps: coords(T0[steps]), [f"slice(t0={v})" for v in values])
 
 
 def _curve_coords(space: ProductSpace, curve: dict, m: int, var: str, var_names):
@@ -188,17 +195,21 @@ def _custom_phi(phi_params: dict):
     return coords[:3], coords[3], dom
 
 
-def _phi_geometry_check(space, a, qc, fr, dom, check_T: bool, tol_min: float = 1e-8):
+def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool, tol_min: float = 1e-8) -> list:
     """Minimality oracle for the surface factor phi in Q^2_a x R, plus the
-    nowhere-vanishing test on its T field."""
+    nowhere-vanishing test on its T field, at ``count`` steps of a scan
+    whose probe grids are the rows of ``u`` in turn: the error of each step,
+    else None.  ``a`` is one number or one per row."""
     eps = space.epsilon
     sig = np.array([eps if eps == -1 else 1.0, 1.0, 1.0, 1.0])
 
     def sdot(x, y):
         return np.sum(sig * x * y, axis=-1)
 
-    # one batched jet over the probe grid; every step below is row by row
-    u = probe_grid(dom, 5)
+    def per_step(x):
+        return x.reshape(count, -1)
+
+    # one batched jet over the probe grids; every step below is row by row
     seeds = (jets.jet_var(0, u[:, 0], 2), jets.jet_var(1, u[:, 1], 2))
     vj = VecJet2([qc[0](seeds), qc[1](seeds), qc[2](seeds), fr(seeds)])
     J = vj.jac  # (N, 4, 2)
@@ -207,9 +218,8 @@ def _phi_geometry_check(space, a, qc, fr, dom, check_T: bool, tol_min: float = 1
     phiq[:, 3] = 0.0
     g = JtS @ J
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
-    if np.any(det <= 1e-14):
-        raise ChartError("phi factor is degenerate on the probe grid")
-    g_inv = np.linalg.inv(g)
+    degenerate = np.any(per_step(det <= 1e-14), axis=1)
+    g_inv = np.linalg.inv(np.where((det <= 1e-14)[:, None, None], np.eye(2), g))
 
     def proj(v):
         out = v - (sdot(v, phiq) / (eps * a * a))[:, None] * phiq
@@ -221,16 +231,22 @@ def _phi_geometry_check(space, a, qc, fr, dom, check_T: bool, tol_min: float = 1
             hvec += g_inv[:, i, j, None] * vj.second(i, j)
     hvec = 0.5 * proj(hvec)
     # fmax/fmin skip NaN rows, as the running max/min over points did
-    worst_h = float(np.fmax.reduce(np.sqrt(np.abs(sdot(hvec, hvec))), initial=0.0))
+    worst_h = np.fmax.reduce(per_step(np.sqrt(np.abs(sdot(hvec, hvec)))), axis=1, initial=0.0)
+    min_t = np.full(count, math.inf)
     if check_T:
         tq = J[:, 3, :, None]
-        min_t = float(np.fmin.reduce((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0], initial=math.inf))
-    if worst_h > tol_min:
-        raise ChartError(
-            f"phi is not minimal: ||H_phi|| reaches {worst_h:.3e} > {tol_min:.1e}"
-        )
-    if check_T and min_t < 1e-10:
-        raise ChartError("T_phi vanishes somewhere on the probe grid")
+        min_t = np.fmin.reduce(per_step((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0]), axis=1, initial=math.inf)
+    errors = []
+    for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
+        if bad:
+            errors.append(ChartError("phi factor is degenerate on the probe grid"))
+        elif h > tol_min:
+            errors.append(ChartError(f"phi is not minimal: ||H_phi|| reaches {h:.3e} > {tol_min:.1e}"))
+        elif t < 1e-10:
+            errors.append(ChartError("T_phi vanishes somewhere on the probe grid"))
+        else:
+            errors.append(None)
+    return errors
 
 
 def make_theorem1(
@@ -245,9 +261,13 @@ def make_theorem1(
     eps = +1 takes 0 < |a| < 1 with b = sqrt(1 - a^2); eps = -1 needs |a| > 1
     and uses b = sqrt(a^2 - 1) so that the image stays on the quadric.
     """
-    if space.n != 4:
-        raise ChartError("theorem1 charts live in Q^4_eps x R")
-    phi_params = phi_params or {}
+    param = "a" if a is not None or a2 is None else "a2"
+    spec = {"a": a, "phi_kind": phi_kind, "phi_params": phi_params, "a2": a2}
+    return _one_step(_theorem1_family(space, param, [spec[param]], **spec))
+
+
+def _theorem1_ab(space: ProductSpace, a: float | None, a2: float | None) -> tuple[float, float]:
+    """a and b of ``make_theorem1``, which raises where a and a2 are not fit."""
     if a is None:
         if a2 is None:
             raise ChartError("theorem1 needs a or a2")
@@ -259,37 +279,61 @@ def make_theorem1(
     if space.epsilon == 1:
         if not 0.0 < abs(a) < 1.0:
             raise ChartError(f"eps=+1 needs 0 < |a| < 1, got a={a}")
-        b = math.sqrt(1.0 - a * a)
-    else:
-        if not abs(a) > 1.0:
-            raise ChartError(f"eps=-1 needs |a| > 1, got a={a}")
-        b = math.sqrt(a * a - 1.0)
+        return a, math.sqrt(1.0 - a * a)
+    if not abs(a) > 1.0:
+        raise ChartError(f"eps=-1 needs |a| > 1, got a={a}")
+    return a, math.sqrt(a * a - 1.0)
 
-    qc, fr, phidom = _phi_factor(space, a, phi_kind, phi_params)
-    _phi_geometry_check(space, a, qc, fr, phidom, check_T=phi_kind != "geodesic_cylinder")
 
-    m = 3
-    cs = lambda us: b * jets.cos(us[2] / b)
-    sn = lambda us: b * jets.sin(us[2] / b)
-    if space.epsilon == 1:
-        coords = [cs, sn, qc[0], qc[1], qc[2], fr]
-    else:
+def _theorem1_family(
+    space: ProductSpace,
+    param: str,
+    values: list,
+    a: float | None = None,
+    phi_kind: str = "geodesic_cylinder",
+    phi_params: dict | None = None,
+    a2: float | None = None,
+) -> Chart:
+    """The theorem-1 charts at the values of a or a2; see ``make_theorem1``."""
+    if space.n != 4:
+        raise ChartError("theorem1 charts live in Q^4_eps x R")
+    phi_params = phi_params or {}
+    spec = {"a": a, "a2": a2}
+    ab, error = _each_step(values, lambda v: _theorem1_ab(space, **{**spec, param: v}))
+    A, B = (np.array(x) for x in zip(*ab))
+
+    def coords(a, b):
+        qc, fr, _ = _phi_factor(space, a, phi_kind, phi_params)
+        cs = lambda us: b * jets.cos(us[2] / b)
+        sn = lambda us: b * jets.sin(us[2] / b)
+        if space.epsilon == 1:
+            return [cs, sn, qc[0], qc[1], qc[2], fr]
         # timelike coordinate of the phi factor goes to slot 0
-        coords = [qc[0], qc[1], qc[2], cs, sn, fr]
+        return [qc[0], qc[1], qc[2], cs, sn, fr]
+
+    phidom = _phi_factor(space, ab[0][0], phi_kind, phi_params)[2]
+    grid = probe_grid(phidom, 5)
+
+    def phi_errors(steps):
+        at = np.repeat(steps, len(grid))
+        qc, fr, _ = _phi_factor(space, A[at], phi_kind, phi_params)
+        u = np.tile(grid, (len(steps), 1))
+        return _phi_geometry_check(space, A[at], qc, fr, u, len(steps), check_T=phi_kind != "geodesic_cylinder")
 
     smax = 1.2
+    labels = [f"theorem1(a={a:g}, {phi_kind})" for a, _ in ab]
     chart = Chart(
         space=space,
-        m=m,
-        coords=coords,
-        params={"a": a, "b": b},
+        m=3,
+        coords=coords(*ab[0]),
+        params={"a": ab[0][0], "b": ab[0][1]},
         domain=[phidom[0], phidom[1], (-smax, smax)],
         var_names=["u1", "u2", "s"],
         s_index=2,
-        label=f"theorem1(a={a:g}, {phi_kind})",
+        label=labels[0],
     )
-    chart.validate_membership()
-    return chart
+    family = lambda steps: coords(A[steps], B[steps])
+    return _with_family(chart, values, family, labels, error, [(len(grid), phi_errors)])
 
 
 def make_partial_tube(
@@ -434,52 +478,99 @@ def _validate_tube_data(space, gamma, normal_fns, alpha_asts, pparams, xdom, sdo
 def make_cmc_product(space: ProductSpace, r: float) -> Chart:
     """N^{n-1} x R for N a geodesic sphere of radius r in Q^n_eps
     (codimension 1; constant mean curvature, eta = 0)."""
+    return _one_step(_cmc_product_family(space, "r", [r]))
+
+
+def _cmc_product_cs(space: ProductSpace, r: float) -> tuple[float, float]:
+    """cos r and sin r (cosh and sinh for eps = -1), where r is fit."""
     if space.epsilon == 1:
         if not 0.0 < r <= math.pi / 2:
             raise ChartError("eps=+1 needs 0 < r <= pi/2")
-        c0, s0 = math.cos(r), math.sin(r)
-    else:
-        if not r > 0.0:
-            raise ChartError("eps=-1 needs r > 0")
-        c0, s0 = math.cosh(r), math.sinh(r)
+        return math.cos(r), math.sin(r)
+    if not r > 0.0:
+        raise ChartError("eps=-1 needs r > 0")
+    return math.cosh(r), math.sinh(r)
+
+
+def _cmc_product_family(space: ProductSpace, param: str, values: list, r: float | None = None) -> Chart:
+    """The products at the radii ``values``; see ``make_cmc_product``."""
+    cs, error = _each_step(values, lambda r: _cmc_product_cs(space, r))
+    C0, S0 = (np.array(x) for x in zip(*cs))
     n = space.n
     m = n
-    if n == 3:
-        omega = [
-            lambda us: jets.cos(us[0]) * jets.cos(us[1]),
-            lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-            lambda us: jets.sin(us[0]),
-        ]
-    elif n == 4:
-        omega = [
-            lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.cos(us[2]),
-            lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.sin(us[2]),
-            lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-            lambda us: jets.sin(us[0]),
-        ]
-    else:
+    if n not in (3, 4):
         raise ChartError("cmc_product supports n in {3, 4}")
-    coords = [_const(c0, m)]
-    coords += [lambda us, w=w: s0 * w(us) for w in omega]
-    coords.append(lambda us: us[m - 1])
-    var_names = [f"u{i + 1}" for i in range(m - 1)] + ["s"]
+
+    def coords(c0, s0):
+        if n == 3:
+            omega = [
+                lambda us: jets.cos(us[0]) * jets.cos(us[1]),
+                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
+                lambda us: jets.sin(us[0]),
+            ]
+        else:
+            omega = [
+                lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.cos(us[2]),
+                lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.sin(us[2]),
+                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
+                lambda us: jets.sin(us[0]),
+            ]
+        return [_const(c0, m)] + [lambda us, w=w: s0 * w(us) for w in omega] + [lambda us: us[m - 1]]
+
+    minimal = " [minimal]" if space.epsilon == 1 else ""
+    labels = [f"cmc_product(r={r:g})" + (minimal if abs(r - math.pi / 2) < 1e-12 else "") for r in values[: len(cs)]]
     chart = Chart(
         space=space,
         m=m,
-        coords=coords,
-        params={"r": r},
+        coords=coords(*cs[0]),
+        params={"r": values[0]},
         domain=[(-0.6, 0.6)] * (m - 1) + [(-1.0, 1.0)],
-        var_names=var_names,
+        var_names=[f"u{i + 1}" for i in range(m - 1)] + ["s"],
         s_index=m - 1,
-        label=f"cmc_product(r={r:g})" + (" [minimal]" if space.epsilon == 1 and abs(r - math.pi / 2) < 1e-12 else ""),
+        label=labels[0],
     )
-    chart.validate_membership()
+    return _with_family(chart, values, lambda steps: coords(C0[steps], S0[steps]), labels, error)
+
+
+def _each_step(values: list, derive) -> tuple[list, Exception | None]:
+    """``derive(v)`` for each scanned value in turn, up to the first that
+    raises, and that error; the first step raises at once."""
+    out = []
+    for v in values:
+        try:
+            out.append(derive(v))
+        except EngineError as exc:
+            if not out:
+                raise
+            return out, exc
+    return out, None
+
+
+def _with_family(chart: Chart, values: list, coords, labels: list, error=None, checks=()) -> Chart:
+    """``chart``, the chart of the first step, as the family chart of the
+    steps before ``error``: ``coords``, ``labels`` and ``checks`` as in
+    ``Family``, which the membership check of every step joins last."""
+    steps = len(labels)
+    checks = [*checks, (5**chart.m, chart.membership_errors)]
+    chart.family = Family(np.array(values[:steps], dtype=float), coords, labels[:steps], checks, error)
+    return chart
+
+
+def _one_step(chart: Chart) -> Chart:
+    """The chart of a family of one step, once the step's checks pass."""
+    for _, check in chart.family.checks:
+        (error,) = check(np.zeros(1, dtype=int))
+        if error is not None:
+            raise error
+    chart.family = None
     return chart
 
 
 GALLERY = {
     "slice": {
         "factory": make_slice,
+        "family": _slice_family,
+        "scans": ("t0",),
         "params": {"t0": "height of the slice (default 0)"},
         "constraints": "none",
     },
@@ -492,6 +583,8 @@ GALLERY = {
     },
     "theorem1": {
         "factory": make_theorem1,
+        "family": _theorem1_family,
+        "scans": ("a", "a2"),
         "params": {
             "a": "surface-factor radius (or a2 = a^2)",
             "phi_kind": "geodesic_cylinder | helicoid | custom",
@@ -510,16 +603,28 @@ GALLERY = {
     },
     "cmc_product": {
         "factory": make_cmc_product,
+        "family": _cmc_product_family,
+        "scans": ("r",),
         "params": {"r": "geodesic-sphere radius in Q^n_eps"},
         "constraints": "eps=+1: 0 < r <= pi/2 (r = pi/2 is the minimal equator); eps=-1: r > 0",
     },
 }
 
 
-def make_chart(space: ProductSpace, spec: dict) -> Chart:
-    """Build a gallery chart from a scene-style mapping {kind, ...params}."""
+def make_chart(space: ProductSpace, spec: dict, scan: tuple | None = None) -> Chart:
+    """Build a gallery chart from a scene-style mapping {kind, ...params}.
+
+    ``scan`` = (param, values) builds instead the family chart of those
+    values of one numeric parameter (see ``Family``), whose chart-level
+    checks the caller runs."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in GALLERY:
         raise ChartError(f"unknown gallery kind {kind!r}")
-    return GALLERY[kind]["factory"](space, **spec)
+    if scan is None:
+        return GALLERY[kind]["factory"](space, **spec)
+    param, values = scan
+    scans = GALLERY[kind].get("scans", ())
+    if param not in scans:
+        raise SceneError(f"cannot scan {param!r}: gallery kind {kind} scans {', '.join(scans) or 'no parameter'}")
+    return GALLERY[kind]["family"](space, param, values, **spec)

@@ -3,7 +3,9 @@
 A chart is an m-parameter immersion into Q^n_eps x R given by one coordinate
 map per ambient slot.  Coordinate maps are either expression ASTs or plain
 Python callables over jets (the gallery generators use the latter, giving
-analytic 2-jets with no parse step).
+analytic 2-jets with no parse step).  A family chart (``Family``) holds the
+steps of a parameter scan: each batch row carries its step, and the
+coordinate maps read the scanned parameter row by row.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .jets import Jet2, VecJet2
 
 __all__ = [
     "Chart",
+    "Family",
     "PointGeometry",
     "PointBatch",
     "evaluate_jet",
@@ -53,6 +56,7 @@ class Chart:
     var_names: list = field(default_factory=list)
     s_index: int | None = None  # designated s variable, when the chart has one
     label: str = ""
+    family: Family | None = None  # the steps of a parameter scan; None for one parameter value
 
     def __post_init__(self):
         if not self.var_names:
@@ -73,19 +77,61 @@ class Chart:
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
 
-    def validate_membership(self, tol: float = 1e-9, per_axis: int = 5) -> float:
-        """Worst membership residual on a probe grid; raises past ``tol``.
+    def validate_membership(self, tol: float = 1e-9, per_axis: int = 5) -> None:
+        """Raises where the chart leaves the product past ``tol`` on a probe
+        grid; a family chart checks its first step."""
+        (error,) = self.membership_errors(None, tol, per_axis)
+        if error is not None:
+            raise error
 
-        The grid is one batched jet evaluation.  A non-finite residual at
-        any probe point counts as the worst and raises as well."""
-        values = evaluate_jet(self, probe_grid(self.domain, per_axis)).values
-        worst = float(np.max(membership_residual(self.space, values), initial=0.0))
-        if not worst <= tol:
-            raise ChartError(
-                f"chart {self.label or '<unnamed>'} leaves the product: "
-                f"membership residual {worst:.3e} > {tol:.1e}"
+    def membership_errors(self, steps=None, tol: float = 1e-9, per_axis: int = 5) -> list:
+        """The membership check at each scan step of ``steps`` (N,), or once
+        for None: the error of a step whose probe grid leaves the product
+        past ``tol``, else None.  The grids of all the steps are one batched
+        jet evaluation.  A non-finite residual at any probe point counts as
+        the worst and fails as well."""
+        grid = probe_grid(self.domain, per_axis)
+        count = 1 if steps is None else len(steps)
+        rows = None if steps is None else np.repeat(steps, len(grid))
+        values = evaluate_jet(self, np.tile(grid, (count, 1)), rows).values
+        worst = np.max(membership_residual(self.space, values).reshape(count, -1), axis=1, initial=0.0)
+        labels = [self.label] if steps is None else [self.family.labels[s] for s in steps]
+        return [
+            None
+            if w <= tol
+            else ChartError(
+                f"chart {label or '<unnamed>'} leaves the product: membership residual {w:.3e} > {tol:.1e}"
             )
-        return worst
+            for w, label in zip(worst.tolist(), labels)
+        ]
+
+
+@dataclass
+class Family:
+    """The steps of a parameter scan, all on one chart.
+
+    Step s sets the scanned parameter to ``values[s]``.  ``coords(steps)``
+    gives the coordinate maps of batch rows at the steps ``steps`` (N,),
+    each map reading the parameter values of its row, and ``labels[s]`` is
+    the label of step s's chart.  ``checks`` are the chart-level checks of
+    a build, in order, as (probe points per step, check): ``check(steps)``
+    gives the error of each step of ``steps``, else None.  The family keeps
+    the steps before the first one whose chart does not build, and
+    ``error`` is the error of that step.
+    """
+
+    values: np.ndarray
+    coords: Callable
+    labels: list
+    checks: list = field(default_factory=list)
+    error: Exception | None = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def stop(self, step: int, error: Exception) -> None:
+        """Keep the steps before ``step``, whose chart raises ``error``."""
+        self.values, self.labels, self.error = self.values[:step], self.labels[:step], error
 
 
 def probe_grid(domain, counts=5):
@@ -105,9 +151,10 @@ def probe_grid(domain, counts=5):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def evaluate_jet(chart: Chart, u) -> VecJet2:
+def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
     """2-jet of all ambient coordinates at the chart point ``u`` (m,), or at
     every row of a batch ``u`` (N, m) in one pass through the coordinate maps.
+    On a family chart, ``steps`` gives the scan step of each row (N,).
 
     A single point runs as a batch of one, so its jet is bit for bit the
     matching row of any batch.  When a coordinate map fails on a batch, the
@@ -120,14 +167,14 @@ def evaluate_jet(chart: Chart, u) -> VecJet2:
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, coord in enumerate(chart.coords):
+        for k, coord in enumerate(chart.coords if steps is None else chart.family.coords(steps)):
             try:
                 c = coord(seeds)
             except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
                 if u.ndim == 1:
                     raise ChartError(f"coordinate {k} failed at u={u.tolist()}: {exc}") from exc
-                for row in U:
-                    evaluate_jet(chart, row)
+                for r, row in enumerate(U):
+                    evaluate_jet(chart, row, None if steps is None else steps[r : r + 1])
                 raise ChartError(f"coordinate {k} failed on a batch: {exc}") from exc
             # a coordinate that ignores the seeds comes back without the batch axis
             comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess))
@@ -338,6 +385,7 @@ class PointBatch:
     theta: np.ndarray
     nu: np.ndarray | None
     errors: list
+    steps: np.ndarray | None = None  # the scan step of each row, on a family chart
 
     def __len__(self) -> int:
         return len(self.u)
@@ -359,7 +407,7 @@ class PointBatch:
         rows = {
             f.name: np.asarray(getattr(pg, f.name), dtype=float)[None]
             for f in fields(cls)
-            if f.name not in ("chart", "jet", "nu", "errors")
+            if f.name not in ("chart", "jet", "nu", "errors", "steps")
         }
         rows["tangent_onb"] = np.stack(pg.tangent_onb, axis=1).T[None]
         nu = None if pg.nu is None else np.array([pg.nu])
@@ -372,7 +420,7 @@ class PointBatch:
             for f in fields(self)
             if f.name not in ("chart", "jet", "errors") and getattr(self, f.name) is not None
         }
-        errors = [self.errors[i] for i in np.arange(len(self))[rows]]
+        errors = self.errors[rows] if isinstance(rows, slice) else [self.errors[i] for i in np.arange(len(self))[rows]]
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
     def point(self, i: int) -> PointGeometry:
@@ -398,25 +446,26 @@ class PointBatch:
         )
 
 
-def analyze_point(chart: Chart, u):
+def analyze_point(chart: Chart, u, steps=None):
     """Metric, orthonormal frames and the d_t = f_* T + eta decomposition.
 
     ``u`` (m,) gives a PointGeometry and raises where the point is irregular
     or a frame degenerates; ``u`` (N, m) gives a PointBatch that records
     those errors per row.  A single point runs as a batch of one, so its
-    geometry is bit for bit the matching row of any batch.
+    geometry is bit for bit the matching row of any batch.  On a family
+    chart, ``steps`` gives the scan step of each row (N,).
     """
     u = np.array(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0
-        batch = _analyze(chart, u.reshape(-1, chart.m))
+        batch = _analyze(chart, u.reshape(-1, chart.m), steps)
     return batch if u.ndim > 1 else batch.point(0)
 
 
-def _analyze(chart: Chart, U: np.ndarray) -> PointBatch:
+def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
     sp = chart.space
     m = chart.m
     n_rows = len(U)
-    jet = evaluate_jet(chart, U)
+    jet = evaluate_jet(chart, U, steps)
     pos = jet.values
     errors: list = [None] * n_rows
 
@@ -480,6 +529,7 @@ def _analyze(chart: Chart, U: np.ndarray) -> PointBatch:
         theta=np.arctan2(eta_norm, T_norm),
         nu=inner(sp, eta, xi[:, 0]) if want == 1 else None,
         errors=errors,
+        steps=steps,
     )
 
 

@@ -76,6 +76,11 @@ def _mat(x):
     return np.asarray(x)[..., None, None]
 
 
+def _number(x):
+    """A float, or a float array for a row array (one number per batch row)."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
@@ -104,12 +109,13 @@ class Jet2:
         return f"Jet2(value={float(self.value)!r}, m={self.m})"
 
     # -- arithmetic -------------------------------------------------------
-    # A plain number operand scales or shifts the jet directly; the values
-    # equal those of the same operation against a constant jet.
+    # A number operand, or a row array (N,) of them for a batch, scales or
+    # shifts the jet directly; the values equal those of the same operation
+    # against a constant jet.
 
     def __add__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value + float(other), self.grad, self.hess)
+            return Jet2(self.value + _number(other), self.grad, self.hess)
         _check_same_m(self, other)
         return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
@@ -117,17 +123,17 @@ class Jet2:
 
     def __sub__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value - float(other), self.grad, self.hess)
+            return Jet2(self.value - _number(other), self.grad, self.hess)
         _check_same_m(self, other)
         return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __rsub__(self, other) -> "Jet2":
-        return Jet2(float(other) - self.value, -self.grad, -self.hess)
+        return Jet2(_number(other) - self.value, -self.grad, -self.hess)
 
     def __mul__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            c = float(other)
-            return Jet2(self.value * c, self.grad * c, self.hess * c)
+            c = _number(other)
+            return Jet2(self.value * c, self.grad * _col(c), self.hess * _mat(c))
         o = other
         _check_same_m(self, o)
         cross = _outer(self.grad, o.grad)
@@ -141,8 +147,8 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            c = float(other)
-            if c == 0.0:
+            c = _number(other)
+            if np.any(c == 0.0):
                 raise ZeroDivisionError("jet division by zero value")
             return self * (1.0 / c)
         _check_same_m(self, other)
@@ -170,7 +176,8 @@ def jet_var(index: int, value, m: int) -> Jet2:
     return Jet2(value, grad, np.zeros(value.shape + (m, m)))
 
 
-def jet_const(value: float, m: int) -> Jet2:
+def jet_const(value, m: int) -> Jet2:
+    """Constant jet of one number, or of a row array (N,) with one per batch row."""
     return Jet2(value, np.zeros(m), np.zeros((m, m)))
 
 

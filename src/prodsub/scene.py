@@ -5,17 +5,25 @@ an immersion (gallery spec or expression list), a sampling spec, the list of
 checks to run and optional tolerance overrides.
 
 A run checks its samples a chunk at a time: one batched geometry call per
-chunk of up to 1,024 points of whole samples, and one call of each CHECKS
-entry on the chunk's arrays, which returns a residual, a note and a
-degenerate flag per sample.  Every entry is array code: the finite-difference
-ones difference along the stencil axis of the chunk's first layer, and the
-nested normal Laplacian is one kernel call over the chunk's samples that
-need it.  The results stay one column per check from the kernel to the
-report and the CSV: chunks, and a pool's contiguous blocks of samples,
-follow sample order, so joining a check's columns gives row i for sample i.
-Residuals are deterministic functions of (scene, seed): nothing reduces
-across samples, and per-sample randomness is keyed by (seed, index), so
-neither the chunking nor the worker partitioning changes values.
+chunk of up to ``extrinsic._BATCH_POINTS`` (512) points of whole samples,
+and one call of each CHECKS entry on the chunk's arrays, which returns a
+residual, a note and a degenerate flag per sample.  Every entry is array
+code: the finite-difference ones difference along the stencil axis of the
+chunk's first layer, and the nested normal Laplacian is one kernel call
+over the chunk's samples that need it.  The results stay one column per
+check from the kernel to the report and the CSV: chunks, and a pool's
+contiguous blocks of samples, follow sample order, so joining a check's
+columns gives row i for sample i.  Residuals are deterministic functions of
+(scene, seed): nothing reduces across samples, and per-sample randomness is
+keyed by (seed, index), so neither the chunking nor the worker partitioning
+changes values.
+
+A parameter scan is one such run on one family chart (``Family``), whose
+scanned parameter takes one value per batch row: every step's samples, and
+each step's chart center for the signed predicate, go through the same
+chunks and pool, each row keeping its step, and the columns split back into
+one maximum per step.  The chart-level checks of a build run once over the
+probe grids of all the steps, in blocks of whole steps.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import numpy as np
 
 from . import __version__
 from .ambient import ProductSpace, inner, membership_residual
+from . import exprlang, extrinsic
 from .classify import (
     DEGENERATE,
     biconservative_full,
@@ -57,7 +66,7 @@ from .extrinsic import (
     ricci_residuals,
 )
 from .gallery import make_chart
-from .immersion import Chart, probe_grid
+from .immersion import Chart, Family, probe_grid, wrap_expr
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -160,21 +169,36 @@ def load_scene(path: str) -> dict:
 
 
 _VALIDATOR = jsonschema.Draft202012Validator(SCENE_SCHEMA)
+_SAMPLING_VALIDATOR = jsonschema.Draft202012Validator(SCENE_SCHEMA["properties"]["sampling"])
 
 
 def validate_scene(scene: dict) -> None:
-    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(scene))
+    _validate(_VALIDATOR, scene)
+
+
+def _validate(validator, document) -> None:
+    err = jsonschema.exceptions.best_match(validator.iter_errors(document))
     if err is not None:
         raise SceneError(f"scene does not match the schema: {err.message}") from err
 
 
-def build_chart(scene: dict) -> Chart:
+def build_chart(scene: dict, scan: tuple | None = None) -> Chart:
+    """The chart of a validated scene.  ``scan`` = (param, values) builds
+    instead the family chart of those values of one immersion parameter,
+    having run the chart-level checks of every step (``_check_family``)."""
     amb = scene["ambient"]
     space = ProductSpace(int(amb["epsilon"]), int(amb["n"]))
     imm = scene["immersion"]
     if "gallery" in imm:
-        return make_chart(space, imm["gallery"])
-    ex = imm["expressions"]
+        chart = make_chart(space, imm["gallery"], scan)
+    else:
+        chart = _expression_chart(space, imm["expressions"], scan)
+    if scan is not None:
+        _check_family(chart.family)
+    return chart
+
+
+def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Chart:
     if len(ex["coords"]) != space.ambient_dim:
         raise SceneError(
             f"expression immersion needs {space.ambient_dim} coordinates"
@@ -189,8 +213,51 @@ def build_chart(scene: dict) -> Chart:
         s_index=ex.get("s_index"),
         label=ex.get("label", "expressions"),
     )
-    chart.validate_membership()
+    if scan is None:
+        chart.validate_membership()
+        return chart
+    param, values = scan
+    asts = [exprlang.parse(src) for src in ex["coords"]]
+    free = set().union(*map(exprlang.free_vars, asts)) - set(chart.var_names)
+    if param not in free:
+        raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
+    V = np.array(values, dtype=float)
+    chart.params[param] = float(V[0])  # the coordinate maps of the chart itself read step 0
+
+    def coords(steps):
+        params = {**chart.params, param: V[steps]}
+        return [wrap_expr(ast, params, chart.var_names) for ast in asts]
+
+    checks = [(5**chart.m, chart.membership_errors)]
+    chart.family = Family(V, coords, [chart.label] * len(V), checks)
     return chart
+
+
+def _check_family(family: Family) -> None:
+    """Run a family's chart-level checks over the probe grids of all its
+    steps, in blocks of whole steps of at most ``_BATCH_POINTS`` points,
+    each check on the steps that passed the ones before it.  The family
+    stops at the first step that fails; a block that raises runs again step
+    by step, so the error is the one that step raises on its own."""
+    for points, check in family.checks:
+        per = max(1, extrinsic._BATCH_POINTS // points)
+        for first in range(0, len(family), per):
+            block = np.arange(first, min(first + per, len(family)))
+            try:
+                errors = check(block)
+            except EngineError:
+                errors = []
+                for step in block:
+                    try:
+                        errors += check(np.array([step]))
+                    except EngineError as exc:
+                        errors.append(exc)
+                    if errors[-1] is not None:
+                        break
+            bad = next((i for i, e in enumerate(errors) if e is not None), None)
+            if bad is not None:
+                family.stop(int(block[bad]), errors[bad])
+                break
 
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
@@ -225,7 +292,8 @@ class Chunk:
     (N, r, m, m), H (N, n+2) and |H| (N,).  ``errors[i]`` is the error the
     geometry at sample i raises, else None.  When a requested check
     differences, ``layer`` holds the FirstLayer of the samples, whose
-    centers are ``geo``.
+    centers are ``geo``.  On a family chart, ``steps`` holds the scan step
+    of each sample, and ``indices`` count the samples within a step.
     """
 
     chart: Chart
@@ -235,6 +303,7 @@ class Chunk:
     geo: ExtrinsicRows | None
     errors: list
     layer: FirstLayer | None = None
+    steps: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -253,7 +322,8 @@ class Chunk:
         geo = None if self.geo is None else self.geo.take(rows)
         layer = None if self.layer is None else self.layer.take(rows)
         part = {"indices": self.indices[rows], "u": self.u[rows], "errors": self.errors[rows]}
-        return replace(self, geo=geo, layer=layer, **part)
+        steps = None if self.steps is None else self.steps[rows]
+        return replace(self, geo=geo, layer=layer, steps=steps, **part)
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
@@ -478,39 +548,43 @@ def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
     return tol
 
 
-def _chunks(chart: Chart, names: list, samples: np.ndarray, indices, seed: int, probe=None):
-    """The chunks of a run, in sample order.
+def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, probes=()):
+    """The chunks of a run, in row order.
 
-    The samples' points (the center alone, or its first layer when a check
-    in ``names`` differences) go to ``batched_rows``, which takes up to
-    1,024 points of whole samples in one call; each call gives one chunk.
-    A ``probe`` point joins the last call with its center alone and comes
-    back as a chunk of its own, with index -1.  A point whose call fails as
-    a whole holds the error it raises on its own.
+    Row r is sample r % n of the n ``samples``, at scan step r // n on a
+    family chart (a plain chart's rows are its sample indices).  The rows'
+    points (the center alone, or its first layer when a check in ``names``
+    differences) go to ``batched_rows``, which takes whole samples in one
+    call; each call gives one chunk.  The chart center at each scan step of
+    ``probes`` joins the first call alone and comes back first, as a chunk
+    of its own with index -1.  A point whose call fails as a whole holds the
+    error it raises on its own.
     """
     k = 1 + 4 * chart.m if not FIRST_LAYER_CHECKS.isdisjoint(names) else 1
-    idx = list(indices)
-    sets = [first_layer(samples[i]) if k > 1 else samples[i][None] for i in idx]
-    if probe is not None:
-        sets.append(np.asarray(probe, dtype=float)[None])
-    start = 0
-    for block, rows, errors in batched_rows(chart, sets):
-        n = min(len(block), len(idx) - start)  # the samples of the block, the probe aside
-        if n:
-            yield _chunk(chart, idx[start : start + n], block[:n], rows, errors, 0, seed)
-        if n < len(block):
-            yield _chunk(chart, [-1], block[n:], rows, errors, n * k, seed)
-        start += n
+    rows, n = np.asarray(rows, dtype=int), len(samples)
+    ids = np.concatenate([np.full(len(probes), -1), rows % n])
+    steps = None if chart.family is None else np.concatenate([np.asarray(probes, dtype=int), rows // n])
+    points = {i: first_layer(samples[i]) if k > 1 else samples[i][None] for i in set((rows % n).tolist())}
+    sets = [chart.center()[None]] * len(probes) + [points[i] for i in (rows % n).tolist()]
+    start = 0  # the sets before the call
+    for block, geo, errors in batched_rows(chart, sets, steps):
+        p = min(max(len(probes) - start, 0), len(block))  # the probes of the call, which come first
+        for first, part in ((0, slice(start, start + p)), (p, slice(start + p, start + len(block)))):
+            if part.stop > part.start:
+                at = None if steps is None else steps[part]
+                yield _chunk(chart, ids[part], sets[part], geo, errors, first, seed, at)
+        start += len(block)
 
 
-def _chunk(chart: Chart, ids: list, sets: list, rows, errors: list, first: int, seed: int) -> Chunk:
-    """The chunk of samples ``ids``, whose point sets are a batch's rows from ``first`` on."""
+def _chunk(chart: Chart, ids, sets: list, rows, errors: list, first: int, seed: int, steps) -> Chunk:
+    """The chunk of samples ``ids`` at scan steps ``steps``, whose point sets
+    are a batch's rows from ``first`` on."""
     k = len(sets[0])
     part = slice(first, first + k * len(ids))
     layer = FirstLayer(rows.take(part)) if rows is not None and k > 1 else None
     geo = layer.centers if layer is not None else None if rows is None else rows.take(part)
     centers = np.array([s[0] for s in sets])
-    return Chunk(chart, np.array(ids), centers, seed, geo, errors[part][::k], layer)
+    return Chunk(chart, np.array(ids), centers, seed, geo, errors[part][::k], layer, steps)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:
@@ -541,14 +615,35 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
         err = EngineError(
             f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.u[row].tolist()}: {exc}"
         )
-        err.at = (int(chunk.indices[row]), pos)  # where a pool's errors are ordered
+        step = 0 if chunk.steps is None else int(chunk.steps[row])
+        err.at = (step, int(chunk.indices[row]), pos)  # where the errors of a pool or a scan are ordered
         raise err from exc
     return columns
 
 
-def _compute_rows(chart: Chart, names: list, samples: np.ndarray, indices, seed: int) -> list:
-    """The chunk columns of the given sample indices, one chunk at a time."""
-    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, indices, seed)]
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, probes=()) -> list:
+    """The chunk results of the given rows, in order: the columns of each
+    chunk of samples, and the signed biharmonic predicate at the centers of
+    a chunk of probes.  Raises the first error in (step, sample, check)
+    order, where the error of a step's center comes after its samples."""
+    out, center = [], None
+    for chunk in _chunks(chart, names, samples, rows, seed, probes):
+        if chunk.indices[0] < 0:
+            out.append(None if chunk.geo is None else biharmonic_predicates(chunk.geo)[0])
+            failed = [(int(s), e) for s, e in zip(chunk.steps, chunk.errors) if e is not None]
+            center = center or (failed[0] if failed else None)
+            continue
+        try:
+            out.append(_chunk_columns(chunk, names))
+        except EngineError as exc:
+            if center is None or exc.at[0] <= center[0]:
+                raise
+            break
+    if center is not None:
+        step, exc = center
+        exc.at = (step, len(samples), 0)
+        raise exc
+    return out
 
 
 _worker_chart: Chart | None = None
@@ -561,13 +656,37 @@ def _init_worker(chart: Chart) -> None:
     _worker_chart = chart
 
 
-def _worker_rows(names: list, samples: np.ndarray, indices, seed: int):
-    """A worker's chunk columns, or its error: returned, not raised, so that
-    the parent raises the first failing (sample, check) pair of all workers."""
+def _worker_rows(names: list, samples: np.ndarray, rows, seed: int, probes):
+    """A worker's chunk results, or its error: returned, not raised, so that
+    the parent raises the first error of all workers."""
     try:
-        return _compute_rows(_worker_chart, names, samples, indices, seed)
+        return _compute_rows(_worker_chart, names, samples, rows, seed, probes)
     except EngineError as exc:
         return exc
+
+
+def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int, probes=()):
+    """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With
+    jobs > 1, contiguous blocks of rows go to a fork pool (the probes with
+    the first block), so that the workers' results, joined, follow row
+    order, and the first error of all the workers is raised."""
+    parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
+    if jobs > 1 and len(rows) > 1:
+        blocks = [b for b in np.array_split(rows, jobs) if len(b)]
+        args = [(names, samples, block, seed, probes if i == 0 else ()) for i, block in enumerate(blocks)]
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
+                parts = pool.starmap(_worker_rows, args)
+        except (ValueError, OSError) as exc:
+            parallel["fallback_reason"] = f"{type(exc).__name__}: {exc}"
+        else:
+            parallel["used"] = len(args)
+            errors = [p for p in parts if isinstance(p, EngineError)]
+            if errors:
+                raise min(errors, key=lambda e: e.at)
+            return [item for part in parts for item in part], parallel
+    return _compute_rows(chart, names, samples, rows, seed, probes), parallel
 
 
 def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
@@ -642,7 +761,7 @@ def run_scene(
     sampling = dict(scene.get("sampling", {}))
     if sampling_override:
         sampling.update(sampling_override)
-    validate_scene({**scene, "sampling": sampling})
+    _validate(_SAMPLING_VALIDATOR, sampling)  # load_scene has validated the rest
     chart = build_chart(scene)
     report = _run_checks(scene, chart, sampling, checks, tolerances, jobs, csv_path)
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
@@ -660,7 +779,8 @@ def _run_checks(
 ) -> dict:
     """The body of ``run_scene`` on an already validated scene and its chart."""
     seed = int(sampling.get("seed", 0))
-    names = list(checks if checks is not None else scene.get("checks", []))
+    # a check named twice runs once, where it is first named
+    names = list(dict.fromkeys(checks if checks is not None else scene.get("checks", [])))
     if not names:
         raise SceneError("no checks requested")
     unknown = [n for n in names if n not in CHECKS and n not in CHART_LEVEL_CHECKS]
@@ -671,29 +791,12 @@ def _run_checks(
         tols.update(tolerances)
 
     samples = sample_points(chart, sampling)
-    indices = range(len(samples))
     per_sample = [n for n in names if n in CHECKS]
 
-    parts: list = []
+    chunks: list = []
     parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
-    if jobs > 1 and len(samples) > 1 and per_sample:
-        # contiguous blocks: the workers' chunk columns follow sample order
-        blocks = [b for b in np.array_split(indices, jobs) if len(b)]
-        args = [(per_sample, samples, block, seed) for block in blocks]
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
-                parts = pool.starmap(_worker_rows, args)
-            parallel["used"] = len(args)
-        except (ValueError, OSError) as exc:
-            parallel["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-            parts = [_compute_rows(chart, per_sample, samples, indices, seed)]
-    elif per_sample:
-        parts = [_compute_rows(chart, per_sample, samples, indices, seed)]
-    errors = [p for p in parts if isinstance(p, EngineError)]
-    if errors:
-        raise min(errors, key=lambda e: e.at)
-    chunks = [c for part in parts for c in part]  # in sample order
+    if per_sample:
+        chunks, parallel = _pooled_rows(chart, per_sample, samples, np.arange(len(samples)), seed, jobs)
     columns = {}
     for name in names:
         if name in CHART_LEVEL_CHECKS:
@@ -735,42 +838,6 @@ def _write_csv(path: str, chart: Chart, columns: dict, samples: np.ndarray, name
 # --------------------------------------------------------------------------
 # parameter scans
 
-def _set_scene_param(scene: dict, name: str, value: float) -> dict:
-    out = json.loads(json.dumps(scene))
-    imm = out["immersion"]
-    if "gallery" in imm:
-        imm["gallery"][name] = value
-        return out
-    imm["expressions"].setdefault("params", {})[name] = value
-    return out
-
-
-def _scan_row(scene: dict, param: str, value: float, residual: str):
-    """One scan step on its own chart, run serially.  An engine error is
-    returned, not raised, so that the caller reports the first failing step
-    whichever worker ran it.  For the signed predicate the chart center
-    joins the step's batch as a probe."""
-    try:
-        sc = _set_scene_param(scene, param, value)
-        validate_scene(sc)
-        chart = build_chart(sc)
-        sampling = sc.get("sampling", {})
-        samples = sample_points(chart, sampling)
-        signed = residual == "biharmonic_normal"
-        seed = int(sampling.get("seed", 0))
-        probe = chart.center() if signed else None
-        chunks = list(_chunks(chart, [residual], samples, range(len(samples)), seed, probe))
-        center = chunks.pop() if signed else None
-        values = np.concatenate([_chunk_columns(chunk, [residual])[residual][0] for chunk in chunks])
-        row = {"value": value, "max_residual": float(np.max(values))}
-        if signed:
-            if center.errors[0] is not None:
-                raise center.errors[0]
-            row["signed"] = float(biharmonic_predicates(center.geo)[0][0])
-        return row
-    except EngineError as exc:
-        return exc
-
 
 def scan_parameter(
     scene: dict,
@@ -784,45 +851,55 @@ def scan_parameter(
     """Sweep one immersion parameter and record the max residual of one
     check per value.  A biharmonic_normal scan also records the signed
     biharmonic predicate at the chart center (the residual itself is a
-    norm), whose sign changes bracket the zeros."""
+    norm), whose sign changes bracket the zeros.
+
+    The scan is one run on the family chart of its values: the samples of
+    every step, and for the signed predicate each step's chart center, go
+    through ``_pooled_rows`` as the rows of a run do.  An error names the
+    first step that fails, as the step would fail on its own: its chart, a
+    sample (in sample and check order) or, after its samples, its center."""
     if residual not in CHECKS:
         raise SceneError(f"unknown residual {residual!r}")
     if int(steps) < 1:
         raise SceneError(f"a scan needs at least one step, got {steps}")
+    validate_scene(scene)
+    values = [float(v) for v in np.linspace(float(lo), float(hi), int(steps))]
+    chart = build_chart(scene, (param, values))
+    family = chart.family
+    sampling = scene.get("sampling", {})
+    samples = sample_points(chart, sampling)
+    n = len(samples)
     signed = residual == "biharmonic_normal"
-    tasks = [(scene, param, float(v), residual) for v in np.linspace(float(lo), float(hi), int(steps))]
-    # the steps, not the samples of a step, go to the pool: one fork per
-    # worker for the whole scan
-    done = None
-    if jobs > 1 and len(tasks) > 1:
-        try:
-            with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-                done = pool.starmap(_scan_row, tasks)
-        except (ValueError, OSError):
-            pass  # run the steps serially below
-    rows = []
-    for i, task in enumerate(tasks):
-        row = done[i] if done is not None else _scan_row(*task)
-        if isinstance(row, EngineError):
-            raise row
-        rows.append(row)
+    probes = range(len(family)) if signed else ()
+    rows = np.arange(len(family) * n)
+    results, _ = _pooled_rows(chart, [residual], samples, rows, int(sampling.get("seed", 0)), jobs, probes)
+    if family.error is not None:
+        raise family.error
+
+    columns = [r[residual][0] for r in results if isinstance(r, dict)]
+    maxima = np.concatenate(columns).reshape(len(family), n).max(axis=1)
+    scan_rows = [{"value": v, "max_residual": float(x)} for v, x in zip(values, maxima)]
+    if signed:
+        predicate = np.concatenate([r for r in results if isinstance(r, np.ndarray)])
+        for row, p in zip(scan_rows, predicate.tolist()):
+            row["signed"] = p
 
     brackets = []
     if signed:
-        for a, b in zip(rows, rows[1:]):
+        for a, b in zip(scan_rows, scan_rows[1:]):
             sa, sb = a["signed"], b["signed"]
             if np.isfinite(sa) and np.isfinite(sb):
                 if sa == 0.0 or (sa < 0) != (sb < 0):
                     brackets.append((a["value"], b["value"]))
-    resid = [r["max_residual"] for r in rows]
+    resid = [r["max_residual"] for r in scan_rows]
     i_min = int(np.nanargmin(resid))
     return {
         "param": param,
         "residual": residual,
-        "rows": rows,
+        "rows": scan_rows,
         "brackets": brackets,
         "min_residual": float(resid[i_min]),
-        "min_at": float(rows[i_min]["value"]),
+        "min_at": float(scan_rows[i_min]["value"]),
     }
 
 

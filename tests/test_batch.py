@@ -143,9 +143,9 @@ def _count_analyze(monkeypatch):
     shapes = []
     original = prodsub.extrinsic.analyze_point
 
-    def counting(chart, u):
+    def counting(chart, u, *steps):
         shapes.append(np.shape(u))
-        return original(chart, u)
+        return original(chart, u, *steps)
 
     monkeypatch.setattr(prodsub.extrinsic, "analyze_point", counting)
     return shapes
@@ -157,9 +157,9 @@ def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
     seen = []
     original = prodsub.extrinsic.analyze_point
 
-    def recording(chart, u):
+    def recording(chart, u, *steps):
         seen.append(np.array(u))
-        return original(chart, u)
+        return original(chart, u, *steps)
 
     monkeypatch.setattr(prodsub.extrinsic, "analyze_point", recording)
     u = chart.center() + np.array([0.1, -0.2, 0.3])
@@ -184,7 +184,7 @@ def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theo
     # the 4m points of u's nested stencils in one 4m (1 + 4m)-point call
     seen = []
     original = prodsub.extrinsic.analyze_point
-    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u: seen.append(np.array(u)) or original(ch, u))
+    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *steps: seen.append(np.array(u)) or original(ch, u, *steps))
     u = np.array([0.2, -0.3, 0.4])
     normal_laplacian_H(theorem1_heli, u, FieldCache(theorem1_heli))
     m = theorem1_heli.m
@@ -196,9 +196,9 @@ def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
     shapes = []
     original = prodsub.immersion.evaluate_jet
 
-    def counting(chart, u):
+    def counting(chart, u, *steps):
         shapes.append(np.shape(u))
-        return original(chart, u)
+        return original(chart, u, *steps)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     theorem1_cyl.validate_membership()
@@ -331,9 +331,9 @@ def test_a_run_evaluates_its_samples_in_one_batch(monkeypatch):
     shapes = []
     original = prodsub.immersion.evaluate_jet
 
-    def counting(chart, u):
+    def counting(chart, u, *steps):
         shapes.append(np.shape(u))
-        return original(chart, u)
+        return original(chart, u, *steps)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     scene = _load("theorem1_cylinder.json")
@@ -570,8 +570,8 @@ def _inject(monkeypatch, faults):
     non-finite H ("nan", by a NaN second derivative), in a batch or alone."""
     original = prodsub.immersion._analyze
 
-    def faulty(chart, U):
-        batch = original(chart, U)
+    def faulty(chart, U, steps):
+        batch = original(chart, U, steps)
         for kind, point in faults:
             for r in np.flatnonzero((U == point).all(axis=1)):
                 if kind == "raises":
@@ -876,8 +876,68 @@ def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
     scene = _load("biharmonic_scan_eps1.json")
     scan = prodsub.scene.scan_parameter(scene, "a2", 0.4, 0.6, 3, "biharmonic_normal")
     m = 3
-    assert shapes == [(8 * (1 + 4 * m) + 1, m)] * 3  # 8 samples with first layers, then the center
+    # one call for the scan: the 3 step centers, then 8 samples with first layers per step
+    assert shapes == [(3 + 3 * 8 * (1 + 4 * m), m)]
     for row in scan["rows"]:
-        chart = build_chart(prodsub.scene._set_scene_param(scene, "a2", row["value"]))
+        gallery = {**scene["immersion"]["gallery"], "a2": row["value"]}
+        chart = build_chart({**scene, "immersion": {"gallery": gallery}})
         want = prodsub.classify.biharmonic_residual(chart, chart.center(), assume_pmc=True)["predicate"]
         assert _same(row["signed"], want)
+
+
+def _strided(a):
+    """``a`` as a view that steps over every other row of a larger array."""
+    a = np.asarray(a)
+    out = np.zeros((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[::2] = a
+    return out[::2]
+
+
+@pytest.mark.parametrize("name, param, values", [
+    ("biharmonic_scan_eps1.json", "a2", [0.35, 0.5, 0.62]),
+    ("biharmonic_scan_eps-1.json", "a2", [1.3, 1.75]),
+    ("vertical_cylinder_expr.json", "r", [0.4, 0.7, 1.1]),
+])
+def test_family_rows_equal_their_own_chart_in_any_layout(name, param, values):
+    # the scanned parameter rides on the batch axis: a family-chart row is
+    # bit for bit the row of its step's own chart, whether the points and
+    # their steps come contiguous or strided (``ambient.inner`` sums a
+    # strided row in another order than a contiguous one)
+    scene = _load(name)
+    family = build_chart(scene, (param, values))
+    u = random_interior_points(family, 4, seed=5)
+    U, steps = np.tile(u, (len(values), 1)), np.repeat(np.arange(len(values)), len(u))
+    assert not _strided(U).flags.c_contiguous and not _strided(steps).flags.c_contiguous
+
+    def arrays(rows):
+        b = rows.batch
+        fields = [b.jet.values, b.jet.jac, b.jet.d2, b.g_inv, b.tangent_onb, b.normal_onb, b.T_ambient, b.eta]
+        return fields + [rows.alpha, rows.H, *prodsub.extrinsic.T_eta_rows(rows), prodsub.classify.biharmonic_predicates(rows)[0]]
+
+    contiguous = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, U, steps)))
+    strided = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, _strided(U), _strided(steps))))
+    assert all(_same(a, b) for a, b in zip(contiguous, strided))
+    for s, v in enumerate(values):
+        imm = scene["immersion"]
+        if "gallery" in imm:
+            imm = {"gallery": {**imm["gallery"], param: v}}
+        else:
+            ex = imm["expressions"]
+            imm = {"expressions": {**ex, "params": {**ex.get("params", {}), param: v}}}
+        own = arrays(prodsub.extrinsic.second_fundamental(analyze_point(build_chart({**scene, "immersion": imm}), u)))
+        rows = slice(s * len(u), (s + 1) * len(u))
+        assert all(_same(a[rows], b) for a, b in zip(contiguous, own)), (name, v)
+
+
+def test_jet_number_paths_take_row_arrays_in_any_layout():
+    # a row array scales and shifts a batch as its numbers do one row at a time
+    x = jet_var(0, np.array([0.3, -0.7, 1.1]), 2)
+    c = np.array([0.6, -1.5, 2.0])
+    rows = [jet_var(0, v, 2) for v in x.value.tolist()]
+    want = [[r * v, v * r, r / v, r + v, v - r] for r, v in zip(rows, c.tolist())]
+    for row_array in (c, _strided(c)):
+        got = [x * row_array, row_array * x, x / row_array, x + row_array, row_array - x]
+        for k, jet in enumerate(got):
+            for i in range(3):
+                w = want[i][k]
+                assert _same(jet.value[i], w.value) and _same(jet.grad[i], w.grad) and _same(jet.hess[i], w.hess)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prodsub.errors
+import prodsub.immersion
 import prodsub.scene
 from prodsub.cli import main
 from prodsub.errors import ChartError, SceneError
@@ -121,14 +123,20 @@ def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
 
 
 def test_scan_jobs_table_byte_identical(tmp_path):
-    tables = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"scan{jobs}.dat"
-        argv = ["scan", "--scene", str(SCENES / "biharmonic_scan_eps1.json"), "--param", "a2"]
-        argv += ["--from", "0.3", "--to", "0.9", "--steps", "7", "--residual", "biharmonic_normal"]
-        assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
-        tables.append(out.read_bytes())
-    assert tables[0] == tables[1]
+    scans = [
+        ("biharmonic_scan_eps1.json", "a2", "0.3", "0.9", "7", "biharmonic_normal"),
+        ("biharmonic_scan_eps1.json", "a2", "0.3", "0.9", "13", "biharmonic_normal"),
+        ("vertical_cylinder_expr.json", "r", "0.3", "1.2", "5", "gauss"),
+    ]
+    for name, param, lo, hi, steps, residual in scans:
+        tables = []
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"scan{jobs}.dat"
+            argv = ["scan", "--scene", str(SCENES / name), "--param", param, "--from", lo, "--to", hi]
+            argv += ["--steps", steps, "--residual", residual, "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1] == tables[2], (name, steps, residual)
 
 
 def test_scan_reports_the_first_failing_step_under_jobs():
@@ -182,17 +190,21 @@ def test_random_sampling_deterministic():
 
 
 def test_chart_built_once_per_run_and_scan_step(monkeypatch):
-    parent, calls = os.getpid(), []
+    # a run builds its chart once, and a scan builds one family chart for
+    # all its steps and validates its scene once; pool workers build none
+    parent, calls, validations = os.getpid(), [], []
     original = prodsub.scene.build_chart
+    original_validate = prodsub.scene.validate_scene
 
-    def counting_build_chart(scene):
+    def counting_build_chart(scene, *scan):
         # raised in a pool worker, this escapes the serial fallback
         if os.getpid() != parent:
             raise RuntimeError("a pool worker rebuilt the chart")
         calls.append(scene)
-        return original(scene)
+        return original(scene, *scan)
 
     monkeypatch.setattr(prodsub.scene, "build_chart", counting_build_chart)
+    monkeypatch.setattr(prodsub.scene, "validate_scene", lambda scene: validations.append(1) or original_validate(scene))
     scene = _load("theorem1_cylinder.json")
     for jobs in (1, 2):
         calls.clear()
@@ -203,9 +215,12 @@ def test_chart_built_once_per_run_and_scan_step(monkeypatch):
             jobs=jobs,
         )
         assert len(calls) == 1, jobs
-    calls.clear()
-    scan_parameter(_load("biharmonic_scan_eps1.json"), "a2", 0.4, 0.6, 3, "biharmonic_normal")
-    assert len(calls) == 3
+    scene = _load("biharmonic_scan_eps1.json")
+    for jobs in (1, 2):
+        calls.clear()
+        validations.clear()
+        scan_parameter(scene, "a2", 0.4, 0.6, 3, "biharmonic_normal", jobs=jobs)
+        assert len(calls) == 1 and len(validations) == 1, jobs
 
 
 def test_unknown_check_is_scene_error():
@@ -506,3 +521,63 @@ def test_worst_sample_counts_non_finite_first_and_breaks_ties_by_index():
         (1, [0.3, 0.4], 0),
         (1, [0.3, 0.4], 1),
     ]
+
+
+def test_a_check_named_twice_runs_once(tmp_path):
+    scene = _load("theorem1_cylinder.json")
+    kw = dict(sampling_override={"mode": "random", "counts": 6, "seed": 4})
+    once = run_scene(scene, checks=["pmc", "membership"], csv_path=str(tmp_path / "once.csv"), **kw)
+    twice = run_scene(scene, checks=["pmc", "membership", "pmc"], csv_path=str(tmp_path / "twice.csv"), **kw)
+    assert [c["name"] for c in twice["checks"]] == ["pmc", "membership"]
+    assert [c["samples_evaluated"] for c in twice["checks"]] == [6, 6]
+    assert twice["checks"] == once["checks"]
+    assert (tmp_path / "twice.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+    lines = (tmp_path / "twice.csv").read_text().splitlines()
+    assert sum(line.startswith("pmc,") for line in lines) == 6
+
+
+def test_a_scan_names_an_unknown_parameter_before_any_step(capsys, monkeypatch):
+    def no_geometry(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(prodsub.immersion, "evaluate_jet", no_geometry)
+    scan = ["--from", "0.3", "--to", "0.9", "--steps", "3", "--residual", "pmc"]
+    cases = [("theorem1_cylinder.json", "nope"), ("vertical_cylinder_expr.json", "zz")]
+    for name, param in cases:
+        assert main(["scan", "--scene", str(SCENES / name), "--param", param, *scan]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("scene error: ") and repr(param) in err, err
+
+
+@pytest.mark.parametrize(
+    "name, param, lo, hi, residual",
+    [
+        ("biharmonic_scan_eps1.json", "a2", 0.3, 0.9, "biharmonic_normal"),
+        ("biharmonic_scan_eps-1.json", "a2", 1.3, 1.9, "biharmonic_normal"),
+        ("vertical_cylinder_expr.json", "r", 0.3, 1.2, "biharmonic_normal"),
+        ("biharmonic_scan_eps1.json", "a2", 0.3, 0.9, "gauss"),
+        ("theorem1_helicoid.json", "a", 0.6, 0.9, "biharmonic_normal"),  # nested differences
+    ],
+)
+def test_each_scan_row_is_the_one_step_scan_at_its_value(name, param, lo, hi, residual):
+    # the steps share one family chart and its batches; a row reads only its own step
+    scene = _load(name)
+    scan = scan_parameter(scene, param, lo, hi, 5, residual)
+    for row in scan["rows"]:
+        (alone,) = scan_parameter(scene, param, row["value"], row["value"], 1, residual)["rows"]
+        assert json.dumps(alone) == json.dumps(row)
+        assert np.float64(alone["max_residual"]).tobytes() == np.float64(row["max_residual"]).tobytes()
+
+
+def test_a_scan_reports_a_sample_error_before_a_later_step_that_does_not_build(tmp_path):
+    # e0 fails at every sample of the codimension-1 product; r > pi/2 does not build on S^3
+    scene = {
+        "ambient": {"epsilon": 1, "n": 3},
+        "immersion": {"gallery": {"kind": "cmc_product", "r": 0.7}},
+        "sampling": {"mode": "random", "counts": 5, "seed": 1},
+    }
+    for jobs in (1, 2):
+        with pytest.raises(prodsub.errors.EngineError, match="^check e0 failed at sample 0, u="):
+            scan_parameter(scene, "r", 1.0, 1.7, 5, "e0", jobs=jobs)
+        with pytest.raises(ChartError, match=r"^eps=\+1 needs 0 < r <= pi/2$"):
+            scan_parameter(scene, "r", 1.0, 1.7, 5, "pmc", jobs=jobs)
