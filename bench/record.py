@@ -1,19 +1,19 @@
 """Record a BENCH file: the benchmark's end-to-end metrics before and after a change.
 
-    python bench/record.py --pr N [--base REV] [--change REV] [--repeats 10]
-                           [--seconds 4] [--seed 11] [--workdir DIR]
+    python bench/record.py --pr N --base REV
 
-Exports the committed files of two revisions of this repository with
-``git archive`` (``--base``, default ``HEAD~1``, and ``--change``, default
-``HEAD``), and runs each export's own, unchanged ``perfbench/run.py
---trace 0`` on every workload ``--repeats`` times (at least 5), as pairs
-of one base and one change run that alternate which side runs first, so
-that drift of the host load falls on both alike.  Writes ``BENCH_<N>.json``
-at the repository root: per revision, workload and metric the median and
-quartiles over the repeats, per workload and metric the number of pairs
-in which the change reads better (by the direction BENCHMARK.json gives),
-and the git SHAs, the machine and the numpy version the runs reported.
-Times are the benchmark's reference-host seconds.
+Exports the committed files of ``REV`` and of ``HEAD`` with ``git
+archive`` into a temporary directory, and runs each export's own,
+unchanged ``perfbench/run.py --trace 0`` on every workload of its
+BENCHMARK.json, for the ``run_seconds`` that file fixes, ``PAIRS`` times:
+as pairs of one base and one change run that alternate which side runs
+first, so that drift of the host load falls on both alike.  Writes
+``BENCH_<N>.json`` at the repository root: per revision, workload and
+metric the median and quartiles over the pairs, per workload and metric
+the number of pairs in which the change reads better (by the direction
+BENCHMARK.json gives), and the git SHAs, the machine and the numpy
+version the runs reported.  Times are the benchmark's reference-host
+seconds.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sweep", "structure", "pointwise", "pool")
-MIN_REPEATS = 5
+PAIRS = 10
+SEED = 11
 SIDES = ("base", "change")
 
 
@@ -67,29 +67,24 @@ def summary(values: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number of the BENCH file")
-    ap.add_argument("--base", default="HEAD~1")
-    ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--repeats", type=int, default=10, help=f"pairs of runs per workload, at least {MIN_REPEATS}")
-    ap.add_argument("--seconds", type=float, default=4.0, help="timed seconds of each run")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--workdir", default=None, help="where the exports go (default: a temporary directory)")
+    ap.add_argument("--base", required=True, help="the revision the change is measured against")
     args = ap.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        ap.error(f"--repeats must be at least {MIN_REPEATS}")
+    revs = {"base": args.base, "change": "HEAD"}
 
-    work = Path(tempfile.mkdtemp(prefix="bench-", dir=args.workdir))
+    work = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
-        shas = {side: export(getattr(args, side), work / side) for side in SIDES}
-        better = {m["name"]: m["better"] for m in json.loads((work / "change" / "BENCHMARK.json").read_text())["end_to_end"]}
-        runs = {side: {w: [] for w in args.workloads} for side in SIDES}
+        shas = {side: export(revs[side], work / side) for side in SIDES}
+        spec = json.loads((work / "change" / "BENCHMARK.json").read_text())
+        seconds, workloads = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        runs = {side: {w: [] for w in workloads} for side in SIDES}
         env = {}
-        for repeat in range(args.repeats):
-            for workload in args.workloads:
-                for side in SIDES if repeat % 2 == 0 else SIDES[::-1]:
-                    env, metrics = run_once(work / side, workload, args.seconds, args.seed)
+        for pair in range(PAIRS):
+            for workload in workloads:
+                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                    env, metrics = run_once(work / side, workload, seconds, SEED)
                     runs[side][workload].append(metrics)
-                    print(f"{repeat + 1}/{args.repeats} {workload} {side}: pass_s {metrics['pass_s']:.4f}", flush=True)
+                    print(f"{pair + 1}/{PAIRS} {workload} {side}: pass_s {metrics['pass_s']:.4f}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -97,9 +92,9 @@ def main(argv=None) -> int:
         "pr": args.pr,
         "harness": {
             "command": "python3 perfbench/run.py --trace 0",
-            "seconds": args.seconds,
-            "seed": args.seed,
-            "repeats": args.repeats,
+            "seconds": seconds,
+            "seed": SEED,
+            "pairs": PAIRS,
             "units": "reference-host seconds for times",
         },
         "machine": {
@@ -112,7 +107,7 @@ def main(argv=None) -> int:
     }
     for side in SIDES:
         bench[side] = {
-            "rev": getattr(args, side),
+            "rev": revs[side],
             "git_sha": shas[side],
             "workloads": {
                 w: {name: summary([r[name] for r in rs]) for name in rs[0]} for w, rs in runs[side].items()
@@ -126,7 +121,7 @@ def main(argv=None) -> int:
             )
             for name in better
         }
-        for w in args.workloads
+        for w in workloads
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")

@@ -65,7 +65,11 @@ FD_NESTED_STEP = 5e-4
 # 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405 points) took
 # 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s, in
 # reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
-# over the 45 MiB of the scan that ran step by step.
+# over the 45 MiB of the scan that ran step by step.  Runs past 512 points
+# pay for the smaller calls: on theorem1_cylinder, 400 samples of gauss,
+# codazzi, ricci and pmc (5,200 points) take 0.080 s at 512 against 0.072 s
+# at 1,024, and 3,000 samples of six jet-level checks 0.024 s against
+# 0.022 s (in-process seconds on that core, medians of 9 runs).
 _BATCH_POINTS = 512
 
 # most points in one call of the nested Laplacian's stencil geometry, in
@@ -345,13 +349,18 @@ def batched_rows(chart: Chart, point_sets, steps=None) -> Iterator[tuple[list, E
     holds another point's geometry, and rows is None when every point
     raises."""
     sets = [np.asarray(p, dtype=float) for p in point_sets]
-    per = max(1, _BATCH_POINTS // max(map(len, sets), default=1))
-    for first in range(0, len(sets), per):
-        block = sets[first : first + per]
+    first = 0
+    while first < len(sets):
+        end, size = first + 1, len(sets[first])
+        while end < len(sets) and size + len(sets[end]) <= _BATCH_POINTS:
+            size += len(sets[end])
+            end += 1
+        block = sets[first:end]
         points = np.vstack(block)
         at = None
         if steps is not None:
-            at = np.concatenate([np.broadcast_to(s, len(p)) for s, p in zip(steps[first : first + per], block)])
+            at = np.concatenate([np.broadcast_to(s, len(p)) for s, p in zip(steps[first:end], block)])
+        first = end
         rows = _geometry_rows(chart, points, at)
         if isinstance(rows, ExtrinsicRows):
             yield block, rows, rows.batch.errors

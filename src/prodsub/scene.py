@@ -756,6 +756,13 @@ def run_scene(
     report.  With ``jobs > 1`` contiguous blocks of samples go to a fork
     pool; the per-sample RNG is keyed by (seed, sample index), so verdicts and CSV rows
     are identical for any job count.
+
+    ``scene`` must come from ``load_scene`` or have passed
+    ``validate_scene``: only the sampling block merged with
+    ``sampling_override`` is checked against the schema here, and a
+    malformed scene fails later with whatever error reading it raises.
+    ``scan_parameter``, which demos call on scene dicts they build,
+    validates its scene itself.
     """
     t0 = time.perf_counter()
     sampling = dict(scene.get("sampling", {}))

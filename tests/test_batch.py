@@ -885,6 +885,16 @@ def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
         assert _same(row["signed"], want)
 
 
+def test_a_scan_fills_each_call_with_points(monkeypatch):
+    shapes = _count_analyze(monkeypatch)
+    scene = _load("biharmonic_scan_eps1.json")
+    prodsub.scene.scan_parameter(scene, "a2", 0.3, 0.9, 61, "biharmonic_normal")
+    k = 1 + 4 * 3  # a sample's first layer
+    # the 61 step centers share the first call with 34 samples; then 39 samples (507 points) a call
+    assert [s[0] for s in shapes] == [61 + 34 * k] + [39 * k] * 11 + [(61 * 8 - 34 - 11 * 39) * k]
+    assert all(s[0] <= prodsub.extrinsic._BATCH_POINTS for s in shapes)
+
+
 def _strided(a):
     """``a`` as a view that steps over every other row of a larger array."""
     a = np.asarray(a)

@@ -42,6 +42,14 @@ def test_schema_rejects_malformed_scene(tmp_path):
         validate_scene({"ambient": {"epsilon": 1, "n": 4}})  # no immersion
 
 
+def test_scan_validates_a_scene_dict_itself():
+    # run_scene takes validated scenes; scan_parameter, called on scene dicts, checks its own
+    scene = _load("biharmonic_scan_eps1.json")
+    for bad in ({**scene, "ambient": {"epsilon": 2, "n": 4}}, {k: v for k, v in scene.items() if k != "immersion"}):
+        with pytest.raises(SceneError, match="does not match the schema"):
+            scan_parameter(bad, "a2", 0.3, 0.9, 3, "biharmonic_normal")
+
+
 def test_run_theorem1_cylinder_scene_all_pass():
     rep = run_scene(_load("theorem1_cylinder.json"))
     assert rep["all_pass"]
