@@ -1,0 +1,105 @@
+"""Check that a change leaves every run output of the corpus as it was.
+
+    python bench/same_outputs.py --base REV
+
+Exports the committed files of ``REV`` and of ``HEAD`` with ``record.py``'s
+``export`` and, from each export's root, runs ``prodsub run`` on every
+corpus scene (``scenes/*.json``) with ``--samples 24 --seed 7``, ``--out``
+and ``--csv``, under ``--jobs 1``, ``2`` and ``4``, for three check sets:
+the scene's own checks, the structure checks and the jet-level plus
+chart-level checks.  Under the same job counts it runs both 61-step
+criterion-4a scans of ``biharmonic_normal`` with ``--out``.  Compares the
+reports (less ``wall_time_s``), the CSV and scan files byte for byte, and
+stdout, stderr and the exit code of every run.  Prints each output that
+differs and exits 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from record import export
+
+JOBS = (1, 2, 4)
+CHECK_SETS = {
+    "own": None,
+    "structure": ["gauss", "codazzi", "ricci", "vector_t", "vector_eta", "pmc", "biconservative_full",
+                  "biharmonic_normal"],
+    "pointwise": ["membership", "frames", "unit_norm", "h_eta", "mean_curvature", "biconservative",
+                  "biharmonic_predicate", "class_a", "e0", "splitting", "circle"],
+}
+SCANS = {  # criterion 4a: the a2 windows of both signs of eps
+    "scan_eps1": ("scenes/biharmonic_scan_eps1.json", "0.3", "0.9"),
+    "scan_eps-1": ("scenes/biharmonic_scan_eps-1.json", "1.3", "1.9"),
+}
+
+
+def invocations(root: Path) -> dict:
+    """Every run as {name: (prodsub arguments, the files it writes)}."""
+    out = {}
+    for jobs in JOBS:
+        for scene in sorted((root / "scenes").glob("*.json")):
+            for label, checks in CHECK_SETS.items():
+                name = f"{scene.stem}.{label}.jobs{jobs}"
+                argv = ["run", "--scene", f"scenes/{scene.name}", "--samples", "24", "--seed", "7"]
+                argv += [a for c in checks or () for a in ("--check", c)]
+                argv += ["--jobs", str(jobs), "--out", f"{name}.json", "--csv", f"{name}.csv"]
+                out[name] = (argv, [f"{name}.json", f"{name}.csv"])
+        for label, (scene, lo, hi) in SCANS.items():
+            name = f"{label}.jobs{jobs}"
+            argv = ["scan", "--scene", scene, "--param", "a2", "--from", lo, "--to", hi, "--steps", "61"]
+            argv += ["--residual", "biharmonic_normal", "--jobs", str(jobs), "--out", f"{name}.dat"]
+            out[name] = (argv, [f"{name}.dat"])
+    return out
+
+
+def outputs(root: Path, argv: list, files: list) -> dict:
+    """The outputs of one run from ``root``: its exit code, stdout and
+    stderr, and the files it wrote there, each report less its wall time."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "prodsub.cli", *argv], cwd=root, env=env, capture_output=True)
+    got = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    for f in files:
+        path = root / f
+        data = path.read_bytes() if path.exists() else None
+        if data is not None and f.endswith(".json"):
+            report = json.loads(data)
+            report.pop("wall_time_s", None)
+            data = json.dumps(report).encode()  # as text, so that a NaN equals itself
+        got[f] = data
+    return got
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="the revision whose outputs the change must reproduce")
+    args = ap.parse_args(argv)
+
+    work = Path(tempfile.mkdtemp(prefix="same-outputs-"))
+    try:
+        roots = {"base": work / "base", "change": work / "change"}
+        export(args.base, roots["base"])
+        export("HEAD", roots["change"])
+        runs = invocations(roots["change"])
+        differ = []
+        for name, (run_argv, files) in runs.items():
+            got = {side: outputs(root, run_argv, files) for side, root in roots.items()}
+            for key in got["base"]:
+                if got["base"][key] != got["change"][key]:
+                    differ.append(f"{name}: {key}")
+                    print(f"DIFFERS {name}: {key}", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(f"{len(runs)} runs, {len(differ)} differing outputs")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,12 +27,13 @@ EXIT_COMPUTE = 3
 
 
 def _parse_tols(pairs) -> dict:
+    """The NAME=VALUE pairs of --tol; ``run_scene`` checks the names and values."""
     out = {}
     for p in pairs or []:
         if "=" not in p:
             raise SceneError(f"--tol expects NAME=VALUE, got {p!r}")
         name, _, val = p.partition("=")
-        out[name.strip()] = float(val)
+        out[name.strip()] = val
     return out
 
 

@@ -34,6 +34,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -74,8 +75,9 @@ __all__ = [
     "build_chart",
     "run_scene",
     "scan_parameter",
+    "Check",
+    "CHECK_TABLE",
     "CHECKS",
-    "DEFAULT_TOLERANCES",
     "RNG_NAME",
 ]
 
@@ -379,7 +381,7 @@ def _chk_biharmonic_predicate(c: Chunk):
 def _draws(c: Chunk, name: str):
     """X, Y, Z (N, m) and a (N,): each sample draws three unit chart
     directions and then a normal index from its own stream."""
-    rngs = [_check_rng((c.seed, idx, _CHECK_ID[name])) for idx in c.indices.tolist()]
+    rngs = [_check_rng((c.seed, idx, CHECK_TABLE[name].stream)) for idx in c.indices.tolist()]
     X, Y, Z = np.stack([_random_directions(rng, c.chart.m) for rng in rngs], axis=1)
     codim = c.geo.batch.normal_onb.shape[1]
     return X, Y, Z, np.array([rng.integers(0, codim) for rng in rngs])
@@ -453,7 +455,7 @@ def _chk_biharmonic_normal(c: Chunk):
             _chk_biharmonic_normal(c.take(slice(0, f.args[0])))
         raise
     minimal = c.geo.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(pmc <= DEFAULT_TOLERANCES["pmc"]) & ~minimal
+    nested = ~(pmc <= CHECK_TABLE["pmc"].tol) & ~minimal
     lap = np.zeros_like(c.geo.H)
     at = np.flatnonzero(nested)
     if at.size:
@@ -478,74 +480,72 @@ def _chk_circle(chart: Chart):
     return r["gap"], note, False
 
 
-def _frames_tol(space: ProductSpace) -> float:
-    return 1e-12 if space.epsilon == 1 else 1e-10
+@dataclass(frozen=True)
+class Check:
+    """Every fact about one check.
+
+    ``kernel`` maps a Chunk of N samples to (N,) residuals, (N,) notes (or
+    one note for all) and an (N,) degenerate mask (or one flag for all); a
+    ``chart_level`` kernel maps the chart to one residual, note and flag.
+    ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).  A
+    ``first_layer`` check differences fields around its samples, so a run
+    computes each sample's first layer with the sample.  ``stream`` keys the
+    per-sample random draws of a check that makes them, (seed, sample index,
+    stream): fixed numbers, so that adding a check moves no other's draws.
+    """
+
+    kernel: Callable
+    tol: float | tuple[float, float]
+    first_layer: bool = False
+    chart_level: bool = False
+    stream: int | None = None
+
+    def tolerance(self, space: ProductSpace) -> float:
+        return self.tol[space.epsilon == -1] if isinstance(self.tol, tuple) else self.tol
 
 
-DEFAULT_TOLERANCES = {
-    "membership": 1e-9,
-    "frames": None,  # resolved per space: 1e-12 (eps=+1) / 1e-10 (eps=-1)
-    "unit_norm": 1e-10,
-    "h_eta": 1e-9,
-    "pmc": 1e-6,
-    "mean_curvature": math.inf,
-    "biconservative": 1e-9,
-    "biconservative_full": 1e-5,
-    "biharmonic_normal": 1e-4,
-    "biharmonic_predicate": 1e-6,
-    "class_a": 1e-9,
-    "gauss": 1e-5,
-    "codazzi": 1e-5,
-    "ricci": 1e-5,
-    "vector_t": 1e-5,
-    "vector_eta": 1e-5,
-    "e0": 1e-8,
-    "splitting": 1e-12,
-    "circle": 1e-8,
+CHECK_TABLE = {
+    "membership": Check(_chk_membership, 1e-9),
+    "frames": Check(_chk_frames, (1e-12, 1e-10)),
+    "unit_norm": Check(_chk_unit_norm, 1e-10),
+    "h_eta": Check(_chk_h_eta, 1e-9),
+    "mean_curvature": Check(_chk_mean_curvature, math.inf),
+    "biconservative": Check(_chk_biconservative, 1e-9),
+    "biharmonic_predicate": Check(_chk_biharmonic_predicate, 1e-6),
+    "class_a": Check(_chk_class_a, 1e-9),
+    "e0": Check(_chk_e0, 1e-8),
+    "ricci": Check(_chk_ricci, 1e-5, stream=13),
+    "vector_t": Check(_chk_vector_t, 1e-5),
+    "vector_eta": Check(_chk_vector_eta, 1e-5),
+    "pmc": Check(_chk_pmc, 1e-6, first_layer=True),
+    "biconservative_full": Check(_chk_biconservative_full, 1e-5, first_layer=True),
+    "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, first_layer=True),
+    "gauss": Check(_chk_gauss, 1e-5, first_layer=True, stream=8),
+    "codazzi": Check(_chk_codazzi, 1e-5, first_layer=True, stream=5),
+    "splitting": Check(_chk_splitting, 1e-12, chart_level=True),
+    "circle": Check(_chk_circle, 1e-8, chart_level=True),
 }
 
-# checks that difference fields around their sample: a run computes each
-# sample's first layer with the samples, not only its center
-FIRST_LAYER_CHECKS = frozenset({"pmc", "biconservative_full", "biharmonic_normal", "gauss", "codazzi"})
-
-# every entry maps a Chunk of N samples to (N,) residuals, (N,) notes (or
-# one note for all) and an (N,) degenerate mask (or one flag for all)
-CHECKS = {
-    "membership": _chk_membership,
-    "frames": _chk_frames,
-    "unit_norm": _chk_unit_norm,
-    "h_eta": _chk_h_eta,
-    "mean_curvature": _chk_mean_curvature,
-    "biconservative": _chk_biconservative,
-    "biharmonic_predicate": _chk_biharmonic_predicate,
-    "class_a": _chk_class_a,
-    "e0": _chk_e0,
-    "ricci": _chk_ricci,
-    "vector_t": _chk_vector_t,
-    "vector_eta": _chk_vector_eta,
-    "pmc": _chk_pmc,
-    "biconservative_full": _chk_biconservative_full,
-    "biharmonic_normal": _chk_biharmonic_normal,
-    "gauss": _chk_gauss,
-    "codazzi": _chk_codazzi,
-}
-
-# keys the per-check random streams: (seed, sample index, _CHECK_ID[name])
-_CHECK_ID = {name: i for i, name in enumerate(sorted(CHECKS))}
-
-CHART_LEVEL_CHECKS = {
-    "splitting": _chk_splitting,
-    "circle": _chk_circle,
-}
+# the kernels of the per-sample checks, which a run calls through this view
+CHECKS = {name: c.kernel for name, c in CHECK_TABLE.items() if not c.chart_level}
 
 
-def _resolve_tol(name: str, space: ProductSpace, overrides: dict) -> float:
-    if name in overrides:
-        return float(overrides[name])
-    tol = DEFAULT_TOLERANCES.get(name)
-    if tol is None:
-        tol = _frames_tol(space)
-    return tol
+def _tolerances(scene: dict, overrides: dict | None) -> dict:
+    """The tolerance overrides of a run, the scene's and then ``overrides``,
+    as floats: each names a check and is a non-negative number."""
+    tols = {**scene.get("tolerances", {}), **(overrides or {})}
+    unknown = [n for n in tols if n not in CHECK_TABLE]
+    if unknown:
+        raise SceneError(f"unknown tolerances: {unknown}")
+    for name, value in tols.items():
+        try:
+            tol = float(value)
+        except (TypeError, ValueError):
+            tol = math.nan
+        if not tol >= 0.0:  # NaN included
+            raise SceneError(f"tolerance {name}={value!r} is not a non-negative number")
+        tols[name] = tol
+    return tols
 
 
 def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, probes=()):
@@ -560,7 +560,7 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, pro
     of its own with index -1.  A point whose call fails as a whole holds the
     error it raises on its own.
     """
-    k = 1 + 4 * chart.m if not FIRST_LAYER_CHECKS.isdisjoint(names) else 1
+    k = 1 + 4 * chart.m if any(CHECK_TABLE[n].first_layer for n in names) else 1
     rows, n = np.asarray(rows, dtype=int), len(samples)
     ids = np.concatenate([np.full(len(probes), -1), rows % n])
     steps = None if chart.family is None else np.concatenate([np.asarray(probes, dtype=int), rows // n])
@@ -692,13 +692,13 @@ def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int
 def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
     """The points of a check's column: row i of a per-sample check is sample
     i, the one row of a chart-level check the chart center."""
-    return samples if name in CHECKS else chart.center()[None]
+    return chart.center()[None] if CHECK_TABLE[name].chart_level else samples
 
 
 def _derivative_tier(name: str, notes: list) -> str:
     """How a check's residuals were obtained: at jet level ("jet-exact"), over one finite-difference
     layer ("fd") or, where a sample took the nested normal Laplacian, nested differences ("nested-fd")."""
-    if name not in FIRST_LAYER_CHECKS:
+    if not CHECK_TABLE[name].first_layer:
         return "jet-exact"
     return "nested-fd" if _NESTED_NOTE in notes else "fd"
 
@@ -712,7 +712,7 @@ def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, 
     any_fail = False
     for name in names:
         values, notes, degen = columns[name]
-        tol = _resolve_tol(name, chart.space, tols)
+        tol = tols[name] if name in tols else CHECK_TABLE[name].tolerance(chart.space)
         summary = sorted({n for n in notes if n})
         live = values[~degen]
         if not np.all(np.isfinite(values)):
@@ -790,15 +790,13 @@ def _run_checks(
     names = list(dict.fromkeys(checks if checks is not None else scene.get("checks", [])))
     if not names:
         raise SceneError("no checks requested")
-    unknown = [n for n in names if n not in CHECKS and n not in CHART_LEVEL_CHECKS]
+    unknown = [n for n in names if n not in CHECK_TABLE]
     if unknown:
         raise SceneError(f"unknown checks: {unknown}")
-    tols = dict(scene.get("tolerances", {}))
-    if tolerances:
-        tols.update(tolerances)
+    tols = _tolerances(scene, tolerances)
 
     samples = sample_points(chart, sampling)
-    per_sample = [n for n in names if n in CHECKS]
+    per_sample = [n for n in names if not CHECK_TABLE[n].chart_level]
 
     chunks: list = []
     parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
@@ -806,8 +804,8 @@ def _run_checks(
         chunks, parallel = _pooled_rows(chart, per_sample, samples, np.arange(len(samples)), seed, jobs)
     columns = {}
     for name in names:
-        if name in CHART_LEVEL_CHECKS:
-            value, note, degen = CHART_LEVEL_CHECKS[name](chart)
+        if CHECK_TABLE[name].chart_level:
+            value, note, degen = CHECK_TABLE[name].kernel(chart)
             columns[name] = (np.array([value], dtype=float), [note], np.array([degen]))
         else:
             values, notes, degen = zip(*(c[name] for c in chunks))
@@ -834,7 +832,8 @@ def _write_csv(path: str, chart: Chart, columns: dict, samples: np.ndarray, name
     sorted name order, sample by sample, then the chart-level checks in the
     order of ``names`` at index 0 and the chart center."""
     lines = ["check,sample_index," + ",".join(chart.var_names) + ",residual"]
-    for name in sorted(n for n in names if n in CHECKS) + [n for n in names if n not in CHECKS]:
+    per_sample = [n for n in names if not CHECK_TABLE[n].chart_level]
+    for name in sorted(per_sample) + [n for n in names if n not in per_sample]:
         us = _points(name, samples, chart).tolist()
         for idx, (u, value) in enumerate(zip(us, columns[name][0].tolist())):
             lines.append(",".join([name, str(idx)] + [f"{x:.17g}" for x in u] + [f"{value:.17g}"]))
@@ -865,7 +864,7 @@ def scan_parameter(
     through ``_pooled_rows`` as the rows of a run do.  An error names the
     first step that fails, as the step would fail on its own: its chart, a
     sample (in sample and check order) or, after its samples, its center."""
-    if residual not in CHECKS:
+    if residual not in CHECK_TABLE or CHECK_TABLE[residual].chart_level:
         raise SceneError(f"unknown residual {residual!r}")
     if int(steps) < 1:
         raise SceneError(f"a scan needs at least one step, got {steps}")

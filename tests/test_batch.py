@@ -8,6 +8,7 @@ surface exactly as a point-by-point evaluation raises them.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,13 +371,13 @@ def _nested_calls(n_nested: int, m: int) -> list:
 
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
-    # a check missing from FIRST_LAYER_CHECKS would compute its stencil in a
-    # second call.  Every difference is taken on arrays: the first layers
+    # a differencing check whose record lacks first_layer would compute its
+    # stencil in a second call.  Every difference is taken on arrays: the first layers
     # on the chunk's, and the nested Laplacian, where PMC fails (the
     # helicoid), on the first layers of its samples' outer stencils, taken
     # in calls of whole samples within the point budget.  No run calls
-    # fd_gradient.  A check outside FIRST_LAYER_CHECKS (ricci, vector_t
-    # and vector_eta among them) differences nothing.
+    # fd_gradient.  A check without first_layer (ricci, vector_t and
+    # vector_eta among them) differences nothing.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
@@ -386,13 +387,14 @@ def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request,
     for name in sorted(prodsub.scene.CHECKS):
         shapes.clear()
         _run_rows(chart, [name], samples, 0)
-        differences = name in prodsub.scene.FIRST_LAYER_CHECKS
+        differences = prodsub.scene.CHECK_TABLE[name].first_layer
         k = 1 + 4 * m if differences else 1
         nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
         assert shapes == [(3 * k, m)] + _nested_calls(nested, m), name
     assert not fd_calls
-    assert set(prodsub.scene.FIRST_LAYER_CHECKS) <= set(prodsub.scene.CHECKS)
-    assert prodsub.scene.FIRST_LAYER_CHECKS.isdisjoint({"ricci", "vector_t", "vector_eta"})
+    first_layer = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.first_layer}
+    assert first_layer <= set(prodsub.scene.CHECKS)
+    assert first_layer.isdisjoint({"ricci", "vector_t", "vector_eta"})
 
 
 STRUCTURE_CHECKS = [
@@ -634,7 +636,7 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
                     (1, failed), (1, nonfinite), (0, failed), (2, failed)]
     # under a looser PMC tolerance only sample 1 nests; it fails as sample 1
     with monkeypatch.context() as mp:
-        mp.setitem(prodsub.scene.DEFAULT_TOLERANCES, "pmc", 0.05)
+        mp.setitem(prodsub.scene.CHECK_TABLE, "pmc", replace(prodsub.scene.CHECK_TABLE["pmc"], tol=0.05))
         rows = _run_rows(chart, ["biharmonic_normal"], samples, 0)
         assert [r[4] == prodsub.scene._NESTED_NOTE for r in rows] == [False, True, False]
         _inject(mp, [("failed", outer(1, 1, 2, 9))])
@@ -733,7 +735,7 @@ def test_run_rows_equal_the_per_sample_loop(batch_charts):
             else:
                 names.append(name)
         assert names, ch.label
-        pointwise = [n for n in names if n not in prodsub.scene.FIRST_LAYER_CHECKS]
+        pointwise = [n for n in names if not prodsub.scene.CHECK_TABLE[n].first_layer]
         for subset in (names, pointwise):
             ref = _reference_rows(ch, subset, samples, 9)
             assert _same_rows(_run_rows(ch, subset, samples, 9), ref), (ch.label, subset)
@@ -793,7 +795,7 @@ def test_error_at_a_sample_center_matches_the_per_sample_loop(
 
 # -- chunk-level checks: every entry runs on the arrays of a whole chunk ------
 
-JET_LEVEL_CHECKS = sorted(set(prodsub.scene.CHECKS) - prodsub.scene.FIRST_LAYER_CHECKS)
+JET_LEVEL_CHECKS = sorted(n for n in prodsub.scene.CHECKS if not prodsub.scene.CHECK_TABLE[n].first_layer)
 
 
 def _rows_by_sample(rows):
