@@ -9,7 +9,7 @@ biconservative and biharmonic submanifolds with parallel mean curvature.
 
 __version__ = "0.1.0"
 
-from .ambient import ProductSpace, curvature, inclusion_sff, inner, membership_residual
+from .ambient import ProductSpace, curvature, inner, membership_residual
 from .errors import (
     ChartError,
     EngineError,
@@ -19,27 +19,23 @@ from .errors import (
     SceneError,
     StencilError,
 )
-from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet, pushforward
-from .jets import Jet2, VecJet2, fd_gradient, jet_arith, jet_const, jet_unary, jet_var
+from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet
+from .jets import Jet2, VecJet2, fd_gradient, jet_const, jet_var
 
 __all__ = [
     "__version__",
     "ProductSpace",
     "inner",
     "membership_residual",
-    "inclusion_sff",
     "curvature",
     "Chart",
     "PointGeometry",
     "analyze_point",
     "evaluate_jet",
-    "pushforward",
     "Jet2",
     "VecJet2",
     "jet_var",
     "jet_const",
-    "jet_arith",
-    "jet_unary",
     "fd_gradient",
     "EngineError",
     "IrregularPoint",

@@ -18,7 +18,6 @@ __all__ = [
     "ProductSpace",
     "inner",
     "membership_residual",
-    "inclusion_sff",
     "curvature",
 ]
 
@@ -95,26 +94,6 @@ def membership_residual(space: ProductSpace, p: np.ndarray):
     if space.epsilon == -1:
         out = np.where(p[..., 0] <= 0.0, math.inf, out)
     return float(out) if p.ndim == 1 else out
-
-
-def inclusion_sff(
-    space: ProductSpace,
-    p: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Second fundamental form of the totally umbilic inclusion of the
-    product into E^{n+2}: -eps <X_Q, Y_Q> p_Q (t slot zero)."""
-    phat = space.q_padded(p)
-    for v, name in ((x, "X"), (y, "Y")):
-        if abs(inner(space, v, phat)) > tol:
-            raise ValueError(f"{name} is not tangent to the product at p")
-    xq = np.array(x, dtype=float)
-    yq = np.array(y, dtype=float)
-    xq[space.t_index] = 0.0
-    yq[space.t_index] = 0.0
-    return -space.epsilon * inner(space, xq, yq) * phat
 
 
 def curvature(

@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from . import exprlang, jets
-from .ambient import ProductSpace
+from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, SceneError
 from .immersion import Chart, Family, probe_grid, wrap_expr
-from .jets import VecJet2, fd_gradient
+from .jets import VecJet2
 
 __all__ = [
     "make_slice",
@@ -368,16 +368,6 @@ def make_partial_tube(
                 raise ChartError(f"each normal needs {space.n + 1} components")
             normal_asts.append(asts)
 
-    def normal_fn(i):
-        def fn(x: float) -> np.ndarray:
-            return np.array(
-                [exprlang.eval_value(t, {"u1": x}) for t in normal_asts[i]]
-            )
-
-        return fn
-
-    normal_fns = [normal_fn(i) for i in range(k)]
-
     profile = profile or {
         "coords": ["cos(0.4*s)", "sin(0.4*s)", "0.6*s"][: k + 2]
         if space.epsilon == 1
@@ -392,7 +382,7 @@ def make_partial_tube(
     sdom = tuple(profile.get("domain", (-1.0, 1.0)))
     xdom = tuple(base.get("domain", (-1.2, 1.2)))
 
-    _validate_tube_data(space, gamma, normal_fns, alpha_asts, pparams, xdom, sdom, k)
+    _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k)
 
     def coord_factory(slot: int):
         def coord(us):
@@ -423,39 +413,39 @@ def make_partial_tube(
     return chart
 
 
-def _validate_tube_data(space, gamma, normal_fns, alpha_asts, pparams, xdom, sdom, k):
-    sig = space.signature[: space.n + 1]
-
-    def qdot(x, y):
-        return float(np.sum(sig * x * y))
-
-    # base normals: orthonormal, tangent to Q, normal and parallel along gamma
-    def gamma_val(x):
-        seeds = (jets.jet_const(x, 2), jets.jet_const(0.0, 2))
-        return np.array([c(seeds).value for c in gamma])
-
-    def gamma_tan(x):
-        seeds = (jets.jet_var(0, x, 2), jets.jet_const(0.0, 2))
-        return np.array([c(seeds).grad[0] for c in gamma])
-
+def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k):
+    # base normals: orthonormal, tangent to Q, normal and parallel along
+    # gamma, from exact jets at 7 base points
     xs = np.linspace(xdom[0] + 0.02, xdom[1] - 0.02, 7)
-    for x in xs:
-        gv, gt = gamma_val(x), gamma_tan(x)
-        for i, nf in enumerate(normal_fns):
-            xi = nf(x)
-            if abs(qdot(xi, xi) - 1.0) > 1e-8 or abs(qdot(xi, gv)) > 1e-8 or abs(
-                qdot(xi, gt)
-            ) > 1e-8:
-                raise ChartError(f"base normal {i} is not unit-normal along gamma")
-            for jj in range(i):
-                if abs(qdot(xi, normal_fns[jj](x))) > 1e-8:
-                    raise ChartError("base normals are not orthonormal")
-            # parallelism: project D_x xi onto the normal space of gamma in Q
-            d = fd_gradient(lambda y: nf(float(y[0])), np.array([x]), 0)
-            d = d - space.epsilon * qdot(d, gv) * gv
-            d = d - (qdot(d, gt) / qdot(gt, gt)) * gt
-            if math.sqrt(abs(qdot(d, d))) > 1e-6:
-                raise ChartError(f"base normal {i} is not parallel along gamma")
+
+    def padded(v):  # Q vectors (or one for all points) as rows of E^{n+2}, zero in the t slot
+        out = np.zeros((len(xs), space.ambient_dim))
+        out[:, : space.n + 1] = v
+        return out
+
+    g = VecJet2([c((jets.jet_var(0, xs, 2), jets.jet_const(0.0, 2))) for c in gamma])
+    gv, gt = padded(g.values), padded(g.jac[..., 0])
+    seed = {"u1": jets.jet_var(0, xs, 1)}
+    bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
+    xis = []
+    for i, asts in enumerate(normal_asts):
+        nj = VecJet2([exprlang.eval_jet(t, seed, {}) for t in asts])
+        xi, d = padded(nj.values), padded(nj.jac[..., 0])
+        normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)))
+        bad[:, i, 0] = (np.abs(inner(space, xi, xi) - 1.0) > 1e-8) | (normal > 1e-8)
+        for other in xis:
+            bad[:, i, 1] |= np.abs(inner(space, xi, other)) > 1e-8
+        xis.append(xi)
+        # parallelism: project D_x xi onto the normal space of gamma in Q
+        d = d - space.epsilon * inner(space, d, gv)[:, None] * gv
+        d = d - (inner(space, d, gt) / inner(space, gt, gt))[:, None] * gt
+        bad[:, i, 2] = np.sqrt(np.abs(inner(space, d, d))) > 1e-6
+    if bad.any():
+        _, i, test = np.argwhere(bad)[0]  # the first in (point, normal, test) order
+        raise ChartError(
+            [f"base normal {i} is not unit-normal along gamma", "base normals are not orthonormal",
+             f"base normal {i} is not parallel along gamma"][test]
+        )
 
     # profile constraints on the quadric fiber
     for s in np.linspace(sdom[0] + 0.02, sdom[1] - 0.02, 9):

@@ -27,7 +27,6 @@ __all__ = [
     "PointBatch",
     "evaluate_jet",
     "analyze_point",
-    "pushforward",
     "gram_schmidt",
     "probe_grid",
 ]
@@ -532,8 +531,3 @@ def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
         steps=steps,
     )
 
-
-def pushforward(chart: Chart, u, v) -> np.ndarray:
-    """Jacobian applied to chart-tangent coefficients at a regular point."""
-    pg = analyze_point(chart, u)
-    return pg.push(v)

@@ -22,8 +22,6 @@ __all__ = [
     "VecJet2",
     "jet_var",
     "jet_const",
-    "jet_arith",
-    "jet_unary",
     "UNARY_FNS",
     "fd_difference",
     "fd_steps",
@@ -302,34 +300,6 @@ UNARY_FNS = {
     "atan": atan,
     "neg": neg,
 }
-
-_ARITH = {
-    "add": Jet2.__add__,
-    "sub": Jet2.__sub__,
-    "mul": Jet2.__mul__,
-    "div": Jet2.__truediv__,
-}
-
-
-def jet_arith(kind: str, a: Jet2, b: Jet2) -> Jet2:
-    try:
-        op = _ARITH[kind]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic kind {kind!r}") from None
-    return op(a, b)
-
-
-def jet_unary(fn: str, a: Jet2, p: float | None = None) -> Jet2:
-    if fn == "pow_const":
-        if p is None:
-            raise ValueError("pow_const needs an exponent")
-        return pow_const(a, p)
-    try:
-        f = UNARY_FNS[fn]
-    except KeyError:
-        raise ValueError(f"unknown unary function {fn!r}") from None
-    return f(a)
-
 
 class VecJet2:
     """Ambient-vector-valued 2-jet, stacked for downstream linear algebra.

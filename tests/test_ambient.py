@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodsub import ProductSpace, curvature, inclusion_sff, inner, membership_residual
+from prodsub import ProductSpace, curvature, inner, membership_residual
 
 
 def e(k, dim):
@@ -41,40 +41,6 @@ def test_membership_residual():
     assert membership_residual(s3, np.array([2, 0, 0, 0, 0])) == 3.0
     # lower sheet is rejected for the hyperbolic quadric
     assert membership_residual(h3, np.array([-1, 0, 0, 0, 0])) == math.inf
-
-
-def test_inclusion_sff_flat_direction():
-    s = ProductSpace(1, 3)
-    p = np.array([1.0, 0, 0, 0, 0.3])
-    dt = e(4, 5)
-    assert np.array_equal(inclusion_sff(s, p, dt, dt), np.zeros(5))
-
-
-def test_inclusion_sff_umbilic():
-    s = ProductSpace(1, 3)
-    p = np.array([1.0, 0, 0, 0, 0.0])
-    x = e(1, 5)
-    out = inclusion_sff(s, p, x, x)
-    assert np.allclose(out, -np.array([1.0, 0, 0, 0, 0]))
-    h = ProductSpace(-1, 3)
-    ph = np.array([1.0, 0, 0, 0, 0.0])
-    xh = e(1, 5)
-    assert np.allclose(inclusion_sff(h, ph, xh, xh), np.array([1.0, 0, 0, 0, 0]))
-
-
-def test_inclusion_sff_rejects_non_tangent():
-    s = ProductSpace(1, 3)
-    p = np.array([1.0, 0, 0, 0, 0.0])
-    with pytest.raises(ValueError):
-        inclusion_sff(s, p, e(0, 5), e(1, 5))
-
-
-def test_inclusion_sff_symmetric():
-    s = ProductSpace(1, 3)
-    p = np.array([1.0, 0, 0, 0, 0.2])
-    x = e(1, 5) + 0.3 * e(4, 5)
-    y = e(2, 5) - 0.1 * e(4, 5)
-    assert np.allclose(inclusion_sff(s, p, x, y), inclusion_sff(s, p, y, x))
 
 
 def test_curvature_flat_directions():

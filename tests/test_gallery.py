@@ -167,6 +167,39 @@ def test_partial_tube_constraint_errors():
         make_partial_tube(sp3, base={"kind": "geodesic", "k": 3})
 
 
+TUBE_PROFILE_K2 = {
+    1: {"coords": ["cos(0.4*s)", "0.6*sin(0.4*s)", "0.8*sin(0.4*s)", "0.6*s"]},
+    -1: {"coords": ["cosh(0.4*s)", "0.6*sinh(0.4*s)", "0.8*sinh(0.4*s)", "0.6*s"]},
+}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_partial_tube_rejects_a_base_normal_that_is_not_unit_normal(eps):
+    # gamma = (cos u1, sin u1, 0, 0) (cosh, sinh for eps = -1): twice a unit normal
+    with pytest.raises(ChartError, match="base normal 0 is not unit-normal along gamma"):
+        make_partial_tube(ProductSpace(eps, 3), base={"kind": "geodesic", "normals": [["0", "0", "2", "0"]]})
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_partial_tube_rejects_base_normals_that_are_not_orthonormal(eps):
+    base = {"kind": "geodesic", "normals": [["0", "0", "1", "0"], ["0", "0", "1", "0"]]}
+    with pytest.raises(ChartError, match="base normals are not orthonormal"):
+        make_partial_tube(ProductSpace(eps, 3), base=base, profile=TUBE_PROFILE_K2[eps])
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_partial_tube_rejects_a_base_normal_that_is_not_parallel(eps):
+    # a unit normal turning in the normal plane of gamma: D_x xi has unit
+    # length normal to gamma.  Its error comes before the one of the second
+    # normal, which is not unit-normal, as normal 0 comes before normal 1
+    turning = ["0", "0", "cos(u1)", "sin(u1)"]
+    with pytest.raises(ChartError, match="base normal 0 is not parallel along gamma"):
+        make_partial_tube(ProductSpace(eps, 3), base={"kind": "geodesic", "normals": [turning]})
+    base = {"kind": "geodesic", "normals": [turning, ["0", "0", "2", "0"]]}
+    with pytest.raises(ChartError, match="base normal 0 is not parallel along gamma"):
+        make_partial_tube(ProductSpace(eps, 3), base=base, profile=TUBE_PROFILE_K2[eps])
+
+
 def test_partial_tube_k0_reduces_to_vertical_cylinder():
     sp3 = ProductSpace(1, 3)
     tube = make_partial_tube(sp3, base={"kind": "geodesic", "k": 0}, profile={"coords": ["1", "s"]})

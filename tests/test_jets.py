@@ -9,10 +9,9 @@ from prodsub import jets
 from prodsub.errors import StencilError
 from prodsub.jets import (
     fd_gradient,
-    jet_arith,
     jet_const,
-    jet_unary,
     jet_var,
+    pow_const,
 )
 
 
@@ -33,7 +32,7 @@ def test_jet_var_index_out_of_range():
 
 def test_mul_square():
     x = jet_var(0, 3.0, m=1)
-    y = jet_arith("mul", x, x)
+    y = x * x
     assert y.value == 9.0
     assert np.array_equal(y.grad, [6.0])
     assert np.array_equal(y.hess, [[2.0]])
@@ -41,7 +40,7 @@ def test_mul_square():
 
 def test_add_zero_identity():
     x = jet_var(0, 1.7, m=3)
-    y = jet_arith("add", x, jet_const(0.0, 3))
+    y = x + jet_const(0.0, 3)
     assert y.value == x.value
     assert np.array_equal(y.grad, x.grad)
     assert np.array_equal(y.hess, x.hess)
@@ -49,7 +48,7 @@ def test_add_zero_identity():
 
 def test_div_reciprocal():
     x = jet_var(0, 2.0, m=1)
-    y = jet_arith("div", jet_const(1.0, 1), x)
+    y = jet_const(1.0, 1) / x
     assert y.value == 0.5
     assert np.allclose(y.grad, [-0.25], atol=1e-15)
     assert np.allclose(y.hess, [[0.25]], atol=1e-15)
@@ -142,15 +141,13 @@ def test_unary_fns_match_finite_differences_100_points(name):
         _fd_check(fn, float(x0))
 
 
-def test_pow_const_via_jet_unary():
-    y = jet_unary("pow_const", jet_var(0, 2.0, m=1), p=3)
+def test_pow_const_value_and_domain():
+    y = pow_const(jet_var(0, 2.0, m=1), 3)
     assert y.value == 8.0
     assert np.array_equal(y.grad, [12.0])
     assert np.array_equal(y.hess, [[12.0]])
     with pytest.raises(ValueError):
-        jet_unary("pow_const", jet_var(0, -1.0, m=1), p=0.5)
-    with pytest.raises(ValueError):
-        jet_unary("nope", jet_var(0, 1.0, m=1))
+        pow_const(jet_var(0, -1.0, m=1), 0.5)
 
 
 @given(

@@ -237,6 +237,62 @@ def test_unknown_check_is_scene_error():
         run_scene(scene, checks=["nope"])
 
 
+TOL_RUN = ["run", "--scene", str(SCENES / "theorem1_cylinder.json"), "--samples", "3", "--check", "pmc"]
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1e-3", ""])
+def test_a_tolerance_that_is_not_a_non_negative_number_is_a_scene_error(capsys, tmp_path, value):
+    assert main(TOL_RUN + ["--tol", f"pmc={value}"]) == 2
+    assert capsys.readouterr().err == f"scene error: tolerance pmc={value!r} is not a non-negative number\n"
+    scene = _load("theorem1_cylinder.json")
+    with pytest.raises(SceneError, match=r"tolerance pmc=.* is not a non-negative number"):
+        run_scene(scene, checks=["pmc"], tolerances={"pmc": value})
+    for bad in (float("nan"), -1e-3):  # in the scene's tolerances block, which the schema lets through
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**scene, "tolerances": {"pmc": bad}}))
+        with pytest.raises(SceneError, match=r"tolerance pmc=.* is not a non-negative number"):
+            run_scene(load_scene(str(path)), checks=["pmc"])
+        assert main(["run", "--scene", str(path), "--samples", "3", "--check", "pmc"]) == 2
+    # zero and infinity are tolerances
+    assert run_scene(scene, checks=["mean_curvature"], tolerances={"mean_curvature": "inf"})["all_pass"]
+    assert not run_scene(scene, checks=["pmc"], tolerances={"pmc": 0})["all_pass"]
+
+
+def test_a_tolerance_for_an_unknown_check_is_a_scene_error(capsys, tmp_path):
+    assert main(TOL_RUN + ["--tol", "pmcc=1e-3"]) == 2
+    assert capsys.readouterr().err == "scene error: unknown tolerances: ['pmcc']\n"
+    scene = _load("theorem1_cylinder.json")
+    with pytest.raises(SceneError, match=r"unknown tolerances: \['pmcc'\]"):
+        run_scene(scene, checks=["pmc"], tolerances={"pmcc": 1e-3})
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**scene, "tolerances": {"pmcc": 1e-3}}))
+    with pytest.raises(SceneError, match=r"unknown tolerances: \['pmcc'\]"):
+        run_scene(load_scene(str(path)), checks=["pmc"])
+    assert main(["run", "--scene", str(path), "--samples", "3", "--check", "pmc"]) == 2
+    # a tolerance of a check the run does not request is no error
+    assert run_scene(scene, checks=["pmc"], tolerances={"gauss": 1e-3})["all_pass"]
+
+
+def test_adding_a_check_moves_no_random_stream(monkeypatch, tmp_path):
+    # gauss, codazzi and ricci draw their directions from streams keyed by
+    # their records; a new check whose name sorts first leaves their
+    # residuals byte for byte as they were
+    def run(csv):
+        path = tmp_path / csv
+        run_scene(_load("theorem1_cylinder.json"), checks=["gauss", "codazzi", "ricci"], csv_path=str(path))
+        return path.read_bytes()
+
+    before = run("before.csv")
+    dummy = prodsub.scene.Check(prodsub.scene.CHECKS["vector_t"], 1e-5)
+    monkeypatch.setitem(prodsub.scene.CHECK_TABLE, "aaa_dummy", dummy)
+    monkeypatch.setitem(prodsub.scene.CHECKS, "aaa_dummy", dummy.kernel)
+    assert sorted(prodsub.scene.CHECKS)[0] == "aaa_dummy"
+    assert run("after.csv") == before
+    assert {n: c.stream for n, c in prodsub.scene.CHECK_TABLE.items() if c.stream is not None} == {
+        "ricci": 13, "gauss": 8, "codazzi": 5,
+    }
+
+
 def test_scan_single_step():
     scene = _load("biharmonic_scan_eps1.json")
     scan = scan_parameter(scene, "a2", 0.64, 0.64, 1, "biharmonic_normal")
