@@ -141,7 +141,7 @@ def test_unary_fns_match_finite_differences_100_points(name):
         _fd_check(fn, float(x0))
 
 
-def test_pow_const_value_and_domain():
+def test_pow_const_via_jet_unary():
     y = pow_const(jet_var(0, 2.0, m=1), 3)
     assert y.value == 8.0
     assert np.array_equal(y.grad, [12.0])
