@@ -10,7 +10,9 @@ the scene's own checks, the structure checks and the jet-level plus
 chart-level checks.  Under the same job counts it runs both 61-step
 criterion-4a scans of ``biharmonic_normal`` with ``--out``.  Compares the
 reports (less ``wall_time_s``), the CSV and scan files byte for byte, and
-stdout, stderr and the exit code of every run.  Prints each output that
+stdout, stderr and the exit code of every run.  It also runs every demo
+(``demos/*.py``) and compares its stdout and exit code; a demo's stderr
+would name the export's path in a warning.  Prints each output that
 differs and exits 1 if any does, else 0.
 """
 
@@ -42,8 +44,12 @@ SCANS = {  # criterion 4a: the a2 windows of both signs of eps
 
 
 def invocations(root: Path) -> dict:
-    """Every run as {name: (prodsub arguments, the files it writes)}."""
+    """Every run as {name: (interpreter arguments, the files it writes, the
+    streams compared)}."""
     out = {}
+    cli = ["-m", "prodsub.cli"]
+    for demo in sorted((root / "demos").glob("*.py")):
+        out[f"demo.{demo.stem}"] = ([f"demos/{demo.name}"], [], ("stdout",))
     for jobs in JOBS:
         for scene in sorted((root / "scenes").glob("*.json")):
             for label, checks in CHECK_SETS.items():
@@ -51,21 +57,22 @@ def invocations(root: Path) -> dict:
                 argv = ["run", "--scene", f"scenes/{scene.name}", "--samples", "24", "--seed", "7"]
                 argv += [a for c in checks or () for a in ("--check", c)]
                 argv += ["--jobs", str(jobs), "--out", f"{name}.json", "--csv", f"{name}.csv"]
-                out[name] = (argv, [f"{name}.json", f"{name}.csv"])
+                out[name] = (cli + argv, [f"{name}.json", f"{name}.csv"], ("stdout", "stderr"))
         for label, (scene, lo, hi) in SCANS.items():
             name = f"{label}.jobs{jobs}"
             argv = ["scan", "--scene", scene, "--param", "a2", "--from", lo, "--to", hi, "--steps", "61"]
             argv += ["--residual", "biharmonic_normal", "--jobs", str(jobs), "--out", f"{name}.dat"]
-            out[name] = (argv, [f"{name}.dat"])
+            out[name] = (cli + argv, [f"{name}.dat"], ("stdout", "stderr"))
     return out
 
 
-def outputs(root: Path, argv: list, files: list) -> dict:
-    """The outputs of one run from ``root``: its exit code, stdout and
-    stderr, and the files it wrote there, each report less its wall time."""
+def outputs(root: Path, argv: list, files: list, streams: tuple) -> dict:
+    """The outputs of one run from ``root``: its exit code, the ``streams``
+    among stdout and stderr, and the files it wrote there, each report less
+    its wall time."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-m", "prodsub.cli", *argv], cwd=root, env=env, capture_output=True)
-    got = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    proc = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
+    got = {"exit": proc.returncode, **{s: getattr(proc, s) for s in streams}}
     for f in files:
         path = root / f
         data = path.read_bytes() if path.exists() else None
@@ -89,8 +96,8 @@ def main(argv=None) -> int:
         export("HEAD", roots["change"])
         runs = invocations(roots["change"])
         differ = []
-        for name, (run_argv, files) in runs.items():
-            got = {side: outputs(root, run_argv, files) for side, root in roots.items()}
+        for name, run in runs.items():
+            got = {side: outputs(root, *run) for side, root in roots.items()}
             for key in got["base"]:
                 if got["base"][key] != got["change"][key]:
                     differ.append(f"{name}: {key}")

@@ -2,8 +2,6 @@
 the frame-bundle data at a sample point: |T|, |eta|, the angle theta, the
 mean curvature and the codimension."""
 
-import numpy as np
-
 from prodsub import ProductSpace, analyze_point
 from prodsub.extrinsic import second_fundamental
 from prodsub.gallery import (
@@ -14,7 +12,7 @@ from prodsub.gallery import (
     make_vertical_cylinder,
 )
 
-rows = []
+table = []
 for eps in (1, -1):
     sp4, sp3 = ProductSpace(eps, 4), ProductSpace(eps, 3)
     a = 0.8 if eps == 1 else 1.25
@@ -28,15 +26,13 @@ for eps in (1, -1):
         make_cmc_product(sp3, 0.7),
     ]
     for ch in charts:
-        u = ch.center() + 0.07
-        pg = analyze_point(ch, u)
-        ed = second_fundamental(pg)
-        rows.append(
-            (eps, ch.label, pg.T_norm, pg.eta_norm, pg.theta, ed.H_norm, pg.codim)
-        )
+        rows = second_fundamental(analyze_point(ch, ch.center() + 0.07))  # a batch of one point
+        b = rows.batch
+        codim = b.normal_onb.shape[1]
+        table.append((eps, ch.label, b.T_norm[0], b.eta_norm[0], b.theta[0], rows.H_norm[0], codim))
 
 print(f"{'eps':>4} {'chart':38} {'|T|':>8} {'|eta|':>8} {'theta':>8} {'|H|':>9} {'codim':>5}")
-for eps, label, t, e, th, h, c in rows:
+for eps, label, t, e, th, h, c in table:
     print(f"{eps:+4d} {label:38} {t:8.4f} {e:8.4f} {th:8.4f} {h:9.5f} {c:5d}")
 
 print(

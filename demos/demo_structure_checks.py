@@ -7,38 +7,32 @@ import numpy as np
 
 from prodsub import ProductSpace
 from prodsub.classify import biconservative_residual, class_A_residual
-from prodsub.extrinsic import (
-    FieldCache,
-    T_eta_residuals,
-    normal_derivative_H,
-    structure_residuals,
-)
+from prodsub.extrinsic import FirstLayer, T_eta_residuals, normal_derivative_H, structure_residuals
 from prodsub.gallery import make_theorem1
 
 rng = np.random.default_rng(0)
 
 for kind, params in (("geodesic_cylinder", {}), ("helicoid", {"pitch": 0.5})):
     ch = make_theorem1(ProductSpace(1, 4), a=0.8, phi_kind=kind, phi_params=params)
-    cache = FieldCache(ch)
     print(f"\n== {ch.label}")
-    worst = {"gauss": 0.0, "codazzi": 0.0, "ricci": 0.0, "pmc": 0.0}
+    draws = []  # per point: u, then X, Y, Z, then the normal index a
     for _ in range(10):
         u = np.array([rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in ch.domain])
         X, Y, Z = rng.standard_normal((3, 3))
-        res = structure_residuals(ch, u, X, Y, Z, a=int(rng.integers(0, 2)), cache=cache)
-        for k in ("gauss", "codazzi", "ricci"):
-            worst[k] = max(worst[k], float(np.linalg.norm(res[k])))
-        ws = normal_derivative_H(ch, u, cache)
-        worst["pmc"] = max(worst["pmc"], max(float(np.linalg.norm(w)) for w in ws))
+        draws.append((u, X, Y, Z, int(rng.integers(0, 2))))
+    U, X, Y, Z, a = (np.array(v) for v in zip(*draws))
+    layer = FirstLayer.at(ch, U)  # the ten points and their stencils in one batch
+    res = structure_residuals(layer, X, Y, Z, a)
+    worst = {k: float(np.linalg.norm(res[k], axis=-1).max()) for k in ("gauss", "codazzi", "ricci")}
+    worst["pmc"] = float(np.linalg.norm(normal_derivative_H(layer), axis=-1).max())
     for k, v in worst.items():
         print(f"  max {k:8s} residual: {v:.3e}")
-    u = ch.center() + 0.05
-    te = T_eta_residuals(ch, u, cache)
-    print(f"  T/eta derivative rules: vt={te['vt']:.2e} veta={te['veta']:.2e}")
-    pg, ed = cache.geometry(u)
-    bc = biconservative_residual(ch, u, cache, pg, ed)
-    print(f"  biconservative: simple={bc['simple']:.2e} full={bc['full']:.2e}")
-    print(f"  class-A deviation: {class_A_residual(pg, ed):.2e}")
+    center = FirstLayer.at(ch, (ch.center() + 0.05)[None])
+    vt, veta = T_eta_residuals(center.centers)
+    print(f"  T/eta derivative rules: vt={vt[0]:.2e} veta={veta[0]:.2e}")
+    bc = biconservative_residual(center)
+    print(f"  biconservative: simple={bc['simple'][0]:.2e} full={bc['full'][0]:.2e}")
+    print(f"  class-A deviation: {class_A_residual(center.centers)[0]:.2e}")
 
 print(
     "\nThe Gauss/Codazzi/Ricci and T/eta identities hold on every immersion."

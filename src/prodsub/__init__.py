@@ -19,7 +19,7 @@ from .errors import (
     SceneError,
     StencilError,
 )
-from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet
+from .immersion import Chart, analyze_point, evaluate_jet
 from .jets import Jet2, VecJet2, fd_gradient, jet_const, jet_var
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "membership_residual",
     "curvature",
     "Chart",
-    "PointGeometry",
     "analyze_point",
     "evaluate_jet",
     "Jet2",

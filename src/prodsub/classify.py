@@ -11,47 +11,37 @@ even in each xi_a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import curvature, inner
-from .errors import InvalidFrame
-from .extrinsic import (
-    ExtrinsicData,
-    ExtrinsicRows,
-    FieldCache,
-    _one,
-    normal_derivatives_H,
-    normal_laplacian_H,
-    second_fundamental,
-    shape_operator,
-)
-from .immersion import Chart, PointGeometry, analyze_point, evaluate_jet, probe_grid
+from .errors import InvalidFrame, RowFailure
+from .extrinsic import ExtrinsicRows, FirstLayer, normal_derivative_H, normal_laplacian_H, shape_operator
+from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
     "CodimTwoFrame",
     "E0Analysis",
     "DEGENERATE",
     "codim_two_frame",
-    "codim_two_frames",
     "biconservative_simple",
     "biconservative_full",
     "biconservative_residual",
-    "biharmonic_normal",
-    "biharmonic_normals",
     "biharmonic_predicates",
     "biharmonic_residual",
     "class_A_residual",
-    "class_A_residuals",
     "e0_structure",
-    "e0_structures",
     "splitting_residual",
     "circle_geometry",
     "TOL_EIG",
+    "TOL_PMC",
 ]
 
 TOL_EIG = 1e-7
+
+#: PMC holds where every |nabla^perp_p H| is at or below this
+TOL_PMC = 1e-6
 
 #: degeneracy thresholds: a point whose quantity is at or below its entry
 #: counts as T = 0, H = 0 or eta = 0 for the named use
@@ -73,36 +63,21 @@ def _sign_fix(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
 
 
-def _first_row(stacked, errors: list):
-    """Row 0 of a dataclass of arrays stacked over a batch (scalars as
-    Python numbers), or the error of that row."""
-    if errors[0] is not None:
-        raise errors[0]
-    out = {}
-    for f in fields(stacked):
-        v = getattr(stacked, f.name)
-        if is_dataclass(v):
-            out[f.name] = _first_row(v, errors)
-        elif v is not None:
-            out[f.name] = v[0].item() if np.ndim(v[0]) == 0 else v[0]
-    return replace(stacked, **out)
-
-
 @dataclass
 class CodimTwoFrame:
     """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
     codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
-    is gauge-fixed as the unit normal orthogonal to xi_1.  The batch form
-    stacks every field over the rows."""
+    is gauge-fixed as the unit normal orthogonal to xi_1.  Every field is
+    stacked over the rows of a batch."""
 
     xi1: np.ndarray
     xi2: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
-    eta_gauge_fixed: bool = False
+    eta_gauge_fixed: np.ndarray
 
 
-def codim_two_frames(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
+def codim_two_frame(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
     """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
     (None when the codimension is not 2) and a list with the InvalidFrame
     each row raises, else None.  The fields of a failed row mean nothing."""
@@ -135,13 +110,6 @@ def codim_two_frames(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
     return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
 
 
-def codim_two_frame(
-    pg: PointGeometry, ed: ExtrinsicData, tol_h: float = DEGENERATE["H_frame"]
-) -> CodimTwoFrame:
-    """``codim_two_frames`` at one point; raises its InvalidFrame."""
-    return _first_row(*codim_two_frames(ExtrinsicRows.of(pg, ed), tol_h))
-
-
 def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
     """|eps <H, eta> T| of every row, the biconservative criterion under
     parallel mean curvature (jet level)."""
@@ -168,15 +136,11 @@ def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
 
 
-def biconservative_residual(
-    chart: Chart, u, cache: FieldCache | None = None, pg: PointGeometry | None = None, ed: ExtrinsicData | None = None
-) -> dict:
+def biconservative_residual(layer: FirstLayer) -> dict:
     """simple: ``biconservative_simple``; full: ``biconservative_full``, at
-    one point (at ``pg`` and ``ed`` when given)."""
-    layer = (cache or FieldCache(chart)).layer(u if pg is None else pg.u)
-    W = _one(normal_derivatives_H, layer)
-    rows = layer.centers if pg is None or ed is None else ExtrinsicRows.of(pg, ed)
-    return {"simple": float(biconservative_simple(rows)[0]), "full": float(biconservative_full(rows, W[None])[0])}
+    every center of a first layer."""
+    rows = layer.centers
+    return {"simple": biconservative_simple(rows), "full": biconservative_full(rows, normal_derivative_H(layer))}
 
 
 def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +148,7 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the codim-2
     frame is undefined."""
     b = rows.batch
-    frame, errors = codim_two_frames(rows)
+    frame, errors = codim_two_frame(rows)
     undefined = np.array([e is not None for e in errors])
     if frame is None:
         return np.full(len(b), math.nan), np.full(len(b), math.nan)
@@ -193,60 +157,42 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     return tr + t2 - b.chart.m, tr + b.chart.space.epsilon * (t2 - b.chart.m)
 
 
-def biharmonic_normals(rows: ExtrinsicRows, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norm of trace alpha(., A_H .) - lap^perp H + trace (R(., H) .)^perp
-    of every row, for the normal Laplacians ``lap`` (N, n+2), and whether H
-    vanishes there (|H| at or below DEGENERATE["H_minimal"])."""
-    b = rows.batch
-    A_H = shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H)
-    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ b.normal_onb)[:, 0]
-    curv = b.proj_normal(_curvature_trace(rows))
-    return np.linalg.norm(trace_alpha - lap + curv, axis=-1), rows.H_norm <= DEGENERATE["H_minimal"]
+def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray, tol_pmc: float = TOL_PMC) -> dict:
+    """The biharmonic normal residual of every row, given nabla^perp H
+    (N, m, n+2) there.
 
-
-def biharmonic_normal(
-    chart: Chart, pg: PointGeometry, ed: ExtrinsicData, assume_pmc: bool = False, cache: FieldCache | None = None
-) -> tuple[float, bool]:
-    """``biharmonic_normals`` at one point.  The normal Laplacian takes
-    nested differences unless ``assume_pmc`` or H = 0."""
-    minimal = ed.H_norm <= DEGENERATE["H_minimal"]
-    nested = not (assume_pmc or minimal)
-    lap = normal_laplacian_H(chart, pg.u, cache or FieldCache(chart)) if nested else np.zeros(chart.space.ambient_dim)
-    return float(biharmonic_normals(ExtrinsicRows.of(pg, ed), lap[None])[0][0]), minimal
-
-
-def biharmonic_residual(
-    chart: Chart,
-    u,
-    assume_pmc: bool = False,
-    cache: FieldCache | None = None,
-    pg: PointGeometry | None = None,
-    ed: ExtrinsicData | None = None,
-) -> dict:
-    """normal and minimal: ``biharmonic_normal``.
+    normal: the norm of trace alpha(., A_H .) - lap^perp H
+    + trace (R(., H) .)^perp; minimal: whether H vanishes (|H| at or below
+    DEGENERATE["H_minimal"]); nested: whether lap^perp H took nested
+    differences, which it does where PMC fails (some |nabla^perp_p H| above
+    ``tol_pmc``) and H does not vanish, and is 0 elsewhere, so a zero
+    ``nabla_H`` assumes PMC.  The nested rows take one
+    ``normal_laplacian_H`` call; raises RowFailure for the first of them
+    whose stencils fail.
 
     The curvature trace enters with coefficient one: that is the form whose
     restriction to the parallel-H biconservative case reduces to the
-    codimension-2 predicate trace A_{xi1}^2 + |T|^2 = m, and it reproduces
-    the classical small-hypersphere locus in the round sphere.  ``predicate``
-    and ``predicate_eps`` are ``biharmonic_predicates`` at the point;
-    neither is asserted as ground truth for eps = -1, only the direct
-    residual is.
+    codimension-2 predicate trace A_{xi1}^2 + |T|^2 = m
+    (``biharmonic_predicates``), and it reproduces the classical
+    small-hypersphere locus in the round sphere.
     """
-    cache = cache or FieldCache(chart)
-    if pg is None or ed is None:
-        pg, ed = cache.geometry(u)
-    normal, minimal = biharmonic_normal(chart, pg, ed, assume_pmc, cache)
-    pred, pred_eps = biharmonic_predicates(ExtrinsicRows.of(pg, ed))
-    return {
-        "normal": normal,
-        "minimal": minimal,
-        "predicate": float(pred[0]),
-        "predicate_eps": float(pred_eps[0]),
-    }
+    b = rows.batch
+    minimal = rows.H_norm <= DEGENERATE["H_minimal"]
+    nested = ~(np.max(np.linalg.norm(nabla_H, axis=-1), axis=-1) <= tol_pmc) & ~minimal
+    lap = np.zeros_like(rows.H)
+    at = np.flatnonzero(nested)
+    if at.size:
+        try:
+            lap[at] = normal_laplacian_H(rows.take(at), nabla_H[at])
+        except RowFailure as f:
+            raise RowFailure(int(at[f.args[0]]), f.args[1]) from None
+    A_H = shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H)
+    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ b.normal_onb)[:, 0]
+    curv = b.proj_normal(_curvature_trace(rows))
+    return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
-def class_A_residuals(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"]) -> np.ndarray:
+def class_A_residual(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"]) -> np.ndarray:
     """Deviation of T from being an eigenvector of every shape operator,
     relative to max(1, |A_xi|), for every row of a batch; zero by
     convention where T vanishes."""
@@ -260,27 +206,22 @@ def class_A_residuals(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"
     return np.where(b.T_norm <= tol_t, 0.0, worst)
 
 
-def class_A_residual(pg: PointGeometry, ed: ExtrinsicData, tol_t: float = DEGENERATE["T_class_a"]) -> float:
-    """``class_A_residuals`` at one point."""
-    return float(class_A_residuals(ExtrinsicRows.of(pg, ed), tol_t)[0])
-
-
 @dataclass
 class E0Analysis:
     """Eigenstructure of A_H and the block form of the codim-2 frame, with
-    B and S1 the diagonal non-kernel blocks of A_{xi2} and A_{xi1}.  The
-    batch form stacks every field over the rows."""
+    B and S1 the diagonal non-kernel blocks of A_{xi2} and A_{xi1}.  Every
+    field is stacked over the rows of a batch."""
 
     eigenvalues: np.ndarray  # of A_H, E_0 block first then descending |.|
     eigenvectors: np.ndarray  # columns, tangent-ONB coordinates
-    dim_E0: int
-    aht: float  # |A_H T|
-    aetat: float  # dist(A_eta T, E_0(H))
-    offblock: float  # off-diagonal blocks of A_{xi2}
-    traceBS1: float  # |trace B S1|
-    a_last: float  # A_{xi2} entry on the leading shape direction
-    form3_residual: float | None  # m=3 only: gap to diag(0, 0, 3|H|)
-    warn_eigengap: bool
+    dim_E0: np.ndarray
+    aht: np.ndarray  # |A_H T|
+    aetat: np.ndarray  # dist(A_eta T, E_0(H))
+    offblock: np.ndarray  # off-diagonal blocks of A_{xi2}
+    traceBS1: np.ndarray  # |trace B S1|
+    a_last: np.ndarray  # A_{xi2} entry on the leading shape direction
+    form3_residual: np.ndarray | None  # m=3 only: gap to diag(0, 0, 3|H|)
+    warn_eigengap: np.ndarray
     frame: CodimTwoFrame
 
 
@@ -296,12 +237,12 @@ def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: floa
             start = i
 
 
-def e0_structures(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
+def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
     """Symmetric eigenanalysis of A_H with the kernel split, filling the
     residuals of the codimension-2 biconservative block structure, for
     every row of a batch: a stacked E0Analysis (None when the codimension
-    is not 2) and the rows' errors as in ``codim_two_frames``."""
-    frame, errors = codim_two_frames(rows)
+    is not 2) and the rows' errors as in ``codim_two_frame``."""
+    frame, errors = codim_two_frame(rows)
     if frame is None:
         return None, errors
     b = rows.batch
@@ -357,21 +298,6 @@ def e0_structures(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
     return e0, errors
 
 
-def e0_structure(
-    chart: Chart,
-    u,
-    pg: PointGeometry | None = None,
-    ed: ExtrinsicData | None = None,
-    tol_eig: float = TOL_EIG,
-) -> E0Analysis:
-    """``e0_structures`` at one point; raises its InvalidFrame."""
-    if pg is None:
-        pg = analyze_point(chart, u)
-    if ed is None:
-        ed = second_fundamental(pg)
-    return _first_row(*e0_structures(ExtrinsicRows.of(pg, ed), tol_eig))
-
-
 def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
     """Max mixed second derivative between the designated s variable and the
     remaining chart variables over a probe grid (jet-exact): zero exactly
@@ -409,8 +335,11 @@ def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
     sv = np.linalg.svd(diffs, compute_uv=False)
     plane_rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
 
-    pg = analyze_point(chart, u0)
-    c = float(np.linalg.norm(inner(chart.space, np.asarray(pg.normal_onb), acc)) / pg.g[s, s])
+    b = analyze_point(chart, u0)
+    if b.errors[0] is not None:
+        raise b.errors[0]
+    xi = np.ascontiguousarray(b.normal_onb[0])  # ``inner`` sums a strided row in another order
+    c = float(np.linalg.norm(inner(chart.space, xi, acc)) / b.g[0, s, s])
     c2 = c * c + chart.space.epsilon
     gap = abs(radius - 1.0 / math.sqrt(c2)) if math.isfinite(radius) and c2 > 0 else math.inf
     return {"radius": radius, "plane_rank": plane_rank, "c": c, "gap": gap}

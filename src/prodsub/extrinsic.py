@@ -1,34 +1,32 @@
 """Second fundamental form, mean curvature, normal connection and the
-residuals of the first-order structure equations.
+residuals of the first-order structure equations, as array kernels over
+batches of points.
 
 Derivative depth discipline: quantities built from the position 2-jet are
 exact ("jet level"), and so are the first chart derivatives the 2-jet gives
 in closed form (``JetDerivatives``: metric, Christoffels, normal projector,
 T and eta), so Ricci, the T/eta rules and the ONB connection are jet-exact.
 Derivatives of H, alpha and the Christoffels need the 3-jet and take one
-finite-difference layer (tol_fd = 1e-6): array kernels over a batch's
-``FirstLayer`` that difference along its stencil axis, and the single-point
-functions run them on a batch of one.  Only the normal Laplacian of H nests
-differences (tol_fd2 = 1e-4), an array kernel too: nabla^perp H on the first
-layers of the outer stencils, differenced along them.  Every differenced
-field is gauge-invariant, never a frame vector.
+finite-difference layer (tol_fd = 1e-6): kernels over a batch's
+``FirstLayer`` that difference along its stencil axis.  Only the normal
+Laplacian of H nests differences (tol_fd2 = 1e-4): nabla^perp H on the
+first layers of the outer stencils, differenced along them.  Every
+differenced field is gauge-invariant, never a frame vector.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, RowFailure
-from .immersion import Chart, PointBatch, PointGeometry, analyze_point
+from .immersion import Chart, PointBatch, analyze_point
 from .jets import VecJet2, fd_difference, fd_stencil, fd_steps, nonfinite_error
 
 __all__ = [
-    "ExtrinsicData",
     "ExtrinsicRows",
     "FieldCache",
     "FirstLayer",
@@ -39,18 +37,12 @@ __all__ = [
     "christoffels",
     "onb_connection",
     "normal_derivative_H",
-    "normal_derivatives_H",
     "normal_laplacian_H",
-    "normal_laplacians_H",
     "structure_residuals",
-    "gauss_residual",
     "gauss_residuals",
-    "codazzi_residual",
     "codazzi_residuals",
-    "ricci_residual",
     "ricci_residuals",
     "T_eta_residuals",
-    "T_eta_rows",
     "FD_NESTED_STEP",
 ]
 
@@ -77,26 +69,6 @@ _BATCH_POINTS = 512
 _NESTED_POINTS = 384
 
 
-@dataclass
-class ExtrinsicData:
-    """Second-fundamental-form data at one point, in the orthonormal frames.
-
-    ``alpha[a][i, j]`` are the components of the second fundamental form
-    against normal xi_a over the tangent ONB; in an orthonormal frame these
-    matrices are exactly the shape operators, so ``shape_ops`` aliases them.
-    """
-
-    pg: PointGeometry
-    alpha: list
-    shape_ops: list
-    H: np.ndarray
-    H_norm: float
-
-    def shape_in_direction(self, w: np.ndarray) -> np.ndarray:
-        """Shape operator A_w for an ambient normal vector w (ONB matrix)."""
-        return shape_operator(self.pg.space, np.asarray(self.pg.normal_onb), np.asarray(self.alpha), w)
-
-
 def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np.ndarray:
     """A_w = sum_a <w, xi_a> alpha^a in the tangent ONB, for normal frames xi
     (..., r, n+2), alpha (..., r, m, m) and normal vectors w (..., n+2)."""
@@ -104,38 +76,27 @@ def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np
     return (c[..., None, None] * alpha).sum(axis=-3)
 
 
-def second_fundamental(pg):
-    """alpha, shape operators and the mean curvature vector at a point.
+def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
+    """alpha, shape operators and the mean curvature vector at every row
+    of a PointBatch (rows that failed hold garbage).
 
     alpha^a_{ij} = <d2f/du_i du_j, xi_a>: the normal frame is orthogonal to
     both the tangent space and the quadric position, which removes the
     Christoffel and inclusion-umbilic parts of the flat second derivative.
-
-    ``pg`` is one PointGeometry, for which the result is its ExtrinsicData,
-    or a PointBatch, for which it is the ExtrinsicRows of the stacked arrays
-    (rows that failed hold garbage).  One point runs as a batch of one.
     """
-    if isinstance(pg, PointBatch):
-        with np.errstate(invalid="ignore", over="ignore"):  # failed rows hold garbage
-            return ExtrinsicRows(pg, *_sff(pg.chart.space, pg.normal_onb, pg.jet.d2, pg.tangent_coeffs))
-    alpha, H, H_norm = _sff(
-        pg.space, np.array(pg.normal_onb)[None], pg.jet.d2[None], pg.tangent_coeffs[None]
-    )
-    return _extrinsic(pg, alpha[0], H[0], H_norm[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # failed rows hold garbage
+        return ExtrinsicRows(batch, *_sff(batch.chart.space, batch.normal_onb, batch.jet.d2, batch.tangent_coeffs))
 
 
 class ExtrinsicRows:
     """``second_fundamental`` of a PointBatch: alpha (N, r, m, m), H (N, n+2)
-    and |H| (N,) stacked.  The batch kernels of the checks read the arrays;
-    ``of`` makes one point a batch of one for them."""
+    and |H| (N,) stacked.  In an orthonormal frame alpha[:, a] is the shape
+    operator A_{xi_a} in the tangent ONB.  The batch kernels of the checks
+    read the arrays."""
 
     def __init__(self, batch: PointBatch, alpha, H, H_norm):
         self.batch = batch
         self.alpha, self.H, self.H_norm = alpha, H, H_norm
-
-    @classmethod
-    def of(cls, pg: PointGeometry, ed: ExtrinsicData) -> "ExtrinsicRows":
-        return cls(PointBatch.of(pg), np.array(ed.alpha)[None], ed.H[None], np.array([ed.H_norm]))
 
     def take(self, rows) -> "ExtrinsicRows":
         """The rows given by a slice or an index array."""
@@ -148,11 +109,6 @@ class ExtrinsicRows:
 
     def __len__(self) -> int:
         return len(self.batch)
-
-
-def _extrinsic(pg: PointGeometry, alpha: np.ndarray, H: np.ndarray, H_norm) -> ExtrinsicData:
-    alpha = list(alpha)
-    return ExtrinsicData(pg=pg, alpha=alpha, shape_ops=alpha, H=H, H_norm=float(H_norm))
 
 
 def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
@@ -194,9 +150,7 @@ class JetDerivatives:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        dg = self.dg  # Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-        low = 0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))
-        return np.einsum("nlk,nijk->nlij", self.g_inv, low)
+        return christoffels(self.dg, self.g_inv)
 
     @cached_property
     def dg_inv(self) -> np.ndarray:
@@ -223,27 +177,30 @@ class JetDerivatives:
         return self.dP[..., self.space.t_index]
 
 
-def christoffels(pg: PointGeometry) -> np.ndarray:
-    """Chart-coordinate Christoffel symbols G[l, i, j] = Gamma^l_{ij}, exact
-    at jet level: ``JetDerivatives.gamma`` on a batch of one."""
-    return JetDerivatives(pg.space, pg.jet.row(None), pg.g_inv[None]).gamma[0]
+def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Chart-coordinate Christoffel symbols G[:, l, i, j] = Gamma^l_{ij} of
+    every row from the metric derivatives dg[:, i, j, l] = d_i g_jl and
+    g^-1 (N, m, m)."""
+    low = 0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))  # Gamma_{ij,k}
+    return np.einsum("nlk,nijk->nlij", g_inv, low)
 
 
-def onb_connection(pg: PointGeometry) -> np.ndarray:
-    """Connection coefficients in the tangent ONB,
-    conn[i, j, k] = <nabla_{E_i} E_j, E_k>, exact at jet level.
+def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
+    """Connection coefficients in the tangent ONB of every row,
+    conn[:, i, j, k] = <nabla_{E_i} E_j, E_k>, exact at jet level.
 
     The tangent Gram-Schmidt is unpivoted, so E = C J^T with C = L^-1 for
     g = L L^T, and d_q C = -Phi(C d_q g C^T) C, where Phi keeps the strict
     lower triangle and half the diagonal.  Then
     nabla_{f_q} E_j = sum_p (d_q C + C Gamma_q^T)[j, p] f_p with
     Gamma_q[p, r] = Gamma^p_{qr}, and <f_p, E_k> = (g C^T)[p, k]."""
-    d = JetDerivatives(pg.space, pg.jet.row(None), pg.g_inv[None])
-    C = pg.tangent_coeffs
-    B = C @ d.dg[0] @ C.T
-    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(pg.chart.m)) @ C
-    M = dC + C @ d.gamma[0].transpose(1, 2, 0)  # M[q, j, p]
-    return np.einsum("iq,qjk->ijk", C, M @ (pg.g @ C.T))
+    b, d = rows.batch, rows.derivatives
+    C = b.tangent_coeffs[:, None]
+    Ct = np.swapaxes(C, -1, -2)
+    B = C @ d.dg @ Ct
+    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(b.chart.m)) @ C
+    M = dC + C @ d.gamma.transpose(0, 2, 3, 1)  # M[:, q, j, p]
+    return np.einsum("niq,nqjk->nijk", b.tangent_coeffs, M @ (b.g[:, None] @ Ct))
 
 
 def first_layer(u) -> np.ndarray:
@@ -254,30 +211,30 @@ def first_layer(u) -> np.ndarray:
 
 
 class FieldCache:
-    """Memo of the single-point functions, keyed by exact float tuples:
-    ``geometry`` keeps a point's geometry and ``layer`` the FirstLayer of
-    each center that the differencing ones read."""
+    """Memo of the geometry of point batches, keyed by the exact floats of
+    the points U (N, m): ``geometry(U)`` gives their ExtrinsicRows and
+    ``layer(U)`` their FirstLayer, each computed on first use."""
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._memo: dict = {}
-        self._layers: dict = {}
 
-    def geometry(self, u) -> tuple[PointGeometry, ExtrinsicData]:
-        key = tuple(np.asarray(u, dtype=float).tolist())
-        hit = self._memo.get(key)
-        if hit is None:
-            pg = analyze_point(self.chart, np.asarray(u, dtype=float))
-            hit = (pg, second_fundamental(pg))
-            self._memo[key] = hit
-        return hit
+    def _memoized(self, make, U):
+        U = np.asarray(U, dtype=float).reshape(-1, self.chart.m)
+        key = (make, U.tobytes())
+        if key not in self._memo:
+            self._memo[key] = make(self.chart, U)
+        return self._memo[key]
 
-    def layer(self, u) -> "FirstLayer":
-        """u's FirstLayer, computed in one batch on first use."""
-        key = tuple(np.asarray(u, dtype=float).tolist())
-        if key not in self._layers:
-            self._layers[key] = FirstLayer.at(self.chart, key)
-        return self._layers[key]
+    def geometry(self, U) -> ExtrinsicRows:
+        return self._memoized(_geometry, U)
+
+    def layer(self, U) -> "FirstLayer":
+        return self._memoized(FirstLayer.at, U)
+
+
+def _geometry(chart: Chart, U: np.ndarray) -> ExtrinsicRows:
+    return second_fundamental(analyze_point(chart, U))
 
 
 class FirstLayer:
@@ -387,27 +344,14 @@ def _geometry_rows(chart: Chart, points: np.ndarray, steps=None) -> ExtrinsicRow
     return second_fundamental(batch)
 
 
-def _one(kernel, *args):
-    """Row 0 of a batch kernel run on batches of one; raises its error."""
-    try:
-        return kernel(*args)[0]
-    except RowFailure as f:
-        raise f.args[1] from None
-
-
-def normal_derivatives_H(layer: FirstLayer) -> np.ndarray:
+def normal_derivative_H(layer: FirstLayer) -> np.ndarray:
     """nabla^perp_{d_i} H (N, m, n+2) at every center of a first layer: the normal
     projection of the first-layer derivative of the H field (gauge-free)."""
     (dH,) = layer.diff(layer.rows.H)
     return layer.centers.batch.proj_normal(dH)
 
 
-def normal_derivative_H(chart: Chart, u, cache: FieldCache | None = None) -> list[np.ndarray]:
-    """``normal_derivatives_H`` at one point, as m vectors."""
-    return list(_one(normal_derivatives_H, (cache or FieldCache(chart)).layer(u)))
-
-
-def normal_laplacians_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
+def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     """Trace Laplacian of H in the normal bundle (K, n+2) at every row of
     ``centers`` by nested finite differences (tol_fd2 accuracy):
     sum g^{pq} (nabla^perp_p nabla^perp_q H - Gamma^k_{pq} nabla^perp_k H),
@@ -423,7 +367,7 @@ def normal_laplacians_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarr
     for first in range(0, K, step):
         at = None if b.steps is None else np.repeat(b.steps[first : first + step], 4 * m)
         try:
-            W.append(normal_derivatives_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
+            W.append(normal_derivative_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
         except RowFailure as f:  # from an outer point to its row
             raise RowFailure(first + f.args[0] // (4 * m), f.args[1]) from None
         except EngineError as exc:  # every point of the call failed
@@ -443,24 +387,22 @@ def normal_laplacians_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarr
     return b.proj_normal(out)
 
 
-def normal_laplacian_H(chart: Chart, u, cache: FieldCache | None = None) -> np.ndarray:
-    """``normal_laplacians_H`` at one point."""
-    layer = (cache or FieldCache(chart)).layer(u)
-    return _one(normal_laplacians_H, layer.centers, _one(normal_derivatives_H, layer)[None])
-
-
 def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:
     """(a ^ b) c = <b, c> a - <a, c> b, signature-weighted, for vectors (n+2,) or stacked (N, n+2)."""
     bc, ac = (np.asarray(inner(sp, v, c))[..., None] for v in (b, a))
     return bc * a - ac * b
 
 
-def structure_residuals(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> dict:
-    """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors) for
-    constant-coefficient coordinate fields X, Y, Z and normal index ``a``."""
-    cache = cache or FieldCache(chart)
-    pairs = (("gauss", gauss_residual), ("codazzi", codazzi_residual), ("ricci", ricci_residual))
-    return {name: residual(chart, u, X, Y, Z, a, cache) for name, residual in pairs}
+def structure_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, a: np.ndarray) -> dict:
+    """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors
+    (N, n+2)) at every center of a first layer, for chart directions X, Y, Z
+    (N, m) and normal indices a (N,); Gauss and Codazzi do not use ``a``,
+    Ricci does not use Z."""
+    return {
+        "gauss": gauss_residuals(layer, X, Y, Z),
+        "codazzi": codazzi_residuals(layer, X, Y, Z),
+        "ricci": ricci_residuals(layer.centers, X, Y, a),
+    }
 
 
 def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -491,14 +433,6 @@ def gauss_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarr
     return (b.jet.jac @ curv)[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
 
 
-def gauss_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """``gauss_residuals`` at one point.  The three residual functions take
-    the arguments of ``structure_residuals``; Gauss and Codazzi do not use
-    ``a``."""
-    X, Y, Z = (np.asarray(v, dtype=float)[None] for v in (X, Y, Z))
-    return _one(gauss_residuals, (cache or FieldCache(chart)).layer(u), X, Y, Z)
-
-
 def codazzi_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Codazzi equation LHS - RHS as ambient vectors (N, n+2) for chart
     directions X, Y, Z (N, m) at every center of a first layer.  The
@@ -513,12 +447,6 @@ def codazzi_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.nda
     lhs = b.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(b, Y, nab_XZ) + _alpha(b, X, nab_YZ)
     Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
     return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, b.T_ambient), Za)[:, None] * b.eta
-
-
-def codazzi_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """``codazzi_residuals`` at one point."""
-    X, Y, Z = (np.asarray(v, dtype=float)[None] for v in (X, Y, Z))
-    return _one(codazzi_residuals, (cache or FieldCache(chart)).layer(u), X, Y, Z)
 
 
 def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -543,14 +471,7 @@ def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
 
 
-def ricci_residual(chart: Chart, u, X, Y, Z, a: int = 0, cache: FieldCache | None = None) -> np.ndarray:
-    """``ricci_residuals`` at one point (Z is not used)."""
-    pg, ed = (cache or FieldCache(chart)).geometry(u)
-    X, Y = (np.asarray(v, dtype=float)[None] for v in (X, Y))
-    return ricci_residuals(ExtrinsicRows.of(pg, ed), X, Y, np.array([a]))[0]
-
-
-def T_eta_rows(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
+def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (vt, veta) of nabla_X T = A_eta X and
     alpha(X, T) = -nabla^perp_X eta for every row, maximized over the
     tangent ONB directions, exact at jet level."""
@@ -565,10 +486,3 @@ def T_eta_rows(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     alpha_T = np.swapaxes((rows.alpha @ t[:, None, :, None])[..., 0], -1, -2) @ b.normal_onb
     veta = alpha_T + C @ d.deta @ np.swapaxes(b.normal_projector(), -1, -2)
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))
-
-
-def T_eta_residuals(chart: Chart, u, cache: FieldCache | None = None) -> dict:
-    """``T_eta_rows`` at one point."""
-    pg, ed = (cache or FieldCache(chart)).geometry(u)
-    vt, veta = T_eta_rows(ExtrinsicRows.of(pg, ed))
-    return {"vt": float(vt[0]), "veta": float(veta[0])}

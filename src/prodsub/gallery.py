@@ -15,7 +15,7 @@ import numpy as np
 from . import exprlang, jets
 from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, SceneError
-from .immersion import Chart, Family, probe_grid, wrap_expr
+from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
 from .jets import VecJet2
 
 __all__ = [
@@ -359,11 +359,11 @@ def make_partial_tube(
         for i in range(k):
             comps = ["0"] * (space.n + 1)
             comps[first + i] = "1"
-            normal_asts.append([exprlang.parse(c) for c in comps])
+            normal_asts.append([parse_coordinate(c) for c in comps])
     else:
         normal_asts = []
         for srcs in normals:
-            asts = [exprlang.parse(s) if isinstance(s, str) else s for s in srcs]
+            asts = [parse_coordinate(s) if isinstance(s, str) else s for s in srcs]
             if len(asts) != space.n + 1:
                 raise ChartError(f"each normal needs {space.n + 1} components")
             normal_asts.append(asts)
@@ -377,7 +377,7 @@ def make_partial_tube(
     if len(srcs) != k + 2:
         raise ChartError(f"profile needs k+2 = {k + 2} components")
     pparams = profile.get("params", {})
-    alpha_asts = [exprlang.parse(s) if isinstance(s, str) else s for s in srcs]
+    alpha_asts = [parse_coordinate(s) if isinstance(s, str) else s for s in srcs]
 
     sdom = tuple(profile.get("domain", (-1.0, 1.0)))
     xdom = tuple(base.get("domain", (-1.2, 1.2)))

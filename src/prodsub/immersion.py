@@ -17,13 +17,12 @@ import numpy as np
 
 from . import exprlang, jets
 from .ambient import ProductSpace, inner, membership_residual
-from .errors import ChartError, IrregularPoint, NullFrame
+from .errors import ChartError, IrregularPoint, NullFrame, SceneError
 from .jets import Jet2, VecJet2
 
 __all__ = [
     "Chart",
     "Family",
-    "PointGeometry",
     "PointBatch",
     "evaluate_jet",
     "analyze_point",
@@ -32,9 +31,18 @@ __all__ = [
 ]
 
 
+def parse_coordinate(src: str):
+    """The AST of a coordinate's source; source that does not parse is a
+    SceneError that quotes it."""
+    try:
+        return exprlang.parse(src)
+    except exprlang.ParseError as exc:
+        raise SceneError(f"cannot parse coordinate {src!r}: {exc}") from exc
+
+
 def wrap_expr(src, params: dict, var_names: Sequence[str]) -> Callable:
     """Jet closure of one coordinate given as an expression AST or source."""
-    ast = exprlang.parse(src) if isinstance(src, str) else src
+    ast = parse_coordinate(src) if isinstance(src, str) else src
     names = list(var_names)
 
     def coord(us: Sequence[Jet2]) -> Jet2:
@@ -181,7 +189,7 @@ def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
     return vj if u.ndim > 1 else vj.row(0)
 
 
-def _mgs(space: ProductSpace, vectors: np.ndarray, pivot: bool, drop_tol):
+def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, drop_tol=1e-8):
     """Signature-aware modified Gram-Schmidt on every row of a stack (N, c, k).
 
     Returns (basis, coeffs, count, errors): the first count[r] vectors of
@@ -254,28 +262,6 @@ def _mgs(space: ProductSpace, vectors: np.ndarray, pivot: bool, drop_tol):
     return basis, None, count, errors
 
 
-def gram_schmidt(
-    space: ProductSpace,
-    vectors: Sequence[np.ndarray],
-    pivot: bool = False,
-    drop_tol: float = 1e-8,
-):
-    """Signature-aware modified Gram-Schmidt.
-
-    Returns (basis, coeffs) where basis[i] are unit spacelike vectors and
-    coeffs[i] expresses basis[i] over the input vectors (None with
-    pivoting).  With ``pivot`` the largest remaining |<v,v>| is taken each
-    round and vectors with squared norm below ``drop_tol`` in absolute value
-    are discarded; a selected vector that is not spacelike raises NullFrame.
-    This is ``_mgs`` on a batch of one.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        basis, coeffs, count, errors = _mgs(space, np.asarray(vectors, dtype=float)[None], pivot, drop_tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return list(basis[0, : count[0]]), None if coeffs is None else list(coeffs[0])
-
-
 def _normal_projector(sp: ProductSpace, pos: np.ndarray, E: np.ndarray) -> np.ndarray:
     """I - (eps p^ p^T + E^T E) S for positions (..., n+2) and tangent ONBs
     (..., m, n+2), per row for stacked points."""
@@ -301,71 +287,11 @@ def _proj_normal(sp: ProductSpace, pos: np.ndarray, E: np.ndarray, v) -> np.ndar
 
 
 @dataclass
-class PointGeometry:
-    """Frame-bundle sample of a chart at one regular point."""
-
-    chart: Chart
-    u: np.ndarray
-    jet: VecJet2
-    pos: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    tangent_onb: list  # ambient vectors E_1..E_m
-    tangent_coeffs: np.ndarray  # C[i, p]: E_i = sum_p C[i,p] f_p
-    normal_onb: list  # ambient vectors xi_a, a = 1..n+1-m
-    T_ambient: np.ndarray
-    T_coeffs: np.ndarray  # chart-basis components of T
-    T_norm: float
-    eta: np.ndarray
-    eta_norm: float
-    theta: float
-    nu: float | None
-
-    @property
-    def space(self) -> ProductSpace:
-        return self.chart.space
-
-    @property
-    def codim(self) -> int:
-        return len(self.normal_onb)
-
-    def q_padded(self) -> np.ndarray:
-        return self.space.q_padded(self.pos)
-
-    def push(self, v) -> np.ndarray:
-        """Pushforward of chart-tangent coefficients to an ambient vector."""
-        return self.jet.jac @ np.asarray(v, dtype=float)
-
-    def onb_coords(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a tangent ambient vector in the tangent ONB."""
-        return inner(self.space, np.asarray(self.tangent_onb), v)
-
-    def proj_normal(self, v: np.ndarray) -> np.ndarray:
-        """Projection onto the normal space of f inside T(Q^n_eps x R):
-        ``_proj_normal`` on a batch of one."""
-        E = np.asarray(self.tangent_onb)[None]
-        return _proj_normal(self.space, self.pos[None], E, np.asarray(v, dtype=float)[None])[0]
-
-    def normal_projector(self) -> np.ndarray:
-        """The projection above as an (n+2, n+2) matrix,
-        I - eps p^ p^T S - E^T E S with S the signature; depends only on the
-        normal subspace, not on the frame, so it is a smooth field."""
-        return _normal_projector(self.space, self.pos, np.asarray(self.tangent_onb))
-
-    def with_flipped_normals(self, signs) -> "PointGeometry":
-        """Copy with normal frame vectors flipped by the given +-1 signs;
-        used to exercise gauge invariance of the classifier residuals."""
-        flipped = [s * xi for s, xi in zip(signs, self.normal_onb)]
-        return replace(self, normal_onb=flipped)
-
-
-@dataclass
 class PointBatch:
     """Frame-bundle samples of a chart at N points, stacked on a leading axis.
 
     ``errors[i]`` is the IrregularPoint or NullFrame that point i raises on
     its own, else None; the array rows of a failed point mean nothing.
-    ``point(i)`` gives one row as a PointGeometry or raises its error.
     """
 
     chart: Chart
@@ -374,15 +300,15 @@ class PointBatch:
     g: np.ndarray
     g_inv: np.ndarray
     tangent_onb: np.ndarray  # (N, m, n+2)
-    tangent_coeffs: np.ndarray
+    tangent_coeffs: np.ndarray  # C[:, i, p]: E_i = sum_p C[i,p] f_p
     normal_onb: np.ndarray  # (N, n+1-m, n+2)
     T_ambient: np.ndarray
-    T_coeffs: np.ndarray
+    T_coeffs: np.ndarray  # chart-basis components of T
     T_norm: np.ndarray
     eta: np.ndarray
     eta_norm: np.ndarray
     theta: np.ndarray
-    nu: np.ndarray | None
+    nu: np.ndarray | None  # <eta, xi_1> in codimension one, else None
     errors: list
     steps: np.ndarray | None = None  # the scan step of each row, on a family chart
 
@@ -390,27 +316,20 @@ class PointBatch:
         return len(self.u)
 
     def normal_projector(self) -> np.ndarray:
-        """``PointGeometry.normal_projector`` of every row, (N, n+2, n+2)."""
+        """The normal projection of every row as an (N, n+2, n+2) matrix,
+        I - eps p^ p^T S - E^T E S with S the signature; it depends only on
+        the normal subspace, not on the frame, so it is a smooth field."""
         return _normal_projector(self.chart.space, self.jet.values, self.tangent_onb)
 
     def proj_normal(self, v: np.ndarray) -> np.ndarray:
-        """``PointGeometry.proj_normal`` of vectors v (N, ..., n+2) at every
-        row."""
+        """Vectors v (N, ..., n+2) projected onto the normal space of f
+        inside T(Q^n_eps x R) at every row."""
         return _proj_normal(self.chart.space, self.jet.values, self.tangent_onb, v)
 
-    @classmethod
-    def of(cls, pg: PointGeometry) -> "PointBatch":
-        """A batch of one holding ``pg`` as it is (flipped normals included),
-        its tangent frame in ``analyze_point``'s layout: ``inner`` sums a
-        strided row in another order than a contiguous one."""
-        rows = {
-            f.name: np.asarray(getattr(pg, f.name), dtype=float)[None]
-            for f in fields(cls)
-            if f.name not in ("chart", "jet", "nu", "errors", "steps")
-        }
-        rows["tangent_onb"] = np.stack(pg.tangent_onb, axis=1).T[None]
-        nu = None if pg.nu is None else np.array([pg.nu])
-        return cls(chart=pg.chart, jet=pg.jet.row(None), nu=nu, errors=[None], **rows)
+    def with_flipped_normals(self, signs) -> "PointBatch":
+        """Copy with normal frame vector a of every row flipped by signs[a]
+        = +-1; used to exercise gauge invariance of the classifier residuals."""
+        return replace(self, normal_onb=np.asarray(signs, dtype=float)[:, None] * self.normal_onb)
 
     def take(self, rows) -> "PointBatch":
         """The batch of the given rows (a slice or an index array)."""
@@ -422,42 +341,18 @@ class PointBatch:
         errors = self.errors[rows] if isinstance(rows, slice) else [self.errors[i] for i in np.arange(len(self))[rows]]
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
-    def point(self, i: int) -> PointGeometry:
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return PointGeometry(
-            chart=self.chart,
-            u=self.u[i],
-            jet=self.jet.row(i),
-            pos=self.jet.values[i],
-            g=self.g[i],
-            g_inv=self.g_inv[i],
-            tangent_onb=list(self.tangent_onb[i]),
-            tangent_coeffs=self.tangent_coeffs[i],
-            normal_onb=list(self.normal_onb[i]),
-            T_ambient=self.T_ambient[i],
-            T_coeffs=self.T_coeffs[i],
-            T_norm=float(self.T_norm[i]),
-            eta=self.eta[i],
-            eta_norm=float(self.eta_norm[i]),
-            theta=float(self.theta[i]),
-            nu=None if self.nu is None else float(self.nu[i]),
-        )
 
-
-def analyze_point(chart: Chart, u, steps=None):
-    """Metric, orthonormal frames and the d_t = f_* T + eta decomposition.
-
-    ``u`` (m,) gives a PointGeometry and raises where the point is irregular
-    or a frame degenerates; ``u`` (N, m) gives a PointBatch that records
-    those errors per row.  A single point runs as a batch of one, so its
-    geometry is bit for bit the matching row of any batch.  On a family
-    chart, ``steps`` gives the scan step of each row (N,).
+def analyze_point(chart: Chart, u, steps=None) -> PointBatch:
+    """Metric, orthonormal frames and the d_t = f_* T + eta decomposition
+    at every row of ``u`` (N, m); a single point (m,) is a batch of one.
+    The batch records per row the error a point raises where it is
+    irregular or a frame degenerates, and each row is bit for bit what the
+    point gives in any other batch.  On a family chart, ``steps`` gives the
+    scan step of each row (N,).
     """
-    u = np.array(u, dtype=float)
+    U = np.array(u, dtype=float).reshape(-1, chart.m)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0
-        batch = _analyze(chart, u.reshape(-1, chart.m), steps)
-    return batch if u.ndim > 1 else batch.point(0)
+        return _analyze(chart, U, steps)
 
 
 def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
@@ -487,7 +382,7 @@ def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
     irregular = np.array([e is not None for e in errors])
     g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))
 
-    E, C, _, gs_errors = _mgs(sp, np.swapaxes(J, -1, -2), False, 1e-12 * scale)
+    E, C, _, gs_errors = gram_schmidt(sp, np.swapaxes(J, -1, -2), False, 1e-12 * scale)
     fail(np.array([e is not None for e in gs_errors]), lambda r: gs_errors[r])
 
     # normal frame: project the canonical basis onto the complement of
@@ -499,7 +394,7 @@ def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
     Et = np.swapaxes(E, -1, -2)
     for _ in range(2):
         cands = cands - ((cands * sig) @ Et) @ E
-    xi, _, count, nf_errors = _mgs(sp, cands, True, 1e-8)
+    xi, _, count, nf_errors = gram_schmidt(sp, cands, True, 1e-8)
     fail(np.array([e is not None for e in nf_errors]), lambda r: nf_errors[r])
     want = sp.n + 1 - m
     fail(count != want, lambda r: NullFrame(f"normal frame has {count[r]} vectors, expected {want}"))

@@ -44,30 +44,30 @@ from .ambient import ProductSpace, inner, membership_residual
 from . import exprlang, extrinsic
 from .classify import (
     DEGENERATE,
+    TOL_PMC,
     biconservative_full,
     biconservative_simple,
-    biharmonic_normals,
     biharmonic_predicates,
+    biharmonic_residual,
     circle_geometry,
-    class_A_residuals,
-    e0_structures,
+    class_A_residual,
+    e0_structure,
     splitting_residual,
 )
-from .errors import EngineError, RowFailure, SceneError
+from .errors import ChartError, EngineError, RowFailure, SceneError
 from .extrinsic import (
     ExtrinsicRows,
     FirstLayer,
-    T_eta_rows,
+    T_eta_residuals,
     batched_rows,
     codazzi_residuals,
     first_layer,
     gauss_residuals,
-    normal_derivatives_H,
-    normal_laplacians_H,
+    normal_derivative_H,
     ricci_residuals,
 )
 from .gallery import make_chart
-from .immersion import Chart, Family, probe_grid, wrap_expr
+from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -191,12 +191,15 @@ def build_chart(scene: dict, scan: tuple | None = None) -> Chart:
     amb = scene["ambient"]
     space = ProductSpace(int(amb["epsilon"]), int(amb["n"]))
     imm = scene["immersion"]
-    if "gallery" in imm:
-        chart = make_chart(space, imm["gallery"], scan)
-    else:
-        chart = _expression_chart(space, imm["expressions"], scan)
-    if scan is not None:
-        _check_family(chart.family)
+    try:  # a builder that evaluates an expression itself meets its EvalError
+        if "gallery" in imm:
+            chart = make_chart(space, imm["gallery"], scan)
+        else:
+            chart = _expression_chart(space, imm["expressions"], scan)
+        if scan is not None:
+            _check_family(chart.family)
+    except exprlang.EvalError as exc:
+        raise ChartError(f"cannot build the chart: {exc}") from exc
     return chart
 
 
@@ -219,7 +222,7 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
         chart.validate_membership()
         return chart
     param, values = scan
-    asts = [exprlang.parse(src) for src in ex["coords"]]
+    asts = [parse_coordinate(src) for src in ex["coords"]]
     free = set().union(*map(exprlang.free_vars, asts)) - set(chart.var_names)
     if param not in free:
         raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
@@ -312,13 +315,13 @@ class Chunk:
 
     @cached_property
     def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
-        """``T_eta_rows`` of the samples, which vector_t and vector_eta share."""
-        return T_eta_rows(self.geo)
+        """``T_eta_residuals`` of the samples, which vector_t and vector_eta share."""
+        return T_eta_residuals(self.geo)
 
     @cached_property
     def nabla_H(self) -> np.ndarray:
         """nabla^perp H (N, m, n+2), which pmc, biconservative_full and biharmonic_normal share."""
-        return normal_derivatives_H(self.layer)
+        return normal_derivative_H(self.layer)
 
     def take(self, rows: slice) -> "Chunk":
         geo = None if self.geo is None else self.geo.take(rows)
@@ -365,7 +368,7 @@ def _chk_biconservative(c: Chunk):
 
 
 def _chk_class_a(c: Chunk):
-    return _slice_type(c, class_A_residuals(c.geo), "T_class_a")
+    return _slice_type(c, class_A_residual(c.geo), "T_class_a")
 
 
 def _chk_biharmonic_predicate(c: Chunk):
@@ -411,7 +414,7 @@ def _chk_vector_eta(c: Chunk):
 
 
 def _chk_e0(c: Chunk):
-    e0, errors = e0_structures(c.geo)
+    e0, errors = e0_structure(c.geo)
     vanish = [e is not None and "H vanishes" in str(e) for e in errors]
     for i, (e, v) in enumerate(zip(errors, vanish)):
         if e is not None and not v:
@@ -446,26 +449,18 @@ _NESTED_NOTE = "PMC not verified; nested differences (tol_fd2)"
 
 
 def _chk_biharmonic_normal(c: Chunk):
-    """The samples where PMC fails and H does not vanish take the nested
-    normal Laplacian, all in one kernel call."""
+    """``biharmonic_residual`` at the PMC tolerance in use."""
     try:
-        pmc = _chk_pmc(c)[0]
+        nabla_H = c.nabla_H
     except RowFailure as f:
         if f.args[0]:  # a nested Laplacian before the failing sample comes first
             _chk_biharmonic_normal(c.take(slice(0, f.args[0])))
         raise
-    minimal = c.geo.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(pmc <= CHECK_TABLE["pmc"].tol) & ~minimal
-    lap = np.zeros_like(c.geo.H)
-    at = np.flatnonzero(nested)
-    if at.size:
-        try:
-            lap[at] = normal_laplacians_H(c.geo.take(at), c.nabla_H[at])
-        except RowFailure as f:
-            raise RowFailure(int(at[f.args[0]]), f.args[1]) from None
-    normal, _ = biharmonic_normals(c.geo, lap)
-    notes = ["H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(minimal, nested)]
-    return normal, notes, minimal
+    r = biharmonic_residual(c.geo, nabla_H, CHECK_TABLE["pmc"].tol)
+    notes = [
+        "H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(r["minimal"], r["nested"])
+    ]
+    return r["normal"], notes, r["minimal"]
 
 
 def _chk_splitting(chart: Chart):
@@ -517,7 +512,7 @@ CHECK_TABLE = {
     "ricci": Check(_chk_ricci, 1e-5, stream=13),
     "vector_t": Check(_chk_vector_t, 1e-5),
     "vector_eta": Check(_chk_vector_eta, 1e-5),
-    "pmc": Check(_chk_pmc, 1e-6, first_layer=True),
+    "pmc": Check(_chk_pmc, TOL_PMC, first_layer=True),
     "biconservative_full": Check(_chk_biconservative_full, 1e-5, first_layer=True),
     "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, first_layer=True),
     "gauss": Check(_chk_gauss, 1e-5, first_layer=True, stream=8),

@@ -18,6 +18,7 @@ import numpy as np
 from prodsub import ProductSpace, analyze_point, inner
 from prodsub.classify import (
     biconservative_residual,
+    biharmonic_predicates,
     biharmonic_residual,
     circle_geometry,
     class_A_residual,
@@ -25,14 +26,14 @@ from prodsub.classify import (
     splitting_residual,
 )
 from prodsub.extrinsic import (
-    FieldCache,
     FirstLayer,
-    T_eta_rows,
+    T_eta_residuals,
     codazzi_residuals,
     gauss_residuals,
     normal_derivative_H,
     ricci_residuals,
     second_fundamental,
+    shape_operator,
 )
 from prodsub.gallery import make_theorem1
 from prodsub.scene import run_scene, scan_parameter
@@ -75,16 +76,14 @@ def test_criterion_1_theorem1_forward():
     for a in (0.6, 0.8):
         ch = make_theorem1(ProductSpace(1, 4), a=a)
         t0 = time.perf_counter()
-        worst = {"h_eta": 0.0, "pmc": 0.0, "full": 0.0, "class_a": 0.0}
-        for u in _grid_samples(ch, [10, 10, 10]):
-            cache = FieldCache(ch)
-            pg, ed = cache.geometry(u)
-            worst["h_eta"] = max(worst["h_eta"], abs(inner(ch.space, ed.H, pg.eta)))
-            ws = normal_derivative_H(ch, u, cache)
-            worst["pmc"] = max(worst["pmc"], max(float(np.linalg.norm(w)) for w in ws))
-            r = biconservative_residual(ch, u, cache, pg, ed)
-            worst["full"] = max(worst["full"], r["full"])
-            worst["class_a"] = max(worst["class_a"], class_A_residual(pg, ed))
+        layer = FirstLayer.at(ch, _grid_samples(ch, [10, 10, 10]))  # one batch of 10^3 samples
+        rows = layer.centers
+        worst = {
+            "h_eta": np.abs(inner(ch.space, rows.H, rows.batch.eta)).max(),
+            "pmc": np.linalg.norm(normal_derivative_H(layer), axis=-1).max(),
+            "full": biconservative_residual(layer)["full"].max(),
+            "class_a": class_A_residual(rows).max(),
+        }
         dt = time.perf_counter() - t0
         crit.check(f"a={a}: |<H,eta>| <= 1e-9", worst["h_eta"] <= 1e-9, f"max {worst['h_eta']:.2e}")
         crit.check(f"a={a}: PMC residual <= 1e-6", worst["pmc"] <= 1e-6, f"max {worst['pmc']:.2e}")
@@ -102,13 +101,8 @@ def test_criterion_2_theorem1_only_if():
         )
         crit.check(f"lambda={lam}: minimality oracle ||H_phi|| <= 1e-8", True, "construction passed")
         pts = random_interior_points(ch, 1000, seed=int(lam * 1000))
-        cache = FieldCache(ch)
-        hits = 0
-        for u in pts:
-            ws = normal_derivative_H(ch, u, cache)
-            if max(float(np.linalg.norm(w)) for w in ws) >= 1e-3:
-                hits += 1
-        frac = hits / len(pts)
+        pmc = np.linalg.norm(normal_derivative_H(FirstLayer.at(ch, pts)), axis=-1).max(axis=-1)
+        frac = np.count_nonzero(pmc >= 1e-3) / len(pts)
         crit.check(
             f"lambda={lam}: |nabla^perp H| >= 1e-3 at >= 90% of 10^3 samples",
             frac >= 0.9,
@@ -120,15 +114,14 @@ def test_criterion_2_theorem1_only_if():
 def test_criterion_3_derived_extrinsic_anchors():
     crit = Criterion("CRITERION 3 (derived extrinsic anchors, a=0.8, b=0.6)")
     ch = make_theorem1(ProductSpace(1, 4), a=0.8)
-    u = ch.center() + 0.11
-    pg = analyze_point(ch, u)
-    ed = second_fundamental(pg)
+    rows = second_fundamental(analyze_point(ch, (ch.center() + 0.11)[None]))
+    b, H, H_norm = rows.batch, rows.H[0], rows.H_norm[0]
     crit.check(
         "|H| = (a^2-b^2)/(3ab) = 7/36 +- 1e-8",
-        abs(ed.H_norm - 7.0 / 36.0) <= 1e-8,
-        f"measured |H| = {ed.H_norm:.12f}",
+        abs(H_norm - 7.0 / 36.0) <= 1e-8,
+        f"measured |H| = {H_norm:.12f}",
     )
-    eig = np.sort(np.linalg.eigvalsh(ed.shape_in_direction(ed.H / ed.H_norm)))
+    eig = np.sort(np.linalg.eigvalsh(shape_operator(ch.space, b.normal_onb[0], rows.alpha[0], H / H_norm)))
     want = np.array([-3.0 / 4.0, 0.0, 4.0 / 3.0])
     crit.check(
         "A_xi1 eigenvalues {-b/a, 0, a/b} = {-3/4, 0, 4/3} +- 1e-8",
@@ -149,8 +142,8 @@ def test_criterion_3_derived_extrinsic_anchors():
     )
     crit.check(
         "3|H| = kappa - 1/kappa +- 1e-8",
-        abs(3.0 * ed.H_norm - (kappa - 1.0 / kappa)) <= 1e-8,
-        f"3|H| = {3.0 * ed.H_norm:.12f}, kappa - 1/kappa = {kappa - 1.0 / kappa:.12f}",
+        abs(3.0 * H_norm - (kappa - 1.0 / kappa)) <= 1e-8,
+        f"3|H| = {3.0 * H_norm:.12f}, kappa - 1/kappa = {kappa - 1.0 / kappa:.12f}",
     )
     crit.check("plane rank = 2", geo["plane_rank"] == 2, f"{geo['plane_rank']}")
     spl = splitting_residual(ch)
@@ -251,7 +244,7 @@ def test_criterion_5_structure_equation_suite():
             draws = [(rng.standard_normal((3, ch.m)), int(rng.integers(0, codim))) for _ in pts]
             X, Y, Z = np.stack([d[0] for d in draws], axis=1)
             a = np.array([d[1] for d in draws])
-            vt, veta = T_eta_rows(layer.centers)
+            vt, veta = T_eta_residuals(layer.centers)
             worst = {
                 "gauss": np.linalg.norm(gauss_residuals(layer, X, Y, Z), axis=-1).max(),
                 "codazzi": np.linalg.norm(codazzi_residuals(layer, X, Y, Z), axis=-1).max(),
@@ -271,15 +264,9 @@ def test_criterion_5_structure_equation_suite():
 def test_criterion_6_codim2_biconservative_structure():
     crit = Criterion("CRITERION 6 (codimension-2 block structure)")
     ch = make_theorem1(ProductSpace(1, 4), a=0.8)
-    worst = {"aht": 0.0, "aetat": 0.0, "traceBS1": 0.0, "offblock": 0.0, "a_last": 0.0}
-    for u in _grid_samples(ch, [5, 5, 5]):
-        pg = analyze_point(ch, u)
-        e0 = e0_structure(ch, u, pg, second_fundamental(pg))
-        worst["aht"] = max(worst["aht"], e0.aht)
-        worst["aetat"] = max(worst["aetat"], e0.aetat)
-        worst["traceBS1"] = max(worst["traceBS1"], e0.traceBS1)
-        worst["offblock"] = max(worst["offblock"], e0.offblock)
-        worst["a_last"] = max(worst["a_last"], abs(e0.a_last))
+    e0, errors = e0_structure(second_fundamental(analyze_point(ch, _grid_samples(ch, [5, 5, 5]))))
+    assert not any(errors)
+    worst = {name: np.abs(getattr(e0, name)).max() for name in ("aht", "aetat", "traceBS1", "offblock", "a_last")}
     crit.check("|A_H T| <= 1e-8", worst["aht"] <= 1e-8, f"max {worst['aht']:.2e}")
     crit.check(
         "dist(A_eta T, E_0(H)) <= 1e-8", worst["aetat"] <= 1e-8, f"max {worst['aetat']:.2e}"
@@ -348,32 +335,32 @@ def test_criterion_7_invariant_suites():
     )
 
     ch = make_theorem1(ProductSpace(1, 4), a=0.8, phi_kind="helicoid", phi_params={"pitch": 0.5})
-    cache = FieldCache(ch)
-    u = random_interior_points(ch, 1, seed=77)[0]
-    pg, ed = cache.geometry(u)
-    base = biconservative_residual(ch, u, cache, pg, ed)
-    base_b = biharmonic_residual(ch, u, assume_pmc=True, cache=cache, pg=pg, ed=ed)
-    base_c = class_A_residual(pg, ed)
-    base_e = e0_structure(ch, u, pg, ed)
+    layer = FirstLayer.at(ch, random_interior_points(ch, 1, seed=77))
+
+    def classifier_residuals(layer):
+        # biharmonic_residual assumes PMC: a zero nabla^perp H takes no normal Laplacian
+        rows = layer.centers
+        bicon = biconservative_residual(layer)
+        e0, _ = e0_structure(rows)
+        return [
+            bicon["simple"],
+            bicon["full"],
+            biharmonic_residual(rows, np.zeros((1, ch.m, ch.space.ambient_dim)))["normal"],
+            biharmonic_predicates(rows)[0],
+            class_A_residual(rows),
+            e0.aht,
+            e0.aetat,
+            e0.offblock,
+            e0.traceBS1,
+        ]
+
+    base = classifier_residuals(layer)
     worst_flip = 0.0
     for signs in ([-1, 1], [1, -1], [-1, -1]):
-        pg2 = pg.with_flipped_normals(signs)
-        ed2 = second_fundamental(pg2)
-        r = biconservative_residual(ch, u, cache, pg2, ed2)
-        rb = biharmonic_residual(ch, u, assume_pmc=True, cache=cache, pg=pg2, ed=ed2)
-        e2 = e0_structure(ch, u, pg2, ed2)
-        worst_flip = max(
-            worst_flip,
-            abs(r["simple"] - base["simple"]),
-            abs(r["full"] - base["full"]),
-            abs(rb["normal"] - base_b["normal"]),
-            abs(rb["predicate"] - base_b["predicate"]),
-            abs(class_A_residual(pg2, ed2) - base_c),
-            abs(e2.aht - base_e.aht),
-            abs(e2.aetat - base_e.aetat),
-            abs(e2.offblock - base_e.offblock),
-            abs(e2.traceBS1 - base_e.traceBS1),
-        )
+        # every row of the first layer flips its normals, the center's among them
+        flipped = FirstLayer(second_fundamental(layer.rows.batch.with_flipped_normals(signs)))
+        shifts = [abs(x[0] - y[0]) for x, y in zip(classifier_residuals(flipped), base)]
+        worst_flip = max([worst_flip] + shifts)
     crit.check(
         "gauge-flip invariance of classifier residuals <= 1e-12",
         worst_flip <= 1e-12,

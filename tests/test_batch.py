@@ -25,10 +25,10 @@ from prodsub.errors import ChartError
 from prodsub.extrinsic import (
     FD_NESTED_STEP,
     FieldCache,
+    FirstLayer,
     first_layer,
     normal_derivative_H,
     normal_laplacian_H,
-    normal_laplacians_H,
     second_fundamental,
 )
 from prodsub.immersion import Chart, analyze_point, evaluate_jet, probe_grid
@@ -55,20 +55,14 @@ def batch_charts(all_gallery_charts):
     return list(all_gallery_charts) + [build_chart(_load(n)) for n in EXPR_SCENES]
 
 
-def _geometry_fields(pg):
-    return [
-        np.array(pg.tangent_onb),
-        pg.tangent_coeffs,
-        np.array(pg.normal_onb),
-        pg.T_ambient,
-        pg.T_coeffs,
-        pg.T_norm,
-        pg.eta,
-        pg.eta_norm,
-    ]
+def _geometry_fields(b, i):
+    """The frame-bundle arrays of row i of a PointBatch."""
+    return [b.tangent_onb[i], b.tangent_coeffs[i], b.normal_onb[i], b.T_ambient[i], b.T_coeffs[i], b.T_norm[i],
+            b.eta[i], b.eta_norm[i]]
 
 
 def test_batch_rows_equal_single_point_calls(batch_charts):
+    # a single point, a batch of one, is bit for bit its row of a larger batch
     for ch in batch_charts:
         U = random_interior_points(ch, 9, seed=21)
         vj = evaluate_jet(ch, U)
@@ -79,12 +73,12 @@ def test_batch_rows_equal_single_point_calls(batch_charts):
             one = evaluate_jet(ch, u)
             for a, b in ((vj.values[i], one.values), (vj.jac[i], one.jac), (vj.d2[i], one.d2)):
                 assert _same(a, b), ch.label
-            pg = analyze_point(ch, u)
-            for a, b in zip(_geometry_fields(batch.point(i)), _geometry_fields(pg)):
+            single = second_fundamental(analyze_point(ch, u[None]))
+            assert len(single) == 1 and single.batch.errors == [None], ch.label
+            for a, b in zip(_geometry_fields(batch, i), _geometry_fields(single.batch, 0)):
                 assert _same(a, b), ch.label
-            ed = second_fundamental(pg)
-            assert _same(eds.alpha[i], np.array(ed.alpha)), ch.label
-            assert _same(eds.H[i], ed.H) and _same(eds.H_norm[i], ed.H_norm), ch.label
+            assert _same(eds.alpha[i], single.alpha[0]), ch.label
+            assert _same(eds.H[i], single.H[0]) and _same(eds.H_norm[i], single.H_norm[0]), ch.label
 
 
 def test_batch_rows_do_not_depend_on_batch_composition(batch_charts):
@@ -95,7 +89,7 @@ def test_batch_rows_do_not_depend_on_batch_composition(batch_charts):
         # (rows, row) of sample i in the reversed and in the split batches
         for i in range(n):
             for eds, r in ((rev, n - 1 - i), (first, i) if i < 3 else (last, i - 3)):
-                for x, y in zip(_geometry_fields(full.batch.point(i)), _geometry_fields(eds.batch.point(r))):
+                for x, y in zip(_geometry_fields(full.batch, i), _geometry_fields(eds.batch, r)):
                     assert _same(x, y), ch.label
                 assert _same(full.alpha[i], eds.alpha[r]), ch.label
                 assert _same(full.H[i], eds.H[r]), ch.label
@@ -153,7 +147,8 @@ def _count_analyze(monkeypatch):
 
 
 def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
-    # through the single-point wrapper of the kernel that the pmc entry runs
+    # the kernel that the pmc entry runs, on the first layer of one point
+    # that a FieldCache keeps
     chart = build_chart(_load("theorem1_cylinder.json"))
     seen = []
     original = prodsub.extrinsic.analyze_point
@@ -165,12 +160,12 @@ def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
     monkeypatch.setattr(prodsub.extrinsic, "analyze_point", recording)
     u = chart.center() + np.array([0.1, -0.2, 0.3])
     cache = FieldCache(chart)
-    normal_derivative_H(chart, u, cache)
+    normal_derivative_H(cache.layer(u[None]))
     m = chart.m
     assert [p.shape for p in seen] == [(1 + 4 * m, m)]
     assert _same(seen[0], first_layer(u))  # the points fd_gradient reads, in its order
     assert len({tuple(p) for p in first_layer(u).tolist()}) == 1 + 4 * m
-    normal_derivative_H(chart, u, cache)  # the cache keeps u's layer
+    normal_derivative_H(cache.layer(u[None]))  # the cache keeps u's layer
     assert len(seen) == 1
 
 
@@ -181,13 +176,14 @@ def _outer_layers(u) -> np.ndarray:
 
 
 def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theorem1_heli):
-    # the batch-of-one wrapper: u's first layer, then the first layers of
-    # the 4m points of u's nested stencils in one 4m (1 + 4m)-point call
+    # a batch of one: u's first layer, then the first layers of the 4m
+    # points of u's nested stencils in one 4m (1 + 4m)-point call
     seen = []
     original = prodsub.extrinsic.analyze_point
     monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *steps: seen.append(np.array(u)) or original(ch, u, *steps))
     u = np.array([0.2, -0.3, 0.4])
-    normal_laplacian_H(theorem1_heli, u, FieldCache(theorem1_heli))
+    layer = FirstLayer.at(theorem1_heli, u[None])
+    normal_laplacian_H(layer.centers, normal_derivative_H(layer))
     m = theorem1_heli.m
     assert [p.shape for p in seen] == [(1 + 4 * m, m), (4 * m * (1 + 4 * m), m)]
     assert _same(seen[0], first_layer(u)) and _same(seen[1], _outer_layers(u))
@@ -270,14 +266,14 @@ def test_irregular_stencil_point_exits_3(tmp_path, capsys):
     )
     chart = build_chart(json.loads(path.read_text()))
     center = prodsub.scene.sample_points(chart, {"mode": "grid", "grid": [1, 1]})[0]
-    analyze_point(chart, center)  # regular
+    assert analyze_point(chart, center[None]).errors == [None]  # regular
     bad = fd_stencil(center, 0)[1][1]
-    with pytest.raises(prodsub.errors.IrregularPoint) as err:
-        analyze_point(chart, bad)
-    assert str(err.value).startswith("det g = 9.7")
+    (err,) = analyze_point(chart, bad[None]).errors
+    assert isinstance(err, prodsub.errors.IrregularPoint)
+    assert str(err).startswith("det g = 9.7")
     assert main(["run", "--scene", str(path)]) == 3
     want = (
-        f"computation error: check pmc failed at sample 0, u={center.tolist()}: {err.value}"
+        f"computation error: check pmc failed at sample 0, u={center.tolist()}: {err}"
     )
     assert capsys.readouterr().err.strip() == want
 
@@ -405,22 +401,20 @@ STRUCTURE_CHECKS = [
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request, chart_fixture):
     # once per chunk: pmc, biharmonic_normal and biconservative_full share
-    # the chunk's nabla^perp H, and the single-point wrapper is not called.
-    # The nested Laplacian (the helicoid's four samples) adds one kernel
-    # call per call of its outer-stencil geometry.
+    # the chunk's nabla^perp H.  The nested Laplacian (the helicoid's four
+    # samples) adds one kernel call per call of its outer-stencil geometry.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 4, seed=5)
-    kernel = _count_calls(monkeypatch, "normal_derivatives_H", (prodsub.extrinsic, prodsub.scene))
-    single = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    kernel = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
-    assert (len(kernel), len(single)) == (1 + len(_nested_calls(nested, chart.m)), 0)
+    assert len(kernel) == 1 + len(_nested_calls(nested, chart.m))
     monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
     kernel.clear()
     assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
-    assert (len(kernel), len(single)) == (2 + 2 * len(_nested_calls(nested // 2, chart.m)), 0)
+    assert len(kernel) == 2 + 2 * len(_nested_calls(nested // 2, chart.m))
 
 
 def _rel_gap(got, want) -> float:
@@ -440,19 +434,19 @@ def test_chunk_differences_match_fd_gradient(batch_charts):
         alpha = prodsub.extrinsic._alpha  # P d2f(v, w) per row, the field of the Codazzi kernel
         (dYZ,) = layer.diff(alpha(b, *np.repeat([Y, Z], layer.k, axis=1)))
         dXYZ = layer.centers.batch.proj_normal(np.einsum("ni,nic->nc", X, dYZ))
-        cache = FieldCache(ch)
+        cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):
-            pg, _ = cache.geometry(u)
-            want = [pg.proj_normal(fd_gradient(lambda v: cache.geometry(v)[1].H, u, i)) for i in range(m)]
+            b = cache.geometry(u).batch
+            want = [b.proj_normal(fd_gradient(lambda v: cache.geometry(v).H[0], u, i)[None])[0] for i in range(m)]
             assert _rel_gap(chunk.nabla_H[r], np.array(want)) <= 1e-12, ch.label
-            gamma = lambda v: prodsub.extrinsic.christoffels(cache.geometry(v)[0]).ravel()
+            gamma = lambda v: cache.geometry(v).derivatives.gamma[0].ravel()
             want = [fd_gradient(gamma, u, i).reshape(m, m, m) for i in range(m)]
             assert _rel_gap(DG[r], np.array(want)) <= 1e-12, ch.label
 
-            def alpha_YZ(v):  # on a batch of one
-                return alpha(prodsub.immersion.PointBatch.of(cache.geometry(v)[0]), Y[r : r + 1], Z[r : r + 1])[0]
+            def alpha_YZ(v):
+                return alpha(cache.geometry(v).batch, Y[r : r + 1], Z[r : r + 1])[0]
 
-            want = pg.proj_normal(sum(X[r, i] * fd_gradient(alpha_YZ, u, i) for i in range(m)))
+            want = b.proj_normal(sum(X[r, i] * fd_gradient(alpha_YZ, u, i) for i in range(m))[None])[0]
             assert _rel_gap(dXYZ[r], want) <= 1e-12, ch.label
 
 
@@ -491,35 +485,45 @@ def test_first_layer_differences_raise_what_fd_gradient_raises(theorem1_cyl):
 
 
 def _nested_oracle(chart, u):
-    """The nested normal Laplacian at u point by point over a FieldCache, as
-    runs took it sample by sample: fd_gradient of nabla^perp_q H along p
-    with the nested step, where nabla^perp_q H is the normal projection of
-    fd_gradient of H.  The geometry of every point it reads is filled in
-    one batch first."""
-    cache = FieldCache(chart)
+    """The nested normal Laplacian at u point by point, as runs took it
+    sample by sample: fd_gradient of nabla^perp_q H along p with the nested
+    step, where nabla^perp_q H is the normal projection of fd_gradient of
+    H.  Each point's geometry is a batch of one, and a point whose geometry
+    fails raises its error.  The geometry of every point it reads is filled
+    in one batch first."""
     m = chart.m
     points = np.vstack([first_layer(u), _outer_layers(u)])
+    known = {}
     try:
         rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
-        for i, v in enumerate(points.tolist()):
-            if rows.batch.errors[i] is None:
-                pg = rows.batch.point(i)
-                cache._memo[tuple(v)] = (pg, prodsub.extrinsic._extrinsic(pg, rows.alpha[i], rows.H[i], rows.H_norm[i]))
+        known = {tuple(v): rows.take([i]) for i, v in enumerate(points.tolist()) if rows.batch.errors[i] is None}
     except (ChartError, ArithmeticError, ValueError):
         pass  # the batch failed as a whole: every point alone
-    pg, _ = cache.geometry(u)
-    G = prodsub.extrinsic.christoffels(pg)
+
+    def geometry(v):
+        key = tuple(np.asarray(v, dtype=float).tolist())
+        if key not in known:
+            known[key] = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, [key]))
+        if known[key].batch.errors[0] is not None:
+            raise known[key].batch.errors[0]
+        return known[key]
 
     def nabla_H(q):
-        return lambda v: cache.geometry(v)[0].proj_normal(fd_gradient(lambda x: cache.geometry(x)[1].H, v, q))
+        def field(v):
+            b = geometry(v).batch  # v's own geometry first, then its stencil's
+            return b.proj_normal(fd_gradient(lambda x: geometry(x).H[0], v, q)[None])[0]
 
-    W0 = np.array([nabla_H(q)(pg.u) for q in range(m)])
+        return field
+
+    b = geometry(u).batch
+    G = geometry(u).derivatives.gamma[0]
+    W0 = np.array([nabla_H(q)(u) for q in range(m)])
     out = np.zeros(chart.space.ambient_dim)
     for p in range(m):
         for q in range(m):
-            dW = fd_gradient(nabla_H(q), pg.u, p, step=FD_NESTED_STEP)
-            out += pg.g_inv[p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
-    return pg.proj_normal(out)
+            dW = fd_gradient(nabla_H(q), u, p, step=FD_NESTED_STEP)
+            out += b.g_inv[0, p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
+    return b.proj_normal(out[None])[0]
 
 
 def test_nested_laplacians_match_the_per_point_oracle(batch_charts):
@@ -528,10 +532,11 @@ def test_nested_laplacians_match_the_per_point_oracle(batch_charts):
     for ch in batch_charts:
         samples = random_interior_points(ch, 3, seed=13)
         (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
-        lap = normal_laplacians_H(chunk.geo, chunk.nabla_H)
+        lap = normal_laplacian_H(chunk.geo, chunk.nabla_H)
         for r, u in enumerate(samples):
             assert _rel_gap(lap[r], _nested_oracle(ch, u)) <= 1e-12, ch.label
-            assert _rel_gap(normal_laplacian_H(ch, u), lap[r]) <= 1e-12, ch.label
+            one = FirstLayer.at(ch, u[None])  # a batch of one
+            assert _rel_gap(normal_laplacian_H(one.centers, normal_derivative_H(one))[0], lap[r]) <= 1e-12, ch.label
 
 
 def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path):
@@ -644,7 +649,7 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
         assert sample == 1 and _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == want
     # a non-finite nabla^perp H at an outer point fails its sample along
     # that outer direction, as fd_gradient did on the outer pair
-    original = prodsub.extrinsic.normal_derivatives_H
+    original = prodsub.extrinsic.normal_derivative_H
 
     def poisoned(layer):
         W = original(layer)
@@ -652,30 +657,9 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
             W[4 * 1 + 2, 0, 0] = np.nan  # direction p = 1, point 2
         return W
 
-    monkeypatch.setattr(prodsub.extrinsic, "normal_derivatives_H", poisoned)
+    monkeypatch.setattr(prodsub.extrinsic, "normal_derivative_H", poisoned)
     want = f"sample 2, u={samples[2].tolist()}: {jets.nonfinite_error(samples[2], 1)}"
     assert _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == f"check biharmonic_normal failed at {want}"
-
-
-def test_single_point_wrappers_equal_the_run_rows_bit_for_bit(all_gallery_charts):
-    # class_A_residual and T_eta_residuals against the run's rows, on
-    # chunks without (k = 1) and with a first layer, every gallery chart
-    # at both signs of eps
-    for ch in all_gallery_charts:
-        samples = random_interior_points(ch, 6, seed=3)
-        for names in (["class_a", "vector_t", "vector_eta"], ["class_a", "vector_t", "vector_eta", "pmc"]):
-            rows = {(r[0], r[1]): r[3] for r in _run_rows(ch, names, samples, 0)}
-            for i, u in enumerate(samples):
-                cache = FieldCache(ch)
-                pg, ed = cache.geometry(u)
-                vt_veta = prodsub.extrinsic.T_eta_residuals(ch, u, cache)
-                want = {
-                    "class_a": prodsub.classify.class_A_residual(pg, ed),
-                    "vector_t": vt_veta["vt"],
-                    "vector_eta": vt_veta["veta"],
-                }
-                for name, value in want.items():
-                    assert _same(rows[name, i], value), (ch.label, names, name, i)
 
 
 FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"]
@@ -683,19 +667,23 @@ FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_nor
 
 def test_differencing_work_does_not_grow_with_the_samples(monkeypatch):
     # the five differencing checks on the cylinder (PMC holds, so nothing
-    # nests) take every difference on the chunk's arrays
+    # nests) take every difference on the chunk's arrays: the Christoffels
+    # once for the chunk's first-layer rows and once for its centers
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     gamma_calls = _count_calls(monkeypatch, "christoffels", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     geometry_calls = []
     original = FieldCache.geometry
     monkeypatch.setattr(FieldCache, "geometry", lambda self, u: geometry_calls.append(1) or original(self, u))
     scene = _load("theorem1_cylinder.json")
-    for n in (4, 40):
+    per_chunk = prodsub.extrinsic._BATCH_POINTS // (1 + 4 * 3)  # 39 samples with their first layers
+    for n, chunks in ((4, 1), (40, 2)):
+        assert -(-n // per_chunk) == chunks
+        gamma_calls.clear()
         rep = prodsub.scene.run_scene(
             scene, checks=FIVE_CHECKS, sampling_override={"mode": "random", "counts": n, "seed": 2}
         )
         assert rep["samples"] == n and {c["derivative_tier"] for c in rep["checks"]} == {"fd"}
-        assert (len(fd_calls), len(gamma_calls), len(geometry_calls)) == (0, 0, 0), n
+        assert (len(fd_calls), len(gamma_calls), len(geometry_calls)) == (0, 2 * chunks, 0), n
 
 
 def test_reports_name_the_derivative_tier_of_each_check():
@@ -819,26 +807,24 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
             assert _same_rows(split, ref), (ch.label, name)
 
 
-def _chunk_of(pg, ed, idx=0):
-    geo = prodsub.extrinsic.ExtrinsicRows.of(pg, ed)
-    return prodsub.scene.Chunk(pg.chart, np.array([idx]), pg.u[None], 0, geo, [None])
+def _chunk_of(batch):
+    """The chunk of one sample whose geometry is the batch of one ``batch``."""
+    return prodsub.scene.Chunk(batch.chart, np.array([0]), batch.u, 0, second_fundamental(batch), [None])
 
 
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
     for ch in batch_charts:
         for u in random_interior_points(ch, 3, seed=41):
-            pg = analyze_point(ch, u)
-            ed = second_fundamental(pg)
-            codim = len(pg.normal_onb)
+            b = analyze_point(ch, u[None])
+            codim = b.normal_onb.shape[1]
             flips = [[-1.0 if (k >> a) & 1 else 1.0 for a in range(codim)] for k in range(1, 2**codim)]
             for name in JET_LEVEL_CHECKS:
                 try:
-                    base = prodsub.scene.CHECKS[name](_chunk_of(pg, ed))
+                    base = prodsub.scene.CHECKS[name](_chunk_of(b))
                 except prodsub.errors.RowFailure:
                     continue  # e0 off codimension 2
                 for signs in flips:
-                    pg2 = pg.with_flipped_normals(signs)
-                    values, notes, degen = prodsub.scene.CHECKS[name](_chunk_of(pg2, second_fundamental(pg2)))
+                    values, notes, degen = prodsub.scene.CHECKS[name](_chunk_of(b.with_flipped_normals(signs)))
                     want = np.asarray(base[0], dtype=float)
                     got = np.asarray(values, dtype=float)
                     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (ch.label, name, signs)
@@ -883,8 +869,8 @@ def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
     for row in scan["rows"]:
         gallery = {**scene["immersion"]["gallery"], "a2": row["value"]}
         chart = build_chart({**scene, "immersion": {"gallery": gallery}})
-        want = prodsub.classify.biharmonic_residual(chart, chart.center(), assume_pmc=True)["predicate"]
-        assert _same(row["signed"], want)
+        want, _ = prodsub.classify.biharmonic_predicates(second_fundamental(analyze_point(chart, chart.center()[None])))
+        assert _same(row["signed"], want[0])
 
 
 def test_a_scan_fills_each_call_with_points(monkeypatch):
@@ -924,7 +910,7 @@ def test_family_rows_equal_their_own_chart_in_any_layout(name, param, values):
     def arrays(rows):
         b = rows.batch
         fields = [b.jet.values, b.jet.jac, b.jet.d2, b.g_inv, b.tangent_onb, b.normal_onb, b.T_ambient, b.eta]
-        return fields + [rows.alpha, rows.H, *prodsub.extrinsic.T_eta_rows(rows), prodsub.classify.biharmonic_predicates(rows)[0]]
+        return fields + [rows.alpha, rows.H, *prodsub.extrinsic.T_eta_residuals(rows), prodsub.classify.biharmonic_predicates(rows)[0]]
 
     contiguous = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, U, steps)))
     strided = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, _strided(U), _strided(steps))))

@@ -6,6 +6,7 @@ import pytest
 from prodsub import ProductSpace, analyze_point
 from prodsub.classify import (
     biconservative_residual,
+    biharmonic_predicates,
     biharmonic_residual,
     circle_geometry,
     class_A_residual,
@@ -14,31 +15,40 @@ from prodsub.classify import (
     splitting_residual,
 )
 from prodsub.errors import InvalidFrame
-from prodsub.extrinsic import FieldCache, second_fundamental
+from prodsub.extrinsic import FirstLayer, second_fundamental
 from prodsub.gallery import make_cmc_product, make_slice, make_theorem1
 from prodsub.immersion import Chart
 from conftest import random_interior_points, theorem1_closed_forms
 
 
+def _rows(chart, U):
+    return second_fundamental(analyze_point(chart, U))
+
+
+def _biharmonic_at_center(chart):
+    """biharmonic_residual at the chart center assuming PMC (a zero
+    nabla^perp H), with the predicates there."""
+    rows = _rows(chart, chart.center()[None])
+    r = biharmonic_residual(rows, np.zeros((1, chart.m, chart.space.ambient_dim)))
+    pred, pred_eps = biharmonic_predicates(rows)
+    return {"normal": r["normal"][0], "minimal": r["minimal"][0], "predicate": pred[0], "predicate_eps": pred_eps[0]}
+
+
 def test_biconservative_slice(slice_s4):
-    r = biconservative_residual(slice_s4, [0.2, -0.1])
-    assert r["simple"] <= 1e-8 and r["full"] <= 1e-8
+    r = biconservative_residual(FirstLayer.at(slice_s4, [[0.2, -0.1]]))
+    assert r["simple"][0] <= 1e-8 and r["full"][0] <= 1e-8
 
 
 def test_biconservative_theorem1_cylinder(theorem1_cyl):
-    cache = FieldCache(theorem1_cyl)
-    for u in random_interior_points(theorem1_cyl, 5, seed=21):
-        r = biconservative_residual(theorem1_cyl, u, cache)
-        assert r["simple"] == 0.0  # eta = 0 exactly at jet level
-        assert r["full"] <= 1e-5
+    r = biconservative_residual(FirstLayer.at(theorem1_cyl, random_interior_points(theorem1_cyl, 5, seed=21)))
+    assert np.all(r["simple"] == 0.0)  # eta = 0 exactly at jet level
+    assert r["full"].max() <= 1e-5
 
 
 def test_biconservative_cmc_hypersurface_product():
     ch = make_cmc_product(ProductSpace(1, 4), 0.7)
-    cache = FieldCache(ch)
-    for u in random_interior_points(ch, 4, seed=22):
-        r = biconservative_residual(ch, u, cache)
-        assert r["simple"] <= 1e-10
+    r = biconservative_residual(FirstLayer.at(ch, random_interior_points(ch, 4, seed=22)))
+    assert r["simple"].max() <= 1e-10
 
 
 def test_biharmonic_closed_forms(theorem1_cyl):
@@ -46,13 +56,15 @@ def test_biharmonic_closed_forms(theorem1_cyl):
     geodesic-cylinder family (closed-form oracle)."""
     a, b = 0.8, 0.6
     forms = theorem1_closed_forms(a)
-    r = biharmonic_residual(theorem1_cyl, [0.2, -0.3, 0.4], assume_pmc=True)
+    rows = _rows(theorem1_cyl, [[0.2, -0.3, 0.4]])
+    r = biharmonic_residual(rows, np.zeros((1, 3, 6)))
+    pred, pred_eps = biharmonic_predicates(rows)
     want_pred = forms["trace_A1_sq"] + 1.0 - 3.0
-    assert r["predicate"] == pytest.approx(want_pred, abs=1e-10)
-    assert r["predicate_eps"] == pytest.approx(want_pred, abs=1e-10)
+    assert pred[0] == pytest.approx(want_pred, abs=1e-10)
+    assert pred_eps[0] == pytest.approx(want_pred, abs=1e-10)
     want_norm = forms["H_norm"] * abs(forms["trace_A1_sq"] - 2.0)
-    assert r["normal"] == pytest.approx(want_norm, abs=1e-10)
-    assert not r["minimal"]
+    assert r["normal"][0] == pytest.approx(want_norm, abs=1e-10)
+    assert not r["minimal"][0] and not r["nested"][0]
 
 
 def test_biharmonic_family_zero_is_the_minimal_point(s4):
@@ -64,23 +76,20 @@ def test_biharmonic_family_zero_is_the_minimal_point(s4):
         forms = theorem1_closed_forms(math.sqrt(a2))
         resid.append(forms["H_norm"] * abs(forms["trace_A1_sq"] - 2.0))
         preds.append(abs(forms["trace_A1_sq"] + 1.0 - 3.0))
-        ch = make_theorem1(s4, a2=float(a2))
-        r = biharmonic_residual(ch, ch.center(), assume_pmc=True)
+        r = _biharmonic_at_center(make_theorem1(s4, a2=float(a2)))
         assert r["normal"] == pytest.approx(resid[-1], abs=1e-9)
     assert vals[int(np.argmin(resid))] == pytest.approx(0.5)
     assert vals[int(np.argmin(preds))] == pytest.approx(0.5)
 
 
 def test_biharmonic_minimal_flag(s4):
-    ch = make_theorem1(s4, a2=0.5)
-    r = biharmonic_residual(ch, ch.center(), assume_pmc=True)
+    r = _biharmonic_at_center(make_theorem1(s4, a2=0.5))
     assert r["minimal"] and math.isnan(r["predicate"])
     assert r["normal"] <= 1e-12
 
 
 def test_biharmonic_eps_minus_one_never_small():
-    ch = make_theorem1(ProductSpace(-1, 4), a2=1.5)
-    r = biharmonic_residual(ch, ch.center(), assume_pmc=True)
+    r = _biharmonic_at_center(make_theorem1(ProductSpace(-1, 4), a2=1.5))
     assert r["normal"] >= 1e-2
     # eps-explicit candidate differs from the plain predicate when eps = -1
     assert r["predicate_eps"] != pytest.approx(r["predicate"], abs=1e-6)
@@ -88,12 +97,8 @@ def test_biharmonic_eps_minus_one_never_small():
 
 def test_class_A_gallery(theorem1_cyl, vcyl_circle, tube_s3):
     for ch in (theorem1_cyl, vcyl_circle):
-        for u in random_interior_points(ch, 5, seed=23):
-            pg = analyze_point(ch, u)
-            assert class_A_residual(pg, second_fundamental(pg)) <= 1e-9, ch.label
-    for u in random_interior_points(tube_s3, 5, seed=24):
-        pg = analyze_point(tube_s3, u)
-        assert class_A_residual(pg, second_fundamental(pg)) <= 1e-6
+        assert class_A_residual(_rows(ch, random_interior_points(ch, 5, seed=23))).max() <= 1e-9, ch.label
+    assert class_A_residual(_rows(tube_s3, random_interior_points(tube_s3, 5, seed=24))).max() <= 1e-6
 
 
 def _sympy_class_a_oracle(point):
@@ -163,94 +168,95 @@ def test_class_A_fails_on_tilted_graph():
     )
     chart.validate_membership()
     point = [0.31, 0.47]
-    pg = analyze_point(chart, point)
-    engine = class_A_residual(pg, second_fundamental(pg))
+    engine = class_A_residual(_rows(chart, [point]))[0]
     oracle = _sympy_class_a_oracle(point)
     assert engine == pytest.approx(oracle, abs=1e-10)
     assert engine >= 1e-2
 
 
 def test_class_A_zero_when_T_vanishes(slice_s4):
-    pg = analyze_point(slice_s4, [0.1, 0.2])
-    assert class_A_residual(pg, second_fundamental(pg)) == 0.0
+    assert class_A_residual(_rows(slice_s4, [[0.1, 0.2]]))[0] == 0.0
 
 
 def test_e0_structure_theorem1(theorem1_cyl):
     forms = theorem1_closed_forms(0.8)
-    e0 = e0_structure(theorem1_cyl, [0.3, -0.2, 0.4])
-    assert e0.dim_E0 == 1
+    e0, errors = e0_structure(_rows(theorem1_cyl, [[0.3, -0.2, 0.4]]))
+    assert errors == [None]
+    assert e0.dim_E0[0] == 1
     assert np.allclose(
-        np.sort(e0.eigenvalues), forms["H_norm"] * forms["eig_A1"], atol=1e-10
+        np.sort(e0.eigenvalues[0]), forms["H_norm"] * forms["eig_A1"], atol=1e-10
     )
-    assert e0.aht <= 1e-9
-    assert e0.aetat <= 1e-9
-    assert e0.offblock <= 1e-9
-    assert e0.traceBS1 <= 1e-9
-    assert abs(e0.a_last) <= 1e-9
-    assert e0.frame.eta_gauge_fixed  # eta = 0 on this chart
+    assert e0.aht[0] <= 1e-9
+    assert e0.aetat[0] <= 1e-9
+    assert e0.offblock[0] <= 1e-9
+    assert e0.traceBS1[0] <= 1e-9
+    assert abs(e0.a_last[0]) <= 1e-9
+    assert e0.frame.eta_gauge_fixed[0]  # eta = 0 on this chart
     # the strict diag(0, 0, 3|H|) block form does not hold on this family:
     # the kernel of A_H is one-dimensional and the gap is b/a
-    assert e0.form3_residual == pytest.approx(0.75, abs=1e-9)
-    assert e0.dim_E0 + np.sum(np.abs(e0.eigenvalues) > 1e-9) == 3
+    assert e0.form3_residual[0] == pytest.approx(0.75, abs=1e-9)
+    assert e0.dim_E0[0] + np.sum(np.abs(e0.eigenvalues[0]) > 1e-9) == 3
 
 
 def test_e0_invalid_on_minimal_chart():
     ch = make_slice(ProductSpace(1, 3), 0.0)  # codim 2 here, H = 0
-    pg = analyze_point(ch, [0.1, 0.2])
-    with pytest.raises(InvalidFrame, match="H vanishes"):
-        e0_structure(ch, [0.1, 0.2], pg, second_fundamental(pg))
+    _, errors = e0_structure(_rows(ch, [[0.1, 0.2]]))
+    assert isinstance(errors[0], InvalidFrame) and "H vanishes" in str(errors[0])
 
 
 def test_e0_invalid_on_wrong_codimension(slice_s4):
-    with pytest.raises(InvalidFrame, match="codimension"):
-        e0_structure(slice_s4, [0.1, 0.2])
+    e0, errors = e0_structure(_rows(slice_s4, [[0.1, 0.2]]))
+    assert e0 is None
+    assert isinstance(errors[0], InvalidFrame) and "codimension" in str(errors[0])
 
 
 def test_e0_eigengap_warning_band(theorem1_cyl):
     # with the default tolerance the spectrum is clean; a tolerance chosen
     # so that the small eigenvalue lands inside (0.1 tol, 10 tol) warns
-    u = [0.3, -0.2, 0.4]
-    assert not e0_structure(theorem1_cyl, u).warn_eigengap
-    assert e0_structure(theorem1_cyl, u, tol_eig=0.25).warn_eigengap
+    rows = _rows(theorem1_cyl, [[0.3, -0.2, 0.4]])
+    assert not e0_structure(rows)[0].warn_eigengap[0]
+    assert e0_structure(rows, tol_eig=0.25)[0].warn_eigengap[0]
 
 
 def test_codim_two_frame_orthonormal(theorem1_heli):
-    pg = analyze_point(theorem1_heli, [0.2, 0.4, -0.3])
-    ed = second_fundamental(pg)
-    fr = codim_two_frame(pg, ed)
+    fr, errors = codim_two_frame(_rows(theorem1_heli, [[0.2, 0.4, -0.3]]))
+    assert errors == [None]
     sp = theorem1_heli.space
     from prodsub.ambient import inner
 
-    assert inner(sp, fr.xi1, fr.xi1) == pytest.approx(1.0, abs=1e-12)
-    assert inner(sp, fr.xi2, fr.xi2) == pytest.approx(1.0, abs=1e-12)
-    assert abs(inner(sp, fr.xi1, fr.xi2)) <= 1e-12
-    assert not fr.eta_gauge_fixed
+    xi1, xi2 = fr.xi1[0], fr.xi2[0]
+    assert inner(sp, xi1, xi1) == pytest.approx(1.0, abs=1e-12)
+    assert inner(sp, xi2, xi2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(inner(sp, xi1, xi2)) <= 1e-12
+    assert not fr.eta_gauge_fixed[0]
+
+
+def _classifier_residuals(layer):
+    """The gauge-invariant classifier residuals at the centers of a first
+    layer, biharmonic_residual assuming PMC (a zero nabla^perp H)."""
+    rows = layer.centers
+    bicon = biconservative_residual(layer)
+    bih = biharmonic_residual(rows, np.zeros(rows.H.shape[:1] + (rows.batch.chart.m,) + rows.H.shape[1:]))
+    e0, _ = e0_structure(rows)
+    return {
+        "class_a": class_A_residual(rows),
+        "simple": bicon["simple"],
+        "full": bicon["full"],
+        "normal": bih["normal"],
+        "predicate": biharmonic_predicates(rows)[0],
+        **{name: getattr(e0, name) for name in ("aht", "aetat", "offblock", "traceBS1")},
+    }
 
 
 def test_gauge_flip_invariance(theorem1_heli, tube_s3):
+    # every row of the first layer flips its normals, the centers' among them
     for ch in (theorem1_heli, tube_s3):
-        u = random_interior_points(ch, 1, seed=31)[0]
-        cache = FieldCache(ch)
-        pg, ed = cache.geometry(u)
-        base = {
-            "class_a": class_A_residual(pg, ed),
-            "bicon": biconservative_residual(ch, u, cache, pg, ed),
-            "bih": biharmonic_residual(ch, u, assume_pmc=True, cache=cache, pg=pg, ed=ed),
-            "e0": e0_structure(ch, u, pg, ed),
-        }
+        layer = FirstLayer.at(ch, random_interior_points(ch, 1, seed=31))
+        base = _classifier_residuals(layer)
         for signs in ([-1, 1], [1, -1], [-1, -1]):
-            pg2 = pg.with_flipped_normals(signs)
-            ed2 = second_fundamental(pg2)
-            assert abs(class_A_residual(pg2, ed2) - base["class_a"]) <= 1e-12
-            r = biconservative_residual(ch, u, cache, pg2, ed2)
-            assert abs(r["simple"] - base["bicon"]["simple"]) <= 1e-12
-            assert abs(r["full"] - base["bicon"]["full"]) <= 1e-12
-            rb = biharmonic_residual(ch, u, assume_pmc=True, cache=cache, pg=pg2, ed=ed2)
-            assert abs(rb["normal"] - base["bih"]["normal"]) <= 1e-12
-            assert abs(rb["predicate"] - base["bih"]["predicate"]) <= 1e-12
-            e2 = e0_structure(ch, u, pg2, ed2)
-            for fldname in ("aht", "aetat", "offblock", "traceBS1"):
-                assert abs(getattr(e2, fldname) - getattr(base["e0"], fldname)) <= 1e-12
+            flipped = FirstLayer(second_fundamental(layer.rows.batch.with_flipped_normals(signs)))
+            for name, value in _classifier_residuals(flipped).items():
+                assert abs(value[0] - base[name][0]) <= 1e-12, (ch.label, name, signs)
 
 
 def test_splitting_residuals(theorem1_cyl, vcyl_geodesic, s4):

@@ -5,7 +5,7 @@ import pytest
 
 from prodsub import ProductSpace, analyze_point, evaluate_jet, membership_residual
 from prodsub.errors import ChartError
-from prodsub.extrinsic import FieldCache, normal_derivative_H, second_fundamental
+from prodsub.extrinsic import FirstLayer, normal_derivative_H, second_fundamental, shape_operator
 from prodsub.gallery import (
     GALLERY,
     make_chart,
@@ -18,21 +18,25 @@ from prodsub.immersion import probe_grid
 from conftest import random_interior_points, theorem1_closed_forms
 
 
+def _rows(chart, U):
+    rows = second_fundamental(analyze_point(chart, U))
+    assert not any(rows.batch.errors), chart.label
+    return rows
+
+
 def test_slice_fields(slice_s4):
     t = slice_s4.space.t_index
-    for u in random_interior_points(slice_s4, 20, seed=40):
-        pg = analyze_point(slice_s4, u)
-        assert pg.pos[t] == 0.25
-        assert pg.T_norm <= 1e-14
-        assert second_fundamental(pg).H_norm <= 1e-14
+    rows = _rows(slice_s4, random_interior_points(slice_s4, 20, seed=40))
+    assert np.all(rows.batch.jet.values[:, t] == 0.25)
+    assert rows.batch.T_norm.max() <= 1e-14
+    assert rows.H_norm.max() <= 1e-14
 
 
 def test_vertical_cylinder_geodesic_fields(vcyl_geodesic):
-    for u in random_interior_points(vcyl_geodesic, 10, seed=41):
-        pg = analyze_point(vcyl_geodesic, u)
-        assert pg.eta_norm <= 1e-14
-        assert pg.T_norm == pytest.approx(1.0, abs=1e-14)
-        assert second_fundamental(pg).H_norm <= 1e-14
+    rows = _rows(vcyl_geodesic, random_interior_points(vcyl_geodesic, 10, seed=41))
+    assert rows.batch.eta_norm.max() <= 1e-14
+    assert np.allclose(rows.batch.T_norm, 1.0, atol=1e-14, rtol=0)
+    assert rows.H_norm.max() <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -41,28 +45,20 @@ def test_vertical_cylinder_circle_is_cmc(eps):
     ch = make_vertical_cylinder(space, {"kind": "circle", "r": 0.7})
     want = (1 / math.tan(0.7) if eps == 1 else 1 / math.tanh(0.7)) / 2
 
-    cache = FieldCache(ch)
-    norms = []
-    for u in random_interior_points(ch, 8, seed=42):
-        pg, ed = cache.geometry(u)
-        norms.append(ed.H_norm)
-        ws = normal_derivative_H(ch, u, cache)
-        assert max(np.linalg.norm(w) for w in ws) <= 1e-6
-    assert np.allclose(norms, want, atol=1e-10)
+    layer = FirstLayer.at(ch, random_interior_points(ch, 8, seed=42))
+    assert np.linalg.norm(normal_derivative_H(layer), axis=-1).max() <= 1e-6
+    assert np.allclose(layer.centers.H_norm, want, atol=1e-10)
 
 
 @pytest.mark.parametrize("eps,a", [(1, 0.8), (1, 0.6), (-1, 1.25)])
 def test_theorem1_shape_data_every_sample(eps, a):
     forms = theorem1_closed_forms(a, eps)
     ch = make_theorem1(ProductSpace(eps, 4), a=a)
-    for u in random_interior_points(ch, 30, seed=43):
-        pg = analyze_point(ch, u)
-        ed = second_fundamental(pg)
-        assert ed.H_norm == pytest.approx(forms["H_norm"], abs=1e-9)
-        A1 = ed.shape_in_direction(ed.H / ed.H_norm)
-        assert np.allclose(
-            np.sort(np.linalg.eigvalsh(A1)), forms["eig_A1"], atol=1e-9
-        )
+    rows = _rows(ch, random_interior_points(ch, 30, seed=43))
+    b = rows.batch
+    assert np.allclose(rows.H_norm, forms["H_norm"], atol=1e-9, rtol=0)
+    A1 = shape_operator(ch.space, b.normal_onb, rows.alpha, rows.H / rows.H_norm[:, None])
+    assert np.allclose(np.sort(np.linalg.eigvalsh(A1), axis=-1), forms["eig_A1"], atol=1e-9)
 
 
 def test_theorem1_parameter_errors(s4, h4):
@@ -148,9 +144,7 @@ def test_helicoid_factor_is_minimal(eps, a):
 def test_partial_tube_class_A(tube_s3):
     from prodsub.classify import class_A_residual
 
-    for u in random_interior_points(tube_s3, 10, seed=46):
-        pg = analyze_point(tube_s3, u)
-        assert class_A_residual(pg, second_fundamental(pg)) <= 1e-6
+    assert class_A_residual(_rows(tube_s3, random_interior_points(tube_s3, 10, seed=46))).max() <= 1e-6
 
 
 def test_partial_tube_constraint_errors():
@@ -204,31 +198,24 @@ def test_partial_tube_k0_reduces_to_vertical_cylinder():
     sp3 = ProductSpace(1, 3)
     tube = make_partial_tube(sp3, base={"kind": "geodesic", "k": 0}, profile={"coords": ["1", "s"]})
     cyl = make_vertical_cylinder(sp3)
-    for u in random_interior_points(tube, 10, seed=47):
-        assert np.allclose(
-            evaluate_jet(tube, u).values, evaluate_jet(cyl, u).values, atol=1e-12
-        )
-        pg = analyze_point(tube, u)
-        assert pg.eta_norm <= 1e-12
+    U = random_interior_points(tube, 10, seed=47)
+    assert np.allclose(evaluate_jet(tube, U).values, evaluate_jet(cyl, U).values, atol=1e-12)
+    assert _rows(tube, U).batch.eta_norm.max() <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1, -1])
 def test_cmc_product_constant_H(eps):
     ch = make_cmc_product(ProductSpace(eps, 3), 0.7)
     want = (2.0 / 3.0) * (1 / math.tan(0.7) if eps == 1 else 1 / math.tanh(0.7))
-    norms = [
-        second_fundamental(analyze_point(ch, u)).H_norm
-        for u in random_interior_points(ch, 10, seed=48)
-    ]
-    assert np.allclose(norms, want, atol=1e-10)
+    assert np.allclose(_rows(ch, random_interior_points(ch, 10, seed=48)).H_norm, want, atol=1e-10)
 
 
 def test_cmc_product_equator_minimal_and_vertical():
     ch = make_cmc_product(ProductSpace(1, 3), math.pi / 2)
     assert "minimal" in ch.label
-    pg = analyze_point(ch, [0.1, 0.2, -0.1])
-    assert second_fundamental(pg).H_norm <= 1e-14
-    assert pg.nu is not None and abs(pg.nu) <= 1e-14
+    rows = _rows(ch, [[0.1, 0.2, -0.1]])
+    assert rows.H_norm[0] <= 1e-14
+    assert rows.batch.nu is not None and abs(rows.batch.nu[0]) <= 1e-14
 
 
 def test_cmc_product_parameter_range():

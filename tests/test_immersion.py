@@ -33,26 +33,26 @@ def test_gallery_membership_exact(all_gallery_charts):
 
 
 def test_slice_point_geometry(slice_s4):
-    pg = analyze_point(slice_s4, [0.2, -0.4])
-    assert pg.T_norm <= 1e-15
-    assert pg.eta_norm == pytest.approx(1.0, abs=1e-14)
-    assert pg.theta == pytest.approx(math.pi / 2, abs=1e-14)
+    b = analyze_point(slice_s4, [[0.2, -0.4]])
+    assert b.errors == [None]
+    assert b.T_norm[0] <= 1e-15
+    assert b.eta_norm[0] == pytest.approx(1.0, abs=1e-14)
+    assert b.theta[0] == pytest.approx(math.pi / 2, abs=1e-14)
 
 
 def test_vertical_cylinder_point_geometry(vcyl_geodesic):
-    pg = analyze_point(vcyl_geodesic, [0.5, -0.2])
-    assert pg.T_norm == pytest.approx(1.0, abs=1e-14)
-    assert pg.eta_norm <= 1e-15
-    assert pg.theta == pytest.approx(0.0, abs=1e-14)
+    b = analyze_point(vcyl_geodesic, [[0.5, -0.2]])
+    assert b.errors == [None]
+    assert b.T_norm[0] == pytest.approx(1.0, abs=1e-14)
+    assert b.eta_norm[0] <= 1e-15
+    assert b.theta[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_helicoid_T_strictly_interior_and_nonconstant(theorem1_heli):
-    vals = []
-    for u in random_interior_points(theorem1_heli, 40, seed=3):
-        pg = analyze_point(theorem1_heli, u)
-        assert 0.0 < pg.T_norm < 1.0
-        vals.append(pg.T_norm)
-    assert np.std(vals) > 1e-3
+    b = analyze_point(theorem1_heli, random_interior_points(theorem1_heli, 40, seed=3))
+    assert not any(b.errors)
+    assert np.all((0.0 < b.T_norm) & (b.T_norm < 1.0))
+    assert np.std(b.T_norm) > 1e-3
 
 
 def test_pushforward(theorem1_cyl):
@@ -64,47 +64,49 @@ def test_pushforward(theorem1_cyl):
 
 def test_pushforward_metric_pullback(theorem1_heli):
     rng = np.random.default_rng(11)
-    pg = analyze_point(theorem1_heli, [0.3, -0.5, 0.7])
+    b = analyze_point(theorem1_heli, [[0.3, -0.5, 0.7]])
+    J, g = b.jet.jac[0], b.g[0]
     for _ in range(20):
         v, w = rng.standard_normal((2, 3))
-        lhs = inner(theorem1_heli.space, pg.push(v), pg.push(w))
-        assert lhs == pytest.approx(float(v @ pg.g @ w), abs=1e-12)
+        lhs = inner(theorem1_heli.space, J @ v, J @ w)
+        assert lhs == pytest.approx(float(v @ g @ w), abs=1e-12)
 
 
-def _frame_defect(pg):
-    sp = pg.space
-    frame = pg.tangent_onb + pg.normal_onb
-    worst = 0.0
-    for i, a in enumerate(frame):
-        for j in range(i, len(frame)):
-            worst = max(worst, abs(inner(sp, a, frame[j]) - (1.0 if i == j else 0.0)))
-    phat = pg.q_padded()
-    for xi in pg.normal_onb:
-        worst = max(worst, abs(inner(sp, xi, phat)))
-    return worst
+def _frame_defect(b):
+    """Per row, the worst deviation of the frame's Gram matrix from the
+    identity and of the normals from orthogonality to p^."""
+    sp = b.chart.space
+    frame = np.concatenate([b.tangent_onb, b.normal_onb], axis=1)
+    gram = inner(sp, frame[:, :, None], frame[:, None])
+    off_quadric = inner(sp, b.normal_onb, sp.q_padded(b.jet.values)[:, None])
+    return np.maximum(np.abs(gram - np.eye(frame.shape[1])).max(axis=(1, 2)), np.abs(off_quadric).max(axis=1))
 
 
 def test_frames_and_unit_decomposition_random_samples(all_gallery_charts):
     for ch in all_gallery_charts:
         tol = 1e-12 if ch.space.epsilon == 1 else 1e-10
-        for u in random_interior_points(ch, 100, seed=hash(ch.label) % 2**31):
-            pg = analyze_point(ch, u)
-            assert _frame_defect(pg) <= tol, ch.label
-            assert abs(pg.T_norm**2 + pg.eta_norm**2 - 1.0) <= 1e-10, ch.label
-            assert len(pg.normal_onb) == ch.space.n + 1 - ch.m, ch.label
+        b = analyze_point(ch, random_interior_points(ch, 100, seed=hash(ch.label) % 2**31))
+        assert not any(b.errors), ch.label
+        assert np.all(_frame_defect(b) <= tol), ch.label
+        assert np.all(np.abs(b.T_norm**2 + b.eta_norm**2 - 1.0) <= 1e-10), ch.label
+        assert b.normal_onb.shape[1] == ch.space.n + 1 - ch.m, ch.label
 
 
 def test_gram_schmidt_idempotent_on_orthonormal(s4):
-    vecs = [np.eye(6)[i] for i in (1, 2, 4)]
-    basis, _ = gram_schmidt(s4, vecs)
-    for b, v in zip(basis, vecs):
-        assert np.linalg.norm(b - v) <= 1e-14
+    vecs = np.eye(6)[[1, 2, 4]]
+    basis, coeffs, count, errors = gram_schmidt(s4, vecs[None])
+    assert errors == [None] and count[0] == 3
+    assert np.abs(basis[0] - vecs).max() <= 1e-14
+    assert np.abs(coeffs[0] - np.eye(3)).max() <= 1e-14
 
 
 def test_gram_schmidt_null_vector_raises(h4):
+    # the row of a null vector records the NullFrame it raises; the other row is clean
     null = np.array([1.0, 1.0, 0, 0, 0, 0])  # <v,v> = 0 in the Lorentz inner
-    with pytest.raises(NullFrame):
-        gram_schmidt(h4, [null])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, _, errors = gram_schmidt(h4, np.array([[null], [np.eye(6)[2]]]))
+    assert isinstance(errors[0], NullFrame) and "near-null" in str(errors[0])
+    assert errors[1] is None
 
 
 def test_irregular_point_raises(s4):
@@ -115,8 +117,8 @@ def test_irregular_point_raises(s4):
         coords=["cos(u1)", "sin(u1)", "0", "0", "0", "0.1"],
         domain=[(-1.0, 1.0), (-1.0, 1.0)],
     )
-    with pytest.raises(IrregularPoint):
-        analyze_point(chart, [0.3, 0.2])
+    b = analyze_point(chart, [[0.3, 0.2]])
+    assert isinstance(b.errors[0], IrregularPoint)
 
 
 def test_chart_membership_validation_rejects_bad_chart(s4):
@@ -133,7 +135,6 @@ def test_chart_membership_validation_rejects_bad_chart(s4):
 
 
 def test_nu_defined_only_in_codimension_one(cmc_s3, theorem1_cyl):
-    pg = analyze_point(cmc_s3, [0.1, 0.2, -0.3])
-    assert pg.nu is not None and abs(pg.nu) <= 1e-14  # vertical product: eta = 0
-    pg2 = analyze_point(theorem1_cyl, [0.1, 0.2, -0.3])
-    assert pg2.nu is None
+    b = analyze_point(cmc_s3, [[0.1, 0.2, -0.3]])
+    assert b.nu is not None and abs(b.nu[0]) <= 1e-14  # vertical product: eta = 0
+    assert analyze_point(theorem1_cyl, [[0.1, 0.2, -0.3]]).nu is None

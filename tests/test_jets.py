@@ -231,7 +231,8 @@ def test_fd_gradient_pmc_h_norm_squared():
     cache = FieldCache(ch)
 
     def hh(v):
-        return np.array([inner(ch.space, cache.geometry(v)[1].H, cache.geometry(v)[1].H)])
+        H = cache.geometry(v).H[0]
+        return np.array([inner(ch.space, H, H)])
 
     u = np.array([0.2, -0.1, 0.3])
     for i in range(3):

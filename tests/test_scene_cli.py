@@ -498,6 +498,34 @@ def test_coordinate_overflow_exits_3(tmp_path, capsys):
     )
 
 
+def test_a_coordinate_that_does_not_parse_is_a_scene_error(tmp_path, capsys):
+    scene = json.loads((SCENES / "slice_expr.json").read_text())
+    scene["immersion"]["expressions"]["coords"][0] = "cos(u1"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    assert main(["run", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "scene error: cannot parse coordinate 'cos(u1': parse error at position 6: "
+        "unexpected end of input (expected ')')"
+    )
+
+
+def test_an_expression_that_fails_while_a_chart_builds_exits_3(tmp_path, capsys):
+    # the partial tube evaluates its base normals itself, outside the chart's coordinate maps
+    normal = ["0", "0", "sqrt(u1 - 5)", "0"]
+    scene = {
+        "ambient": {"epsilon": 1, "n": 3},
+        "immersion": {"gallery": {"kind": "partial_tube", "base": {"kind": "geodesic", "normals": [normal]}}},
+        "checks": ["membership"],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    assert main(["run", "--scene", str(path)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "computation error: cannot build the chart: at position 0: sqrt: argument -6.18 outside the function domain"
+    )
+
+
 def test_nan_chart_fails_the_membership_gate(tmp_path, capsys):
     # inf - inf: the coordinate is NaN wherever u1 != 0
     path = _s2_scene(tmp_path, "u1", "cos(u2) + (1e200*u1)*(1e200*u1) - (1e200*u1)*(1e200*u1)")
