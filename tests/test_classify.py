@@ -236,7 +236,7 @@ def _classifier_residuals(layer):
     layer, biharmonic_residual assuming PMC (a zero nabla^perp H)."""
     rows = layer.centers
     bicon = biconservative_residual(layer)
-    bih = biharmonic_residual(rows, np.zeros(rows.H.shape[:1] + (rows.batch.chart.m,) + rows.H.shape[1:]))
+    bih = biharmonic_residual(rows, np.zeros((len(rows), rows.batch.chart.m, rows.H.shape[1])))
     e0, _ = e0_structure(rows)
     return {
         "class_a": class_A_residual(rows),
