@@ -8,12 +8,15 @@ corpus scene (``scenes/*.json``) with ``--samples 24 --seed 7``, ``--out``
 and ``--csv``, under ``--jobs 1``, ``2`` and ``4``, for three check sets:
 the scene's own checks, the structure checks and the jet-level plus
 chart-level checks.  Under the same job counts it runs both 61-step
-criterion-4a scans of ``biharmonic_normal`` with ``--out``.  Compares the
-reports (less ``wall_time_s``), the CSV and scan files byte for byte, and
-stdout, stderr and the exit code of every run.  It also runs every demo
-(``demos/*.py``) and compares its stdout and exit code; a demo's stderr
-would name the export's path in a warning.  Prints each output that
-differs and exits 1 if any does, else 0.
+criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
+and scans of the generated scenes in ``FAILING``, each of which fails: a
+domain error at a stencil point, an error at a sample center, coordinate
+overflows, a NaN chart, a scan step that does not build and an unbound
+identifier.  Compares the reports (less ``wall_time_s``), the CSV and scan
+files byte for byte, and stdout, stderr and the exit code of every run.
+It also runs every demo (``demos/*.py``) and compares its stdout and exit
+code; a demo's stderr would name the export's path in a warning.  Prints
+each output that differs and exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +46,47 @@ SCANS = {  # criterion 4a: the a2 windows of both signs of eps
 }
 
 
+def _s2(t: str, grid: list, checks: list, u1=(-1.0, 1.0), s: str = "cos(u2)") -> dict:
+    """An expression scene on S^2 x R with the given t (and first) coordinate."""
+    expressions = {"m": 2, "coords": [s, "sin(u2)", "0", t], "domain": [list(u1), [-0.5, 0.5]],
+                   "var_names": ["u1", "u2"]}
+    return {"ambient": {"epsilon": 1, "n": 2}, "immersion": {"expressions": expressions},
+            "sampling": {"mode": "grid", "grid": grid}, "checks": checks}
+
+
+def _corpus(name: str) -> dict:
+    return json.loads((Path(__file__).resolve().parent.parent / "scenes" / name).read_text())
+
+
+def _unbound() -> dict:
+    scene = _corpus("slice_expr.json")
+    scene["immersion"]["expressions"]["coords"][0] = "cos(x)*cos(u2)"
+    return scene
+
+
+# a bump of height 1e400 at u1 = 0.32, a sample and no probe point: 0 * inf is NaN there
+_OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
+FAILING = {  # name: (scene, the command's arguments after --scene)
+    "stencil_domain": (_s2("sqrt(u1)", [2, 1], ["pmc"], u1=(0.0, 1e-4)), ["run"]),
+    "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),
+    "overflow_raises": (_s2("u1", [3, 3], ["membership"], s="cos(u2) + (exp(1000*u1) - exp(1000*u1))"), ["run"]),
+    "overflow_metric": (_s2(_OVERFLOW, [4, 1], ["membership", "class_a", "pmc"]), ["run"]),
+    "nan_chart": (_s2("u1", [3, 3], ["membership"], s="cos(u2) + (1e200*u1)*(1e200*u1) - (1e200*u1)*(1e200*u1)"),
+                  ["run"]),
+    "step_does_not_build": (_corpus("biharmonic_scan_eps1.json"), ["scan", "--param", "a2", "--from", "0.5",
+                                                                    "--to", "1.3", "--steps", "5",
+                                                                    "--residual", "biharmonic_normal"]),
+    "unbound_identifier": (_unbound(), ["run"]),
+}
+
+
+def write_failing(root: Path) -> None:
+    """The scenes of ``FAILING`` as ``failing/<name>.json`` under ``root``."""
+    (root / "failing").mkdir()
+    for name, (scene, _) in FAILING.items():
+        (root / "failing" / f"{name}.json").write_text(json.dumps(scene))
+
+
 def invocations(root: Path) -> dict:
     """Every run as {name: (interpreter arguments, the files it writes, the
     streams compared)}."""
@@ -63,6 +107,10 @@ def invocations(root: Path) -> dict:
             argv = ["scan", "--scene", scene, "--param", "a2", "--from", lo, "--to", hi, "--steps", "61"]
             argv += ["--residual", "biharmonic_normal", "--jobs", str(jobs), "--out", f"{name}.dat"]
             out[name] = (cli + argv, [f"{name}.dat"], ("stdout", "stderr"))
+        for label, (_, (command, *args)) in FAILING.items():
+            name = f"failing.{label}.jobs{jobs}"
+            argv = [command, "--scene", f"failing/{label}.json", *args, "--jobs", str(jobs)]
+            out[name] = (cli + argv, [], ("stdout", "stderr"))
     return out
 
 
@@ -94,6 +142,8 @@ def main(argv=None) -> int:
         roots = {"base": work / "base", "change": work / "change"}
         export(args.base, roots["base"])
         export("HEAD", roots["change"])
+        for root in roots.values():
+            write_failing(root)
         runs = invocations(roots["change"])
         differ = []
         for name, run in runs.items():

@@ -298,6 +298,13 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
     return e0, errors
 
 
+def _raise_first(errors: list) -> None:
+    """Raise the first error of a batch's rows, if any."""
+    for e in errors:
+        if e is not None:
+            raise e
+
+
 def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
     """Max mixed second derivative between the designated s variable and the
     remaining chart variables over a probe grid (jet-exact): zero exactly
@@ -305,7 +312,9 @@ def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
-    d2 = evaluate_jet(chart, probe_grid(chart.domain, per_axis)).d2
+    jet = evaluate_jet(chart, probe_grid(chart.domain, per_axis))
+    _raise_first(jet.errors)
+    d2 = jet.d2
     worst = 0.0
     for i in range(chart.m):
         if i != s:
@@ -327,6 +336,7 @@ def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
     U = np.repeat(u0[None], 1 + max(n_samples, 8), axis=0)
     U[1:, s] = np.linspace(lo + pad, hi - pad, max(n_samples, 8))
     vj = evaluate_jet(chart, U)
+    _raise_first(vj.errors)
     acc = vj.second(s, s)[0]
     kappa = float(np.linalg.norm(acc))
     radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
@@ -336,8 +346,7 @@ def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
     plane_rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
 
     b = analyze_point(chart, u0)
-    if b.errors[0] is not None:
-        raise b.errors[0]
+    _raise_first(b.errors)
     xi = np.ascontiguousarray(b.normal_onb[0])  # ``inner`` sums a strided row in another order
     c = float(np.linalg.norm(inner(chart.space, xi, acc)) / b.g[0, s, s])
     c2 = c * c + chart.space.epsilon

@@ -16,22 +16,21 @@ differenced field is gauge-invariant, never a frame vector.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
 
 from .ambient import ProductSpace, inner
-from .errors import ChartError, EngineError, RowFailure
+from .errors import RowFailure
 from .immersion import Chart, PointBatch, analyze_point
-from .jets import VecJet2, fd_difference, fd_stencil, fd_steps, nonfinite_error
+from .jets import VecJet2, fd_difference, fd_steps, first_layer, nonfinite_error
 
 __all__ = [
     "ExtrinsicRows",
     "FieldCache",
     "FirstLayer",
     "JetDerivatives",
-    "batched_rows",
+    "geometry",
     "second_fundamental",
     "shape_operator",
     "christoffels",
@@ -49,14 +48,15 @@ __all__ = [
 #: outer step for nested finite differences (inner layer carries ~1e-10 noise)
 FD_NESTED_STEP = 5e-4
 
-# most points in one call of batched_rows: past a few hundred points a
+# most points in one geometry call of a run: past a few hundred points a
 # larger batch barely lowers the cost per point, while the call's arrays and
-# temporaries take a few KiB per point.  analyze_point and
-# second_fundamental on theorem1_cylinder, one core of a 2-vCPU Xeon:
-# 0.4 ms for a batch of one, 9.3 us per point at 105 points, 5.6 us at 512,
-# 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405 points) took
-# 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s, in
-# reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
+# temporaries take a few KiB per point.  A run slices its samples' points
+# (each center alone, or with its first layer) into calls of whole samples.
+# analyze_point and second_fundamental on theorem1_cylinder, one core of a
+# 2-vCPU Xeon: 0.4 ms for a batch of one, 9.3 us per point at 105 points,
+# 5.6 us at 512, 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405
+# points) took 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s,
+# in reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
 # over the 45 MiB of the scan that ran step by step.  Runs past 512 points
 # pay for the smaller calls: on theorem1_cylinder, 400 samples of gauss,
 # codazzi, ricci and pmc (5,200 points) take 0.080 s at 512 against 0.072 s
@@ -203,11 +203,12 @@ def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
     return np.einsum("niq,nqjk->nijk", b.tangent_coeffs, M @ (b.g[:, None] @ Ct))
 
 
-def first_layer(u) -> np.ndarray:
-    """u followed by the 4m points of its base-step ``fd_stencil`` along each
-    chart direction: every point a first-layer difference around u reads."""
-    u = np.asarray(u, dtype=float)
-    return np.vstack([u[None]] + [fd_stencil(u, i)[1] for i in range(len(u))])
+def geometry(chart: Chart, U, steps=None) -> ExtrinsicRows:
+    """The ExtrinsicRows of the points U (N, m), at the scan steps ``steps``
+    (N,) on a family chart, from one batched ``analyze_point`` and
+    ``second_fundamental`` call.  It does not raise for a point that
+    fails: ``batch.errors`` holds the error of each row."""
+    return second_fundamental(analyze_point(chart, U, steps))
 
 
 class FieldCache:
@@ -227,14 +228,10 @@ class FieldCache:
         return self._memo[key]
 
     def geometry(self, U) -> ExtrinsicRows:
-        return self._memoized(_geometry, U)
+        return self._memoized(geometry, U)
 
     def layer(self, U) -> "FirstLayer":
         return self._memoized(FirstLayer.at, U)
-
-
-def _geometry(chart: Chart, U: np.ndarray) -> ExtrinsicRows:
-    return second_fundamental(analyze_point(chart, U))
 
 
 class FirstLayer:
@@ -250,15 +247,9 @@ class FirstLayer:
     @classmethod
     def at(cls, chart: Chart, U, steps=None) -> "FirstLayer":
         """The first layers of the points U (N, m), at the scan steps
-        ``steps`` (N,) on a family chart, from one ``batched_rows`` call; the
-        first center raises when every point does."""
-        U = np.asarray(U, dtype=float).reshape(-1, chart.m)
-        k = 1 + 4 * chart.m
-        steps = None if steps is None else [np.repeat(steps, k)]
-        ((_, rows, errors),) = batched_rows(chart, [np.vstack([first_layer(u) for u in U])], steps)
-        if rows is None:
-            raise errors[0]
-        return cls(rows)
+        ``steps`` (N,) on a family chart, in one ``geometry`` call."""
+        points = first_layer(np.asarray(U, dtype=float).reshape(-1, chart.m)).reshape(-1, chart.m)
+        return cls(geometry(chart, points, None if steps is None else np.repeat(steps, 1 + 4 * chart.m)))
 
     def __len__(self) -> int:
         return len(self.rows) // self.k
@@ -295,55 +286,6 @@ class FirstLayer:
         return [fd_difference(v, h).reshape((n, m) + np.shape(f)[1:]) for v, f in zip(values, fields)]
 
 
-def batched_rows(chart: Chart, point_sets, steps=None) -> Iterator[tuple[list, ExtrinsicRows | None, list]]:
-    """Yield (sets, rows, errors) for consecutive point sets (P_s, m) of
-    ``point_sets``: up to ``_BATCH_POINTS`` points in all (at least one
-    set) go to one batched call, whose geometry ``rows`` holds the sets'
-    points in order; errors[j] is the error point j raises on its own, else
-    None.  On a family chart, ``steps[s]`` is the scan step of set s's
-    points, one for all of them or one each.  When the call raises as a
-    whole, each point is computed alone first, the row of one that raises
-    holds another point's geometry, and rows is None when every point
-    raises."""
-    sets = [np.asarray(p, dtype=float) for p in point_sets]
-    first = 0
-    while first < len(sets):
-        end, size = first + 1, len(sets[first])
-        while end < len(sets) and size + len(sets[end]) <= _BATCH_POINTS:
-            size += len(sets[end])
-            end += 1
-        block = sets[first:end]
-        points = np.vstack(block)
-        at = None
-        if steps is not None:
-            at = np.concatenate([np.broadcast_to(s, len(p)) for s, p in zip(steps[first:end], block)])
-        first = end
-        rows = _geometry_rows(chart, points, at)
-        if isinstance(rows, ExtrinsicRows):
-            yield block, rows, rows.batch.errors
-            continue
-        alone = [_geometry_rows(chart, p[None], None if at is None else at[j : j + 1]) for j, p in enumerate(points)]
-        errors = [r.batch.errors[0] if isinstance(r, ExtrinsicRows) else r for r in alone]
-        ok, rows = [e is None for e in errors], None
-        if any(ok):  # a point that raises takes the place of the first one that does not
-            sub = ok.index(True)
-            at = None if at is None else np.where(ok, at, at[sub])
-            rows = second_fundamental(analyze_point(chart, np.where(np.c_[ok], points, points[sub]), at))
-            rows.batch.errors = errors
-        yield block, rows, errors
-
-
-def _geometry_rows(chart: Chart, points: np.ndarray, steps=None) -> ExtrinsicRows | Exception:
-    """The geometry of points (P, m), at the scan steps ``steps`` (P,) on a
-    family chart, from one batched ``analyze_point`` and
-    ``second_fundamental`` call, or the error the whole batch raised."""
-    try:
-        batch = analyze_point(chart, points, steps)
-    except (ChartError, ArithmeticError, ValueError) as exc:
-        return exc
-    return second_fundamental(batch)
-
-
 def normal_derivative_H(layer: FirstLayer) -> np.ndarray:
     """nabla^perp_{d_i} H (N, m, n+2) at every center of a first layer: the normal
     projection of the first-layer derivative of the H field (gauge-free)."""
@@ -361,7 +303,7 @@ def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarra
     points.  Raises RowFailure for the first row whose stencils fail."""
     b = centers.batch
     K, m = b.u.shape
-    outer = np.array([fd_stencil(u, p, FD_NESTED_STEP)[1] for u in b.u for p in range(m)]).reshape(K, 4 * m, m)
+    outer = first_layer(b.u, FD_NESTED_STEP)[:, 1:]  # (K, 4m, m), no centers
     step = max(1, _NESTED_POINTS // (4 * m * (1 + 4 * m)))
     W = []
     for first in range(0, K, step):
@@ -370,8 +312,6 @@ def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarra
             W.append(normal_derivative_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
         except RowFailure as f:  # from an outer point to its row
             raise RowFailure(first + f.args[0] // (4 * m), f.args[1]) from None
-        except EngineError as exc:  # every point of the call failed
-            raise RowFailure(first, exc) from None
     W = np.concatenate(W).reshape(K, m, 4, -1)  # [row, p, stencil point, (q, c)]
     bad = ~np.isfinite(W).reshape(K, m, -1).all(axis=-1)
     if bad.any():

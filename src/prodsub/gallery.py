@@ -413,6 +413,15 @@ def make_partial_tube(
     return chart
 
 
+def _tube_jet(ast, seed: dict, params: dict, what: str):
+    """The jet of one expression of the partial tube's data; an EvalError
+    is a ChartError that names the expression."""
+    try:
+        return exprlang.eval_jet(ast, seed, params)
+    except exprlang.EvalError as exc:
+        raise ChartError(f"{what} {exprlang.to_source(ast)!r} failed: {exc}") from exc
+
+
 def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k):
     # base normals: orthonormal, tangent to Q, normal and parallel along
     # gamma, from exact jets at 7 base points
@@ -429,7 +438,7 @@ def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sd
     bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
     xis = []
     for i, asts in enumerate(normal_asts):
-        nj = VecJet2([exprlang.eval_jet(t, seed, {}) for t in asts])
+        nj = VecJet2([_tube_jet(t, seed, {}, f"base normal {i}, component {c}") for c, t in enumerate(asts)])
         xi, d = padded(nj.values), padded(nj.jac[..., 0])
         normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)))
         bad[:, i, 0] = (np.abs(inner(space, xi, xi) - 1.0) > 1e-8) | (normal > 1e-8)
@@ -450,7 +459,7 @@ def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sd
     # profile constraints on the quadric fiber
     for s in np.linspace(sdom[0] + 0.02, sdom[1] - 0.02, 9):
         seed = {"s": jets.jet_var(0, float(s), 1)}
-        avals = [exprlang.eval_jet(t, seed, pparams) for t in alpha_asts]
+        avals = [_tube_jet(t, seed, pparams, f"profile component {i}") for i, t in enumerate(alpha_asts)]
         quad = sum(
             (1.0 if (i > 0 or space.epsilon == 1) else -1.0) * avals[i].value ** 2
             for i in range(k + 1)

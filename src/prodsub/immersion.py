@@ -41,9 +41,15 @@ def parse_coordinate(src: str):
 
 
 def wrap_expr(src, params: dict, var_names: Sequence[str]) -> Callable:
-    """Jet closure of one coordinate given as an expression AST or source."""
+    """Jet closure of one coordinate given as an expression AST or source.
+    An identifier that neither ``var_names``, ``params`` nor the constants
+    bind is a SceneError that quotes the source."""
     ast = parse_coordinate(src) if isinstance(src, str) else src
     names = list(var_names)
+    unbound = exprlang.free_vars(ast) - set(names) - set(params)
+    if unbound:
+        source = src if isinstance(src, str) else exprlang.to_source(ast)
+        raise SceneError(f"cannot evaluate coordinate {source!r}: unbound identifiers {sorted(unbound)}")
 
     def coord(us: Sequence[Jet2]) -> Jet2:
         return exprlang.eval_jet(ast, dict(zip(names, us)), params)
@@ -95,21 +101,24 @@ class Chart:
         """The membership check at each scan step of ``steps`` (N,), or once
         for None: the error of a step whose probe grid leaves the product
         past ``tol``, else None.  The grids of all the steps are one batched
-        jet evaluation.  A non-finite residual at any probe point counts as
-        the worst and fails as well."""
+        jet evaluation.  A step with a probe point whose coordinates fail
+        takes the error of the first such point; a non-finite residual at
+        any probe point counts as the worst and fails as well."""
         grid = probe_grid(self.domain, per_axis)
         count = 1 if steps is None else len(steps)
         rows = None if steps is None else np.repeat(steps, len(grid))
-        values = evaluate_jet(self, np.tile(grid, (count, 1)), rows).values
-        worst = np.max(membership_residual(self.space, values).reshape(count, -1), axis=1, initial=0.0)
+        jet = evaluate_jet(self, np.tile(grid, (count, 1)), rows)
+        worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
+        per_step = np.array(jet.errors, dtype=object).reshape(count, -1)
+        failed = [next((e for e in errors if e is not None), None) for errors in per_step]
         labels = [self.label] if steps is None else [self.family.labels[s] for s in steps]
         return [
-            None
-            if w <= tol
+            e
+            if e is not None or w <= tol
             else ChartError(
                 f"chart {label or '<unnamed>'} leaves the product: membership residual {w:.3e} > {tol:.1e}"
             )
-            for w, label in zip(worst.tolist(), labels)
+            for e, w, label in zip(failed, worst.tolist(), labels)
         ]
 
 
@@ -159,17 +168,37 @@ def probe_grid(domain, counts=5):
 
 
 def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
-    """2-jet of all ambient coordinates at the chart point ``u`` (m,), or at
-    every row of a batch ``u`` (N, m) in one pass through the coordinate maps.
-    On a family chart, ``steps`` gives the scan step of each row (N,).
+    """2-jet of all ambient coordinates at every row of a batch ``u``
+    (N, m), in one pass through the coordinate maps.  On a family chart,
+    ``steps`` gives the scan step of each row (N,).
 
-    A single point runs as a batch of one, so its jet is bit for bit the
-    matching row of any batch.  When a coordinate map fails on a batch, the
-    rows are replayed one by one, so the error is the one the first failing
-    point raises on its own.
+    A point's jet is bit for bit its row of any batch.  Only when a
+    coordinate map raises on the batch are the rows replayed one by one:
+    a row that fails on its own holds NaN, and ``errors[r]`` of the jet is
+    the ChartError point r raises on its own, else None.  A single point
+    u (m,) is a batch of one that raises its error.
     """
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, chart.m)
+    n, m = U.shape
+    jet, errors = _coordinates(chart, U, steps), [None] * n
+    if isinstance(jet, ChartError):
+        errors = [_coordinates(chart, U[r : r + 1], None if steps is None else steps[r : r + 1]) for r in range(n)]
+        nan = Jet2(np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, m, m), np.nan))
+        jet = VecJet2([nan] * len(chart.coords))
+        for r, one in enumerate(errors):
+            if not isinstance(one, ChartError):
+                jet.values[r], jet.jac[r], jet.d2[r] = one.values[0], one.jac[0], one.d2[0]
+                errors[r] = None
+    jet.errors = errors
+    if u.ndim == 1 and errors[0] is not None:
+        raise errors[0]
+    return jet if u.ndim > 1 else jet.row(0)
+
+
+def _coordinates(chart: Chart, U: np.ndarray, steps) -> VecJet2 | ChartError:
+    """The jet of the rows U (N, m), or the error of the first coordinate
+    map that raises, which names the first point when N is 1."""
     seeds = tuple(jets.jet_var(i, U[:, i], chart.m) for i in range(chart.m))
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
@@ -178,15 +207,10 @@ def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
             try:
                 c = coord(seeds)
             except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
-                if u.ndim == 1:
-                    raise ChartError(f"coordinate {k} failed at u={u.tolist()}: {exc}") from exc
-                for r, row in enumerate(U):
-                    evaluate_jet(chart, row, None if steps is None else steps[r : r + 1])
-                raise ChartError(f"coordinate {k} failed on a batch: {exc}") from exc
+                return ChartError(f"coordinate {k} failed at u={U[0].tolist()}: {exc}")
             # a coordinate that ignores the seeds comes back without the batch axis
             comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess))
-    vj = VecJet2(comps)
-    return vj if u.ndim > 1 else vj.row(0)
+    return VecJet2(comps)
 
 
 def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, drop_tol=1e-8):
@@ -345,8 +369,9 @@ class PointBatch:
 def analyze_point(chart: Chart, u, steps=None) -> PointBatch:
     """Metric, orthonormal frames and the d_t = f_* T + eta decomposition
     at every row of ``u`` (N, m); a single point (m,) is a batch of one.
-    The batch records per row the error a point raises where it is
-    irregular or a frame degenerates, and each row is bit for bit what the
+    The batch records per row the error a point raises where its
+    coordinates fail (``evaluate_jet``), its metric is not finite or
+    regular, or a frame degenerates, and each row is bit for bit what the
     point gives in any other batch.  On a family chart, ``steps`` gives the
     scan step of each row (N,).
     """
@@ -358,10 +383,9 @@ def analyze_point(chart: Chart, u, steps=None) -> PointBatch:
 def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
     sp = chart.space
     m = chart.m
-    n_rows = len(U)
     jet = evaluate_jet(chart, U, steps)
     pos = jet.values
-    errors: list = [None] * n_rows
+    errors = list(jet.errors)
 
     def fail(bad, make) -> None:
         if np.any(bad):
@@ -374,10 +398,12 @@ def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
     g = np.swapaxes(J * sig[:, None], -1, -2) @ J
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
 
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
     scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
     det = np.linalg.det(g)
     fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
-    eigmin = np.linalg.eigvalsh(g)[:, 0]
+    eigmin = np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(m)))[:, 0]
     fail(eigmin <= 0.0, lambda r: IrregularPoint(f"induced metric not positive definite at u={U[r].tolist()}"))
     irregular = np.array([e is not None for e in errors])
     g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))

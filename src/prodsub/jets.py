@@ -5,10 +5,10 @@ respect to the chart coordinates.  All arithmetic implements exact truncated
 Taylor rules, so polynomial expressions of degree <= 2 are differentiated
 exactly.  Derivatives of *derived* fields (mean curvature, frames, ...) are
 taken by the finite-difference helpers at the bottom of the module, never by
-higher-order jets: ``fd_difference`` differences values already taken at
-the ``fd_stencil`` points of any number of centers at once, and
-``fd_gradient`` evaluates a field on one stencil and differences it the
-same way.
+higher-order jets: ``first_layer`` builds the stencils of any number of
+centers at once, ``fd_difference`` differences values already taken at
+their points, and ``fd_gradient`` evaluates a field on one stencil and
+differences it the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "fd_steps",
     "fd_gradient",
     "fd_stencil",
+    "first_layer",
     "FD_BASE_STEP",
 ]
 
@@ -307,9 +308,12 @@ class VecJet2:
     ``values`` (k,), ``jac`` (k, m) with jac[c, i] = d f_c / d u_i, and
     ``d2`` (k, m, m) with the per-component Hessians.  A batch of N points
     adds a leading axis to all three: (N, k), (N, k, m), (N, k, m, m).
+    ``errors`` is None, or on a batch from ``immersion.evaluate_jet`` the
+    error of each row whose point could not be evaluated (its rows hold
+    NaN), else None.
     """
 
-    __slots__ = ("m", "values", "jac", "d2")
+    __slots__ = ("m", "values", "jac", "d2", "errors")
 
     def __init__(self, jets):
         jets = list(jets)
@@ -329,6 +333,7 @@ class VecJet2:
         self.values = stack([j.value for j in jets], (), -1)
         self.jac = stack([j.grad for j in jets], (m,), -2)
         self.d2 = stack([j.hess for j in jets], (m, m), -3)
+        self.errors = None
 
     def __len__(self) -> int:
         return self.values.shape[-1]
@@ -339,6 +344,7 @@ class VecJet2:
         out = object.__new__(VecJet2)
         out.m = self.m
         out.values, out.jac, out.d2 = self.values[i], self.jac[i], self.d2[i]
+        out.errors = None
         return out
 
     def second(self, i: int, j: int) -> np.ndarray:
@@ -358,9 +364,22 @@ def fd_stencil(u, i: int, step: float | None = None) -> tuple[float, np.ndarray]
     u - h/2 e_i.  h is ``fd_steps(u)[i]`` unless ``step`` is given."""
     u = np.asarray(u, dtype=float)
     h = step if step is not None else float(fd_steps(u)[i])
-    pts = np.repeat(u[None], 4, axis=0)
-    pts[:, i] += (h, -h, 0.5 * h, -0.5 * h)
-    return h, pts
+    return h, first_layer(u, step)[1 + 4 * i : 5 + 4 * i]
+
+
+def first_layer(u, step: float | None = None) -> np.ndarray:
+    """Every point (N, 1 + 4m, m) a first-layer difference around each
+    point of u (N, m) reads: the point, then the four ``fd_stencil`` points
+    along each chart direction in turn, with the base steps ``fd_steps``
+    or else ``step``.  A single point u (m,) gives its (1 + 4m, m) points."""
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(-1, u.shape[-1])
+    n, m = U.shape
+    h = fd_steps(U) if step is None else np.full((n, m), float(step))
+    out = np.repeat(U[:, None], 1 + 4 * m, axis=1)
+    for i in range(m):
+        out[:, 1 + 4 * i : 5 + 4 * i, i] += h[:, i, None] * np.array([1.0, -1.0, 0.5, -0.5])
+    return out if u.ndim > 1 else out[0]
 
 
 def nonfinite_error(u, i: int) -> StencilError:

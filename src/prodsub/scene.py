@@ -19,11 +19,14 @@ keyed by (seed, index), so neither the chunking nor the worker partitioning
 changes values.
 
 A parameter scan is one such run on one family chart (``Family``), whose
-scanned parameter takes one value per batch row: every step's samples, and
-each step's chart center for the signed predicate, go through the same
-chunks and pool, each row keeping its step, and the columns split back into
-one maximum per step.  The chart-level checks of a build run once over the
-probe grids of all the steps, in blocks of whole steps.
+scanned parameter takes one value per batch row: every step's samples go
+through the same chunks and pool, each row keeping its step, and the
+columns split back into one maximum per step.  The steps' chart centers,
+for the signed predicate, take one more geometry call.  The chart-level
+checks of a build run once over the probe grids of all the steps, in
+blocks of whole steps.  No geometry call raises for a point that fails:
+its row holds the error, and the first error in (step, sample, check)
+order is raised.
 """
 
 from __future__ import annotations
@@ -59,15 +62,15 @@ from .extrinsic import (
     ExtrinsicRows,
     FirstLayer,
     T_eta_residuals,
-    batched_rows,
     codazzi_residuals,
-    first_layer,
     gauss_residuals,
+    geometry,
     normal_derivative_H,
     ricci_residuals,
 )
 from .gallery import make_chart
 from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
+from .jets import first_layer
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -208,11 +211,14 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
         raise SceneError(
             f"expression immersion needs {space.ambient_dim} coordinates"
         )
+    params = dict(ex.get("params", {}))
+    if scan is not None:  # the coordinate maps of the chart itself read step 0
+        params[scan[0]] = float(scan[1][0])
     chart = Chart(
         space=space,
         m=int(ex["m"]),
         coords=list(ex["coords"]),
-        params=dict(ex.get("params", {})),
+        params=params,
         domain=[tuple(iv) for iv in ex["domain"]],
         var_names=list(ex.get("var_names", [])),
         s_index=ex.get("s_index"),
@@ -227,7 +233,6 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
     if param not in free:
         raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
     V = np.array(values, dtype=float)
-    chart.params[param] = float(V[0])  # the coordinate maps of the chart itself read step 0
 
     def coords(steps):
         params = {**chart.params, param: V[steps]}
@@ -242,23 +247,13 @@ def _check_family(family: Family) -> None:
     """Run a family's chart-level checks over the probe grids of all its
     steps, in blocks of whole steps of at most ``_BATCH_POINTS`` points,
     each check on the steps that passed the ones before it.  The family
-    stops at the first step that fails; a block that raises runs again step
-    by step, so the error is the one that step raises on its own."""
+    stops at the first step that fails, with the error that step gives on
+    its own."""
     for points, check in family.checks:
         per = max(1, extrinsic._BATCH_POINTS // points)
         for first in range(0, len(family), per):
             block = np.arange(first, min(first + per, len(family)))
-            try:
-                errors = check(block)
-            except EngineError:
-                errors = []
-                for step in block:
-                    try:
-                        errors += check(np.array([step]))
-                    except EngineError as exc:
-                        errors.append(exc)
-                    if errors[-1] is not None:
-                        break
+            errors = check(block)
             bad = next((i for i, e in enumerate(errors) if e is not None), None)
             if bad is not None:
                 family.stop(int(block[bad]), errors[bad])
@@ -294,8 +289,8 @@ class Chunk:
     """Samples of a run checked together, the argument of every CHECKS entry.
 
     ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
-    (N, r, m, m), H (N, n+2) and |H| (N,).  ``errors[i]`` is the error the
-    geometry at sample i raises, else None.  When a requested check
+    (N, r, m, m), H (N, n+2) and |H| (N,), whose ``batch.errors[i]`` is the
+    error of sample i's geometry, else None.  When a requested check
     differences, ``layer`` holds the FirstLayer of the samples, whose
     centers are ``geo``.  On a family chart, ``steps`` holds the scan step
     of each sample, and ``indices`` count the samples within a step.
@@ -305,8 +300,7 @@ class Chunk:
     indices: np.ndarray
     u: np.ndarray  # (N, m)
     seed: int
-    geo: ExtrinsicRows | None
-    errors: list
+    geo: ExtrinsicRows
     layer: FirstLayer | None = None
     steps: np.ndarray | None = None
 
@@ -324,11 +318,10 @@ class Chunk:
         return normal_derivative_H(self.layer)
 
     def take(self, rows: slice) -> "Chunk":
-        geo = None if self.geo is None else self.geo.take(rows)
         layer = None if self.layer is None else self.layer.take(rows)
-        part = {"indices": self.indices[rows], "u": self.u[rows], "errors": self.errors[rows]}
         steps = None if self.steps is None else self.steps[rows]
-        return replace(self, geo=geo, layer=layer, steps=steps, **part)
+        part = {"indices": self.indices[rows], "u": self.u[rows], "geo": self.geo.take(rows)}
+        return replace(self, layer=layer, steps=steps, **part)
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
@@ -543,43 +536,28 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
     return tols
 
 
-def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, probes=()):
+def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
     """The chunks of a run, in row order.
 
     Row r is sample r % n of the n ``samples``, at scan step r // n on a
     family chart (a plain chart's rows are its sample indices).  The rows'
-    points (the center alone, or its first layer when a check in ``names``
-    differences) go to ``batched_rows``, which takes whole samples in one
-    call; each call gives one chunk.  The chart center at each scan step of
-    ``probes`` joins the first call alone and comes back first, as a chunk
-    of its own with index -1.  A point whose call fails as a whole holds the
-    error it raises on its own.
+    points, each center alone or with its first layer when a check in
+    ``names`` differences, are one (rows, k, m) array, which goes to
+    ``geometry`` in calls of ``_BATCH_POINTS // k`` whole samples; each
+    call gives one chunk.
     """
-    k = 1 + 4 * chart.m if any(CHECK_TABLE[n].first_layer for n in names) else 1
     rows, n = np.asarray(rows, dtype=int), len(samples)
-    ids = np.concatenate([np.full(len(probes), -1), rows % n])
-    steps = None if chart.family is None else np.concatenate([np.asarray(probes, dtype=int), rows // n])
-    points = {i: first_layer(samples[i]) if k > 1 else samples[i][None] for i in set((rows % n).tolist())}
-    sets = [chart.center()[None]] * len(probes) + [points[i] for i in (rows % n).tolist()]
-    start = 0  # the sets before the call
-    for block, geo, errors in batched_rows(chart, sets, steps):
-        p = min(max(len(probes) - start, 0), len(block))  # the probes of the call, which come first
-        for first, part in ((0, slice(start, start + p)), (p, slice(start + p, start + len(block)))):
-            if part.stop > part.start:
-                at = None if steps is None else steps[part]
-                yield _chunk(chart, ids[part], sets[part], geo, errors, first, seed, at)
-        start += len(block)
-
-
-def _chunk(chart: Chart, ids, sets: list, rows, errors: list, first: int, seed: int, steps) -> Chunk:
-    """The chunk of samples ``ids`` at scan steps ``steps``, whose point sets
-    are a batch's rows from ``first`` on."""
-    k = len(sets[0])
-    part = slice(first, first + k * len(ids))
-    layer = FirstLayer(rows.take(part)) if rows is not None and k > 1 else None
-    geo = layer.centers if layer is not None else None if rows is None else rows.take(part)
-    centers = np.array([s[0] for s in sets])
-    return Chunk(chart, np.array(ids), centers, seed, geo, errors[part][::k], layer, steps)
+    ids = rows % n
+    points = first_layer(samples) if any(CHECK_TABLE[c].first_layer for c in names) else samples[:, None]
+    k = points.shape[1]
+    steps = None if chart.family is None else rows // n
+    per = max(1, extrinsic._BATCH_POINTS // k)
+    for first in range(0, len(rows), per):
+        part = slice(first, first + per)
+        at = None if steps is None else steps[part]
+        geo = geometry(chart, points[ids[part]].reshape(-1, chart.m), None if at is None else np.repeat(at, k))
+        layer = FirstLayer(geo) if k > 1 else None
+        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo if layer is None else layer.centers, layer, at)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:
@@ -589,9 +567,9 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
     which fails in every check."""
-    n = len(chunk)
-    bad = next((i for i, e in enumerate(chunk.errors) if e is not None), n)
-    failures = [] if bad == n else [(bad, 0, chunk.errors[bad])]
+    n, errors = len(chunk), chunk.geo.batch.errors
+    bad = next((i for i, e in enumerate(errors) if e is not None), n)
+    failures = [] if bad == n else [(bad, 0, errors[bad])]
     columns = {}
     live = chunk.take(slice(0, bad))
     for pos, name in enumerate(names if bad else ()):
@@ -616,29 +594,10 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     return columns
 
 
-def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, probes=()) -> list:
-    """The chunk results of the given rows, in order: the columns of each
-    chunk of samples, and the signed biharmonic predicate at the centers of
-    a chunk of probes.  Raises the first error in (step, sample, check)
-    order, where the error of a step's center comes after its samples."""
-    out, center = [], None
-    for chunk in _chunks(chart, names, samples, rows, seed, probes):
-        if chunk.indices[0] < 0:
-            out.append(None if chunk.geo is None else biharmonic_predicates(chunk.geo)[0])
-            failed = [(int(s), e) for s, e in zip(chunk.steps, chunk.errors) if e is not None]
-            center = center or (failed[0] if failed else None)
-            continue
-        try:
-            out.append(_chunk_columns(chunk, names))
-        except EngineError as exc:
-            if center is None or exc.at[0] <= center[0]:
-                raise
-            break
-    if center is not None:
-        step, exc = center
-        exc.at = (step, len(samples), 0)
-        raise exc
-    return out
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int) -> list:
+    """The columns of each chunk of the given rows, in order.  Raises the
+    first error in (step, sample, check) order."""
+    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, rows, seed)]
 
 
 _worker_chart: Chart | None = None
@@ -651,24 +610,24 @@ def _init_worker(chart: Chart) -> None:
     _worker_chart = chart
 
 
-def _worker_rows(names: list, samples: np.ndarray, rows, seed: int, probes):
+def _worker_rows(names: list, samples: np.ndarray, rows, seed: int):
     """A worker's chunk results, or its error: returned, not raised, so that
     the parent raises the first error of all workers."""
     try:
-        return _compute_rows(_worker_chart, names, samples, rows, seed, probes)
+        return _compute_rows(_worker_chart, names, samples, rows, seed)
     except EngineError as exc:
         return exc
 
 
-def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int, probes=()):
+def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int):
     """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With
-    jobs > 1, contiguous blocks of rows go to a fork pool (the probes with
-    the first block), so that the workers' results, joined, follow row
-    order, and the first error of all the workers is raised."""
+    jobs > 1, contiguous blocks of rows go to a fork pool, so that the
+    workers' results, joined, follow row order, and the first error of all
+    the workers is raised."""
     parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
     if jobs > 1 and len(rows) > 1:
         blocks = [b for b in np.array_split(rows, jobs) if len(b)]
-        args = [(names, samples, block, seed, probes if i == 0 else ()) for i, block in enumerate(blocks)]
+        args = [(names, samples, block, seed) for block in blocks]
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
@@ -681,7 +640,7 @@ def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int
             if errors:
                 raise min(errors, key=lambda e: e.at)
             return [item for part in parts for item in part], parallel
-    return _compute_rows(chart, names, samples, rows, seed, probes), parallel
+    return _compute_rows(chart, names, samples, rows, seed), parallel
 
 
 def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
@@ -855,10 +814,11 @@ def scan_parameter(
     norm), whose sign changes bracket the zeros.
 
     The scan is one run on the family chart of its values: the samples of
-    every step, and for the signed predicate each step's chart center, go
-    through ``_pooled_rows`` as the rows of a run do.  An error names the
-    first step that fails, as the step would fail on its own: its chart, a
-    sample (in sample and check order) or, after its samples, its center."""
+    every step go through ``_pooled_rows`` as the rows of a run do, and
+    for the signed predicate the steps' chart centers take one
+    ``geometry`` call.  An error names the first step that fails, as the
+    step would fail on its own: its chart, a sample (in sample and check
+    order) or, after its samples, its center."""
     if residual not in CHECK_TABLE or CHECK_TABLE[residual].chart_level:
         raise SceneError(f"unknown residual {residual!r}")
     if int(steps) < 1:
@@ -871,18 +831,21 @@ def scan_parameter(
     samples = sample_points(chart, sampling)
     n = len(samples)
     signed = residual == "biharmonic_normal"
-    probes = range(len(family)) if signed else ()
-    rows = np.arange(len(family) * n)
-    results, _ = _pooled_rows(chart, [residual], samples, rows, int(sampling.get("seed", 0)), jobs, probes)
+    last = len(family)  # the step of the first center that fails, which ranks after the step's samples
+    if signed:
+        centers = geometry(chart, np.tile(chart.center(), (len(family), 1)), np.arange(len(family)))
+        last = next((s for s, e in enumerate(centers.batch.errors) if e is not None), last)
+    rows = np.arange(min(last + 1, len(family)) * n)
+    results, _ = _pooled_rows(chart, [residual], samples, rows, int(sampling.get("seed", 0)), jobs)
+    if last < len(family):
+        raise centers.batch.errors[last]
     if family.error is not None:
         raise family.error
 
-    columns = [r[residual][0] for r in results if isinstance(r, dict)]
-    maxima = np.concatenate(columns).reshape(len(family), n).max(axis=1)
+    maxima = np.concatenate([r[residual][0] for r in results]).reshape(len(family), n).max(axis=1)
     scan_rows = [{"value": v, "max_residual": float(x)} for v, x in zip(values, maxima)]
     if signed:
-        predicate = np.concatenate([r for r in results if isinstance(r, np.ndarray)])
-        for row, p in zip(scan_rows, predicate.tolist()):
+        for row, p in zip(scan_rows, biharmonic_predicates(centers)[0].tolist()):
             row["signed"] = p
 
     brackets = []

@@ -27,6 +27,7 @@ from prodsub.extrinsic import (
     FieldCache,
     FirstLayer,
     first_layer,
+    geometry,
     normal_derivative_H,
     normal_laplacian_H,
     second_fundamental,
@@ -204,7 +205,9 @@ def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
 
 def test_batch_error_is_the_first_failing_point_error(s4):
     # row 0 fails at coordinate 5 only; later rows fail at coordinate 0, the
-    # coordinate a batch evaluates first
+    # coordinate a batch evaluates first.  Each failing row of the batch
+    # records the error its point raises on its own, and the membership
+    # check raises the first of them
     chart = Chart(
         space=s4,
         m=2,
@@ -212,13 +215,68 @@ def test_batch_error_is_the_first_failing_point_error(s4):
         domain=[(-1.0, 1.0), (-0.5, 0.5)],
     )
     grid = probe_grid(chart.domain, 5)
-    with pytest.raises(ChartError) as single:
-        evaluate_jet(chart, grid[0])
-    assert str(single.value).startswith("coordinate 5 failed at u=")
-    for call in (lambda: evaluate_jet(chart, grid), chart.validate_membership):
-        with pytest.raises(ChartError) as err:
-            call()
-        assert str(err.value) == str(single.value)
+    jet = evaluate_jet(chart, grid)
+    singles = []
+    for u, err in zip(grid, jet.errors):
+        try:
+            evaluate_jet(chart, u)
+        except ChartError as single:
+            singles.append(str(single))
+            assert isinstance(err, ChartError) and str(err) == str(single)
+        else:
+            assert err is None
+    assert singles[0].startswith("coordinate 5 failed at u=")
+    assert any(s.startswith("coordinate 0 failed at u=") for s in singles)
+    with pytest.raises(ChartError) as err:
+        chart.validate_membership()
+    assert str(err.value) == singles[0] == str(jet.errors[0])
+
+
+def _same_other_rows(rows, clean, bad: int) -> bool:
+    """Whether every row of ``rows`` but ``bad`` is bit for bit its row of ``clean``, the batch without it."""
+    pairs = [(i, i - (i > bad)) for i in range(len(rows)) if i != bad]
+    return all(
+        all(_same(a, b) for a, b in zip(_geometry_fields(rows.batch, i), _geometry_fields(clean.batch, j)))
+        and _same(rows.alpha[i], clean.alpha[j]) and _same(rows.H[i], clean.H[j])
+        for i, j in pairs
+    )
+
+
+def test_a_failing_coordinate_fails_only_its_row(s4):
+    # log of a negative number at row 2 alone: that row holds NaN and the
+    # error its point raises on its own, the others what a clean batch gives
+    chart = Chart(
+        space=s4, m=2, coords=["cos(u2)", "sin(u2)", "0", "0", "0", "u1 + 0*log(u1 + 0.9)"],
+        domain=[(-1.0, 1.0), (-0.5, 0.5)],
+    )
+    U = np.array([[0.3, 0.1], [-0.5, -0.2], [-0.95, 0.0], [0.7, 0.4]])
+    rows = geometry(chart, U)
+    with pytest.raises(ChartError) as alone:
+        evaluate_jet(chart, U[2])
+    assert [e and str(e) for e in rows.batch.errors] == [None, None, str(alone.value), None]
+    jet = evaluate_jet(chart, U)
+    assert [e and str(e) for e in jet.errors] == [None, None, str(alone.value), None]
+    assert np.isnan(jet.values[2]).all() and np.isnan(jet.jac[2]).all() and np.isnan(jet.d2[2]).all()
+    assert _same_other_rows(rows, geometry(chart, np.delete(U, 2, axis=0)), 2)
+
+
+def test_a_non_finite_metric_fails_only_its_own_sample(s4):
+    # t overflows to inf for u1 > 0.3 without raising: the metric of the
+    # second sample is not finite, which fails that sample alone
+    def t(us):
+        big = np.where(us[0].value > 0.3, 1e300, 1.0)
+        return us[0] * big * big
+
+    chart = Chart(space=s4, m=2, coords=["cos(u2)", "sin(u2)", "0", "0", "0", t], domain=[(-1.0, 1.0), (-0.5, 0.5)])
+    U = np.array([[0.1, 0.0], [0.5, 0.1], [-0.4, 0.2]])
+    rows = geometry(chart, U)
+    assert [e and str(e) for e in rows.batch.errors] == [None, "induced metric not finite at u=[0.5, 0.1]", None]
+    assert _same_other_rows(rows, geometry(chart, U[[0, 2]]), 1)
+    names = ["membership", "class_a", "pmc"]
+    assert _outcome(_run_rows, chart, names, U, 0) == (
+        "check membership failed at sample 1, u=[0.5, 0.1]: induced metric not finite at u=[0.5, 0.1]"
+    )
+    assert len(_rows(chart, names, U, [0, 2], 0)) == 2 * len(names)
 
 
 def _stencil_scene(tmp_path, coords, u1_domain, grid):
@@ -493,12 +551,8 @@ def _nested_oracle(chart, u):
     in one batch first."""
     m = chart.m
     points = np.vstack([first_layer(u), _outer_layers(u)])
-    known = {}
-    try:
-        rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
-        known = {tuple(v): rows.take([i]) for i, v in enumerate(points.tolist()) if rows.batch.errors[i] is None}
-    except (ChartError, ArithmeticError, ValueError):
-        pass  # the batch failed as a whole: every point alone
+    rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
+    known = {tuple(v): rows.take([i]) for i, v in enumerate(points.tolist()) if rows.batch.errors[i] is None}
 
     def geometry(v):
         key = tuple(np.asarray(v, dtype=float).tolist())
@@ -571,24 +625,32 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
     assert csv[0] == csv[1] == csv[2]
 
 
-def _inject(monkeypatch, faults):
-    """Make the geometry of the given points fail ("failed"), fail every
-    call that holds them, as a domain error does ("raises"), or hold a
-    non-finite H ("nan", by a NaN second derivative), in a batch or alone."""
+def _inject(monkeypatch, chart, faults):
+    """Make the geometry of the given points fail ("failed"), make the
+    chart's first coordinate map raise on every batch that holds them, as a
+    domain error does ("raises"), or hold a non-finite H ("nan", by a NaN
+    second derivative), in a batch or alone."""
     original = prodsub.immersion._analyze
+    raising = np.array([point for kind, point in faults if kind == "raises"]).reshape(-1, chart.m)
+    first = chart.coords[0]
+
+    def coordinate(us):
+        U = np.stack([u.value for u in us], axis=-1)
+        if (U[:, None] == raising[None]).all(axis=-1).any():
+            raise ValueError("injected")
+        return first(us)
 
     def faulty(chart, U, steps):
         batch = original(chart, U, steps)
         for kind, point in faults:
             for r in np.flatnonzero((U == point).all(axis=1)):
-                if kind == "raises":
-                    raise ChartError(f"injected at u={point.tolist()}")
                 if kind == "failed":
                     batch.errors[r] = prodsub.errors.IrregularPoint(f"injected at u={point.tolist()}")
-                else:
+                elif kind == "nan":
                     batch.jet.d2[r] = np.nan
         return batch
 
+    monkeypatch.setattr(chart, "coords", [coordinate] + chart.coords[1:])
     monkeypatch.setattr(prodsub.immersion, "_analyze", faulty)
 
 
@@ -623,12 +685,12 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
         [("nan", outer(2, 0, 0, 3)), ("failed", outer(1, 2, 3, 5))],  # the lower sample first
         [("failed", first_layer(samples[2])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails after
         [("failed", first_layer(samples[0])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails first
-        [("raises", v) for v in _outer_layers(samples[2])],  # every point of the second call
+        [("raises", v) for v in _outer_layers(samples[2])],  # the coordinates fail at every point of the second call
     ]
     seen = []
     for faults in cases:
         with monkeypatch.context() as mp:
-            _inject(mp, faults)
+            _inject(mp, chart, faults)
             sample, want = per_sample()
             got = _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0)
         if want is None:
@@ -644,7 +706,7 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
         mp.setitem(prodsub.scene.CHECK_TABLE, "pmc", replace(prodsub.scene.CHECK_TABLE["pmc"], tol=0.05))
         rows = _run_rows(chart, ["biharmonic_normal"], samples, 0)
         assert [r[4] == prodsub.scene._NESTED_NOTE for r in rows] == [False, True, False]
-        _inject(mp, [("failed", outer(1, 1, 2, 9))])
+        _inject(mp, chart, [("failed", outer(1, 1, 2, 9))])
         sample, want = per_sample()
         assert sample == 1 and _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == want
     # a non-finite nabla^perp H at an outer point fails its sample along
@@ -809,7 +871,7 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
 
 def _chunk_of(batch):
     """The chunk of one sample whose geometry is the batch of one ``batch``."""
-    return prodsub.scene.Chunk(batch.chart, np.array([0]), batch.u, 0, second_fundamental(batch), [None])
+    return prodsub.scene.Chunk(batch.chart, np.array([0]), batch.u, 0, second_fundamental(batch))
 
 
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
@@ -864,8 +926,8 @@ def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
     scene = _load("biharmonic_scan_eps1.json")
     scan = prodsub.scene.scan_parameter(scene, "a2", 0.4, 0.6, 3, "biharmonic_normal")
     m = 3
-    # one call for the scan: the 3 step centers, then 8 samples with first layers per step
-    assert shapes == [(3 + 3 * 8 * (1 + 4 * m), m)]
+    # one call for the 3 step centers, then one for the 8 samples with first layers per step
+    assert shapes == [(3, m), (3 * 8 * (1 + 4 * m), m)]
     for row in scan["rows"]:
         gallery = {**scene["immersion"]["gallery"], "a2": row["value"]}
         chart = build_chart({**scene, "immersion": {"gallery": gallery}})
@@ -878,8 +940,8 @@ def test_a_scan_fills_each_call_with_points(monkeypatch):
     scene = _load("biharmonic_scan_eps1.json")
     prodsub.scene.scan_parameter(scene, "a2", 0.3, 0.9, 61, "biharmonic_normal")
     k = 1 + 4 * 3  # a sample's first layer
-    # the 61 step centers share the first call with 34 samples; then 39 samples (507 points) a call
-    assert [s[0] for s in shapes] == [61 + 34 * k] + [39 * k] * 11 + [(61 * 8 - 34 - 11 * 39) * k]
+    # the 61 step centers take one call; then 39 samples (507 points) a call
+    assert [s[0] for s in shapes] == [61] + [39 * k] * 12 + [(61 * 8 - 12 * 39) * k]
     assert all(s[0] <= prodsub.extrinsic._BATCH_POINTS for s in shapes)
 
 

@@ -522,8 +522,55 @@ def test_an_expression_that_fails_while_a_chart_builds_exits_3(tmp_path, capsys)
     path.write_text(json.dumps(scene))
     assert main(["run", "--scene", str(path)]) == 3
     assert capsys.readouterr().err.strip() == (
-        "computation error: cannot build the chart: at position 0: sqrt: argument -6.18 outside the function domain"
+        "computation error: base normal 0, component 2 'sqrt(u1 - 5)' failed: "
+        "at position 0: sqrt: argument -6.18 outside the function domain"
     )
+
+
+def test_an_unbound_identifier_is_a_scene_error_before_any_point(tmp_path, capsys, monkeypatch):
+    def no_geometry(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(prodsub.immersion, "evaluate_jet", no_geometry)
+    plain = json.loads((SCENES / "slice_expr.json").read_text())
+    plain["immersion"]["expressions"]["coords"][0] = "cos(x)*cos(u2)"
+    family = json.loads((SCENES / "vertical_cylinder_expr.json").read_text())
+    family["immersion"]["expressions"]["coords"][1] = "sin(r)*cos(x)"
+    scan = ["--param", "r", "--from", "0.3", "--to", "0.9", "--steps", "3", "--residual", "pmc"]
+    for scene, command, source in ((plain, ["run"], "cos(x)*cos(u2)"), (family, ["scan", *scan], "sin(r)*cos(x)")):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scene))
+        assert main([command[0], "--scene", str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"scene error: cannot evaluate coordinate {source!r}: unbound identifiers ['x']"
+        )
+
+
+@pytest.mark.parametrize("check", ["splitting", "circle"])
+def test_a_chart_level_check_raises_its_first_failing_probe(tmp_path, capsys, check):
+    # the t coordinate fails near u1 = 0.32 (a splitting probe) and near
+    # u2 = 0.12 (a circle probe), at no membership probe and no sample
+    t = "u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001) + 0*sqrt((u2 - 0.12)^2 - 0.0001)"
+    scene = json.loads(_s2_scene(tmp_path, t).read_text())
+    scene["immersion"]["expressions"]["s_index"] = 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    chart = build_chart(scene)
+    if check == "splitting":
+        probes = prodsub.immersion.probe_grid(chart.domain, 4)
+    else:
+        probes = np.zeros((10, 2))
+        probes[1:, 1] = np.linspace(-0.48, 0.48, 9)
+    want = None
+    for u in probes:
+        try:
+            prodsub.immersion.evaluate_jet(chart, u)
+        except ChartError as exc:
+            want = str(exc)
+            break
+    assert want is not None
+    assert main(["run", "--scene", str(path), "--check", check]) == 3
+    assert capsys.readouterr().err.strip() == f"computation error: {want}"
 
 
 def test_nan_chart_fails_the_membership_gate(tmp_path, capsys):
