@@ -183,13 +183,13 @@ def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
     n, m = U.shape
     jet, errors = _coordinates(chart, U, steps), [None] * n
     if isinstance(jet, ChartError):
-        errors = [_coordinates(chart, U[r : r + 1], None if steps is None else steps[r : r + 1]) for r in range(n)]
+        alone = [_coordinates(chart, U[r : r + 1], None if steps is None else steps[r : r + 1]) for r in range(n)]
         nan = Jet2(np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, m, m), np.nan))
         jet = VecJet2([nan] * len(chart.coords))
-        for r, one in enumerate(errors):
+        for r, one in enumerate(alone):
             if not isinstance(one, ChartError):
                 jet.values[r], jet.jac[r], jet.d2[r] = one.values[0], one.jac[0], one.d2[0]
-                errors[r] = None
+        errors = [one if isinstance(one, ChartError) else None for one in alone]
     jet.errors = errors
     if u.ndim == 1 and errors[0] is not None:
         raise errors[0]
