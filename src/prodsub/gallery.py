@@ -423,6 +423,16 @@ def _tube_jet(ast, seed: dict, params: dict, what: str):
 
 
 def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k):
+    # an identifier that a base normal (bound: u1) or a profile component
+    # (bound: s and the profile params) reads but does not bind
+    named = [(f"base normal {i}, component {c}", t, {"u1"}) for i, n in enumerate(normal_asts) for c, t in enumerate(n)]
+    named += [(f"profile component {i}", t, {"s", *pparams}) for i, t in enumerate(alpha_asts)]
+    for what, ast, bound in named:
+        unbound = exprlang.free_vars(ast) - bound
+        if unbound:
+            source = exprlang.to_source(ast)
+            raise SceneError(f"cannot evaluate {what} {source!r}: unbound identifiers {sorted(unbound)}")
+
     # base normals: orthonormal, tangent to Q, normal and parallel along
     # gamma, from exact jets at 7 base points
     xs = np.linspace(xdom[0] + 0.02, xdom[1] - 0.02, 7)

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -585,12 +587,9 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
         )
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
-        err = EngineError(
+        raise EngineError(
             f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.u[row].tolist()}: {exc}"
-        )
-        step = 0 if chunk.steps is None else int(chunk.steps[row])
-        err.at = (step, int(chunk.indices[row]), pos)  # where the errors of a pool or a scan are ordered
-        raise err from exc
+        ) from exc
     return columns
 
 
@@ -600,47 +599,50 @@ def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: in
     return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, rows, seed)]
 
 
-_worker_chart: Chart | None = None
-
-
-def _init_worker(chart: Chart) -> None:
-    # Under "fork" the initargs reach the worker without pickling, which a
-    # chart of lambdas would not survive.
-    global _worker_chart
-    _worker_chart = chart
-
-
-def _worker_rows(names: list, samples: np.ndarray, rows, seed: int):
-    """A worker's chunk results, or its error: returned, not raised, so that
-    the parent raises the first error of all workers."""
-    try:
-        return _compute_rows(_worker_chart, names, samples, rows, seed)
-    except EngineError as exc:
-        return exc
-
-
 def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int):
-    """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With
-    jobs > 1, contiguous blocks of rows go to a fork pool, so that the
-    workers' results, joined, follow row order, and the first error of all
-    the workers is raised."""
-    parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
-    if jobs > 1 and len(rows) > 1:
-        blocks = [b for b in np.array_split(rows, jobs) if len(b)]
-        args = [(names, samples, block, seed) for block in blocks]
+    """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With jobs > 1, a forked child
+    computes each of ``jobs`` contiguous blocks of ``rows`` after the first, last block first, and
+    pipes back its result or error; this process computes the rows no child took.  Results join in
+    row order, and so do their errors: the first error of the first block that fails is raised, once
+    every child is waited for."""
+    children, pipes, head, reason = [], [], len(rows), None  # children: (pid, read end), until waited for
+    try:
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(args), _init_worker, (chart,)) as pool:
-                parts = pool.starmap(_worker_rows, args)
-        except (ValueError, OSError) as exc:
-            parallel["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-        else:
-            parallel["used"] = len(args)
-            errors = [p for p in parts if isinstance(p, EngineError)]
-            if errors:
-                raise min(errors, key=lambda e: e.at)
-            return [item for part in parts for item in part], parallel
-    return _compute_rows(chart, names, samples, rows, seed), parallel
+            for block in reversed([b for b in np.array_split(rows, max(jobs, 1))[1:] if len(b)]):
+                pipes += [os.fdopen(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+                children.insert(0, (os.fork(), pipes[-2]))
+                if children[0][0] == 0:  # the child: it leaves through os._exit on every path
+                    try:
+                        try:
+                            result = _compute_rows(chart, names, samples, block, seed)
+                        except Exception as exc:
+                            result = exc
+                        with pipes[-1] as out:
+                            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        os._exit(0)  # only once the whole result is written
+                    finally:
+                        os._exit(1)
+                pipes.pop().close()
+                head -= len(block)
+        except OSError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        parallel = {"requested": jobs, "used": 1 + len(children), "fallback_reason": reason}
+        parts = _compute_rows(chart, names, samples, rows[:head], seed)
+        for pid, pipe in list(children):
+            data, status = pipe.read(), os.waitpid(pid, 0)[1]
+            children.remove((pid, pipe))
+            how = f"wait status {status}, exit code {os.waitstatus_to_exitcode(status)}"
+            part = pickle.loads(data) if status == 0 else EngineError(f"a worker process ended without a result ({how})")
+            if isinstance(part, BaseException):
+                raise part
+            parts += part
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return parts, parallel
 
 
 def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
@@ -752,10 +754,8 @@ def _run_checks(
     samples = sample_points(chart, sampling)
     per_sample = [n for n in names if not CHECK_TABLE[n].chart_level]
 
-    chunks: list = []
-    parallel = {"requested": jobs, "used": 1, "fallback_reason": None}
-    if per_sample:
-        chunks, parallel = _pooled_rows(chart, per_sample, samples, np.arange(len(samples)), seed, jobs)
+    rows = np.arange(len(samples) if per_sample else 0)  # chart-level checks alone take no rows
+    chunks, parallel = _pooled_rows(chart, per_sample, samples, rows, seed, jobs)
     columns = {}
     for name in names:
         if CHECK_TABLE[name].chart_level:

@@ -112,14 +112,13 @@ def test_jobs_determinism_structure_checks(tmp_path, name):
 
 
 def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
-    class NoFork:
-        def Pool(self, *args, **kwargs):
-            raise OSError("fork refused")
+    def no_fork():
+        raise OSError("fork refused")
 
     scene = _load("theorem1_cylinder.json")
     kw = dict(checks=["pmc", "gauss"], sampling_override={"mode": "grid", "grid": [2, 2, 2]})
     serial = run_scene(scene, jobs=1, csv_path=str(tmp_path / "a.csv"), **kw)
-    monkeypatch.setattr(prodsub.scene.multiprocessing, "get_context", lambda method: NoFork())
+    monkeypatch.setattr(prodsub.scene.os, "fork", no_fork)
     fallback = run_scene(scene, jobs=2, csv_path=str(tmp_path / "b.csv"), **kw)
     assert fallback["parallel"] == {
         "requested": 2,
@@ -128,6 +127,85 @@ def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
     }
     assert fallback["checks"] == serial["checks"]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pmc_run(jobs):
+    # 8 samples: blocks of 4/4 under --jobs 2 and 3/3/2 under --jobs 3
+    sampling = {"mode": "grid", "grid": [2, 2, 2]}
+    return run_scene(_load("theorem1_cylinder.json"), checks=["pmc"], sampling_override=sampling, jobs=jobs)
+
+
+def _patch_pmc(monkeypatch, fault):
+    """Make the pmc kernel call ``fault(chunk)`` before it runs."""
+    original = prodsub.scene.CHECKS["pmc"]
+    monkeypatch.setitem(prodsub.scene.CHECKS, "pmc", lambda c: fault(c) or original(c))
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_forked_runs_leave_no_child_behind(monkeypatch, jobs):
+    _no_child_left()
+    assert _pmc_run(jobs)["parallel"] == {"requested": jobs, "used": jobs, "fallback_reason": None}
+    _no_child_left()
+
+    def planted(c):  # samples 5 and 6 lie in the last block(s), which children compute
+        bad = np.flatnonzero(np.isin(c.indices, [5, 6]))
+        if len(bad):
+            raise prodsub.errors.RowFailure(int(bad[0]), ChartError(f"planted at {c.indices[bad[0]]}"))
+
+    _patch_pmc(monkeypatch, planted)
+    msgs = []
+    for j in (1, jobs):
+        with pytest.raises(prodsub.errors.EngineError) as err:
+            _pmc_run(j)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1] and "check pmc failed at sample 5, u=" in msgs[0] and "planted at 5" in msgs[0]
+    _no_child_left()
+
+    parent = os.getpid()
+
+    for kind in (ZeroDivisionError, KeyboardInterrupt):
+
+        def parent_fails(c):
+            if os.getpid() == parent:
+                raise kind("planted in the parent's block")
+
+        _patch_pmc(monkeypatch, parent_fails)
+        with pytest.raises(kind, match="planted in the parent's block"):
+            _pmc_run(jobs)
+        _no_child_left()
+
+
+def test_a_child_that_dies_or_raises_is_an_error_of_its_block(monkeypatch):
+    parent = os.getpid()
+
+    def child_exits(c):
+        if os.getpid() != parent:
+            os._exit(7)
+
+    def child_leaves(c):  # a BaseException that is not an Exception: the child exits 1 without a result
+        if os.getpid() != parent:
+            raise SystemExit(0)
+
+    for fault, status in ((child_exits, "wait status 1792, exit code 7"), (child_leaves, "wait status 256, exit code 1")):
+        _patch_pmc(monkeypatch, fault)
+        with pytest.raises(prodsub.errors.EngineError) as err:
+            _pmc_run(2)
+        assert str(err.value) == f"a worker process ended without a result ({status})"
+        _no_child_left()
+
+    def child_raises(c):
+        if os.getpid() != parent:
+            raise ZeroDivisionError(f"planted in a child at sample {c.indices[0]}")
+
+    _patch_pmc(monkeypatch, child_raises)
+    with pytest.raises(ZeroDivisionError, match="^planted in a child at sample 4$"):
+        _pmc_run(2)
+    _no_child_left()
 
 
 def test_scan_jobs_table_byte_identical(tmp_path):
@@ -525,6 +603,32 @@ def test_an_expression_that_fails_while_a_chart_builds_exits_3(tmp_path, capsys)
         "computation error: base normal 0, component 2 'sqrt(u1 - 5)' failed: "
         "at position 0: sqrt: argument -6.18 outside the function domain"
     )
+
+
+@pytest.mark.parametrize(
+    "base, profile, message",
+    [
+        ({"normals": [["0", "0", "x*u1", "0"]]}, None, "base normal 0, component 2 'x*u1': unbound identifiers ['x']"),
+        ({"k": 1}, {"coords": ["cos(w*s)", "sin(w*s)", "0.6*s"]},
+         "profile component 0 'cos(w*s)': unbound identifiers ['w']"),
+    ],
+)
+def test_an_unbound_identifier_in_a_partial_tube_is_a_scene_error(tmp_path, capsys, monkeypatch, base, profile, message):
+    # the partial tube evaluates its base normals and profile itself; a name
+    # that u1 (base normals) or s and the profile params do not bind fails
+    # before any of them is evaluated
+    def no_evaluation(*args):
+        raise AssertionError("an expression was evaluated")
+
+    monkeypatch.setattr(prodsub.exprlang, "eval_jet", no_evaluation)
+    gallery = {"kind": "partial_tube", "base": {"kind": "geodesic", **base}}
+    if profile is not None:
+        gallery["profile"] = profile
+    scene = {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"gallery": gallery}, "checks": ["membership"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    assert main(["run", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"scene error: cannot evaluate {message}"
 
 
 def test_an_unbound_identifier_is_a_scene_error_before_any_point(tmp_path, capsys, monkeypatch):
