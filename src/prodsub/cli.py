@@ -67,7 +67,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", default=None, help="write the JSON report here")
     run.add_argument("--csv", default=None, help="write per-sample residual CSV here")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    run.add_argument("--jobs", type=int, default=1, help="processes that compute samples, this one included")
     run.add_argument("--format", choices=["text", "json"], default="text")
 
     scan = sub.add_parser("scan", help="sweep a parameter and track one residual")

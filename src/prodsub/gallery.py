@@ -423,8 +423,7 @@ def _tube_jet(ast, seed: dict, params: dict, what: str):
 
 
 def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k):
-    # an identifier that a base normal (bound: u1) or a profile component
-    # (bound: s and the profile params) reads but does not bind
+    # identifiers unbound in a base normal (bound: u1) or profile component (bound: s, the params)
     named = [(f"base normal {i}, component {c}", t, {"u1"}) for i, n in enumerate(normal_asts) for c, t in enumerate(n)]
     named += [(f"profile component {i}", t, {"s", *pparams}) for i, t in enumerate(alpha_asts)]
     for what, ast, bound in named:

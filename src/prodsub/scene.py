@@ -11,16 +11,16 @@ residual, a note and a degenerate flag per sample.  Every entry is array
 code: the finite-difference ones difference along the stencil axis of the
 chunk's first layer, and the nested normal Laplacian is one kernel call
 over the chunk's samples that need it.  The results stay one column per
-check from the kernel to the report and the CSV: chunks, and a pool's
-contiguous blocks of samples, follow sample order, so joining a check's
-columns gives row i for sample i.  Residuals are deterministic functions of
-(scene, seed): nothing reduces across samples, and per-sample randomness is
-keyed by (seed, index), so neither the chunking nor the worker partitioning
-changes values.
+check from the kernel to the report and the CSV: chunks, and the blocks of
+samples that ``--jobs N`` computes in the run's process and forked children,
+follow sample order, so joining a check's columns gives row i for sample i.
+Residuals are deterministic functions of (scene, seed): nothing reduces
+across samples, and per-sample randomness is keyed by (seed, index), so
+neither the chunking nor the blocks change values.
 
 A parameter scan is one such run on one family chart (``Family``), whose
 scanned parameter takes one value per batch row: every step's samples go
-through the same chunks and pool, each row keeping its step, and the
+through the same chunks and blocks, each row keeping its step, and the
 columns split back into one maximum per step.  The steps' chart centers,
 for the signed predicate, take one more geometry call.  The chart-level
 checks of a build run once over the probe grids of all the steps, in
@@ -601,10 +601,10 @@ def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: in
 
 def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int):
     """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With jobs > 1, a forked child
-    computes each of ``jobs`` contiguous blocks of ``rows`` after the first, last block first, and
-    pipes back its result or error; this process computes the rows no child took.  Results join in
-    row order, and so do their errors: the first error of the first block that fails is raised, once
-    every child is waited for."""
+    computes each of ``jobs`` contiguous blocks of ``rows`` after the first and pipes back its result
+    or error.  Children fork from the last block on, so the rows no child took, which this process
+    computes, are one head of ``rows``.  Results and errors join in row order: the first error of the
+    first block that fails is raised, once every child is waited for."""
     children, pipes, head, reason = [], [], len(rows), None  # children: (pid, read end), until waited for
     try:
         try:
@@ -709,9 +709,9 @@ def run_scene(
     """Execute the scene's checks and return the report mapping.
 
     Exit-code semantics live in the CLI; here FAIL is only recorded in the
-    report.  With ``jobs > 1`` contiguous blocks of samples go to a fork
-    pool; the per-sample RNG is keyed by (seed, sample index), so verdicts and CSV rows
-    are identical for any job count.
+    report.  With ``jobs > 1`` this process computes the first contiguous block
+    of samples and a forked child each other one; the per-sample RNG is keyed
+    by (seed, sample index), so verdicts and CSV rows are identical for any job count.
 
     ``scene`` must come from ``load_scene`` or have passed
     ``validate_scene``: only the sampling block merged with

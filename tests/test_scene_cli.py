@@ -112,6 +112,8 @@ def test_jobs_determinism_structure_checks(tmp_path, name):
 
 
 def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
+    real_fork = os.fork
+
     def no_fork():
         raise OSError("fork refused")
 
@@ -127,6 +129,16 @@ def test_parallel_block_names_the_fallback(monkeypatch, tmp_path):
     }
     assert fallback["checks"] == serial["checks"]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    # a fork that fails after one child started: that child keeps the last
+    # block, and this process computes the two blocks before it
+    forks = iter([real_fork])
+    monkeypatch.setattr(prodsub.scene.os, "fork", lambda: next(forks, no_fork)())
+    partial = run_scene(scene, jobs=3, csv_path=str(tmp_path / "c.csv"), **kw)
+    assert partial["parallel"] == {"requested": 3, "used": 2, "fallback_reason": "OSError: fork refused"}
+    assert partial["checks"] == serial["checks"]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    _no_child_left()
 
 
 def _no_child_left():
@@ -238,7 +250,7 @@ def test_scan_reports_the_first_failing_step_under_jobs():
 
 def test_run_reports_the_first_failing_sample_under_jobs(capsys):
     # e0 fails on every sample of the slice (codimension 3): each job count
-    # reports sample 0, whichever worker fails first in time
+    # reports sample 0, whichever process fails first in time
     argv = ["run", "--scene", str(SCENES / "slice.json"), "--samples", "40", "--seed", "5"]
     argv += ["--check", "membership", "--check", "e0", "--check", "biconservative"]
     errs = []
@@ -277,15 +289,15 @@ def test_random_sampling_deterministic():
 
 def test_chart_built_once_per_run_and_scan_step(monkeypatch):
     # a run builds its chart once, and a scan builds one family chart for
-    # all its steps and validates its scene once; pool workers build none
+    # all its steps and validates its scene once; forked children build none
     parent, calls, validations = os.getpid(), [], []
     original = prodsub.scene.build_chart
     original_validate = prodsub.scene.validate_scene
 
     def counting_build_chart(scene, *scan):
-        # raised in a pool worker, this escapes the serial fallback
+        # raised in a forked child, this is re-raised in the parent
         if os.getpid() != parent:
-            raise RuntimeError("a pool worker rebuilt the chart")
+            raise RuntimeError("a forked child rebuilt the chart")
         calls.append(scene)
         return original(scene, *scan)
 
