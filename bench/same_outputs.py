@@ -11,8 +11,8 @@ chart-level checks.  Under the same job counts it runs both 61-step
 criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
 and scans of the generated scenes in ``FAILING``, each of which fails: a
 domain error at a stencil point, an error at a sample center, coordinate
-overflows, a NaN chart, a scan step that does not build and an unbound
-identifier.  Compares the reports (less ``wall_time_s``), the CSV and scan
+overflows, a NaN chart, a scan step that does not build, an unbound
+identifier, and scans whose first or second step leaves the product.  Compares the reports (less ``wall_time_s``), the CSV and scan
 files byte for byte, and stdout, stderr and the exit code of every run.
 It also runs every demo (``demos/*.py``) and compares its stdout and exit
 code; a demo's stderr would name the export's path in a warning.  Prints
@@ -64,6 +64,17 @@ def _unbound() -> dict:
     return scene
 
 
+def _off_product() -> dict:
+    """An S^2 x R scene whose first coordinate r*cos(u2) leaves the product unless r = 1."""
+    scene = _s2("u1", [3, 3], ["membership"], s="r*cos(u2)")
+    scene["immersion"]["expressions"]["params"] = {"r": 2.0}
+    return scene
+
+
+def _scan_r(lo: str, hi: str) -> list:
+    return ["scan", "--param", "r", "--from", lo, "--to", hi, "--steps", "3", "--residual", "membership"]
+
+
 # a bump of height 1e400 at u1 = 0.32, a sample and no probe point: 0 * inf is NaN there
 _OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
 FAILING = {  # name: (scene, the command's arguments after --scene)
@@ -77,6 +88,8 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
                                                                     "--to", "1.3", "--steps", "5",
                                                                     "--residual", "biharmonic_normal"]),
     "unbound_identifier": (_unbound(), ["run"]),
+    "first_step_off_product": (_off_product(), _scan_r("2", "1")),
+    "second_step_off_product": (_off_product(), _scan_r("1", "2")),
 }
 
 

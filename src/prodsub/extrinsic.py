@@ -48,22 +48,6 @@ __all__ = [
 #: outer step for nested finite differences (inner layer carries ~1e-10 noise)
 FD_NESTED_STEP = 5e-4
 
-# most points in one geometry call of a run: past a few hundred points a
-# larger batch barely lowers the cost per point, while the call's arrays and
-# temporaries take a few KiB per point.  A run slices its samples' points
-# (each center alone, or with its first layer) into calls of whole samples.
-# analyze_point and second_fundamental on theorem1_cylinder, one core of a
-# 2-vCPU Xeon: 0.4 ms for a batch of one, 9.3 us per point at 105 points,
-# 5.6 us at 512, 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405
-# points) took 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s,
-# in reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
-# over the 45 MiB of the scan that ran step by step.  Runs past 512 points
-# pay for the smaller calls: on theorem1_cylinder, 400 samples of gauss,
-# codazzi, ricci and pmc (5,200 points) take 0.080 s at 512 against 0.072 s
-# at 1,024, and 3,000 samples of six jet-level checks 0.024 s against
-# 0.022 s (in-process seconds on that core, medians of 9 runs).
-_BATCH_POINTS = 512
-
 # most points in one call of the nested Laplacian's stencil geometry, in
 # whole rows (two at m = 3): larger calls run no faster and raise peak memory
 _NESTED_POINTS = 384
@@ -203,9 +187,9 @@ def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
     return np.einsum("niq,nqjk->nijk", b.tangent_coeffs, M @ (b.g[:, None] @ Ct))
 
 
-def geometry(chart: Chart, U, steps=None) -> ExtrinsicRows:
+def geometry(chart: Chart, U, steps=0) -> ExtrinsicRows:
     """The ExtrinsicRows of the points U (N, m), at the scan steps ``steps``
-    (N,) on a family chart, from one batched ``analyze_point`` and
+    (N,) or one step for all, from one batched ``analyze_point`` and
     ``second_fundamental`` call.  It does not raise for a point that
     fails: ``batch.errors`` holds the error of each row."""
     return second_fundamental(analyze_point(chart, U, steps))
@@ -245,11 +229,12 @@ class FirstLayer:
         self.k = 1 + 4 * rows.batch.u.shape[1]
 
     @classmethod
-    def at(cls, chart: Chart, U, steps=None) -> "FirstLayer":
+    def at(cls, chart: Chart, U, steps=0) -> "FirstLayer":
         """The first layers of the points U (N, m), at the scan steps
-        ``steps`` (N,) on a family chart, in one ``geometry`` call."""
-        points = first_layer(np.asarray(U, dtype=float).reshape(-1, chart.m)).reshape(-1, chart.m)
-        return cls(geometry(chart, points, None if steps is None else np.repeat(steps, 1 + 4 * chart.m)))
+        ``steps`` (N,) or one step for all, in one ``geometry`` call."""
+        U = np.asarray(U, dtype=float).reshape(-1, chart.m)
+        steps = np.repeat(np.broadcast_to(steps, len(U)), 1 + 4 * chart.m)
+        return cls(geometry(chart, first_layer(U).reshape(-1, chart.m), steps))
 
     def __len__(self) -> int:
         return len(self.rows) // self.k
@@ -307,7 +292,7 @@ def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarra
     step = max(1, _NESTED_POINTS // (4 * m * (1 + 4 * m)))
     W = []
     for first in range(0, K, step):
-        at = None if b.steps is None else np.repeat(b.steps[first : first + step], 4 * m)
+        at = np.repeat(b.steps[first : first + step], 4 * m)
         try:
             W.append(normal_derivative_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
         except RowFailure as f:  # from an outer point to its row

@@ -41,7 +41,7 @@ def _zero(m: int = 0):
 def make_slice(space: ProductSpace, t0: float = 0.0) -> Chart:
     """Coordinate patch of a totally geodesic Q^2 sitting in the slice
     Q^n_eps x {t0}; T vanishes identically."""
-    return _one_step(_slice_family(space, "t0", [t0]))
+    return _slice_family(space, "t0", [t0])
 
 
 def _slice_family(space: ProductSpace, param: str, values: list, t0: float = 0.0) -> Chart:
@@ -263,7 +263,7 @@ def make_theorem1(
     """
     param = "a" if a is not None or a2 is None else "a2"
     spec = {"a": a, "phi_kind": phi_kind, "phi_params": phi_params, "a2": a2}
-    return _one_step(_theorem1_family(space, param, [spec[param]], **spec))
+    return _theorem1_family(space, param, [spec[param]], **spec)
 
 
 def _theorem1_ab(space: ProductSpace, a: float | None, a2: float | None) -> tuple[float, float]:
@@ -486,7 +486,7 @@ def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sd
 def make_cmc_product(space: ProductSpace, r: float) -> Chart:
     """N^{n-1} x R for N a geodesic sphere of radius r in Q^n_eps
     (codimension 1; constant mean curvature, eta = 0)."""
-    return _one_step(_cmc_product_family(space, "r", [r]))
+    return _cmc_product_family(space, "r", [r])
 
 
 def _cmc_product_cs(space: ProductSpace, r: float) -> tuple[float, float]:
@@ -556,21 +556,12 @@ def _each_step(values: list, derive) -> tuple[list, Exception | None]:
 
 def _with_family(chart: Chart, values: list, coords, labels: list, error=None, checks=()) -> Chart:
     """``chart``, the chart of the first step, as the family chart of the
-    steps before ``error``: ``coords``, ``labels`` and ``checks`` as in
-    ``Family``, which the membership check of every step joins last."""
+    steps before ``error`` whose chart-level checks pass: ``coords``,
+    ``labels`` and ``checks`` as in ``Family``.  Raises the error of the
+    first step when it does not build."""
     steps = len(labels)
-    checks = [*checks, (5**chart.m, chart.membership_errors)]
-    chart.family = Family(np.array(values[:steps], dtype=float), coords, labels[:steps], checks, error)
-    return chart
-
-
-def _one_step(chart: Chart) -> Chart:
-    """The chart of a family of one step, once the step's checks pass."""
-    for _, check in chart.family.checks:
-        (error,) = check(np.zeros(1, dtype=int))
-        if error is not None:
-            raise error
-    chart.family = None
+    chart.family = Family(np.array(values[:steps], dtype=float), coords, labels[:steps], list(checks), error)
+    chart.validate_membership()
     return chart
 
 
@@ -623,8 +614,10 @@ def make_chart(space: ProductSpace, spec: dict, scan: tuple | None = None) -> Ch
     """Build a gallery chart from a scene-style mapping {kind, ...params}.
 
     ``scan`` = (param, values) builds instead the family chart of those
-    values of one numeric parameter (see ``Family``), whose chart-level
-    checks the caller runs."""
+    values of one numeric parameter (see ``Family``).  Either way the
+    builder has run the chart-level checks of every step
+    (``Chart.validate_membership``): the family keeps the steps before the
+    first that fails, and a first step that fails raises its error."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in GALLERY:

@@ -3,9 +3,11 @@
 A chart is an m-parameter immersion into Q^n_eps x R given by one coordinate
 map per ambient slot.  Coordinate maps are either expression ASTs or plain
 Python callables over jets (the gallery generators use the latter, giving
-analytic 2-jets with no parse step).  A family chart (``Family``) holds the
-steps of a parameter scan: each batch row carries its step, and the
-coordinate maps read the scanned parameter row by row.
+analytic 2-jets with no parse step).  Every chart holds a ``Family``: the
+steps of a parameter scan, or one step for a chart of one parameter value.
+Each batch row carries its step, step 0 unless given, and the coordinate
+maps read the scanned parameter row by row, so a run and a scan take one
+path.  A chart builds when ``Chart.validate_membership`` passes at step 0.
 """
 
 from __future__ import annotations
@@ -29,6 +31,26 @@ __all__ = [
     "gram_schmidt",
     "probe_grid",
 ]
+
+# most points in one geometry call of a run: past a few hundred points a
+# larger batch barely lowers the cost per point, while the call's arrays and
+# temporaries take a few KiB per point.  A run slices its samples' points
+# (each center alone, or with its first layer) into calls of whole samples,
+# and a build checks the probe grids of its steps in blocks of whole steps.
+# analyze_point and second_fundamental on theorem1_cylinder, one core of a
+# 2-vCPU Xeon: 0.4 ms for a batch of one, 9.3 us per point at 105 points,
+# 5.6 us at 512, 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405
+# points) took 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s,
+# in reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
+# over the 45 MiB of the scan that ran step by step.  Runs past 512 points
+# pay for the smaller calls: on theorem1_cylinder, 400 samples of gauss,
+# codazzi, ricci and pmc (5,200 points) take 0.080 s at 512 against 0.072 s
+# at 1,024, and 3,000 samples of six jet-level checks 0.024 s against
+# 0.022 s (in-process seconds on that core, medians of 9 runs).
+_BATCH_POINTS = 512
+
+_MEMBERSHIP_TOL = 1e-9  # the largest membership residual a build allows on its probe grid
+_PROBES = 5  # probe grid points per axis of the membership check
 
 
 def parse_coordinate(src: str):
@@ -69,7 +91,7 @@ class Chart:
     var_names: list = field(default_factory=list)
     s_index: int | None = None  # designated s variable, when the chart has one
     label: str = ""
-    family: Family | None = None  # the steps of a parameter scan; None for one parameter value
+    family: Family = field(init=False)  # the steps of a parameter scan; one step for one value
 
     def __post_init__(self):
         if not self.var_names:
@@ -86,54 +108,67 @@ class Chart:
             c if callable(c) else wrap_expr(c, self.params, self.var_names)
             for c in self.coords
         ]
+        self.family = Family(np.zeros(1), lambda steps: self.coords, [self.label])
 
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
 
-    def validate_membership(self, tol: float = 1e-9, per_axis: int = 5) -> None:
-        """Raises where the chart leaves the product past ``tol`` on a probe
-        grid; a family chart checks its first step."""
-        (error,) = self.membership_errors(None, tol, per_axis)
-        if error is not None:
-            raise error
+    def validate_membership(self) -> None:
+        """Run the family's chart-level checks and then the membership check
+        over the probe grids of all its steps, in blocks of whole steps of
+        at most ``_BATCH_POINTS`` points, each check on the steps that
+        passed the ones before it.  The family stops at the first step that
+        fails, with the error that step gives on its own; raises that error
+        when step 0 fails."""
+        family = self.family
+        for points, check in [*family.checks, (_PROBES**self.m, self.membership_errors)]:
+            per = max(1, _BATCH_POINTS // points)
+            for first in range(0, len(family), per):
+                block = np.arange(first, min(first + per, len(family)))
+                errors = check(block)
+                bad = next((i for i, e in enumerate(errors) if e is not None), None)
+                if bad is not None:
+                    family.stop(int(block[bad]), errors[bad])
+                    break
+        if not len(family):
+            raise family.error
 
-    def membership_errors(self, steps=None, tol: float = 1e-9, per_axis: int = 5) -> list:
-        """The membership check at each scan step of ``steps`` (N,), or once
-        for None: the error of a step whose probe grid leaves the product
-        past ``tol``, else None.  The grids of all the steps are one batched
-        jet evaluation.  A step with a probe point whose coordinates fail
-        takes the error of the first such point; a non-finite residual at
-        any probe point counts as the worst and fails as well."""
-        grid = probe_grid(self.domain, per_axis)
-        count = 1 if steps is None else len(steps)
-        rows = None if steps is None else np.repeat(steps, len(grid))
-        jet = evaluate_jet(self, np.tile(grid, (count, 1)), rows)
+    def membership_errors(self, steps=(0,)) -> list:
+        """The membership check at each scan step of ``steps``: the error of
+        a step whose probe grid leaves the product past ``_MEMBERSHIP_TOL``,
+        else None.  The grids of all the steps are one batched jet
+        evaluation.  A step with a probe point whose coordinates fail takes
+        the error of the first such point; a non-finite residual at any
+        probe point counts as the worst and fails as well."""
+        grid, count = probe_grid(self.domain, _PROBES), len(steps)
+        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)))
         worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
         per_step = np.array(jet.errors, dtype=object).reshape(count, -1)
         failed = [next((e for e in errors if e is not None), None) for errors in per_step]
-        labels = [self.label] if steps is None else [self.family.labels[s] for s in steps]
         return [
             e
-            if e is not None or w <= tol
+            if e is not None or w <= _MEMBERSHIP_TOL
             else ChartError(
-                f"chart {label or '<unnamed>'} leaves the product: membership residual {w:.3e} > {tol:.1e}"
+                f"chart {self.family.labels[s] or '<unnamed>'} leaves the product: "
+                f"membership residual {w:.3e} > {_MEMBERSHIP_TOL:.1e}"
             )
-            for e, w, label in zip(failed, worst.tolist(), labels)
+            for e, w, s in zip(failed, worst.tolist(), steps)
         ]
 
 
 @dataclass
 class Family:
-    """The steps of a parameter scan, all on one chart.
+    """The steps of a parameter scan, all on one chart; a chart of one
+    parameter value is a family of one step.
 
     Step s sets the scanned parameter to ``values[s]``.  ``coords(steps)``
     gives the coordinate maps of batch rows at the steps ``steps`` (N,),
     each map reading the parameter values of its row, and ``labels[s]`` is
     the label of step s's chart.  ``checks`` are the chart-level checks of
-    a build, in order, as (probe points per step, check): ``check(steps)``
-    gives the error of each step of ``steps``, else None.  The family keeps
-    the steps before the first one whose chart does not build, and
-    ``error`` is the error of that step.
+    a build that run before the membership check, in order, as (probe
+    points per step, check): ``check(steps)`` gives the error of each step
+    of ``steps``, else None.  The family keeps the steps before the first
+    one whose chart does not build, and ``error`` is the error of that step.
     """
 
     values: np.ndarray
@@ -167,10 +202,10 @@ def probe_grid(domain, counts=5):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
+def evaluate_jet(chart: Chart, u, steps=0) -> VecJet2:
     """2-jet of all ambient coordinates at every row of a batch ``u``
-    (N, m), in one pass through the coordinate maps.  On a family chart,
-    ``steps`` gives the scan step of each row (N,).
+    (N, m), in one pass through the coordinate maps.  ``steps`` gives the
+    scan step of each row (N,), or one step for all.
 
     A point's jet is bit for bit its row of any batch.  Only when a
     coordinate map raises on the batch are the rows replayed one by one:
@@ -181,9 +216,10 @@ def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, chart.m)
     n, m = U.shape
+    steps = np.broadcast_to(steps, n)
     jet, errors = _coordinates(chart, U, steps), [None] * n
     if isinstance(jet, ChartError):
-        alone = [_coordinates(chart, U[r : r + 1], None if steps is None else steps[r : r + 1]) for r in range(n)]
+        alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1]) for r in range(n)]
         nan = Jet2(np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, m, m), np.nan))
         jet = VecJet2([nan] * len(chart.coords))
         for r, one in enumerate(alone):
@@ -197,13 +233,14 @@ def evaluate_jet(chart: Chart, u, steps=None) -> VecJet2:
 
 
 def _coordinates(chart: Chart, U: np.ndarray, steps) -> VecJet2 | ChartError:
-    """The jet of the rows U (N, m), or the error of the first coordinate
-    map that raises, which names the first point when N is 1."""
+    """The jet of the rows U (N, m) at the steps ``steps`` (N,), or the
+    error of the first coordinate map that raises, which names the first
+    point when N is 1."""
     seeds = tuple(jets.jet_var(i, U[:, i], chart.m) for i in range(chart.m))
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, coord in enumerate(chart.coords if steps is None else chart.family.coords(steps)):
+        for k, coord in enumerate(chart.family.coords(steps)):
             try:
                 c = coord(seeds)
             except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
@@ -334,7 +371,7 @@ class PointBatch:
     theta: np.ndarray
     nu: np.ndarray | None  # <eta, xi_1> in codimension one, else None
     errors: list
-    steps: np.ndarray | None = None  # the scan step of each row, on a family chart
+    steps: np.ndarray  # (N,) the scan step of each row
 
     def __len__(self) -> int:
         return len(self.u)
@@ -366,18 +403,18 @@ class PointBatch:
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
 
-def analyze_point(chart: Chart, u, steps=None) -> PointBatch:
+def analyze_point(chart: Chart, u, steps=0) -> PointBatch:
     """Metric, orthonormal frames and the d_t = f_* T + eta decomposition
     at every row of ``u`` (N, m); a single point (m,) is a batch of one.
     The batch records per row the error a point raises where its
     coordinates fail (``evaluate_jet``), its metric is not finite or
     regular, or a frame degenerates, and each row is bit for bit what the
-    point gives in any other batch.  On a family chart, ``steps`` gives the
-    scan step of each row (N,).
+    point gives in any other batch.  ``steps`` gives the scan step of each
+    row (N,), or one step for all.
     """
     U = np.array(u, dtype=float).reshape(-1, chart.m)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0
-        return _analyze(chart, U, steps)
+        return _analyze(chart, U, np.broadcast_to(steps, len(U)))
 
 
 def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:

@@ -5,7 +5,7 @@ an immersion (gallery spec or expression list), a sampling spec, the list of
 checks to run and optional tolerance overrides.
 
 A run checks its samples a chunk at a time: one batched geometry call per
-chunk of up to ``extrinsic._BATCH_POINTS`` (512) points of whole samples,
+chunk of up to ``immersion._BATCH_POINTS`` (512) points of whole samples,
 and one call of each CHECKS entry on the chunk's arrays, which returns a
 residual, a note and a degenerate flag per sample.  Every entry is array
 code: the finite-difference ones difference along the stencil axis of the
@@ -21,12 +21,12 @@ neither the chunking nor the blocks change values.
 A parameter scan is one such run on one family chart (``Family``), whose
 scanned parameter takes one value per batch row: every step's samples go
 through the same chunks and blocks, each row keeping its step, and the
-columns split back into one maximum per step.  The steps' chart centers,
-for the signed predicate, take one more geometry call.  The chart-level
-checks of a build run once over the probe grids of all the steps, in
-blocks of whole steps.  No geometry call raises for a point that fails:
-its row holds the error, and the first error in (step, sample, check)
-order is raised.
+columns split back into one maximum per step; a run is a scan of one step.
+The steps' chart centers, for the signed predicate, take one more geometry
+call.  Runs and scans build by one rule (``Chart.validate_membership``):
+the chart-level checks run once over the probe grids of all the steps.
+No geometry call raises for a point that fails: its row holds the error,
+and the first error in (step, sample, check) order is raised.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .ambient import ProductSpace, inner, membership_residual
-from . import exprlang, extrinsic
+from . import exprlang, immersion
 from .classify import (
     DEGENERATE,
     TOL_PMC,
@@ -191,21 +191,18 @@ def _validate(validator, document) -> None:
 
 def build_chart(scene: dict, scan: tuple | None = None) -> Chart:
     """The chart of a validated scene.  ``scan`` = (param, values) builds
-    instead the family chart of those values of one immersion parameter,
-    having run the chart-level checks of every step (``_check_family``)."""
+    instead the family chart of those values of one immersion parameter.
+    Either way the chart-level checks of every step have run
+    (``Chart.validate_membership``)."""
     amb = scene["ambient"]
     space = ProductSpace(int(amb["epsilon"]), int(amb["n"]))
     imm = scene["immersion"]
     try:  # a builder that evaluates an expression itself meets its EvalError
         if "gallery" in imm:
-            chart = make_chart(space, imm["gallery"], scan)
-        else:
-            chart = _expression_chart(space, imm["expressions"], scan)
-        if scan is not None:
-            _check_family(chart.family)
+            return make_chart(space, imm["gallery"], scan)
+        return _expression_chart(space, imm["expressions"], scan)
     except exprlang.EvalError as exc:
         raise ChartError(f"cannot build the chart: {exc}") from exc
-    return chart
 
 
 def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Chart:
@@ -226,40 +223,21 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
         s_index=ex.get("s_index"),
         label=ex.get("label", "expressions"),
     )
-    if scan is None:
-        chart.validate_membership()
-        return chart
-    param, values = scan
-    asts = [parse_coordinate(src) for src in ex["coords"]]
-    free = set().union(*map(exprlang.free_vars, asts)) - set(chart.var_names)
-    if param not in free:
-        raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
-    V = np.array(values, dtype=float)
+    if scan is not None:
+        param, values = scan
+        asts = [parse_coordinate(src) for src in ex["coords"]]
+        free = set().union(*map(exprlang.free_vars, asts)) - set(chart.var_names)
+        if param not in free:
+            raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
+        V = np.array(values, dtype=float)
 
-    def coords(steps):
-        params = {**chart.params, param: V[steps]}
-        return [wrap_expr(ast, params, chart.var_names) for ast in asts]
+        def coords(steps):
+            params = {**chart.params, param: V[steps]}
+            return [wrap_expr(ast, params, chart.var_names) for ast in asts]
 
-    checks = [(5**chart.m, chart.membership_errors)]
-    chart.family = Family(V, coords, [chart.label] * len(V), checks)
+        chart.family = Family(V, coords, [chart.label] * len(V))
+    chart.validate_membership()
     return chart
-
-
-def _check_family(family: Family) -> None:
-    """Run a family's chart-level checks over the probe grids of all its
-    steps, in blocks of whole steps of at most ``_BATCH_POINTS`` points,
-    each check on the steps that passed the ones before it.  The family
-    stops at the first step that fails, with the error that step gives on
-    its own."""
-    for points, check in family.checks:
-        per = max(1, extrinsic._BATCH_POINTS // points)
-        for first in range(0, len(family), per):
-            block = np.arange(first, min(first + per, len(family)))
-            errors = check(block)
-            bad = next((i for i, e in enumerate(errors) if e is not None), None)
-            if bad is not None:
-                family.stop(int(block[bad]), errors[bad])
-                break
 
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
@@ -294,8 +272,8 @@ class Chunk:
     (N, r, m, m), H (N, n+2) and |H| (N,), whose ``batch.errors[i]`` is the
     error of sample i's geometry, else None.  When a requested check
     differences, ``layer`` holds the FirstLayer of the samples, whose
-    centers are ``geo``.  On a family chart, ``steps`` holds the scan step
-    of each sample, and ``indices`` count the samples within a step.
+    centers are ``geo``.  ``indices`` count the samples within a scan
+    step; ``geo.batch.steps`` holds the step of each sample.
     """
 
     chart: Chart
@@ -304,7 +282,6 @@ class Chunk:
     seed: int
     geo: ExtrinsicRows
     layer: FirstLayer | None = None
-    steps: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -321,9 +298,8 @@ class Chunk:
 
     def take(self, rows: slice) -> "Chunk":
         layer = None if self.layer is None else self.layer.take(rows)
-        steps = None if self.steps is None else self.steps[rows]
         part = {"indices": self.indices[rows], "u": self.u[rows], "geo": self.geo.take(rows)}
-        return replace(self, layer=layer, steps=steps, **part)
+        return replace(self, layer=layer, **part)
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
@@ -541,25 +517,22 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
 def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
     """The chunks of a run, in row order.
 
-    Row r is sample r % n of the n ``samples``, at scan step r // n on a
-    family chart (a plain chart's rows are its sample indices).  The rows'
-    points, each center alone or with its first layer when a check in
-    ``names`` differences, are one (rows, k, m) array, which goes to
-    ``geometry`` in calls of ``_BATCH_POINTS // k`` whole samples; each
-    call gives one chunk.
+    Row r is sample r % n of the n ``samples`` at scan step r // n (a run
+    of one step has the rows of its sample indices).  The rows' points,
+    each center alone or with its first layer when a check in ``names``
+    differences, are one (rows, k, m) array, which goes to ``geometry`` in
+    calls of ``_BATCH_POINTS // k`` whole samples; each call gives one chunk.
     """
     rows, n = np.asarray(rows, dtype=int), len(samples)
-    ids = rows % n
+    ids, steps = rows % n, rows // n
     points = first_layer(samples) if any(CHECK_TABLE[c].first_layer for c in names) else samples[:, None]
     k = points.shape[1]
-    steps = None if chart.family is None else rows // n
-    per = max(1, extrinsic._BATCH_POINTS // k)
+    per = max(1, immersion._BATCH_POINTS // k)
     for first in range(0, len(rows), per):
         part = slice(first, first + per)
-        at = None if steps is None else steps[part]
-        geo = geometry(chart, points[ids[part]].reshape(-1, chart.m), None if at is None else np.repeat(at, k))
+        geo = geometry(chart, points[ids[part]].reshape(-1, chart.m), np.repeat(steps[part], k))
         layer = FirstLayer(geo) if k > 1 else None
-        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo if layer is None else layer.centers, layer, at)
+        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo if layer is None else layer.centers, layer)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:

@@ -469,7 +469,7 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
     assert len(kernel) == 1 + len(_nested_calls(nested, chart.m))
-    monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
     kernel.clear()
     assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
     assert len(kernel) == 2 + 2 * len(_nested_calls(nested // 2, chart.m))
@@ -607,13 +607,13 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
     assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     size = 4 * m * (1 + 4 * m)
     splits = [
-        ("_BATCH_POINTS", 2 * (1 + 4 * m), [(2 * size, m)] * 2 + [(size, m)]),
-        ("_NESTED_POINTS", 1, [(size, m)] * 5),
-        ("_NESTED_POINTS", 5 * size, [(5 * size, m)]),
+        (prodsub.immersion, "_BATCH_POINTS", 2 * (1 + 4 * m), [(2 * size, m)] * 2 + [(size, m)]),
+        (prodsub.extrinsic, "_NESTED_POINTS", 1, [(size, m)] * 5),
+        (prodsub.extrinsic, "_NESTED_POINTS", 5 * size, [(5 * size, m)]),
     ]
-    for name, value, nested_calls in splits:
+    for module, name, value, nested_calls in splits:
         with monkeypatch.context() as mp:
-            mp.setattr(prodsub.extrinsic, name, value)
+            mp.setattr(module, name, value)
             shapes.clear()
             assert _same_rows(_run_rows(chart, names, samples, 0), rows), name
             assert [s for s in shapes if s[0] % size == 0] == nested_calls, name
@@ -632,13 +632,18 @@ def _inject(monkeypatch, chart, faults):
     second derivative), in a batch or alone."""
     original = prodsub.immersion._analyze
     raising = np.array([point for kind, point in faults if kind == "raises"]).reshape(-1, chart.m)
-    first = chart.coords[0]
+    family_coords = chart.family.coords
 
-    def coordinate(us):
-        U = np.stack([u.value for u in us], axis=-1)
-        if (U[:, None] == raising[None]).all(axis=-1).any():
-            raise ValueError("injected")
-        return first(us)
+    def coords(steps):
+        first, *rest = family_coords(steps)
+
+        def coordinate(us):
+            U = np.stack([u.value for u in us], axis=-1)
+            if (U[:, None] == raising[None]).all(axis=-1).any():
+                raise ValueError("injected")
+            return first(us)
+
+        return [coordinate, *rest]
 
     def faulty(chart, U, steps):
         batch = original(chart, U, steps)
@@ -650,7 +655,7 @@ def _inject(monkeypatch, chart, faults):
                     batch.jet.d2[r] = np.nan
         return batch
 
-    monkeypatch.setattr(chart, "coords", [coordinate] + chart.coords[1:])
+    monkeypatch.setattr(chart.family, "coords", coords)
     monkeypatch.setattr(prodsub.immersion, "_analyze", faulty)
 
 
@@ -737,7 +742,7 @@ def test_differencing_work_does_not_grow_with_the_samples(monkeypatch):
     original = FieldCache.geometry
     monkeypatch.setattr(FieldCache, "geometry", lambda self, u: geometry_calls.append(1) or original(self, u))
     scene = _load("theorem1_cylinder.json")
-    per_chunk = prodsub.extrinsic._BATCH_POINTS // (1 + 4 * 3)  # 39 samples with their first layers
+    per_chunk = prodsub.immersion._BATCH_POINTS // (1 + 4 * 3)  # 39 samples with their first layers
     for n, chunks in ((4, 1), (40, 2)):
         assert -(-n // per_chunk) == chunks
         gamma_calls.clear()
@@ -794,7 +799,7 @@ def test_run_rows_equal_the_per_sample_loop(batch_charts):
 def test_a_long_run_splits_into_batches_of_whole_samples(monkeypatch, theorem1_cyl):
     samples = random_interior_points(theorem1_cyl, 5, seed=6)
     whole = _run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1)
-    monkeypatch.setattr(prodsub.extrinsic, "_BATCH_POINTS", 30)  # two first layers
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 30)  # two first layers
     shapes = _count_analyze(monkeypatch)
     assert _same_rows(_run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1), whole)
     assert shapes == [(26, 3), (26, 3), (13, 3)]
@@ -942,7 +947,7 @@ def test_a_scan_fills_each_call_with_points(monkeypatch):
     k = 1 + 4 * 3  # a sample's first layer
     # the 61 step centers take one call; then 39 samples (507 points) a call
     assert [s[0] for s in shapes] == [61] + [39 * k] * 12 + [(61 * 8 - 12 * 39) * k]
-    assert all(s[0] <= prodsub.extrinsic._BATCH_POINTS for s in shapes)
+    assert all(s[0] <= prodsub.immersion._BATCH_POINTS for s in shapes)
 
 
 def _strided(a):

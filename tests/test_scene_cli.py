@@ -824,6 +824,69 @@ def test_each_scan_row_is_the_one_step_scan_at_its_value(name, param, lo, hi, re
         assert np.float64(alone["max_residual"]).tobytes() == np.float64(row["max_residual"]).tobytes()
 
 
+_CMC_S3 = {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"gallery": {"kind": "cmc_product", "r": 0.7}}}
+
+
+@pytest.mark.parametrize(
+    "scene, param",
+    [
+        ("theorem1_cylinder.json", "a"),
+        ("theorem1_helicoid.json", "a"),
+        ("biharmonic_scan_eps1.json", "a2"),
+        ("biharmonic_scan_eps-1.json", "a2"),
+        ("slice.json", "t0"),
+        (_CMC_S3, "r"),
+        ("vertical_cylinder_expr.json", "r"),
+        ("theorem1_cylinder_expr.json", "a"),
+    ],
+)
+def test_a_run_is_the_one_step_scan_at_its_value(tmp_path, scene, param):
+    # a chart and the family chart of one step at the chart's own value give
+    # the same report entries and CSV bytes
+    scene = _load(scene) if isinstance(scene, str) else scene
+    imm = scene["immersion"]
+    value = imm["gallery"][param] if "gallery" in imm else imm["expressions"]["params"][param]
+    sampling = {"mode": "random", "counts": 4, "seed": 3}
+    names = ["membership", "frames", "h_eta", "class_a", "ricci", "gauss", "pmc", "biharmonic_normal"]
+    reports, csv = [], []
+    for i, chart in enumerate([build_chart(scene), build_chart(scene, (param, [value]))]):
+        path = tmp_path / f"{i}.csv"
+        reports.append(prodsub.scene._run_checks(scene, chart, sampling, names, None, 1, str(path)))
+        csv.append(path.read_bytes())
+    assert reports[0]["checks"] == reports[1]["checks"]
+    assert reports[0]["chart"] == reports[1]["chart"]
+    assert csv[0] == csv[1]
+
+
+def test_every_chart_is_a_family_of_one(all_gallery_charts):
+    charts = all_gallery_charts + [build_chart(_load(p.name)) for p in sorted(SCENES.glob("*.json"))]
+    for chart in charts:
+        assert len(chart.family) == 1 and chart.family.labels == [chart.label], chart.label
+
+
+def test_a_first_step_that_does_not_build_fails_a_run_and_a_scan_alike(tmp_path):
+    # r = 2 takes the chart off S^2 x R; its one-axis grid would be a scene
+    # error, but a chart that does not build fails first, in a run and in a scan
+    coords = ["r*cos(u2)", "sin(u2)", "0", "u1"]
+    expressions = {"m": 2, "coords": coords, "params": {"r": 2.0}, "domain": [[-1.0, 1.0], [-0.5, 0.5]]}
+    scene = {
+        "ambient": {"epsilon": 1, "n": 2},
+        "immersion": {"expressions": expressions},
+        "sampling": {"mode": "grid", "grid": [3]},
+        "checks": ["membership"],
+    }
+    with pytest.raises(ChartError, match="leaves the product") as run:
+        run_scene(scene)
+    with pytest.raises(ChartError) as scan:
+        scan_parameter(scene, "r", 2.0, 1.0, 3, "membership")
+    assert str(scan.value) == str(run.value)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    scan_args = ["--param", "r", "--from", "2", "--to", "1", "--steps", "3", "--residual", "membership"]
+    assert main(["run", "--scene", str(path)]) == 3
+    assert main(["scan", "--scene", str(path), *scan_args]) == 3
+
+
 def test_a_scan_reports_a_sample_error_before_a_later_step_that_does_not_build(tmp_path):
     # e0 fails at every sample of the codimension-1 product; r > pi/2 does not build on S^3
     scene = {
