@@ -12,9 +12,12 @@ criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
 and scans of the generated scenes in ``FAILING``, each of which fails: a
 domain error at a stencil point, an error at a sample center, coordinate
 overflows, a NaN chart, a scan step that does not build, an unbound
-identifier, and scans whose first or second step leaves the product.  Compares the reports (less ``wall_time_s``), the CSV and scan
-files byte for byte, and stdout, stderr and the exit code of every run.
-It also runs every demo (``demos/*.py``) and compares its stdout and exit
+identifier, scans whose first or second step leaves the product, scenes
+the schema rejects (``epsilon: 2``, an immersion of both kinds, an unknown
+key in ``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
+the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
+and scan files byte for byte, and stdout, stderr and the exit code of every
+run.  It also runs every demo (``demos/*.py``) and compares its stdout and exit
 code; a demo's stderr would name the export's path in a warning.  Prints
 each output that differs and exits 1 if any does, else 0.
 """
@@ -64,6 +67,16 @@ def _unbound() -> dict:
     return scene
 
 
+def _edited(name: str, path: tuple, value) -> dict:
+    """The corpus scene ``name`` with the value at ``path`` set to ``value``."""
+    scene = _corpus(name)
+    node = scene
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return scene
+
+
 def _off_product() -> dict:
     """An S^2 x R scene whose first coordinate r*cos(u2) leaves the product unless r = 1."""
     scene = _s2("u1", [3, 3], ["membership"], s="r*cos(u2)")
@@ -90,6 +103,11 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
     "unbound_identifier": (_unbound(), ["run"]),
     "first_step_off_product": (_off_product(), _scan_r("2", "1")),
     "second_step_off_product": (_off_product(), _scan_r("1", "2")),
+    "epsilon_2": (_edited("theorem1_cylinder.json", ("ambient", "epsilon"), 2), ["run"]),
+    "gallery_and_expressions": (_edited("slice_expr.json", ("immersion", "gallery"), {"kind": "slice"}), ["run"]),
+    "unknown_expressions_key": (_edited("slice_expr.json", ("immersion", "expressions", "colour"), "red"), ["run"]),
+    "zero_samples": (_corpus("theorem1_cylinder.json"), ["run", "--samples", "0"]),
+    "negative_seed": (_corpus("theorem1_cylinder.json"), ["run", "--seed", "-1"]),
 }
 
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -175,18 +174,55 @@ def load_scene(path: str) -> dict:
     return scene
 
 
-_VALIDATOR = jsonschema.Draft202012Validator(SCENE_SCHEMA)
-_SAMPLING_VALIDATOR = jsonschema.Draft202012Validator(SCENE_SCHEMA["properties"]["sampling"])
-
-
 def validate_scene(scene: dict) -> None:
-    _validate(_VALIDATOR, scene)
+    _validate(SCENE_SCHEMA, scene)
 
 
-def _validate(validator, document) -> None:
-    err = jsonschema.exceptions.best_match(validator.iter_errors(document))
+def _validate(schema: dict, document) -> None:
+    """Raise SceneError with jsonschema's best match unless ``document``
+    matches ``schema``.  Only a document that ``_conforms`` refuses loads
+    jsonschema, which words the error, or accepts it if it finds none."""
+    if _conforms(document, schema):
+        return
+    import jsonschema
+
+    err = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(schema).iter_errors(document))
     if err is not None:
         raise SceneError(f"scene does not match the schema: {err.message}") from err
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float), "null": type(None)}
+
+
+def _conforms(doc, schema: dict) -> bool:
+    """Whether ``doc`` matches ``schema``, read with the keywords SCENE_SCHEMA
+    uses.  It is never looser than jsonschema but stricter in places: no bool
+    or ``3.0`` is an integer, ``enum`` compares types, NaN meets no bound.
+    A ``oneOf`` branch must be read exactly, so SCENE_SCHEMA's hold only
+    ``required``."""
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if isinstance(doc, bool) or not isinstance(doc, tuple(_TYPES[name] for name in names)):
+            return False
+    if "enum" in schema and not any(type(doc) is type(v) and doc == v for v in schema["enum"]):
+        return False
+    if ("minimum" in schema or "maximum" in schema) and not (
+        isinstance(doc, (int, float)) and schema.get("minimum", -math.inf) <= doc <= schema.get("maximum", math.inf)
+    ):
+        return False
+    if isinstance(doc, list) and not (
+        schema.get("minItems", 0) <= len(doc) <= schema.get("maxItems", math.inf)
+        and all(_conforms(x, schema.get("items", {})) for x in doc)
+    ):
+        return False
+    if isinstance(doc, dict):
+        if any(key not in doc for key in schema.get("required", ())):
+            return False
+        for key, value in doc.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", {}))
+            if sub is False or not _conforms(value, sub):
+                return False
+    return "oneOf" not in schema or sum(_conforms(doc, branch) for branch in schema["oneOf"]) == 1
 
 
 def build_chart(scene: dict, scan: tuple | None = None) -> Chart:
@@ -697,7 +733,7 @@ def run_scene(
     sampling = dict(scene.get("sampling", {}))
     if sampling_override:
         sampling.update(sampling_override)
-    _validate(_SAMPLING_VALIDATOR, sampling)  # load_scene has validated the rest
+    _validate(SCENE_SCHEMA["properties"]["sampling"], sampling)  # load_scene has validated the rest
     chart = build_chart(scene)
     report = _run_checks(scene, chart, sampling, checks, tolerances, jobs, csv_path)
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)

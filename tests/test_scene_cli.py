@@ -1,11 +1,18 @@
+import copy
+import functools
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prodsub.errors
 import prodsub.immersion
@@ -14,6 +21,8 @@ from prodsub.cli import main
 from prodsub.errors import ChartError, SceneError
 from prodsub.scene import (
     SCENE_SCHEMA,
+    _conforms,
+    _validate,
     build_chart,
     format_scan_table,
     load_scene,
@@ -38,8 +47,144 @@ def test_schema_rejects_malformed_scene(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SceneError):
         load_scene(str(bad))
-    with pytest.raises(SceneError):
-        validate_scene({"ambient": {"epsilon": 1, "n": 4}})  # no immersion
+    # the exact texts of jsonschema's best match, which a rejection still reports
+    cyl = _load("theorem1_cylinder.json")
+    cases = [
+        ({**cyl, "ambient": {"epsilon": 2, "n": 4}}, "2 is not one of [1, -1]"),
+        ({"ambient": {"epsilon": 1, "n": 4}}, "'immersion' is a required property"),
+        ({**cyl, "immersion": BOTH}, f"{BOTH} is valid under each of {{'required': ['expressions']}}, "
+                                     "{'required': ['gallery']}"),
+        ({**cyl, "colour": "red"}, "Additional properties are not allowed ('colour' was unexpected)"),
+    ]
+    for scene, message in cases:
+        with pytest.raises(SceneError) as exc:
+            validate_scene(scene)
+        assert str(exc.value) == f"scene does not match the schema: {message}"
+    for override, message in (({"mode": "random", "counts": 0}, "0 is less than the minimum of 1"),
+                              ({"seed": -1}, "-1 is less than the minimum of 0")):
+        with pytest.raises(SceneError) as exc:
+            run_scene(cyl, sampling_override=override)
+        assert str(exc.value) == f"scene does not match the schema: {message}"
+
+
+# ---- the built-in schema reader against jsonschema --------------------------
+
+SAMPLING_SCHEMA = SCENE_SCHEMA["properties"]["sampling"]
+CORPUS = {p.name: json.loads(p.read_text()) for p in sorted(SCENES.glob("*.json"))}
+# values past or at the schema's bounds, bools and 3.0 for integers, NaN and inf, values of other types,
+# and an immersion of both kinds ({} has neither)
+BOTH = {"gallery": {"kind": "theorem1"}, "expressions": {"m": 1, "coords": [], "domain": []}}
+ODD_VALUES = [-1, 0, 1, 2, 9, 10, 3.0, 0.5, True, False, math.nan, math.inf, -math.inf,
+              None, "3", "grid", [], [0.5, 1.5], [1, 2, 3], {}, {"kind": "theorem1"}, BOTH]
+DELETE = object()
+
+
+def _paths(doc, path=()):
+    """The path of every value in ``doc``, its root included."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def _edits(doc):
+    """Every single edit of ``doc`` as (path, key, value): an item or key
+    deleted, or set to one of ODD_VALUES, or an item or an unknown key added,
+    in every object and array at any level."""
+    for path in _paths(doc):
+        node = _at(doc, path)
+        if isinstance(node, (dict, list)):
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            yield from ((path, key, DELETE) for key in keys)
+            added = "unknown" if isinstance(node, dict) else len(node)
+            yield from ((path, key, value) for key in [*keys, added] for value in ODD_VALUES)
+
+
+def _apply(doc, edit):
+    path, key, value = edit
+    doc = copy.deepcopy(doc)
+    node = _at(doc, path)
+    if value is DELETE:
+        del node[key]
+    elif isinstance(node, list) and key == len(node):
+        node.append(copy.deepcopy(value))
+    else:
+        node[key] = copy.deepcopy(value)
+    return doc
+
+
+@st.composite
+def _edited(draw, doc):
+    """``doc`` after one to three edits."""
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _apply(doc, draw(st.sampled_from(list(_edits(doc)))))
+    return doc
+
+
+def _assert_agrees_with_jsonschema(doc, schema, validate):
+    """A document ``_conforms`` accepts is valid to jsonschema, and
+    ``validate`` raises best_match's message exactly when jsonschema finds
+    an error."""
+    validator = jsonschema.Draft202012Validator(schema)
+    if _conforms(doc, schema):
+        assert validator.is_valid(doc)
+    err = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if err is None:
+        validate(doc)
+        return
+    with pytest.raises(SceneError) as exc:
+        validate(doc)
+    assert str(exc.value) == f"scene does not match the schema: {err.message}"
+
+
+def test_every_corpus_scene_conforms():
+    assert all(_conforms(scene, SCENE_SCHEMA) for scene in CORPUS.values())
+
+
+def test_conforms_accepts_no_single_edit_that_jsonschema_rejects():
+    validator = jsonschema.Draft202012Validator(SCENE_SCHEMA)
+    for scene in CORPUS.values():
+        for edit in _edits(scene):
+            doc = _apply(scene, edit)
+            assert not _conforms(doc, SCENE_SCHEMA) or validator.is_valid(doc), edit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(CORPUS.values())).flatmap(_edited))
+@example({**CORPUS["slice.json"], "ambient": {"epsilon": 1, "n": 4.0}})  # refused here, accepted by jsonschema
+@example({**CORPUS["slice.json"], "ambient": {"epsilon": 1.0, "n": 4}})
+def test_conforms_never_accepts_what_jsonschema_rejects(doc):
+    _assert_agrees_with_jsonschema(doc, SCENE_SCHEMA, validate_scene)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([scene["sampling"] for scene in CORPUS.values()] + [{}]).flatmap(_edited))
+def test_the_sampling_check_never_accepts_what_jsonschema_rejects(sampling):
+    _assert_agrees_with_jsonschema(sampling, SAMPLING_SCHEMA, lambda doc: _validate(SAMPLING_SCHEMA, doc))
+
+
+# the keywords _conforms reads; any other would be ignored, a silent false accept
+CONFORMS_KEYWORDS = {"type", "enum", "minimum", "maximum", "required", "properties", "additionalProperties",
+                     "items", "minItems", "maxItems", "oneOf"}
+
+
+def test_conforms_reads_every_keyword_of_the_schema():
+    def walk(schema):
+        assert set(schema) <= CONFORMS_KEYWORDS | {"$schema"}, set(schema) - CONFORMS_KEYWORDS
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(prodsub.scene._TYPES)
+        for sub in [*schema.get("properties", {}).values(), *map(schema.get, ("additionalProperties", "items"))]:
+            assert sub in (None, False) or isinstance(sub, dict)  # None: absent
+            if isinstance(sub, dict):
+                walk(sub)
+        for branch in schema.get("oneOf", ()):  # a stricter branch could make oneOf looser
+            assert set(branch) == {"required"}
+
+    walk(SCENE_SCHEMA)
 
 
 def test_scan_validates_a_scene_dict_itself():
@@ -514,18 +659,29 @@ def test_cli_list_gallery(capsys):
     assert "cmc_product" in data
 
 
-def test_console_entry_point_smoke():
-    # the child finds the package where this process does, installed or not
+def _python(*args):
+    """Run a fresh interpreter that finds the package where this process does,
+    installed or not."""
     src = Path(prodsub.scene.__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "prodsub.cli", "list-gallery", "--format", "json"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True)
+
+
+def test_console_entry_point_smoke():
+    proc = _python("-m", "prodsub.cli", "list-gallery", "--format", "json")
     assert proc.returncode == 0
     assert "theorem1" in proc.stdout
+
+
+def test_an_accepted_run_never_imports_jsonschema():
+    cyl = str(SCENES / "theorem1_cylinder.json")
+    proc = _python("-c", f"import sys; from prodsub.cli import main; assert main(['run', '--scene', {cyl!r}]) == 0; "
+                         "assert 'jsonschema' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+    proc = _python("-m", "prodsub.cli", "run", "--scene", cyl, "--samples", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "scene error: scene does not match the schema: 0 is less than the minimum of 1\n"
 
 
 def test_schema_is_valid_jsonschema():
