@@ -198,8 +198,8 @@ def _conforms(doc, schema: dict) -> bool:
     """Whether ``doc`` matches ``schema``, read with the keywords SCENE_SCHEMA
     uses.  It is never looser than jsonschema but stricter in places: no bool
     or ``3.0`` is an integer, ``enum`` compares types, NaN meets no bound.
-    A ``oneOf`` branch must be read exactly, so SCENE_SCHEMA's hold only
-    ``required``."""
+    A stricter ``oneOf`` branch would make ``oneOf`` looser, so SCENE_SCHEMA's
+    branches hold only ``required``, which is read exactly."""
     if "type" in schema:
         names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
         if isinstance(doc, bool) or not isinstance(doc, tuple(_TYPES[name] for name in names)):
