@@ -12,7 +12,8 @@ criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
 and scans of the generated scenes in ``FAILING``, each of which fails: a
 domain error at a stencil point, an error at a sample center, coordinate
 overflows, a NaN chart, a scan step that does not build, an unbound
-identifier, scans whose first or second step leaves the product, scenes
+identifier, scans whose first or second step leaves the product, scans
+whose first failing step lies in a later membership block, scenes
 the schema rejects (``epsilon: 2``, an immersion of both kinds, an unknown
 key in ``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
 the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
@@ -88,6 +89,21 @@ def _scan_r(lo: str, hi: str) -> list:
     return ["scan", "--param", "r", "--from", lo, "--to", hi, "--steps", "3", "--residual", "membership"]
 
 
+def _late_step(slot: int, coord: str) -> dict:
+    """An S^3 x R scene in Hopf coordinates (m = 3, 4 steps per membership
+    block) with coordinate ``slot`` set to ``coord``, which reads p."""
+    coords = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)*cos(u3)", "sin(u1)*sin(u3)", "u1 + u2"]
+    coords[slot] = coord
+    expressions = {"m": 3, "coords": coords, "params": {"p": 0.0}, "var_names": ["u1", "u2", "u3"],
+                   "domain": [[0.2, 1.2], [-0.5, 0.5], [-0.5, 0.5]]}
+    return {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"expressions": expressions},
+            "sampling": {"mode": "grid", "grid": [2, 2, 2]}, "checks": ["membership"]}
+
+
+# 20 values of p whose step 13, in the fourth membership block, is the first that fails
+_SCAN_P = ["scan", "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps", "20", "--residual", "membership"]
+
+
 # a bump of height 1e400 at u1 = 0.32, a sample and no probe point: 0 * inf is NaN there
 _OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
 FAILING = {  # name: (scene, the command's arguments after --scene)
@@ -103,6 +119,8 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
     "unbound_identifier": (_unbound(), ["run"]),
     "first_step_off_product": (_off_product(), _scan_r("2", "1")),
     "second_step_off_product": (_off_product(), _scan_r("1", "2")),
+    "late_step_off_product": (_late_step(0, "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))"), _SCAN_P),
+    "late_step_domain": (_late_step(4, "u1 + u2 + 0*sqrt(u1 - p)"), _SCAN_P),
     "epsilon_2": (_edited("theorem1_cylinder.json", ("ambient", "epsilon"), 2), ["run"]),
     "gallery_and_expressions": (_edited("slice_expr.json", ("immersion", "gallery"), {"kind": "slice"}), ["run"]),
     "unknown_expressions_key": (_edited("slice_expr.json", ("immersion", "expressions", "colour"), "red"), ["run"]),

@@ -117,11 +117,12 @@ class Chart:
         """Run the family's chart-level checks and then the membership check
         over the probe grids of all its steps, in blocks of whole steps of
         at most ``_BATCH_POINTS`` points, each check on the steps that
-        passed the ones before it.  The family stops at the first step that
-        fails, with the error that step gives on its own; raises that error
-        when step 0 fails."""
+        passed the ones before it; the probe grid is the same for every
+        step.  The family stops at the first step that fails, with the error
+        that step gives on its own; raises that error when step 0 fails."""
         family = self.family
-        for points, check in [*family.checks, (_PROBES**self.m, self.membership_errors)]:
+        grid = probe_grid(self.domain, _PROBES)
+        for points, check in [*family.checks, (len(grid), lambda steps: self.membership_errors(steps, grid))]:
             per = max(1, _BATCH_POINTS // points)
             for first in range(0, len(family), per):
                 block = np.arange(first, min(first + per, len(family)))
@@ -133,18 +134,21 @@ class Chart:
         if not len(family):
             raise family.error
 
-    def membership_errors(self, steps=(0,)) -> list:
+    def membership_errors(self, steps, grid) -> list:
         """The membership check at each scan step of ``steps``: the error of
-        a step whose probe grid leaves the product past ``_MEMBERSHIP_TOL``,
-        else None.  The grids of all the steps are one batched jet
-        evaluation.  A step with a probe point whose coordinates fail takes
+        a step whose probe grid ``grid`` (P, m) leaves the product past
+        ``_MEMBERSHIP_TOL``, else None.  The grids of all the steps are one
+        batched evaluation of values only, since membership reads no
+        derivative.  A step with a probe point whose coordinates fail takes
         the error of the first such point; a non-finite residual at any
         probe point counts as the worst and fails as well."""
-        grid, count = probe_grid(self.domain, _PROBES), len(steps)
-        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)))
+        count = len(steps)
+        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)), values_only=True)
         worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
-        per_step = np.array(jet.errors, dtype=object).reshape(count, -1)
-        failed = [next((e for e in errors if e is not None), None) for errors in per_step]
+        failed = [None] * count
+        if any(jet.errors):
+            per_step = np.array(jet.errors, dtype=object).reshape(count, -1)
+            failed = [next((e for e in errors if e is not None), None) for errors in per_step]
         return [
             e
             if e is not None or w <= _MEMBERSHIP_TOL
@@ -202,10 +206,15 @@ def probe_grid(domain, counts=5):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def evaluate_jet(chart: Chart, u, steps=0) -> VecJet2:
+def evaluate_jet(chart: Chart, u, steps=0, values_only: bool = False) -> VecJet2:
     """2-jet of all ambient coordinates at every row of a batch ``u``
     (N, m), in one pass through the coordinate maps.  ``steps`` gives the
-    scan step of each row (N,), or one step for all.
+    scan step of each row (N,), or one step for all.  With ``values_only``
+    the jet is taken over no derivative direction: its values are those of
+    the 2-jet bit for bit, and ``jac`` (N, k, 0) and ``d2`` (N, k, 0, 0)
+    are empty, so a caller that reads only values pays for no derivative
+    (the coordinate maps take the dimension of their constants from the
+    seeds).
 
     A point's jet is bit for bit its row of any batch.  Only when a
     coordinate map raises on the batch are the rows replayed one by one:
@@ -215,12 +224,13 @@ def evaluate_jet(chart: Chart, u, steps=0) -> VecJet2:
     """
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, chart.m)
-    n, m = U.shape
+    n = len(U)
+    d = 0 if values_only else chart.m  # the derivative directions of the seeds
     steps = np.broadcast_to(steps, n)
-    jet, errors = _coordinates(chart, U, steps), [None] * n
+    jet, errors = _coordinates(chart, U, steps, d), [None] * n
     if isinstance(jet, ChartError):
-        alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1]) for r in range(n)]
-        nan = Jet2(np.full(n, np.nan), np.full((n, m), np.nan), np.full((n, m, m), np.nan))
+        alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1], d) for r in range(n)]
+        nan = Jet2(np.full(n, np.nan), np.full((n, d), np.nan), np.full((n, d, d), np.nan))
         jet = VecJet2([nan] * len(chart.coords))
         for r, one in enumerate(alone):
             if not isinstance(one, ChartError):
@@ -232,11 +242,16 @@ def evaluate_jet(chart: Chart, u, steps=0) -> VecJet2:
     return jet if u.ndim > 1 else jet.row(0)
 
 
-def _coordinates(chart: Chart, U: np.ndarray, steps) -> VecJet2 | ChartError:
-    """The jet of the rows U (N, m) at the steps ``steps`` (N,), or the
-    error of the first coordinate map that raises, which names the first
-    point when N is 1."""
-    seeds = tuple(jets.jet_var(i, U[:, i], chart.m) for i in range(chart.m))
+def _coordinates(chart: Chart, U: np.ndarray, steps, d: int) -> VecJet2 | ChartError:
+    """The jet of the rows U (N, m) at the steps ``steps`` (N,) over ``d``
+    derivative directions, the m chart variables or none, or the error of
+    the first coordinate map that raises, which names the first point when
+    N is 1."""
+    if d:
+        seeds = tuple(jets.jet_var(i, U[:, i], d) for i in range(chart.m))
+    else:
+        none = np.empty((len(U), 0)), np.empty((len(U), 0, 0))
+        seeds = tuple(Jet2(U[:, i], *none) for i in range(chart.m))
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):

@@ -191,16 +191,28 @@ def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theo
 
 
 def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
-    shapes = []
+    # one batch of the probe grid, which asks for values only
+    calls = []
     original = prodsub.immersion.evaluate_jet
 
-    def counting(chart, u, *steps):
-        shapes.append(np.shape(u))
-        return original(chart, u, *steps)
+    def counting(chart, u, *steps, **kwargs):
+        calls.append((np.shape(u), kwargs.get("values_only", False)))
+        return original(chart, u, *steps, **kwargs)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     theorem1_cyl.validate_membership()
-    assert shapes == [(125, 3)]
+    assert calls == [((125, 3), True)]
+
+
+def _failing_coordinate_chart(space) -> Chart:
+    """A chart whose probe point 0 fails at coordinate 5 only and whose
+    later failing probe points fail at coordinate 0."""
+    return Chart(
+        space=space,
+        m=2,
+        coords=["cos(u2) + 0*sqrt(-u1)", "sin(u2)", "0", "0", "0", "sqrt(u1 + 0.9)"],
+        domain=[(-1.0, 1.0), (-0.5, 0.5)],
+    )
 
 
 def test_batch_error_is_the_first_failing_point_error(s4):
@@ -208,12 +220,7 @@ def test_batch_error_is_the_first_failing_point_error(s4):
     # coordinate a batch evaluates first.  Each failing row of the batch
     # records the error its point raises on its own, and the membership
     # check raises the first of them
-    chart = Chart(
-        space=s4,
-        m=2,
-        coords=["cos(u2) + 0*sqrt(-u1)", "sin(u2)", "0", "0", "0", "sqrt(u1 + 0.9)"],
-        domain=[(-1.0, 1.0), (-0.5, 0.5)],
-    )
+    chart = _failing_coordinate_chart(s4)
     grid = probe_grid(chart.domain, 5)
     jet = evaluate_jet(chart, grid)
     singles = []
@@ -230,6 +237,79 @@ def test_batch_error_is_the_first_failing_point_error(s4):
     with pytest.raises(ChartError) as err:
         chart.validate_membership()
     assert str(err.value) == singles[0] == str(jet.errors[0])
+
+
+def test_values_only_jets_are_the_2_jet_values(s4, all_gallery_charts):
+    # the membership probes read values only: over the probe grid and
+    # interior points of every gallery kind at both signs of eps, every
+    # corpus scene, the 61 steps of the criterion-4a family and a chart
+    # whose coordinates fail, the values are bit for bit those of the
+    # 2-jet, NaN included, and each row's error is the same
+    scan = build_chart(_load("biharmonic_scan_eps1.json"), ("a2", list(np.linspace(0.3, 0.9, 61))))
+    cases = [(ch, np.vstack([probe_grid(ch.domain, 5), random_interior_points(ch, 9, seed=3)]), 0)
+             for ch in all_gallery_charts + [build_chart(_load(p.name)) for p in sorted(SCENES.glob("*.json"))]]
+    grid, steps = probe_grid(scan.domain, 5), len(scan.family)
+    cases.append((scan, np.tile(grid, (steps, 1)), np.repeat(np.arange(steps), len(grid))))
+    failing = _failing_coordinate_chart(s4)
+    cases.append((failing, probe_grid(failing.domain, 5), 0))
+    for ch, U, steps in cases:
+        full, values = evaluate_jet(ch, U, steps), evaluate_jet(ch, U, steps, values_only=True)
+        assert _same(values.values, full.values), ch.label
+        assert values.jac.shape == (len(U), len(ch.coords), 0) and values.d2.shape == (len(U), len(ch.coords), 0, 0)
+        assert [e and str(e) for e in values.errors] == [e and str(e) for e in full.errors], ch.label
+    assert np.isnan(values.values).any() and any(values.errors)  # the failing chart has failing rows
+
+
+# S^3 x R charts through the Hopf coordinates, m = 3: 125 probe points a
+# step, so a build checks 4 steps per block.  Over the 20 values of p,
+# step 13 (p = 0.225, in the fourth block) is the first that fails: the
+# factor 1 + exp(5000 (p - 0.215)) is 1 within 2e-22 up to step 12, and
+# sqrt(u1 - p) first meets the probe points at u1 = 0.22 there.
+_HOPF = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)*cos(u3)", "sin(u1)*sin(u3)", "u1 + u2"]
+_LATE_STEP = {
+    "off_product": (0, "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))",
+                    "chart expressions leaves the product: membership residual 2.560e+43 > 1.0e-09"),
+    "domain_error": (4, "u1 + u2 + 0*sqrt(u1 - p)",
+                     "coordinate 4 failed at u=[0.22, -0.48, -0.48]: at position 12: sqrt: argument "
+                     "-0.0050000000000000044 outside the function domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_STEP))
+def test_a_build_stops_at_its_first_failing_step_in_a_later_block(case, monkeypatch, tmp_path, capsys):
+    slot, coord, message = _LATE_STEP[case]
+    coords = list(_HOPF)
+    coords[slot] = coord
+    expressions = {"m": 3, "coords": coords, "params": {"p": 0.0}, "var_names": ["u1", "u2", "u3"],
+                   "domain": [[0.2, 1.2], [-0.5, 0.5], [-0.5, 0.5]]}
+    scene = {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"expressions": expressions},
+             "sampling": {"mode": "grid", "grid": [2, 2, 2]}, "checks": ["membership"]}
+    values = [float(v) for v in np.linspace(-0.035, 0.345, 20)]
+    rows = []
+    original = prodsub.immersion._coordinates
+
+    def counting(chart, U, *args):
+        rows.append(len(U))
+        return original(chart, U, *args)
+
+    monkeypatch.setattr(prodsub.immersion, "_coordinates", counting)
+    family = build_chart(scene, ("p", values)).family
+    assert len(family) == 13 and str(family.error) == message
+    # whole blocks of 4 steps up to the failing one, and a replay of that block's rows alone
+    replay = 4 * 125 if case == "domain_error" else 0
+    assert rows == [4 * 125] * 4 + [1] * replay
+
+    monkeypatch.undo()
+    path = tmp_path / "scene.json"
+    scan = ["scan", "--scene", str(path), "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps", "20",
+            "--residual", "membership"]
+    for p, argv, code in ((values[12], ["run"], 0), (values[13], ["run"], 3), (0.0, scan, 3)):
+        expressions["params"]["p"] = p
+        path.write_text(json.dumps(scene))
+        capsys.readouterr()
+        assert main(argv + ["--scene", str(path)] if argv == ["run"] else argv) == code
+        if code:
+            assert capsys.readouterr().err == f"computation error: {message}\n"
 
 
 def _same_other_rows(rows, clean, bad: int) -> bool:
@@ -383,21 +463,25 @@ def _same_rows(a, b) -> bool:
 
 
 def test_a_run_evaluates_its_samples_in_one_batch(monkeypatch):
-    shapes = []
+    shapes, values_only = [], []
     original = prodsub.immersion.evaluate_jet
 
-    def counting(chart, u, *steps):
+    def counting(chart, u, *steps, **kwargs):
         shapes.append(np.shape(u))
-        return original(chart, u, *steps)
+        values_only.append(kwargs.get("values_only", False))
+        return original(chart, u, *steps, **kwargs)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     scene = _load("theorem1_cylinder.json")
     sampling = {"mode": "random", "counts": 7, "seed": 2}
     prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS, sampling_override=sampling)
     assert shapes == [(125, 3), (7, 3)]  # the membership probe, then the samples
+    assert values_only == [True, False]  # the samples take whole 2-jets
     shapes.clear()
+    values_only.clear()
     prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS + ["pmc"], sampling_override=sampling)
     assert shapes == [(125, 3), (7 * 13, 3)]  # each sample with its first layer
+    assert values_only == [True, False]
 
 
 def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsic, prodsub.classify, prodsub.scene)):
