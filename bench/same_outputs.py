@@ -10,7 +10,8 @@ the scene's own checks, the structure checks and the jet-level plus
 chart-level checks.  Under the same job counts it runs both 61-step
 criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
 and scans of the generated scenes in ``FAILING``, each of which fails: a
-domain error at a stencil point, an error at a sample center, coordinate
+domain error and an irregular metric at a point of the normal Laplacian's
+stencils, an error at a sample center, coordinate
 overflows, a NaN chart, a scan step that does not build, an unbound
 identifier, scans whose first or second step leaves the product, scans
 whose first failing step lies in a later membership block, scenes
@@ -56,6 +57,14 @@ def _s2(t: str, grid: list, checks: list, u1=(-1.0, 1.0), s: str = "cos(u2)") ->
                    "var_names": ["u1", "u2"]}
     return {"ambient": {"epsilon": 1, "n": 2}, "immersion": {"expressions": expressions},
             "sampling": {"mode": "grid", "grid": grid}, "checks": checks}
+
+
+def _latitude(theta: str, t: str, u1: tuple, grid: list) -> dict:
+    """biharmonic_normal on the S^2 x R surface of latitude ``theta`` and height ``t`` over u1, longitude
+    u2: it is not PMC, so every sample takes the normal Laplacian's stencils."""
+    scene = _s2(t, grid, ["biharmonic_normal"], u1, s=f"cos({theta})*cos(u2)")
+    scene["immersion"]["expressions"]["coords"][1:3] = [f"cos({theta})*sin(u2)", f"sin({theta})"]
+    return scene
 
 
 def _corpus(name: str) -> dict:
@@ -107,7 +116,8 @@ _SCAN_P = ["scan", "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps
 # a bump of height 1e400 at u1 = 0.32, a sample and no probe point: 0 * inf is NaN there
 _OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
 FAILING = {  # name: (scene, the command's arguments after --scene)
-    "stencil_domain": (_s2("sqrt(u1)", [2, 1], ["pmc"], u1=(0.0, 1e-4)), ["run"]),
+    "stencil_domain": (_latitude("0.5 + u1", "sqrt(u1)", (0.0, 1e-4), [2, 1]), ["run"]),
+    "stencil_irregular": (_latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]), ["run"]),
     "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),
     "overflow_raises": (_s2("u1", [3, 3], ["membership"], s="cos(u2) + (exp(1000*u1) - exp(1000*u1))"), ["run"]),
     "overflow_metric": (_s2(_OVERFLOW, [4, 1], ["membership", "class_a", "pmc"]), ["run"]),

@@ -1,5 +1,5 @@
-"""Tour of the two foundation layers: order-2 jets and the expression
-language that scene files use for coordinate functions."""
+"""Tour of the two foundation layers: jets of order 2 (and 3) and the
+expression language that scene files use for coordinate functions."""
 
 import numpy as np
 
@@ -15,12 +15,14 @@ print("  value:", p.value)
 print("  grad :", p.grad)
 print("  hess :\n", p.hess)
 
-# Derived quantities are differentiated by central differences with one
-# Richardson step; compare against the jet gradient of a plain field.
+# Seeds of order 3 add the third derivatives; value, gradient and Hessian
+# are those of the 2-jet bit for bit.  The finite-difference oracle (central
+# differences with one Richardson step) agrees with the exact derivatives.
 field = lambda u: np.array([np.exp(np.sin(u[0]))])
 d = jets.fd_gradient(field, np.array([0.7]), 0)
-jet = jets.exp(jets.sin(jets.jet_var(0, 0.7, m=1)))
+jet = jets.exp(jets.sin(jets.jet_var(0, 0.7, m=1, order=3)))
 print("\nfd vs jet derivative of exp(sin u) at 0.7:", d[0], "vs", jet.grad[0])
+print("third derivative of exp(sin u) at 0.7:", jet.d3.ravel()[0])
 
 # The expression language: '^' is right-associative and binds tighter than
 # unary minus, so -u1^2 evaluates to -(u1^2).

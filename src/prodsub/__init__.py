@@ -1,8 +1,9 @@
 """Numerical verification of extrinsic geometry for submanifolds of the
 Riemannian products S^n x R and H^n x R.
 
-The package evaluates user-defined or gallery immersions with order-2
-forward-mode jets, builds per-point frames and second-fundamental-form data,
+The package evaluates user-defined or gallery immersions with forward-mode
+jets of order 2, or 3 where a check reads a derivative of the mean curvature,
+the Christoffels or alpha, builds per-point frames and second-fundamental-form data,
 and reports residuals of the structural identities that characterize
 biconservative and biharmonic submanifolds with parallel mean curvature.
 """

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import curvature, inner
 from .errors import InvalidFrame, RowFailure
-from .extrinsic import ExtrinsicRows, FirstLayer, normal_derivative_H, normal_laplacian_H, shape_operator
+from .extrinsic import ExtrinsicRows, normal_derivative_H, normal_laplacian_H, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -77,7 +77,7 @@ class CodimTwoFrame:
     eta_gauge_fixed: np.ndarray
 
 
-def codim_two_frame(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
+def codim_two_frame(rows: ExtrinsicRows):
     """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
     (None when the codimension is not 2) and a list with the InvalidFrame
     each row raises, else None.  The fields of a failed row mean nothing."""
@@ -105,7 +105,7 @@ def codim_two_frame(rows: ExtrinsicRows, tol_h: float = DEGENERATE["H_frame"]):
     errors = [
         InvalidFrame("H vanishes; xi_1 = H/|H| is undefined") if h
         else InvalidFrame("cannot complete the codim-2 frame") if s else None
-        for h, s in zip((rows.H_norm <= tol_h).tolist(), stuck.tolist())
+        for h, s in zip((rows.H_norm <= DEGENERATE["H_frame"]).tolist(), stuck.tolist())
     ]
     return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
 
@@ -136,11 +136,10 @@ def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
 
 
-def biconservative_residual(layer: FirstLayer) -> dict:
+def biconservative_residual(rows: ExtrinsicRows) -> dict:
     """simple: ``biconservative_simple``; full: ``biconservative_full``, at
-    every center of a first layer."""
-    rows = layer.centers
-    return {"simple": biconservative_simple(rows), "full": biconservative_full(rows, normal_derivative_H(layer))}
+    every row of a batch evaluated at order 3."""
+    return {"simple": biconservative_simple(rows), "full": biconservative_full(rows, normal_derivative_H(rows))}
 
 
 def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
@@ -157,17 +156,18 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     return tr + t2 - b.chart.m, tr + b.chart.space.epsilon * (t2 - b.chart.m)
 
 
-def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray, tol_pmc: float = TOL_PMC) -> dict:
+def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     """The biharmonic normal residual of every row, given nabla^perp H
     (N, m, n+2) there.
 
     normal: the norm of trace alpha(., A_H .) - lap^perp H
     + trace (R(., H) .)^perp; minimal: whether H vanishes (|H| at or below
-    DEGENERATE["H_minimal"]); nested: whether lap^perp H took nested
-    differences, which it does where PMC fails (some |nabla^perp_p H| above
-    ``tol_pmc``) and H does not vanish, and is 0 elsewhere, so a zero
-    ``nabla_H`` assumes PMC.  The nested rows take one
-    ``normal_laplacian_H`` call; raises RowFailure for the first of them
+    DEGENERATE["H_minimal"]); nested: whether lap^perp H took its
+    finite-difference layer, which it does where PMC fails (some
+    |nabla^perp_p H| above TOL_PMC, the default tolerance of the pmc check,
+    whatever tolerance a run gives that check) and H does not vanish, and
+    is 0 elsewhere, so a zero ``nabla_H`` assumes PMC.  The nested rows take
+    one ``normal_laplacian_H`` call; raises RowFailure for the first of them
     whose stencils fail.
 
     The curvature trace enters with coefficient one: that is the form whose
@@ -178,7 +178,7 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray, tol_pmc: float
     """
     b = rows.batch
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(np.max(np.linalg.norm(nabla_H, axis=-1), axis=-1) <= tol_pmc) & ~minimal
+    nested = ~(np.max(np.linalg.norm(nabla_H, axis=-1), axis=-1) <= TOL_PMC) & ~minimal
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
@@ -192,7 +192,7 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray, tol_pmc: float
     return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
-def class_A_residual(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"]) -> np.ndarray:
+def class_A_residual(rows: ExtrinsicRows) -> np.ndarray:
     """Deviation of T from being an eigenvector of every shape operator,
     relative to max(1, |A_xi|), for every row of a batch; zero by
     convention where T vanishes."""
@@ -203,7 +203,7 @@ def class_A_residual(rows: ExtrinsicRows, tol_t: float = DEGENERATE["T_class_a"]
         coef = (At[..., None, :] @ t[:, None, :, None])[..., 0] / (t[:, None, :] @ t[:, :, None])
         dev = np.linalg.norm(At - coef * t[:, None, :], axis=-1)
     worst = np.max(dev / np.maximum(1.0, np.linalg.norm(rows.alpha, 2, axis=(-2, -1))), axis=-1, initial=0.0)
-    return np.where(b.T_norm <= tol_t, 0.0, worst)
+    return np.where(b.T_norm <= DEGENERATE["T_class_a"], 0.0, worst)
 
 
 @dataclass
@@ -305,14 +305,14 @@ def _raise_first(errors: list) -> None:
             raise e
 
 
-def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
+def splitting_residual(chart: Chart) -> float:
     """Max mixed second derivative between the designated s variable and the
-    remaining chart variables over a probe grid (jet-exact): zero exactly
+    remaining chart variables over a 4-point-per-axis probe grid (jet-exact): zero exactly
     when the chart splits as Gamma_1(s) + Gamma_2(u)."""
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
-    jet = evaluate_jet(chart, probe_grid(chart.domain, per_axis))
+    jet = evaluate_jet(chart, probe_grid(chart.domain, 4))
     _raise_first(jet.errors)
     d2 = jet.d2
     worst = 0.0
@@ -322,19 +322,20 @@ def splitting_residual(chart: Chart, per_axis: int = 4) -> float:
     return worst
 
 
-def circle_geometry(chart: Chart, u0=None, n_samples: int = 9) -> dict:
-    """Curvature radius and plane rank of the s-curves, and the gap to the
-    radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
-    s-curve's normal curvature at the base point (E_s the unit s
-    direction); the gap is inf where c^2 + eps <= 0."""
+def circle_geometry(chart: Chart) -> dict:
+    """Curvature radius and plane rank of the s-curve through the chart
+    center (read at the center and at 9 points along it), and the gap to
+    the radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
+    s-curve's normal curvature at the center (E_s the unit s direction);
+    the gap is inf where c^2 + eps <= 0."""
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
-    u0 = chart.center() if u0 is None else np.asarray(u0, dtype=float)
+    u0 = chart.center()
     lo, hi = chart.domain[s]
     pad = 0.02 * (hi - lo)
-    U = np.repeat(u0[None], 1 + max(n_samples, 8), axis=0)
-    U[1:, s] = np.linspace(lo + pad, hi - pad, max(n_samples, 8))
+    U = np.repeat(u0[None], 10, axis=0)
+    U[1:, s] = np.linspace(lo + pad, hi - pad, 9)
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
     acc = vj.second(s, s)[0]

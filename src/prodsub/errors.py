@@ -14,7 +14,7 @@ class NullFrame(EngineError):
 
 
 class StencilError(EngineError):
-    """A finite-difference stencil left the chart domain or produced a
+    """A stencil of the normal Laplacian's finite-difference layer met a
     non-finite value."""
 
 

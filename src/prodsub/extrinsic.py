@@ -3,15 +3,15 @@ residuals of the first-order structure equations, as array kernels over
 batches of points.
 
 Derivative depth discipline: quantities built from the position 2-jet are
-exact ("jet level"), and so are the first chart derivatives the 2-jet gives
-in closed form (``JetDerivatives``: metric, Christoffels, normal projector,
-T and eta), so Ricci, the T/eta rules and the ONB connection are jet-exact.
-Derivatives of H, alpha and the Christoffels need the 3-jet and take one
-finite-difference layer (tol_fd = 1e-6): kernels over a batch's
-``FirstLayer`` that difference along its stencil axis.  Only the normal
-Laplacian of H nests differences (tol_fd2 = 1e-4): nabla^perp H on the
-first layers of the outer stencils, differenced along them.  Every
-differenced field is gauge-invariant, never a frame vector.
+exact ("jet level"), and so are their first chart derivatives, in closed
+form (``JetDerivatives``): the metric, Christoffels, normal projector, T
+and eta from the 2-jet, and H, the Christoffels' derivatives and
+alpha(Y, Z) = P d2f(Y, Z) from the 3-jet of a batch evaluated at order 3.
+So Gauss, Codazzi, Ricci, the T/eta rules, the ONB connection and
+nabla^perp H are jet-exact at the sample itself.  Only the normal
+Laplacian of H differences (tol_fd2 = 1e-4): exact nabla^perp H at the 4m
+points of each sample's ``FD_NESTED_STEP`` stencils, differenced along
+them.  Every differenced field is gauge-invariant, never a frame vector.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
+from . import immersion
 from .ambient import ProductSpace, inner
 from .errors import RowFailure
 from .immersion import Chart, PointBatch, analyze_point
-from .jets import VecJet2, fd_difference, fd_steps, first_layer, nonfinite_error
+from .jets import fd_difference, fd_stencil, nonfinite_error
 
 __all__ = [
     "ExtrinsicRows",
     "FieldCache",
-    "FirstLayer",
     "JetDerivatives",
     "geometry",
     "second_fundamental",
@@ -45,12 +45,8 @@ __all__ = [
     "FD_NESTED_STEP",
 ]
 
-#: outer step for nested finite differences (inner layer carries ~1e-10 noise)
+#: step of the normal Laplacian's finite-difference layer over exact nabla^perp H
 FD_NESTED_STEP = 5e-4
-
-# most points in one call of the nested Laplacian's stencil geometry, in
-# whole rows (two at m = 3): larger calls run no faster and raise peak memory
-_NESTED_POINTS = 384
 
 
 def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np.ndarray:
@@ -89,7 +85,7 @@ class ExtrinsicRows:
     @cached_property
     def derivatives(self) -> "JetDerivatives":
         """The rows' ``JetDerivatives``, shared by the kernels that read them."""
-        return JetDerivatives(self.batch.chart.space, self.batch.jet, self.batch.g_inv)
+        return JetDerivatives(self.batch)
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -111,9 +107,10 @@ def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
 
 class JetDerivatives:
     """First chart derivatives of the jet-level fields at every row of a
-    batch, in closed form from its 2-jet (J = df (N, k, m), d2 (N, k, m, m))
-    and g^-1.  Each array is computed on first use and carries the direction
-    of differentiation i on the axis after the batch axis:
+    PointBatch, in closed form from its jet (J = df (N, k, m), d2
+    (N, k, m, m) and, at order 3, d3 (N, k, m, m, m)) and g^-1.  Each array
+    is computed on first use and carries the direction of differentiation i
+    on the axis after the batch axis:
 
     - dg[:, i, j, l] = d_i g_jl = <d2_ji, J_l> + <J_j, d2_li>
     - gamma[:, l, i, j] = Gamma^l_ij
@@ -122,10 +119,18 @@ class JetDerivatives:
       P = I - (eps p^ p^T + J g^-1 J^T) S, where d_i p^ = q_padded(J_i)
     - dT[:, i] = d_i T_coeffs = (d_i g^-1) J_t + g^-1 d_i J_t
     - deta[:, i] = d_i eta = (d_i P) e_t, as eta = P e_t
+
+    and from the 3-jet:
+
+    - dH[:, i] = d_i H for H = P (g^jl d2_jl) / m
+    - dgamma[:, i, l, j, k] = d_i Gamma^l_jk, with
+      Gamma^l_jk = g^lq <d2_jk, J_q>
+    - ``d_alpha(v, w)``[:, i] = d_i (P d2f(v, w)) for fixed chart vectors
     """
 
-    def __init__(self, space: ProductSpace, jet: VecJet2, g_inv: np.ndarray):
-        self.space, self.jet, self.g_inv = space, jet, g_inv
+    def __init__(self, batch: PointBatch):
+        self.batch = batch
+        self.space, self.jet, self.g_inv = batch.chart.space, batch.jet, batch.g_inv
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -139,6 +144,10 @@ class JetDerivatives:
     @cached_property
     def dg_inv(self) -> np.ndarray:
         return -(self.g_inv[:, None] @ self.dg @ self.g_inv[:, None])
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return self.batch.normal_projector()
 
     @cached_property
     def dP(self) -> np.ndarray:
@@ -159,6 +168,26 @@ class JetDerivatives:
     @cached_property
     def deta(self) -> np.ndarray:
         return self.dP[..., self.space.t_index]
+
+    @cached_property
+    def dH(self) -> np.ndarray:
+        d2, d3, m = self.jet.d2, self.jet.d3, self.jet.m
+        trace = np.einsum("njl,ncjl->nc", self.g_inv, d2)
+        d_trace = np.einsum("nijl,ncjl->nic", self.dg_inv, d2) + np.einsum("njl,ncjli->nic", self.g_inv, d3)
+        return ((self.dP @ trace[:, None, :, None])[..., 0] + (self.P[:, None] @ d_trace[..., None])[..., 0]) / m
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
+        sJ, sd2 = sig[:, None] * J, sig[:, None, None] * d2
+        low = np.einsum("ncjk,ncq->njkq", d2, sJ)  # Gamma_{jk,q} = <d2_jk, J_q>
+        dlow = np.einsum("ncjki,ncq->nijkq", d3, sJ) + np.einsum("ncjk,ncqi->nijkq", d2, sd2)
+        return np.einsum("nilq,njkq->niljk", self.dg_inv, low) + np.einsum("nlq,nijkq->niljk", self.g_inv, dlow)
+
+    def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """d_i (P d2f(v, w)) (N, m, n+2) for chart vectors v, w (N, m) held fixed."""
+        d3vw = np.einsum("ncjli,nj,nl->nic", self.jet.d3, v, w)
+        return (self.dP @ _d2(self.jet.d2, v, w)[:, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
 
 
 def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -187,122 +216,70 @@ def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
     return np.einsum("niq,nqjk->nijk", b.tangent_coeffs, M @ (b.g[:, None] @ Ct))
 
 
-def geometry(chart: Chart, U, steps=0) -> ExtrinsicRows:
+def geometry(chart: Chart, U, steps=0, order: int = 2) -> ExtrinsicRows:
     """The ExtrinsicRows of the points U (N, m), at the scan steps ``steps``
     (N,) or one step for all, from one batched ``analyze_point`` and
-    ``second_fundamental`` call.  It does not raise for a point that
-    fails: ``batch.errors`` holds the error of each row."""
-    return second_fundamental(analyze_point(chart, U, steps))
+    ``second_fundamental`` call, with jets of ``order`` 2 or 3.  It does not
+    raise for a point that fails: ``batch.errors`` holds the error of each
+    row."""
+    return second_fundamental(analyze_point(chart, U, steps, order))
 
 
 class FieldCache:
     """Memo of the geometry of point batches, keyed by the exact floats of
-    the points U (N, m): ``geometry(U)`` gives their ExtrinsicRows and
-    ``layer(U)`` their FirstLayer, each computed on first use."""
+    the points U (N, m): ``geometry(U)`` gives their ExtrinsicRows at order
+    3, so that every kernel can read them, computed on first use."""
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._memo: dict = {}
 
-    def _memoized(self, make, U):
+    def geometry(self, U) -> ExtrinsicRows:
         U = np.asarray(U, dtype=float).reshape(-1, self.chart.m)
-        key = (make, U.tobytes())
+        key = U.tobytes()
         if key not in self._memo:
-            self._memo[key] = make(self.chart, U)
+            self._memo[key] = geometry(self.chart, U, order=3)
         return self._memo[key]
 
-    def geometry(self, U) -> ExtrinsicRows:
-        return self._memoized(geometry, U)
 
-    def layer(self, U) -> "FirstLayer":
-        return self._memoized(FirstLayer.at, U)
-
-
-class FirstLayer:
-    """The geometry of N centers and of the 4m points of their base-step
-    ``fd_stencil``s: k = 1 + 4m ``rows`` per center, in ``first_layer``
-    order.  ``diff`` differences jet-level fields along the stencil axis,
-    so the first-layer residuals are array kernels over the centers."""
-
-    def __init__(self, rows: ExtrinsicRows):
-        self.rows = rows
-        self.k = 1 + 4 * rows.batch.u.shape[1]
-
-    @classmethod
-    def at(cls, chart: Chart, U, steps=0) -> "FirstLayer":
-        """The first layers of the points U (N, m), at the scan steps
-        ``steps`` (N,) or one step for all, in one ``geometry`` call."""
-        U = np.asarray(U, dtype=float).reshape(-1, chart.m)
-        steps = np.repeat(np.broadcast_to(steps, len(U)), 1 + 4 * chart.m)
-        return cls(geometry(chart, first_layer(U).reshape(-1, chart.m), steps))
-
-    def __len__(self) -> int:
-        return len(self.rows) // self.k
-
-    @cached_property
-    def centers(self) -> ExtrinsicRows:
-        # an index array copies the rows: ``inner`` may sum strided rows in another order
-        return self.rows.take(np.arange(0, len(self.rows), self.k))
-
-    def take(self, samples: slice) -> "FirstLayer":
-        r = range(len(self))[samples]
-        return FirstLayer(self.rows.take(slice(r.start * self.k, r.stop * self.k)))
-
-    def diff(self, *fields) -> list[np.ndarray]:
-        """The first-layer derivatives (N, m, ...) of fields given at every row
-        (N k, ...), by ``fd_difference`` with the steps of ``fd_stencil``.
-        Raises RowFailure for the first center that fails, with the error
-        ``fd_gradient`` meets first there, taking the fields in turn."""
-        n, k, m = len(self), self.k, (self.k - 1) // 4
-        errors = self.rows.batch.errors
-        values = [np.reshape(f, (n, k, -1))[:, 1:].reshape(n, m, 4, -1) for f in fields]
-        bad = np.reshape([e is not None for e in errors], (n, k))
-        # pairs of stencil points, in fd_gradient's order: a non-finite value or (first field) a failed point
-        pairs = np.concatenate([~np.isfinite(v.reshape(n, 2 * m, -1)).all(axis=-1) for v in values], axis=1)
-        pairs[:, : 2 * m] |= bad[:, 1:].reshape(n, 2 * m, 2).any(axis=-1)
-        failed = bad[:, 0] | pairs.any(axis=1)
-        if failed.any():
-            s = int(np.argmax(failed))
-            q = int(np.argmax(pairs[s])) % (2 * m)  # the pair, of direction q // 2
-            p = s * k + 1 + 2 * q
-            first = [e for e in errors[s * k : s * k + 1] + errors[p : p + 2] if e is not None]
-            raise RowFailure(s, first[0] if first else nonfinite_error(self.centers.batch.u[s], q // 2))
-        h = fd_steps(self.centers.batch.u)
-        return [fd_difference(v, h).reshape((n, m) + np.shape(f)[1:]) for v, f in zip(values, fields)]
-
-
-def normal_derivative_H(layer: FirstLayer) -> np.ndarray:
-    """nabla^perp_{d_i} H (N, m, n+2) at every center of a first layer: the normal
-    projection of the first-layer derivative of the H field (gauge-free)."""
-    (dH,) = layer.diff(layer.rows.H)
-    return layer.centers.batch.proj_normal(dH)
+def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
+    """nabla^perp_{d_i} H (N, m, n+2) at every row of a batch evaluated at
+    order 3: the normal projection of the exact chart derivatives of H
+    (gauge-free)."""
+    return rows.batch.proj_normal(rows.derivatives.dH)
 
 
 def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     """Trace Laplacian of H in the normal bundle (K, n+2) at every row of
-    ``centers`` by nested finite differences (tol_fd2 accuracy):
+    ``centers`` (tol_fd2 accuracy):
     sum g^{pq} (nabla^perp_p nabla^perp_q H - Gamma^k_{pq} nabla^perp_k H),
-    given nabla^perp H (K, m, n+2) there.  nabla^perp_q H is differenced
-    along p over the rows' ``FD_NESTED_STEP`` stencils, whose first layers
-    are computed in calls of whole rows of at most ``_NESTED_POINTS``
-    points.  Raises RowFailure for the first row whose stencils fail."""
+    given nabla^perp H (K, m, n+2) there.  The outer derivative is one
+    finite-difference layer: exact nabla^perp_q H at the 4m points of each
+    row's ``FD_NESTED_STEP`` stencils, taken in geometry calls of whole rows
+    of at most ``immersion._BATCH_POINTS`` points, differenced along p.
+    Raises RowFailure for the first row with a stencil pair (direction p,
+    then pair, in ``fd_gradient``'s order) that holds a point whose
+    geometry fails, with that point's error, or else a non-finite
+    nabla^perp H, with the StencilError of that direction."""
     b = centers.batch
     K, m = b.u.shape
-    outer = first_layer(b.u, FD_NESTED_STEP)[:, 1:]  # (K, 4m, m), no centers
-    step = max(1, _NESTED_POINTS // (4 * m * (1 + 4 * m)))
-    W = []
-    for first in range(0, K, step):
-        at = np.repeat(b.steps[first : first + step], 4 * m)
-        try:
-            W.append(normal_derivative_H(FirstLayer.at(b.chart, outer[first : first + step], at)))
-        except RowFailure as f:  # from an outer point to its row
-            raise RowFailure(first + f.args[0] // (4 * m), f.args[1]) from None
-    W = np.concatenate(W).reshape(K, m, 4, -1)  # [row, p, stencil point, (q, c)]
-    bad = ~np.isfinite(W).reshape(K, m, -1).all(axis=-1)
-    if bad.any():
-        s, p = np.unravel_index(np.argmax(bad), bad.shape)
-        raise RowFailure(int(s), nonfinite_error(b.u[s], int(p)))
-    dW = fd_difference(W, FD_NESTED_STEP).reshape(K, m, m, -1)
+    outer = np.concatenate([fd_stencil(b.u, p, FD_NESTED_STEP)[1] for p in range(m)], axis=1)  # (K, 4m, m)
+    per = max(1, immersion._BATCH_POINTS // (4 * m))
+    W, errors = [], []
+    for first in range(0, K, per):
+        part = slice(first, first + per)
+        rows = geometry(b.chart, outer[part].reshape(-1, m), np.repeat(b.steps[part], 4 * m), 3)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # failed rows hold garbage
+            W.append(normal_derivative_H(rows))
+        errors += rows.batch.errors
+    W = np.concatenate(W).reshape(K, 2 * m, 2, -1)  # [row, pair of stencil points, point, (q, c)]
+    failed = np.reshape([e is not None for e in errors], (K, 2 * m, 2))
+    pairs = (failed | ~np.isfinite(W).all(axis=-1)).any(axis=-1)
+    if pairs.any():
+        s, q = (int(i) for i in np.unravel_index(np.argmax(pairs), pairs.shape))
+        hit = [e for e in errors[4 * m * s + 2 * q :][:2] if e is not None]
+        raise RowFailure(s, hit[0] if hit else nonfinite_error(b.u[s], q // 2))
+    dW = fd_difference(W.reshape(K, m, 4, -1), FD_NESTED_STEP).reshape(K, m, m, -1)
     G = centers.derivatives.gamma
     out = np.zeros_like(centers.H)
     for p in range(m):  # term by term, the order of a sum at one point
@@ -318,15 +295,15 @@ def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:
     return bc * a - ac * b
 
 
-def structure_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, a: np.ndarray) -> dict:
+def structure_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, a: np.ndarray) -> dict:
     """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors
-    (N, n+2)) at every center of a first layer, for chart directions X, Y, Z
-    (N, m) and normal indices a (N,); Gauss and Codazzi do not use ``a``,
-    Ricci does not use Z."""
+    (N, n+2)) at every row of a batch evaluated at order 3, for chart
+    directions X, Y, Z (N, m) and normal indices a (N,); Gauss and Codazzi
+    do not use ``a``, Ricci does not use Z."""
     return {
-        "gauss": gauss_residuals(layer, X, Y, Z),
-        "codazzi": codazzi_residuals(layer, X, Y, Z),
-        "ricci": ricci_residuals(layer.centers, X, Y, a),
+        "gauss": gauss_residuals(rows, X, Y, Z),
+        "codazzi": codazzi_residuals(rows, X, Y, Z),
+        "ricci": ricci_residuals(rows, X, Y, a),
     }
 
 
@@ -335,22 +312,21 @@ def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return b.proj_normal(_d2(b.jet.d2, v, w)[..., 0])
 
 
-def gauss_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def gauss_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms) as ambient
-    vectors (N, n+2) for chart directions X, Y, Z (N, m) at every center of
-    a first layer.  R comes from the Christoffels and their first-layer
-    derivatives DG[:, i, l, j, k] = d_i Gamma^l_jk."""
-    c = layer.centers
-    b, sp = c.batch, c.batch.chart.space
+    vectors (N, n+2) for chart directions X, Y, Z (N, m) at every row of a
+    batch evaluated at order 3.  R comes from the Christoffels and their
+    exact derivatives DG[:, i, l, j, k] = d_i Gamma^l_jk."""
+    b, d = rows.batch, rows.derivatives
+    sp = b.chart.space
     n, m = X.shape
-    (DG,) = layer.diff(layer.rows.derivatives.gamma)
-    G = c.derivatives.gamma
+    DG, G = d.dgamma, d.gamma
     DX, DY = ((v[:, None] @ DG.reshape(n, m, -1)).reshape(n, m, m, m) for v in (X, Y))
     GX, GY = ((v[:, None, None] @ G)[:, :, 0] for v in (X, Y))  # GX[l, p] = Gamma^l_ip X^i
     curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + GX @ _d2(G, Y, Z) - GY @ _d2(G, X, Z)
     E, T = b.tangent_onb, b.T_ambient
     Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
-    A_YZ, A_XZ = (shape_operator(sp, b.normal_onb, c.alpha, _alpha(b, v, Z)) for v in (Y, X))
+    A_YZ, A_XZ = (shape_operator(sp, b.normal_onb, rows.alpha, _alpha(b, v, Z)) for v in (Y, X))
     X_onb, Y_onb = (inner(sp, E, v[:, None])[..., None] for v in (Xa, Ya))
     rhs = np.swapaxes(A_YZ @ X_onb - A_XZ @ Y_onb, -1, -2) @ E
     eps_terms = _wedge(sp, Xa, Ya, Za) + inner(sp, Xa, T)[:, None] * _wedge(sp, Ya, T, Za)
@@ -358,17 +334,17 @@ def gauss_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarr
     return (b.jet.jac @ curv)[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
 
 
-def codazzi_residuals(layer: FirstLayer, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Codazzi equation LHS - RHS as ambient vectors (N, n+2) for chart
-    directions X, Y, Z (N, m) at every center of a first layer.  The
-    nabla_X Y terms cancel between the two sides because coordinate fields
-    commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z)
-    + alpha(X, nab_Y Z) against eps <(X ^ Y) T, Z> eta, where d_X alpha is
-    the first-layer derivative of the field P d2f(Y, Z)."""
-    c, k = layer.centers, layer.k
-    b, sp = c.batch, c.batch.chart.space
-    dYZ, dXZ = layer.diff(*(_alpha(layer.rows.batch, *np.repeat([v, Z], k, axis=1)) for v in (Y, X)))
-    nab_XZ, nab_YZ = (_d2(c.derivatives.gamma, v, Z)[..., 0] for v in (X, Y))
+    directions X, Y, Z (N, m) at every row of a batch evaluated at order 3.
+    The nabla_X Y terms cancel between the two sides because coordinate
+    fields commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z)
+    - alpha(Y, nab_X Z) + alpha(X, nab_Y Z) against eps <(X ^ Y) T, Z> eta,
+    where d_X alpha is the exact derivative of the field P d2f(Y, Z)."""
+    b, d = rows.batch, rows.derivatives
+    sp = b.chart.space
+    dYZ, dXZ = (d.d_alpha(v, Z) for v in (Y, X))
+    nab_XZ, nab_YZ = (_d2(d.gamma, v, Z)[..., 0] for v in (X, Y))
     lhs = b.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(b, Y, nab_XZ) + _alpha(b, X, nab_YZ)
     Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
     return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, b.T_ambient), Za)[:, None] * b.eta

@@ -32,21 +32,16 @@ __all__ = [
     "probe_grid",
 ]
 
-# most points in one geometry call of a run: past a few hundred points a
-# larger batch barely lowers the cost per point, while the call's arrays and
-# temporaries take a few KiB per point.  A run slices its samples' points
-# (each center alone, or with its first layer) into calls of whole samples,
-# and a build checks the probe grids of its steps in blocks of whole steps.
-# analyze_point and second_fundamental on theorem1_cylinder, one core of a
-# 2-vCPU Xeon: 0.4 ms for a batch of one, 9.3 us per point at 105 points,
-# 5.6 us at 512, 5.3 us at 1,024.  The 61-step criterion-4a scan (6,405
-# points) took 0.079 s at 512 and 0.069 s at 1,024 (benchmark sweep pass_s,
-# in reference-host seconds), and its peak RSS rose by 2.2 MiB and 4.6 MiB
-# over the 45 MiB of the scan that ran step by step.  Runs past 512 points
-# pay for the smaller calls: on theorem1_cylinder, 400 samples of gauss,
-# codazzi, ricci and pmc (5,200 points) take 0.080 s at 512 against 0.072 s
-# at 1,024, and 3,000 samples of six jet-level checks 0.024 s against
-# 0.022 s (in-process seconds on that core, medians of 9 runs).
+# most points in one geometry call: a run slices its samples into calls of
+# at most this many, and a build checks the probe grids of its steps in
+# blocks of whole steps within it.  Past a few hundred points a larger call
+# barely lowers the cost per point, while its arrays take a few KiB per point,
+# more with the 3-jet.  On theorem1_cylinder, one core of a 2-vCPU Xeon: 0.8
+# ms for a batch of one, 9.9 us per point at 512 (14 us with the 3-jet); 3,000
+# samples of pmc and biconservative_full take 0.063 s at 512 against 0.059 to
+# 0.062 s at 1,024, at a peak RSS of 43.8 against 48.8 MiB, and the 61-step
+# criterion-4a scan (one call of its 488 samples either way, but half as many
+# membership blocks at 1,024) 0.020 against 0.017 s (in-process, best of 25).
 _BATCH_POINTS = 512
 
 _MEMBERSHIP_TOL = 1e-9  # the largest membership residual a build allows on its probe grid
@@ -143,7 +138,7 @@ class Chart:
         the error of the first such point; a non-finite residual at any
         probe point counts as the worst and fails as well."""
         count = len(steps)
-        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)), values_only=True)
+        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)), order=0)
         worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
         failed = [None] * count
         if any(jet.errors):
@@ -206,15 +201,15 @@ def probe_grid(domain, counts=5):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def evaluate_jet(chart: Chart, u, steps=0, values_only: bool = False) -> VecJet2:
-    """2-jet of all ambient coordinates at every row of a batch ``u``
-    (N, m), in one pass through the coordinate maps.  ``steps`` gives the
-    scan step of each row (N,), or one step for all.  With ``values_only``
-    the jet is taken over no derivative direction: its values are those of
-    the 2-jet bit for bit, and ``jac`` (N, k, 0) and ``d2`` (N, k, 0, 0)
-    are empty, so a caller that reads only values pays for no derivative
-    (the coordinate maps take the dimension of their constants from the
-    seeds).
+def evaluate_jet(chart: Chart, u, steps=0, order: int = 2) -> VecJet2:
+    """Jet of all ambient coordinates at every row of a batch ``u`` (N, m),
+    in one pass through the coordinate maps.  ``steps`` gives the scan step
+    of each row (N,), or one step for all.  ``order`` 2 gives the 2-jet;
+    order 3 adds the third derivatives ``d3`` (N, k, m, m, m), and order 0
+    takes the jet over no derivative direction (``jac`` (N, k, 0) and ``d2``
+    (N, k, 0, 0) are empty; the coordinate maps take the dimension of their
+    constants from the seeds).  At every order the values, the derivatives
+    the 2-jet has, and the errors are those of the 2-jet bit for bit.
 
     A point's jet is bit for bit its row of any batch.  Only when a
     coordinate map raises on the batch are the rows replayed one by one:
@@ -225,16 +220,19 @@ def evaluate_jet(chart: Chart, u, steps=0, values_only: bool = False) -> VecJet2
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, chart.m)
     n = len(U)
-    d = 0 if values_only else chart.m  # the derivative directions of the seeds
     steps = np.broadcast_to(steps, n)
-    jet, errors = _coordinates(chart, U, steps, d), [None] * n
+    jet, errors = _coordinates(chart, U, steps, order), [None] * n
     if isinstance(jet, ChartError):
-        alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1], d) for r in range(n)]
-        nan = Jet2(np.full(n, np.nan), np.full((n, d), np.nan), np.full((n, d, d), np.nan))
+        alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1], order) for r in range(n)]
+        d = chart.m if order else 0
+        nan = Jet2(np.full(n, np.nan), np.full((n, d), np.nan), np.full((n, d, d), np.nan),
+                   np.full((n, d, d, d), np.nan) if order == 3 else None)
         jet = VecJet2([nan] * len(chart.coords))
         for r, one in enumerate(alone):
             if not isinstance(one, ChartError):
                 jet.values[r], jet.jac[r], jet.d2[r] = one.values[0], one.jac[0], one.d2[0]
+                if order == 3:
+                    jet.d3[r] = one.d3[0]
         errors = [one if isinstance(one, ChartError) else None for one in alone]
     jet.errors = errors
     if u.ndim == 1 and errors[0] is not None:
@@ -242,14 +240,13 @@ def evaluate_jet(chart: Chart, u, steps=0, values_only: bool = False) -> VecJet2
     return jet if u.ndim > 1 else jet.row(0)
 
 
-def _coordinates(chart: Chart, U: np.ndarray, steps, d: int) -> VecJet2 | ChartError:
-    """The jet of the rows U (N, m) at the steps ``steps`` (N,) over ``d``
-    derivative directions, the m chart variables or none, or the error of
-    the first coordinate map that raises, which names the first point when
-    N is 1."""
-    if d:
-        seeds = tuple(jets.jet_var(i, U[:, i], d) for i in range(chart.m))
-    else:
+def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | ChartError:
+    """The jet of the rows U (N, m) at the steps ``steps`` (N,) at ``order``
+    (0, 2 or 3), or the error of the first coordinate map that raises,
+    which names the first point when N is 1."""
+    if order:
+        seeds = tuple(jets.jet_var(i, U[:, i], chart.m, order) for i in range(chart.m))
+    else:  # over no derivative direction
         none = np.empty((len(U), 0)), np.empty((len(U), 0, 0))
         seeds = tuple(Jet2(U[:, i], *none) for i in range(chart.m))
     comps = []
@@ -261,7 +258,7 @@ def _coordinates(chart: Chart, U: np.ndarray, steps, d: int) -> VecJet2 | ChartE
             except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
                 return ChartError(f"coordinate {k} failed at u={U[0].tolist()}: {exc}")
             # a coordinate that ignores the seeds comes back without the batch axis
-            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess))
+            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess, c.d3))
     return VecJet2(comps)
 
 
@@ -418,24 +415,25 @@ class PointBatch:
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
 
-def analyze_point(chart: Chart, u, steps=0) -> PointBatch:
+def analyze_point(chart: Chart, u, steps=0, order: int = 2) -> PointBatch:
     """Metric, orthonormal frames and the d_t = f_* T + eta decomposition
     at every row of ``u`` (N, m); a single point (m,) is a batch of one.
     The batch records per row the error a point raises where its
     coordinates fail (``evaluate_jet``), its metric is not finite or
     regular, or a frame degenerates, and each row is bit for bit what the
     point gives in any other batch.  ``steps`` gives the scan step of each
-    row (N,), or one step for all.
+    row (N,), or one step for all.  The batch's jet has the ``order`` (2 or
+    3) of ``evaluate_jet``, which changes none of the other fields.
     """
     U = np.array(u, dtype=float).reshape(-1, chart.m)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0
-        return _analyze(chart, U, np.broadcast_to(steps, len(U)))
+        return _analyze(chart, U, np.broadcast_to(steps, len(U)), order)
 
 
-def _analyze(chart: Chart, U: np.ndarray, steps) -> PointBatch:
+def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     sp = chart.space
     m = chart.m
-    jet = evaluate_jet(chart, U, steps)
+    jet = evaluate_jet(chart, U, steps, order)
     pos = jet.values
     errors = list(jet.errors)
 

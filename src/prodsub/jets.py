@@ -1,13 +1,18 @@
-"""Order-2 forward-mode jets over m chart variables.
+"""Forward-mode jets over m chart variables, of order 2 with an optional
+third-order slot.
 
 A ``Jet2`` carries the value, gradient and Hessian of a scalar quantity with
-respect to the chart coordinates.  All arithmetic implements exact truncated
-Taylor rules, so polynomial expressions of degree <= 2 are differentiated
-exactly.  Derivatives of *derived* fields (mean curvature, frames, ...) are
-taken by the finite-difference helpers at the bottom of the module, never by
-higher-order jets: ``first_layer`` builds the stencils of any number of
-centers at once, ``fd_difference`` differences values already taken at
-their points, and ``fd_gradient`` evaluates a field on one stencil and
+respect to the chart coordinates, and ``d3``, its third derivatives, when
+the seeds carry that slot (``jet_var(..., order=3)``).  All arithmetic
+implements exact truncated Taylor rules (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13), so polynomial expressions of degree <= 3
+are differentiated exactly; a missing ``d3`` counts as zero, and value,
+gradient and Hessian are computed the same way with or without it.  The
+3-jet gives the first derivatives of the fields built from the 2-jet
+(mean curvature, Christoffels, alpha) in closed form.  Only the nested
+normal Laplacian still differences: ``fd_difference`` takes the difference
+of values already taken at the points of ``fd_stencil``, and
+``fd_gradient``, the oracle of the tests, evaluates a field there and
 differences it the same way.
 """
 
@@ -24,10 +29,8 @@ __all__ = [
     "jet_const",
     "UNARY_FNS",
     "fd_difference",
-    "fd_steps",
     "fd_gradient",
     "fd_stencil",
-    "first_layer",
     "FD_BASE_STEP",
 ]
 
@@ -85,21 +88,23 @@ def _outer(a, b):
 
 
 class Jet2:
-    """Truncated 2-jet: value, gradient (m,) and symmetric Hessian (m, m).
+    """Truncated jet: value, gradient (m,), symmetric Hessian (m, m) and,
+    at order 3, the symmetric third derivatives ``d3`` (m, m, m), else None.
 
-    Every field may carry one leading batch axis: value (N,), grad (N, m) and
-    hess (N, m, m) hold the jets of N points, and every operation acts row
-    by row.  A jet without the axis is the N-less case of the same class;
-    operands broadcast, so constants mix with batches.
+    Every field may carry one leading batch axis: value (N,), grad (N, m),
+    hess (N, m, m) and d3 (N, m, m, m) hold the jets of N points, and every
+    operation acts row by row.  A jet without the axis is the N-less case of
+    the same class; operands broadcast, so constants mix with batches.
     """
 
-    __slots__ = ("m", "value", "grad", "hess")
+    __slots__ = ("m", "value", "grad", "hess", "d3")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
+        self.d3 = None if d3 is None else np.asarray(d3, dtype=float)
         self.m = self.grad.shape[-1]
 
     def __repr__(self) -> str:
@@ -114,32 +119,39 @@ class Jet2:
 
     def __add__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value + _number(other), self.grad, self.hess)
+            return Jet2(self.value + _number(other), self.grad, self.hess, self.d3)
         _check_same_m(self, other)
-        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        d3 = _sum(self.d3, other.d3)
+        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess, d3)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value - _number(other), self.grad, self.hess)
+            return Jet2(self.value - _number(other), self.grad, self.hess, self.d3)
         _check_same_m(self, other)
-        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        d3 = _sum(self.d3, _scaled(other.d3, -1.0))
+        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess, d3)
 
     def __rsub__(self, other) -> "Jet2":
-        return Jet2(_number(other) - self.value, -self.grad, -self.hess)
+        return Jet2(_number(other) - self.value, -self.grad, -self.hess, _scaled(self.d3, -1.0))
 
     def __mul__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
             c = _number(other)
-            return Jet2(self.value * c, self.grad * _col(c), self.hess * _mat(c))
+            return Jet2(self.value * c, self.grad * _col(c), self.hess * _mat(c), _scaled(self.d3, c))
         o = other
         _check_same_m(self, o)
         cross = _outer(self.grad, o.grad)
+        d3 = None
+        if self.d3 is not None or o.d3 is not None:
+            hg = _hg(self.hess, o.grad) + _hg(o.hess, self.grad)
+            d3 = _sum(_scaled(self.d3, o.value), _scaled(o.d3, self.value), _sym3(hg))
         return Jet2(
             self.value * o.value,
             self.grad * _col(o.value) + o.grad * _col(self.value),
             self.hess * _mat(o.value) + o.hess * _mat(self.value) + cross + np.swapaxes(cross, -1, -2),
+            d3,
         )
 
     __rmul__ = __mul__
@@ -157,14 +169,37 @@ class Jet2:
         return _reciprocal(self) * other
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, -self.hess, _scaled(self.d3, -1.0))
 
     def __pow__(self, p) -> "Jet2":
         return pow_const(self, p)
 
 
-def jet_var(index: int, value, m: int) -> Jet2:
-    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot.
+def _sum(*terms):
+    """The sum of the third-order terms that are not None, or None if all are."""
+    present = [t for t in terms if t is not None]
+    return sum(present[1:], present[0]) if present else None
+
+
+def _scaled(d3, x):
+    """d3 (..., m, m, m) times a batch of scalars x, or None for None."""
+    return None if d3 is None else d3 * np.asarray(x)[..., None, None, None]
+
+
+def _hg(h, g):
+    """t[..., i, j, k] = h_ij g_k for Hessians h (..., m, m) and gradients g (..., m)."""
+    return h[..., :, :, None] * g[..., None, None, :]
+
+
+def _sym3(t):
+    """t_ijk + t_ikj + t_jki: the symmetric part (times three) of a t that is
+    symmetric in its first two indices."""
+    return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
+
+
+def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
+    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot,
+    with a zero third-order slot at ``order`` 3.
 
     ``value`` is one number or a batch (N,) of them."""
     if not 0 <= index < m:
@@ -172,7 +207,8 @@ def jet_var(index: int, value, m: int) -> Jet2:
     value = np.array(value, dtype=float)
     grad = np.zeros(value.shape + (m,))
     grad[..., index] = 1.0
-    return Jet2(value, grad, np.zeros(value.shape + (m, m)))
+    d3 = np.zeros(value.shape + (m, m, m)) if order == 3 else None
+    return Jet2(value, grad, np.zeros(value.shape + (m, m)), d3)
 
 
 def jet_const(value, m: int) -> Jet2:
@@ -187,75 +223,86 @@ def _reciprocal(a: Jet2) -> Jet2:
     inv = 1.0 / v
     inv2 = inv * inv
     outer = _outer(a.grad, a.grad)
-    return Jet2(inv, -a.grad * _col(inv2), -a.hess * _mat(inv2) + 2.0 * outer * _mat(inv2 * inv))
+    d3 = None if a.d3 is None else _third(a, -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2)
+    return Jet2(inv, -a.grad * _col(inv2), -a.hess * _mat(inv2) + 2.0 * outer * _mat(inv2 * inv), d3)
 
 
-def _chain(a: Jet2, f, fp, fpp) -> Jet2:
-    """Apply the scalar chain rule with derivative table (f, f', f'')."""
+def _third(a: Jet2, fp, fpp, fppp) -> np.ndarray:
+    """The third derivatives of f(a) from the derivatives f', f'' and f''' at a.value."""
+    outer3 = _hg(_outer(a.grad, a.grad), a.grad)
+    return _scaled(a.d3, fp) + _scaled(_sym3(_hg(a.hess, a.grad)), fpp) + _scaled(outer3, fppp)
+
+
+def _chain(a: Jet2, f, fp, fpp, fppp) -> Jet2:
+    """Apply the scalar chain rule with derivative table (f, f', f'', f''')."""
     return Jet2(
-        f, _col(fp) * a.grad, _mat(fp) * a.hess + _mat(fpp) * _outer(a.grad, a.grad)
+        f,
+        _col(fp) * a.grad,
+        _mat(fp) * a.hess + _mat(fpp) * _outer(a.grad, a.grad),
+        None if a.d3 is None else _third(a, fp, fpp, fppp),
     )
 
 
 def sin(a: Jet2) -> Jet2:
     s, c = np.sin(a.value), np.cos(a.value)
-    return _chain(a, s, c, -s)
+    return _chain(a, s, c, -s, -c)
 
 
 def cos(a: Jet2) -> Jet2:
     s, c = np.sin(a.value), np.cos(a.value)
-    return _chain(a, c, -s, -c)
+    return _chain(a, c, -s, -c, s)
 
 
 def tan(a: Jet2) -> Jet2:
     _check_domain("tan", a.value, np.cos(a.value) == 0.0)
     t = np.tan(a.value)
     sec2 = 1.0 + t * t
-    return _chain(a, t, sec2, 2.0 * t * sec2)
+    return _chain(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t))
 
 
 def sinh(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         s, c = np.sinh(a.value), np.cosh(a.value)
     _check_range(a.value, s, c)
-    return _chain(a, s, c, s)
+    return _chain(a, s, c, s, c)
 
 
 def cosh(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         s, c = np.sinh(a.value), np.cosh(a.value)
     _check_range(a.value, s, c)
-    return _chain(a, c, s, c)
+    return _chain(a, c, s, c, s)
 
 
 def tanh(a: Jet2) -> Jet2:
     t = np.tanh(a.value)
     sech2 = 1.0 - t * t
-    return _chain(a, t, sech2, -2.0 * t * sech2)
+    return _chain(a, t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (2.0 * t * t - sech2))
 
 
 def exp(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         e = np.exp(a.value)
     _check_range(a.value, e)
-    return _chain(a, e, e, e)
+    return _chain(a, e, e, e, e)
 
 
 def log(a: Jet2) -> Jet2:
     _check_domain("log", a.value, a.value <= 0.0)
     inv = 1.0 / a.value
-    return _chain(a, np.log(a.value), inv, -inv * inv)
+    return _chain(a, np.log(a.value), inv, -inv * inv, 2.0 * inv * inv * inv)
 
 
 def sqrt(a: Jet2) -> Jet2:
     _check_domain("sqrt", a.value, a.value <= 0.0)
     r = np.sqrt(a.value)
-    return _chain(a, r, 0.5 / r, -0.25 / (r * a.value))
+    return _chain(a, r, 0.5 / r, -0.25 / (r * a.value), 0.375 / (r * a.value * a.value))
 
 
 def atan(a: Jet2) -> Jet2:
     d = 1.0 + a.value * a.value
-    return _chain(a, np.arctan(a.value), 1.0 / d, -2.0 * a.value / (d * d))
+    fppp = (6.0 * a.value * a.value - 2.0) / (d * d * d)
+    return _chain(a, np.arctan(a.value), 1.0 / d, -2.0 * a.value / (d * d), fppp)
 
 
 def neg(a: Jet2) -> Jet2:
@@ -265,7 +312,9 @@ def neg(a: Jet2) -> Jet2:
 def pow_const(a: Jet2, p: float) -> Jet2:
     """a**p for a real constant exponent p.
 
-    Integer p works for any base; fractional p requires a.value > 0.
+    Integer p works for any base; fractional p requires a.value > 0.  The
+    range check reads the value and the first two derivatives only, so a
+    jet raises the same error with or without its third-order slot.
     """
     if isinstance(p, float) and p.is_integer():
         p = int(p)
@@ -279,13 +328,14 @@ def pow_const(a: Jet2, p: float) -> Jet2:
             f = v**p
             fp = p * v ** (p - 1)
             fpp = p * (p - 1) * (v ** (p - 2) if p != 1 else 0.0)
+            fppp = p * (p - 1) * (p - 2) * (v ** (p - 3) if p not in (1, 2) else 0.0)
         _check_range(v, f, fp, fpp, power=True)
-        return _chain(a, f, fp, fpp)
+        return _chain(a, f, fp, fpp, fppp)
     _check_domain("pow_const", v, v <= 0.0)
     with np.errstate(over="ignore"):
         f = v**p
     _check_range(v, f, power=True)
-    return _chain(a, f, p * f / v, p * (p - 1) * f / (v * v))
+    return _chain(a, f, p * f / v, p * (p - 1) * f / (v * v), p * (p - 1) * (p - 2) * f / (v * v * v))
 
 
 UNARY_FNS = {
@@ -303,17 +353,19 @@ UNARY_FNS = {
 }
 
 class VecJet2:
-    """Ambient-vector-valued 2-jet, stacked for downstream linear algebra.
+    """Ambient-vector-valued jet, stacked for downstream linear algebra.
 
-    ``values`` (k,), ``jac`` (k, m) with jac[c, i] = d f_c / d u_i, and
-    ``d2`` (k, m, m) with the per-component Hessians.  A batch of N points
-    adds a leading axis to all three: (N, k), (N, k, m), (N, k, m, m).
-    ``errors`` is None, or on a batch from ``immersion.evaluate_jet`` the
-    error of each row whose point could not be evaluated (its rows hold
+    ``values`` (k,), ``jac`` (k, m) with jac[c, i] = d f_c / d u_i, ``d2``
+    (k, m, m) with the per-component Hessians and, where a component
+    carries the third-order slot, ``d3`` (k, m, m, m) with
+    d3[c, i, j, l] = d^3 f_c / du_i du_j du_l (zero for the components
+    without it), else None.  A batch of N points adds a leading axis to
+    each.  ``errors`` is None, or on a batch from ``immersion.evaluate_jet``
+    the error of each row whose point could not be evaluated (its rows hold
     NaN), else None.
     """
 
-    __slots__ = ("m", "values", "jac", "d2", "errors")
+    __slots__ = ("m", "values", "jac", "d2", "d3", "errors")
 
     def __init__(self, jets):
         jets = list(jets)
@@ -333,6 +385,9 @@ class VecJet2:
         self.values = stack([j.value for j in jets], (), -1)
         self.jac = stack([j.grad for j in jets], (m,), -2)
         self.d2 = stack([j.hess for j in jets], (m, m), -3)
+        self.d3 = None
+        if any(j.d3 is not None for j in jets):
+            self.d3 = stack([np.zeros((m, m, m)) if j.d3 is None else j.d3 for j in jets], (m, m, m), -4)
         self.errors = None
 
     def __len__(self) -> int:
@@ -344,6 +399,7 @@ class VecJet2:
         out = object.__new__(VecJet2)
         out.m = self.m
         out.values, out.jac, out.d2 = self.values[i], self.jac[i], self.d2[i]
+        out.d3 = None if self.d3 is None else self.d3[i]
         out.errors = None
         return out
 
@@ -352,34 +408,17 @@ class VecJet2:
         return self.d2[..., i, j]
 
 
-def fd_steps(u) -> np.ndarray:
-    """Base steps h = cbrt(machine eps) * max(1, |u_i|) along every chart
-    direction, for points u (..., m)."""
-    return FD_BASE_STEP * np.maximum(1.0, np.abs(np.asarray(u, dtype=float)))
-
-
-def fd_stencil(u, i: int, step: float | None = None) -> tuple[float, np.ndarray]:
+def fd_stencil(u, i: int, step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Base step h and the four points ``fd_gradient`` evaluates along chart
     direction ``i``, in its order: u + h e_i, u - h e_i, u + h/2 e_i and
-    u - h/2 e_i.  h is ``fd_steps(u)[i]`` unless ``step`` is given."""
+    u - h/2 e_i.  h is the base step cbrt(machine eps) * max(1, |u_i|)
+    unless ``step`` is given.  Points u (..., m) give steps (...) and
+    stencils (..., 4, m)."""
     u = np.asarray(u, dtype=float)
-    h = step if step is not None else float(fd_steps(u)[i])
-    return h, first_layer(u, step)[1 + 4 * i : 5 + 4 * i]
-
-
-def first_layer(u, step: float | None = None) -> np.ndarray:
-    """Every point (N, 1 + 4m, m) a first-layer difference around each
-    point of u (N, m) reads: the point, then the four ``fd_stencil`` points
-    along each chart direction in turn, with the base steps ``fd_steps``
-    or else ``step``.  A single point u (m,) gives its (1 + 4m, m) points."""
-    u = np.asarray(u, dtype=float)
-    U = u.reshape(-1, u.shape[-1])
-    n, m = U.shape
-    h = fd_steps(U) if step is None else np.full((n, m), float(step))
-    out = np.repeat(U[:, None], 1 + 4 * m, axis=1)
-    for i in range(m):
-        out[:, 1 + 4 * i : 5 + 4 * i, i] += h[:, i, None] * np.array([1.0, -1.0, 0.5, -0.5])
-    return out if u.ndim > 1 else out[0]
+    h = FD_BASE_STEP * np.maximum(1.0, np.abs(u[..., i])) if step is None else np.full(u.shape[:-1], float(step))
+    points = np.repeat(u[..., None, :], 4, axis=-2)
+    points[..., i] += h[..., None] * np.array([1.0, -1.0, 0.5, -0.5])
+    return h, points
 
 
 def nonfinite_error(u, i: int) -> StencilError:

@@ -5,12 +5,13 @@ an immersion (gallery spec or expression list), a sampling spec, the list of
 checks to run and optional tolerance overrides.
 
 A run checks its samples a chunk at a time: one batched geometry call per
-chunk of up to ``immersion._BATCH_POINTS`` (512) points of whole samples,
-and one call of each CHECKS entry on the chunk's arrays, which returns a
-residual, a note and a degenerate flag per sample.  Every entry is array
-code: the finite-difference ones difference along the stencil axis of the
-chunk's first layer, and the nested normal Laplacian is one kernel call
-over the chunk's samples that need it.  The results stay one column per
+chunk of up to ``immersion._BATCH_POINTS`` (512) samples, at the jet order
+its checks need (3 when one reads a derivative of H, alpha or the
+Christoffels, else 2), and one call of each CHECKS entry on the chunk's
+arrays, which returns a residual, a note and a degenerate flag per sample.
+Every entry is array code over the samples themselves; only the normal
+Laplacian of H, where PMC fails, differences, in one kernel call over the
+chunk's samples that need it.  The results stay one column per
 check from the kernel to the report and the CSV: chunks, and the blocks of
 samples that ``--jobs N`` computes in the run's process and forked children,
 follow sample order, so joining a check's columns gives row i for sample i.
@@ -61,7 +62,6 @@ from .classify import (
 from .errors import ChartError, EngineError, RowFailure, SceneError
 from .extrinsic import (
     ExtrinsicRows,
-    FirstLayer,
     T_eta_residuals,
     codazzi_residuals,
     gauss_residuals,
@@ -71,7 +71,6 @@ from .extrinsic import (
 )
 from .gallery import make_chart
 from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
-from .jets import first_layer
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -278,7 +277,8 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
     """Deterministic sample set, inset 2% from the domain boundary so that
-    finite-difference stencils stay inside."""
+    the normal Laplacian's stencils (``FD_NESTED_STEP``) stay inside on
+    every axis wider than 0.025."""
     if sampling.get("mode", "grid") == "grid":
         counts = sampling.get("grid")
         if counts is None:
@@ -306,10 +306,9 @@ class Chunk:
 
     ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
     (N, r, m, m), H (N, n+2) and |H| (N,), whose ``batch.errors[i]`` is the
-    error of sample i's geometry, else None.  When a requested check
-    differences, ``layer`` holds the FirstLayer of the samples, whose
-    centers are ``geo``.  ``indices`` count the samples within a scan
-    step; ``geo.batch.steps`` holds the step of each sample.
+    error of sample i's geometry, else None; its jets have the order of the
+    requested checks.  ``indices`` count the samples within a scan step;
+    ``geo.batch.steps`` holds the step of each sample.
     """
 
     chart: Chart
@@ -317,7 +316,6 @@ class Chunk:
     u: np.ndarray  # (N, m)
     seed: int
     geo: ExtrinsicRows
-    layer: FirstLayer | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -330,12 +328,10 @@ class Chunk:
     @cached_property
     def nabla_H(self) -> np.ndarray:
         """nabla^perp H (N, m, n+2), which pmc, biconservative_full and biharmonic_normal share."""
-        return normal_derivative_H(self.layer)
+        return normal_derivative_H(self.geo)
 
     def take(self, rows: slice) -> "Chunk":
-        layer = None if self.layer is None else self.layer.take(rows)
-        part = {"indices": self.indices[rows], "u": self.u[rows], "geo": self.geo.take(rows)}
-        return replace(self, layer=layer, **part)
+        return replace(self, indices=self.indices[rows], u=self.u[rows], geo=self.geo.take(rows))
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
@@ -404,12 +400,12 @@ def _chk_ricci(c: Chunk):
 
 def _chk_gauss(c: Chunk):
     X, Y, Z, _ = _draws(c, "gauss")
-    return np.linalg.norm(gauss_residuals(c.layer, X, Y, Z), axis=-1), None, False
+    return np.linalg.norm(gauss_residuals(c.geo, X, Y, Z), axis=-1), None, False
 
 
 def _chk_codazzi(c: Chunk):
     X, Y, Z, _ = _draws(c, "codazzi")
-    return np.linalg.norm(codazzi_residuals(c.layer, X, Y, Z), axis=-1), None, False
+    return np.linalg.norm(codazzi_residuals(c.geo, X, Y, Z), axis=-1), None, False
 
 
 def _chk_vector_t(c: Chunk):
@@ -456,14 +452,10 @@ _NESTED_NOTE = "PMC not verified; nested differences (tol_fd2)"
 
 
 def _chk_biharmonic_normal(c: Chunk):
-    """``biharmonic_residual`` at the PMC tolerance in use."""
-    try:
-        nabla_H = c.nabla_H
-    except RowFailure as f:
-        if f.args[0]:  # a nested Laplacian before the failing sample comes first
-            _chk_biharmonic_normal(c.take(slice(0, f.args[0])))
-        raise
-    r = biharmonic_residual(c.geo, nabla_H, CHECK_TABLE["pmc"].tol)
+    """``biharmonic_residual``, which nests where |nabla^perp H| exceeds
+    TOL_PMC, the pmc check's default tolerance: a run's override of the pmc
+    tolerance changes the pmc verdict, not where this check nests."""
+    r = biharmonic_residual(c.geo, c.nabla_H)
     notes = [
         "H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(r["minimal"], r["nested"])
     ]
@@ -489,16 +481,17 @@ class Check:
     ``kernel`` maps a Chunk of N samples to (N,) residuals, (N,) notes (or
     one note for all) and an (N,) degenerate mask (or one flag for all); a
     ``chart_level`` kernel maps the chart to one residual, note and flag.
-    ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).  A
-    ``first_layer`` check differences fields around its samples, so a run
-    computes each sample's first layer with the sample.  ``stream`` keys the
-    per-sample random draws of a check that makes them, (seed, sample index,
-    stream): fixed numbers, so that adding a check moves no other's draws.
+    ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
+    ``order`` is the jet order the kernel reads, 3 where it takes a
+    derivative of H, alpha or the Christoffels; a run evaluates its samples
+    at the highest order of its checks.  ``stream`` keys the per-sample
+    random draws of a check that makes them, (seed, sample index, stream):
+    fixed numbers, so that adding a check moves no other's draws.
     """
 
     kernel: Callable
     tol: float | tuple[float, float]
-    first_layer: bool = False
+    order: int = 2
     chart_level: bool = False
     stream: int | None = None
 
@@ -519,11 +512,11 @@ CHECK_TABLE = {
     "ricci": Check(_chk_ricci, 1e-5, stream=13),
     "vector_t": Check(_chk_vector_t, 1e-5),
     "vector_eta": Check(_chk_vector_eta, 1e-5),
-    "pmc": Check(_chk_pmc, TOL_PMC, first_layer=True),
-    "biconservative_full": Check(_chk_biconservative_full, 1e-5, first_layer=True),
-    "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, first_layer=True),
-    "gauss": Check(_chk_gauss, 1e-5, first_layer=True, stream=8),
-    "codazzi": Check(_chk_codazzi, 1e-5, first_layer=True, stream=5),
+    "pmc": Check(_chk_pmc, TOL_PMC, order=3),
+    "biconservative_full": Check(_chk_biconservative_full, 1e-5, order=3),
+    "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, order=3),
+    "gauss": Check(_chk_gauss, 1e-5, order=3, stream=8),
+    "codazzi": Check(_chk_codazzi, 1e-5, order=3, stream=5),
     "splitting": Check(_chk_splitting, 1e-12, chart_level=True),
     "circle": Check(_chk_circle, 1e-8, chart_level=True),
 }
@@ -554,21 +547,17 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
     """The chunks of a run, in row order.
 
     Row r is sample r % n of the n ``samples`` at scan step r // n (a run
-    of one step has the rows of its sample indices).  The rows' points,
-    each center alone or with its first layer when a check in ``names``
-    differences, are one (rows, k, m) array, which goes to ``geometry`` in
-    calls of ``_BATCH_POINTS // k`` whole samples; each call gives one chunk.
+    of one step has the rows of its sample indices).  The rows' points go
+    to ``geometry`` in calls of ``_BATCH_POINTS`` samples, at the highest
+    jet order of the checks in ``names``; each call gives one chunk.
     """
     rows, n = np.asarray(rows, dtype=int), len(samples)
     ids, steps = rows % n, rows // n
-    points = first_layer(samples) if any(CHECK_TABLE[c].first_layer for c in names) else samples[:, None]
-    k = points.shape[1]
-    per = max(1, immersion._BATCH_POINTS // k)
-    for first in range(0, len(rows), per):
-        part = slice(first, first + per)
-        geo = geometry(chart, points[ids[part]].reshape(-1, chart.m), np.repeat(steps[part], k))
-        layer = FirstLayer(geo) if k > 1 else None
-        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo if layer is None else layer.centers, layer)
+    order = max((CHECK_TABLE[c].order for c in names), default=2)
+    for first in range(0, len(rows), immersion._BATCH_POINTS):
+        part = slice(first, first + immersion._BATCH_POINTS)
+        geo = geometry(chart, samples[ids[part]], steps[part], order)
+        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:
@@ -660,14 +649,6 @@ def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
     return chart.center()[None] if CHECK_TABLE[name].chart_level else samples
 
 
-def _derivative_tier(name: str, notes: list) -> str:
-    """How a check's residuals were obtained: at jet level ("jet-exact"), over one finite-difference
-    layer ("fd") or, where a sample took the nested normal Laplacian, nested differences ("nested-fd")."""
-    if not CHECK_TABLE[name].first_layer:
-        return "jet-exact"
-    return "nested-fd" if _NESTED_NOTE in notes else "fd"
-
-
 def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, tols: dict):
     """The report entry of each check in ``names`` from its column
     (values, notes, degenerate) in ``columns``, and whether any fails.
@@ -701,7 +682,8 @@ def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, 
                 "verdict": verdict,
                 "tolerance_used": tol,
                 "notes": "; ".join(summary),
-                "derivative_tier": _derivative_tier(name, notes),
+                # "fd" where a sample took the normal Laplacian's finite-difference layer
+                "derivative_tier": "fd" if _NESTED_NOTE in notes else "jet-exact",
             }
         )
     return checks_report, any_fail

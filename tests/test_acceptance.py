@@ -26,10 +26,10 @@ from prodsub.classify import (
     splitting_residual,
 )
 from prodsub.extrinsic import (
-    FirstLayer,
     T_eta_residuals,
     codazzi_residuals,
     gauss_residuals,
+    geometry,
     normal_derivative_H,
     ricci_residuals,
     second_fundamental,
@@ -76,12 +76,11 @@ def test_criterion_1_theorem1_forward():
     for a in (0.6, 0.8):
         ch = make_theorem1(ProductSpace(1, 4), a=a)
         t0 = time.perf_counter()
-        layer = FirstLayer.at(ch, _grid_samples(ch, [10, 10, 10]))  # one batch of 10^3 samples
-        rows = layer.centers
+        rows = geometry(ch, _grid_samples(ch, [10, 10, 10]), order=3)  # one batch of 10^3 samples
         worst = {
             "h_eta": np.abs(inner(ch.space, rows.H, rows.batch.eta)).max(),
-            "pmc": np.linalg.norm(normal_derivative_H(layer), axis=-1).max(),
-            "full": biconservative_residual(layer)["full"].max(),
+            "pmc": np.linalg.norm(normal_derivative_H(rows), axis=-1).max(),
+            "full": biconservative_residual(rows)["full"].max(),
             "class_a": class_A_residual(rows).max(),
         }
         dt = time.perf_counter() - t0
@@ -101,7 +100,7 @@ def test_criterion_2_theorem1_only_if():
         )
         crit.check(f"lambda={lam}: minimality oracle ||H_phi|| <= 1e-8", True, "construction passed")
         pts = random_interior_points(ch, 1000, seed=int(lam * 1000))
-        pmc = np.linalg.norm(normal_derivative_H(FirstLayer.at(ch, pts)), axis=-1).max(axis=-1)
+        pmc = np.linalg.norm(normal_derivative_H(geometry(ch, pts, order=3)), axis=-1).max(axis=-1)
         frac = np.count_nonzero(pmc >= 1e-3) / len(pts)
         crit.check(
             f"lambda={lam}: |nabla^perp H| >= 1e-3 at >= 90% of 10^3 samples",
@@ -238,17 +237,17 @@ def test_criterion_5_structure_equation_suite():
     for eps in (1, -1):
         for ch in gallery_charts(eps):
             pts = random_interior_points(ch, 200, seed=eps * 7 + 11)
-            layer = FirstLayer.at(ch, pts)
-            codim = layer.centers.batch.normal_onb.shape[1]
+            rows = geometry(ch, pts, order=3)
+            codim = rows.batch.normal_onb.shape[1]
             # per point, X, Y, Z and then a, in the order of the point loop
             draws = [(rng.standard_normal((3, ch.m)), int(rng.integers(0, codim))) for _ in pts]
             X, Y, Z = np.stack([d[0] for d in draws], axis=1)
             a = np.array([d[1] for d in draws])
-            vt, veta = T_eta_residuals(layer.centers)
+            vt, veta = T_eta_residuals(rows)
             worst = {
-                "gauss": np.linalg.norm(gauss_residuals(layer, X, Y, Z), axis=-1).max(),
-                "codazzi": np.linalg.norm(codazzi_residuals(layer, X, Y, Z), axis=-1).max(),
-                "ricci": np.linalg.norm(ricci_residuals(layer.centers, X, Y, a), axis=-1).max(),
+                "gauss": np.linalg.norm(gauss_residuals(rows, X, Y, Z), axis=-1).max(),
+                "codazzi": np.linalg.norm(codazzi_residuals(rows, X, Y, Z), axis=-1).max(),
+                "ricci": np.linalg.norm(ricci_residuals(rows, X, Y, a), axis=-1).max(),
                 "vt": vt.max(),
                 "veta": veta.max(),
             }
@@ -335,12 +334,11 @@ def test_criterion_7_invariant_suites():
     )
 
     ch = make_theorem1(ProductSpace(1, 4), a=0.8, phi_kind="helicoid", phi_params={"pitch": 0.5})
-    layer = FirstLayer.at(ch, random_interior_points(ch, 1, seed=77))
+    rows = geometry(ch, random_interior_points(ch, 1, seed=77), order=3)
 
-    def classifier_residuals(layer):
+    def classifier_residuals(rows):
         # biharmonic_residual assumes PMC: a zero nabla^perp H takes no normal Laplacian
-        rows = layer.centers
-        bicon = biconservative_residual(layer)
+        bicon = biconservative_residual(rows)
         e0, _ = e0_structure(rows)
         return [
             bicon["simple"],
@@ -354,11 +352,10 @@ def test_criterion_7_invariant_suites():
             e0.traceBS1,
         ]
 
-    base = classifier_residuals(layer)
+    base = classifier_residuals(rows)
     worst_flip = 0.0
     for signs in ([-1, 1], [1, -1], [-1, -1]):
-        # every row of the first layer flips its normals, the center's among them
-        flipped = FirstLayer(second_fundamental(layer.rows.batch.with_flipped_normals(signs)))
+        flipped = second_fundamental(rows.batch.with_flipped_normals(signs))
         shifts = [abs(x[0] - y[0]) for x, y in zip(classifier_residuals(flipped), base)]
         worst_flip = max([worst_flip] + shifts)
     crit.check(

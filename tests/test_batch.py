@@ -1,10 +1,12 @@
 """The batch axis of the jet and geometry pipeline.
 
 A batch of N points runs every step row by row, so each row is bit for bit
-what a single-point call gives, whatever else is in the batch.  Stencils and
-probes are evaluated as such batches; these tests pin that equality, the
-stencil points a prefetch fills, and that errors at stencil points still
-surface exactly as a point-by-point evaluation raises them.
+what a single-point call gives, whatever else is in the batch.  Samples,
+probes and the nested stencils of the normal Laplacian are evaluated as
+such batches; these tests pin that equality, the points each call takes,
+that the exact derivatives agree with finite differences, and that errors
+at stencil points still surface exactly as a point-by-point evaluation
+raises them.
 """
 
 import json
@@ -25,8 +27,6 @@ from prodsub.errors import ChartError
 from prodsub.extrinsic import (
     FD_NESTED_STEP,
     FieldCache,
-    FirstLayer,
-    first_layer,
     geometry,
     normal_derivative_H,
     normal_laplacian_H,
@@ -136,58 +136,48 @@ def test_fd_gradient_reads_the_stencil_points():
 
 
 def _count_analyze(monkeypatch):
-    shapes = []
+    """Record the (shape, jet order) of every ``analyze_point`` call of the geometry."""
+    calls = []
     original = prodsub.extrinsic.analyze_point
 
-    def counting(chart, u, *steps):
-        shapes.append(np.shape(u))
-        return original(chart, u, *steps)
+    def counting(chart, u, steps=0, order=2):
+        calls.append((np.shape(u), order))
+        return original(chart, u, steps, order)
 
     monkeypatch.setattr(prodsub.extrinsic, "analyze_point", counting)
-    return shapes
+    return calls
 
 
-def test_pmc_check_prefetches_its_stencil_in_one_batch(monkeypatch):
-    # the kernel that the pmc entry runs, on the first layer of one point
-    # that a FieldCache keeps
-    chart = build_chart(_load("theorem1_cylinder.json"))
-    seen = []
-    original = prodsub.extrinsic.analyze_point
-
-    def recording(chart, u, *steps):
-        seen.append(np.array(u))
-        return original(chart, u, *steps)
-
-    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", recording)
-    u = chart.center() + np.array([0.1, -0.2, 0.3])
-    cache = FieldCache(chart)
-    normal_derivative_H(cache.layer(u[None]))
-    m = chart.m
-    assert [p.shape for p in seen] == [(1 + 4 * m, m)]
-    assert _same(seen[0], first_layer(u))  # the points fd_gradient reads, in its order
-    assert len({tuple(p) for p in first_layer(u).tolist()}) == 1 + 4 * m
-    normal_derivative_H(cache.layer(u[None]))  # the cache keeps u's layer
-    assert len(seen) == 1
+def test_pmc_check_reads_its_center_alone(monkeypatch, theorem1_cyl):
+    # a pmc run takes the 3-jet of its samples and nothing around them; a
+    # FieldCache keeps a point's order-3 geometry for the kernels
+    calls = _count_analyze(monkeypatch)
+    u = theorem1_cyl.center() + np.array([0.1, -0.2, 0.3])
+    _run_rows(theorem1_cyl, ["pmc"], u[None], 0)
+    assert calls == [((1, 3), 3)]
+    cache = FieldCache(theorem1_cyl)
+    normal_derivative_H(cache.geometry(u[None]))
+    normal_derivative_H(cache.geometry(u[None]))  # the cache keeps u's geometry
+    assert calls == [((1, 3), 3)] * 2
 
 
-def _outer_layers(u) -> np.ndarray:
-    """The first layers of the 4m points of u's FD_NESTED_STEP stencils, in order."""
-    outer = [v for p in range(len(u)) for v in fd_stencil(u, p, FD_NESTED_STEP)[1]]
-    return np.vstack([first_layer(v) for v in outer])
+def _outer_points(u) -> np.ndarray:
+    """The 4m points of u's FD_NESTED_STEP stencils, direction by direction."""
+    return np.vstack([fd_stencil(u, p, FD_NESTED_STEP)[1] for p in range(len(u))])
 
 
 def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theorem1_heli):
-    # a batch of one: u's first layer, then the first layers of the 4m
-    # points of u's nested stencils in one 4m (1 + 4m)-point call
+    # a batch of one: u's 3-jet, then the 4m points of u's nested stencils
+    # in one call, and no stencil around any of them
     seen = []
     original = prodsub.extrinsic.analyze_point
-    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *steps: seen.append(np.array(u)) or original(ch, u, *steps))
+    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *args: seen.append(np.array(u)) or original(ch, u, *args))
     u = np.array([0.2, -0.3, 0.4])
-    layer = FirstLayer.at(theorem1_heli, u[None])
-    normal_laplacian_H(layer.centers, normal_derivative_H(layer))
+    rows = geometry(theorem1_heli, u[None], order=3)
+    normal_laplacian_H(rows, normal_derivative_H(rows))
     m = theorem1_heli.m
-    assert [p.shape for p in seen] == [(1 + 4 * m, m), (4 * m * (1 + 4 * m), m)]
-    assert _same(seen[0], first_layer(u)) and _same(seen[1], _outer_layers(u))
+    assert [p.shape for p in seen] == [(1, m), (4 * m, m)]
+    assert _same(seen[0], u[None]) and _same(seen[1], _outer_points(u))
 
 
 def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
@@ -196,12 +186,12 @@ def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
     original = prodsub.immersion.evaluate_jet
 
     def counting(chart, u, *steps, **kwargs):
-        calls.append((np.shape(u), kwargs.get("values_only", False)))
+        calls.append((np.shape(u), kwargs.get("order", 2)))
         return original(chart, u, *steps, **kwargs)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     theorem1_cyl.validate_membership()
-    assert calls == [((125, 3), True)]
+    assert calls == [((125, 3), 0)]
 
 
 def _failing_coordinate_chart(space) -> Chart:
@@ -245,15 +235,8 @@ def test_values_only_jets_are_the_2_jet_values(s4, all_gallery_charts):
     # corpus scene, the 61 steps of the criterion-4a family and a chart
     # whose coordinates fail, the values are bit for bit those of the
     # 2-jet, NaN included, and each row's error is the same
-    scan = build_chart(_load("biharmonic_scan_eps1.json"), ("a2", list(np.linspace(0.3, 0.9, 61))))
-    cases = [(ch, np.vstack([probe_grid(ch.domain, 5), random_interior_points(ch, 9, seed=3)]), 0)
-             for ch in all_gallery_charts + [build_chart(_load(p.name)) for p in sorted(SCENES.glob("*.json"))]]
-    grid, steps = probe_grid(scan.domain, 5), len(scan.family)
-    cases.append((scan, np.tile(grid, (steps, 1)), np.repeat(np.arange(steps), len(grid))))
-    failing = _failing_coordinate_chart(s4)
-    cases.append((failing, probe_grid(failing.domain, 5), 0))
-    for ch, U, steps in cases:
-        full, values = evaluate_jet(ch, U, steps), evaluate_jet(ch, U, steps, values_only=True)
+    for ch, U, steps in _jet_cases(s4, all_gallery_charts):
+        full, values = evaluate_jet(ch, U, steps), evaluate_jet(ch, U, steps, order=0)
         assert _same(values.values, full.values), ch.label
         assert values.jac.shape == (len(U), len(ch.coords), 0) and values.d2.shape == (len(U), len(ch.coords), 0, 0)
         assert [e and str(e) for e in values.errors] == [e and str(e) for e in full.errors], ch.label
@@ -359,7 +342,11 @@ def test_a_non_finite_metric_fails_only_its_own_sample(s4):
     assert len(_rows(chart, names, U, [0, 2], 0)) == 2 * len(names)
 
 
-def _stencil_scene(tmp_path, coords, u1_domain, grid):
+def _stencil_scene(tmp_path, theta, t, u1_domain, grid):
+    """An S^2 x R scene of biharmonic_normal on the surface of latitude
+    ``theta`` and height ``t`` over u1, longitude u2, which is not PMC, so
+    that every sample nests."""
+    coords = [f"cos({theta})*cos(u2)", f"cos({theta})*sin(u2)", f"sin({theta})", t]
     scene = {
         "ambient": {"epsilon": 1, "n": 2},
         "immersion": {
@@ -371,7 +358,7 @@ def _stencil_scene(tmp_path, coords, u1_domain, grid):
             }
         },
         "sampling": {"mode": "grid", "grid": grid},
-        "checks": ["pmc"],
+        "checks": ["biharmonic_normal"],
     }
     path = tmp_path / "stencil.json"
     path.write_text(json.dumps(scene))
@@ -379,17 +366,20 @@ def _stencil_scene(tmp_path, coords, u1_domain, grid):
 
 
 def test_domain_error_at_a_stencil_point_exits_3(tmp_path, capsys):
-    # the first sample sits at u1 = 2e-6, inside the base step of u1 = 0,
-    # so the stencil point u - h e_1 takes sqrt of a negative number
-    path = _stencil_scene(tmp_path, ["cos(u2)", "sin(u2)", "0", "sqrt(u1)"], [0.0, 1e-4], [2, 1])
+    # the first sample sits at u1 = 2e-6, inside the nested step of u1 = 0,
+    # so the outer stencil point u - h e_1 takes sqrt of a negative number.
+    # pmc reads the sample alone and gives a verdict
+    path = _stencil_scene(tmp_path, "0.5 + u1", "sqrt(u1)", [0.0, 1e-4], [2, 1])
+    assert main(["run", "--scene", str(path), "--check", "pmc"]) == 1
+    capsys.readouterr()
     assert main(["run", "--scene", str(path)]) == 3
     chart = build_chart(json.loads(path.read_text()))
     center = prodsub.scene.sample_points(chart, {"mode": "grid", "grid": [2, 1]})[0]
     assert center[0] == pytest.approx(2e-6)
-    bad = fd_stencil(center, 0)[1][1]
+    bad = fd_stencil(center, 0, FD_NESTED_STEP)[1][1]
     assert bad[0] < 0.0
     want = (
-        f"computation error: check pmc failed at sample 0, u={center.tolist()}: "
+        f"computation error: check biharmonic_normal failed at sample 0, u={center.tolist()}: "
         f"coordinate 3 failed at u={bad.tolist()}: at position 0: "
         f"sqrt: argument {float(bad[0])!r} outside the function domain"
     )
@@ -397,21 +387,20 @@ def test_domain_error_at_a_stencil_point_exits_3(tmp_path, capsys):
 
 
 def test_irregular_stencil_point_exits_3(tmp_path, capsys):
-    # t = u1^3 gives det g = 9 u1^4, below 1e-12 for u1 < 5.7735e-4: the
-    # sample at u1 = 5.8e-4 is regular, its stencil point u - h e_1 is not
-    path = _stencil_scene(
-        tmp_path, ["cos(u2)", "sin(u2)", "0", "u1^3"], [5.7e-4, 5.9e-4], [1, 1]
-    )
+    # latitude and height u1^3 give det g = 18 u1^4 cos^2(0.5 + u1^3),
+    # below 1e-12 for u1 < 5.75e-4: the sample at u1 = 5.8e-4 is regular,
+    # its outer stencil point u - h e_1 is not
+    path = _stencil_scene(tmp_path, "0.5 + u1^3", "u1^3", [5.7e-4, 5.9e-4], [1, 1])
     chart = build_chart(json.loads(path.read_text()))
     center = prodsub.scene.sample_points(chart, {"mode": "grid", "grid": [1, 1]})[0]
     assert analyze_point(chart, center[None]).errors == [None]  # regular
-    bad = fd_stencil(center, 0)[1][1]
+    bad = fd_stencil(center, 0, FD_NESTED_STEP)[1][1]
     (err,) = analyze_point(chart, bad[None]).errors
     assert isinstance(err, prodsub.errors.IrregularPoint)
-    assert str(err).startswith("det g = 9.7")
+    assert str(err).startswith("det g = 5.678e-16")
     assert main(["run", "--scene", str(path)]) == 3
     want = (
-        f"computation error: check pmc failed at sample 0, u={center.tolist()}: {err}"
+        f"computation error: check biharmonic_normal failed at sample 0, u={center.tolist()}: {err}"
     )
     assert capsys.readouterr().err.strip() == want
 
@@ -463,25 +452,22 @@ def _same_rows(a, b) -> bool:
 
 
 def test_a_run_evaluates_its_samples_in_one_batch(monkeypatch):
-    shapes, values_only = [], []
+    calls = []
     original = prodsub.immersion.evaluate_jet
 
-    def counting(chart, u, *steps, **kwargs):
-        shapes.append(np.shape(u))
-        values_only.append(kwargs.get("values_only", False))
-        return original(chart, u, *steps, **kwargs)
+    def counting(chart, u, steps=0, order=2):
+        calls.append((np.shape(u), order))
+        return original(chart, u, steps, order)
 
     monkeypatch.setattr(prodsub.immersion, "evaluate_jet", counting)
     scene = _load("theorem1_cylinder.json")
     sampling = {"mode": "random", "counts": 7, "seed": 2}
     prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS, sampling_override=sampling)
-    assert shapes == [(125, 3), (7, 3)]  # the membership probe, then the samples
-    assert values_only == [True, False]  # the samples take whole 2-jets
-    shapes.clear()
-    values_only.clear()
+    # the membership probe's values, then the samples' 2-jets
+    assert calls == [((125, 3), 0), ((7, 3), 2)]
+    calls.clear()
     prodsub.scene.run_scene(scene, checks=POINTWISE_CHECKS + ["pmc"], sampling_override=sampling)
-    assert shapes == [(125, 3), (7 * 13, 3)]  # each sample with its first layer
-    assert values_only == [True, False]
+    assert calls == [((125, 3), 0), ((7, 3), 3)]  # the samples alone, at order 3
 
 
 def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsic, prodsub.classify, prodsub.scene)):
@@ -501,38 +487,36 @@ def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsi
 
 def _nested_calls(n_nested: int, m: int) -> list:
     """The nested Laplacian's geometry calls for n_nested samples of one
-    chunk: whole samples, at most _NESTED_POINTS points per call."""
-    size = 4 * m * (1 + 4 * m)
-    per = max(1, prodsub.extrinsic._NESTED_POINTS // size)
+    chunk: the 4m outer points of whole samples, at most _BATCH_POINTS
+    points per call."""
+    size = 4 * m
+    per = max(1, prodsub.immersion._BATCH_POINTS // size)
     return [(min(per, n_nested - i) * size, m) for i in range(0, n_nested, per)]
 
 
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
-def test_first_layer_checks_cover_every_differencing_check(monkeypatch, request, chart_fixture):
-    # a differencing check whose record lacks first_layer would compute its
-    # stencil in a second call.  Every difference is taken on arrays: the first layers
-    # on the chunk's, and the nested Laplacian, where PMC fails (the
-    # helicoid), on the first layers of its samples' outer stencils, taken
-    # in calls of whole samples within the point budget.  No run calls
-    # fd_gradient.  A check without first_layer (ricci, vector_t and
-    # vector_eta among them) differences nothing.
+def test_order_three_checks_cover_every_derivative_check(monkeypatch, request, chart_fixture):
+    # a check that reads the 3-jet but whose record lacks order 3 would find
+    # no d3 in its chunk and raise.  Each check alone takes one geometry
+    # call of its samples, at its own order; the nested Laplacian, where PMC
+    # fails (the helicoid), adds the outer stencil points of its samples in
+    # calls of whole samples within the point budget.  No run calls
+    # fd_gradient.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
-    assert _nested_calls(3, 3) == [(2 * 156, 3), (156, 3)]  # two m = 3 samples per call
-    shapes = _count_analyze(monkeypatch)
+    calls = _count_analyze(monkeypatch)
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     for name in sorted(prodsub.scene.CHECKS):
-        shapes.clear()
+        calls.clear()
         _run_rows(chart, [name], samples, 0)
-        differences = prodsub.scene.CHECK_TABLE[name].first_layer
-        k = 1 + 4 * m if differences else 1
+        order = prodsub.scene.CHECK_TABLE[name].order
         nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
-        assert shapes == [(3 * k, m)] + _nested_calls(nested, m), name
+        assert calls == [((3, m), order)] + [(shape, 3) for shape in _nested_calls(nested, m)], name
     assert not fd_calls
-    first_layer = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.first_layer}
-    assert first_layer <= set(prodsub.scene.CHECKS)
-    assert first_layer.isdisjoint({"ricci", "vector_t", "vector_eta"})
+    third = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.order == 3}
+    assert third == {"gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"}
+    assert {c.order for c in prodsub.scene.CHECK_TABLE.values()} == {2, 3}
 
 
 STRUCTURE_CHECKS = [
@@ -543,119 +527,109 @@ STRUCTURE_CHECKS = [
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request, chart_fixture):
     # once per chunk: pmc, biharmonic_normal and biconservative_full share
-    # the chunk's nabla^perp H.  The nested Laplacian (the helicoid's four
-    # samples) adds one kernel call per call of its outer-stencil geometry.
+    # the chunk's nabla^perp H.  The geometry is one call of the N sample
+    # centers at order 3, with no stencil around them; the nested Laplacian
+    # (the helicoid's four samples) adds the 4m outer points of each of its
+    # samples, and one kernel call per call of their geometry.
     chart = request.getfixturevalue(chart_fixture)
+    m = chart.m
     samples = random_interior_points(chart, 4, seed=5)
     kernel = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    calls = _count_analyze(monkeypatch)
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
-    assert len(kernel) == 1 + len(_nested_calls(nested, chart.m))
-    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2 * (1 + 4 * chart.m))  # two chunks
+    assert calls == [((4, m), 3)] + ([((4 * 4 * m, m), 3)] if nested else [])
+    assert len(kernel) == 1 + len(_nested_calls(nested, m))
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks, one nested sample a call
     kernel.clear()
     assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
-    assert len(kernel) == 2 + 2 * len(_nested_calls(nested // 2, chart.m))
+    assert len(kernel) == 2 + 2 * len(_nested_calls(nested // 2, m))
 
 
 def _rel_gap(got, want) -> float:
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
 
-def test_chunk_differences_match_fd_gradient(batch_charts):
+def _jet_cases(s4, all_gallery_charts):
+    """(chart, points, steps) of the jet comparisons: the probe grid and
+    interior points of every gallery kind at both signs of eps and of every
+    corpus scene, the 61 steps of the criterion-4a family, and a chart whose
+    coordinates fail at some of its probe points."""
+    scan = build_chart(_load("biharmonic_scan_eps1.json"), ("a2", list(np.linspace(0.3, 0.9, 61))))
+    cases = [(ch, np.vstack([probe_grid(ch.domain, 5), random_interior_points(ch, 9, seed=3)]), 0)
+             for ch in all_gallery_charts + [build_chart(_load(p.name)) for p in sorted(SCENES.glob("*.json"))]]
+    grid, steps = probe_grid(scan.domain, 5), len(scan.family)
+    cases.append((scan, np.tile(grid, (steps, 1)), np.repeat(np.arange(steps), len(grid))))
+    failing = _failing_coordinate_chart(s4)
+    cases.append((failing, probe_grid(failing.domain, 5), 0))
+    return cases
+
+
+def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_charts):
     # every gallery kind at both signs of eps and the three *_expr scenes:
-    # the chunk's array differences against fd_gradient point by point
+    # the exact derivatives of an order-3 chunk (the 3-jet itself,
+    # nabla^perp H, d Gamma and d (P d2f(Y, Z))) against fd_gradient of the
+    # 2-jet fields point by point, within finite-difference accuracy
     for ch in batch_charts:
         m = ch.m
         samples = random_interior_points(ch, 3, seed=13)
         (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
-        layer, b = chunk.layer, chunk.layer.rows.batch
-        X, Y, Z = np.random.default_rng(3).standard_normal((3, 3, m))
-        (DG,) = layer.diff(layer.rows.derivatives.gamma)
-        alpha = prodsub.extrinsic._alpha  # P d2f(v, w) per row, the field of the Codazzi kernel
-        (dYZ,) = layer.diff(alpha(b, *np.repeat([Y, Z], layer.k, axis=1)))
-        dXYZ = layer.centers.batch.proj_normal(np.einsum("ni,nic->nc", X, dYZ))
+        d = chunk.geo.derivatives
+        Y, Z = np.random.default_rng(3).standard_normal((2, 3, m))
+        dYZ = d.d_alpha(Y, Z)
         cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):
-            b = cache.geometry(u).batch
-            want = [b.proj_normal(fd_gradient(lambda v: cache.geometry(v).H[0], u, i)[None])[0] for i in range(m)]
-            assert _rel_gap(chunk.nabla_H[r], np.array(want)) <= 1e-12, ch.label
-            gamma = lambda v: cache.geometry(v).derivatives.gamma[0].ravel()
-            want = [fd_gradient(gamma, u, i).reshape(m, m, m) for i in range(m)]
-            assert _rel_gap(DG[r], np.array(want)) <= 1e-12, ch.label
-
-            def alpha_YZ(v):
-                return alpha(cache.geometry(v).batch, Y[r : r + 1], Z[r : r + 1])[0]
-
-            want = b.proj_normal(sum(X[r, i] * fd_gradient(alpha_YZ, u, i) for i in range(m))[None])[0]
-            assert _rel_gap(dXYZ[r], want) <= 1e-12, ch.label
-
-
-def test_first_layer_differences_raise_what_fd_gradient_raises(theorem1_cyl):
-    U = random_interior_points(theorem1_cyl, 3, seed=2)
-    layer = prodsub.extrinsic.FirstLayer.at(theorem1_cyl, U)
-    k, H = layer.k, layer.rows.H
-
-    def fd_error(field_rows, sample):
-        """What fd_gradient raises on the field, point by point at the sample."""
-        at = {tuple(p): r for r, p in enumerate(first_layer(U[sample]))}
-        fields = [lambda v, f=f: f[sample * k + at[tuple(v)]] for f in field_rows]
-        try:
-            for field in fields:
-                for i in range(theorem1_cyl.m):
-                    fd_gradient(field, U[sample], i)
-        except prodsub.errors.StencilError as exc:
-            return str(exc)
-
-    for sample, point, second in ((1, 1 + 4 * 2 + 3, False), (2, 1 + 4 * 1 + 1, True), (2, 1, True)):
-        bad = H.copy()
-        bad[sample * k + point, 0] = np.nan
-        fields = (H, bad) if second else (bad, H)
-        with pytest.raises(prodsub.errors.RowFailure) as err:
-            layer.diff(*fields)
-        assert err.value.args[0] == sample
-        assert str(err.value.args[1]) == fd_error(fields, sample)
-    # a point that fails comes before a non-finite value of a later pair
-    failed = prodsub.errors.IrregularPoint("stand-in")
-    layer.rows.batch.errors[k + 1 + 4 * 1] = failed
-    bad = H.copy()
-    bad[k + 1 + 4 * 2, 0] = np.nan
-    with pytest.raises(prodsub.errors.RowFailure) as err:
-        layer.diff(bad)
-    assert err.value.args == (1, failed)
+            fields = {
+                "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), chunk.geo.batch.jet.d3[r]),
+                "nabla_H": (lambda v: cache.geometry(v).H[0], d.dH[r]),
+                "dgamma": (lambda v: cache.geometry(v).derivatives.gamma[0].ravel(), d.dgamma[r]),
+                "d_alpha": (lambda v: prodsub.extrinsic._alpha(cache.geometry(v).batch, Y[r : r + 1], Z[r : r + 1])[0], dYZ[r]),
+            }
+            for name, (field, exact) in fields.items():
+                fd = np.array([fd_gradient(field, u, i) for i in range(m)])  # direction first
+                if name == "d3":
+                    exact = np.moveaxis(exact, -1, 0)
+                elif name == "nabla_H":  # the normal projection of both, as a run takes it
+                    b = cache.geometry(u).batch
+                    exact, fd = chunk.nabla_H[r], b.proj_normal(fd[None])[0]
+                assert _rel_gap(exact.reshape(fd.shape), fd) <= 1e-8, (ch.label, name)
+    # the third-order slot changes nothing of the 2-jet, failing rows included
+    for ch, U, steps in _jet_cases(s4, all_gallery_charts):
+        full, third = evaluate_jet(ch, U, steps), evaluate_jet(ch, U, steps, order=3)
+        for a, b in ((full.values, third.values), (full.jac, third.jac), (full.d2, third.d2)):
+            assert _same(a, b), ch.label
+        assert [e and str(e) for e in third.errors] == [e and str(e) for e in full.errors], ch.label
+        d3 = third.d3
+        assert d3.shape == full.d2.shape + (ch.m,)
+        bad = np.array([e is not None for e in third.errors])
+        assert np.isnan(d3[bad]).all() and np.isfinite(d3[~bad]).all(), ch.label
+        scale = np.maximum(1.0, np.abs(d3))
+        for axes in ((0, 1, 3, 2, 4), (0, 1, 2, 4, 3), (0, 1, 4, 3, 2)):
+            assert np.all(np.abs(d3 - d3.transpose(axes))[~bad] <= 1e-13 * scale[~bad]), ch.label
+    assert bad.any()  # the failing chart has failing rows
 
 
 def _nested_oracle(chart, u):
     """The nested normal Laplacian at u point by point, as runs took it
     sample by sample: fd_gradient of nabla^perp_q H along p with the nested
-    step, where nabla^perp_q H is the normal projection of fd_gradient of
-    H.  Each point's geometry is a batch of one, and a point whose geometry
-    fails raises its error.  The geometry of every point it reads is filled
-    in one batch first."""
-    m = chart.m
-    points = np.vstack([first_layer(u), _outer_layers(u)])
-    rows = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, points))
-    known = {tuple(v): rows.take([i]) for i, v in enumerate(points.tolist()) if rows.batch.errors[i] is None}
+    step, where nabla^perp_q H is the exact one of each point's own order-3
+    geometry, a batch of one.  A point whose geometry fails raises its
+    error."""
+    m, cache = chart.m, FieldCache(chart)
 
-    def geometry(v):
-        key = tuple(np.asarray(v, dtype=float).tolist())
-        if key not in known:
-            known[key] = prodsub.extrinsic.second_fundamental(prodsub.extrinsic.analyze_point(chart, [key]))
-        if known[key].batch.errors[0] is not None:
-            raise known[key].batch.errors[0]
-        return known[key]
+    def geometry_of(v):
+        rows = cache.geometry(v)
+        if rows.batch.errors[0] is not None:
+            raise rows.batch.errors[0]
+        return rows
 
     def nabla_H(q):
-        def field(v):
-            b = geometry(v).batch  # v's own geometry first, then its stencil's
-            return b.proj_normal(fd_gradient(lambda x: geometry(x).H[0], v, q)[None])[0]
+        return lambda v: normal_derivative_H(geometry_of(v))[0, q]
 
-        return field
-
-    b = geometry(u).batch
-    G = geometry(u).derivatives.gamma[0]
-    W0 = np.array([nabla_H(q)(u) for q in range(m)])
+    rows = geometry_of(u)
+    b, G, W0 = rows.batch, rows.derivatives.gamma[0], normal_derivative_H(rows)[0]
     out = np.zeros(chart.space.ambient_dim)
     for p in range(m):
         for q in range(m):
@@ -665,42 +639,42 @@ def _nested_oracle(chart, u):
 
 
 def test_nested_laplacians_match_the_per_point_oracle(batch_charts):
-    # every gallery kind at both signs of eps and the three *_expr scenes;
-    # three m = 3 samples take two calls of outer-stencil geometry
+    # every gallery kind at both signs of eps and the three *_expr scenes
     for ch in batch_charts:
         samples = random_interior_points(ch, 3, seed=13)
         (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
         lap = normal_laplacian_H(chunk.geo, chunk.nabla_H)
         for r, u in enumerate(samples):
             assert _rel_gap(lap[r], _nested_oracle(ch, u)) <= 1e-12, ch.label
-            one = FirstLayer.at(ch, u[None])  # a batch of one
-            assert _rel_gap(normal_laplacian_H(one.centers, normal_derivative_H(one))[0], lap[r]) <= 1e-12, ch.label
+            one = geometry(ch, u[None], order=3)  # a batch of one
+            assert _rel_gap(normal_laplacian_H(one, normal_derivative_H(one))[0], lap[r]) <= 1e-12, ch.label
 
 
 def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path):
     # the helicoid's biharmonic_normal rows, whole, when _BATCH_POINTS
-    # splits the chunk, when the point budget splits the nested samples
-    # (one per call, or all five in one), and under --jobs 1/2/4
+    # splits the chunk and the nested samples (one per call), splits only
+    # the nested samples (two per call), or takes all five in one call, and
+    # under --jobs 1/2/4
     scene = _load("theorem1_helicoid.json")
     sampling = {"mode": "random", "counts": 5, "seed": 3}
     chart = build_chart(scene)
     samples = prodsub.scene.sample_points(chart, sampling)
     m, names = chart.m, ["biharmonic_normal"]
-    shapes = _count_analyze(monkeypatch)
+    calls = _count_analyze(monkeypatch)
     rows = _run_rows(chart, names, samples, 0)
     assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
-    size = 4 * m * (1 + 4 * m)
+    size = 4 * m
     splits = [
-        (prodsub.immersion, "_BATCH_POINTS", 2 * (1 + 4 * m), [(2 * size, m)] * 2 + [(size, m)]),
-        (prodsub.extrinsic, "_NESTED_POINTS", 1, [(size, m)] * 5),
-        (prodsub.extrinsic, "_NESTED_POINTS", 5 * size, [(5 * size, m)]),
+        (2, [(size, m)] * 5),
+        (2 * size, [(2 * size, m)] * 2 + [(size, m)]),
+        (5 * size, [(5 * size, m)]),
     ]
-    for module, name, value, nested_calls in splits:
+    for value, nested_calls in splits:
         with monkeypatch.context() as mp:
-            mp.setattr(module, name, value)
-            shapes.clear()
-            assert _same_rows(_run_rows(chart, names, samples, 0), rows), name
-            assert [s for s in shapes if s[0] % size == 0] == nested_calls, name
+            mp.setattr(prodsub.immersion, "_BATCH_POINTS", value)
+            calls.clear()
+            assert _same_rows(_run_rows(chart, names, samples, 0), rows), value
+            assert [s for s, _ in calls if s[0] % size == 0] == nested_calls, value
     csv = []
     for jobs in (1, 2, 4):
         path = tmp_path / f"jobs{jobs}.csv"
@@ -729,8 +703,8 @@ def _inject(monkeypatch, chart, faults):
 
         return [coordinate, *rest]
 
-    def faulty(chart, U, steps):
-        batch = original(chart, U, steps)
+    def faulty(chart, U, *args):
+        batch = original(chart, U, *args)
         for kind, point in faults:
             for r in np.flatnonzero((U == point).all(axis=1)):
                 if kind == "failed":
@@ -744,9 +718,11 @@ def _inject(monkeypatch, chart, faults):
 
 
 def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeypatch, theorem1_heli):
-    # a failed row or a non-finite H among the outer-stencil rows of the
-    # nested Laplacian gives the failing sample, check and message the
-    # per-sample path gave (the first sample whose oracle raises)
+    # a failed row or a non-finite nabla^perp H among the outer stencil
+    # points of the nested Laplacian gives the failing sample, check and
+    # message the per-sample path gives (the first sample whose oracle
+    # raises): per sample, the first pair of stencil points in fd_gradient's
+    # order (direction, then pair) with a failed point or a non-finite value
     chart, m = theorem1_heli, theorem1_heli.m
     samples = random_interior_points(chart, 3, seed=8)
     clean = _run_rows(chart, ["biharmonic_normal"], samples, 0)
@@ -761,20 +737,21 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
                 return i, f"check biharmonic_normal failed at sample {i}, u={u.tolist()}: {exc}"
         return None, None
 
-    def outer(sample, p, j, r):
-        """Row r of the first layer of point j of the sample's nested stencil along p."""
-        return first_layer(fd_stencil(samples[sample], p, FD_NESTED_STEP)[1][j])[r]
+    def outer(sample, p, j):
+        """Point j of the sample's nested stencil along p."""
+        return fd_stencil(samples[sample], p, FD_NESTED_STEP)[1][j]
 
     cases = [
-        [("failed", outer(1, 1, 2, 1 + 4 * 2 + 1))],
-        [("nan", outer(1, 0, 3, 1 + 4 * 0 + 2))],
-        [("failed", outer(2, 2, 0, 0))],  # an outer point itself, in the second call
-        [("nan", outer(2, 1, 1, 1 + 4 * 1 + 3))],
-        [("nan", outer(0, 1, 1, 0))],  # H at an outer point is never differenced
-        [("nan", outer(2, 0, 0, 3)), ("failed", outer(1, 2, 3, 5))],  # the lower sample first
-        [("failed", first_layer(samples[2])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails after
-        [("failed", first_layer(samples[0])[4]), ("nan", outer(1, 1, 1, 4))],  # pmc fails first
-        [("raises", v) for v in _outer_layers(samples[2])],  # the coordinates fail at every point of the second call
+        [("failed", outer(1, 1, 2))],
+        [("nan", outer(1, 0, 3))],
+        [("failed", outer(2, 2, 0))],
+        [("nan", outer(2, 1, 1))],
+        [("nan", outer(2, 0, 0)), ("failed", outer(1, 2, 3))],  # the lower sample first
+        [("nan", outer(1, 1, 2)), ("failed", outer(1, 0, 3))],  # the earlier direction first
+        [("nan", outer(1, 0, 0)), ("failed", outer(1, 0, 1))],  # within a pair, the failed point
+        [("failed", samples[2]), ("nan", outer(1, 1, 1))],  # sample 2 fails every check, after sample 1
+        [("failed", samples[0]), ("nan", outer(1, 1, 1))],  # sample 0 fails first
+        [("raises", v) for v in _outer_points(samples[2])],  # the coordinates fail at every outer point of sample 2
     ]
     seen = []
     for faults in cases:
@@ -782,30 +759,27 @@ def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeyp
             _inject(mp, chart, faults)
             sample, want = per_sample()
             got = _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0)
-        if want is None:
-            assert _same_rows(got, clean), faults
-        else:
-            assert got == want, faults
-        seen.append((sample, want and ("injected" in want, "non-finite field value" in want)))
+        assert want is not None and got == want, faults
+        seen.append((sample, ("injected" in want, "non-finite field value" in want)))
     failed, nonfinite = (True, False), (False, True)
-    assert seen == [(1, failed), (1, nonfinite), (2, failed), (2, nonfinite), (None, None),
+    assert seen == [(1, failed), (1, nonfinite), (2, failed), (2, nonfinite), (1, failed), (1, failed),
                     (1, failed), (1, nonfinite), (0, failed), (2, failed)]
     # under a looser PMC tolerance only sample 1 nests; it fails as sample 1
     with monkeypatch.context() as mp:
-        mp.setitem(prodsub.scene.CHECK_TABLE, "pmc", replace(prodsub.scene.CHECK_TABLE["pmc"], tol=0.05))
+        mp.setattr(prodsub.classify, "TOL_PMC", 0.05)
         rows = _run_rows(chart, ["biharmonic_normal"], samples, 0)
         assert [r[4] == prodsub.scene._NESTED_NOTE for r in rows] == [False, True, False]
-        _inject(mp, chart, [("failed", outer(1, 1, 2, 9))])
+        _inject(mp, chart, [("failed", outer(1, 1, 2))])
         sample, want = per_sample()
         assert sample == 1 and _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == want
     # a non-finite nabla^perp H at an outer point fails its sample along
-    # that outer direction, as fd_gradient did on the outer pair
+    # that outer direction, as fd_gradient does on the outer pair
     original = prodsub.extrinsic.normal_derivative_H
 
-    def poisoned(layer):
-        W = original(layer)
-        if len(layer) == 4 * m:  # the second call, of sample 2 alone
-            W[4 * 1 + 2, 0, 0] = np.nan  # direction p = 1, point 2
+    def poisoned(rows):
+        W = original(rows)
+        if len(rows) == 3 * 4 * m:  # the outer points of the three samples
+            W[2 * 4 * m + 4 * 1 + 2, 0, 0] = np.nan  # sample 2, direction p = 1, point 2
         return W
 
     monkeypatch.setattr(prodsub.extrinsic, "normal_derivative_H", poisoned)
@@ -817,37 +791,48 @@ FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_nor
 
 
 def test_differencing_work_does_not_grow_with_the_samples(monkeypatch):
-    # the five differencing checks on the cylinder (PMC holds, so nothing
-    # nests) take every difference on the chunk's arrays: the Christoffels
-    # once for the chunk's first-layer rows and once for its centers
+    # the five checks that read the 3-jet on the cylinder (PMC holds, so
+    # nothing nests) take every derivative on the chunk's arrays: the
+    # Christoffels once per chunk, no finite difference and no FieldCache
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     gamma_calls = _count_calls(monkeypatch, "christoffels", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     geometry_calls = []
     original = FieldCache.geometry
     monkeypatch.setattr(FieldCache, "geometry", lambda self, u: geometry_calls.append(1) or original(self, u))
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 32)
     scene = _load("theorem1_cylinder.json")
-    per_chunk = prodsub.immersion._BATCH_POINTS // (1 + 4 * 3)  # 39 samples with their first layers
     for n, chunks in ((4, 1), (40, 2)):
-        assert -(-n // per_chunk) == chunks
         gamma_calls.clear()
         rep = prodsub.scene.run_scene(
             scene, checks=FIVE_CHECKS, sampling_override={"mode": "random", "counts": n, "seed": 2}
         )
-        assert rep["samples"] == n and {c["derivative_tier"] for c in rep["checks"]} == {"fd"}
-        assert (len(fd_calls), len(gamma_calls), len(geometry_calls)) == (0, 2 * chunks, 0), n
+        assert rep["samples"] == n and {c["derivative_tier"] for c in rep["checks"]} == {"jet-exact"}
+        assert (len(fd_calls), len(gamma_calls), len(geometry_calls)) == (0, chunks, 0), n
 
 
 def test_reports_name_the_derivative_tier_of_each_check():
+    # every check is jet-exact but biharmonic_normal where a sample takes
+    # the normal Laplacian's finite-difference layer (off PMC: the helicoid)
     names = FIVE_CHECKS + ["ricci", "vector_t", "membership", "class_a", "splitting"]
-    tiers = {"cylinder": "fd", "helicoid": "nested-fd"}
-    for kind, nested in tiers.items():
+    for kind, nested in {"cylinder": "jet-exact", "helicoid": "fd"}.items():
         rep = prodsub.scene.run_scene(
             _load(f"theorem1_{kind}.json"), checks=names, sampling_override={"mode": "random", "counts": 3, "seed": 1}
         )
         got = {c["name"]: c["derivative_tier"] for c in rep["checks"]}
-        want = {n: "fd" if n in FIVE_CHECKS else "jet-exact" for n in names}
-        want["biharmonic_normal"] = nested
-        assert got == want, kind
+        assert got == {**dict.fromkeys(names, "jet-exact"), "biharmonic_normal": nested}, kind
+
+
+def test_a_pmc_tolerance_override_leaves_the_nesting_rule(capsys):
+    # biharmonic_normal nests where |nabla^perp H| exceeds TOL_PMC, the pmc
+    # check's default tolerance: --tol pmc=1e3 passes pmc on the helicoid
+    # and nests every sample all the same
+    scene = str(SCENES / "theorem1_helicoid.json")
+    assert main(["run", "--scene", scene, "--check", "pmc", "--check", "biharmonic_normal", "--samples", "4",
+                 "--tol", "pmc=1e3", "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["pmc"]["verdict"] == "PASS" and checks["pmc"]["tolerance_used"] == 1e3
+    assert checks["biharmonic_normal"]["derivative_tier"] == "fd"
+    assert checks["biharmonic_normal"]["notes"] == prodsub.scene._NESTED_NOTE
 
 
 def test_jet_exact_checks_close_to_rounding(all_gallery_charts):
@@ -874,7 +859,7 @@ def test_run_rows_equal_the_per_sample_loop(batch_charts):
             else:
                 names.append(name)
         assert names, ch.label
-        pointwise = [n for n in names if not prodsub.scene.CHECK_TABLE[n].first_layer]
+        pointwise = [n for n in names if prodsub.scene.CHECK_TABLE[n].order < 3]
         for subset in (names, pointwise):
             ref = _reference_rows(ch, subset, samples, 9)
             assert _same_rows(_run_rows(ch, subset, samples, 9), ref), (ch.label, subset)
@@ -883,10 +868,10 @@ def test_run_rows_equal_the_per_sample_loop(batch_charts):
 def test_a_long_run_splits_into_batches_of_whole_samples(monkeypatch, theorem1_cyl):
     samples = random_interior_points(theorem1_cyl, 5, seed=6)
     whole = _run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1)
-    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 30)  # two first layers
-    shapes = _count_analyze(monkeypatch)
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)
+    calls = _count_analyze(monkeypatch)
     assert _same_rows(_run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1), whole)
-    assert shapes == [(26, 3), (26, 3), (13, 3)]
+    assert calls == [((2, 3), 3), ((2, 3), 3), ((1, 3), 3)]
 
 
 def _center_error_scene(tmp_path, t_coord, grid, checks):
@@ -934,9 +919,6 @@ def test_error_at_a_sample_center_matches_the_per_sample_loop(
 
 # -- chunk-level checks: every entry runs on the arrays of a whole chunk ------
 
-JET_LEVEL_CHECKS = sorted(n for n in prodsub.scene.CHECKS if not prodsub.scene.CHECK_TABLE[n].first_layer)
-
-
 def _rows_by_sample(rows):
     return sorted(rows, key=lambda r: (r[1], r[0]))
 
@@ -964,12 +946,13 @@ def _chunk_of(batch):
 
 
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
+    # every per-sample check, the five that read the 3-jet included
     for ch in batch_charts:
         for u in random_interior_points(ch, 3, seed=41):
-            b = analyze_point(ch, u[None])
+            b = analyze_point(ch, u[None], order=3)
             codim = b.normal_onb.shape[1]
             flips = [[-1.0 if (k >> a) & 1 else 1.0 for a in range(codim)] for k in range(1, 2**codim)]
-            for name in JET_LEVEL_CHECKS:
+            for name in sorted(prodsub.scene.CHECKS):
                 try:
                     base = prodsub.scene.CHECKS[name](_chunk_of(b))
                 except prodsub.errors.RowFailure:
@@ -1011,12 +994,12 @@ def test_pointwise_inner_products_do_not_grow_with_the_samples(monkeypatch):
 
 
 def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
-    shapes = _count_analyze(monkeypatch)
+    calls = _count_analyze(monkeypatch)
     scene = _load("biharmonic_scan_eps1.json")
     scan = prodsub.scene.scan_parameter(scene, "a2", 0.4, 0.6, 3, "biharmonic_normal")
     m = 3
-    # one call for the 3 step centers, then one for the 8 samples with first layers per step
-    assert shapes == [(3, m), (3 * 8 * (1 + 4 * m), m)]
+    # one call for the 3 step centers' 2-jets, then one for the 8 samples of each step
+    assert calls == [((3, m), 2), ((3 * 8, m), 3)]
     for row in scan["rows"]:
         gallery = {**scene["immersion"]["gallery"], "a2": row["value"]}
         chart = build_chart({**scene, "immersion": {"gallery": gallery}})
@@ -1025,13 +1008,11 @@ def test_a_scan_step_reads_its_center_from_the_step_batch(monkeypatch):
 
 
 def test_a_scan_fills_each_call_with_points(monkeypatch):
-    shapes = _count_analyze(monkeypatch)
+    calls = _count_analyze(monkeypatch)
     scene = _load("biharmonic_scan_eps1.json")
     prodsub.scene.scan_parameter(scene, "a2", 0.3, 0.9, 61, "biharmonic_normal")
-    k = 1 + 4 * 3  # a sample's first layer
-    # the 61 step centers take one call; then 39 samples (507 points) a call
-    assert [s[0] for s in shapes] == [61] + [39 * k] * 12 + [(61 * 8 - 12 * 39) * k]
-    assert all(s[0] <= prodsub.immersion._BATCH_POINTS for s in shapes)
+    # the 61 step centers take one call; then the 8 samples of every step one call
+    assert [s[0] for s, _ in calls] == [61, 61 * 8] and 61 * 8 <= prodsub.immersion._BATCH_POINTS
 
 
 def _strided(a):

@@ -15,7 +15,7 @@ from prodsub.classify import (
     splitting_residual,
 )
 from prodsub.errors import InvalidFrame
-from prodsub.extrinsic import FirstLayer, second_fundamental
+from prodsub.extrinsic import geometry, second_fundamental
 from prodsub.gallery import make_cmc_product, make_slice, make_theorem1
 from prodsub.immersion import Chart
 from conftest import random_interior_points, theorem1_closed_forms
@@ -35,19 +35,19 @@ def _biharmonic_at_center(chart):
 
 
 def test_biconservative_slice(slice_s4):
-    r = biconservative_residual(FirstLayer.at(slice_s4, [[0.2, -0.1]]))
+    r = biconservative_residual(geometry(slice_s4, [[0.2, -0.1]], order=3))
     assert r["simple"][0] <= 1e-8 and r["full"][0] <= 1e-8
 
 
 def test_biconservative_theorem1_cylinder(theorem1_cyl):
-    r = biconservative_residual(FirstLayer.at(theorem1_cyl, random_interior_points(theorem1_cyl, 5, seed=21)))
+    r = biconservative_residual(geometry(theorem1_cyl, random_interior_points(theorem1_cyl, 5, seed=21), order=3))
     assert np.all(r["simple"] == 0.0)  # eta = 0 exactly at jet level
     assert r["full"].max() <= 1e-5
 
 
 def test_biconservative_cmc_hypersurface_product():
     ch = make_cmc_product(ProductSpace(1, 4), 0.7)
-    r = biconservative_residual(FirstLayer.at(ch, random_interior_points(ch, 4, seed=22)))
+    r = biconservative_residual(geometry(ch, random_interior_points(ch, 4, seed=22), order=3))
     assert r["simple"].max() <= 1e-10
 
 
@@ -231,11 +231,11 @@ def test_codim_two_frame_orthonormal(theorem1_heli):
     assert not fr.eta_gauge_fixed[0]
 
 
-def _classifier_residuals(layer):
-    """The gauge-invariant classifier residuals at the centers of a first
-    layer, biharmonic_residual assuming PMC (a zero nabla^perp H)."""
-    rows = layer.centers
-    bicon = biconservative_residual(layer)
+def _classifier_residuals(rows):
+    """The gauge-invariant classifier residuals at the rows of a batch
+    evaluated at order 3, biharmonic_residual assuming PMC (a zero
+    nabla^perp H)."""
+    bicon = biconservative_residual(rows)
     bih = biharmonic_residual(rows, np.zeros((len(rows), rows.batch.chart.m, rows.H.shape[1])))
     e0, _ = e0_structure(rows)
     return {
@@ -249,12 +249,11 @@ def _classifier_residuals(layer):
 
 
 def test_gauge_flip_invariance(theorem1_heli, tube_s3):
-    # every row of the first layer flips its normals, the centers' among them
     for ch in (theorem1_heli, tube_s3):
-        layer = FirstLayer.at(ch, random_interior_points(ch, 1, seed=31))
-        base = _classifier_residuals(layer)
+        rows = geometry(ch, random_interior_points(ch, 1, seed=31), order=3)
+        base = _classifier_residuals(rows)
         for signs in ([-1, 1], [1, -1], [-1, -1]):
-            flipped = FirstLayer(second_fundamental(layer.rows.batch.with_flipped_normals(signs)))
+            flipped = second_fundamental(rows.batch.with_flipped_normals(signs))
             for name, value in _classifier_residuals(flipped).items():
                 assert abs(value[0] - base[name][0]) <= 1e-12, (ch.label, name, signs)
 

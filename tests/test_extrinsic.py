@@ -5,7 +5,6 @@ import pytest
 
 from prodsub import ProductSpace, analyze_point, inner
 from prodsub.extrinsic import (
-    FirstLayer,
     JetDerivatives,
     T_eta_residuals,
     christoffels,
@@ -22,8 +21,8 @@ from conftest import random_interior_points, theorem1_closed_forms
 
 
 def _rows(chart, U):
-    """The geometry of the points U (N, m), each row checked regular."""
-    rows = second_fundamental(analyze_point(chart, U))
+    """The geometry of the points U (N, m) at order 3, each row checked regular."""
+    rows = second_fundamental(analyze_point(chart, U, order=3))
     assert not any(rows.batch.errors), chart.label
     return rows
 
@@ -153,7 +152,7 @@ def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
     for ch in all_gallery_charts:
         m, k = ch.m, ch.space.ambient_dim
         U = random_interior_points(ch, 3, seed=13)
-        d = JetDerivatives(ch.space, analyze_point(ch, U).jet, analyze_point(ch, U).g_inv)
+        d = JetDerivatives(analyze_point(ch, U))
         for r, u in enumerate(U):
             for i in range(m):
                 fd = fd_gradient(fields(ch), u, i)
@@ -181,7 +180,7 @@ def test_christoffels_match_fd_of_metric(theorem1_heli):
 
 def _pmc_residual(chart, U):
     """max_p |nabla^perp_p H| at every point of U."""
-    return np.linalg.norm(normal_derivative_H(FirstLayer.at(chart, U)), axis=-1).max(axis=-1)
+    return np.linalg.norm(normal_derivative_H(_rows(chart, U)), axis=-1).max(axis=-1)
 
 
 def test_normal_derivative_H_pmc_vs_not(theorem1_cyl, theorem1_heli, slice_s4):
@@ -195,9 +194,8 @@ def test_normal_derivative_H_pmc_vs_not(theorem1_cyl, theorem1_heli, slice_s4):
 
 
 def test_structure_residuals_slice(slice_s4):
-    layer = FirstLayer.at(slice_s4, [[0.15, -0.2]])
     X, Y, Z = np.array([[[1.0, 0.4]], [[-0.3, 1.0]], [[0.7, 0.2]]])
-    res = structure_residuals(layer, X, Y, Z, np.array([1]))
+    res = structure_residuals(_rows(slice_s4, [[0.15, -0.2]]), X, Y, Z, np.array([1]))
     for name, v in res.items():
         assert np.linalg.norm(v) <= 1e-8, name
 
@@ -211,7 +209,7 @@ def test_structure_residuals_theorem1(kind, s4):
     U = random_interior_points(ch, 8, seed=8)
     draws = [(rng.standard_normal((3, 3)), int(rng.integers(0, 2))) for _ in U]  # per point: X, Y, Z, then a
     X, Y, Z = np.stack([d[0] for d in draws], axis=1)
-    res = structure_residuals(FirstLayer.at(ch, U), X, Y, Z, np.array([d[1] for d in draws]))
+    res = structure_residuals(_rows(ch, U), X, Y, Z, np.array([d[1] for d in draws]))
     for name, v in res.items():
         assert np.linalg.norm(v, axis=-1).max() <= 1e-5, (kind, name)
 
@@ -239,6 +237,6 @@ def test_T_eta_residuals(vcyl_geodesic, slice_s4, theorem1_heli):
 
 
 def test_normal_laplacian_H_vanishes_under_pmc(theorem1_cyl):
-    layer = FirstLayer.at(theorem1_cyl, [[0.2, -0.3, 0.4]])
-    lam = normal_laplacian_H(layer.centers, normal_derivative_H(layer))
+    rows = _rows(theorem1_cyl, [[0.2, -0.3, 0.4]])
+    lam = normal_laplacian_H(rows, normal_derivative_H(rows))
     assert np.linalg.norm(lam[0]) <= 1e-4

@@ -5,7 +5,7 @@ import pytest
 
 from prodsub import ProductSpace, analyze_point, evaluate_jet, membership_residual
 from prodsub.errors import ChartError
-from prodsub.extrinsic import FirstLayer, normal_derivative_H, second_fundamental, shape_operator
+from prodsub.extrinsic import geometry, normal_derivative_H, second_fundamental, shape_operator
 from prodsub.gallery import (
     GALLERY,
     make_chart,
@@ -45,9 +45,9 @@ def test_vertical_cylinder_circle_is_cmc(eps):
     ch = make_vertical_cylinder(space, {"kind": "circle", "r": 0.7})
     want = (1 / math.tan(0.7) if eps == 1 else 1 / math.tanh(0.7)) / 2
 
-    layer = FirstLayer.at(ch, random_interior_points(ch, 8, seed=42))
-    assert np.linalg.norm(normal_derivative_H(layer), axis=-1).max() <= 1e-6
-    assert np.allclose(layer.centers.H_norm, want, atol=1e-10)
+    rows = geometry(ch, random_interior_points(ch, 8, seed=42), order=3)
+    assert np.linalg.norm(normal_derivative_H(rows), axis=-1).max() <= 1e-6
+    assert np.allclose(rows.H_norm, want, atol=1e-10)
 
 
 @pytest.mark.parametrize("eps,a", [(1, 0.8), (1, 0.6), (-1, 1.25)])

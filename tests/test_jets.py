@@ -72,6 +72,9 @@ def test_cos_expansion_at_zero():
 
 
 def _fd_check(fn, x0, rel=1e-6):
+    """The jet of fn at x0 against differences of its values, and its
+    third-order slot against fd_gradient of the Hessian; the order-3 jet
+    has the value, gradient and Hessian of the 2-jet bit for bit."""
     h = 1e-5 * max(1.0, abs(x0))
     f = lambda t: fn(jet_var(0, t, m=1)).value
     d1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
@@ -81,6 +84,10 @@ def _fd_check(fn, x0, rel=1e-6):
     scale2 = max(1.0, abs(d2))
     assert abs(jet.grad[0] - d1) <= rel * scale1
     assert abs(jet.hess[0, 0] - d2) <= 2e-5 * scale2  # plain 2nd difference noise
+    third = fn(jet_var(0, x0, m=1, order=3))
+    assert [third.value, *third.grad, *third.hess.ravel()] == [jet.value, *jet.grad, *jet.hess.ravel()]
+    d3 = fd_gradient(lambda u: fn(jet_var(0, u[0], m=1)).hess[0], np.array([x0]), 0)[0]
+    assert abs(third.d3[0, 0, 0] - d3) <= 1e-8 * max(1.0, abs(d3))
 
 
 def test_exp_sin_composite_matches_fd():
@@ -146,6 +153,9 @@ def test_pow_const_via_jet_unary():
     assert y.value == 8.0
     assert np.array_equal(y.grad, [12.0])
     assert np.array_equal(y.hess, [[12.0]])
+    for p in (3, 2, 1, -2, 0.5, 2.5):
+        _fd_check(lambda j: pow_const(j, p), 1.3)
+    assert pow_const(jet_var(0, 2.0, m=1, order=3), 3).d3[0, 0, 0] == 6.0
     with pytest.raises(ValueError):
         pow_const(jet_var(0, -1.0, m=1), 0.5)
 
@@ -179,14 +189,16 @@ def test_quadratic_polynomials_exact(coef, x0, y0):
 
 
 def test_hessian_symmetry_after_random_op_chains():
+    # random chains of products, sums, quotients and unary functions: the
+    # Hessian is symmetric bit for bit; at order 3 the value, gradient and
+    # Hessian are unchanged, d3 is symmetric to rounding and matches
+    # fd_gradient of the Hessian
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        x = jet_var(0, float(rng.uniform(0.3, 1.5)), m=3)
-        y = jet_var(1, float(rng.uniform(0.3, 1.5)), m=3)
-        z = jet_var(2, float(rng.uniform(0.3, 1.5)), m=3)
+
+    def chain(ops, u, order=2):
+        x, y, z = (jet_var(i, u[i], m=3, order=order) for i in range(3))
         w = x * y + z
-        for _ in range(6):
-            op = rng.integers(0, 6)
+        for op in ops:
             if op == 0:
                 w = w * y
             elif op == 1:
@@ -198,8 +210,18 @@ def test_hessian_symmetry_after_random_op_chains():
             elif op == 4:
                 w = w / (jets.cosh(z) + 1.0)
             else:
-                w = jets.atan(w)
+                w = 2.0 - jets.atan(w)
+        return w
+
+    for _ in range(200):
+        u, ops = rng.uniform(0.3, 1.5, 3), rng.integers(0, 6, 6)
+        w, third = chain(ops, u), chain(ops, u, order=3)
         assert np.array_equal(w.hess, w.hess.T)
+        assert third.value == w.value and np.array_equal(third.grad, w.grad) and np.array_equal(third.hess, w.hess)
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            assert np.allclose(third.d3, third.d3.transpose(axes), rtol=1e-14, atol=1e-14)
+        fd = np.array([fd_gradient(lambda v: chain(ops, v).hess.ravel(), u, i) for i in range(3)])
+        assert np.allclose(np.moveaxis(third.d3, -1, 0).reshape(3, 9), fd, rtol=1e-7, atol=1e-7)
 
 
 def test_fd_gradient_polynomial_field():
