@@ -21,7 +21,9 @@ the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
 and scan files byte for byte, and stdout, stderr and the exit code of every
 run.  It also runs every demo (``demos/*.py``) and compares its stdout and exit
 code; a demo's stderr would name the export's path in a warning.  Prints
-each output that differs and exits 1 if any does, else 0.
+each output that differs, for a report or CSV with the checks whose entries
+or rows differ (and any other report key or the CSV header that does), and
+exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -191,6 +193,30 @@ def outputs(root: Path, argv: list, files: list, streams: tuple) -> dict:
     return got
 
 
+def _by_check(f: str, data: bytes) -> dict:
+    """A report or CSV as {part: content}: each check's entry or rows under
+    its name, and a report's other keys or the CSV header under their own."""
+    if f.endswith(".json"):
+        report = json.loads(data)
+        parts = {f"check {c['name']}": c for c in report.pop("checks", [])}
+        return {**parts, **report}
+    header, *lines = data.decode().splitlines()
+    parts = {"header": header}
+    for line in lines:
+        parts.setdefault(f"check {line.split(',', 1)[0]}", []).append(line)
+    return parts
+
+
+def what_differs(f: str, base, change) -> str:
+    """For a report or CSV that both sides wrote, `` (<parts>)``: the checks
+    whose entries or rows differ and any other part that does; else ''."""
+    if base is None or change is None or not f.endswith((".json", ".csv")):
+        return ""
+    parts = _by_check(f, base), _by_check(f, change)
+    names = sorted(k for k in {*parts[0], *parts[1]} if parts[0].get(k) != parts[1].get(k))
+    return f" ({', '.join(names)})"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the revision whose outputs the change must reproduce")
@@ -210,7 +236,8 @@ def main(argv=None) -> int:
             for key in got["base"]:
                 if got["base"][key] != got["change"][key]:
                     differ.append(f"{name}: {key}")
-                    print(f"DIFFERS {name}: {key}", flush=True)
+                    detail = what_differs(key, got["base"][key], got["change"][key])
+                    print(f"DIFFERS {name}: {key}{detail}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{len(runs)} runs, {len(differ)} differing outputs")

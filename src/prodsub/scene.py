@@ -16,8 +16,8 @@ check from the kernel to the report and the CSV: chunks, and the blocks of
 samples that ``--jobs N`` computes in the run's process and forked children,
 follow sample order, so joining a check's columns gives row i for sample i.
 Residuals are deterministic functions of (scene, seed): nothing reduces
-across samples, and per-sample randomness is keyed by (seed, index), so
-neither the chunking nor the blocks change values.
+across samples, and a check's draws hash (seed, sample index, stream, draw),
+so neither the chunking nor the blocks change values.
 
 A parameter scan is one such run on one family chart (``Family``), whose
 scanned parameter takes one value per batch row: every step's samples go
@@ -82,9 +82,11 @@ __all__ = [
     "CHECK_TABLE",
     "CHECKS",
     "RNG_NAME",
+    "DRAWS_NAME",
 ]
 
-RNG_NAME = "numpy-PCG64"
+RNG_NAME = "numpy-PCG64"  # the sample positions
+DRAWS_NAME = "splitmix64-keyed"  # the directions of gauss, codazzi and ricci
 
 SCENE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -384,13 +386,35 @@ def _chk_biharmonic_predicate(c: Chunk):
     return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the SplitMix64 increment
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser, a bijection of uint64 arrays."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def keyed_draws(seed: int, indices: np.ndarray, stream: int, m: int, codim: int):
+    """X, Y, Z (N, m) unit directions and a (N,) index in [0, codim) from
+    draws 0..6m of each sample, SplitMix64 hashes of (seed, sample index,
+    stream, draw) with every 64-bit word of the seed in the key: 3m
+    Box-Muller normals, normalised, then the last draw modulo codim."""
+    key = np.zeros(1, np.uint64)
+    for word in [(seed >> s) & (2**64 - 1) for s in range(0, max(seed.bit_length(), 1), 64)] + [stream]:
+        key = _mix(key + _GOLDEN + np.uint64(word))
+    start = _mix(key + np.asarray(indices, np.uint64) * _GOLDEN)
+    bits = _mix(start[:, None] + np.arange(1, 6 * m + 2, dtype=np.uint64) * _GOLDEN)
+    u = ((bits[:, :-1] >> np.uint64(11)) + 0.5) * 2.0**-53  # (N, 6m) in (0, 1)
+    v = (np.sqrt(-2.0 * np.log(u[:, : 3 * m])) * np.cos(2.0 * np.pi * u[:, 3 * m :])).reshape(-1, 3, m)
+    X, Y, Z = (v / np.linalg.norm(v, axis=2, keepdims=True)).transpose(1, 0, 2)
+    return X, Y, Z, (bits[:, -1] % np.uint64(codim)).astype(int)
+
+
 def _draws(c: Chunk, name: str):
-    """X, Y, Z (N, m) and a (N,): each sample draws three unit chart
-    directions and then a normal index from its own stream."""
-    rngs = [_check_rng((c.seed, idx, CHECK_TABLE[name].stream)) for idx in c.indices.tolist()]
-    X, Y, Z = np.stack([_random_directions(rng, c.chart.m) for rng in rngs], axis=1)
-    codim = c.geo.batch.normal_onb.shape[1]
-    return X, Y, Z, np.array([rng.integers(0, codim) for rng in rngs])
+    """``keyed_draws`` of the chunk's samples on the check's stream."""
+    return keyed_draws(c.seed, c.indices, CHECK_TABLE[name].stream, c.chart.m, c.geo.batch.normal_onb.shape[1])
 
 
 def _chk_ricci(c: Chunk):
@@ -430,16 +454,6 @@ def _chk_e0(c: Chunk):
     return np.where(vanish, 0.0, val), notes, np.array(vanish)
 
 
-def _check_rng(key: tuple) -> np.random.Generator:
-    """The stream of one (seed, sample index, check id) key."""
-    return np.random.Generator(np.random.PCG64(key))
-
-
-def _random_directions(rng: np.random.Generator, m: int, k: int = 3) -> np.ndarray:
-    v = rng.standard_normal((k, m))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _chk_pmc(c: Chunk):
     return np.max(np.linalg.norm(c.nabla_H, axis=-1), axis=-1), None, False
 
@@ -448,7 +462,7 @@ def _chk_biconservative_full(c: Chunk):
     return biconservative_full(c.geo, c.nabla_H), None, False
 
 
-_NESTED_NOTE = "PMC not verified; nested differences (tol_fd2)"
+_NESTED_NOTE = "PMC not verified; one difference layer over exact nabla^perp H (tol_fd2)"
 
 
 def _chk_biharmonic_normal(c: Chunk):
@@ -484,9 +498,9 @@ class Check:
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H, alpha or the Christoffels; a run evaluates its samples
-    at the highest order of its checks.  ``stream`` keys the per-sample
-    random draws of a check that makes them, (seed, sample index, stream):
-    fixed numbers, so that adding a check moves no other's draws.
+    at the highest order of its checks.  ``stream`` keys the draws of a
+    check that makes them (``keyed_draws``): fixed numbers, so that adding
+    a check moves no other's draws.
     """
 
     kernel: Callable
@@ -701,8 +715,9 @@ def run_scene(
 
     Exit-code semantics live in the CLI; here FAIL is only recorded in the
     report.  With ``jobs > 1`` this process computes the first contiguous block
-    of samples and a forked child each other one; the per-sample RNG is keyed
-    by (seed, sample index), so verdicts and CSV rows are identical for any job count.
+    of samples and a forked child each other one; each sample's draws depend
+    on (seed, sample index, stream) alone, so verdicts and CSV rows are
+    identical for any job count.
 
     ``scene`` must come from ``load_scene`` or have passed
     ``validate_scene``: only the sampling block merged with
@@ -762,7 +777,7 @@ def _run_checks(
 
     return {
         "engine": {"name": "prodsub", "version": __version__},
-        "rng": {"name": RNG_NAME, "seed": seed},
+        "rng": {"name": RNG_NAME, "seed": seed, "directions": DRAWS_NAME},
         "scene": scene,
         "chart": chart.label,
         "samples": len(samples),

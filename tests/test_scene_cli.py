@@ -528,6 +528,60 @@ def test_adding_a_check_moves_no_random_stream(monkeypatch, tmp_path):
     }
 
 
+@pytest.mark.parametrize("m, codim", [(2, 2), (3, 3), (4, 4)])
+def test_keyed_draws_are_isotropic_directions_and_uniform_indices(m, codim):
+    X, Y, Z, a = prodsub.scene.keyed_draws(0, np.arange(20_000), 8, m, codim)
+    for V in (X, Y, Z):
+        assert V.shape == (20_000, m)
+        assert np.allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.linalg.norm(V.mean(axis=0)) < 0.03
+        assert np.max(np.abs(V.T @ V / len(V) - np.eye(m) / m)) < 0.03
+    freq = np.bincount(a, minlength=codim) / len(a)
+    assert len(freq) == codim and np.all(np.abs(freq - 1 / codim) < 0.02)
+
+
+def test_keyed_draws_differ_between_streams_and_seeds():
+    def draws(seed, stream):
+        return np.concatenate(prodsub.scene.keyed_draws(seed, np.arange(50), stream, 3, 2)[:3], axis=1)
+
+    keys = [(seed, stream) for seed in (0, 1, 2, 2**64, 2**64 + 1) for stream in (13, 8, 5)]
+    blocks = [draws(*k) for k in keys]
+    for i in range(len(keys)):
+        for j in range(i):
+            assert not np.any(np.all(blocks[i] == blocks[j], axis=1)), (keys[i], keys[j])
+    # a sample's draws are those of its index, whatever the other samples are
+    X, Y, Z, a = prodsub.scene.keyed_draws(7, np.array([5, 2, 9]), 8, 3, 2)
+    X1, Y1, Z1, a1 = prodsub.scene.keyed_draws(7, np.array([9]), 8, 3, 2)
+    assert np.array_equal(X[2:], X1) and np.array_equal(Z[2:], Z1) and a[2] == a1[0]
+
+
+def test_keyed_draws_are_pinned():
+    # (seed 0, samples 0-2, the gauss stream): a change of the hash shows here
+    X, _, _, a = prodsub.scene.keyed_draws(0, np.arange(3), 8, 3, 2)
+    want = [
+        [-0.5909843793698986, -0.15065152139113971, 0.7924907459669865],
+        [-0.4415621629237624, 0.4592031957195097, -0.7708146867536181],
+        [0.390050452081325, 0.7896400435450404, -0.4736340849868609],
+    ]
+    np.testing.assert_allclose(X, want, rtol=1e-13, atol=0)
+    assert a.tolist() == [0, 0, 1]
+
+
+def test_seeds_past_64_bits_do_not_alias(tmp_path):
+    # the cylinder samples a grid, so only the drawn directions see the seed
+    def gauss(seed):
+        path = tmp_path / f"{seed}.csv"
+        report = run_scene(_load("theorem1_cylinder.json"), checks=["gauss"], sampling_override={"seed": seed},
+                           csv_path=str(path))
+        # the report names both generators: of the sample positions and of the draws
+        assert report["rng"] == {"name": "numpy-PCG64", "seed": seed, "directions": "splitmix64-keyed"}
+        return [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+
+    columns = [gauss(s) for s in (0, 2**64, 2**64 + 1)]
+    assert len(columns[0]) == 64
+    assert columns[0] != columns[1] and columns[1] != columns[2] and columns[0] != columns[2]
+
+
 def test_scan_single_step():
     scene = _load("biharmonic_scan_eps1.json")
     scan = scan_parameter(scene, "a2", 0.64, 0.64, 1, "biharmonic_normal")
