@@ -567,6 +567,37 @@ def test_keyed_draws_are_pinned():
     assert a.tolist() == [0, 0, 1]
 
 
+def _keyed_draw_reference(seed, index, stream, m, codim):
+    """``keyed_draws`` of one sample in Python integers, which do not wrap."""
+    mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    key = 0
+    for word in [(seed >> s) & mask for s in range(0, max(seed.bit_length(), 1), 64)] + [stream]:
+        key = mix((key + golden + word) & mask)
+    start = mix((key + index * golden) & mask)
+    bits = [mix((start + j * golden) & mask) for j in range(1, 6 * m + 2)]
+    u = [((b >> 11) + 0.5) * 2.0**-53 for b in bits]
+    v = np.array([math.sqrt(-2 * math.log(u[k])) * math.cos(2 * math.pi * u[3 * m + k]) for k in range(3 * m)])
+    v = v.reshape(3, m)
+    return v / np.linalg.norm(v, axis=1, keepdims=True), bits[-1] % codim
+
+
+def test_keyed_draws_match_the_per_sample_reference():
+    indices = np.array([0, 1, 511, 12345, 2**40])
+    for seed in (0, 5, 2**64 + 1, 2**130 + 7):
+        for stream, m, codim in ((13, 2, 2), (8, 3, 3), (5, 4, 1)):
+            X, Y, Z, a = prodsub.scene.keyed_draws(seed, indices, stream, m, codim)
+            for row, i in enumerate(indices.tolist()):
+                want, want_a = _keyed_draw_reference(seed, i, stream, m, codim)
+                np.testing.assert_allclose([X[row], Y[row], Z[row]], want, rtol=0, atol=1e-14)
+                assert a[row] == want_a
+
+
 def test_seeds_past_64_bits_do_not_alias(tmp_path):
     # the cylinder samples a grid, so only the drawn directions see the seed
     def gauss(seed):
