@@ -8,11 +8,12 @@ corpus scene (``scenes/*.json``) with ``--samples 24 --seed 7``, ``--out``
 and ``--csv``, under ``--jobs 1``, ``2`` and ``4``, for three check sets:
 the scene's own checks, the structure checks and the jet-level plus
 chart-level checks.  Under the same job counts it runs both 61-step
-criterion-4a scans of ``biharmonic_normal`` with ``--out``, and the runs
-and scans of the generated scenes in ``FAILING``, each of which fails: a
-domain error and an irregular metric at a point of the normal Laplacian's
-stencils, an error at a sample center, coordinate
-overflows, a NaN chart, a scan step that does not build, an unbound
+criterion-4a scans of ``biharmonic_normal`` with ``--out``, the runs of
+the generated scenes in ``NARROW`` with ``--out`` and ``--csv``:
+``biharmonic_normal`` off PMC on charts narrower than a stencil, next to a
+domain edge and next to an irregular point, and the runs and scans of the
+generated scenes in ``FAILING``, each of which fails: an error at a sample
+center, coordinate overflows, a NaN chart, a scan step that does not build, an unbound
 identifier, scans whose first or second step leaves the product, scans
 whose first failing step lies in a later membership block, scenes
 the schema rejects (``epsilon: 2``, an immersion of both kinds, an unknown
@@ -63,7 +64,7 @@ def _s2(t: str, grid: list, checks: list, u1=(-1.0, 1.0), s: str = "cos(u2)") ->
 
 def _latitude(theta: str, t: str, u1: tuple, grid: list) -> dict:
     """biharmonic_normal on the S^2 x R surface of latitude ``theta`` and height ``t`` over u1, longitude
-    u2: it is not PMC, so every sample takes the normal Laplacian's stencils."""
+    u2: it is not PMC, so every sample takes the normal Laplacian."""
     scene = _s2(t, grid, ["biharmonic_normal"], u1, s=f"cos({theta})*cos(u2)")
     scene["immersion"]["expressions"]["coords"][1:3] = [f"cos({theta})*sin(u2)", f"sin({theta})"]
     return scene
@@ -117,9 +118,11 @@ _SCAN_P = ["scan", "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps
 
 # a bump of height 1e400 at u1 = 0.32, a sample and no probe point: 0 * inf is NaN there
 _OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
+NARROW = {  # name: scene; every sample lies within 5e-4, the step of the old difference layer, of the edge
+    "stencil_domain": _latitude("0.5 + u1", "sqrt(u1)", (0.0, 1e-4), [2, 1]),  # of the domain of sqrt(u1)
+    "stencil_irregular": _latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]),  # of det g > 1e-12
+}
 FAILING = {  # name: (scene, the command's arguments after --scene)
-    "stencil_domain": (_latitude("0.5 + u1", "sqrt(u1)", (0.0, 1e-4), [2, 1]), ["run"]),
-    "stencil_irregular": (_latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]), ["run"]),
     "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),
     "overflow_raises": (_s2("u1", [3, 3], ["membership"], s="cos(u2) + (exp(1000*u1) - exp(1000*u1))"), ["run"]),
     "overflow_metric": (_s2(_OVERFLOW, [4, 1], ["membership", "class_a", "pmc"]), ["run"]),
@@ -141,11 +144,13 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
 }
 
 
-def write_failing(root: Path) -> None:
-    """The scenes of ``FAILING`` as ``failing/<name>.json`` under ``root``."""
-    (root / "failing").mkdir()
-    for name, (scene, _) in FAILING.items():
-        (root / "failing" / f"{name}.json").write_text(json.dumps(scene))
+def write_generated(root: Path) -> None:
+    """The scenes of ``NARROW`` and ``FAILING`` as ``narrow/<name>.json`` and
+    ``failing/<name>.json`` under ``root``."""
+    for folder, scenes in (("narrow", NARROW), ("failing", {k: v[0] for k, v in FAILING.items()})):
+        (root / folder).mkdir()
+        for name, scene in scenes.items():
+            (root / folder / f"{name}.json").write_text(json.dumps(scene))
 
 
 def invocations(root: Path) -> dict:
@@ -168,6 +173,11 @@ def invocations(root: Path) -> dict:
             argv = ["scan", "--scene", scene, "--param", "a2", "--from", lo, "--to", hi, "--steps", "61"]
             argv += ["--residual", "biharmonic_normal", "--jobs", str(jobs), "--out", f"{name}.dat"]
             out[name] = (cli + argv, [f"{name}.dat"], ("stdout", "stderr"))
+        for label in NARROW:
+            name = f"narrow.{label}.jobs{jobs}"
+            argv = ["run", "--scene", f"narrow/{label}.json", "--jobs", str(jobs), "--out", f"{name}.json"]
+            argv += ["--csv", f"{name}.csv"]
+            out[name] = (cli + argv, [f"{name}.json", f"{name}.csv"], ("stdout", "stderr"))
         for label, (_, (command, *args)) in FAILING.items():
             name = f"failing.{label}.jobs{jobs}"
             argv = [command, "--scene", f"failing/{label}.json", *args, "--jobs", str(jobs)]
@@ -228,7 +238,7 @@ def main(argv=None) -> int:
         export(args.base, roots["base"])
         export("HEAD", roots["change"])
         for root in roots.values():
-            write_failing(root)
+            write_generated(root)
         runs = invocations(roots["change"])
         differ = []
         for name, run in runs.items():

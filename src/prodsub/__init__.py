@@ -3,9 +3,10 @@ Riemannian products S^n x R and H^n x R.
 
 The package evaluates user-defined or gallery immersions with forward-mode
 jets of order 2, or 3 where a check reads a derivative of the mean curvature,
-the Christoffels or alpha, builds per-point frames and second-fundamental-form data,
-and reports residuals of the structural identities that characterize
-biconservative and biharmonic submanifolds with parallel mean curvature.
+the Christoffels or alpha, and 4 for the normal Laplacian of H, builds
+per-point frames and second-fundamental-form data, and reports residuals of
+the structural identities that characterize biconservative and biharmonic
+submanifolds with parallel mean curvature.
 """
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import curvature, inner
-from .errors import InvalidFrame, RowFailure
-from .extrinsic import ExtrinsicRows, normal_derivative_H, normal_laplacian_H, shape_operator
+from .errors import InvalidFrame
+from .extrinsic import ExtrinsicRows, geometry, normal_derivative_H, normal_laplacian_H, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -162,13 +162,12 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
 
     normal: the norm of trace alpha(., A_H .) - lap^perp H
     + trace (R(., H) .)^perp; minimal: whether H vanishes (|H| at or below
-    DEGENERATE["H_minimal"]); nested: whether lap^perp H took its
-    finite-difference layer, which it does where PMC fails (some
-    |nabla^perp_p H| above TOL_PMC, the default tolerance of the pmc check,
-    whatever tolerance a run gives that check) and H does not vanish, and
-    is 0 elsewhere, so a zero ``nabla_H`` assumes PMC.  The nested rows take
-    one ``normal_laplacian_H`` call; raises RowFailure for the first of them
-    whose stencils fail.
+    DEGENERATE["H_minimal"]); nested: whether lap^perp H was taken, which
+    it is where PMC fails (some |nabla^perp_p H| above TOL_PMC, the default
+    tolerance of the pmc check, whatever tolerance a run gives that check)
+    and H does not vanish, and is 0 elsewhere, so a zero ``nabla_H``
+    assumes PMC.  The nested rows are evaluated again at order 4, in one
+    geometry call, for the closed-form ``normal_laplacian_H``.
 
     The curvature trace enters with coefficient one: that is the form whose
     restriction to the parallel-H biconservative case reduces to the
@@ -182,10 +181,7 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
-        try:
-            lap[at] = normal_laplacian_H(rows.take(at), nabla_H[at])
-        except RowFailure as f:
-            raise RowFailure(int(at[f.args[0]]), f.args[1]) from None
+        lap[at] = normal_laplacian_H(geometry(b.chart, b.u[at], b.steps[at], order=4), nabla_H[at])
     A_H = shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H)
     trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ b.normal_onb)[:, 0]
     curv = b.proj_normal(_curvature_trace(rows))

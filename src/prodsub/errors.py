@@ -14,8 +14,7 @@ class NullFrame(EngineError):
 
 
 class StencilError(EngineError):
-    """A stencil of the normal Laplacian's finite-difference layer met a
-    non-finite value."""
+    """``jets.fd_gradient`` met a non-finite field value."""
 
 
 class InvalidFrame(EngineError):

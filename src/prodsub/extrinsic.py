@@ -2,16 +2,15 @@
 residuals of the first-order structure equations, as array kernels over
 batches of points.
 
-Derivative depth discipline: quantities built from the position 2-jet are
-exact ("jet level"), and so are their first chart derivatives, in closed
-form (``JetDerivatives``): the metric, Christoffels, normal projector, T
-and eta from the 2-jet, and H, the Christoffels' derivatives and
-alpha(Y, Z) = P d2f(Y, Z) from the 3-jet of a batch evaluated at order 3.
-So Gauss, Codazzi, Ricci, the T/eta rules, the ONB connection and
-nabla^perp H are jet-exact at the sample itself.  Only the normal
-Laplacian of H differences (tol_fd2 = 1e-4): exact nabla^perp H at the 4m
-points of each sample's ``FD_NESTED_STEP`` stencils, differenced along
-them.  Every differenced field is gauge-invariant, never a frame vector.
+Derivative depth discipline: every quantity is exact ("jet level") and
+taken in closed form from the position jet of a batch (``JetDerivatives``).
+The metric, Christoffels, normal projector, T and eta come from the 2-jet,
+and so do their first chart derivatives; H, the Christoffels' derivatives
+and alpha(Y, Z) = P d2f(Y, Z) take their first derivatives from the 3-jet of
+a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules,
+the ONB connection and nabla^perp H are jet-exact at the sample itself.  The
+normal Laplacian of H reads the second derivatives of g, g^-1, P and H from
+the 4-jet of a batch evaluated at order 4.  No kernel differences.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import immersion
 from .ambient import ProductSpace, inner
-from .errors import RowFailure
 from .immersion import Chart, PointBatch, analyze_point
-from .jets import fd_difference, fd_stencil, nonfinite_error
 
 __all__ = [
     "ExtrinsicRows",
@@ -42,11 +38,7 @@ __all__ = [
     "codazzi_residuals",
     "ricci_residuals",
     "T_eta_residuals",
-    "FD_NESTED_STEP",
 ]
-
-#: step of the normal Laplacian's finite-difference layer over exact nabla^perp H
-FD_NESTED_STEP = 5e-4
 
 
 def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np.ndarray:
@@ -106,11 +98,11 @@ def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
 
 
 class JetDerivatives:
-    """First chart derivatives of the jet-level fields at every row of a
+    """Chart derivatives of the jet-level fields at every row of a
     PointBatch, in closed form from its jet (J = df (N, k, m), d2
-    (N, k, m, m) and, at order 3, d3 (N, k, m, m, m)) and g^-1.  Each array
-    is computed on first use and carries the direction of differentiation i
-    on the axis after the batch axis:
+    (N, k, m, m) and, at order 3 and 4, d3 and d4) and g^-1.  Each array is
+    computed on first use and carries the directions of differentiation
+    (i, or p and q) on the axes after the batch axis:
 
     - dg[:, i, j, l] = d_i g_jl = <d2_ji, J_l> + <J_j, d2_li>
     - gamma[:, l, i, j] = Gamma^l_ij
@@ -120,12 +112,16 @@ class JetDerivatives:
     - dT[:, i] = d_i T_coeffs = (d_i g^-1) J_t + g^-1 d_i J_t
     - deta[:, i] = d_i eta = (d_i P) e_t, as eta = P e_t
 
-    and from the 3-jet:
+    from the 3-jet:
 
-    - dH[:, i] = d_i H for H = P (g^jl d2_jl) / m
+    - dH[:, i] = d_i H for H = P tr / m, with tr = g^jl d2_jl
     - dgamma[:, i, l, j, k] = d_i Gamma^l_jk, with
       Gamma^l_jk = g^lq <d2_jk, J_q>
     - ``d_alpha(v, w)``[:, i] = d_i (P d2f(v, w)) for fixed chart vectors
+    - d2g[:, p, q] = d_p d_q g, d2g_inv[:, p, q] = d_p d_q g^-1 and
+      d2P[:, p, q] = d_p d_q P
+
+    and from the 4-jet d2H[:, p, q] = d_p d_q H.
     """
 
     def __init__(self, batch: PointBatch):
@@ -170,11 +166,16 @@ class JetDerivatives:
         return self.dP[..., self.space.t_index]
 
     @cached_property
+    def trace(self) -> np.ndarray:
+        """tr = g^jl d2_jl (N, k) and its chart derivatives d_i tr (N, m, k)."""
+        d2, d3 = self.jet.d2, self.jet.d3
+        tr = np.einsum("njl,ncjl->nc", self.g_inv, d2)
+        return tr, np.einsum("nijl,ncjl->nic", self.dg_inv, d2) + np.einsum("njl,ncjli->nic", self.g_inv, d3)
+
+    @cached_property
     def dH(self) -> np.ndarray:
-        d2, d3, m = self.jet.d2, self.jet.d3, self.jet.m
-        trace = np.einsum("njl,ncjl->nc", self.g_inv, d2)
-        d_trace = np.einsum("nijl,ncjl->nic", self.dg_inv, d2) + np.einsum("njl,ncjli->nic", self.g_inv, d3)
-        return ((self.dP @ trace[:, None, :, None])[..., 0] + (self.P[:, None] @ d_trace[..., None])[..., 0]) / m
+        tr, d_tr = self.trace
+        return ((self.dP @ tr[:, None, :, None])[..., 0] + (self.P[:, None] @ d_tr[..., None])[..., 0]) / self.jet.m
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -188,6 +189,44 @@ class JetDerivatives:
         """d_i (P d2f(v, w)) (N, m, n+2) for chart vectors v, w (N, m) held fixed."""
         d3vw = np.einsum("ncjli,nj,nl->nic", self.jet.d3, v, w)
         return (self.dP @ _d2(self.jet.d2, v, w)[:, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
+
+    @cached_property
+    def d2g(self) -> np.ndarray:
+        # <d_pq J_j, J_l> + <d_p J_j, d_q J_l>, and the same with j, l (and then p, q) swapped
+        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
+        A = np.einsum("c,ncjpq,ncl->npqjl", sig, d3, J)
+        B = np.einsum("c,ncjp,nclq->npqjl", sig, d2, d2)
+        return A + np.swapaxes(A, -1, -2) + B + np.swapaxes(B, 1, 2)
+
+    @cached_property
+    def d2g_inv(self) -> np.ndarray:
+        G, dG, dg = self.g_inv[:, None, None], self.dg_inv[:, :, None], self.dg[:, None]
+        return -(dG @ dg @ G + G @ self.d2g @ G + G @ dg @ dG)
+
+    @cached_property
+    def d2P(self) -> np.ndarray:
+        sp, J, d2 = self.space, self.jet.jac, self.jet.d2
+        Jt = np.swapaxes(J, -1, -2)[:, None, None]
+        dJ = np.moveaxis(d2, -1, 1)  # dJ[:, p] = d_p J
+        ddJ = np.moveaxis(self.jet.d3, (-2, -1), (1, 2))  # ddJ[:, p, q] = d_p d_q J
+        dp, dq = dJ[:, :, None], dJ[:, None]
+        G, dGp, dGq = self.g_inv[:, None, None], self.dg_inv[:, :, None], self.dg_inv[:, None]
+        M = ddJ @ G @ Jt + dp @ dGq @ Jt + dq @ dGp @ Jt + dp @ G @ np.swapaxes(dq, -1, -2)
+        d2E = M + np.swapaxes(M, -1, -2) + J[:, None, None] @ self.d2g_inv @ Jt
+        phat, dphat = sp.q_padded(self.jet.values)[:, None, None, None, :], sp.q_padded(np.swapaxes(J, -1, -2))
+        ddphat = sp.q_padded(np.moveaxis(d2, 1, -1))  # dphat[:, p] = d_p p^, ddphat[:, p, q] = d_p d_q p^
+        Q = ddphat[..., None] * phat + dphat[:, :, None, :, None] * dphat[:, None, :, None, :]
+        return -(sp.epsilon * (Q + np.swapaxes(Q, -1, -2)) + d2E) * sp.signature
+
+    @cached_property
+    def d2H(self) -> np.ndarray:
+        (tr, d_tr), jet = self.trace, self.jet
+        X = np.einsum("npjl,ncjlq->npqc", self.dg_inv, jet.d3)  # [:, p, q] = d_p g^-1 : d_q d2
+        d2_tr = np.einsum("npqjl,ncjl->npqc", self.d2g_inv, jet.d2) + X + np.swapaxes(X, 1, 2)
+        d2_tr += np.einsum("njl,ncjlpq->npqc", self.g_inv, jet.d4)
+        Y = (self.dP[:, None] @ d_tr[:, :, None, :, None])[..., 0]  # [:, p, q] = d_q P d_p tr
+        PX = (self.d2P @ tr[:, None, None, :, None])[..., 0] + (self.P[:, None, None] @ d2_tr[..., None])[..., 0]
+        return (PX + Y + np.swapaxes(Y, 1, 2)) / jet.m
 
 
 def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -219,9 +258,9 @@ def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
 def geometry(chart: Chart, U, steps=0, order: int = 2) -> ExtrinsicRows:
     """The ExtrinsicRows of the points U (N, m), at the scan steps ``steps``
     (N,) or one step for all, from one batched ``analyze_point`` and
-    ``second_fundamental`` call, with jets of ``order`` 2 or 3.  It does not
-    raise for a point that fails: ``batch.errors`` holds the error of each
-    row."""
+    ``second_fundamental`` call, with jets of ``order`` 2, 3 or 4.  It does
+    not raise for a point that fails: ``batch.errors`` holds the error of
+    each row."""
     return second_fundamental(analyze_point(chart, U, steps, order))
 
 
@@ -249,42 +288,17 @@ def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
     return rows.batch.proj_normal(rows.derivatives.dH)
 
 
-def normal_laplacian_H(centers: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
-    """Trace Laplacian of H in the normal bundle (K, n+2) at every row of
-    ``centers`` (tol_fd2 accuracy):
-    sum g^{pq} (nabla^perp_p nabla^perp_q H - Gamma^k_{pq} nabla^perp_k H),
-    given nabla^perp H (K, m, n+2) there.  The outer derivative is one
-    finite-difference layer: exact nabla^perp_q H at the 4m points of each
-    row's ``FD_NESTED_STEP`` stencils, taken in geometry calls of whole rows
-    of at most ``immersion._BATCH_POINTS`` points, differenced along p.
-    Raises RowFailure for the first row with a stencil pair (direction p,
-    then pair, in ``fd_gradient``'s order) that holds a point whose
-    geometry fails, with that point's error, or else a non-finite
-    nabla^perp H, with the StencilError of that direction."""
-    b = centers.batch
-    K, m = b.u.shape
-    outer = np.concatenate([fd_stencil(b.u, p, FD_NESTED_STEP)[1] for p in range(m)], axis=1)  # (K, 4m, m)
-    per = max(1, immersion._BATCH_POINTS // (4 * m))
-    W, errors = [], []
-    for first in range(0, K, per):
-        part = slice(first, first + per)
-        rows = geometry(b.chart, outer[part].reshape(-1, m), np.repeat(b.steps[part], 4 * m), 3)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # failed rows hold garbage
-            W.append(normal_derivative_H(rows))
-        errors += rows.batch.errors
-    W = np.concatenate(W).reshape(K, 2 * m, 2, -1)  # [row, pair of stencil points, point, (q, c)]
-    failed = np.reshape([e is not None for e in errors], (K, 2 * m, 2))
-    pairs = (failed | ~np.isfinite(W).all(axis=-1)).any(axis=-1)
-    if pairs.any():
-        s, q = (int(i) for i in np.unravel_index(np.argmax(pairs), pairs.shape))
-        hit = [e for e in errors[4 * m * s + 2 * q :][:2] if e is not None]
-        raise RowFailure(s, hit[0] if hit else nonfinite_error(b.u[s], q // 2))
-    dW = fd_difference(W.reshape(K, m, 4, -1), FD_NESTED_STEP).reshape(K, m, m, -1)
-    G = centers.derivatives.gamma
-    out = np.zeros_like(centers.H)
+def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
+    """Trace Laplacian of H in the normal bundle (N, n+2) at every row of a
+    batch evaluated at order 4, given nabla^perp H (N, m, n+2) there, in
+    closed form: with nabla^perp_q H = P d_q H,
+    P sum g^{pq} ((d_p P)(d_q H) + d_p d_q H - Gamma^k_{pq} nabla^perp_k H)."""
+    b, d, m = rows.batch, rows.derivatives, rows.batch.chart.m
+    dW = (d.dP[:, :, None] @ d.dH[:, None, :, :, None])[..., 0] + d.d2H  # [:, p, q], less the outer P
+    out = np.zeros_like(rows.H)
     for p in range(m):  # term by term, the order of a sum at one point
         for q in range(m):
-            corr = np.einsum("nk,nkc->nc", G[:, :, p, q], nabla_H)
+            corr = np.einsum("nk,nkc->nc", d.gamma[:, :, p, q], nabla_H)
             out += b.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
     return b.proj_normal(out)
 

@@ -204,12 +204,12 @@ def probe_grid(domain, counts=5):
 def evaluate_jet(chart: Chart, u, steps=0, order: int = 2) -> VecJet2:
     """Jet of all ambient coordinates at every row of a batch ``u`` (N, m),
     in one pass through the coordinate maps.  ``steps`` gives the scan step
-    of each row (N,), or one step for all.  ``order`` 2 gives the 2-jet;
-    order 3 adds the third derivatives ``d3`` (N, k, m, m, m), and order 0
-    takes the jet over no derivative direction (``jac`` (N, k, 0) and ``d2``
-    (N, k, 0, 0) are empty; the coordinate maps take the dimension of their
-    constants from the seeds).  At every order the values, the derivatives
-    the 2-jet has, and the errors are those of the 2-jet bit for bit.
+    of each row (N,), or one step for all.  The jet has the ``order`` of the
+    seeds (``jets.jet_var``): order 2 gives the 2-jet, orders 3 and 4 add
+    ``d3`` (N, k, m, m, m) and ``d4``, and order 0 takes the jet over no
+    derivative direction (``jac`` (N, k, 0) and ``d2`` (N, k, 0, 0) are
+    empty).  At every order the values, the derivatives of lower order and
+    the errors are those of the 2-jet bit for bit.
 
     A point's jet is bit for bit its row of any batch.  Only when a
     coordinate map raises on the batch are the rows replayed one by one:
@@ -224,15 +224,12 @@ def evaluate_jet(chart: Chart, u, steps=0, order: int = 2) -> VecJet2:
     jet, errors = _coordinates(chart, U, steps, order), [None] * n
     if isinstance(jet, ChartError):
         alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1], order) for r in range(n)]
-        d = chart.m if order else 0
-        nan = Jet2(np.full(n, np.nan), np.full((n, d), np.nan), np.full((n, d, d), np.nan),
-                   np.full((n, d, d, d), np.nan) if order == 3 else None)
+        nan = Jet2(*(np.full_like(x, np.nan) for x in jets.jet_var(0, U[:, 0], chart.m, order).d))
         jet = VecJet2([nan] * len(chart.coords))
         for r, one in enumerate(alone):
             if not isinstance(one, ChartError):
-                jet.values[r], jet.jac[r], jet.d2[r] = one.values[0], one.jac[0], one.d2[0]
-                if order == 3:
-                    jet.d3[r] = one.d3[0]
+                for x, y in zip(jet.d, one.d):
+                    x[r] = y[0]
         errors = [one if isinstance(one, ChartError) else None for one in alone]
     jet.errors = errors
     if u.ndim == 1 and errors[0] is not None:
@@ -241,14 +238,10 @@ def evaluate_jet(chart: Chart, u, steps=0, order: int = 2) -> VecJet2:
 
 
 def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | ChartError:
-    """The jet of the rows U (N, m) at the steps ``steps`` (N,) at ``order``
-    (0, 2 or 3), or the error of the first coordinate map that raises,
-    which names the first point when N is 1."""
-    if order:
-        seeds = tuple(jets.jet_var(i, U[:, i], chart.m, order) for i in range(chart.m))
-    else:  # over no derivative direction
-        none = np.empty((len(U), 0)), np.empty((len(U), 0, 0))
-        seeds = tuple(Jet2(U[:, i], *none) for i in range(chart.m))
+    """The jet of the rows U (N, m) at the steps ``steps`` (N,) at ``order``,
+    or the error of the first coordinate map that raises, which names the
+    first point when N is 1."""
+    seeds = tuple(jets.jet_var(i, U[:, i], chart.m, order) for i in range(chart.m))
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,7 +251,7 @@ def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | Ch
             except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
                 return ChartError(f"coordinate {k} failed at u={U[0].tolist()}: {exc}")
             # a coordinate that ignores the seeds comes back without the batch axis
-            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), c.grad, c.hess, c.d3))
+            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), *c.d[1:]))
     return VecJet2(comps)
 
 
@@ -422,8 +415,8 @@ def analyze_point(chart: Chart, u, steps=0, order: int = 2) -> PointBatch:
     coordinates fail (``evaluate_jet``), its metric is not finite or
     regular, or a frame degenerates, and each row is bit for bit what the
     point gives in any other batch.  ``steps`` gives the scan step of each
-    row (N,), or one step for all.  The batch's jet has the ``order`` (2 or
-    3) of ``evaluate_jet``, which changes none of the other fields.
+    row (N,), or one step for all.  The batch's jet has the ``order`` (2, 3
+    or 4) of ``evaluate_jet``, which changes none of the other fields.
     """
     U = np.array(u, dtype=float).reshape(-1, chart.m)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail may divide by 0

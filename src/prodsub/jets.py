@@ -1,38 +1,31 @@
-"""Forward-mode jets over m chart variables, of order 2 with an optional
-third-order slot.
+"""Forward-mode jets over m chart variables, truncated at the order of their
+seeds (``jet_var(..., order=k)``).
 
-A ``Jet2`` carries the value, gradient and Hessian of a scalar quantity with
-respect to the chart coordinates, and ``d3``, its third derivatives, when
-the seeds carry that slot (``jet_var(..., order=3)``).  All arithmetic
-implements exact truncated Taylor rules (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13), so polynomial expressions of degree <= 3
-are differentiated exactly; a missing ``d3`` counts as zero, and value,
-gradient and Hessian are computed the same way with or without it.  The
-3-jet gives the first derivatives of the fields built from the 2-jet
-(mean curvature, Christoffels, alpha) in closed form.  Only the nested
-normal Laplacian still differences: ``fd_difference`` takes the difference
-of values already taken at the points of ``fd_stencil``, and
-``fd_gradient``, the oracle of the tests, evaluates a field there and
-differences it the same way.
+A ``Jet2`` keeps the derivative tensors of a scalar quantity with respect to
+the chart coordinates in one list indexed by order, ``d[k]`` (m,) * k, and a
+missing slot counts as zero.  All arithmetic is the truncated Taylor rule of
+every order (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13):
+a product is the general Leibniz rule and every unary function is Faa di
+Bruno's formula over the table f, f', ..., f^(k) the function supplies, each
+summed over precomputed index shuffles.  So polynomials of degree <= k are
+differentiated exactly, and a slot never reads the slots above it: every
+order gives the lower slots bit for bit.  The 3-jet gives the first
+derivatives of H, the Christoffels and alpha, and the 4-jet the second
+derivatives of H that the normal Laplacian reads.  ``fd_gradient`` is the
+finite-difference oracle of the tests; no run calls it.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import cache, reduce
+from itertools import accumulate, permutations
 
 import numpy as np
 
 from .errors import StencilError
 
-__all__ = [
-    "Jet2",
-    "VecJet2",
-    "jet_var",
-    "jet_const",
-    "UNARY_FNS",
-    "fd_difference",
-    "fd_gradient",
-    "fd_stencil",
-    "FD_BASE_STEP",
-]
+__all__ = ["Jet2", "VecJet2", "jet_var", "jet_const", "UNARY_FNS", "fd_gradient", "FD_BASE_STEP"]
 
 #: default finite-difference base step, cbrt(machine epsilon)
 FD_BASE_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -63,19 +56,9 @@ def _check_range(arg, *results, power: bool = False) -> None:
         raise OverflowError("math range error")
 
 
-def _check_same_m(a: "Jet2", b: "Jet2") -> None:
-    if a.m != b.m:
-        raise ValueError(f"jet dimension mismatch: {a.m} vs {b.m}")
-
-
-def _col(x):
-    """Broadcast a batch of scalars against a trailing vector axis."""
-    return np.asarray(x)[..., None]
-
-
-def _mat(x):
-    """Broadcast a batch of scalars against trailing (m, m) axes."""
-    return np.asarray(x)[..., None, None]
+def _trail(x, k: int):
+    """A batch of scalars broadcast against k trailing tensor axes."""
+    return np.asarray(x)[(Ellipsis,) + (None,) * k]
 
 
 def _number(x):
@@ -83,34 +66,84 @@ def _number(x):
     return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+def _outer(x, p: int, y, q: int):
+    """x (..., m^p) times y (..., m^q): the tensor product (..., m^(p+q))."""
+    return x[(Ellipsis,) + (None,) * q] * y[(Ellipsis,) + (None,) * p + (slice(None),) * q]
+
+
+@cache
+def _shuffles(sizes: tuple, ordered: bool, lead: int) -> tuple:
+    """The distinct ways to deal k = sum(sizes) index positions into blocks
+    of these sizes, the identity first: each as the axes by which
+    ``transpose`` takes the blocks' tensor product (block by block, each
+    block's positions ascending, after ``lead`` axes) there.  Blocks of one
+    size are interchangeable unless ``ordered``."""
+    cuts = list(accumulate(sizes, initial=0))
+    seen, out = set(), []
+    for perm in permutations(range(cuts[-1])):
+        blocks = tuple(tuple(sorted(perm[a:b])) for a, b in zip(cuts, cuts[1:]))
+        key = blocks if ordered else frozenset(blocks)
+        if key not in seen:
+            seen.add(key)
+            flat = [p for block in blocks for p in block]  # the position of each axis
+            out.append(tuple(range(lead)) + tuple(lead + a for a in sorted(range(len(flat)), key=flat.__getitem__)))
+    return tuple(out)
+
+
+def _shuffled(t, sizes: tuple, ordered: bool = False) -> list:
+    """The tensor product t of blocks of these sizes, transposed by each of their ``_shuffles``."""
+    shuffles = _shuffles(sizes, ordered, t.ndim - sum(sizes))
+    return [t, *(t.transpose(axes) for axes in shuffles[1:])]
+
+
+def _sum(terms):
+    """The left-to-right sum of the terms that are not None, else None."""
+    present = [t for t in terms if t is not None]
+    return reduce(operator.add, present) if present else None
+
+
+@cache
+def _partitions(k: int) -> tuple:
+    """The partitions of k into non-increasing block sizes, fewest blocks first."""
+
+    def parts(n, most):
+        if n == 0:
+            yield ()
+        for s in range(min(n, most), 0, -1):
+            yield from ((s,) + rest for rest in parts(n - s, s))
+
+    return tuple(sorted(parts(k, k), key=len))
+
+
+def _view(k: int):
+    return property(lambda self: self.d[k] if k < len(self.d) else None)
 
 
 class Jet2:
-    """Truncated jet: value, gradient (m,), symmetric Hessian (m, m) and,
-    at order 3, the symmetric third derivatives ``d3`` (m, m, m), else None.
+    """Truncated jet: ``d[k]`` holds the symmetric k-th derivatives
+    (m,) * k for k up to ``order``; ``value``, ``grad``, ``hess``, ``d3``
+    and ``d4`` view it, None past the order.
 
-    Every field may carry one leading batch axis: value (N,), grad (N, m),
-    hess (N, m, m) and d3 (N, m, m, m) hold the jets of N points, and every
-    operation acts row by row.  A jet without the axis is the N-less case of
-    the same class; operands broadcast, so constants mix with batches.
+    Every slot may carry one leading batch axis: value (N,), grad (N, m) and
+    so on hold the jets of N points, and every operation acts row by row.  A
+    jet without the axis is the N-less case of the same class; operands
+    broadcast, so constants mix with batches.  A jet without a gradient
+    slot has no derivative direction (m = 0).
     """
 
-    __slots__ = ("m", "value", "grad", "hess", "d3")
+    __slots__ = ("d", "m")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3=None):
-        self.value = np.asarray(value, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
-        self.d3 = None if d3 is None else np.asarray(d3, dtype=float)
-        self.m = self.grad.shape[-1]
+    value, grad, hess, d3, d4 = (_view(k) for k in range(5))
+
+    def __init__(self, *d):
+        self.d = [np.asarray(x, dtype=float) for x in d]
+        self.m = self.d[1].shape[-1] if len(self.d) > 1 else 0
+
+    order = property(lambda self: len(self.d) - 1)
 
     def __repr__(self) -> str:
-        if self.value.ndim:
-            return f"Jet2(batch={self.value.shape[0]}, m={self.m})"
-        return f"Jet2(value={float(self.value)!r}, m={self.m})"
+        return f"Jet2(value={self.value!r}, m={self.m}, order={self.order})"
 
     # -- arithmetic -------------------------------------------------------
     # A number operand, or a row array (N,) of them for a batch, scales or
@@ -119,40 +152,25 @@ class Jet2:
 
     def __add__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value + _number(other), self.grad, self.hess, self.d3)
-        _check_same_m(self, other)
-        d3 = _sum(self.d3, other.d3)
-        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess, d3)
+            return Jet2(self.value + _number(other), *self.d[1:])
+        return Jet2(*(x if y is None else y if x is None else x + y for x, y in _pairs(self, other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
-            return Jet2(self.value - _number(other), self.grad, self.hess, self.d3)
-        _check_same_m(self, other)
-        d3 = _sum(self.d3, _scaled(other.d3, -1.0))
-        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess, d3)
+            return Jet2(self.value - _number(other), *self.d[1:])
+        return Jet2(*(x if y is None else -y if x is None else x - y for x, y in _pairs(self, other)))
 
     def __rsub__(self, other) -> "Jet2":
-        return Jet2(_number(other) - self.value, -self.grad, -self.hess, _scaled(self.d3, -1.0))
+        return Jet2(_number(other) - self.value, *(-x for x in self.d[1:]))
 
     def __mul__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
             c = _number(other)
-            return Jet2(self.value * c, self.grad * _col(c), self.hess * _mat(c), _scaled(self.d3, c))
-        o = other
-        _check_same_m(self, o)
-        cross = _outer(self.grad, o.grad)
-        d3 = None
-        if self.d3 is not None or o.d3 is not None:
-            hg = _hg(self.hess, o.grad) + _hg(o.hess, self.grad)
-            d3 = _sum(_scaled(self.d3, o.value), _scaled(o.d3, self.value), _sym3(hg))
-        return Jet2(
-            self.value * o.value,
-            self.grad * _col(o.value) + o.grad * _col(self.value),
-            self.hess * _mat(o.value) + o.hess * _mat(self.value) + cross + np.swapaxes(cross, -1, -2),
-            d3,
-        )
+            return Jet2(*(x * _trail(c, k) for k, x in enumerate(self.d)))
+        a, b = zip(*_pairs(self, other))
+        return Jet2(*(_leibniz(a, b, k) for k in range(len(a))))
 
     __rmul__ = __mul__
 
@@ -162,44 +180,68 @@ class Jet2:
             if np.any(c == 0.0):
                 raise ZeroDivisionError("jet division by zero value")
             return self * (1.0 / c)
-        _check_same_m(self, other)
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet2":
         return _reciprocal(self) * other
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess, _scaled(self.d3, -1.0))
+        return Jet2(*(-x for x in self.d))
 
     def __pow__(self, p) -> "Jet2":
         return pow_const(self, p)
 
 
-def _sum(*terms):
-    """The sum of the third-order terms that are not None, or None if all are."""
-    present = [t for t in terms if t is not None]
-    return sum(present[1:], present[0]) if present else None
+def _pairs(a: Jet2, b: Jet2):
+    """The slots of a and b side by side up to the higher order, None where missing."""
+    if a.m != b.m:
+        raise ValueError(f"jet dimension mismatch: {a.m} vs {b.m}")
+    return zip(a.d + [None] * (len(b.d) - len(a.d)), b.d + [None] * (len(a.d) - len(b.d)))
 
 
-def _scaled(d3, x):
-    """d3 (..., m, m, m) times a batch of scalars x, or None for None."""
-    return None if d3 is None else d3 * np.asarray(x)[..., None, None, None]
+def _leibniz(a, b, k: int):
+    """Slot k of a product from the slots a, b (None where missing) by the
+    general Leibniz rule: a_k b + a b_k, then for each split j > i = k - j
+    the shuffles of a_j b_i + b_j a_i, summed first, and for j = i the
+    shuffles of a_j b_j one by one."""
+    if k == 0:
+        return a[0] * b[0]
+    out = _sum([None if a[k] is None else a[k] * _trail(b[0], k), None if b[k] is None else b[k] * _trail(a[0], k)])
+    for j in range(k - 1, (k - 1) // 2, -1):
+        i = k - j
+        x = None if a[j] is None or b[i] is None else _outer(a[j], j, b[i], i)
+        if j > i:
+            t = _sum([x, None if b[j] is None or a[i] is None else _outer(b[j], j, a[i], i)])
+            terms = [] if t is None else [_sum(_shuffled(t, (j, i)))]
+        else:
+            terms = [] if x is None else _shuffled(x, (j, i), True)
+        out = _sum([out, *terms])
+    return out
 
 
-def _hg(h, g):
-    """t[..., i, j, k] = h_ij g_k for Hessians h (..., m, m) and gradients g (..., m)."""
-    return h[..., :, :, None] * g[..., None, None, :]
-
-
-def _sym3(t):
-    """t_ijk + t_ikj + t_jki: the symmetric part (times three) of a t that is
-    symmetric in its first two indices."""
-    return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
+def _compose(a: Jet2, table) -> Jet2:
+    """f(a) from the derivative table f, f', ... of f at a.value by Faa di
+    Bruno's formula: slot k sums, over the partitions of k into blocks, the
+    shuffles of the product of a's slots of the block sizes, times f^(number
+    of blocks)."""
+    d = [table[0]]
+    for k in range(1, a.order + 1):
+        out = None
+        for sizes in _partitions(k):
+            t, p = a.d[sizes[0]], sizes[0]
+            for s in sizes[1:]:
+                t, p = _outer(t, p, a.d[s], s), p + s
+            term = _sum(_shuffled(t, sizes)) * _trail(table[len(sizes)], k)
+            out = term if out is None else out + term
+        d.append(out)
+    return Jet2(*d)
 
 
 def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
-    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot,
-    with a zero third-order slot at ``order`` 3.
+    """Seed jet of ``order`` for chart variable ``index`` of ``m``: a unit
+    gradient and zero slots above it.  At order 0 the seed is its value
+    alone, a jet over no derivative direction (m = 0), so that the constants
+    a coordinate map builds with the seeds' m carry no derivative either.
 
     ``value`` is one number or a batch (N,) of them."""
     if not 0 <= index < m:
@@ -207,13 +249,13 @@ def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
     value = np.array(value, dtype=float)
     grad = np.zeros(value.shape + (m,))
     grad[..., index] = 1.0
-    d3 = np.zeros(value.shape + (m, m, m)) if order == 3 else None
-    return Jet2(value, grad, np.zeros(value.shape + (m, m)), d3)
+    slots = [value, grad] + [np.zeros(value.shape + (m,) * k) for k in range(2, order + 1)]
+    return Jet2(*slots[: order + 1])
 
 
 def jet_const(value, m: int) -> Jet2:
-    """Constant jet of one number, or of a row array (N,) with one per batch row."""
-    return Jet2(value, np.zeros(m), np.zeros((m, m)))
+    """Constant jet of a number or a row array (N,): zero derivatives, or the value alone where m = 0."""
+    return Jet2(value, np.zeros(m), np.zeros((m, m))) if m else Jet2(value)
 
 
 def _reciprocal(a: Jet2) -> Jet2:
@@ -222,91 +264,75 @@ def _reciprocal(a: Jet2) -> Jet2:
         raise ZeroDivisionError("jet division by zero value")
     inv = 1.0 / v
     inv2 = inv * inv
-    outer = _outer(a.grad, a.grad)
-    d3 = None if a.d3 is None else _third(a, -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2)
-    return Jet2(inv, -a.grad * _col(inv2), -a.hess * _mat(inv2) + 2.0 * outer * _mat(inv2 * inv), d3)
-
-
-def _third(a: Jet2, fp, fpp, fppp) -> np.ndarray:
-    """The third derivatives of f(a) from the derivatives f', f'' and f''' at a.value."""
-    outer3 = _hg(_outer(a.grad, a.grad), a.grad)
-    return _scaled(a.d3, fp) + _scaled(_sym3(_hg(a.hess, a.grad)), fpp) + _scaled(outer3, fppp)
-
-
-def _chain(a: Jet2, f, fp, fpp, fppp) -> Jet2:
-    """Apply the scalar chain rule with derivative table (f, f', f'', f''')."""
-    return Jet2(
-        f,
-        _col(fp) * a.grad,
-        _mat(fp) * a.hess + _mat(fpp) * _outer(a.grad, a.grad),
-        None if a.d3 is None else _third(a, fp, fpp, fppp),
-    )
+    return _compose(a, [inv, -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2, 24.0 * inv2 * inv2 * inv])
 
 
 def sin(a: Jet2) -> Jet2:
     s, c = np.sin(a.value), np.cos(a.value)
-    return _chain(a, s, c, -s, -c)
+    return _compose(a, [s, c, -s, -c, s])
 
 
 def cos(a: Jet2) -> Jet2:
     s, c = np.sin(a.value), np.cos(a.value)
-    return _chain(a, c, -s, -c, s)
+    return _compose(a, [c, -s, -c, s, c])
 
 
 def tan(a: Jet2) -> Jet2:
     _check_domain("tan", a.value, np.cos(a.value) == 0.0)
     t = np.tan(a.value)
-    sec2 = 1.0 + t * t
-    return _chain(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t))
+    s = 1.0 + t * t  # sec^2
+    return _compose(a, [t, s, 2.0 * t * s, 2.0 * s * (s + 2.0 * t * t), 8.0 * t * s * (2.0 * s + t * t)])
 
 
 def sinh(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         s, c = np.sinh(a.value), np.cosh(a.value)
     _check_range(a.value, s, c)
-    return _chain(a, s, c, s, c)
+    return _compose(a, [s, c, s, c, s])
 
 
 def cosh(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         s, c = np.sinh(a.value), np.cosh(a.value)
     _check_range(a.value, s, c)
-    return _chain(a, c, s, c, s)
+    return _compose(a, [c, s, c, s, c])
 
 
 def tanh(a: Jet2) -> Jet2:
     t = np.tanh(a.value)
     sech2 = 1.0 - t * t
-    return _chain(a, t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (2.0 * t * t - sech2))
+    fppp = 2.0 * sech2 * (2.0 * t * t - sech2)
+    return _compose(a, [t, sech2, -2.0 * t * sech2, fppp, 8.0 * t * sech2 * (2.0 * sech2 - t * t)])
 
 
 def exp(a: Jet2) -> Jet2:
     with np.errstate(over="ignore"):
         e = np.exp(a.value)
     _check_range(a.value, e)
-    return _chain(a, e, e, e, e)
+    return _compose(a, [e] * 5)
 
 
 def log(a: Jet2) -> Jet2:
     _check_domain("log", a.value, a.value <= 0.0)
     inv = 1.0 / a.value
-    return _chain(a, np.log(a.value), inv, -inv * inv, 2.0 * inv * inv * inv)
+    return _compose(a, [np.log(a.value), inv, -inv * inv, 2.0 * inv * inv * inv, -6.0 * inv * inv * inv * inv])
 
 
 def sqrt(a: Jet2) -> Jet2:
     _check_domain("sqrt", a.value, a.value <= 0.0)
-    r = np.sqrt(a.value)
-    return _chain(a, r, 0.5 / r, -0.25 / (r * a.value), 0.375 / (r * a.value * a.value))
+    v = a.value
+    r = np.sqrt(v)
+    return _compose(a, [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v), -0.9375 / (r * v * v * v)])
 
 
 def atan(a: Jet2) -> Jet2:
-    d = 1.0 + a.value * a.value
-    fppp = (6.0 * a.value * a.value - 2.0) / (d * d * d)
-    return _chain(a, np.arctan(a.value), 1.0 / d, -2.0 * a.value / (d * d), fppp)
+    v = a.value
+    d = 1.0 + v * v
+    fppp = (6.0 * v * v - 2.0) / (d * d * d)
+    return _compose(a, [np.arctan(v), 1.0 / d, -2.0 * v / (d * d), fppp, 24.0 * v * (1.0 - v * v) / (d * d * d * d)])
 
 
-def neg(a: Jet2) -> Jet2:
-    return -a
+neg = Jet2.__neg__
 
 
 def pow_const(a: Jet2, p: float) -> Jet2:
@@ -314,28 +340,32 @@ def pow_const(a: Jet2, p: float) -> Jet2:
 
     Integer p works for any base; fractional p requires a.value > 0.  The
     range check reads the value and the first two derivatives only, so a
-    jet raises the same error with or without its third-order slot.
+    jet raises the same error at every order.
     """
     if isinstance(p, float) and p.is_integer():
         p = int(p)
     v = a.value
     if isinstance(p, int):
-        if p == 0:
-            return Jet2(np.ones_like(v), np.zeros_like(a.grad), np.zeros_like(a.hess))
+        if p == 0:  # the constant 1, as ``jet_const`` gives it
+            return Jet2(np.ones_like(v), *map(np.zeros_like, a.d[1:3]))
         if p < 0 and np.any(v == 0.0):
             raise ZeroDivisionError("pow_const: zero base with negative exponent")
+        table, c = [], 1
         with np.errstate(over="ignore"):
-            f = v**p
-            fp = p * v ** (p - 1)
-            fpp = p * (p - 1) * (v ** (p - 2) if p != 1 else 0.0)
-            fppp = p * (p - 1) * (p - 2) * (v ** (p - 3) if p not in (1, 2) else 0.0)
-        _check_range(v, f, fp, fpp, power=True)
-        return _chain(a, f, fp, fpp, fppp)
+            for j in range(5):  # c = p (p - 1) ... (p - j + 1), exact
+                table.append(c * v ** (p - j) if c else 0.0)
+                c *= p - j
+        _check_range(v, *table[:3], power=True)
+        return _compose(a, table)
     _check_domain("pow_const", v, v <= 0.0)
     with np.errstate(over="ignore"):
         f = v**p
     _check_range(v, f, power=True)
-    return _chain(a, f, p * f / v, p * (p - 1) * f / (v * v), p * (p - 1) * (p - 2) * f / (v * v * v))
+    table, c, vj = [f], 1.0, 1.0
+    for j in range(1, 5):
+        c, vj = c * (p - j + 1), v if j == 1 else vj * v
+        table.append(c * f / vj)
+    return _compose(a, table)
 
 
 UNARY_FNS = {
@@ -352,43 +382,37 @@ UNARY_FNS = {
     "neg": neg,
 }
 
+
 class VecJet2:
     """Ambient-vector-valued jet, stacked for downstream linear algebra.
 
-    ``values`` (k,), ``jac`` (k, m) with jac[c, i] = d f_c / d u_i, ``d2``
-    (k, m, m) with the per-component Hessians and, where a component
-    carries the third-order slot, ``d3`` (k, m, m, m) with
-    d3[c, i, j, l] = d^3 f_c / du_i du_j du_l (zero for the components
-    without it), else None.  A batch of N points adds a leading axis to
-    each.  ``errors`` is None, or on a batch from ``immersion.evaluate_jet``
-    the error of each row whose point could not be evaluated (its rows hold
-    NaN), else None.
+    ``d[k]`` (k_c, m^k) stacks the k-th derivatives of the k_c components,
+    with d[k][c, i, j, ...] = d^k f_c / du_i du_j ...: ``values`` (k_c,),
+    ``jac`` (k_c, m), ``d2`` (k_c, m, m) always, and ``d3`` and ``d4`` where
+    a component carries that slot (zero for the components without it),
+    else None.  A batch of N points adds a leading axis to each.  ``errors``
+    is None, or on a batch from ``immersion.evaluate_jet`` the error of each
+    row whose point could not be evaluated (its rows hold NaN), else None.
     """
 
-    __slots__ = ("m", "values", "jac", "d2", "d3", "errors")
+    __slots__ = ("m", "d", "errors")
+
+    values, jac, d2, d3, d4 = (_view(k) for k in range(5))
 
     def __init__(self, jets):
         jets = list(jets)
         if not jets:
             raise ValueError("VecJet2 needs at least one component")
         m = jets[0].m
-        for j in jets:
-            if j.m != m:
-                raise ValueError("VecJet2 components disagree on m")
+        if any(j.m != m for j in jets):
+            raise ValueError("VecJet2 components disagree on m")
         shape = np.broadcast_shapes(*(j.value.shape for j in jets))
-
-        def stack(parts, tail, axis):
-            want = shape + tail
-            return np.stack([p if p.shape == want else np.broadcast_to(p, want) for p in parts], axis)
-
-        self.m = m
-        self.values = stack([j.value for j in jets], (), -1)
-        self.jac = stack([j.grad for j in jets], (m,), -2)
-        self.d2 = stack([j.hess for j in jets], (m, m), -3)
-        self.d3 = None
-        if any(j.d3 is not None for j in jets):
-            self.d3 = stack([np.zeros((m, m, m)) if j.d3 is None else j.d3 for j in jets], (m, m, m), -4)
-        self.errors = None
+        self.m, self.d, self.errors = m, [], None
+        for k in range(max(3, *(len(j.d) for j in jets))):
+            want = shape + (m,) * k
+            zero = np.zeros(want)
+            parts = [j.d[k] if k <= j.order else zero for j in jets]
+            self.d.append(np.stack([p if p.shape == want else np.broadcast_to(p, want) for p in parts], -k - 1))
 
     def __len__(self) -> int:
         return self.values.shape[-1]
@@ -397,10 +421,7 @@ class VecJet2:
         """The jet of point ``i`` of a batch; an index array or a slice gives
         a smaller batch, and None makes a single jet a batch of one."""
         out = object.__new__(VecJet2)
-        out.m = self.m
-        out.values, out.jac, out.d2 = self.values[i], self.jac[i], self.d2[i]
-        out.d3 = None if self.d3 is None else self.d3[i]
-        out.errors = None
+        out.m, out.d, out.errors = self.m, [x[i] for x in self.d], None
         return out
 
     def second(self, i: int, j: int) -> np.ndarray:
@@ -408,45 +429,19 @@ class VecJet2:
         return self.d2[..., i, j]
 
 
-def fd_stencil(u, i: int, step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Base step h and the four points ``fd_gradient`` evaluates along chart
-    direction ``i``, in its order: u + h e_i, u - h e_i, u + h/2 e_i and
-    u - h/2 e_i.  h is the base step cbrt(machine eps) * max(1, |u_i|)
-    unless ``step`` is given.  Points u (..., m) give steps (...) and
-    stencils (..., 4, m)."""
-    u = np.asarray(u, dtype=float)
-    h = FD_BASE_STEP * np.maximum(1.0, np.abs(u[..., i])) if step is None else np.full(u.shape[:-1], float(step))
-    points = np.repeat(u[..., None, :], 4, axis=-2)
-    points[..., i] += h[..., None] * np.array([1.0, -1.0, 0.5, -0.5])
-    return h, points
-
-
-def nonfinite_error(u, i: int) -> StencilError:
-    """The error of a stencil around u along direction i that met a non-finite field value."""
-    return StencilError(f"non-finite field value near u={np.asarray(u, dtype=float).tolist()} along direction {i}")
-
-
-def fd_difference(values, h) -> np.ndarray:
-    """Central differences with one Richardson extrapolation step from a
-    field's values (..., 4, k) at the four points of ``fd_stencil``, in its
-    order, with base steps h (...): (4 d_{h/2} - d_h) / 3, shape (..., k).
-    The leading axes are any number of stencils, differenced at once."""
-    h = np.asarray(h, dtype=float)[..., None]
-    d1 = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
-    d2 = (values[..., 2, :] - values[..., 3, :]) / (2.0 * (0.5 * h))
-    return (4.0 * d2 - d1) / 3.0
-
-
 def fd_gradient(field, u, i: int, step: float | None = None) -> np.ndarray:
     """Derivative of a vector-valued field along chart direction ``i``:
-    ``fd_difference`` of the field at the points of ``fd_stencil`` (nested
-    differences pass a coarser ``step``), read as two pairs in order.
-    """
-    h, pts = fd_stencil(u, i, step)
-    values = []
-    for k in (0, 2):
-        pair = [np.atleast_1d(np.asarray(field(p), dtype=float)) for p in pts[k : k + 2]]
-        if not all(np.all(np.isfinite(v)) for v in pair):
-            raise nonfinite_error(u, i)
-        values += pair
-    return fd_difference(np.array(values), h)
+    central differences at steps h and h/2 with one Richardson step,
+    (4 d_{h/2} - d_h) / 3, from the field at u + h e_i, u - h e_i,
+    u + h/2 e_i and u - h/2 e_i, in that order.  h is the base step
+    cbrt(machine eps) * max(1, |u_i|) unless ``step`` is given.  Raises
+    StencilError where a value is not finite."""
+    u = np.asarray(u, dtype=float)
+    h = FD_BASE_STEP * max(1.0, abs(u[i])) if step is None else float(step)
+    e = np.eye(len(u))[i]
+    values = [np.atleast_1d(np.asarray(field(u + h * s * e), dtype=float)) for s in (1.0, -1.0, 0.5, -0.5)]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise StencilError(f"non-finite field value near u={u.tolist()} along direction {i}")
+    d1 = (values[0] - values[1]) / (2.0 * h)
+    d2 = (values[2] - values[3]) / (2.0 * (0.5 * h))
+    return (4.0 * d2 - d1) / 3.0

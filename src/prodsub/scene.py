@@ -9,10 +9,11 @@ chunk of up to ``immersion._BATCH_POINTS`` (512) samples, at the jet order
 its checks need (3 when one reads a derivative of H, alpha or the
 Christoffels, else 2), and one call of each CHECKS entry on the chunk's
 arrays, which returns a residual, a note and a degenerate flag per sample.
-Every entry is array code over the samples themselves; only the normal
-Laplacian of H, where PMC fails, differences, in one kernel call over the
-chunk's samples that need it.  The results stay one column per
-check from the kernel to the report and the CSV: chunks, and the blocks of
+Every entry is array code over the samples themselves, and no entry
+differences: the normal Laplacian of H, where PMC fails, evaluates the
+chunk's samples that need it again at order 4, in one geometry call.  The
+results stay one column per check from the kernel to the report and the
+CSV: chunks, and the blocks of
 samples that ``--jobs N`` computes in the run's process and forked children,
 follow sample order, so joining a check's columns gives row i for sample i.
 Residuals are deterministic functions of (scene, seed): nothing reduces
@@ -278,9 +279,9 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
 
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
-    """Deterministic sample set, inset 2% from the domain boundary so that
-    the normal Laplacian's stencils (``FD_NESTED_STEP``) stay inside on
-    every axis wider than 0.025."""
+    """Deterministic sample set, inset 2% from the domain boundary.  The
+    inset protects no stencil any more (no check differences); it stays so
+    that the samples of a scene and seed do not move."""
     if sampling.get("mode", "grid") == "grid":
         counts = sampling.get("grid")
         if counts is None:
@@ -462,7 +463,7 @@ def _chk_biconservative_full(c: Chunk):
     return biconservative_full(c.geo, c.nabla_H), None, False
 
 
-_NESTED_NOTE = "PMC not verified; one difference layer over exact nabla^perp H (tol_fd2)"
+_NESTED_NOTE = "PMC not verified; normal Laplacian exact from the 4-jet"
 
 
 def _chk_biharmonic_normal(c: Chunk):
@@ -498,7 +499,8 @@ class Check:
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H, alpha or the Christoffels; a run evaluates its samples
-    at the highest order of its checks.  ``stream`` keys the draws of a
+    at the highest order of its checks; ``biharmonic_normal`` takes its
+    nesting samples again at order 4 itself.  ``stream`` keys the draws of a
     check that makes them (``keyed_draws``): fixed numbers, so that adding
     a check moves no other's draws.
     """
@@ -696,8 +698,7 @@ def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, 
                 "verdict": verdict,
                 "tolerance_used": tol,
                 "notes": "; ".join(summary),
-                # "fd" where a sample took the normal Laplacian's finite-difference layer
-                "derivative_tier": "fd" if _NESTED_NOTE in notes else "jet-exact",
+                "derivative_tier": "jet-exact",
             }
         )
     return checks_report, any_fail

@@ -2,11 +2,11 @@
 
 A batch of N points runs every step row by row, so each row is bit for bit
 what a single-point call gives, whatever else is in the batch.  Samples,
-probes and the nested stencils of the normal Laplacian are evaluated as
-such batches; these tests pin that equality, the points each call takes,
-that the exact derivatives agree with finite differences, and that errors
-at stencil points still surface exactly as a point-by-point evaluation
-raises them.
+probes and the nesting samples of the normal Laplacian are evaluated as
+such batches; these tests pin that equality, the points and jet order each
+call takes, that the exact derivatives agree with finite differences, and
+that errors at sample centers surface exactly as a point-by-point
+evaluation raises them.
 """
 
 import json
@@ -22,10 +22,10 @@ import prodsub.extrinsic
 import prodsub.immersion
 import prodsub.scene
 from prodsub import jets
+from prodsub import exprlang
 from prodsub.cli import main
 from prodsub.errors import ChartError
 from prodsub.extrinsic import (
-    FD_NESTED_STEP,
     FieldCache,
     geometry,
     normal_derivative_H,
@@ -33,8 +33,10 @@ from prodsub.extrinsic import (
     second_fundamental,
 )
 from prodsub.immersion import Chart, analyze_point, evaluate_jet, probe_grid
-from prodsub.jets import fd_gradient, fd_stencil, jet_var
+from prodsub.jets import fd_gradient, jet_var
 from prodsub.scene import build_chart, load_scene
+import grammar_cases
+import reference_jets
 from conftest import random_interior_points
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -125,14 +127,16 @@ def test_batched_overflow_raises_like_math():
 
 
 def test_fd_gradient_reads_the_stencil_points():
+    # u + h e_i, u - h e_i, u + h/2 e_i and u - h/2 e_i, in that order, with
+    # the base step cbrt(eps) max(1, |u_i|) or the step given
     u = np.array([0.3, -1.7, 0.05])
     for i in range(3):
-        seen = []
-        fd_gradient(lambda v: seen.append(np.array(v)) or v, u, i)
-        assert _same(np.array(seen), fd_stencil(u, i)[1])
-        seen.clear()
-        fd_gradient(lambda v: seen.append(np.array(v)) or v, u, i, step=5e-4)
-        assert _same(np.array(seen), fd_stencil(u, i, 5e-4)[1])
+        for step, h in ((None, jets.FD_BASE_STEP * max(1.0, abs(u[i]))), (5e-4, 5e-4)):
+            seen = []
+            fd_gradient(lambda v: seen.append(np.array(v)) or v, u, i, step)
+            want = np.repeat(u[None], 4, axis=0)
+            want[:, i] += h * np.array([1.0, -1.0, 0.5, -0.5])
+            assert _same(np.array(seen), want)
 
 
 def _count_analyze(monkeypatch):
@@ -161,23 +165,20 @@ def test_pmc_check_reads_its_center_alone(monkeypatch, theorem1_cyl):
     assert calls == [((1, 3), 3)] * 2
 
 
-def _outer_points(u) -> np.ndarray:
-    """The 4m points of u's FD_NESTED_STEP stencils, direction by direction."""
-    return np.vstack([fd_stencil(u, p, FD_NESTED_STEP)[1] for p in range(len(u))])
-
-
-def test_nested_laplacian_prefetches_its_stencils_in_one_batch(monkeypatch, theorem1_heli):
-    # a batch of one: u's 3-jet, then the 4m points of u's nested stencils
-    # in one call, and no stencil around any of them
+def test_nested_laplacian_takes_one_order_four_call(monkeypatch, theorem1_heli):
+    # the rows of a batch that nest, and only those, go to one geometry call
+    # at order 4: here rows 0 and 2, as row 1 counts as PMC
     seen = []
     original = prodsub.extrinsic.analyze_point
-    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *args: seen.append(np.array(u)) or original(ch, u, *args))
-    u = np.array([0.2, -0.3, 0.4])
-    rows = geometry(theorem1_heli, u[None], order=3)
-    normal_laplacian_H(rows, normal_derivative_H(rows))
-    m = theorem1_heli.m
-    assert [p.shape for p in seen] == [(1, m), (4 * m, m)]
-    assert _same(seen[0], u[None]) and _same(seen[1], _outer_points(u))
+    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *args: seen.append((np.array(u), *args)) or original(ch, u, *args))
+    U = random_interior_points(theorem1_heli, 3, seed=4)
+    rows = geometry(theorem1_heli, U, order=3)
+    nabla_H = normal_derivative_H(rows)
+    nabla_H[1] = 0.0
+    r = prodsub.classify.biharmonic_residual(rows, nabla_H)
+    assert r["nested"].tolist() == [True, False, True]
+    assert [(u.shape, args[-1]) for u, *args in seen] == [((3, 3), 3), ((2, 3), 4)]
+    assert _same(seen[1][0], U[[0, 2]])
 
 
 def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
@@ -342,10 +343,10 @@ def test_a_non_finite_metric_fails_only_its_own_sample(s4):
     assert len(_rows(chart, names, U, [0, 2], 0)) == 2 * len(names)
 
 
-def _stencil_scene(tmp_path, theta, t, u1_domain, grid):
+def _narrow_scene(tmp_path, theta, t, u1_domain, grid):
     """An S^2 x R scene of biharmonic_normal on the surface of latitude
-    ``theta`` and height ``t`` over u1, longitude u2, which is not PMC, so
-    that every sample nests."""
+    ``theta`` and height ``t`` over a narrow u1 interval, longitude u2,
+    which is not PMC, so that every sample nests."""
     coords = [f"cos({theta})*cos(u2)", f"cos({theta})*sin(u2)", f"sin({theta})", t]
     scene = {
         "ambient": {"epsilon": 1, "n": 2},
@@ -360,49 +361,31 @@ def _stencil_scene(tmp_path, theta, t, u1_domain, grid):
         "sampling": {"mode": "grid", "grid": grid},
         "checks": ["biharmonic_normal"],
     }
-    path = tmp_path / "stencil.json"
+    path = tmp_path / "narrow.json"
     path.write_text(json.dumps(scene))
     return path
 
 
-def test_domain_error_at_a_stencil_point_exits_3(tmp_path, capsys):
-    # the first sample sits at u1 = 2e-6, inside the nested step of u1 = 0,
-    # so the outer stencil point u - h e_1 takes sqrt of a negative number.
-    # pmc reads the sample alone and gives a verdict
-    path = _stencil_scene(tmp_path, "0.5 + u1", "sqrt(u1)", [0.0, 1e-4], [2, 1])
-    assert main(["run", "--scene", str(path), "--check", "pmc"]) == 1
-    capsys.readouterr()
-    assert main(["run", "--scene", str(path)]) == 3
-    chart = build_chart(json.loads(path.read_text()))
-    center = prodsub.scene.sample_points(chart, {"mode": "grid", "grid": [2, 1]})[0]
-    assert center[0] == pytest.approx(2e-6)
-    bad = fd_stencil(center, 0, FD_NESTED_STEP)[1][1]
-    assert bad[0] < 0.0
-    want = (
-        f"computation error: check biharmonic_normal failed at sample 0, u={center.tolist()}: "
-        f"coordinate 3 failed at u={bad.tolist()}: at position 0: "
-        f"sqrt: argument {float(bad[0])!r} outside the function domain"
-    )
-    assert capsys.readouterr().err.strip() == want
-
-
-def test_irregular_stencil_point_exits_3(tmp_path, capsys):
-    # latitude and height u1^3 give det g = 18 u1^4 cos^2(0.5 + u1^3),
-    # below 1e-12 for u1 < 5.75e-4: the sample at u1 = 5.8e-4 is regular,
-    # its outer stencil point u - h e_1 is not
-    path = _stencil_scene(tmp_path, "0.5 + u1^3", "u1^3", [5.7e-4, 5.9e-4], [1, 1])
-    chart = build_chart(json.loads(path.read_text()))
-    center = prodsub.scene.sample_points(chart, {"mode": "grid", "grid": [1, 1]})[0]
-    assert analyze_point(chart, center[None]).errors == [None]  # regular
-    bad = fd_stencil(center, 0, FD_NESTED_STEP)[1][1]
-    (err,) = analyze_point(chart, bad[None]).errors
-    assert isinstance(err, prodsub.errors.IrregularPoint)
-    assert str(err).startswith("det g = 5.678e-16")
-    assert main(["run", "--scene", str(path)]) == 3
-    want = (
-        f"computation error: check biharmonic_normal failed at sample 0, u={center.tolist()}: {err}"
-    )
-    assert capsys.readouterr().err.strip() == want
+@pytest.mark.parametrize(
+    "theta, t, u1_domain, grid",
+    [
+        # the first sample sits at u1 = 2e-6, 2e-6 from the edge of the
+        # domain of sqrt(u1)
+        ("0.5 + u1", "sqrt(u1)", [0.0, 1e-4], [2, 1]),
+        # latitude and height u1^3 give det g = 18 u1^4 cos^2(0.5 + u1^3),
+        # below 1e-12 for u1 < 5.75e-4: the sample at u1 = 5.8e-4 is regular
+        ("0.5 + u1^3", "u1^3", [5.7e-4, 5.9e-4], [1, 1]),
+    ],
+    ids=["domain_edge", "irregular_point"],
+)
+def test_a_narrow_chart_takes_its_normal_laplacian_at_the_samples(tmp_path, capsys, theta, t, u1_domain, grid):
+    # the normal Laplacian reads the samples' own 4-jets and no point
+    # around them, so a chart narrower than any stencil gives a verdict
+    path = _narrow_scene(tmp_path, theta, t, u1_domain, grid)
+    assert main(["run", "--scene", str(path), "--format", "json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "FAIL" and np.isfinite(check["max_residual"])
+    assert check["notes"] == prodsub.scene._NESTED_NOTE and check["derivative_tier"] == "jet-exact"
 
 
 # -- the run-level batch: every sample of a chunk in one call ----------------
@@ -485,23 +468,13 @@ def _count_calls(monkeypatch, name: str, modules=(prodsub.jets, prodsub.extrinsi
     return calls
 
 
-def _nested_calls(n_nested: int, m: int) -> list:
-    """The nested Laplacian's geometry calls for n_nested samples of one
-    chunk: the 4m outer points of whole samples, at most _BATCH_POINTS
-    points per call."""
-    size = 4 * m
-    per = max(1, prodsub.immersion._BATCH_POINTS // size)
-    return [(min(per, n_nested - i) * size, m) for i in range(0, n_nested, per)]
-
-
 @pytest.mark.parametrize("chart_fixture", ["theorem1_cyl", "theorem1_heli"])
 def test_order_three_checks_cover_every_derivative_check(monkeypatch, request, chart_fixture):
     # a check that reads the 3-jet but whose record lacks order 3 would find
     # no d3 in its chunk and raise.  Each check alone takes one geometry
     # call of its samples, at its own order; the nested Laplacian, where PMC
-    # fails (the helicoid), adds the outer stencil points of its samples in
-    # calls of whole samples within the point budget.  No run calls
-    # fd_gradient.
+    # fails (the helicoid), adds one call of its samples at order 4.  No run
+    # calls fd_gradient.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
@@ -511,8 +484,8 @@ def test_order_three_checks_cover_every_derivative_check(monkeypatch, request, c
         calls.clear()
         _run_rows(chart, [name], samples, 0)
         order = prodsub.scene.CHECK_TABLE[name].order
-        nested = 3 if name == "biharmonic_normal" and chart_fixture == "theorem1_heli" else 0
-        assert calls == [((3, m), order)] + [(shape, 3) for shape in _nested_calls(nested, m)], name
+        nested = name == "biharmonic_normal" and chart_fixture == "theorem1_heli"
+        assert calls == [((3, m), order)] + [((3, m), 4)] * nested, name
     assert not fd_calls
     third = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.order == 3}
     assert third == {"gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"}
@@ -529,8 +502,7 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     # once per chunk: pmc, biharmonic_normal and biconservative_full share
     # the chunk's nabla^perp H.  The geometry is one call of the N sample
     # centers at order 3, with no stencil around them; the nested Laplacian
-    # (the helicoid's four samples) adds the 4m outer points of each of its
-    # samples, and one kernel call per call of their geometry.
+    # (the helicoid's four samples) adds one call of them at order 4.
     chart = request.getfixturevalue(chart_fixture)
     m = chart.m
     samples = random_interior_points(chart, 4, seed=5)
@@ -540,12 +512,12 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
-    assert calls == [((4, m), 3)] + ([((4 * 4 * m, m), 3)] if nested else [])
-    assert len(kernel) == 1 + len(_nested_calls(nested, m))
-    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks, one nested sample a call
+    assert calls == [((4, m), 3)] + ([((4, m), 4)] if nested else [])
+    assert len(kernel) == 1
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks
     kernel.clear()
     assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
-    assert len(kernel) == 2 + 2 * len(_nested_calls(nested // 2, m))
+    assert len(kernel) == 2
 
 
 def _rel_gap(got, want) -> float:
@@ -611,50 +583,142 @@ def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_chart
     assert bad.any()  # the failing chart has failing rows
 
 
+def test_order_four_derivatives_match_fd_gradient(s4, all_gallery_charts, batch_charts):
+    # every gallery kind at both signs of eps and the three *_expr scenes:
+    # the 4-jet and the second derivatives of g, g^-1, P and H of an order-4
+    # batch against fd_gradient of the first derivatives of order-3 batches
+    # of one, within finite-difference accuracy
+    for ch in batch_charts:
+        m = ch.m
+        samples = random_interior_points(ch, 3, seed=13)
+        rows = geometry(ch, samples, order=4)
+        d = rows.derivatives
+        cache = FieldCache(ch)
+        for r, u in enumerate(samples):
+            fields = {
+                "d4": (lambda v: evaluate_jet(ch, v, order=3).d3, np.moveaxis(rows.batch.jet.d4[r], -1, 0)),
+                "d2g": (lambda v: cache.geometry(v).derivatives.dg[0], d.d2g[r]),
+                "d2g_inv": (lambda v: cache.geometry(v).derivatives.dg_inv[0], d.d2g_inv[r]),
+                "d2P": (lambda v: cache.geometry(v).derivatives.dP[0], d.d2P[r]),
+                "d2H": (lambda v: cache.geometry(v).derivatives.dH[0], d.d2H[r]),
+            }
+            for name, (field, exact) in fields.items():
+                fd = np.array([fd_gradient(lambda v: field(v).ravel(), u, i) for i in range(m)])  # direction first
+                assert _rel_gap(exact.reshape(fd.shape), fd) <= 1e-8, (ch.label, name)
+    # the fourth-order slot changes nothing of the 3-jet, failing rows included
+    for ch, U, steps in _jet_cases(s4, all_gallery_charts):
+        third, fourth = evaluate_jet(ch, U, steps, order=3), evaluate_jet(ch, U, steps, order=4)
+        assert all(_same(a, b) for a, b in zip(third.d, fourth.d[:4])) and len(fourth.d) == 5, ch.label
+        assert [e and str(e) for e in fourth.errors] == [e and str(e) for e in third.errors], ch.label
+        bad = np.array([e is not None for e in fourth.errors])
+        assert np.isnan(fourth.d4[bad]).all() and np.isfinite(fourth.d4[~bad]).all(), ch.label
+
+
+_REFERENCE_NAMES = ["jet_var", "jet_const", "pow_const", *jets.UNARY_FNS, "UNARY_FNS"]
+
+
+def _coordinate_jets(monkeypatch, coords, U, m, order, reference):
+    """The jet of each coordinate map at the points U (N, m), or its error,
+    with the general jet or with the hand-written rules of
+    ``reference_jets`` in place of ``prodsub.jets``."""
+    with monkeypatch.context() as mp:
+        if reference:
+            for name in _REFERENCE_NAMES:
+                mp.setattr(jets, name, getattr(reference_jets, name))
+            seeds = reference_jets.seeds(U, m, order)
+        else:
+            seeds = tuple(jet_var(i, U[:, i], m, order) for i in range(m))
+        out = []
+        with np.errstate(all="ignore"):
+            for coord in coords:
+                try:
+                    out.append(coord(seeds))
+                except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")  # compared by type and message
+        return out
+
+
+def _same_jet(ref, new) -> bool:
+    """value, grad, hess and d3 bit for bit; a missing or empty slot of the
+    oracle is missing or empty in the general jet."""
+    if isinstance(ref, str) or isinstance(new, str):
+        return ref == new
+    for name in ("value", "grad", "hess", "d3"):
+        a, b = getattr(ref, name), getattr(new, name)
+        if a is None or a.size == 0:
+            if not (b is None or b.size == 0):
+                return False
+        elif b is None or not _same(a, b):
+            return False
+    return True
+
+
+def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gallery_charts):
+    # orders 0, 2 and 3 give the values, gradients, Hessians and third
+    # derivatives of the hand-written rules bit for bit, NaN and -0.0
+    # included, and the same errors: every coordinate map of every gallery
+    # kind at both signs of eps, every corpus scene, the 61-step family and
+    # a failing chart (``_jet_cases``), and the grammar suite
+    cases = [(ch.family.coords(np.broadcast_to(steps, len(U))), U, ch.m) for ch, U, steps in _jet_cases(s4, all_gallery_charts)]
+    for src, bindings, _ in grammar_cases.VALUE_CASES:
+        ast, names = exprlang.parse(src), sorted(bindings) or ["x"]
+        U = np.array([[bindings.get(n, 0.5) for n in names], [0.25] * len(names)])
+        cases.append(([lambda us, ast=ast, names=names: exprlang.eval_jet(ast, dict(zip(names, us)), {})], U, len(names)))
+    for coords, U, m in cases:
+        for order in (0, 2, 3):
+            ref = _coordinate_jets(monkeypatch, coords, U, m, order, True)
+            new = _coordinate_jets(monkeypatch, coords, U, m, order, False)
+            assert all(_same_jet(a, b) for a, b in zip(ref, new)), order
+
+
+# the step of the finite-difference layer the normal Laplacian once took
+_NESTED_STEP = 5e-4
+
+
 def _nested_oracle(chart, u):
-    """The nested normal Laplacian at u point by point, as runs took it
-    sample by sample: fd_gradient of nabla^perp_q H along p with the nested
-    step, where nabla^perp_q H is the exact one of each point's own order-3
-    geometry, a batch of one.  A point whose geometry fails raises its
-    error."""
+    """The normal Laplacian at u as it was once taken: fd_gradient (one
+    Richardson step) of nabla^perp_q H along p at the step _NESTED_STEP,
+    where nabla^perp_q H is the exact one of each point's own order-3
+    geometry, a batch of one."""
     m, cache = chart.m, FieldCache(chart)
 
-    def geometry_of(v):
-        rows = cache.geometry(v)
-        if rows.batch.errors[0] is not None:
-            raise rows.batch.errors[0]
-        return rows
-
     def nabla_H(q):
-        return lambda v: normal_derivative_H(geometry_of(v))[0, q]
+        return lambda v: normal_derivative_H(cache.geometry(v))[0, q]
 
-    rows = geometry_of(u)
+    rows = cache.geometry(u)
     b, G, W0 = rows.batch, rows.derivatives.gamma[0], normal_derivative_H(rows)[0]
     out = np.zeros(chart.space.ambient_dim)
     for p in range(m):
         for q in range(m):
-            dW = fd_gradient(nabla_H(q), u, p, step=FD_NESTED_STEP)
+            dW = fd_gradient(nabla_H(q), u, p, step=_NESTED_STEP)
             out += b.g_inv[0, p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
     return b.proj_normal(out[None])[0]
 
 
-def test_nested_laplacians_match_the_per_point_oracle(batch_charts):
-    # every gallery kind at both signs of eps and the three *_expr scenes
+def test_nested_laplacians_match_the_per_point_oracle(batch_charts, theorem1_heli):
+    # every gallery kind at both signs of eps and the three *_expr scenes:
+    # the closed form from the 4-jet against the finite-difference oracle,
+    # and a batch of one bit for bit against its row of the chunk
     for ch in batch_charts:
         samples = random_interior_points(ch, 3, seed=13)
-        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
-        lap = normal_laplacian_H(chunk.geo, chunk.nabla_H)
+        rows = geometry(ch, samples, order=4)
+        lap = normal_laplacian_H(rows, normal_derivative_H(rows))
         for r, u in enumerate(samples):
-            assert _rel_gap(lap[r], _nested_oracle(ch, u)) <= 1e-12, ch.label
-            one = geometry(ch, u[None], order=3)  # a batch of one
-            assert _rel_gap(normal_laplacian_H(one, normal_derivative_H(one))[0], lap[r]) <= 1e-12, ch.label
+            assert _rel_gap(lap[r], _nested_oracle(ch, u)) <= 1e-8, ch.label
+            one = geometry(ch, u[None], order=4)
+            assert _same(normal_laplacian_H(one, normal_derivative_H(one))[0], lap[r]), ch.label
+    # the helicoid's residuals against those of the finite-difference layer
+    samples = random_interior_points(theorem1_heli, 3, seed=13)
+    got = _run_rows(theorem1_heli, ["biharmonic_normal"], samples, 0)
+    layer = [0.3392440555713899, 0.2517519883860234, 0.17764274368394148]
+    assert all(abs(r[3] - v) <= 1e-8 * max(1.0, abs(v)) for r, v in zip(got, layer))
 
 
 def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path):
     # the helicoid's biharmonic_normal rows, whole, when _BATCH_POINTS
-    # splits the chunk and the nested samples (one per call), splits only
-    # the nested samples (two per call), or takes all five in one call, and
-    # under --jobs 1/2/4
+    # splits the chunk (and with it the order-4 call of the nesting
+    # samples) into calls of two or three samples, or takes all five in one
+    # call, and under --jobs 1/2/4
     scene = _load("theorem1_helicoid.json")
     sampling = {"mode": "random", "counts": 5, "seed": 3}
     chart = build_chart(scene)
@@ -663,128 +727,23 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
     calls = _count_analyze(monkeypatch)
     rows = _run_rows(chart, names, samples, 0)
     assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
-    size = 4 * m
     splits = [
-        (2, [(size, m)] * 5),
-        (2 * size, [(2 * size, m)] * 2 + [(size, m)]),
-        (5 * size, [(5 * size, m)]),
+        (2, [(2, m), (2, m), (1, m)]),
+        (3, [(3, m), (2, m)]),
+        (512, [(5, m)]),
     ]
     for value, nested_calls in splits:
         with monkeypatch.context() as mp:
             mp.setattr(prodsub.immersion, "_BATCH_POINTS", value)
             calls.clear()
             assert _same_rows(_run_rows(chart, names, samples, 0), rows), value
-            assert [s for s, _ in calls if s[0] % size == 0] == nested_calls, value
+            assert [s for s, order in calls if order == 4] == nested_calls, value
     csv = []
     for jobs in (1, 2, 4):
         path = tmp_path / f"jobs{jobs}.csv"
         prodsub.scene.run_scene(scene, checks=names, sampling_override=sampling, jobs=jobs, csv_path=str(path))
         csv.append(path.read_bytes())
     assert csv[0] == csv[1] == csv[2]
-
-
-def _inject(monkeypatch, chart, faults):
-    """Make the geometry of the given points fail ("failed"), make the
-    chart's first coordinate map raise on every batch that holds them, as a
-    domain error does ("raises"), or hold a non-finite H ("nan", by a NaN
-    second derivative), in a batch or alone."""
-    original = prodsub.immersion._analyze
-    raising = np.array([point for kind, point in faults if kind == "raises"]).reshape(-1, chart.m)
-    family_coords = chart.family.coords
-
-    def coords(steps):
-        first, *rest = family_coords(steps)
-
-        def coordinate(us):
-            U = np.stack([u.value for u in us], axis=-1)
-            if (U[:, None] == raising[None]).all(axis=-1).any():
-                raise ValueError("injected")
-            return first(us)
-
-        return [coordinate, *rest]
-
-    def faulty(chart, U, *args):
-        batch = original(chart, U, *args)
-        for kind, point in faults:
-            for r in np.flatnonzero((U == point).all(axis=1)):
-                if kind == "failed":
-                    batch.errors[r] = prodsub.errors.IrregularPoint(f"injected at u={point.tolist()}")
-                elif kind == "nan":
-                    batch.jet.d2[r] = np.nan
-        return batch
-
-    monkeypatch.setattr(chart.family, "coords", coords)
-    monkeypatch.setattr(prodsub.immersion, "_analyze", faulty)
-
-
-def test_nested_stencil_failures_report_what_the_per_sample_path_reports(monkeypatch, theorem1_heli):
-    # a failed row or a non-finite nabla^perp H among the outer stencil
-    # points of the nested Laplacian gives the failing sample, check and
-    # message the per-sample path gives (the first sample whose oracle
-    # raises): per sample, the first pair of stencil points in fd_gradient's
-    # order (direction, then pair) with a failed point or a non-finite value
-    chart, m = theorem1_heli, theorem1_heli.m
-    samples = random_interior_points(chart, 3, seed=8)
-    clean = _run_rows(chart, ["biharmonic_normal"], samples, 0)
-    assert all(r[4] == prodsub.scene._NESTED_NOTE for r in clean)
-
-    def per_sample():
-        """The first failing sample of the per-sample path and its report."""
-        for i, u in enumerate(samples):
-            try:
-                _nested_oracle(chart, u)
-            except prodsub.errors.EngineError as exc:
-                return i, f"check biharmonic_normal failed at sample {i}, u={u.tolist()}: {exc}"
-        return None, None
-
-    def outer(sample, p, j):
-        """Point j of the sample's nested stencil along p."""
-        return fd_stencil(samples[sample], p, FD_NESTED_STEP)[1][j]
-
-    cases = [
-        [("failed", outer(1, 1, 2))],
-        [("nan", outer(1, 0, 3))],
-        [("failed", outer(2, 2, 0))],
-        [("nan", outer(2, 1, 1))],
-        [("nan", outer(2, 0, 0)), ("failed", outer(1, 2, 3))],  # the lower sample first
-        [("nan", outer(1, 1, 2)), ("failed", outer(1, 0, 3))],  # the earlier direction first
-        [("nan", outer(1, 0, 0)), ("failed", outer(1, 0, 1))],  # within a pair, the failed point
-        [("failed", samples[2]), ("nan", outer(1, 1, 1))],  # sample 2 fails every check, after sample 1
-        [("failed", samples[0]), ("nan", outer(1, 1, 1))],  # sample 0 fails first
-        [("raises", v) for v in _outer_points(samples[2])],  # the coordinates fail at every outer point of sample 2
-    ]
-    seen = []
-    for faults in cases:
-        with monkeypatch.context() as mp:
-            _inject(mp, chart, faults)
-            sample, want = per_sample()
-            got = _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0)
-        assert want is not None and got == want, faults
-        seen.append((sample, ("injected" in want, "non-finite field value" in want)))
-    failed, nonfinite = (True, False), (False, True)
-    assert seen == [(1, failed), (1, nonfinite), (2, failed), (2, nonfinite), (1, failed), (1, failed),
-                    (1, failed), (1, nonfinite), (0, failed), (2, failed)]
-    # under a looser PMC tolerance only sample 1 nests; it fails as sample 1
-    with monkeypatch.context() as mp:
-        mp.setattr(prodsub.classify, "TOL_PMC", 0.05)
-        rows = _run_rows(chart, ["biharmonic_normal"], samples, 0)
-        assert [r[4] == prodsub.scene._NESTED_NOTE for r in rows] == [False, True, False]
-        _inject(mp, chart, [("failed", outer(1, 1, 2))])
-        sample, want = per_sample()
-        assert sample == 1 and _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == want
-    # a non-finite nabla^perp H at an outer point fails its sample along
-    # that outer direction, as fd_gradient does on the outer pair
-    original = prodsub.extrinsic.normal_derivative_H
-
-    def poisoned(rows):
-        W = original(rows)
-        if len(rows) == 3 * 4 * m:  # the outer points of the three samples
-            W[2 * 4 * m + 4 * 1 + 2, 0, 0] = np.nan  # sample 2, direction p = 1, point 2
-        return W
-
-    monkeypatch.setattr(prodsub.extrinsic, "normal_derivative_H", poisoned)
-    want = f"sample 2, u={samples[2].tolist()}: {jets.nonfinite_error(samples[2], 1)}"
-    assert _outcome(_run_rows, chart, ["biharmonic_normal"], samples, 0) == f"check biharmonic_normal failed at {want}"
 
 
 FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"]
@@ -811,15 +770,15 @@ def test_differencing_work_does_not_grow_with_the_samples(monkeypatch):
 
 
 def test_reports_name_the_derivative_tier_of_each_check():
-    # every check is jet-exact but biharmonic_normal where a sample takes
-    # the normal Laplacian's finite-difference layer (off PMC: the helicoid)
+    # every check is jet-exact, biharmonic_normal off PMC (the helicoid,
+    # where it takes the normal Laplacian from the 4-jet) included
     names = FIVE_CHECKS + ["ricci", "vector_t", "membership", "class_a", "splitting"]
-    for kind, nested in {"cylinder": "jet-exact", "helicoid": "fd"}.items():
+    for kind in ("cylinder", "helicoid"):
         rep = prodsub.scene.run_scene(
             _load(f"theorem1_{kind}.json"), checks=names, sampling_override={"mode": "random", "counts": 3, "seed": 1}
         )
         got = {c["name"]: c["derivative_tier"] for c in rep["checks"]}
-        assert got == {**dict.fromkeys(names, "jet-exact"), "biharmonic_normal": nested}, kind
+        assert got == dict.fromkeys(names, "jet-exact"), kind
 
 
 def test_a_pmc_tolerance_override_leaves_the_nesting_rule(capsys):
@@ -831,7 +790,7 @@ def test_a_pmc_tolerance_override_leaves_the_nesting_rule(capsys):
                  "--tol", "pmc=1e3", "--format", "json"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["pmc"]["verdict"] == "PASS" and checks["pmc"]["tolerance_used"] == 1e3
-    assert checks["biharmonic_normal"]["derivative_tier"] == "fd"
+    assert checks["biharmonic_normal"]["derivative_tier"] == "jet-exact"
     assert checks["biharmonic_normal"]["notes"] == prodsub.scene._NESTED_NOTE
 
 

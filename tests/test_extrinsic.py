@@ -20,9 +20,9 @@ from prodsub.jets import fd_gradient
 from conftest import random_interior_points, theorem1_closed_forms
 
 
-def _rows(chart, U):
-    """The geometry of the points U (N, m) at order 3, each row checked regular."""
-    rows = second_fundamental(analyze_point(chart, U, order=3))
+def _rows(chart, U, order=3):
+    """The geometry of the points U (N, m) at ``order``, each row checked regular."""
+    rows = second_fundamental(analyze_point(chart, U, order=order))
     assert not any(rows.batch.errors), chart.label
     return rows
 
@@ -237,6 +237,6 @@ def test_T_eta_residuals(vcyl_geodesic, slice_s4, theorem1_heli):
 
 
 def test_normal_laplacian_H_vanishes_under_pmc(theorem1_cyl):
-    rows = _rows(theorem1_cyl, [[0.2, -0.3, 0.4]])
+    rows = _rows(theorem1_cyl, [[0.2, -0.3, 0.4]], order=4)
     lam = normal_laplacian_H(rows, normal_derivative_H(rows))
     assert np.linalg.norm(lam[0]) <= 1e-4

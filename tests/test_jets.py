@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsub import jets
+from prodsub import exprlang, jets
 from prodsub.errors import StencilError
 from prodsub.jets import (
     fd_gradient,
@@ -264,3 +265,104 @@ def test_fd_gradient_pmc_h_norm_squared():
 def test_vecjet_shares_m():
     with pytest.raises(ValueError):
         jets.VecJet2([jet_var(0, 1.0, m=2), jet_var(0, 1.0, m=3)])
+
+
+# -- order 4: one rule for every order ----------------------------------------
+
+_SYMPY_FNS = {
+    "sin": sympy.sin,
+    "cos": sympy.cos,
+    "tan": sympy.tan,
+    "sinh": sympy.sinh,
+    "cosh": sympy.cosh,
+    "tanh": sympy.tanh,
+    "exp": sympy.exp,
+    "log": sympy.log,
+    "sqrt": sympy.sqrt,
+    "atan": sympy.atan,
+    "neg": lambda e: -e,
+}
+_XYZ = sympy.symbols("x y z")
+# points of the inner argument 0.5 + 0.4 x + 0.3 x y - 0.2 y^2, which stays
+# in (0.5, 1.0) there, inside every function's domain
+_POINTS = np.array([[0.3, 0.4, 0.5], [0.9, 0.7, 0.3], [0.5, 0.8, 0.9], [0.7, 0.35, 0.6]])
+
+
+def _inner(x, y):
+    return 0.5 + 0.4 * x + 0.3 * x * y - 0.2 * (y * y)
+
+
+def _sympy_slots(expr, order=4) -> list:
+    """The value and the derivative tensors (N, 3, ..., 3) of a sympy
+    expression in x, y, z at _POINTS, up to ``order``."""
+    derivs = {(): expr}  # by sorted multi-index, each from the one before
+    for k in range(1, order + 1):
+        for key in sorted({tuple(sorted(idx)) for idx in np.ndindex(*(3,) * k)}):
+            derivs[key] = sympy.diff(derivs[key[:-1]], _XYZ[key[-1]])
+    f = sympy.lambdify(_XYZ, list(derivs.values()), "math")
+    values = dict(zip(derivs, np.array([f(*p) for p in _POINTS], dtype=float).T))
+    return [
+        np.moveaxis(np.array([values[tuple(sorted(idx))] for idx in np.ndindex(*(3,) * k)]).reshape((3,) * k + (-1,)), -1, 0)
+        for k in range(order + 1)
+    ]
+
+
+def _assert_matches_sympy(jet, expr, what):
+    for k, (got, want) in enumerate(zip(jet.d, _sympy_slots(expr))):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (what, k)
+    assert jet.order == 4, what
+
+
+def test_order_four_jets_match_sympy():
+    # every unary function and pow_const of a function of two of three
+    # variables, and the general '^' (exp(r log l)) of all three: every slot
+    # up to d4 within 1e-12 relative to max(1, |sympy|)
+    seeds = [jet_var(i, _POINTS[:, i], 3, order=4) for i in range(3)]
+    arg, sym_arg = _inner(*seeds[:2]), _inner(*_XYZ[:2])
+    for name, fn in jets.UNARY_FNS.items():
+        _assert_matches_sympy(fn(arg), _SYMPY_FNS[name](sym_arg), name)
+    for p in (0, 1, 2, 3, -2, 0.5, 2.5):
+        jet = pow_const(arg, p)
+        if p == 0:  # the constant 1, whose slots past the Hessian are missing, that is zero
+            assert jet.order == 2 and np.all(jet.value == 1.0) and not jet.grad.any() and not jet.hess.any()
+            continue
+        _assert_matches_sympy(jet, sym_arg ** sympy.nsimplify(p), f"pow {p}")
+    ast = exprlang.parse("(x*y + z)^(0.5*x - z*y)")
+    jet = exprlang.eval_jet(ast, dict(zip("xyz", seeds)), {})
+    x, y, z = _XYZ
+    _assert_matches_sympy(jet, (x * y + z) ** (sympy.Rational(1, 2) * x - z * y), "general ^")
+
+
+def _outcome(fn, value, order):
+    try:
+        fn(jet_var(0, np.array([1.0, value]), 1, order))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_order_four_raises_what_order_two_raises():
+    # domain, range and zero-division errors at order 4 are those of order
+    # 2, and so is their absence where only f''' or f'''' overflows (the
+    # range checks read f, f' and f'' only)
+    cases = [
+        (jets.log, -1.0),
+        (jets.sqrt, 0.0),
+        (jets.exp, 800.0),
+        (jets.sinh, 800.0),
+        (jets.cosh, -800.0),
+        (lambda j: pow_const(j, 2), 1e200),
+        (lambda j: pow_const(j, -2), 0.0),
+        (lambda j: pow_const(j, 0.5), -1.0),
+        (lambda j: pow_const(j, 2.5), 1e200),
+        (lambda j: 1.0 / j, 0.0),
+        (lambda j: j / jet_const(0.0, 1), 1.0),
+        (lambda j: pow_const(j, -2), 1e-70),  # f''' overflows, f'' does not
+        (jets.log, 1e-110),  # f''' overflows, and log checks no range
+    ]
+    seen = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for fn, value in cases:
+            seen.append(_outcome(fn, value, 4))
+            assert seen[-1] == _outcome(fn, value, 2), value
+    assert [s is None for s in seen] == [False] * 11 + [True] * 2
