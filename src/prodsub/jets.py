@@ -58,7 +58,7 @@ def _check_range(arg, *results, power: bool = False) -> None:
 
 def _trail(x, k: int):
     """A batch of scalars broadcast against k trailing tensor axes."""
-    return np.asarray(x)[(Ellipsis,) + (None,) * k]
+    return x if isinstance(x, float) else np.asarray(x)[(Ellipsis,) + (None,) * k]
 
 
 def _number(x):
@@ -74,10 +74,10 @@ def _outer(x, p: int, y, q: int):
 @cache
 def _shuffles(sizes: tuple, ordered: bool, lead: int) -> tuple:
     """The distinct ways to deal k = sum(sizes) index positions into blocks
-    of these sizes, the identity first: each as the axes by which
-    ``transpose`` takes the blocks' tensor product (block by block, each
-    block's positions ascending, after ``lead`` axes) there.  Blocks of one
-    size are interchangeable unless ``ordered``."""
+    of these sizes, the identity first, each as the ``transpose`` axes that
+    move the blocks' tensor product (block by block, each block's positions
+    ascending, after ``lead`` leading axes) onto them.  Blocks of one size
+    are interchangeable unless ``ordered``."""
     cuts = list(accumulate(sizes, initial=0))
     seen, out = set(), []
     for perm in permutations(range(cuts[-1])):
