@@ -15,7 +15,9 @@ domain edge and next to an irregular point, and the runs and scans of the
 generated scenes in ``FAILING``, each of which fails: an error at a sample
 center, coordinate overflows, a NaN chart, a scan step that does not build, an unbound
 identifier, scans whose first or second step leaves the product, scans
-whose first failing step lies in a later membership block, scenes
+whose first failing step is a later step (off the product, a domain error,
+or off the product just before a step that raises), a scan whose every
+step raises, scenes
 the schema rejects (``epsilon: 2``, an immersion of both kinds, an unknown
 key in ``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
 the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
@@ -101,18 +103,19 @@ def _scan_r(lo: str, hi: str) -> list:
     return ["scan", "--param", "r", "--from", lo, "--to", hi, "--steps", "3", "--residual", "membership"]
 
 
-def _late_step(slot: int, coord: str) -> dict:
-    """An S^3 x R scene in Hopf coordinates (m = 3, 4 steps per membership
-    block) with coordinate ``slot`` set to ``coord``, which reads p."""
+def _late_step(edits: dict) -> dict:
+    """An S^3 x R scene in Hopf coordinates (m = 3, 125 probe points a
+    step) with coordinate slot i set to ``edits[i]``, which reads p."""
     coords = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)*cos(u3)", "sin(u1)*sin(u3)", "u1 + u2"]
-    coords[slot] = coord
+    coords = [edits.get(i, c) for i, c in enumerate(coords)]
     expressions = {"m": 3, "coords": coords, "params": {"p": 0.0}, "var_names": ["u1", "u2", "u3"],
                    "domain": [[0.2, 1.2], [-0.5, 0.5], [-0.5, 0.5]]}
     return {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"expressions": expressions},
             "sampling": {"mode": "grid", "grid": [2, 2, 2]}, "checks": ["membership"]}
 
 
-# 20 values of p whose step 13, in the fourth membership block, is the first that fails
+# 20 values of p (2,500 probe points) whose step 13 is the first that fails in the late_step scenes
+_OFF_PRODUCT = "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))"  # off the product from step 13 on
 _SCAN_P = ["scan", "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps", "20", "--residual", "membership"]
 
 
@@ -134,8 +137,11 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
     "unbound_identifier": (_unbound(), ["run"]),
     "first_step_off_product": (_off_product(), _scan_r("2", "1")),
     "second_step_off_product": (_off_product(), _scan_r("1", "2")),
-    "late_step_off_product": (_late_step(0, "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))"), _SCAN_P),
-    "late_step_domain": (_late_step(4, "u1 + u2 + 0*sqrt(u1 - p)"), _SCAN_P),
+    "late_step_off_product": (_late_step({0: _OFF_PRODUCT}), _SCAN_P),
+    "late_step_domain": (_late_step({4: "u1 + u2 + 0*sqrt(u1 - p)"}), _SCAN_P),
+    "every_step_domain": (_late_step({4: "u1 + u2 + 0*sqrt(p - 1)"}), _SCAN_P),
+    # step 13 leaves the product; step 14 raises at the first probe point
+    "off_product_before_domain": (_late_step({0: _OFF_PRODUCT, 4: "u1 + u2 + 0*sqrt(u1 - p + 0.01)"}), _SCAN_P),
     "epsilon_2": (_edited("theorem1_cylinder.json", ("ambient", "epsilon"), 2), ["run"]),
     "gallery_and_expressions": (_edited("slice_expr.json", ("immersion", "gallery"), {"kind": "slice"}), ["run"]),
     "unknown_expressions_key": (_edited("slice_expr.json", ("immersion", "expressions", "colour"), "red"), ["run"]),

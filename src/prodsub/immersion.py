@@ -33,16 +33,24 @@ __all__ = [
 ]
 
 # most points in one geometry call: a run slices its samples into calls of
-# at most this many, and a build checks the probe grids of its steps in
-# blocks of whole steps within it.  Past a few hundred points a larger call
-# barely lowers the cost per point, while its arrays take a few KiB per point,
-# more with the 3-jet.  On theorem1_cylinder, one core of a 2-vCPU Xeon: 0.8
-# ms for a batch of one, 9.9 us per point at 512 (14 us with the 3-jet); 3,000
-# samples of pmc and biconservative_full take 0.063 s at 512 against 0.059 to
-# 0.062 s at 1,024, at a peak RSS of 43.8 against 48.8 MiB, and the 61-step
-# criterion-4a scan (one call of its 488 samples either way, but half as many
-# membership blocks at 1,024) 0.020 against 0.017 s (in-process, best of 25).
+# at most this many.  Past a few hundred points a larger call barely lowers
+# the cost per point, while its arrays take a few KiB per point, more with the
+# 3-jet.  On theorem1_cylinder, one core of a 2-vCPU Xeon: 0.8 ms for a batch
+# of one, 9.9 us per point at 512 (14 us with the 3-jet); 3,000 samples of pmc
+# and biconservative_full take 0.063 s at 512 against 0.059 to 0.062 s at
+# 1,024, at a peak RSS of 43.8 against 48.8 MiB.  No benchmark workload sends
+# more than 488 points (the 61-step criterion-4a scan) to one call.
 _BATCH_POINTS = 512
+
+# most probe points in one call of a build's checks, which take blocks of
+# whole steps within it.  A geometry row holds a 3-jet, k (1 + m + m^2 + m^3)
+# floats (240 for k = 6, m = 3), and its frames; a membership probe point
+# holds one float per coordinate and a surface-factor probe point a 2-jet of 4
+# coordinates in 2 variables (28 floats).  So the 61 steps of the
+# criterion-4a scan take one membership call (7,625 points, 0.4 MiB of
+# values) and one surface-factor call (1,525 points), and a call's cost is
+# mostly its fixed overhead.
+_PROBE_POINTS = 8192
 
 _MEMBERSHIP_TOL = 1e-9  # the largest membership residual a build allows on its probe grid
 _PROBES = 5  # probe grid points per axis of the membership check
@@ -111,14 +119,14 @@ class Chart:
     def validate_membership(self) -> None:
         """Run the family's chart-level checks and then the membership check
         over the probe grids of all its steps, in blocks of whole steps of
-        at most ``_BATCH_POINTS`` points, each check on the steps that
+        at most ``_PROBE_POINTS`` probe points, each check on the steps that
         passed the ones before it; the probe grid is the same for every
         step.  The family stops at the first step that fails, with the error
         that step gives on its own; raises that error when step 0 fails."""
         family = self.family
         grid = probe_grid(self.domain, _PROBES)
         for points, check in [*family.checks, (len(grid), lambda steps: self.membership_errors(steps, grid))]:
-            per = max(1, _BATCH_POINTS // points)
+            per = max(1, _PROBE_POINTS // points)
             for first in range(0, len(family), per):
                 block = np.arange(first, min(first + per, len(family)))
                 errors = check(block)
@@ -130,20 +138,33 @@ class Chart:
             raise family.error
 
     def membership_errors(self, steps, grid) -> list:
-        """The membership check at each scan step of ``steps``: the error of
-        a step whose probe grid ``grid`` (P, m) leaves the product past
-        ``_MEMBERSHIP_TOL``, else None.  The grids of all the steps are one
-        batched evaluation of values only, since membership reads no
-        derivative.  A step with a probe point whose coordinates fail takes
-        the error of the first such point; a non-finite residual at any
-        probe point counts as the worst and fails as well."""
+        """The membership check at each scan step of ``steps`` up to the
+        first that fails: the error of a step whose probe grid ``grid``
+        (P, m) leaves the product past ``_MEMBERSHIP_TOL``, else None; a
+        step after the first failure may read None.  Membership reads no
+        derivative, so the grids are evaluated for values only.  The grids
+        of several steps are one batched evaluation; when a coordinate map
+        raises on it, the steps are split in halves, first half first,
+        until the first failing step stands alone.  A single step is one
+        ``evaluate_jet`` call, in which a step with a probe point whose
+        coordinates fail takes the error of the first such point.  A
+        non-finite residual at any probe point counts as the worst and
+        fails as well."""
         count = len(steps)
-        jet = evaluate_jet(self, np.tile(grid, (count, 1)), np.repeat(steps, len(grid)), order=0)
-        worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
-        failed = [None] * count
-        if any(jet.errors):
-            per_step = np.array(jet.errors, dtype=object).reshape(count, -1)
-            failed = [next((e for e in errors if e is not None), None) for errors in per_step]
+        U, at = np.tile(grid, (count, 1)), np.repeat(steps, len(grid))
+        if count == 1:
+            jet = evaluate_jet(self, U, at, order=0)
+            failed = [next((e for e in jet.errors if e is not None), None)]
+        else:
+            jet, failed = _coordinates(self, U, at, 0), [None] * count
+            if isinstance(jet, ChartError):
+                head = self.membership_errors(steps[: count // 2], grid)
+                if any(e is not None for e in head):
+                    return head + [None] * (count - count // 2)
+                return head + self.membership_errors(steps[count // 2 :], grid)
+        # a step past the first failure may overflow; its residual is then not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
         return [
             e
             if e is not None or w <= _MEMBERSHIP_TOL

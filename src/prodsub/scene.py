@@ -830,6 +830,9 @@ def scan_parameter(
         raise SceneError(f"unknown residual {residual!r}")
     if int(steps) < 1:
         raise SceneError(f"a scan needs at least one step, got {steps}")
+    for name, bound in (("from", lo), ("to", hi)):
+        if not math.isfinite(float(bound)):
+            raise SceneError(f"a scan needs finite bounds, got {name}={bound}")
     validate_scene(scene)
     values = [float(v) for v in np.linspace(float(lo), float(hi), int(steps))]
     chart = build_chart(scene, (param, values))

@@ -10,6 +10,7 @@ evaluation raises them.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -245,30 +246,33 @@ def test_values_only_jets_are_the_2_jet_values(s4, all_gallery_charts):
 
 
 # S^3 x R charts through the Hopf coordinates, m = 3: 125 probe points a
-# step, so a build checks 4 steps per block.  Over the 20 values of p,
-# step 13 (p = 0.225, in the fourth block) is the first that fails: the
-# factor 1 + exp(5000 (p - 0.215)) is 1 within 2e-22 up to step 12, and
+# step, so the 20 values of p are one membership block of 2,500 points.
+# Step 13 (p = 0.225) is the first that fails: the factor
+# 1 + exp(5000 (p - 0.215)) is 1 within 2e-22 up to step 12, and
 # sqrt(u1 - p) first meets the probe points at u1 = 0.22 there.
 _HOPF = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)*cos(u3)", "sin(u1)*sin(u3)", "u1 + u2"]
+_OFF_PRODUCT = "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))"
 _LATE_STEP = {
-    "off_product": (0, "cos(u1)*cos(u2)*(1 + exp(5000*(p - 0.215)))",
+    "off_product": (0, _OFF_PRODUCT,
                     "chart expressions leaves the product: membership residual 2.560e+43 > 1.0e-09"),
     "domain_error": (4, "u1 + u2 + 0*sqrt(u1 - p)",
                      "coordinate 4 failed at u=[0.22, -0.48, -0.48]: at position 12: sqrt: argument "
                      "-0.0050000000000000044 outside the function domain"),
 }
+_P_VALUES = [float(v) for v in np.linspace(-0.035, 0.345, 20)]
 
 
-@pytest.mark.parametrize("case", sorted(_LATE_STEP))
-def test_a_build_stops_at_its_first_failing_step_in_a_later_block(case, monkeypatch, tmp_path, capsys):
-    slot, coord, message = _LATE_STEP[case]
-    coords = list(_HOPF)
-    coords[slot] = coord
-    expressions = {"m": 3, "coords": coords, "params": {"p": 0.0}, "var_names": ["u1", "u2", "u3"],
+def _hopf_scene(edits: dict, p: float = 0.0) -> dict:
+    """The membership scene of the Hopf chart with coordinate slot i set to edits[i]."""
+    coords = [edits.get(i, c) for i, c in enumerate(_HOPF)]
+    expressions = {"m": 3, "coords": coords, "params": {"p": p}, "var_names": ["u1", "u2", "u3"],
                    "domain": [[0.2, 1.2], [-0.5, 0.5], [-0.5, 0.5]]}
-    scene = {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"expressions": expressions},
-             "sampling": {"mode": "grid", "grid": [2, 2, 2]}, "checks": ["membership"]}
-    values = [float(v) for v in np.linspace(-0.035, 0.345, 20)]
+    return {"ambient": {"epsilon": 1, "n": 3}, "immersion": {"expressions": expressions},
+            "sampling": {"mode": "grid", "grid": [2, 2, 2]}, "checks": ["membership"]}
+
+
+def _count_coordinate_rows(monkeypatch) -> list:
+    """The row count of each ``immersion._coordinates`` call from now on."""
     rows = []
     original = prodsub.immersion._coordinates
 
@@ -277,23 +281,63 @@ def test_a_build_stops_at_its_first_failing_step_in_a_later_block(case, monkeypa
         return original(chart, U, *args)
 
     monkeypatch.setattr(prodsub.immersion, "_coordinates", counting)
-    family = build_chart(scene, ("p", values)).family
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_STEP))
+def test_a_build_stops_at_its_first_failing_step_in_a_later_block(case, monkeypatch, tmp_path, capsys):
+    slot, coord, message = _LATE_STEP[case]
+    scene = _hopf_scene({slot: coord})
+    rows = _count_coordinate_rows(monkeypatch)
+    family = build_chart(scene, ("p", _P_VALUES)).family
     assert len(family) == 13 and str(family.error) == message
-    # whole blocks of 4 steps up to the failing one, and a replay of that block's rows alone
-    replay = 4 * 125 if case == "domain_error" else 0
-    assert rows == [4 * 125] * 4 + [1] * replay
+    if case == "off_product":  # nothing raises: the one block is one call
+        assert rows == [20 * 125]
+    else:  # the block raises: halves of whole steps down to step 13, whose rows alone are replayed
+        assert len([n for n in rows if n > 125]) <= 2 * math.ceil(math.log2(20))
+        assert all(n % 125 == 0 or n == 1 for n in rows) and rows.count(1) <= 125
 
     monkeypatch.undo()
     path = tmp_path / "scene.json"
     scan = ["scan", "--scene", str(path), "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps", "20",
             "--residual", "membership"]
-    for p, argv, code in ((values[12], ["run"], 0), (values[13], ["run"], 3), (0.0, scan, 3)):
-        expressions["params"]["p"] = p
+    for p, argv, code in ((_P_VALUES[12], ["run"], 0), (_P_VALUES[13], ["run"], 3), (0.0, scan, 3)):
+        scene["immersion"]["expressions"]["params"]["p"] = p
         path.write_text(json.dumps(scene))
         capsys.readouterr()
         assert main(argv + ["--scene", str(path)] if argv == ["run"] else argv) == code
         if code:
             assert capsys.readouterr().err == f"computation error: {message}\n"
+
+
+_FAILURES = {  # name: (coordinate edits, the first failing step)
+    "domain_error": ({4: _LATE_STEP["domain_error"][1]}, 13),
+    "off_product": ({0: _OFF_PRODUCT}, 13),
+    # step 13 leaves the product and step 14, in the same block, raises first at u1 = 0.22
+    "off_product_before_domain": ({0: _OFF_PRODUCT, 4: "u1 + u2 + 0*sqrt(u1 - p + 0.01)"}, 13),
+    "every_step_domain": ({4: "u1 + u2 + 0*sqrt(p - 1)"}, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+def test_the_first_failing_step_does_not_depend_on_the_block_bound(case, monkeypatch):
+    # blocks of one step, of two steps and of the default bound stop the
+    # family at the same step, with the error that step gives on its own
+    edits, stop = _FAILURES[case]
+    with pytest.raises(ChartError) as alone:
+        build_chart(_hopf_scene(edits, _P_VALUES[stop]))
+    rows = _count_coordinate_rows(monkeypatch)
+    for bound in (125, 250, prodsub.immersion._PROBE_POINTS):
+        monkeypatch.setattr(prodsub.immersion, "_PROBE_POINTS", bound)
+        rows.clear()
+        if stop:
+            family = build_chart(_hopf_scene(edits), ("p", _P_VALUES)).family
+            assert (len(family), str(family.error)) == (stop, str(alone.value)), bound
+        else:  # step 0 fails: the build raises its error, after halving the block down to it
+            with pytest.raises(ChartError) as first:
+                build_chart(_hopf_scene(edits), ("p", _P_VALUES))
+            assert str(first.value) == str(alone.value), bound
+            assert len([n for n in rows if n > 125]) <= math.ceil(math.log2(20)) + 1, bound
 
 
 def _same_other_rows(rows, clean, bad: int) -> bool:

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -620,6 +621,20 @@ def test_scan_single_step():
     table = format_scan_table(scan)
     assert table.startswith("# a2")
     assert len([l for l in table.splitlines() if not l.startswith("#")]) == 1
+
+
+@pytest.mark.parametrize("bound", ["from", "to"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_scan_bound_is_a_scene_error(bound, value, capsys):
+    # rejected before any step is built, with no numpy warning on the way
+    given = {"from": "0.3", "to": "0.9", bound: value}
+    argv = ["scan", "--scene", str(SCENES / "biharmonic_scan_eps1.json"), "--param", "a2", "--from=" + given["from"],
+            "--to=" + given["to"], "--steps", "5", "--residual", "biharmonic_normal"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"scene error: a scan needs finite bounds, got {bound}={float(value)}\n"
 
 
 def test_scan_eps1_minimum_at_half():
