@@ -142,12 +142,13 @@ def biconservative_residual(rows: ExtrinsicRows) -> dict:
     return {"simple": biconservative_simple(rows), "full": biconservative_full(rows, normal_derivative_H(rows))}
 
 
-def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
+def biharmonic_predicates(rows: ExtrinsicRows, frame=None) -> tuple[np.ndarray, np.ndarray]:
     """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the codim-2
-    frame is undefined."""
+    frame is undefined.  ``frame`` is the rows' ``codim_two_frame``, taken
+    here where None."""
     b = rows.batch
-    frame, errors = codim_two_frame(rows)
+    frame, errors = frame or codim_two_frame(rows)
     undefined = np.array([e is not None for e in errors])
     if frame is None:
         return np.full(len(b), math.nan), np.full(len(b), math.nan)
@@ -233,12 +234,13 @@ def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: floa
             start = i
 
 
-def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG):
+def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
     """Symmetric eigenanalysis of A_H with the kernel split, filling the
     residuals of the codimension-2 biconservative block structure, for
     every row of a batch: a stacked E0Analysis (None when the codimension
-    is not 2) and the rows' errors as in ``codim_two_frame``."""
-    frame, errors = codim_two_frame(rows)
+    is not 2) and the rows' errors as in ``codim_two_frame``.  ``frame`` is
+    the rows' ``codim_two_frame``, taken here where None."""
+    frame, errors = frame or codim_two_frame(rows)
     if frame is None:
         return None, errors
     b = rows.batch

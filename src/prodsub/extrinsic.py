@@ -378,7 +378,7 @@ def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.nda
     AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
     lhs = (DPX @ DPY - DPY @ DPX) @ b.normal_onb[on, a][..., None]
     vec = lhs - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
-    return (b.normal_projector() @ vec)[..., 0]
+    return (rows.derivatives.P @ vec)[..., 0]
 
 
 def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -399,5 +399,5 @@ def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     vt = nab_T - np.swapaxes(A_eta, -1, -2) @ b.tangent_onb
     t = inner(sp, b.tangent_onb, b.T_ambient[:, None])  # T in the tangent ONB
     alpha_T = np.swapaxes((rows.alpha @ t[:, None, :, None])[..., 0], -1, -2) @ b.normal_onb
-    veta = alpha_T + C @ d.deta @ np.swapaxes(b.normal_projector(), -1, -2)
+    veta = alpha_T + C @ d.deta @ np.swapaxes(d.P, -1, -2)
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))

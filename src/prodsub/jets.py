@@ -2,23 +2,34 @@
 seeds (``jet_var(..., order=k)``).
 
 A ``Jet2`` keeps the derivative tensors of a scalar quantity with respect to
-the chart coordinates in one list indexed by order, ``d[k]`` (m,) * k, and a
-missing slot counts as zero.  All arithmetic is the truncated Taylor rule of
-every order (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13):
-a product is the general Leibniz rule and every unary function is Faa di
-Bruno's formula over the table f, f', ..., f^(k) the function supplies, each
-summed over precomputed index shuffles.  So polynomials of degree <= k are
-differentiated exactly, and a slot never reads the slots above it: every
-order gives the lower slots bit for bit.  The 3-jet gives the first
-derivatives of H, the Christoffels and alpha, and the 4-jet the second
-derivatives of H that the normal Laplacian reads.  ``fd_gradient`` is the
-finite-difference oracle of the tests; no run calls it.
+the chart coordinates in one list indexed by order, and a missing slot counts
+as zero.  Slot k >= 1 is stored with the derivative axes first and the sample
+axis last, ``d[k]`` (m,) * k + (N,), so every term below is an elementwise
+operation over contiguous rows of N samples, and a number or a row array (N,)
+scales a slot as it stands.  A single point or a constant has N = 1 there and
+broadcasts against batches.  The views ``value``, ``grad``, ``hess``, ``d3``
+and ``d4`` give the slots with the batch axis first, as (N,) + (m,) * k, or
+without one; ``VecJet2`` stacks the components once into contiguous
+(N, k, m, ...) arrays, the layout every consumer reads.
+
+All arithmetic is the truncated Taylor rule of every order (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a product is the
+general Leibniz rule and every unary function is Faa di Bruno's formula over
+the table f, f', ..., f^(k) the function supplies, each summed over index
+shuffles.  A plan per order (``_leibniz_plan``, ``_compose_plan``), built
+once, holds each slot's splits or partitions, the indices of their tensor
+products and their shuffles, so a call only multiplies and adds.  So
+polynomials of degree <= k are differentiated exactly, and a slot never
+reads the slots above it: every order gives the lower slots bit for bit.
+The 3-jet gives the first derivatives of H, the Christoffels and alpha, and
+the 4-jet the second derivatives of H that the normal Laplacian reads.
+``fd_gradient`` is the finite-difference oracle of the tests; no run calls
+it.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, permutations
 
 import numpy as np
@@ -56,28 +67,22 @@ def _check_range(arg, *results, power: bool = False) -> None:
         raise OverflowError("math range error")
 
 
-def _trail(x, k: int):
-    """A batch of scalars broadcast against k trailing tensor axes."""
-    return x if isinstance(x, float) else np.asarray(x)[(Ellipsis,) + (None,) * k]
-
-
 def _number(x):
     """A float, or a float array for a row array (one number per batch row)."""
     return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
-def _outer(x, p: int, y, q: int):
-    """x (..., m^p) times y (..., m^q): the tensor product (..., m^(p+q))."""
-    return x[(Ellipsis,) + (None,) * q] * y[(Ellipsis,) + (None,) * p + (slice(None),) * q]
+def _spread(p: int, q: int) -> tuple:
+    """ix, iy with x[ix] * y[iy] the tensor product (m^(p+q), N) of x (m^p, N) and y (m^q, N)."""
+    return (slice(None),) * p + (None,) * q, (None,) * p
 
 
-@cache
-def _shuffles(sizes: tuple, ordered: bool, lead: int) -> tuple:
+def _shuffles(sizes: tuple, ordered: bool) -> tuple:
     """The distinct ways to deal k = sum(sizes) index positions into blocks
-    of these sizes, the identity first, each as the ``transpose`` axes that
+    of these sizes, past the identity, each as the ``transpose`` axes that
     move the blocks' tensor product (block by block, each block's positions
-    ascending, after ``lead`` leading axes) onto them.  Blocks of one size
-    are interchangeable unless ``ordered``."""
+    ascending, the sample axis last) onto them.  Blocks of one size are
+    interchangeable unless ``ordered``."""
     cuts = list(accumulate(sizes, initial=0))
     seen, out = set(), []
     for perm in permutations(range(cuts[-1])):
@@ -86,23 +91,25 @@ def _shuffles(sizes: tuple, ordered: bool, lead: int) -> tuple:
         if key not in seen:
             seen.add(key)
             flat = [p for block in blocks for p in block]  # the position of each axis
-            out.append(tuple(range(lead)) + tuple(lead + a for a in sorted(range(len(flat)), key=flat.__getitem__)))
-    return tuple(out)
+            out.append((*sorted(range(len(flat)), key=flat.__getitem__), len(flat)))
+    return tuple(out[1:])
 
 
-def _shuffled(t, sizes: tuple, ordered: bool = False) -> list:
-    """The tensor product t of blocks of these sizes, transposed by each of their ``_shuffles``."""
-    shuffles = _shuffles(sizes, ordered, t.ndim - sum(sizes))
-    return [t, *(t.transpose(axes) for axes in shuffles[1:])]
+def _summed(t, shuffles):
+    """t plus its transposes by ``shuffles``, added left to right."""
+    if not shuffles:
+        return t
+    out = t + t.transpose(shuffles[0])
+    for axes in shuffles[1:]:
+        out += t.transpose(axes)
+    return out
 
 
-def _sum(terms):
-    """The left-to-right sum of the terms that are not None, else None."""
-    present = [t for t in terms if t is not None]
-    return reduce(operator.add, present) if present else None
+def _add(out, t):
+    """out + t, where an out of None is absent."""
+    return t if out is None else out + t
 
 
-@cache
 def _partitions(k: int) -> tuple:
     """The partitions of k into non-increasing block sizes, fewest blocks first."""
 
@@ -115,30 +122,50 @@ def _partitions(k: int) -> tuple:
     return tuple(sorted(parts(k, k), key=len))
 
 
+@cache
+def _leibniz_plan(k: int) -> tuple:
+    """The splits j >= i = k - j of slot k of a product, j descending: (j, i,
+    the indices of their tensor product, its shuffles)."""
+    return tuple((j, k - j, *_spread(j, k - j), _shuffles((j, k - j), j == k - j)) for j in range(k - 1, (k - 1) // 2, -1))
+
+
+@cache
+def _compose_plan(k: int) -> tuple:
+    """The partitions of k, fewest blocks first, of slot k of a composition:
+    (the block sizes, the sizes but the last block, whose tensor product a
+    lower slot made, the last block's size, the indices of their tensor
+    product, its shuffles)."""
+    return tuple((sizes, sizes[:-1], sizes[-1], *_spread(k - sizes[-1], sizes[-1]), _shuffles(sizes, False)) for sizes in _partitions(k))
+
+
 def _view(k: int):
-    return property(lambda self: self.d[k] if k < len(self.d) else None)
+    def slot(self):  # the sample axis first, or none where the value has no batch of its length
+        x = self.d[k] if k < len(self.d) else None
+        return x if x is None else np.moveaxis(x, -1, 0) if x.shape[-1:] == self.d[0].shape else x[..., 0]
+
+    return property(slot)
 
 
 class Jet2:
-    """Truncated jet: ``d[k]`` holds the symmetric k-th derivatives
-    (m,) * k for k up to ``order``; ``value``, ``grad``, ``hess``, ``d3``
-    and ``d4`` view it, None past the order.
-
-    Every slot may carry one leading batch axis: value (N,), grad (N, m) and
-    so on hold the jets of N points, and every operation acts row by row.  A
-    jet without the axis is the N-less case of the same class; operands
-    broadcast, so constants mix with batches.  A jet without a gradient
-    slot has no derivative direction (m = 0).
+    """Truncated jet: ``d[k]`` holds the symmetric k-th derivatives for k up
+    to ``order``, the value () or (N,) and slot k (m,) * k + (N,), N = 1 for
+    a single point or a constant; every operation acts row by row, and
+    operands broadcast.  ``value``, ``grad``, ``hess``, ``d3`` and ``d4``
+    view the slots as value (N,), grad (N, m) and so on, or as grad (m,)
+    where the value has no batch of the slot's length (a single point, or a
+    constant of a row array); None past the order.  A jet without a
+    gradient slot has no derivative direction (m = 0).
     """
 
     __slots__ = ("d", "m")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    value, grad, hess, d3, d4 = (_view(k) for k in range(5))
+    value = property(lambda self: self.d[0])
+    grad, hess, d3, d4 = (_view(k) for k in range(1, 5))
 
     def __init__(self, *d):
         self.d = [np.asarray(x, dtype=float) for x in d]
-        self.m = self.d[1].shape[-1] if len(self.d) > 1 else 0
+        self.m = self.d[1].shape[0] if len(self.d) > 1 else 0
 
     order = property(lambda self: len(self.d) - 1)
 
@@ -168,7 +195,7 @@ class Jet2:
     def __mul__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
             c = _number(other)
-            return Jet2(*(x * _trail(c, k) for k, x in enumerate(self.d)))
+            return Jet2(*(x * c for x in self.d))
         a, b = zip(*_pairs(self, other))
         return Jet2(*(_leibniz(a, b, k) for k in range(len(a))))
 
@@ -206,16 +233,20 @@ def _leibniz(a, b, k: int):
     shuffles of a_j b_j one by one."""
     if k == 0:
         return a[0] * b[0]
-    out = _sum([None if a[k] is None else a[k] * _trail(b[0], k), None if b[k] is None else b[k] * _trail(a[0], k)])
-    for j in range(k - 1, (k - 1) // 2, -1):
-        i = k - j
-        x = None if a[j] is None or b[i] is None else _outer(a[j], j, b[i], i)
+    out = None if a[k] is None else a[k] * b[0]
+    if b[k] is not None:
+        out = _add(out, b[k] * a[0])
+    for j, i, ix, iy, shuffles in _leibniz_plan(k):
+        t = None if a[j] is None or b[i] is None else a[j][ix] * b[i][iy]
         if j > i:
-            t = _sum([x, None if b[j] is None or a[i] is None else _outer(b[j], j, a[i], i)])
-            terms = [] if t is None else [_sum(_shuffled(t, (j, i)))]
-        else:
-            terms = [] if x is None else _shuffled(x, (j, i), True)
-        out = _sum([out, *terms])
+            if b[j] is not None and a[i] is not None:
+                t = _add(t, b[j][ix] * a[i][iy])
+            if t is not None:
+                out = _add(out, _summed(t, shuffles))
+        elif t is not None:
+            out = _add(out, t)
+            for axes in shuffles:
+                out = out + t.transpose(axes)
     return out
 
 
@@ -223,16 +254,13 @@ def _compose(a: Jet2, table) -> Jet2:
     """f(a) from the derivative table f, f', ... of f at a.value by Faa di
     Bruno's formula: slot k sums, over the partitions of k into blocks, the
     shuffles of the product of a's slots of the block sizes, times f^(number
-    of blocks)."""
-    d = [table[0]]
-    for k in range(1, a.order + 1):
+    of blocks).  Each product extends that of its blocks but the last."""
+    d, products = [table[0]], {}
+    for k in range(1, len(a.d)):
         out = None
-        for sizes in _partitions(k):
-            t, p = a.d[sizes[0]], sizes[0]
-            for s in sizes[1:]:
-                t, p = _outer(t, p, a.d[s], s), p + s
-            term = _sum(_shuffled(t, sizes)) * _trail(table[len(sizes)], k)
-            out = term if out is None else out + term
+        for sizes, head, s, ix, iy, shuffles in _compose_plan(k):
+            t = products[sizes] = products[head][ix] * a.d[s][iy] if head else a.d[s]
+            out = _add(out, _summed(t, shuffles) * table[len(sizes)])
         d.append(out)
     return Jet2(*d)
 
@@ -247,15 +275,15 @@ def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
     if not 0 <= index < m:
         raise ValueError(f"variable index {index} out of range for m={m}")
     value = np.array(value, dtype=float)
-    grad = np.zeros(value.shape + (m,))
-    grad[..., index] = 1.0
-    slots = [value, grad] + [np.zeros(value.shape + (m,) * k) for k in range(2, order + 1)]
-    return Jet2(*slots[: order + 1])
+    slots = [value] + [np.zeros((m,) * k + (value.shape or (1,))) for k in range(1, order + 1)]
+    if order:
+        slots[1][index] = 1.0
+    return Jet2(*slots)
 
 
 def jet_const(value, m: int) -> Jet2:
     """Constant jet of a number or a row array (N,): zero derivatives, or the value alone where m = 0."""
-    return Jet2(value, np.zeros(m), np.zeros((m, m))) if m else Jet2(value)
+    return Jet2(value, np.zeros((m, 1)), np.zeros((m, m, 1))) if m else Jet2(value)
 
 
 def _reciprocal(a: Jet2) -> Jet2:
@@ -397,7 +425,7 @@ class VecJet2:
 
     __slots__ = ("m", "d", "errors")
 
-    values, jac, d2, d3, d4 = (_view(k) for k in range(5))
+    values, jac, d2, d3, d4 = (property(lambda self, k=k: self.d[k] if k < len(self.d) else None) for k in range(5))
 
     def __init__(self, jets):
         jets = list(jets)
@@ -409,10 +437,11 @@ class VecJet2:
         shape = np.broadcast_shapes(*(j.value.shape for j in jets))
         self.m, self.d, self.errors = m, [], None
         for k in range(max(3, *(len(j.d) for j in jets))):
-            want = shape + (m,) * k
-            zero = np.zeros(want)
-            parts = [j.d[k] if k <= j.order else zero for j in jets]
-            self.d.append(np.stack([p if p.shape == want else np.broadcast_to(p, want) for p in parts], -k - 1))
+            out = np.empty(shape + (len(jets),) + (m,) * k)
+            rows = out.transpose(*range(1, k + 2), 0) if shape else out[..., None]  # the jets' layout
+            for c, j in enumerate(jets):
+                rows[c] = j.d[k] if k <= j.order else 0.0
+            self.d.append(out)
 
     def __len__(self) -> int:
         return self.values.shape[-1]

@@ -57,6 +57,7 @@ from .classify import (
     biharmonic_residual,
     circle_geometry,
     class_A_residual,
+    codim_two_frame,
     e0_structure,
     splitting_residual,
 )
@@ -329,6 +330,11 @@ class Chunk:
         return T_eta_residuals(self.geo)
 
     @cached_property
+    def frame(self) -> tuple:
+        """``codim_two_frame`` of the samples, which e0 and biharmonic_predicate share."""
+        return codim_two_frame(self.geo)
+
+    @cached_property
     def nabla_H(self) -> np.ndarray:
         """nabla^perp H (N, m, n+2), which pmc, biconservative_full and biharmonic_normal share."""
         return normal_derivative_H(self.geo)
@@ -378,7 +384,7 @@ def _chk_class_a(c: Chunk):
 
 
 def _chk_biharmonic_predicate(c: Chunk):
-    pred, pred_eps = biharmonic_predicates(c.geo)
+    pred, pred_eps = biharmonic_predicates(c.geo, c.frame)
     undefined = np.isnan(pred)
     notes = [
         "codim-2 frame undefined (H = 0 or wrong codimension)" if bad else f"eps-explicit candidate {p:.6g}"
@@ -442,7 +448,7 @@ def _chk_vector_eta(c: Chunk):
 
 
 def _chk_e0(c: Chunk):
-    e0, errors = e0_structure(c.geo)
+    e0, errors = e0_structure(c.geo, frame=c.frame)
     vanish = [e is not None and "H vanishes" in str(e) for e in errors]
     for i, (e, v) in enumerate(zip(errors, vanish)):
         if e is not None and not v:

@@ -1,11 +1,25 @@
-"""The hand-written jet rules of orders 2 and 3, kept as the oracle of the
-general jet in ``prodsub.jets``: value, gradient, Hessian and third-order
-slot, each rule written out for its order.  ``seeds(U, m, order)`` gives the
-seed jets of a batch of points U (N, m) at order 0 (values over no derivative
-direction), 2 or 3.
+"""Oracles of the jets in ``prodsub.jets``.
+
+The hand-written jet rules of orders 2 and 3: value, gradient, Hessian and
+third-order slot, each rule written out for its order.  ``seeds(U, m,
+order)`` gives the seed jets of a batch of points U (N, m) at order 0
+(values over no derivative direction), 2 or 3.
+
+``BatchFirstJet``: the general rules of every order on the batch-first
+layout, slot k (N,) + (m,) * k, which ``prodsub.jets`` replaced with the
+sample axis last.  ``BATCH_FIRST`` lists what to put in place of
+``prodsub.jets`` names so that its unary functions and ``pow_const`` build
+these jets from their own derivative tables, and ``batch_first_seeds(U, m,
+order)`` gives their seeds at any order.
 """
 
+from functools import cache, reduce
+from itertools import accumulate, permutations
+import operator
+
 import numpy as np
+
+from prodsub import jets
 
 
 class JetDomainError(ValueError):
@@ -328,3 +342,182 @@ def seeds(U, m: int, order: int) -> tuple:
         return tuple(jet_var(i, U[:, i], m, order) for i in range(m))
     none = np.empty((len(U), 0)), np.empty((len(U), 0, 0))
     return tuple(Jet2(U[:, i], *none) for i in range(m))
+
+
+# -- the general rules on the batch-first layout -------------------------------
+
+
+def _trail(x, k: int):
+    """A batch of scalars broadcast against k trailing tensor axes."""
+    return x if isinstance(x, float) else np.asarray(x)[(Ellipsis,) + (None,) * k]
+
+
+@cache
+def _shuffles(sizes: tuple, ordered: bool, lead: int) -> tuple:
+    """The distinct ways to deal k = sum(sizes) index positions into blocks
+    of these sizes, the identity first, each as the ``transpose`` axes that
+    move the blocks' tensor product (block by block, each block's positions
+    ascending, after ``lead`` leading axes) onto them.  Blocks of one size
+    are interchangeable unless ``ordered``."""
+    cuts = list(accumulate(sizes, initial=0))
+    seen, out = set(), []
+    for perm in permutations(range(cuts[-1])):
+        blocks = tuple(tuple(sorted(perm[a:b])) for a, b in zip(cuts, cuts[1:]))
+        key = blocks if ordered else frozenset(blocks)
+        if key not in seen:
+            seen.add(key)
+            flat = [p for block in blocks for p in block]  # the position of each axis
+            out.append(tuple(range(lead)) + tuple(lead + a for a in sorted(range(len(flat)), key=flat.__getitem__)))
+    return tuple(out)
+
+
+def _add_all(terms):
+    """The left-to-right sum of the terms that are not None, else None."""
+    present = [t for t in terms if t is not None]
+    return reduce(operator.add, present) if present else None
+
+
+@cache
+def _partitions(k: int) -> tuple:
+    """The partitions of k into non-increasing block sizes, fewest blocks first."""
+
+    def parts(n, most):
+        if n == 0:
+            yield ()
+        for s in range(min(n, most), 0, -1):
+            yield from ((s,) + rest for rest in parts(n - s, s))
+
+    return tuple(sorted(parts(k, k), key=len))
+
+
+class BatchFirstJet:
+    """Truncated jet: ``d[k]`` holds the symmetric k-th derivatives (m,) * k
+    for k up to the order, with one leading batch axis where the slot has
+    one; a missing slot counts as zero."""
+
+    __slots__ = ("d", "m")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, *d):
+        self.d = [np.asarray(x, dtype=float) for x in d]
+        self.m = self.d[1].shape[-1] if len(self.d) > 1 else 0
+
+    value = property(lambda self: self.d[0])
+    order = property(lambda self: len(self.d) - 1)
+
+    def __add__(self, other):
+        if not isinstance(other, BatchFirstJet):
+            return BatchFirstJet(self.value + _number(other), *self.d[1:])
+        return BatchFirstJet(*(x if y is None else y if x is None else x + y for x, y in self._pairs(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, BatchFirstJet):
+            return BatchFirstJet(self.value - _number(other), *self.d[1:])
+        return BatchFirstJet(*(x if y is None else -y if x is None else x - y for x, y in self._pairs(other)))
+
+    def __rsub__(self, other):
+        return BatchFirstJet(_number(other) - self.value, *(-x for x in self.d[1:]))
+
+    def __mul__(self, other):
+        if not isinstance(other, BatchFirstJet):
+            c = _number(other)
+            return BatchFirstJet(*(x * _trail(c, k) for k, x in enumerate(self.d)))
+        a, b = zip(*self._pairs(other))
+        return BatchFirstJet(*(self._leibniz(a, b, k) for k in range(len(a))))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, BatchFirstJet):
+            c = _number(other)
+            if np.any(c == 0.0):
+                raise ZeroDivisionError("jet division by zero value")
+            return self * (1.0 / c)
+        return self * jets._reciprocal(other)
+
+    def __rtruediv__(self, other):
+        return jets._reciprocal(self) * other
+
+    def __neg__(self):
+        return BatchFirstJet(*(-x for x in self.d))
+
+    def __pow__(self, p):
+        return jets.pow_const(self, p)
+
+    def _pairs(self, b):
+        """The slots of self and b side by side up to the higher order, None where missing."""
+        if self.m != b.m:
+            raise ValueError(f"jet dimension mismatch: {self.m} vs {b.m}")
+        return zip(self.d + [None] * (len(b.d) - len(self.d)), b.d + [None] * (len(self.d) - len(b.d)))
+
+    @staticmethod
+    def _outer(x, p: int, y, q: int):
+        """x (..., m^p) times y (..., m^q): the tensor product (..., m^(p+q))."""
+        return x[(Ellipsis,) + (None,) * q] * y[(Ellipsis,) + (None,) * p + (slice(None),) * q]
+
+    @staticmethod
+    def _shuffled(t, sizes: tuple, ordered: bool = False) -> list:
+        """The tensor product t of blocks of these sizes, transposed by each of their ``_shuffles``."""
+        shuffles = _shuffles(sizes, ordered, t.ndim - sum(sizes))
+        return [t, *(t.transpose(axes) for axes in shuffles[1:])]
+
+    @staticmethod
+    def _leibniz(a, b, k: int):
+        """Slot k of a product from the slots a, b (None where missing) by the
+        general Leibniz rule: a_k b + a b_k, then for each split j > i = k - j
+        the shuffles of a_j b_i + b_j a_i, summed first, and for j = i the
+        shuffles of a_j b_j one by one."""
+        outer, shuffled = BatchFirstJet._outer, BatchFirstJet._shuffled
+        if k == 0:
+            return a[0] * b[0]
+        out = _add_all([None if a[k] is None else a[k] * _trail(b[0], k), None if b[k] is None else b[k] * _trail(a[0], k)])
+        for j in range(k - 1, (k - 1) // 2, -1):
+            i = k - j
+            x = None if a[j] is None or b[i] is None else outer(a[j], j, b[i], i)
+            if j > i:
+                t = _add_all([x, None if b[j] is None or a[i] is None else outer(b[j], j, a[i], i)])
+                terms = [] if t is None else [_add_all(shuffled(t, (j, i)))]
+            else:
+                terms = [] if x is None else shuffled(x, (j, i), True)
+            out = _add_all([out, *terms])
+        return out
+
+    @staticmethod
+    def _compose(a, table):
+        """f(a) from the derivative table f, f', ... of f at a.value by Faa di
+        Bruno's formula: slot k sums, over the partitions of k into blocks, the
+        shuffles of the product of a's slots of the block sizes, times f^(number
+        of blocks)."""
+        d = [table[0]]
+        for k in range(1, a.order + 1):
+            out = None
+            for sizes in _partitions(k):
+                t, p = a.d[sizes[0]], sizes[0]
+                for s in sizes[1:]:
+                    t, p = BatchFirstJet._outer(t, p, a.d[s], s), p + s
+                term = _add_all(BatchFirstJet._shuffled(t, sizes)) * _trail(table[len(sizes)], k)
+                out = term if out is None else out + term
+            d.append(out)
+        return BatchFirstJet(*d)
+
+
+def batch_first_const(value, m: int) -> BatchFirstJet:
+    return BatchFirstJet(value, np.zeros(m), np.zeros((m, m))) if m else BatchFirstJet(value)
+
+
+def batch_first_seeds(U, m: int, order: int) -> tuple:
+    """The seed jets of the points U (N, m) at ``order``: unit gradients and zero slots above them."""
+    out = []
+    for i in range(m):
+        value = np.array(U[:, i], dtype=float)
+        grad = np.zeros(value.shape + (m,))
+        grad[..., i] = 1.0
+        slots = [value, grad] + [np.zeros(value.shape + (m,) * k) for k in range(2, order + 1)]
+        out.append(BatchFirstJet(*slots[: order + 1]))
+    return tuple(out)
+
+
+# the names of ``prodsub.jets`` to replace, and with what
+BATCH_FIRST = {"_compose": BatchFirstJet._compose, "Jet2": BatchFirstJet, "jet_const": batch_first_const}

@@ -658,20 +658,22 @@ def test_order_four_derivatives_match_fd_gradient(s4, all_gallery_charts, batch_
         assert np.isnan(fourth.d4[bad]).all() and np.isfinite(fourth.d4[~bad]).all(), ch.label
 
 
-_REFERENCE_NAMES = ["jet_var", "jet_const", "pow_const", *jets.UNARY_FNS, "UNARY_FNS"]
+# the hand-written rules in place of ``prodsub.jets``
+_HAND_WRITTEN = {name: getattr(reference_jets, name) for name in ["jet_var", "jet_const", "pow_const", *jets.UNARY_FNS, "UNARY_FNS"]}
 
 
-def _coordinate_jets(monkeypatch, coords, U, m, order, reference):
+def _seeds(U, m, order):
+    return tuple(jet_var(i, U[:, i], m, order) for i in range(m))
+
+
+def _coordinate_jets(monkeypatch, coords, U, m, order, patch={}, seeds=_seeds):
     """The jet of each coordinate map at the points U (N, m), or its error,
-    with the general jet or with the hand-written rules of
-    ``reference_jets`` in place of ``prodsub.jets``."""
+    with the ``prodsub.jets`` names in ``patch`` replaced and the seed jets
+    ``seeds(U, m, order)``; with neither, the general jet itself."""
     with monkeypatch.context() as mp:
-        if reference:
-            for name in _REFERENCE_NAMES:
-                mp.setattr(jets, name, getattr(reference_jets, name))
-            seeds = reference_jets.seeds(U, m, order)
-        else:
-            seeds = tuple(jet_var(i, U[:, i], m, order) for i in range(m))
+        for name, value in patch.items():
+            mp.setattr(jets, name, value)
+        seeds = seeds(U, m, order)
         out = []
         with np.errstate(all="ignore"):
             for coord in coords:
@@ -697,22 +699,61 @@ def _same_jet(ref, new) -> bool:
     return True
 
 
+def _coordinate_cases(s4, all_gallery_charts):
+    """(coordinate maps, points U (N, m), m): every coordinate map of every
+    gallery kind at both signs of eps, every corpus scene, the 61-step
+    family and a failing chart (``_jet_cases``), and the grammar suite."""
+    cases = [(ch.family.coords(np.broadcast_to(steps, len(U))), U, ch.m) for ch, U, steps in _jet_cases(s4, all_gallery_charts)]
+    for src, bindings, _ in grammar_cases.VALUE_CASES:
+        ast, names = exprlang.parse(src), sorted(bindings) or ["x"]
+        U = np.array([[bindings.get(n, 0.5) for n in names], [0.25] * len(names)])
+        cases.append(([lambda us, ast=ast, names=names: exprlang.eval_jet(ast, dict(zip(names, us)), {})], U, len(names)))
+    return cases
+
+
 def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gallery_charts):
     # orders 0, 2 and 3 give the values, gradients, Hessians and third
     # derivatives of the hand-written rules bit for bit, NaN and -0.0
     # included, and the same errors: every coordinate map of every gallery
     # kind at both signs of eps, every corpus scene, the 61-step family and
     # a failing chart (``_jet_cases``), and the grammar suite
-    cases = [(ch.family.coords(np.broadcast_to(steps, len(U))), U, ch.m) for ch, U, steps in _jet_cases(s4, all_gallery_charts)]
-    for src, bindings, _ in grammar_cases.VALUE_CASES:
-        ast, names = exprlang.parse(src), sorted(bindings) or ["x"]
-        U = np.array([[bindings.get(n, 0.5) for n in names], [0.25] * len(names)])
-        cases.append(([lambda us, ast=ast, names=names: exprlang.eval_jet(ast, dict(zip(names, us)), {})], U, len(names)))
-    for coords, U, m in cases:
+    for coords, U, m in _coordinate_cases(s4, all_gallery_charts):
         for order in (0, 2, 3):
-            ref = _coordinate_jets(monkeypatch, coords, U, m, order, True)
-            new = _coordinate_jets(monkeypatch, coords, U, m, order, False)
+            ref = _coordinate_jets(monkeypatch, coords, U, m, order, _HAND_WRITTEN, reference_jets.seeds)
+            new = _coordinate_jets(monkeypatch, coords, U, m, order)
             assert all(_same_jet(a, b) for a, b in zip(ref, new)), order
+
+
+def _same_slots(ref, new) -> bool:
+    """Every slot of the batch-first jet bit for bit in the general jet's
+    views, and no slot more or less; errors by type and message."""
+    if isinstance(ref, str) or isinstance(new, str):
+        return ref == new
+    views = [new.value, new.grad, new.hess, new.d3, new.d4][: len(new.d)]
+    return len(ref.d) == len(new.d) and all(_same(a, b) for a, b in zip(ref.d, views))
+
+
+# functions of arguments with non-zero second derivatives, whose sums of
+# shuffles round, and a quotient and a general power of them
+_INNER = "(0.5 + 0.4*x + 0.3*x*y - 0.2*y^2)"
+_NESTED = [f"{fn}({_INNER})" for fn in jets.UNARY_FNS if fn != "neg"] + [
+    f"-{_INNER}^3 / (1.5 + sin(x*y*z))", f"{_INNER}^-2 - x*y*exp(z*x)", "(x*y + z)^(0.5*x - z*y)",
+]
+
+
+def test_sample_last_jets_reproduce_the_batch_first_rules(monkeypatch, s4, all_gallery_charts):
+    # orders 0 to 4 give every slot of the general rules on the batch-first
+    # layout (``reference_jets.BatchFirstJet``) bit for bit, NaN and -0.0
+    # included, and the same errors: the cases of the hand-written oracle
+    # and the _NESTED expressions at 40 random points
+    points = np.random.default_rng(5).uniform(0.2, 0.9, (40, 3))
+    nested = [lambda us, ast=exprlang.parse(src): exprlang.eval_jet(ast, dict(zip("xyz", us)), {}) for src in _NESTED]
+    for coords, U, m in _coordinate_cases(s4, all_gallery_charts) + [(nested, points, 3)]:
+        for order in range(5):
+            ref = _coordinate_jets(monkeypatch, coords, U, m, order, reference_jets.BATCH_FIRST, reference_jets.batch_first_seeds)
+            new = _coordinate_jets(monkeypatch, coords, U, m, order)
+            assert all(isinstance(a, (str, reference_jets.BatchFirstJet)) for a in ref)
+            assert all(_same_slots(a, b) for a, b in zip(ref, new)), order
 
 
 # the step of the finite-difference layer the normal Laplacian once took

@@ -262,6 +262,56 @@ def test_fd_gradient_pmc_h_norm_squared():
         assert abs(fd_gradient(hh, u, i)[0]) <= 1e-6
 
 
+def _shapes(jet):
+    return [None if x is None else x.shape for x in (jet.value, jet.grad, jet.hess, jet.d3, jet.d4)]
+
+
+def test_public_shapes_and_broadcasting():
+    # seeds, constants of a number and of a row array, a single point, a
+    # constant mixed with a batch, pow_const(x, 0) and VecJet2.row: the
+    # views hold the batch axis first where the jet has one, and a point
+    # is bit for bit its row of a batch
+    m, u = 3, np.array([0.3, -0.0, 0.7, 1.1])
+    n = len(u)
+    assert _shapes(jet_var(1, u, m, order=4)) == [(n,), (n, m), (n, m, m), (n, m, m, m), (n, m, m, m, m)]
+    assert _shapes(jet_var(1, 0.5, m, order=3)) == [(), (m,), (m, m), (m, m, m), None]
+    assert _shapes(jet_var(1, u, m, order=0)) == [(n,), None, None, None, None] and jet_var(1, u, m, order=0).m == 0
+    assert _shapes(jet_const(2.0, m)) == [(), (m,), (m, m), None, None]
+    assert _shapes(jet_const(u, m)) == [(n,), (m,), (m, m), None, None]
+    assert np.array_equal(jet_var(1, u, m).grad, np.tile([0.0, 1.0, 0.0], (n, 1)))
+
+    def f(x, y, c):
+        return jets.sin(x * y) / (jet_const(2.0, m) + x) - jet_const(c, m) * y
+
+    x, y = jet_var(0, u, m, order=4), jet_var(2, 2.0 * u, m, order=4)
+    batch = f(x, y, u)
+    assert _shapes(batch) == _shapes(x)
+    points = [f(jet_var(0, u[r], m, order=4), jet_var(2, 2.0 * u[r], m, order=4), u[r]) for r in range(n)]
+    for r, point in enumerate(points):  # the signed zero of row 1 included
+        assert _shapes(point) == [(), (m,), (m, m), (m, m, m), (m, m, m, m)]
+        assert all(_same(a[r], b) for a, b in zip(_views(batch), _views(point)))
+    assert _shapes(pow_const(x, 0)) == [(n,), (n, m), (n, m, m), None, None]
+    assert _shapes(pow_const(jet_var(0, 0.5, m, order=3), 0)) == [(), (m,), (m, m), None, None]
+
+    comps = [batch, jet_const(1.0, m), x * x]
+    vj = jets.VecJet2(comps)
+    assert [v.shape for v in vj.d] == [(n, 3), (n, 3, m), (n, 3, m, m), (n, 3, m, m, m), (n, 3, m, m, m, m)]
+    assert np.array_equal(vj.jac[:, 1], np.zeros((n, m))) and np.array_equal(vj.values[:, 1], np.ones(n))
+    one = vj.row(2)
+    assert [v.shape for v in one.d] == [(3,), (3, m), (3, m, m), (3, m, m, m), (3, m, m, m, m)]
+    assert [v.shape for v in one.row(None).d] == [(1, 3), (1, 3, m), (1, 3, m, m), (1, 3, m, m, m), (1, 3, m, m, m, m)]
+    point = jet_var(0, u[2], m, order=4)
+    assert all(_same(a, b) for a, b in zip(one.d, jets.VecJet2([points[2], jet_const(1.0, m), point * point]).d))
+
+
+def _views(jet):
+    return [jet.value, jet.grad, jet.hess, jet.d3, jet.d4]
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_vecjet_shares_m():
     with pytest.raises(ValueError):
         jets.VecJet2([jet_var(0, 1.0, m=2), jet_var(0, 1.0, m=3)])
@@ -308,7 +358,8 @@ def _sympy_slots(expr, order=4) -> list:
 
 
 def _assert_matches_sympy(jet, expr, what):
-    for k, (got, want) in enumerate(zip(jet.d, _sympy_slots(expr))):
+    slots = [jet.value, jet.grad, jet.hess, jet.d3, jet.d4]
+    for k, (got, want) in enumerate(zip(slots, _sympy_slots(expr))):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (what, k)
     assert jet.order == 4, what
 
