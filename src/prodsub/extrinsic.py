@@ -10,7 +10,10 @@ and alpha(Y, Z) = P d2f(Y, Z) take their first derivatives from the 3-jet of
 a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules,
 the ONB connection and nabla^perp H are jet-exact at the sample itself.  The
 normal Laplacian of H reads the second derivatives of g, g^-1, P and H from
-the 4-jet of a batch evaluated at order 4.  No kernel differences.
+the 4-jet of a batch evaluated at order 4.  No kernel differences.  The
+chart derivatives of the normal projector are applied to the vectors they
+act on and never formed as matrices, and every contraction is a matmul
+stacked per row, so that a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class JetDerivatives:
     - dg[:, i, j, l] = d_i g_jl = <d2_ji, J_l> + <J_j, d2_li>
     - gamma[:, l, i, j] = Gamma^l_ij
     - dg_inv[:, i] = d_i g^-1 = -g^-1 (d_i g) g^-1
-    - dP[:, i] = d_i P for the normal projector
+    - ``dP_apply(v)``[:, i] = (d_i P) v for the normal projector
       P = I - (eps p^ p^T + J g^-1 J^T) S, where d_i p^ = q_padded(J_i)
     - dT[:, i] = d_i T_coeffs = (d_i g^-1) J_t + g^-1 d_i J_t
     - deta[:, i] = d_i eta = (d_i P) e_t, as eta = P e_t
@@ -119,19 +122,31 @@ class JetDerivatives:
       Gamma^l_jk = g^lq <d2_jk, J_q>
     - ``d_alpha(v, w)``[:, i] = d_i (P d2f(v, w)) for fixed chart vectors
     - d2g[:, p, q] = d_p d_q g, d2g_inv[:, p, q] = d_p d_q g^-1 and
-      d2P[:, p, q] = d_p d_q P
+      ``d2P_apply(v)``[:, p, q] = (d_p d_q P) v
 
-    and from the 4-jet d2H[:, p, q] = d_p d_q H.
+    and from the 4-jet d2H[:, p, q] = d_p d_q H.  ``dP_apply`` and
+    ``d2P_apply`` take P's derivatives in closed form applied to the vectors
+    v, from J^T S v, d_i J^T S v, <p^, S v> and <d_i p^, S v>, so that no
+    (N, m, n+2, n+2) array is formed.
     """
 
     def __init__(self, batch: PointBatch):
         self.batch = batch
         self.space, self.jet, self.g_inv = batch.chart.space, batch.jet, batch.g_inv
+        self.n, self.k, self.m = batch.jet.jac.shape
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        """A jet slot (N, k, m, ..., m) with its chart axes flattened into one."""
+        return a.reshape(self.n, self.k, -1)
+
+    def _inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """<a_I, b_K> (N, I, K) of two jet slots, each with its chart axes flattened."""
+        return np.swapaxes(self._flat(a), -1, -2) @ (self.space.signature[:, None] * self._flat(b))
 
     @cached_property
     def dg(self) -> np.ndarray:
-        sig, J, d2 = self.space.signature, self.jet.jac, self.jet.d2
-        return np.einsum("c,ncik,ncj->nkij", sig, d2, J) + np.einsum("c,nci,ncjk->nkij", sig, J, d2)
+        A = np.swapaxes(self._inner(self.jet.d2, self.jet.jac).reshape(self.n, self.m, self.m, -1), 1, 2)  # [:, k, i, j] = <d2_ik, J_j>
+        return A + np.swapaxes(A, -1, -2)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -146,14 +161,55 @@ class JetDerivatives:
         return self.batch.normal_projector()
 
     @cached_property
-    def dP(self) -> np.ndarray:
-        sp, J = self.space, self.jet.jac
-        Jt = np.swapaxes(J, -1, -2)
-        phat = sp.q_padded(self.jet.values)[:, None, None, :]
-        pp = sp.q_padded(Jt)[..., None] * phat  # (d_i p^) p^T
-        K = np.moveaxis(self.jet.d2, -1, 1) @ (self.g_inv @ Jt)[:, None]  # (d_i J) g^-1 J^T
-        dE = K + np.swapaxes(K, -1, -2) + J[:, None] @ self.dg_inv @ Jt[:, None]
-        return -(sp.epsilon * (pp + np.swapaxes(pp, -1, -2)) + dE) * sp.signature
+    def _cols(self) -> np.ndarray:
+        """[J, d_i J, d_i p^, p^] (N, k, 2m + m*m + 1), (i, j) flattened in
+        d_i J: row vectors w times it give J^T w, d_i J^T w, <d_i p^, w> and <p^, w>."""
+        C = np.concatenate([self.jet.jac, self._flat(np.swapaxes(self.jet.d2, -1, -2)), self.jet.jac, self.jet.values[..., None]], -1)
+        C[:, self.space.t_index, -self.m - 1 :] = 0.0  # d_i p^ = q_padded(J_i) and p^ = q_padded(p)
+        return C
+
+    def _parts(self, v: np.ndarray) -> tuple:
+        """w = S v (N, L, k), R = w ``_cols``, x = g^-1 J^T w (N, L, m) and
+        u[:, :, i] = (g^-1 d_i J^T + (d_i g^-1) J^T) w (N, L, m, m)."""
+        n, m = self.n, self.m
+        w = (v * self.space.signature).reshape(n, -1, self.k)
+        R = w @ self._cols
+        G = _rmul(R[..., : m + m * m].reshape(n, -1, m), self.g_inv).reshape(n, -1, m + 1, m)
+        return w, R, G[:, :, 0], G[:, :, 1:] + _rmul(R[..., :m], self.dg_inv)
+
+    def dP_apply(self, v: np.ndarray) -> np.ndarray:
+        """(d_i P) v (N, m, ..., n+2) for vectors v (N, ..., n+2), with the w, x
+        and u of ``_parts``: -[eps (<p^, w> d_i p^ + <d_i p^, w> p^) + (d_i J) x + J u_i]."""
+        n, m, C = self.n, self.m, self._cols
+        _, R, x, u = self._parts(v)
+        dphat, phat = np.swapaxes(C[:, None, :, -m - 1 : -1], -1, -2), C[:, None, None, :, -1]
+        eps = R[..., -1:, None] * dphat + R[..., -m - 1 : -1, None] * phat
+        out = _rmul(x, self.jet.d2.transpose(0, 3, 1, 2)) + _rmul(u.reshape(n, -1, m), self.jet.jac).reshape(eps.shape)
+        return -np.moveaxis(out + self.space.epsilon * eps, 2, 1).reshape(n, m, *np.shape(v)[1:])
+
+    def d2P_apply(self, v: np.ndarray) -> np.ndarray:
+        """(d_p d_q P) v (N, m, m, ..., n+2) for vectors v (N, ..., n+2), from
+        the 3-jet, with the w, x and u of ``_parts``: -[eps (<p^, w> d_pq p^
+        + <d_pq p^, w> p^ + <d_q p^, w> d_p p^ + <d_p p^, w> d_q p^) + (d_pq J) x
+        + (d_p J) u_q + (d_q J) u_p + J (g^-1 d_pq J^T + (d_q g^-1) d_p J^T
+        + (d_p g^-1) d_q J^T + (d_pq g^-1) J^T) w]."""
+        n, m, k, J, C = self.n, self.m, self.k, self.jet.jac, self._cols
+        w, R, x, u = self._parts(v)
+        D = np.concatenate([self._flat(np.moveaxis(self.jet.d3, 2, -1)), self._flat(self.jet.d2)], -1)  # d_pq J, d_pq p^
+        D[:, self.space.t_index, m**3 :] = 0.0  # d_pq p^ = q_padded(d2_pq)
+        R2, shape = w @ D, (n, w.shape[1], m, m)
+        Z = _rmul(R[..., m : m + m * m].reshape(n, -1, m), self.dg_inv).reshape(shape + (m,))  # [:, :, p, q] = (d_q g^-1) d_p J^T w
+        y = _rmul(R2[..., : m**3].reshape(n, -1, m), self.g_inv).reshape(Z.shape) + _rmul(R[..., :m], self.d2g_inv)
+        y += Z + np.swapaxes(Z, 2, 3)
+        # [:, :, q, p] = (d_p J) u_q, which enters with its (p, q) transpose
+        half = _rmul(u.reshape(n, -1, m), self.jet.d2.transpose(0, 3, 1, 2)).reshape(shape + (k,))
+        r, dphat = R[..., -m - 1 : -1], np.swapaxes(C[..., -m - 1 : -1], -1, -2)
+        half += self.space.epsilon * r[:, :, None, :, None] * dphat[:, None, :, None]  # eps <d_q p^, w> d_p p^
+        ddphat = np.swapaxes(D[..., m**3 :], -1, -2).reshape(n, 1, m, m, k)
+        eps = R[..., -1, None, None, None] * ddphat + R2[..., m**3 :].reshape(shape + (1,)) * C[:, None, None, None, :, -1]
+        out = _rmul(x, self.jet.d3.transpose(0, 3, 4, 1, 2)) + _rmul(y.reshape(n, -1, m), J).reshape(half.shape)
+        out += self.space.epsilon * eps + half + np.swapaxes(half, 2, 3)
+        return -np.moveaxis(out, 1, 3).reshape(n, m, m, *np.shape(v)[1:])
 
     @cached_property
     def dT(self) -> np.ndarray:
@@ -163,39 +219,43 @@ class JetDerivatives:
 
     @cached_property
     def deta(self) -> np.ndarray:
-        return self.dP[..., self.space.t_index]
+        return self.dP_apply(np.broadcast_to(self.space.t_axis(), (self.n, self.k)))
 
     @cached_property
     def trace(self) -> np.ndarray:
         """tr = g^jl d2_jl (N, k) and its chart derivatives d_i tr (N, m, k)."""
-        d2, d3 = self.jet.d2, self.jet.d3
-        tr = np.einsum("njl,ncjl->nc", self.g_inv, d2)
-        return tr, np.einsum("nijl,ncjl->nic", self.dg_inv, d2) + np.einsum("njl,ncjli->nic", self.g_inv, d3)
+        n, m, d2 = self.n, self.m, self._flat(self.jet.d2)
+        G = self.g_inv.reshape(n, 1, m * m)
+        return _rmul(G, d2)[:, 0], _rmul(self.dg_inv.reshape(n, m, m * m), d2) + _rmul(G, self._dd2)[:, 0]
+
+    @cached_property
+    def _dd2(self) -> np.ndarray:
+        """d_i d2 (N, m, k, m*m), [:, i, c, (j, l)] = d3[:, c, j, l, i]."""
+        return np.ascontiguousarray(np.moveaxis(self.jet.d3, -1, 1)).reshape(self.n, self.m, self.k, -1)
 
     @cached_property
     def dH(self) -> np.ndarray:
         tr, d_tr = self.trace
-        return ((self.dP @ tr[:, None, :, None])[..., 0] + (self.P[:, None] @ d_tr[..., None])[..., 0]) / self.jet.m
+        return (self.dP_apply(tr) + _rmul(d_tr, self.P)) / self.m
 
     @cached_property
     def dgamma(self) -> np.ndarray:
-        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
-        sJ, sd2 = sig[:, None] * J, sig[:, None, None] * d2
-        low = np.einsum("ncjk,ncq->njkq", d2, sJ)  # Gamma_{jk,q} = <d2_jk, J_q>
-        dlow = np.einsum("ncjki,ncq->nijkq", d3, sJ) + np.einsum("ncjk,ncqi->nijkq", d2, sd2)
-        return np.einsum("nilq,njkq->niljk", self.dg_inv, low) + np.einsum("nlq,nijkq->niljk", self.g_inv, dlow)
+        shape, J, d2 = (self.n,) + (self.m,) * 4, self.jet.jac, self.jet.d2
+        dlow = self._inner(self.jet.d3, J).reshape(shape) + np.swapaxes(self._inner(d2, d2).reshape(shape), -1, -2)  # d_i Gamma_{jk,q}
+        out = _rmul(self._inner(d2, J), self.dg_inv).reshape(shape) + _rmul(dlow.reshape(self.n, -1, self.m), self.g_inv).reshape(shape)
+        return out.transpose(0, 3, 4, 1, 2)  # [:, j, k, i, l] -> [:, i, l, j, k]
 
     def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """d_i (P d2f(v, w)) (N, m, n+2) for chart vectors v, w (N, m) held fixed."""
-        d3vw = np.einsum("ncjli,nj,nl->nic", self.jet.d3, v, w)
-        return (self.dP @ _d2(self.jet.d2, v, w)[:, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
+        vw = (v[:, :, None] * w[:, None]).reshape(self.n, 1, -1)
+        return self.dP_apply(_rmul(vw, self._flat(self.jet.d2))[:, 0]) + _rmul(_rmul(vw, self._dd2)[:, 0], self.P)
 
     @cached_property
     def d2g(self) -> np.ndarray:
         # <d_pq J_j, J_l> + <d_p J_j, d_q J_l>, and the same with j, l (and then p, q) swapped
-        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
-        A = np.einsum("c,ncjpq,ncl->npqjl", sig, d3, J)
-        B = np.einsum("c,ncjp,nclq->npqjl", sig, d2, d2)
+        shape, d2 = (self.n,) + (self.m,) * 4, self.jet.d2
+        A = self._inner(self.jet.d3, self.jet.jac).reshape(shape).transpose(0, 2, 3, 1, 4)  # [:, p, q, j, l]
+        B = self._inner(d2, d2).reshape(shape).transpose(0, 2, 4, 1, 3)
         return A + np.swapaxes(A, -1, -2) + B + np.swapaxes(B, 1, 2)
 
     @cached_property
@@ -204,29 +264,14 @@ class JetDerivatives:
         return -(dG @ dg @ G + G @ self.d2g @ G + G @ dg @ dG)
 
     @cached_property
-    def d2P(self) -> np.ndarray:
-        sp, J, d2 = self.space, self.jet.jac, self.jet.d2
-        Jt = np.swapaxes(J, -1, -2)[:, None, None]
-        dJ = np.moveaxis(d2, -1, 1)  # dJ[:, p] = d_p J
-        ddJ = np.moveaxis(self.jet.d3, (-2, -1), (1, 2))  # ddJ[:, p, q] = d_p d_q J
-        dp, dq = dJ[:, :, None], dJ[:, None]
-        G, dGp, dGq = self.g_inv[:, None, None], self.dg_inv[:, :, None], self.dg_inv[:, None]
-        M = ddJ @ G @ Jt + dp @ dGq @ Jt + dq @ dGp @ Jt + dp @ G @ np.swapaxes(dq, -1, -2)
-        d2E = M + np.swapaxes(M, -1, -2) + J[:, None, None] @ self.d2g_inv @ Jt
-        phat, dphat = sp.q_padded(self.jet.values)[:, None, None, None, :], sp.q_padded(np.swapaxes(J, -1, -2))
-        ddphat = sp.q_padded(np.moveaxis(d2, 1, -1))  # dphat[:, p] = d_p p^, ddphat[:, p, q] = d_p d_q p^
-        Q = ddphat[..., None] * phat + dphat[:, :, None, :, None] * dphat[:, None, :, None, :]
-        return -(sp.epsilon * (Q + np.swapaxes(Q, -1, -2)) + d2E) * sp.signature
-
-    @cached_property
     def d2H(self) -> np.ndarray:
-        (tr, d_tr), jet = self.trace, self.jet
-        X = np.einsum("npjl,ncjlq->npqc", self.dg_inv, jet.d3)  # [:, p, q] = d_p g^-1 : d_q d2
-        d2_tr = np.einsum("npqjl,ncjl->npqc", self.d2g_inv, jet.d2) + X + np.swapaxes(X, 1, 2)
-        d2_tr += np.einsum("njl,ncjlpq->npqc", self.g_inv, jet.d4)
-        Y = (self.dP[:, None] @ d_tr[:, :, None, :, None])[..., 0]  # [:, p, q] = d_q P d_p tr
-        PX = (self.d2P @ tr[:, None, None, :, None])[..., 0] + (self.P[:, None, None] @ d2_tr[..., None])[..., 0]
-        return (PX + Y + np.swapaxes(Y, 1, 2)) / jet.m
+        (tr, d_tr), n, m, k = self.trace, self.n, self.m, self.k
+        X = _rmul(self.dg_inv.reshape(n, m, m * m), self._dd2)  # [:, p, q] = d_p g^-1 : d_q d2
+        d2_tr = _rmul(self.d2g_inv.reshape(n, m * m, m * m), self._flat(self.jet.d2)).reshape(X.shape) + X + np.swapaxes(X, 1, 2)
+        d2_tr += _rmul(self.g_inv.reshape(n, 1, m * m), np.moveaxis(self.jet.d4, (-2, -1), (1, 2)).reshape(n, m, m, k, -1))[:, 0]
+        Y = self.dP_apply(d_tr)  # [:, q, p] = d_q P d_p tr
+        PX = self.d2P_apply(tr) + _rmul(d2_tr.reshape(n, m * m, k), self.P).reshape(X.shape)
+        return (PX + Y + np.swapaxes(Y, 1, 2)) / m
 
 
 def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -293,13 +338,11 @@ def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     batch evaluated at order 4, given nabla^perp H (N, m, n+2) there, in
     closed form: with nabla^perp_q H = P d_q H,
     P sum g^{pq} ((d_p P)(d_q H) + d_p d_q H - Gamma^k_{pq} nabla^perp_k H)."""
-    b, d, m = rows.batch, rows.derivatives, rows.batch.chart.m
-    dW = (d.dP[:, :, None] @ d.dH[:, None, :, :, None])[..., 0] + d.d2H  # [:, p, q], less the outer P
-    out = np.zeros_like(rows.H)
-    for p in range(m):  # term by term, the order of a sum at one point
-        for q in range(m):
-            corr = np.einsum("nk,nkc->nc", d.gamma[:, :, p, q], nabla_H)
-            out += b.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
+    b, d = rows.batch, rows.derivatives
+    n, m, k = d.n, d.m, d.k
+    dW = d.dP_apply(d.dH) + d.d2H  # [:, p, q], less the outer P
+    corr = np.swapaxes(d.gamma.reshape(n, m, m * m), -1, -2) @ nabla_H  # [:, (p, q)] = Gamma^k_pq nabla^perp_k H
+    out = (b.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0]
     return b.proj_normal(out)
 
 
@@ -370,15 +413,23 @@ def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.nda
     every row, exact at jet level.  With the projector field P and the
     extension xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate
     fields commute); the right side is P d2(X, A_xi Y) - P d2(A_xi X, Y)."""
-    b, dP = rows.batch, rows.derivatives.dP
-    n_rows, m, k = dP.shape[:3]
-    on, C = np.arange(n_rows), b.tangent_coeffs
-    DPX, DPY = ((v[:, None] @ dP.reshape(n_rows, m, k * k)).reshape(n_rows, k, k) for v in (X, Y))
+    b, d = rows.batch, rows.derivatives
+    on, C = np.arange(len(b)), b.tangent_coeffs
     # A_xi on chart coordinates: chart -> ONB is C g, ONB -> chart is C^T
     AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
-    lhs = (DPX @ DPY - DPY @ DPX) @ b.normal_onb[on, a][..., None]
-    vec = lhs - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
-    return (rows.derivatives.P @ vec)[..., 0]
+    XY = np.stack([X, Y], axis=1)
+    DXi = XY @ d.dP_apply(b.normal_onb[on, a])  # [:, 0] = D_X P xi0, [:, 1] = D_Y P xi0
+    DD = (XY @ d.dP_apply(DXi).reshape(len(b), b.chart.m, -1)).reshape(len(b), 2, 2, -1)  # [:, s, t] = D_s P D_t P xi0
+    lhs = DD[:, 0, 1] - DD[:, 1, 0]
+    vec = lhs[..., None] - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
+    return (d.P @ vec)[..., 0]
+
+
+def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M x over the last axis of M, (N, L) + M.shape[1:-1], for row vectors
+    x (N, L, m) and stacked arrays M (N, ..., m): one matmul per row."""
+    n, L = x.shape[:2]
+    return (x @ np.swapaxes(M.reshape(n, -1, M.shape[-1]), -1, -2)).reshape(n, L, *M.shape[1:-1])
 
 
 def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ All arithmetic is the truncated Taylor rule of every order (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a product is the
 general Leibniz rule and every unary function is Faa di Bruno's formula over
 the table f, f', ..., f^(k) the function supplies, each summed over index
-shuffles.  A plan per order (``_leibniz_plan``, ``_compose_plan``), built
-once, holds each slot's splits or partitions, the indices of their tensor
-products and their shuffles, so a call only multiplies and adds.  So
+shuffles.  A table makes no entry above the order of the jet but those a
+range check reads.  A plan per order (``_leibniz_plan``, ``_compose_plan``),
+built once, holds each slot's splits or partitions, the indices of their
+tensor products and their shuffles, so a call only multiplies and adds.  So
 polynomials of degree <= k are differentiated exactly, and a slot never
 reads the slots above it: every order gives the lower slots bit for bit.
 The 3-jet gives the first derivatives of H, the Christoffels and alpha, and
@@ -29,8 +30,8 @@ it.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import accumulate, permutations
+from functools import cache, wraps
+from itertools import accumulate, islice, permutations
 
 import numpy as np
 
@@ -254,7 +255,9 @@ def _compose(a: Jet2, table) -> Jet2:
     """f(a) from the derivative table f, f', ... of f at a.value by Faa di
     Bruno's formula: slot k sums, over the partitions of k into blocks, the
     shuffles of the product of a's slots of the block sizes, times f^(number
-    of blocks).  Each product extends that of its blocks but the last."""
+    of blocks).  Each product extends that of its blocks but the last.
+    ``table`` yields the entries, and only those up to a's order are drawn."""
+    table = list(islice(table, len(a.d)))
     d, products = [table[0]], {}
     for k in range(1, len(a.d)):
         out = None
@@ -286,30 +289,44 @@ def jet_const(value, m: int) -> Jet2:
     return Jet2(value, np.zeros((m, 1)), np.zeros((m, m, 1))) if m else Jet2(value)
 
 
-def _reciprocal(a: Jet2) -> Jet2:
-    v = a.value
+def _unary(table):
+    """The jet function f(a) of a table ``table(v)`` that yields f, f', ...
+    at v, each entry made only when ``_compose`` draws it."""
+    return wraps(table)(lambda a: _compose(a, table(a.value)))
+
+
+@_unary
+def _reciprocal(v):
     if np.any(v == 0.0):
         raise ZeroDivisionError("jet division by zero value")
-    inv = 1.0 / v
-    inv2 = inv * inv
-    return _compose(a, [inv, -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2, 24.0 * inv2 * inv2 * inv])
+    yield (inv := 1.0 / v)
+    yield -(inv2 := inv * inv)
+    yield 2.0 * inv2 * inv
+    yield -6.0 * inv2 * inv2
+    yield 24.0 * inv2 * inv2 * inv
 
 
-def sin(a: Jet2) -> Jet2:
-    s, c = np.sin(a.value), np.cos(a.value)
-    return _compose(a, [s, c, -s, -c, s])
+def _trig(v, f, g):
+    """f, g, -f, -g, f at v for (f, g) = (sin, cos) or (cos, -sin)."""
+    yield (fv := f(v))
+    yield (gv := g(v))
+    yield -fv
+    yield -gv
+    yield fv
 
 
-def cos(a: Jet2) -> Jet2:
-    s, c = np.sin(a.value), np.cos(a.value)
-    return _compose(a, [c, -s, -c, s, c])
+sin = _unary(lambda v: _trig(v, np.sin, np.cos))
+cos = _unary(lambda v: _trig(v, np.cos, lambda x: -np.sin(x)))
 
 
-def tan(a: Jet2) -> Jet2:
-    _check_domain("tan", a.value, np.cos(a.value) == 0.0)
-    t = np.tan(a.value)
-    s = 1.0 + t * t  # sec^2
-    return _compose(a, [t, s, 2.0 * t * s, 2.0 * s * (s + 2.0 * t * t), 8.0 * t * s * (2.0 * s + t * t)])
+@_unary
+def tan(v):
+    _check_domain("tan", v, np.cos(v) == 0.0)
+    yield (t := np.tan(v))
+    yield (s := 1.0 + t * t)  # sec^2
+    yield 2.0 * t * s
+    yield 2.0 * s * (s + 2.0 * t * t)
+    yield 8.0 * t * s * (2.0 * s + t * t)
 
 
 def sinh(a: Jet2) -> Jet2:
@@ -326,11 +343,13 @@ def cosh(a: Jet2) -> Jet2:
     return _compose(a, [c, s, c, s, c])
 
 
-def tanh(a: Jet2) -> Jet2:
-    t = np.tanh(a.value)
-    sech2 = 1.0 - t * t
-    fppp = 2.0 * sech2 * (2.0 * t * t - sech2)
-    return _compose(a, [t, sech2, -2.0 * t * sech2, fppp, 8.0 * t * sech2 * (2.0 * sech2 - t * t)])
+@_unary
+def tanh(v):
+    yield (t := np.tanh(v))
+    yield (sech2 := 1.0 - t * t)
+    yield -2.0 * t * sech2
+    yield 2.0 * sech2 * (2.0 * t * t - sech2)
+    yield 8.0 * t * sech2 * (2.0 * sech2 - t * t)
 
 
 def exp(a: Jet2) -> Jet2:
@@ -340,24 +359,33 @@ def exp(a: Jet2) -> Jet2:
     return _compose(a, [e] * 5)
 
 
-def log(a: Jet2) -> Jet2:
-    _check_domain("log", a.value, a.value <= 0.0)
-    inv = 1.0 / a.value
-    return _compose(a, [np.log(a.value), inv, -inv * inv, 2.0 * inv * inv * inv, -6.0 * inv * inv * inv * inv])
+@_unary
+def log(v):
+    _check_domain("log", v, v <= 0.0)
+    yield np.log(v)
+    yield (inv := 1.0 / v)
+    yield -inv * inv
+    yield 2.0 * inv * inv * inv
+    yield -6.0 * inv * inv * inv * inv
 
 
-def sqrt(a: Jet2) -> Jet2:
-    _check_domain("sqrt", a.value, a.value <= 0.0)
-    v = a.value
-    r = np.sqrt(v)
-    return _compose(a, [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v), -0.9375 / (r * v * v * v)])
+@_unary
+def sqrt(v):
+    _check_domain("sqrt", v, v <= 0.0)
+    yield (r := np.sqrt(v))
+    yield 0.5 / r
+    yield -0.25 / (r * v)
+    yield 0.375 / (r * v * v)
+    yield -0.9375 / (r * v * v * v)
 
 
-def atan(a: Jet2) -> Jet2:
-    v = a.value
-    d = 1.0 + v * v
-    fppp = (6.0 * v * v - 2.0) / (d * d * d)
-    return _compose(a, [np.arctan(v), 1.0 / d, -2.0 * v / (d * d), fppp, 24.0 * v * (1.0 - v * v) / (d * d * d * d)])
+@_unary
+def atan(v):
+    yield np.arctan(v)
+    yield 1.0 / (d := 1.0 + v * v)
+    yield -2.0 * v / (d * d)
+    yield (6.0 * v * v - 2.0) / (d * d * d)
+    yield 24.0 * v * (1.0 - v * v) / (d * d * d * d)
 
 
 neg = Jet2.__neg__
@@ -380,7 +408,7 @@ def pow_const(a: Jet2, p: float) -> Jet2:
             raise ZeroDivisionError("pow_const: zero base with negative exponent")
         table, c = [], 1
         with np.errstate(over="ignore"):
-            for j in range(5):  # c = p (p - 1) ... (p - j + 1), exact
+            for j in range(max(3, len(a.d))):  # c = p (p - 1) ... (p - j + 1), exact
                 table.append(c * v ** (p - j) if c else 0.0)
                 c *= p - j
         _check_range(v, *table[:3], power=True)
@@ -390,7 +418,7 @@ def pow_const(a: Jet2, p: float) -> Jet2:
         f = v**p
     _check_range(v, f, power=True)
     table, c, vj = [f], 1.0, 1.0
-    for j in range(1, 5):
+    for j in range(1, len(a.d)):
         c, vj = c * (p - j + 1), v if j == 1 else vj * v
         table.append(c * f / vj)
     return _compose(a, table)

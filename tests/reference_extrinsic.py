@@ -1,0 +1,116 @@
+"""Oracles of the chart derivatives in ``prodsub.extrinsic``.
+
+``DenseJetDerivatives`` forms the derivatives of the normal projector as
+dense arrays, ``dP`` (N, m, n+2, n+2) and ``d2P`` (N, m, m, n+2, n+2), and
+takes ``dg``, ``trace``, ``dgamma``, ``d2g`` and ``d2H`` by ``np.einsum``:
+the forms that ``JetDerivatives`` replaced with products applied to
+vectors.  ``deta``, ``dH``, ``d_alpha`` and ``d2H`` multiply the dense
+arrays, and ``normal_laplacian_H`` and ``ricci_residuals`` are the kernels
+of the same names written against them.
+"""
+
+from functools import cached_property
+
+import numpy as np
+
+from prodsub.extrinsic import JetDerivatives, _d2
+
+
+class DenseJetDerivatives(JetDerivatives):
+    @cached_property
+    def dg(self) -> np.ndarray:
+        sig, J, d2 = self.space.signature, self.jet.jac, self.jet.d2
+        return np.einsum("c,ncik,ncj->nkij", sig, d2, J) + np.einsum("c,nci,ncjk->nkij", sig, J, d2)
+
+    @cached_property
+    def dP(self) -> np.ndarray:
+        sp, J = self.space, self.jet.jac
+        Jt = np.swapaxes(J, -1, -2)
+        phat = sp.q_padded(self.jet.values)[:, None, None, :]
+        pp = sp.q_padded(Jt)[..., None] * phat  # (d_i p^) p^T
+        K = np.moveaxis(self.jet.d2, -1, 1) @ (self.g_inv @ Jt)[:, None]  # (d_i J) g^-1 J^T
+        dE = K + np.swapaxes(K, -1, -2) + J[:, None] @ self.dg_inv @ Jt[:, None]
+        return -(sp.epsilon * (pp + np.swapaxes(pp, -1, -2)) + dE) * sp.signature
+
+    @cached_property
+    def deta(self) -> np.ndarray:
+        return self.dP[..., self.space.t_index]
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        d2, d3 = self.jet.d2, self.jet.d3
+        tr = np.einsum("njl,ncjl->nc", self.g_inv, d2)
+        return tr, np.einsum("nijl,ncjl->nic", self.dg_inv, d2) + np.einsum("njl,ncjli->nic", self.g_inv, d3)
+
+    @cached_property
+    def dH(self) -> np.ndarray:
+        tr, d_tr = self.trace
+        return ((self.dP @ tr[:, None, :, None])[..., 0] + (self.P[:, None] @ d_tr[..., None])[..., 0]) / self.jet.m
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
+        sJ, sd2 = sig[:, None] * J, sig[:, None, None] * d2
+        low = np.einsum("ncjk,ncq->njkq", d2, sJ)  # Gamma_{jk,q} = <d2_jk, J_q>
+        dlow = np.einsum("ncjki,ncq->nijkq", d3, sJ) + np.einsum("ncjk,ncqi->nijkq", d2, sd2)
+        return np.einsum("nilq,njkq->niljk", self.dg_inv, low) + np.einsum("nlq,nijkq->niljk", self.g_inv, dlow)
+
+    def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        d3vw = np.einsum("ncjli,nj,nl->nic", self.jet.d3, v, w)
+        return (self.dP @ _d2(self.jet.d2, v, w)[:, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
+
+    @cached_property
+    def d2g(self) -> np.ndarray:
+        sig, J, d2, d3 = self.space.signature, self.jet.jac, self.jet.d2, self.jet.d3
+        A = np.einsum("c,ncjpq,ncl->npqjl", sig, d3, J)
+        B = np.einsum("c,ncjp,nclq->npqjl", sig, d2, d2)
+        return A + np.swapaxes(A, -1, -2) + B + np.swapaxes(B, 1, 2)
+
+    @cached_property
+    def d2P(self) -> np.ndarray:
+        sp, J, d2 = self.space, self.jet.jac, self.jet.d2
+        Jt = np.swapaxes(J, -1, -2)[:, None, None]
+        dJ = np.moveaxis(d2, -1, 1)  # dJ[:, p] = d_p J
+        ddJ = np.moveaxis(self.jet.d3, (-2, -1), (1, 2))  # ddJ[:, p, q] = d_p d_q J
+        dp, dq = dJ[:, :, None], dJ[:, None]
+        G, dGp, dGq = self.g_inv[:, None, None], self.dg_inv[:, :, None], self.dg_inv[:, None]
+        M = ddJ @ G @ Jt + dp @ dGq @ Jt + dq @ dGp @ Jt + dp @ G @ np.swapaxes(dq, -1, -2)
+        d2E = M + np.swapaxes(M, -1, -2) + J[:, None, None] @ self.d2g_inv @ Jt
+        phat, dphat = sp.q_padded(self.jet.values)[:, None, None, None, :], sp.q_padded(np.swapaxes(J, -1, -2))
+        ddphat = sp.q_padded(np.moveaxis(d2, 1, -1))  # dphat[:, p] = d_p p^, ddphat[:, p, q] = d_p d_q p^
+        Q = ddphat[..., None] * phat + dphat[:, :, None, :, None] * dphat[:, None, :, None, :]
+        return -(sp.epsilon * (Q + np.swapaxes(Q, -1, -2)) + d2E) * sp.signature
+
+    @cached_property
+    def d2H(self) -> np.ndarray:
+        (tr, d_tr), jet = self.trace, self.jet
+        X = np.einsum("npjl,ncjlq->npqc", self.dg_inv, jet.d3)  # [:, p, q] = d_p g^-1 : d_q d2
+        d2_tr = np.einsum("npqjl,ncjl->npqc", self.d2g_inv, jet.d2) + X + np.swapaxes(X, 1, 2)
+        d2_tr += np.einsum("njl,ncjlpq->npqc", self.g_inv, jet.d4)
+        Y = (self.dP[:, None] @ d_tr[:, :, None, :, None])[..., 0]  # [:, p, q] = d_q P d_p tr
+        PX = (self.d2P @ tr[:, None, None, :, None])[..., 0] + (self.P[:, None, None] @ d2_tr[..., None])[..., 0]
+        return (PX + Y + np.swapaxes(Y, 1, 2)) / jet.m
+
+
+def normal_laplacian_H(rows, d: DenseJetDerivatives, nabla_H: np.ndarray) -> np.ndarray:
+    """``extrinsic.normal_laplacian_H`` from the dense d_p P, term by term."""
+    b, m = rows.batch, rows.batch.chart.m
+    dW = (d.dP[:, :, None] @ d.dH[:, None, :, :, None])[..., 0] + d.d2H  # [:, p, q], less the outer P
+    out = np.zeros_like(rows.H)
+    for p in range(m):
+        for q in range(m):
+            corr = np.einsum("nk,nkc->nc", d.gamma[:, :, p, q], nabla_H)
+            out += b.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
+    return b.proj_normal(out)
+
+
+def ricci_residuals(rows, d: DenseJetDerivatives, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``extrinsic.ricci_residuals`` from the commutator of the dense D_X P and D_Y P."""
+    b, dP = rows.batch, d.dP
+    n_rows, m, k = dP.shape[:3]
+    on, C = np.arange(n_rows), b.tangent_coeffs
+    DPX, DPY = ((v[:, None] @ dP.reshape(n_rows, m, k * k)).reshape(n_rows, k, k) for v in (X, Y))
+    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
+    lhs = (DPX @ DPY - DPY @ DPX) @ b.normal_onb[on, a][..., None]
+    vec = lhs - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
+    return (d.P @ vec)[..., 0]

@@ -489,7 +489,8 @@ class BatchFirstJet:
         """f(a) from the derivative table f, f', ... of f at a.value by Faa di
         Bruno's formula: slot k sums, over the partitions of k into blocks, the
         shuffles of the product of a's slots of the block sizes, times f^(number
-        of blocks)."""
+        of blocks).  ``table`` is any iterable of the entries, drawn whole."""
+        table = list(table)
         d = [table[0]]
         for k in range(1, a.order + 1):
             out = None

@@ -637,13 +637,15 @@ def test_order_four_derivatives_match_fd_gradient(s4, all_gallery_charts, batch_
         samples = random_interior_points(ch, 3, seed=13)
         rows = geometry(ch, samples, order=4)
         d = rows.derivatives
+        E = np.eye(ch.space.ambient_dim)  # (d_p P) e_j and (d_p d_q P) e_j, the columns j of the matrices
+        d2P_E = d.d2P_apply(np.broadcast_to(E, (len(samples),) + E.shape))
         cache = FieldCache(ch)
         for r, u in enumerate(samples):
             fields = {
                 "d4": (lambda v: evaluate_jet(ch, v, order=3).d3, np.moveaxis(rows.batch.jet.d4[r], -1, 0)),
                 "d2g": (lambda v: cache.geometry(v).derivatives.dg[0], d.d2g[r]),
                 "d2g_inv": (lambda v: cache.geometry(v).derivatives.dg_inv[0], d.d2g_inv[r]),
-                "d2P": (lambda v: cache.geometry(v).derivatives.dP[0], d.d2P[r]),
+                "d2P": (lambda v: cache.geometry(v).derivatives.dP_apply(E[None])[0], d2P_E[r]),
                 "d2H": (lambda v: cache.geometry(v).derivatives.dH[0], d.d2H[r]),
             }
             for name, (field, exact) in fields.items():
@@ -1057,6 +1059,22 @@ def test_a_scan_fills_each_call_with_points(monkeypatch):
     prodsub.scene.scan_parameter(scene, "a2", 0.3, 0.9, 61, "biharmonic_normal")
     # the 61 step centers take one call; then the 8 samples of every step one call
     assert [s[0] for s, _ in calls] == [61, 61 * 8] and 61 * 8 <= prodsub.immersion._BATCH_POINTS
+
+
+@pytest.mark.parametrize("name, lo, hi", [("biharmonic_scan_eps1.json", 0.3, 0.9), ("biharmonic_scan_eps-1.json", 1.3, 1.9)])
+def test_the_criterion_4a_scans_never_nest(monkeypatch, name, lo, hi):
+    # the scan tables read nabla^perp H only through the nesting rule of
+    # biharmonic_normal; on both PMC families it stays 6 digits below TOL_PMC
+    real, seen = prodsub.scene.biharmonic_residual, []
+
+    def recording(rows, nabla_H):
+        seen.append(np.linalg.norm(nabla_H, axis=-1))
+        return real(rows, nabla_H)
+
+    monkeypatch.setattr(prodsub.scene, "biharmonic_residual", recording)
+    prodsub.scene.scan_parameter(_load(name), "a2", lo, hi, 61, "biharmonic_normal")
+    norms = np.concatenate(seen)
+    assert len(norms) == 61 * 8 and norms.max() <= 1e-6 * prodsub.classify.TOL_PMC
 
 
 def _strided(a):

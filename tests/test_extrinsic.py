@@ -11,6 +11,7 @@ from prodsub.extrinsic import (
     normal_derivative_H,
     normal_laplacian_H,
     onb_connection,
+    ricci_residuals,
     second_fundamental,
     shape_operator,
     structure_residuals,
@@ -18,6 +19,7 @@ from prodsub.extrinsic import (
 from prodsub.gallery import make_theorem1
 from prodsub.jets import fd_gradient
 from conftest import random_interior_points, theorem1_closed_forms
+import reference_extrinsic
 
 
 def _rows(chart, U, order=3):
@@ -139,8 +141,9 @@ def test_onb_connection_matches_fd_of_the_frame(all_gallery_charts):
 
 
 def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
-    """dg, dP, dT_coeffs and d eta in closed form against one finite-difference
-    layer of the metric, normal projector, T and eta fields."""
+    """dg, dP (applied to the basis vectors), dT_coeffs and d eta in closed
+    form against one finite-difference layer of the metric, normal
+    projector, T and eta fields."""
 
     def fields(ch):
         def field(v):
@@ -153,11 +156,51 @@ def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
         m, k = ch.m, ch.space.ambient_dim
         U = random_interior_points(ch, 3, seed=13)
         d = JetDerivatives(analyze_point(ch, U))
+        dP = np.swapaxes(d.dP_apply(np.broadcast_to(np.eye(k), (len(U), k, k))), -1, -2)  # [:, i, :, j] = (d_i P) e_j
         for r, u in enumerate(U):
             for i in range(m):
                 fd = fd_gradient(fields(ch), u, i)
-                exact = np.concatenate([d.dg[r, i].ravel(), d.dP[r, i].ravel(), d.dT[r, i], d.deta[r, i]])
+                exact = np.concatenate([d.dg[r, i].ravel(), dP[r, i].ravel(), d.dT[r, i], d.deta[r, i]])
                 assert np.abs(exact - fd).max() <= 1e-8, (ch.label, i)
+
+
+def test_applied_projector_derivatives_match_the_dense_forms(all_gallery_charts):
+    """The derivatives of P applied to vectors and the matmul contractions
+    against the dense d_i P and d_p d_q P and the einsum forms of
+    ``reference_extrinsic``, within 1e-13 max(1, |value|): every gallery
+    kind at both signs of eps, orders 3 and 4, batches of 1 and 61 rows."""
+    for ch in all_gallery_charts:
+        k = ch.space.ambient_dim
+        for order in (3, 4):
+            for n in (1, 61):
+                rows = _rows(ch, random_interior_points(ch, n, seed=17), order)
+                d, o = rows.derivatives, reference_extrinsic.DenseJetDerivatives(rows.batch)
+                rng = np.random.default_rng(n + order)
+                X, Y, Z = rng.standard_normal((3, n, ch.m))
+                a = rng.integers(0, rows.batch.normal_onb.shape[1], n)
+                E = np.broadcast_to(np.eye(k), (n, k, k))  # (d_i P) e_j is column j of d_i P
+                pairs = {
+                    "dg": (d.dg, o.dg),
+                    "trace": (np.concatenate([d.trace[0][:, None], d.trace[1]], 1), np.concatenate([o.trace[0][:, None], o.trace[1]], 1)),
+                    "dP": (np.swapaxes(d.dP_apply(E), -1, -2), o.dP),
+                    "dH": (d.dH, o.dH),
+                    "deta": (d.deta, o.deta),
+                    "d_alpha": (d.d_alpha(Y, Z), o.d_alpha(Y, Z)),
+                    "dgamma": (d.dgamma, o.dgamma),
+                    "ricci": (ricci_residuals(rows, X, Y, a), reference_extrinsic.ricci_residuals(rows, o, X, Y, a)),
+                }
+                if order == 4:
+                    nabla_H = normal_derivative_H(rows)
+                    lap = reference_extrinsic.normal_laplacian_H(rows, o, nabla_H)
+                    pairs.update({
+                        "d2g": (d.d2g, o.d2g),
+                        "d2P": (np.swapaxes(d.d2P_apply(E), -1, -2), o.d2P),
+                        "d2H": (d.d2H, o.d2H),
+                        "normal_laplacian_H": (normal_laplacian_H(rows, nabla_H), lap),
+                    })
+                for name, (got, want) in pairs.items():
+                    assert got.shape == want.shape, (ch.label, order, n, name)
+                    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (ch.label, order, n, name)
 
 
 def test_christoffels_match_fd_of_metric(theorem1_heli):

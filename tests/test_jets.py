@@ -91,6 +91,19 @@ def _fd_check(fn, x0, rel=1e-6):
     assert abs(third.d3[0, 0, 0] - d3) <= 1e-8 * max(1.0, abs(d3))
 
 
+def test_a_unary_table_stops_at_the_jet_order(monkeypatch):
+    # an order-0 sin or cos takes no other circular function; order k draws f..f^(k)
+    made = []
+    for name in ("sin", "cos"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda v, name=name, real=real: made.append(name) or real(v))
+    for order, want in ((0, ["sin", "cos"]), (1, ["sin", "cos", "cos", "sin"])):
+        made.clear()
+        x = jet_var(0, np.array([0.3, -1.2]), 1, order)
+        assert jets.sin(x).order == jets.cos(x).order == order
+        assert made == want
+
+
 def test_exp_sin_composite_matches_fd():
     u = 0.7
     comp = lambda j: jets.exp(jets.sin(j))
