@@ -26,13 +26,18 @@ run.  It also runs every demo (``demos/*.py``) and compares its stdout and exit
 code; a demo's stderr would name the export's path in a warning.  Prints
 each output that differs, for a report or CSV with the checks whose entries
 or rows differ (and any other report key or the CSV header that does), and
-exits 1 if any does, else 0.
+exits 1 if any does, else 0.  Under a differing report, CSV or scan table it
+prints a line for each differing check (a scan table is one): the largest
+relative and absolute difference of its residuals and which of its verdict,
+``samples_degenerate`` and argmax changed, so that a change which only
+reassociates arithmetic can be told from one that changes a result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -233,6 +238,70 @@ def what_differs(f: str, base, change) -> str:
     return f" ({', '.join(names)})"
 
 
+def _gap(base: list, change: list) -> tuple:
+    """The largest relative and absolute difference of paired residuals,
+    NaN equal to NaN; inf where one side is not finite or the two differ
+    in number."""
+    if len(base) != len(change):
+        return math.inf, math.inf
+    rel = gap = 0.0
+    for a, b in zip(base, change):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        d = abs(a - b)
+        if not math.isfinite(d):
+            return math.inf, math.inf
+        rel, gap = max(rel, d / max(abs(a), abs(b))), max(gap, d)
+    return rel, gap
+
+
+def _argmax(values: list):
+    """The first index of the largest value that is not NaN, None if none is."""
+    return max((i for i, v in enumerate(values) if not math.isnan(v)), key=values.__getitem__, default=None)
+
+
+def _decided(f: str, part) -> tuple:
+    """The residuals of one check's part of a report (its entry) or CSV
+    (its rows), or of a scan table's text, and what decides the check:
+    a report's verdict, ``samples_degenerate`` and argmax, a CSV's argmax,
+    and a scan's sign-change brackets and the step of its least residual."""
+    if f.endswith(".json"):
+        residuals = [math.nan if part.get(k) is None else float(part[k]) for k in ("max_residual", "mean_residual")]
+        keys = {"verdict": "verdict", "samples_degenerate": "samples_degenerate", "argmax": "argmax_index"}
+        return residuals, {what: part.get(k) for what, k in keys.items()}
+    if f.endswith(".csv"):
+        residuals = [float(line.rsplit(",", 1)[1]) for line in part]
+        return residuals, {"argmax": _argmax(residuals)}
+    lines = part.decode().splitlines()
+    residuals = [float(line.split()[1]) for line in lines if not line.startswith("#")]
+    brackets = [line for line in lines if line.startswith("# sign-change")]
+    return residuals, {"brackets": brackets, "min_at": _argmax([-r for r in residuals])}
+
+
+def residual_changes(f: str, base, change) -> list:
+    """For a report, CSV or scan table that both sides wrote, one line for
+    each check whose entry or rows differ (a scan table is one check): the
+    largest relative and absolute residual difference, and which of what
+    decides the check changed and which did not."""
+    if base is None or change is None or not f.endswith((".json", ".csv", ".dat")):
+        return []
+    if f.endswith(".dat"):
+        pairs = {"scan": (base, change)} if base != change else {}
+    else:
+        parts = _by_check(f, base), _by_check(f, change)
+        pairs = {k: (parts[0][k], parts[1][k]) for k in sorted(parts[0].keys() & parts[1].keys())
+                 if k.startswith("check ") and parts[0][k] != parts[1][k]}
+    lines = []
+    for name, (b, c) in pairs.items():
+        (rb, db), (rc, dc) = _decided(f, b), _decided(f, c)
+        rel, gap = _gap(rb, rc)
+        changed = [what for what in db if db[what] != dc[what]]
+        kept = [what for what in db if what not in changed]
+        verdicts = [f"{', '.join(group)} {word}" for group, word in ((changed, "changed"), (kept, "unchanged")) if group]
+        lines.append(f"{name}: residuals differ by {rel:.3g} rel, {gap:.3g} abs; {'; '.join(verdicts)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the revision whose outputs the change must reproduce")
@@ -254,6 +323,8 @@ def main(argv=None) -> int:
                     differ.append(f"{name}: {key}")
                     detail = what_differs(key, got["base"][key], got["change"][key])
                     print(f"DIFFERS {name}: {key}{detail}", flush=True)
+                    for line in residual_changes(key, got["base"][key], got["change"][key]):
+                        print(f"    {line}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{len(runs)} runs, {len(differ)} differing outputs")

@@ -27,9 +27,8 @@ for eps in (1, -1):
     ]
     for ch in charts:
         rows = second_fundamental(analyze_point(ch, ch.center() + 0.07))  # a batch of one point
-        b = rows.batch
-        codim = b.normal_onb.shape[1]
-        table.append((eps, ch.label, b.T_norm[0], b.eta_norm[0], b.theta[0], rows.H_norm[0], codim))
+        codim = rows.normal_onb.shape[1]
+        table.append((eps, ch.label, rows.T_norm[0], rows.eta_norm[0], rows.theta[0], rows.H_norm[0], codim))
 
 print(f"{'eps':>4} {'chart':38} {'|T|':>8} {'|eta|':>8} {'theta':>8} {'|H|':>9} {'codim':>5}")
 for eps, label, t, e, th, h, c in table:

@@ -81,18 +81,17 @@ def codim_two_frame(rows: ExtrinsicRows):
     """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
     (None when the codimension is not 2) and a list with the InvalidFrame
     each row raises, else None.  The fields of a failed row mean nothing."""
-    b = rows.batch
-    sp = b.chart.space
-    n_rows, codim = b.normal_onb.shape[:2]
+    sp = rows.chart.space
+    n_rows, codim = rows.normal_onb.shape[:2]
     if codim != 2:
         return None, [InvalidFrame(f"codimension is {codim}, need exactly 2")] * n_rows
     tol_eta = DEGENERATE["eta_frame"]
-    xi, all_rows = b.normal_onb, np.arange(n_rows)
+    xi, all_rows = rows.normal_onb, np.arange(n_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi1 = rows.H / rows.H_norm[:, None]
-        eta_perp = b.eta - inner(sp, b.eta, xi1)[:, None] * xi1
+        eta_perp = rows.eta - inner(sp, rows.eta, xi1)[:, None] * xi1
         perp_norm = np.sqrt(np.maximum(inner(sp, eta_perp, eta_perp), 0.0))
-        fixed = ~((b.eta_norm > tol_eta) & (perp_norm > tol_eta))
+        fixed = ~((rows.eta_norm > tol_eta) & (perp_norm > tol_eta))
         # eta = 0 (or eta parallel to H): complete the frame orthogonally
         w = xi - inner(sp, xi, xi1[:, None])[..., None] * xi1[:, None]
         w_norm = np.sqrt(np.maximum(inner(sp, w, w), 0.0))
@@ -113,25 +112,24 @@ def codim_two_frame(rows: ExtrinsicRows):
 def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
     """|eps <H, eta> T| of every row, the biconservative criterion under
     parallel mean curvature (jet level)."""
-    return np.abs(inner(rows.batch.chart.space, rows.H, rows.batch.eta)) * rows.batch.T_norm
+    return np.abs(inner(rows.chart.space, rows.H, rows.eta)) * rows.T_norm
 
 
 def _curvature_trace(rows: ExtrinsicRows) -> np.ndarray:
     """trace R(., H) . = sum_i R(E_i, H) E_i of every row, (N, n+2)."""
-    E = rows.batch.tangent_onb
-    return curvature(rows.batch.chart.space, E, rows.H[:, None], E).sum(axis=1)
+    E = rows.tangent_onb
+    return curvature(rows.chart.space, E, rows.H[:, None], E).sum(axis=1)
 
 
 def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
     """Norm of the tangential bitension vector
     m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T of every
     row, from nabla^perp_{d_p} H (N, m, n+2) in chart directions."""
-    b = rows.batch
-    sp, m, E = b.chart.space, b.chart.m, b.tangent_onb
+    sp, m, E = rows.chart.space, rows.chart.m, rows.tangent_onb
     # d_p |H|^2 = 2 <d_p H, H> = 2 <nabla^perp_p H, H>, as H is normal
-    grad_hh = b.jet.jac @ b.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
+    grad_hh = rows.jet.jac @ rows.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
     # A_{nabla^perp_{E_i} H} for every i, of which trace A takes column i
-    A = shape_operator(sp, b.normal_onb[:, None], rows.alpha[:, None], b.tangent_coeffs @ W)
+    A = shape_operator(sp, rows.normal_onb[:, None], rows.alpha[:, None], rows.tangent_coeffs @ W)
     onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, E, _curvature_trace(rows)[:, None])
     return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
 
@@ -147,14 +145,13 @@ def biharmonic_predicates(rows: ExtrinsicRows, frame=None) -> tuple[np.ndarray, 
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the codim-2
     frame is undefined.  ``frame`` is the rows' ``codim_two_frame``, taken
     here where None."""
-    b = rows.batch
     frame, errors = frame or codim_two_frame(rows)
     undefined = np.array([e is not None for e in errors])
     if frame is None:
-        return np.full(len(b), math.nan), np.full(len(b), math.nan)
+        return np.full(len(rows), math.nan), np.full(len(rows), math.nan)
     tr = np.where(undefined, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
-    t2 = b.T_norm**2
-    return tr + t2 - b.chart.m, tr + b.chart.space.epsilon * (t2 - b.chart.m)
+    t2 = rows.T_norm**2
+    return tr + t2 - rows.chart.m, tr + rows.chart.space.epsilon * (t2 - rows.chart.m)
 
 
 def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
@@ -176,16 +173,15 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     (``biharmonic_predicates``), and it reproduces the classical
     small-hypersphere locus in the round sphere.
     """
-    b = rows.batch
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
     nested = ~(np.max(np.linalg.norm(nabla_H, axis=-1), axis=-1) <= TOL_PMC) & ~minimal
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
-        lap[at] = normal_laplacian_H(geometry(b.chart, b.u[at], b.steps[at], order=4), nabla_H[at])
-    A_H = shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H)
-    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ b.normal_onb)[:, 0]
-    curv = b.proj_normal(_curvature_trace(rows))
+        lap[at] = normal_laplacian_H(geometry(rows.chart, rows.u[at], rows.steps[at], order=4), nabla_H[at])
+    A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
+    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ rows.normal_onb)[:, 0]
+    curv = rows.proj_normal(_curvature_trace(rows))
     return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
@@ -193,14 +189,13 @@ def class_A_residual(rows: ExtrinsicRows) -> np.ndarray:
     """Deviation of T from being an eigenvector of every shape operator,
     relative to max(1, |A_xi|), for every row of a batch; zero by
     convention where T vanishes."""
-    b = rows.batch
-    t = inner(b.chart.space, b.tangent_onb, b.T_ambient[:, None])  # T in the tangent ONB
+    t = rows.T_onb
     At = (rows.alpha @ t[:, None, :, None])[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = (At[..., None, :] @ t[:, None, :, None])[..., 0] / (t[:, None, :] @ t[:, :, None])
         dev = np.linalg.norm(At - coef * t[:, None, :], axis=-1)
     worst = np.max(dev / np.maximum(1.0, np.linalg.norm(rows.alpha, 2, axis=(-2, -1))), axis=-1, initial=0.0)
-    return np.where(b.T_norm <= DEGENERATE["T_class_a"], 0.0, worst)
+    return np.where(rows.T_norm <= DEGENERATE["T_class_a"], 0.0, worst)
 
 
 @dataclass
@@ -243,8 +238,7 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
     frame, errors = frame or codim_two_frame(rows)
     if frame is None:
         return None, errors
-    b = rows.batch
-    m = b.chart.m
+    m = rows.chart.m
     failed = np.array([e is not None for e in errors])[:, None, None]
     A1, A2 = np.where(failed, 0.0, frame.A1), np.where(failed, 0.0, frame.A2)
     A_H = rows.H_norm[:, None, None] * A1
@@ -272,9 +266,7 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
     within = rest[:, :, None] & rest[:, None, :] & ~np.eye(m, dtype=bool)
     off = np.max([np.sqrt(np.sum(np.where(k, M2 * M2, 0.0), axis=(-2, -1))) for k in (cross, within)], axis=0)
 
-    sp = b.chart.space
-    t = inner(sp, b.tangent_onb, b.T_ambient[:, None])
-    w = (shape_operator(sp, b.normal_onb, rows.alpha, b.eta) @ t[..., None])[..., 0]
+    w = (shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta) @ rows.T_onb[..., None])[..., 0]
     w0 = ((V * ~rest[:, None, :]) @ (Vt @ w[..., None]))[..., 0]
     form3 = None
     if m == 3:
@@ -284,7 +276,7 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
         eigenvalues=lam,
         eigenvectors=V,
         dim_E0=k0,
-        aht=np.linalg.norm((A_H @ t[..., None])[..., 0], axis=-1),
+        aht=np.linalg.norm((A_H @ rows.T_onb[..., None])[..., 0], axis=-1),
         aetat=np.linalg.norm(w - w0, axis=-1),
         offblock=off,
         traceBS1=np.abs(np.sum(np.where(rest, d1 * d2, 0.0), axis=-1)),

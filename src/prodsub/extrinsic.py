@@ -1,6 +1,7 @@
 """Second fundamental form, mean curvature, normal connection and the
 residuals of the first-order structure equations, as array kernels over
-batches of points.
+an ``ExtrinsicRows``: a PointBatch with its alpha, H and |H|, whose fields
+every kernel reads directly.
 
 Derivative depth discipline: every quantity is exact ("jet level") and
 taken in closed form from the position jet of a batch (``JetDerivatives``).
@@ -11,19 +12,21 @@ a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules,
 the ONB connection and nabla^perp H are jet-exact at the sample itself.  The
 normal Laplacian of H reads the second derivatives of g, g^-1, P and H from
 the 4-jet of a batch evaluated at order 4.  No kernel differences.  The
-chart derivatives of the normal projector are applied to the vectors they
-act on and never formed as matrices, and every contraction is a matmul
-stacked per row, so that a row's value does not depend on its batch.
+normal projector P is the batch's, formed once; its chart derivatives are
+applied to the vectors they act on and never formed as matrices, and every
+contraction is a matmul stacked per row, so that a row's value does not
+depend on its batch.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .ambient import ProductSpace, inner
-from .immersion import Chart, PointBatch, analyze_point
+from .immersion import Chart, PointBatch, analyze_point, project
 
 __all__ = [
     "ExtrinsicRows",
@@ -53,37 +56,33 @@ def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np
 
 def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
     """alpha, shape operators and the mean curvature vector at every row
-    of a PointBatch (rows that failed hold garbage).
+    of a PointBatch (rows that failed hold garbage), computed from the
+    batch's fields, also where ``batch`` is an ExtrinsicRows already.
 
     alpha^a_{ij} = <d2f/du_i du_j, xi_a>: the normal frame is orthogonal to
     both the tangent space and the quadric position, which removes the
     Christoffel and inclusion-umbilic parts of the flat second derivative.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # failed rows hold garbage
-        return ExtrinsicRows(batch, *_sff(batch.chart.space, batch.normal_onb, batch.jet.d2, batch.tangent_coeffs))
+        alpha, H, H_norm = _sff(batch.chart.space, batch.normal_onb, batch.jet.d2, batch.tangent_coeffs)
+    return ExtrinsicRows(**{f.name: getattr(batch, f.name) for f in fields(PointBatch)}, alpha=alpha, H=H, H_norm=H_norm)
 
 
-class ExtrinsicRows:
-    """``second_fundamental`` of a PointBatch: alpha (N, r, m, m), H (N, n+2)
-    and |H| (N,) stacked.  In an orthonormal frame alpha[:, a] is the shape
-    operator A_{xi_a} in the tangent ONB.  The batch kernels of the checks
-    read the arrays."""
+@dataclass
+class ExtrinsicRows(PointBatch):
+    """A PointBatch with its ``second_fundamental``: alpha (N, r, m, m),
+    H (N, n+2) and |H| (N,) stacked.  In an orthonormal frame alpha[:, a] is
+    the shape operator A_{xi_a} in the tangent ONB.  The batch kernels of
+    the checks read the rows."""
 
-    def __init__(self, batch: PointBatch, alpha, H, H_norm):
-        self.batch = batch
-        self.alpha, self.H, self.H_norm = alpha, H, H_norm
-
-    def take(self, rows) -> "ExtrinsicRows":
-        """The rows given by a slice or an index array."""
-        return ExtrinsicRows(self.batch.take(rows), self.alpha[rows], self.H[rows], self.H_norm[rows])
+    alpha: np.ndarray
+    H: np.ndarray
+    H_norm: np.ndarray
 
     @cached_property
     def derivatives(self) -> "JetDerivatives":
         """The rows' ``JetDerivatives``, shared by the kernels that read them."""
-        return JetDerivatives(self.batch)
-
-    def __len__(self) -> int:
-        return len(self.batch)
+        return JetDerivatives(self)
 
 
 def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
@@ -127,13 +126,14 @@ class JetDerivatives:
     and from the 4-jet d2H[:, p, q] = d_p d_q H.  ``dP_apply`` and
     ``d2P_apply`` take P's derivatives in closed form applied to the vectors
     v, from J^T S v, d_i J^T S v, <p^, S v> and <d_i p^, S v>, so that no
-    (N, m, n+2, n+2) array is formed.
+    (N, m, n+2, n+2) array is formed; P itself is the rows' ``P``.  It holds
+    no reference to the rows, which cache it: a cycle would keep both alive
+    until the garbage collector found it.
     """
 
-    def __init__(self, batch: PointBatch):
-        self.batch = batch
-        self.space, self.jet, self.g_inv = batch.chart.space, batch.jet, batch.g_inv
-        self.n, self.k, self.m = batch.jet.jac.shape
+    def __init__(self, rows: PointBatch):
+        self.space, self.jet, self.g_inv, self._P = rows.chart.space, rows.jet, rows.g_inv, rows.P
+        self.n, self.k, self.m = rows.jet.jac.shape
 
     def _flat(self, a: np.ndarray) -> np.ndarray:
         """A jet slot (N, k, m, ..., m) with its chart axes flattened into one."""
@@ -155,10 +155,6 @@ class JetDerivatives:
     @cached_property
     def dg_inv(self) -> np.ndarray:
         return -(self.g_inv[:, None] @ self.dg @ self.g_inv[:, None])
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        return self.batch.normal_projector()
 
     @cached_property
     def _cols(self) -> np.ndarray:
@@ -236,7 +232,7 @@ class JetDerivatives:
     @cached_property
     def dH(self) -> np.ndarray:
         tr, d_tr = self.trace
-        return (self.dP_apply(tr) + _rmul(d_tr, self.P)) / self.m
+        return (self.dP_apply(tr) + project(self._P, d_tr)) / self.m
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -248,7 +244,7 @@ class JetDerivatives:
     def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """d_i (P d2f(v, w)) (N, m, n+2) for chart vectors v, w (N, m) held fixed."""
         vw = (v[:, :, None] * w[:, None]).reshape(self.n, 1, -1)
-        return self.dP_apply(_rmul(vw, self._flat(self.jet.d2))[:, 0]) + _rmul(_rmul(vw, self._dd2)[:, 0], self.P)
+        return self.dP_apply(_d2(self.jet.d2, v, w)) + project(self._P, _rmul(vw, self._dd2)[:, 0])
 
     @cached_property
     def d2g(self) -> np.ndarray:
@@ -270,7 +266,7 @@ class JetDerivatives:
         d2_tr = _rmul(self.d2g_inv.reshape(n, m * m, m * m), self._flat(self.jet.d2)).reshape(X.shape) + X + np.swapaxes(X, 1, 2)
         d2_tr += _rmul(self.g_inv.reshape(n, 1, m * m), np.moveaxis(self.jet.d4, (-2, -1), (1, 2)).reshape(n, m, m, k, -1))[:, 0]
         Y = self.dP_apply(d_tr)  # [:, q, p] = d_q P d_p tr
-        PX = self.d2P_apply(tr) + _rmul(d2_tr.reshape(n, m * m, k), self.P).reshape(X.shape)
+        PX = self.d2P_apply(tr) + project(self._P, d2_tr)
         return (PX + Y + np.swapaxes(Y, 1, 2)) / m
 
 
@@ -291,20 +287,20 @@ def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
     lower triangle and half the diagonal.  Then
     nabla_{f_q} E_j = sum_p (d_q C + C Gamma_q^T)[j, p] f_p with
     Gamma_q[p, r] = Gamma^p_{qr}, and <f_p, E_k> = (g C^T)[p, k]."""
-    b, d = rows.batch, rows.derivatives
-    C = b.tangent_coeffs[:, None]
+    d = rows.derivatives
+    C = rows.tangent_coeffs[:, None]
     Ct = np.swapaxes(C, -1, -2)
     B = C @ d.dg @ Ct
-    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(b.chart.m)) @ C
+    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(rows.chart.m)) @ C
     M = dC + C @ d.gamma.transpose(0, 2, 3, 1)  # M[:, q, j, p]
-    return np.einsum("niq,nqjk->nijk", b.tangent_coeffs, M @ (b.g[:, None] @ Ct))
+    return np.einsum("niq,nqjk->nijk", rows.tangent_coeffs, M @ (rows.g[:, None] @ Ct))
 
 
 def geometry(chart: Chart, U, steps=0, order: int = 2) -> ExtrinsicRows:
     """The ExtrinsicRows of the points U (N, m), at the scan steps ``steps``
     (N,) or one step for all, from one batched ``analyze_point`` and
     ``second_fundamental`` call, with jets of ``order`` 2, 3 or 4.  It does
-    not raise for a point that fails: ``batch.errors`` holds the error of
+    not raise for a point that fails: ``errors`` holds the error of
     each row."""
     return second_fundamental(analyze_point(chart, U, steps, order))
 
@@ -330,7 +326,7 @@ def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
     """nabla^perp_{d_i} H (N, m, n+2) at every row of a batch evaluated at
     order 3: the normal projection of the exact chart derivatives of H
     (gauge-free)."""
-    return rows.batch.proj_normal(rows.derivatives.dH)
+    return rows.proj_normal(rows.derivatives.dH)
 
 
 def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
@@ -338,12 +334,11 @@ def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     batch evaluated at order 4, given nabla^perp H (N, m, n+2) there, in
     closed form: with nabla^perp_q H = P d_q H,
     P sum g^{pq} ((d_p P)(d_q H) + d_p d_q H - Gamma^k_{pq} nabla^perp_k H)."""
-    b, d = rows.batch, rows.derivatives
+    d = rows.derivatives
     n, m, k = d.n, d.m, d.k
     dW = d.dP_apply(d.dH) + d.d2H  # [:, p, q], less the outer P
     corr = np.swapaxes(d.gamma.reshape(n, m, m * m), -1, -2) @ nabla_H  # [:, (p, q)] = Gamma^k_pq nabla^perp_k H
-    out = (b.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0]
-    return b.proj_normal(out)
+    return rows.proj_normal((rows.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0])
 
 
 def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:
@@ -366,7 +361,7 @@ def structure_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np
 
 def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """alpha(v, w) = P d2f(v, w) (N, n+2) at every row, for chart vectors v, w (N, m)."""
-    return b.proj_normal(_d2(b.jet.d2, v, w)[..., 0])
+    return b.proj_normal(_d2(b.jet.d2, v, w))
 
 
 def gauss_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -374,21 +369,20 @@ def gauss_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.nda
     vectors (N, n+2) for chart directions X, Y, Z (N, m) at every row of a
     batch evaluated at order 3.  R comes from the Christoffels and their
     exact derivatives DG[:, i, l, j, k] = d_i Gamma^l_jk."""
-    b, d = rows.batch, rows.derivatives
-    sp = b.chart.space
+    d, sp = rows.derivatives, rows.chart.space
     n, m = X.shape
     DG, G = d.dgamma, d.gamma
     DX, DY = ((v[:, None] @ DG.reshape(n, m, -1)).reshape(n, m, m, m) for v in (X, Y))
     GX, GY = ((v[:, None, None] @ G)[:, :, 0] for v in (X, Y))  # GX[l, p] = Gamma^l_ip X^i
-    curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + GX @ _d2(G, Y, Z) - GY @ _d2(G, X, Z)
-    E, T = b.tangent_onb, b.T_ambient
-    Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
-    A_YZ, A_XZ = (shape_operator(sp, b.normal_onb, rows.alpha, _alpha(b, v, Z)) for v in (Y, X))
+    curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + (GX @ _d2(G, Y, Z)[..., None] - GY @ _d2(G, X, Z)[..., None])[..., 0]
+    E, T = rows.tangent_onb, rows.T_ambient
+    Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
+    A_YZ, A_XZ = (shape_operator(sp, rows.normal_onb, rows.alpha, _alpha(rows, v, Z)) for v in (Y, X))
     X_onb, Y_onb = (inner(sp, E, v[:, None])[..., None] for v in (Xa, Ya))
     rhs = np.swapaxes(A_YZ @ X_onb - A_XZ @ Y_onb, -1, -2) @ E
     eps_terms = _wedge(sp, Xa, Ya, Za) + inner(sp, Xa, T)[:, None] * _wedge(sp, Ya, T, Za)
     eps_terms -= inner(sp, Ya, T)[:, None] * _wedge(sp, Xa, T, Za)
-    return (b.jet.jac @ curv)[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
+    return (rows.jet.jac @ curv[..., None])[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
 
 
 def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -398,13 +392,12 @@ def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.n
     fields commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z)
     - alpha(Y, nab_X Z) + alpha(X, nab_Y Z) against eps <(X ^ Y) T, Z> eta,
     where d_X alpha is the exact derivative of the field P d2f(Y, Z)."""
-    b, d = rows.batch, rows.derivatives
-    sp = b.chart.space
+    d, sp = rows.derivatives, rows.chart.space
     dYZ, dXZ = (d.d_alpha(v, Z) for v in (Y, X))
-    nab_XZ, nab_YZ = (_d2(d.gamma, v, Z)[..., 0] for v in (X, Y))
-    lhs = b.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(b, Y, nab_XZ) + _alpha(b, X, nab_YZ)
-    Xa, Ya, Za = np.moveaxis(b.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
-    return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, b.T_ambient), Za)[:, None] * b.eta
+    nab_XZ, nab_YZ = (_d2(d.gamma, v, Z) for v in (X, Y))
+    lhs = rows.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(rows, Y, nab_XZ) + _alpha(rows, X, nab_YZ)
+    Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
+    return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, rows.T_ambient), Za)[:, None] * rows.eta
 
 
 def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -413,16 +406,15 @@ def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.nda
     every row, exact at jet level.  With the projector field P and the
     extension xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate
     fields commute); the right side is P d2(X, A_xi Y) - P d2(A_xi X, Y)."""
-    b, d = rows.batch, rows.derivatives
-    on, C = np.arange(len(b)), b.tangent_coeffs
+    d, n = rows.derivatives, len(rows)
+    on, C = np.arange(n), rows.tangent_coeffs
     # A_xi on chart coordinates: chart -> ONB is C g, ONB -> chart is C^T
-    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
+    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ rows.g @ v[..., None])[..., 0] for v in (X, Y))
     XY = np.stack([X, Y], axis=1)
-    DXi = XY @ d.dP_apply(b.normal_onb[on, a])  # [:, 0] = D_X P xi0, [:, 1] = D_Y P xi0
-    DD = (XY @ d.dP_apply(DXi).reshape(len(b), b.chart.m, -1)).reshape(len(b), 2, 2, -1)  # [:, s, t] = D_s P D_t P xi0
+    DXi = XY @ d.dP_apply(rows.normal_onb[on, a])  # [:, 0] = D_X P xi0, [:, 1] = D_Y P xi0
+    DD = (XY @ d.dP_apply(DXi).reshape(n, rows.chart.m, -1)).reshape(n, 2, 2, -1)  # [:, s, t] = D_s P D_t P xi0
     lhs = DD[:, 0, 1] - DD[:, 1, 0]
-    vec = lhs[..., None] - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
-    return (d.P @ vec)[..., 0]
+    return rows.proj_normal(lhs - _d2(rows.jet.d2, X, AY) + _d2(rows.jet.d2, AX, Y))
 
 
 def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -433,22 +425,23 @@ def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d2f(v, w) as columns (N, n+2, 1) for chart vectors v, w (N, m)."""
-    return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
+    """d2(v, w) (N, K) for stacked second derivatives d2 (N, K, m, m) and
+    chart vectors v, w (N, m): the outer product v w^T times d2 with its
+    chart axes flattened, one matmul per row."""
+    vw = (v[:, :, None] * w[:, None]).reshape(len(v), 1, -1)
+    return _rmul(vw, d2.reshape(*d2.shape[:2], -1))[:, 0]
 
 
 def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (vt, veta) of nabla_X T = A_eta X and
     alpha(X, T) = -nabla^perp_X eta for every row, maximized over the
     tangent ONB directions, exact at jet level."""
-    b, d = rows.batch, rows.derivatives
-    sp, C = b.chart.space, b.tangent_coeffs
+    d, sp, C = rows.derivatives, rows.chart.space, rows.tangent_coeffs
     # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
-    GT = (d.gamma.transpose(0, 2, 1, 3) @ b.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
-    nab_T = C @ (d.dT + GT) @ np.swapaxes(b.jet.jac, -1, -2)
-    A_eta = shape_operator(sp, b.normal_onb, rows.alpha, b.eta)
-    vt = nab_T - np.swapaxes(A_eta, -1, -2) @ b.tangent_onb
-    t = inner(sp, b.tangent_onb, b.T_ambient[:, None])  # T in the tangent ONB
-    alpha_T = np.swapaxes((rows.alpha @ t[:, None, :, None])[..., 0], -1, -2) @ b.normal_onb
-    veta = alpha_T + C @ d.deta @ np.swapaxes(d.P, -1, -2)
+    GT = (d.gamma.transpose(0, 2, 1, 3) @ rows.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
+    nab_T = C @ (d.dT + GT) @ np.swapaxes(rows.jet.jac, -1, -2)
+    A_eta = shape_operator(sp, rows.normal_onb, rows.alpha, rows.eta)
+    vt = nab_T - np.swapaxes(A_eta, -1, -2) @ rows.tangent_onb
+    alpha_T = np.swapaxes((rows.alpha @ rows.T_onb[:, None, :, None])[..., 0], -1, -2) @ rows.normal_onb
+    veta = alpha_T + C @ rows.proj_normal(d.deta)
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))

@@ -28,6 +28,8 @@ __all__ = [
     "GALLERY",
 ]
 
+_PHI_MINIMAL_TOL = 1e-8  # the largest ||H_phi|| a theorem-1 surface factor allows on its probe grid
+
 
 def _const(value: float, m: int = 0):
     # m is taken from the seed jets so closures can be shared across charts
@@ -195,7 +197,7 @@ def _custom_phi(phi_params: dict):
     return coords[:3], coords[3], dom
 
 
-def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool, tol_min: float = 1e-8) -> list:
+def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool) -> list:
     """Minimality oracle for the surface factor phi in Q^2_a x R, plus the
     nowhere-vanishing test on its T field, at ``count`` steps of a scan
     whose probe grids are the rows of ``u`` in turn: the error of each step,
@@ -240,8 +242,8 @@ def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool, tol_min:
     for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
         if bad:
             errors.append(ChartError("phi factor is degenerate on the probe grid"))
-        elif h > tol_min:
-            errors.append(ChartError(f"phi is not minimal: ||H_phi|| reaches {h:.3e} > {tol_min:.1e}"))
+        elif h > _PHI_MINIMAL_TOL:
+            errors.append(ChartError(f"phi is not minimal: ||H_phi|| reaches {h:.3e} > {_PHI_MINIMAL_TOL:.1e}"))
         elif t < 1e-10:
             errors.append(ChartError("T_phi vanishes somewhere on the probe grid"))
         else:

@@ -8,11 +8,14 @@ steps of a parameter scan, or one step for a chart of one parameter value.
 Each batch row carries its step, step 0 unless given, and the coordinate
 maps read the scanned parameter row by row, so a run and a scan take one
 path.  A chart builds when ``Chart.validate_membership`` passes at step 0.
+A ``PointBatch`` holds the frames of a batch of points, T in the chart
+basis and the tangent ONB, and forms its normal projector once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -349,28 +352,11 @@ def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, 
     return basis, None, count, errors
 
 
-def _normal_projector(sp: ProductSpace, pos: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """I - (eps p^ p^T + E^T E) S for positions (..., n+2) and tangent ONBs
-    (..., m, n+2), per row for stacked points."""
-    phat = sp.q_padded(pos)
-    EtE = np.swapaxes(E, -1, -2) @ E
-    return np.eye(sp.ambient_dim) - (sp.epsilon * phat[..., :, None] * phat[..., None, :] + EtE) * sp.signature
-
-
-def _proj_normal(sp: ProductSpace, pos: np.ndarray, E: np.ndarray, v) -> np.ndarray:
-    """Vectors v (N, ..., n+2) less their components along p^ and then each
-    E_i, each read from what the previous step left (the modified
-    Gram-Schmidt order), for positions (N, n+2) and tangent ONBs (N, m, n+2).
-    Contiguous frame vectors keep a row's dot products independent of the
-    batch layout."""
-    out = np.array(v, dtype=float)
-    rows = (slice(None),) + (None,) * (out.ndim - 2)
-    phat = sp.q_padded(pos)[rows]
-    out -= sp.epsilon * inner(sp, out, phat)[..., None] * phat
-    for e in np.swapaxes(E, 0, 1):
-        e = np.ascontiguousarray(e[rows])
-        out -= inner(sp, out, e)[..., None] * e
-    return out
+def project(P: np.ndarray, v) -> np.ndarray:
+    """P v (N, ..., n+2) for stacked matrices P (N, n+2, n+2) and vectors
+    v (N, ..., n+2): one matmul per row."""
+    v = np.asarray(v, dtype=float)
+    return (v.reshape(len(P), -1, v.shape[-1]) @ np.swapaxes(P, -1, -2)).reshape(v.shape)
 
 
 @dataclass
@@ -379,6 +365,8 @@ class PointBatch:
 
     ``errors[i]`` is the IrregularPoint or NullFrame that point i raises on
     its own, else None; the array rows of a failed point mean nothing.
+    ``P`` is formed on first use, and the copies ``take`` and ``replace``
+    make form their own.
     """
 
     chart: Chart
@@ -390,6 +378,7 @@ class PointBatch:
     tangent_coeffs: np.ndarray  # C[:, i, p]: E_i = sum_p C[i,p] f_p
     normal_onb: np.ndarray  # (N, n+1-m, n+2)
     T_ambient: np.ndarray
+    T_onb: np.ndarray  # (N, m) tangent-ONB components of T, <d_t, E_i>
     T_coeffs: np.ndarray  # chart-basis components of T
     T_norm: np.ndarray
     eta: np.ndarray
@@ -402,16 +391,20 @@ class PointBatch:
     def __len__(self) -> int:
         return len(self.u)
 
-    def normal_projector(self) -> np.ndarray:
+    @cached_property
+    def P(self) -> np.ndarray:
         """The normal projection of every row as an (N, n+2, n+2) matrix,
-        I - eps p^ p^T S - E^T E S with S the signature; it depends only on
+        I - (eps p^ p^T + E^T E) S with S the signature; it depends only on
         the normal subspace, not on the frame, so it is a smooth field."""
-        return _normal_projector(self.chart.space, self.jet.values, self.tangent_onb)
+        sp, E = self.chart.space, self.tangent_onb
+        phat = sp.q_padded(self.jet.values)
+        EtE = np.swapaxes(E, -1, -2) @ E
+        return np.eye(sp.ambient_dim) - (sp.epsilon * phat[:, :, None] * phat[:, None, :] + EtE) * sp.signature
 
     def proj_normal(self, v: np.ndarray) -> np.ndarray:
         """Vectors v (N, ..., n+2) projected onto the normal space of f
-        inside T(Q^n_eps x R) at every row."""
-        return _proj_normal(self.chart.space, self.jet.values, self.tangent_onb, v)
+        inside T(Q^n_eps x R) at every row: P v, one matmul per row."""
+        return project(self.P, v)
 
     def with_flipped_normals(self, signs) -> "PointBatch":
         """Copy with normal frame vector a of every row flipped by signs[a]
@@ -506,6 +499,7 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
         tangent_coeffs=C,
         normal_onb=xi,
         T_ambient=T,
+        T_onb=t_onb,
         T_coeffs=T_coeffs,
         T_norm=T_norm,
         eta=eta,

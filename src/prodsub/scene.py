@@ -309,15 +309,14 @@ class Chunk:
     """Samples of a run checked together, the argument of every CHECKS entry.
 
     ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
-    (N, r, m, m), H (N, n+2) and |H| (N,), whose ``batch.errors[i]`` is the
-    error of sample i's geometry, else None; its jets have the order of the
+    (N, r, m, m), H (N, n+2) and |H| (N,), whose ``errors[i]`` is the error
+    of sample i's geometry, else None; its jets have the order of the
     requested checks.  ``indices`` count the samples within a scan step;
-    ``geo.batch.steps`` holds the step of each sample.
+    ``geo.u`` holds the samples and ``geo.steps`` the step of each.
     """
 
     chart: Chart
     indices: np.ndarray
-    u: np.ndarray  # (N, m)
     seed: int
     geo: ExtrinsicRows
 
@@ -340,21 +339,21 @@ class Chunk:
         return normal_derivative_H(self.geo)
 
     def take(self, rows: slice) -> "Chunk":
-        return replace(self, indices=self.indices[rows], u=self.u[rows], geo=self.geo.take(rows))
+        return replace(self, indices=self.indices[rows], geo=self.geo.take(rows))
 
 
 def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
     """``values`` with the rows where T = 0 noted and flagged degenerate."""
-    flat = c.geo.batch.T_norm <= DEGENERATE[tol_key]
+    flat = c.geo.T_norm <= DEGENERATE[tol_key]
     return values, ["T = 0 (slice-type point)" if f else None for f in flat.tolist()], flat
 
 
 def _chk_membership(c: Chunk):
-    return membership_residual(c.chart.space, c.geo.batch.jet.values), None, False
+    return membership_residual(c.chart.space, c.geo.jet.values), None, False
 
 
 def _chk_frames(c: Chunk):
-    b, sp = c.geo.batch, c.chart.space
+    b, sp = c.geo, c.chart.space
     frame = np.concatenate([b.tangent_onb, b.normal_onb], axis=1)
     gram = inner(sp, frame[:, :, None], frame[:, None])  # one dot per pair, so symmetric
     off_quadric = inner(sp, b.normal_onb, sp.q_padded(b.jet.values)[:, None])
@@ -363,12 +362,11 @@ def _chk_frames(c: Chunk):
 
 
 def _chk_unit_norm(c: Chunk):
-    b = c.geo.batch
-    return np.abs(b.T_norm**2 + b.eta_norm**2 - 1.0), None, False
+    return np.abs(c.geo.T_norm**2 + c.geo.eta_norm**2 - 1.0), None, False
 
 
 def _chk_h_eta(c: Chunk):
-    return np.abs(inner(c.chart.space, c.geo.H, c.geo.batch.eta)), None, False
+    return np.abs(inner(c.chart.space, c.geo.H, c.geo.eta)), None, False
 
 
 def _chk_mean_curvature(c: Chunk):
@@ -421,7 +419,7 @@ def keyed_draws(seed: int, indices: np.ndarray, stream: int, m: int, codim: int)
 
 def _draws(c: Chunk, name: str):
     """``keyed_draws`` of the chunk's samples on the check's stream."""
-    return keyed_draws(c.seed, c.indices, CHECK_TABLE[name].stream, c.chart.m, c.geo.batch.normal_onb.shape[1])
+    return keyed_draws(c.seed, c.indices, CHECK_TABLE[name].stream, c.chart.m, c.geo.normal_onb.shape[1])
 
 
 def _chk_ricci(c: Chunk):
@@ -579,7 +577,7 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
     for first in range(0, len(rows), immersion._BATCH_POINTS):
         part = slice(first, first + immersion._BATCH_POINTS)
         geo = geometry(chart, samples[ids[part]], steps[part], order)
-        yield Chunk(chart, ids[part], samples[ids[part]], seed, geo)
+        yield Chunk(chart, ids[part], seed, geo)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:
@@ -589,7 +587,7 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
     which fails in every check."""
-    n, errors = len(chunk), chunk.geo.batch.errors
+    n, errors = len(chunk), chunk.geo.errors
     bad = next((i for i, e in enumerate(errors) if e is not None), n)
     failures = [] if bad == n else [(bad, 0, errors[bad])]
     columns = {}
@@ -608,7 +606,7 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
         raise EngineError(
-            f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.u[row].tolist()}: {exc}"
+            f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.geo.u[row].tolist()}: {exc}"
         ) from exc
     return columns
 
@@ -850,11 +848,11 @@ def scan_parameter(
     last = len(family)  # the step of the first center that fails, which ranks after the step's samples
     if signed:
         centers = geometry(chart, np.tile(chart.center(), (len(family), 1)), np.arange(len(family)))
-        last = next((s for s, e in enumerate(centers.batch.errors) if e is not None), last)
+        last = next((s for s, e in enumerate(centers.errors) if e is not None), last)
     rows = np.arange(min(last + 1, len(family)) * n)
     results, _ = _pooled_rows(chart, [residual], samples, rows, int(sampling.get("seed", 0)), jobs)
     if last < len(family):
-        raise centers.batch.errors[last]
+        raise centers.errors[last]
     if family.error is not None:
         raise family.error
 

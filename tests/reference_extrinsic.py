@@ -6,17 +6,44 @@ takes ``dg``, ``trace``, ``dgamma``, ``d2g`` and ``d2H`` by ``np.einsum``:
 the forms that ``JetDerivatives`` replaced with products applied to
 vectors.  ``deta``, ``dH``, ``d_alpha`` and ``d2H`` multiply the dense
 arrays, and ``normal_laplacian_H`` and ``ricci_residuals`` are the kernels
-of the same names written against them.
+of the same names written against them.  ``proj_normal`` is the normal
+projection by modified Gram-Schmidt that the matrix P replaced, and ``_d2``
+contracts d2 with n+2 matmuls per row.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from prodsub.extrinsic import JetDerivatives, _d2
+from prodsub.ambient import inner
+from prodsub.extrinsic import JetDerivatives
+
+
+def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d2f(v, w) as columns (N, n+2, 1) for chart vectors v, w (N, m)."""
+    return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
+
+
+def proj_normal(b, v) -> np.ndarray:
+    """Vectors v (N, ..., n+2) less their components along p^ and then each
+    E_i of the PointBatch ``b``, each read from what the previous step left
+    (the modified Gram-Schmidt order)."""
+    sp = b.chart.space
+    out = np.array(v, dtype=float)
+    rows = (slice(None),) + (None,) * (out.ndim - 2)
+    phat = sp.q_padded(b.jet.values)[rows]
+    out -= sp.epsilon * inner(sp, out, phat)[..., None] * phat
+    for e in np.swapaxes(b.tangent_onb, 0, 1):
+        e = np.ascontiguousarray(e[rows])
+        out -= inner(sp, out, e)[..., None] * e
+    return out
 
 
 class DenseJetDerivatives(JetDerivatives):
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.P = rows.P
+
     @cached_property
     def dg(self) -> np.ndarray:
         sig, J, d2 = self.space.signature, self.jet.jac, self.jet.d2
@@ -94,23 +121,23 @@ class DenseJetDerivatives(JetDerivatives):
 
 def normal_laplacian_H(rows, d: DenseJetDerivatives, nabla_H: np.ndarray) -> np.ndarray:
     """``extrinsic.normal_laplacian_H`` from the dense d_p P, term by term."""
-    b, m = rows.batch, rows.batch.chart.m
+    m = rows.chart.m
     dW = (d.dP[:, :, None] @ d.dH[:, None, :, :, None])[..., 0] + d.d2H  # [:, p, q], less the outer P
     out = np.zeros_like(rows.H)
     for p in range(m):
         for q in range(m):
             corr = np.einsum("nk,nkc->nc", d.gamma[:, :, p, q], nabla_H)
-            out += b.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
-    return b.proj_normal(out)
+            out += rows.g_inv[:, p, q, None] * (dW[:, p, q] - corr)
+    return rows.proj_normal(out)
 
 
 def ricci_residuals(rows, d: DenseJetDerivatives, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``extrinsic.ricci_residuals`` from the commutator of the dense D_X P and D_Y P."""
-    b, dP = rows.batch, d.dP
+    dP = d.dP
     n_rows, m, k = dP.shape[:3]
-    on, C = np.arange(n_rows), b.tangent_coeffs
+    on, C = np.arange(n_rows), rows.tangent_coeffs
     DPX, DPY = ((v[:, None] @ dP.reshape(n_rows, m, k * k)).reshape(n_rows, k, k) for v in (X, Y))
-    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ b.g @ v[..., None])[..., 0] for v in (X, Y))
-    lhs = (DPX @ DPY - DPY @ DPX) @ b.normal_onb[on, a][..., None]
-    vec = lhs - _d2(b.jet.d2, X, AY) + _d2(b.jet.d2, AX, Y)
-    return (d.P @ vec)[..., 0]
+    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ rows.g @ v[..., None])[..., 0] for v in (X, Y))
+    lhs = (DPX @ DPY - DPY @ DPX) @ rows.normal_onb[on, a][..., None]
+    vec = lhs - _d2(rows.jet.d2, X, AY) + _d2(rows.jet.d2, AX, Y)
+    return (rows.P @ vec)[..., 0]

@@ -78,7 +78,7 @@ def test_criterion_1_theorem1_forward():
         t0 = time.perf_counter()
         rows = geometry(ch, _grid_samples(ch, [10, 10, 10]), order=3)  # one batch of 10^3 samples
         worst = {
-            "h_eta": np.abs(inner(ch.space, rows.H, rows.batch.eta)).max(),
+            "h_eta": np.abs(inner(ch.space, rows.H, rows.eta)).max(),
             "pmc": np.linalg.norm(normal_derivative_H(rows), axis=-1).max(),
             "full": biconservative_residual(rows)["full"].max(),
             "class_a": class_A_residual(rows).max(),
@@ -114,13 +114,13 @@ def test_criterion_3_derived_extrinsic_anchors():
     crit = Criterion("CRITERION 3 (derived extrinsic anchors, a=0.8, b=0.6)")
     ch = make_theorem1(ProductSpace(1, 4), a=0.8)
     rows = second_fundamental(analyze_point(ch, (ch.center() + 0.11)[None]))
-    b, H, H_norm = rows.batch, rows.H[0], rows.H_norm[0]
+    H, H_norm = rows.H[0], rows.H_norm[0]
     crit.check(
         "|H| = (a^2-b^2)/(3ab) = 7/36 +- 1e-8",
         abs(H_norm - 7.0 / 36.0) <= 1e-8,
         f"measured |H| = {H_norm:.12f}",
     )
-    eig = np.sort(np.linalg.eigvalsh(shape_operator(ch.space, b.normal_onb[0], rows.alpha[0], H / H_norm)))
+    eig = np.sort(np.linalg.eigvalsh(shape_operator(ch.space, rows.normal_onb[0], rows.alpha[0], H / H_norm)))
     want = np.array([-3.0 / 4.0, 0.0, 4.0 / 3.0])
     crit.check(
         "A_xi1 eigenvalues {-b/a, 0, a/b} = {-3/4, 0, 4/3} +- 1e-8",
@@ -238,7 +238,7 @@ def test_criterion_5_structure_equation_suite():
         for ch in gallery_charts(eps):
             pts = random_interior_points(ch, 200, seed=eps * 7 + 11)
             rows = geometry(ch, pts, order=3)
-            codim = rows.batch.normal_onb.shape[1]
+            codim = rows.normal_onb.shape[1]
             # per point, X, Y, Z and then a, in the order of the point loop
             draws = [(rng.standard_normal((3, ch.m)), int(rng.integers(0, codim))) for _ in pts]
             X, Y, Z = np.stack([d[0] for d in draws], axis=1)
@@ -355,7 +355,7 @@ def test_criterion_7_invariant_suites():
     base = classifier_residuals(rows)
     worst_flip = 0.0
     for signs in ([-1, 1], [1, -1], [-1, -1]):
-        flipped = second_fundamental(rows.batch.with_flipped_normals(signs))
+        flipped = second_fundamental(rows.with_flipped_normals(signs))
         shifts = [abs(x[0] - y[0]) for x, y in zip(classifier_residuals(flipped), base)]
         worst_flip = max([worst_flip] + shifts)
     crit.check(

@@ -78,8 +78,8 @@ def test_batch_rows_equal_single_point_calls(batch_charts):
             for a, b in ((vj.values[i], one.values), (vj.jac[i], one.jac), (vj.d2[i], one.d2)):
                 assert _same(a, b), ch.label
             single = second_fundamental(analyze_point(ch, u[None]))
-            assert len(single) == 1 and single.batch.errors == [None], ch.label
-            for a, b in zip(_geometry_fields(batch, i), _geometry_fields(single.batch, 0)):
+            assert len(single) == 1 and single.errors == [None], ch.label
+            for a, b in zip(_geometry_fields(batch, i), _geometry_fields(single, 0)):
                 assert _same(a, b), ch.label
             assert _same(eds.alpha[i], single.alpha[0]), ch.label
             assert _same(eds.H[i], single.H[0]) and _same(eds.H_norm[i], single.H_norm[0]), ch.label
@@ -93,7 +93,7 @@ def test_batch_rows_do_not_depend_on_batch_composition(batch_charts):
         # (rows, row) of sample i in the reversed and in the split batches
         for i in range(n):
             for eds, r in ((rev, n - 1 - i), (first, i) if i < 3 else (last, i - 3)):
-                for x, y in zip(_geometry_fields(full.batch, i), _geometry_fields(eds.batch, r)):
+                for x, y in zip(_geometry_fields(full, i), _geometry_fields(eds, r)):
                     assert _same(x, y), ch.label
                 assert _same(full.alpha[i], eds.alpha[r]), ch.label
                 assert _same(full.H[i], eds.H[r]), ch.label
@@ -344,7 +344,7 @@ def _same_other_rows(rows, clean, bad: int) -> bool:
     """Whether every row of ``rows`` but ``bad`` is bit for bit its row of ``clean``, the batch without it."""
     pairs = [(i, i - (i > bad)) for i in range(len(rows)) if i != bad]
     return all(
-        all(_same(a, b) for a, b in zip(_geometry_fields(rows.batch, i), _geometry_fields(clean.batch, j)))
+        all(_same(a, b) for a, b in zip(_geometry_fields(rows, i), _geometry_fields(clean, j)))
         and _same(rows.alpha[i], clean.alpha[j]) and _same(rows.H[i], clean.H[j])
         for i, j in pairs
     )
@@ -361,7 +361,7 @@ def test_a_failing_coordinate_fails_only_its_row(s4):
     rows = geometry(chart, U)
     with pytest.raises(ChartError) as alone:
         evaluate_jet(chart, U[2])
-    assert [e and str(e) for e in rows.batch.errors] == [None, None, str(alone.value), None]
+    assert [e and str(e) for e in rows.errors] == [None, None, str(alone.value), None]
     jet = evaluate_jet(chart, U)
     assert [e and str(e) for e in jet.errors] == [None, None, str(alone.value), None]
     assert np.isnan(jet.values[2]).all() and np.isnan(jet.jac[2]).all() and np.isnan(jet.d2[2]).all()
@@ -378,7 +378,7 @@ def test_a_non_finite_metric_fails_only_its_own_sample(s4):
     chart = Chart(space=s4, m=2, coords=["cos(u2)", "sin(u2)", "0", "0", "0", t], domain=[(-1.0, 1.0), (-0.5, 0.5)])
     U = np.array([[0.1, 0.0], [0.5, 0.1], [-0.4, 0.2]])
     rows = geometry(chart, U)
-    assert [e and str(e) for e in rows.batch.errors] == [None, "induced metric not finite at u=[0.5, 0.1]", None]
+    assert [e and str(e) for e in rows.errors] == [None, "induced metric not finite at u=[0.5, 0.1]", None]
     assert _same_other_rows(rows, geometry(chart, U[[0, 2]]), 1)
     names = ["membership", "class_a", "pmc"]
     assert _outcome(_run_rows, chart, names, U, 0) == (
@@ -598,18 +598,17 @@ def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_chart
         cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):
             fields = {
-                "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), chunk.geo.batch.jet.d3[r]),
+                "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), chunk.geo.jet.d3[r]),
                 "nabla_H": (lambda v: cache.geometry(v).H[0], d.dH[r]),
                 "dgamma": (lambda v: cache.geometry(v).derivatives.gamma[0].ravel(), d.dgamma[r]),
-                "d_alpha": (lambda v: prodsub.extrinsic._alpha(cache.geometry(v).batch, Y[r : r + 1], Z[r : r + 1])[0], dYZ[r]),
+                "d_alpha": (lambda v: prodsub.extrinsic._alpha(cache.geometry(v), Y[r : r + 1], Z[r : r + 1])[0], dYZ[r]),
             }
             for name, (field, exact) in fields.items():
                 fd = np.array([fd_gradient(field, u, i) for i in range(m)])  # direction first
                 if name == "d3":
                     exact = np.moveaxis(exact, -1, 0)
                 elif name == "nabla_H":  # the normal projection of both, as a run takes it
-                    b = cache.geometry(u).batch
-                    exact, fd = chunk.nabla_H[r], b.proj_normal(fd[None])[0]
+                    exact, fd = chunk.nabla_H[r], cache.geometry(u).proj_normal(fd[None])[0]
                 assert _rel_gap(exact.reshape(fd.shape), fd) <= 1e-8, (ch.label, name)
     # the third-order slot changes nothing of the 2-jet, failing rows included
     for ch, U, steps in _jet_cases(s4, all_gallery_charts):
@@ -642,7 +641,7 @@ def test_order_four_derivatives_match_fd_gradient(s4, all_gallery_charts, batch_
         cache = FieldCache(ch)
         for r, u in enumerate(samples):
             fields = {
-                "d4": (lambda v: evaluate_jet(ch, v, order=3).d3, np.moveaxis(rows.batch.jet.d4[r], -1, 0)),
+                "d4": (lambda v: evaluate_jet(ch, v, order=3).d3, np.moveaxis(rows.jet.d4[r], -1, 0)),
                 "d2g": (lambda v: cache.geometry(v).derivatives.dg[0], d.d2g[r]),
                 "d2g_inv": (lambda v: cache.geometry(v).derivatives.dg_inv[0], d.d2g_inv[r]),
                 "d2P": (lambda v: cache.geometry(v).derivatives.dP_apply(E[None])[0], d2P_E[r]),
@@ -773,13 +772,13 @@ def _nested_oracle(chart, u):
         return lambda v: normal_derivative_H(cache.geometry(v))[0, q]
 
     rows = cache.geometry(u)
-    b, G, W0 = rows.batch, rows.derivatives.gamma[0], normal_derivative_H(rows)[0]
+    G, W0 = rows.derivatives.gamma[0], normal_derivative_H(rows)[0]
     out = np.zeros(chart.space.ambient_dim)
     for p in range(m):
         for q in range(m):
             dW = fd_gradient(nabla_H(q), u, p, step=_NESTED_STEP)
-            out += b.g_inv[0, p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
-    return b.proj_normal(out[None])[0]
+            out += rows.g_inv[0, p, q] * (dW - np.einsum("k,kc->c", G[:, p, q], W0))
+    return rows.proj_normal(out[None])[0]
 
 
 def test_nested_laplacians_match_the_per_point_oracle(batch_charts, theorem1_heli):
@@ -988,7 +987,7 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
 
 def _chunk_of(batch):
     """The chunk of one sample whose geometry is the batch of one ``batch``."""
-    return prodsub.scene.Chunk(batch.chart, np.array([0]), batch.u, 0, second_fundamental(batch))
+    return prodsub.scene.Chunk(batch.chart, np.array([0]), 0, second_fundamental(batch))
 
 
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
@@ -1101,10 +1100,9 @@ def test_family_rows_equal_their_own_chart_in_any_layout(name, param, values):
     U, steps = np.tile(u, (len(values), 1)), np.repeat(np.arange(len(values)), len(u))
     assert not _strided(U).flags.c_contiguous and not _strided(steps).flags.c_contiguous
 
-    def arrays(rows):
-        b = rows.batch
+    def arrays(b):
         fields = [b.jet.values, b.jet.jac, b.jet.d2, b.g_inv, b.tangent_onb, b.normal_onb, b.T_ambient, b.eta]
-        return fields + [rows.alpha, rows.H, *prodsub.extrinsic.T_eta_residuals(rows), prodsub.classify.biharmonic_predicates(rows)[0]]
+        return fields + [b.alpha, b.H, *prodsub.extrinsic.T_eta_residuals(b), prodsub.classify.biharmonic_predicates(b)[0]]
 
     contiguous = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, U, steps)))
     strided = arrays(prodsub.extrinsic.second_fundamental(analyze_point(family, _strided(U), _strided(steps))))

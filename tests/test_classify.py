@@ -236,7 +236,7 @@ def _classifier_residuals(rows):
     evaluated at order 3, biharmonic_residual assuming PMC (a zero
     nabla^perp H)."""
     bicon = biconservative_residual(rows)
-    bih = biharmonic_residual(rows, np.zeros((len(rows), rows.batch.chart.m, rows.H.shape[1])))
+    bih = biharmonic_residual(rows, np.zeros((len(rows), rows.chart.m, rows.H.shape[1])))
     e0, _ = e0_structure(rows)
     return {
         "class_a": class_A_residual(rows),
@@ -253,7 +253,7 @@ def test_gauge_flip_invariance(theorem1_heli, tube_s3):
         rows = geometry(ch, random_interior_points(ch, 1, seed=31), order=3)
         base = _classifier_residuals(rows)
         for signs in ([-1, 1], [1, -1], [-1, -1]):
-            flipped = second_fundamental(rows.batch.with_flipped_normals(signs))
+            flipped = second_fundamental(rows.with_flipped_normals(signs))
             for name, value in _classifier_residuals(flipped).items():
                 assert abs(value[0] - base[name][0]) <= 1e-12, (ch.label, name, signs)
 

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,14 +28,13 @@ import reference_extrinsic
 def _rows(chart, U, order=3):
     """The geometry of the points U (N, m) at ``order``, each row checked regular."""
     rows = second_fundamental(analyze_point(chart, U, order=order))
-    assert not any(rows.batch.errors), chart.label
+    assert not any(rows.errors), chart.label
     return rows
 
 
 def _shape_along_H(rows):
     """A_{H/|H|} (N, m, m) of every row."""
-    b = rows.batch
-    return shape_operator(b.chart.space, b.normal_onb, rows.alpha, rows.H / rows.H_norm[:, None])
+    return shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H / rows.H_norm[:, None])
 
 
 def test_slice_totally_geodesic(slice_s4):
@@ -49,7 +51,7 @@ def test_theorem1_against_explicit_normal_oracle(theorem1_cyl):
     a, b = 0.8, 0.6
     u = np.array([0.37, -0.41, 0.23])
     rows = _rows(theorem1_cyl, u[None])
-    vj = rows.batch.jet.row(0)
+    vj = rows.jet.row(0)
     cs, sn = math.cos(u[2] / b), math.sin(u[2] / b)
     cu, su = math.cos(u[0] / a), math.sin(u[0] / a)
     xi = np.array([-a * cs, -a * sn, b * cu, b * su, 0.0, 0.0])
@@ -86,10 +88,10 @@ def test_theorem1_second_normal_shape_vanishes(theorem1_cyl):
     xi1 = rows.H[0] / rows.H_norm[0]
     # unit normal orthogonal to xi1 inside the rank-2 normal space
     sp = theorem1_cyl.space
-    cands = [xi - inner(sp, xi, xi1) * xi1 for xi in rows.batch.normal_onb[0]]
+    cands = [xi - inner(sp, xi, xi1) * xi1 for xi in rows.normal_onb[0]]
     xi2 = max(cands, key=lambda w: inner(sp, w, w))
     xi2 = xi2 / math.sqrt(inner(sp, xi2, xi2))
-    A2 = shape_operator(sp, rows.batch.normal_onb[0], rows.alpha[0], xi2)
+    A2 = shape_operator(sp, rows.normal_onb[0], rows.alpha[0], xi2)
     assert np.abs(A2).max() <= 1e-12
 
 
@@ -97,16 +99,15 @@ def test_trace_shape_equals_m_times_H_component(all_gallery_charts):
     for ch in all_gallery_charts:
         rows = _rows(ch, random_interior_points(ch, 5, seed=2))
         lhs = np.trace(rows.alpha, axis1=-2, axis2=-1)  # (N, r)
-        rhs = ch.m * inner(ch.space, rows.H[:, None], rows.batch.normal_onb)
+        rhs = ch.m * inner(ch.space, rows.H[:, None], rows.normal_onb)
         assert np.abs(lhs - rhs).max() <= 1e-10, ch.label
 
 
 def test_H_is_normal_within_product(all_gallery_charts):
     for ch in all_gallery_charts:
         rows = _rows(ch, random_interior_points(ch, 1, seed=3))
-        b = rows.batch
-        assert np.abs(inner(ch.space, rows.H[:, None], b.tangent_onb)).max() <= 1e-10
-        assert abs(inner(ch.space, rows.H[0], ch.space.q_padded(b.jet.values[0]))) <= 1e-10
+        assert np.abs(inner(ch.space, rows.H[:, None], rows.tangent_onb)).max() <= 1e-10
+        assert abs(inner(ch.space, rows.H[0], ch.space.q_padded(rows.jet.values[0]))) <= 1e-10
 
 
 def test_theorem1_s_curves_unit_speed_circles(theorem1_cyl):
@@ -130,12 +131,11 @@ def test_onb_connection_matches_fd_of_the_frame(all_gallery_charts):
         U = random_interior_points(ch, 3, seed=12)
         rows = _rows(ch, U)
         conn = onb_connection(rows)
-        b = rows.batch
         for r, u in enumerate(U):
             d_frames = np.array(
                 [[fd_gradient(lambda v: analyze_point(ch, v).tangent_onb[0, j], u, p) for p in range(m)] for j in range(m)]
             )  # (j, p, ambient)
-            E, C = b.tangent_onb[r], b.tangent_coeffs[r]
+            E, C = rows.tangent_onb[r], rows.tangent_coeffs[r]
             want = np.array([[inner(ch.space, E, C[i] @ d_frames[j]) for j in range(m)] for i in range(m)])
             assert np.abs(conn[r] - want).max() <= 1e-8, ch.label
 
@@ -148,7 +148,7 @@ def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
     def fields(ch):
         def field(v):
             b = analyze_point(ch, v)
-            return np.concatenate([b.g[0].ravel(), b.normal_projector()[0].ravel(), b.T_coeffs[0], b.eta[0]])
+            return np.concatenate([b.g[0].ravel(), b.P[0].ravel(), b.T_coeffs[0], b.eta[0]])
 
         return field
 
@@ -174,10 +174,10 @@ def test_applied_projector_derivatives_match_the_dense_forms(all_gallery_charts)
         for order in (3, 4):
             for n in (1, 61):
                 rows = _rows(ch, random_interior_points(ch, n, seed=17), order)
-                d, o = rows.derivatives, reference_extrinsic.DenseJetDerivatives(rows.batch)
+                d, o = rows.derivatives, reference_extrinsic.DenseJetDerivatives(rows)
                 rng = np.random.default_rng(n + order)
                 X, Y, Z = rng.standard_normal((3, n, ch.m))
-                a = rng.integers(0, rows.batch.normal_onb.shape[1], n)
+                a = rng.integers(0, rows.normal_onb.shape[1], n)
                 E = np.broadcast_to(np.eye(k), (n, k, k))  # (d_i P) e_j is column j of d_i P
                 pairs = {
                     "dg": (d.dg, o.dg),
@@ -203,11 +203,69 @@ def test_applied_projector_derivatives_match_the_dense_forms(all_gallery_charts)
                     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (ch.label, order, n, name)
 
 
+def test_projector_matches_the_gram_schmidt_projection(all_gallery_charts):
+    """proj_normal, P v by one matmul per row, against the modified
+    Gram-Schmidt projection of ``reference_extrinsic`` within
+    1e-13 max(1, |v|), and T_onb against <E_i, T> within 1e-15: every
+    gallery kind at both signs of eps, orders 3 and 4, batches of 1 and 61
+    rows, for random vectors and for d_i H."""
+    for ch in all_gallery_charts:
+        for order in (3, 4):
+            for n in (1, 61):
+                rows = _rows(ch, random_interior_points(ch, n, seed=19), order)
+                v = np.random.default_rng(n + order).standard_normal((n, 4, ch.space.ambient_dim))
+                for w in (v, v[:, 0], rows.derivatives.dH):
+                    gap = np.abs(rows.proj_normal(w) - reference_extrinsic.proj_normal(rows, w))
+                    bound = 1e-13 * np.maximum(1.0, np.linalg.norm(w, axis=-1))[..., None]
+                    assert np.all(gap <= bound), (ch.label, order, n, w.shape)
+                T_onb = inner(ch.space, rows.tangent_onb, rows.T_ambient[:, None])
+                assert np.abs(rows.T_onb - T_onb).max() <= 1e-15, (ch.label, order, n)
+
+
+def _arrays(rows):
+    """Every array field of an ExtrinsicRows, its jet's slots, P and d_i H."""
+    out = [getattr(rows, f.name) for f in fields(rows) if f.name not in ("chart", "jet", "errors")]
+    return [np.asarray(x, dtype=float) for x in out + list(rows.jet.d) + [rows.P, rows.derivatives.dH]]
+
+
+def test_taken_and_flipped_rows_are_their_batch_recomputed(all_gallery_charts):
+    """``take`` of the rows and ``second_fundamental`` of their flipped copy
+    equal ``second_fundamental`` of the taken or flipped PointBatch bit for
+    bit, so no alpha, H or cached P of the parent rows survives."""
+    for ch in all_gallery_charts:
+        batch = analyze_point(ch, random_interior_points(ch, 7, seed=23), order=3)
+        rows = second_fundamental(batch)
+        _arrays(rows)  # fill the parent's caches
+        signs = np.where(np.arange(batch.normal_onb.shape[1]) % 2 == 0, -1.0, 1.0)
+        cases = [(rows.take(i), second_fundamental(batch.take(i))) for i in (np.array([5, 0, 3]), slice(2, 6))]
+        flipped = rows.with_flipped_normals(signs), batch.with_flipped_normals(signs)
+        cases.append(tuple(second_fundamental(b) for b in flipped))
+        for got, want in cases:
+            assert got.errors == want.errors and len(_arrays(got)) == len(_arrays(want)), ch.label
+            for x, y in zip(_arrays(got), _arrays(want)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), ch.label
+
+
+def test_rows_are_freed_without_the_cycle_collector(theorem1_heli):
+    """Rows whose cached P and derivatives are filled are freed when the
+    last reference goes: no reference cycle keeps their arrays alive until
+    a garbage collection."""
+    rows = _rows(theorem1_heli, random_interior_points(theorem1_heli, 4, seed=29))
+    rows.derivatives.dH, rows.proj_normal(rows.H)
+    gone = weakref.ref(rows)
+    gc.disable()
+    try:
+        del rows
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_christoffels_match_fd_of_metric(theorem1_heli):
     """Jet-level Christoffels against finite differences of the metric."""
     u = np.array([0.25, -0.35, 0.45])
     rows = _rows(theorem1_heli, u[None])
-    g_inv = rows.batch.g_inv
+    g_inv = rows.g_inv
     G = christoffels(rows.derivatives.dg, g_inv)[0]
 
     def metric(v):

@@ -20,22 +20,22 @@ from conftest import random_interior_points, theorem1_closed_forms
 
 def _rows(chart, U):
     rows = second_fundamental(analyze_point(chart, U))
-    assert not any(rows.batch.errors), chart.label
+    assert not any(rows.errors), chart.label
     return rows
 
 
 def test_slice_fields(slice_s4):
     t = slice_s4.space.t_index
     rows = _rows(slice_s4, random_interior_points(slice_s4, 20, seed=40))
-    assert np.all(rows.batch.jet.values[:, t] == 0.25)
-    assert rows.batch.T_norm.max() <= 1e-14
+    assert np.all(rows.jet.values[:, t] == 0.25)
+    assert rows.T_norm.max() <= 1e-14
     assert rows.H_norm.max() <= 1e-14
 
 
 def test_vertical_cylinder_geodesic_fields(vcyl_geodesic):
     rows = _rows(vcyl_geodesic, random_interior_points(vcyl_geodesic, 10, seed=41))
-    assert rows.batch.eta_norm.max() <= 1e-14
-    assert np.allclose(rows.batch.T_norm, 1.0, atol=1e-14, rtol=0)
+    assert rows.eta_norm.max() <= 1e-14
+    assert np.allclose(rows.T_norm, 1.0, atol=1e-14, rtol=0)
     assert rows.H_norm.max() <= 1e-14
 
 
@@ -55,9 +55,8 @@ def test_theorem1_shape_data_every_sample(eps, a):
     forms = theorem1_closed_forms(a, eps)
     ch = make_theorem1(ProductSpace(eps, 4), a=a)
     rows = _rows(ch, random_interior_points(ch, 30, seed=43))
-    b = rows.batch
     assert np.allclose(rows.H_norm, forms["H_norm"], atol=1e-9, rtol=0)
-    A1 = shape_operator(ch.space, b.normal_onb, rows.alpha, rows.H / rows.H_norm[:, None])
+    A1 = shape_operator(ch.space, rows.normal_onb, rows.alpha, rows.H / rows.H_norm[:, None])
     assert np.allclose(np.sort(np.linalg.eigvalsh(A1), axis=-1), forms["eig_A1"], atol=1e-9)
 
 
@@ -200,7 +199,7 @@ def test_partial_tube_k0_reduces_to_vertical_cylinder():
     cyl = make_vertical_cylinder(sp3)
     U = random_interior_points(tube, 10, seed=47)
     assert np.allclose(evaluate_jet(tube, U).values, evaluate_jet(cyl, U).values, atol=1e-12)
-    assert _rows(tube, U).batch.eta_norm.max() <= 1e-12
+    assert _rows(tube, U).eta_norm.max() <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -215,7 +214,7 @@ def test_cmc_product_equator_minimal_and_vertical():
     assert "minimal" in ch.label
     rows = _rows(ch, [[0.1, 0.2, -0.1]])
     assert rows.H_norm[0] <= 1e-14
-    assert rows.batch.nu is not None and abs(rows.batch.nu[0]) <= 1e-14
+    assert rows.nu is not None and abs(rows.nu[0]) <= 1e-14
 
 
 def test_cmc_product_parameter_range():
