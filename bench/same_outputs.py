@@ -7,19 +7,26 @@ Exports the committed files of ``REV`` and of ``HEAD`` with ``record.py``'s
 corpus scene (``scenes/*.json``) with ``--samples 24 --seed 7``, ``--out``
 and ``--csv``, under ``--jobs 1``, ``2`` and ``4``, for three check sets:
 the scene's own checks, the structure checks and the jet-level plus
-chart-level checks.  Under the same job counts it runs both 61-step
-criterion-4a scans of ``biharmonic_normal`` with ``--out``, the runs of
-the generated scenes in ``NARROW`` with ``--out`` and ``--csv``:
-``biharmonic_normal`` off PMC on charts narrower than a stencil, next to a
-domain edge and next to an irregular point, and the runs and scans of the
-generated scenes in ``FAILING``, each of which fails: an error at a sample
-center, coordinate overflows, a NaN chart, a scan step that does not build, an unbound
-identifier, scans whose first or second step leaves the product, scans
-whose first failing step is a later step (off the product, a domain error,
-or off the product just before a step that raises), a scan whose every
-step raises, scenes
-the schema rejects (``epsilon: 2``, an immersion of both kinds, an unknown
-key in ``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
+chart-level checks.  The generated scenes of ``GALLERY`` (every gallery
+template the corpus lacks, at both signs of eps: the vertical cylinder on a
+geodesic, a circle and an ``exprs`` curve, theorem 1 with a custom phi, the
+partial tube with k = 0, 1 and 2, cmc_product at n = 3 and 4, and the
+slice) run the same way for their own and the structure checks.  Under the
+same job counts it runs the 61-step scans of ``SCANS`` with ``--out``: both
+criterion-4a scans of ``biharmonic_normal`` over a2 and the scans of t0
+and r on generated scenes; the runs of the generated scenes in ``NARROW``
+with ``--out`` and ``--csv``: ``biharmonic_normal`` off PMC on charts
+narrower than a stencil, next to a domain edge and next to an irregular
+point; and the runs and scans of the generated scenes in ``FAILING``, each
+of which fails: an error at a sample center, coordinate overflows, a NaN
+chart, a scan step that does not build, an unbound identifier, scans whose
+first or second step leaves the product, scans whose first failing step is
+a later step (off the product, a domain error, or off the product just
+before a step that raises), a scan whose every step raises, four malformed
+gallery specs (an unknown key, a circle without r, a custom phi domain of
+one interval, a number given as a string), scenes the schema rejects
+(``epsilon: 2``, an immersion of both kinds, an unknown key in
+``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
 the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
 and scan files byte for byte, and stdout, stderr and the exit code of every
 run.  It also runs every demo (``demos/*.py``) and compares its stdout and exit
@@ -55,10 +62,55 @@ CHECK_SETS = {
     "pointwise": ["membership", "frames", "unit_norm", "h_eta", "mean_curvature", "biconservative",
                   "biharmonic_predicate", "class_a", "e0", "splitting", "circle"],
 }
-SCANS = {  # criterion 4a: the a2 windows of both signs of eps
-    "scan_eps1": ("scenes/biharmonic_scan_eps1.json", "0.3", "0.9"),
-    "scan_eps-1": ("scenes/biharmonic_scan_eps-1.json", "1.3", "1.9"),
+SCANS = {  # name: (scene, param, from, to, residual)
+    # criterion 4a: the a2 windows of both signs of eps
+    "scan_eps1": ("scenes/biharmonic_scan_eps1.json", "a2", "0.3", "0.9", "biharmonic_normal"),
+    "scan_eps-1": ("scenes/biharmonic_scan_eps-1.json", "a2", "1.3", "1.9", "biharmonic_normal"),
+    # the other scannable gallery parameters, t0 and r, on scenes of ``GALLERY``
+    **{f"scan_t0_eps{e}": (f"gallery/slice_eps{e}.json", "t0", "-1", "1", "membership") for e in (1, -1)},
+    **{f"scan_r_eps{e}": (f"gallery/cmc_n3_eps{e}.json", "r", "0.2", "1.5", "mean_curvature") for e in (1, -1)},
 }
+
+
+def _gallery(eps: int, n: int, spec: dict) -> dict:
+    """A gallery scene whose own checks are the pointwise set less the ones
+    that need codimension 2 or a theorem-1 chart, and pmc."""
+    checks = [c for c in CHECK_SETS["pointwise"] if c not in ("e0", "splitting", "circle")] + ["pmc"]
+    return {"ambient": {"epsilon": eps, "n": n}, "immersion": {"gallery": spec}, "checks": checks}
+
+
+def _gallery_scenes() -> dict:
+    """The gallery kinds the corpus lacks, at both signs of eps: the vertical
+    cylinder on a geodesic, a circle and an ``exprs`` curve, theorem 1 with a
+    custom phi, the partial tube with k = 0, 1 and 2, cmc_product at n = 3
+    and 4, and the slice (for the scans of t0)."""
+    out = {}
+    for eps in (1, -1):
+        c, s = ("cos", "sin") if eps == 1 else ("cosh", "sinh")
+        a = 0.8 if eps == 1 else 1.25
+        circle = [f"{c}(q)", f"{s}(q)*cos(u1)", f"{s}(q)*sin(u1)", "0", "0"]
+        custom = {"coords": [f"q*{c}(u1/q)", f"q*{s}(u1/q)", "0", "u2"], "params": {"q": a}}
+        tube2 = [f"{c}(0.4*s)", f"{s}(0.4*s)*cos(0.3*s)", f"{s}(0.4*s)*sin(0.3*s)", "0.6*s"]
+        specs = {
+            "cylinder_geodesic": (4, {"kind": "vertical_cylinder"}),
+            "cylinder_circle": (4, {"kind": "vertical_cylinder", "curve": {"kind": "circle", "r": 0.7}}),
+            "cylinder_exprs": (4, {"kind": "vertical_cylinder", "curve": {"kind": "exprs", "coords": circle,
+                                                                          "params": {"q": 0.7}}}),
+            "custom_phi": (4, {"kind": "theorem1", "a": a, "phi_kind": "custom", "phi_params": custom}),
+            "tube_k0": (3, {"kind": "partial_tube", "base": {"kind": "geodesic", "k": 0},
+                            "profile": {"coords": ["1", "0.6*s"]}}),
+            "tube_k1": (3, {"kind": "partial_tube"}),
+            "tube_k2": (4, {"kind": "partial_tube", "base": {"kind": "geodesic", "k": 2}, "profile": {"coords": tube2}}),
+            "cmc_n3": (3, {"kind": "cmc_product", "r": 0.7}),
+            "cmc_n4": (4, {"kind": "cmc_product", "r": 0.7}),
+            "slice": (4, {"kind": "slice"}),
+        }
+        out.update({f"{name}_eps{eps}": _gallery(eps, n, spec) for name, (n, spec) in specs.items()})
+    return out
+
+
+GALLERY = _gallery_scenes()
+GALLERY_SETS = {label: CHECK_SETS[label] for label in ("own", "structure")}
 
 
 def _s2(t: str, grid: list, checks: list, u1=(-1.0, 1.0), s: str = "cos(u2)") -> dict:
@@ -150,15 +202,22 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
     "epsilon_2": (_edited("theorem1_cylinder.json", ("ambient", "epsilon"), 2), ["run"]),
     "gallery_and_expressions": (_edited("slice_expr.json", ("immersion", "gallery"), {"kind": "slice"}), ["run"]),
     "unknown_expressions_key": (_edited("slice_expr.json", ("immersion", "expressions", "colour"), "red"), ["run"]),
+    # malformed gallery specs: an unknown key, a circle without r, a custom phi domain of one interval, a string a
+    "gallery_unknown_key": (_edited("theorem1_cylinder.json", ("immersion", "gallery", "foo"), 1), ["run"]),
+    "gallery_circle_without_r": (_gallery(1, 4, {"kind": "vertical_cylinder", "curve": {"kind": "circle"}}), ["run"]),
+    "gallery_one_domain_interval": (_gallery(1, 4, {"kind": "theorem1", "a": 0.8, "phi_kind": "custom", "phi_params": {
+        "coords": ["q*cos(u1/q)", "q*sin(u1/q)", "0", "u2"], "params": {"q": 0.8}, "domain": [[-1.0, 1.0]]}}), ["run"]),
+    "gallery_string_number": (_edited("theorem1_cylinder.json", ("immersion", "gallery", "a"), "0.8"), ["run"]),
     "zero_samples": (_corpus("theorem1_cylinder.json"), ["run", "--samples", "0"]),
     "negative_seed": (_corpus("theorem1_cylinder.json"), ["run", "--seed", "-1"]),
 }
 
 
 def write_generated(root: Path) -> None:
-    """The scenes of ``NARROW`` and ``FAILING`` as ``narrow/<name>.json`` and
-    ``failing/<name>.json`` under ``root``."""
-    for folder, scenes in (("narrow", NARROW), ("failing", {k: v[0] for k, v in FAILING.items()})):
+    """The scenes of ``GALLERY``, ``NARROW`` and ``FAILING`` as
+    ``gallery/<name>.json``, ``narrow/<name>.json`` and ``failing/<name>.json``
+    under ``root``."""
+    for folder, scenes in (("gallery", GALLERY), ("narrow", NARROW), ("failing", {k: v[0] for k, v in FAILING.items()})):
         (root / folder).mkdir()
         for name, scene in scenes.items():
             (root / folder / f"{name}.json").write_text(json.dumps(scene))
@@ -172,17 +231,20 @@ def invocations(root: Path) -> dict:
     for demo in sorted((root / "demos").glob("*.py")):
         out[f"demo.{demo.stem}"] = ([f"demos/{demo.name}"], [], ("stdout",))
     for jobs in JOBS:
-        for scene in sorted((root / "scenes").glob("*.json")):
-            for label, checks in CHECK_SETS.items():
-                name = f"{scene.stem}.{label}.jobs{jobs}"
-                argv = ["run", "--scene", f"scenes/{scene.name}", "--samples", "24", "--seed", "7"]
+        corpus = [(scene, CHECK_SETS) for scene in sorted((root / "scenes").glob("*.json"))]
+        corpus += [(scene, GALLERY_SETS) for scene in sorted((root / "gallery").glob("*.json"))]
+        for scene, sets in corpus:
+            for label, checks in sets.items():
+                folder = scene.parent.name
+                name = f"{'gallery.' if folder == 'gallery' else ''}{scene.stem}.{label}.jobs{jobs}"
+                argv = ["run", "--scene", f"{folder}/{scene.name}", "--samples", "24", "--seed", "7"]
                 argv += [a for c in checks or () for a in ("--check", c)]
                 argv += ["--jobs", str(jobs), "--out", f"{name}.json", "--csv", f"{name}.csv"]
                 out[name] = (cli + argv, [f"{name}.json", f"{name}.csv"], ("stdout", "stderr"))
-        for label, (scene, lo, hi) in SCANS.items():
+        for label, (scene, param, lo, hi, residual) in SCANS.items():
             name = f"{label}.jobs{jobs}"
-            argv = ["scan", "--scene", scene, "--param", "a2", "--from", lo, "--to", hi, "--steps", "61"]
-            argv += ["--residual", "biharmonic_normal", "--jobs", str(jobs), "--out", f"{name}.dat"]
+            argv = ["scan", "--scene", scene, "--param", param, "--from", lo, "--to", hi, "--steps", "61"]
+            argv += ["--residual", residual, "--jobs", str(jobs), "--out", f"{name}.dat"]
             out[name] = (cli + argv, [f"{name}.dat"], ("stdout", "stderr"))
         for label in NARROW:
             name = f"narrow.{label}.jobs{jobs}"

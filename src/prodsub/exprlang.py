@@ -18,8 +18,11 @@ lowers to exp(p * log(x)) and then requires x > 0 at evaluation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import jets
 from .jets import Jet2
@@ -43,6 +46,8 @@ __all__ = [
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "atan")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_NUMBERS = (int, float, np.number, np.ndarray)  # what a subtree without chart variables folds to
 
 
 class ParseError(Exception):
@@ -223,8 +228,15 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
 
     ``vars`` maps chart variable names to Jet2 seeds, ``params`` maps
     parameter names to reals, or to row arrays (N,) with one value per
-    batch row (entered as constant jets).  Every free
-    identifier must be bound exactly once across vars, params and constants.
+    batch row.  Every free identifier must be bound exactly once across
+    vars, params and constants.
+
+    Constants fold: a subtree that reads no chart variable is evaluated as
+    a number, through the same jet functions on value-only jets (m = 0),
+    so its value and its EvalError are those of the same subtree on
+    constant jets; a jet meets a number through Jet2's scalar operators,
+    and a root that folds is returned as a constant jet.  Nothing is
+    simplified: ``0*sqrt(-u1)`` still evaluates the sqrt.
     """
     both = set(vars) & set(params)
     if both:
@@ -234,49 +246,59 @@ def eval_jet(ast, vars: dict, params: dict) -> Jet2:
         raise EvalError(0, f"constants rebound: {sorted(shadowed)}")
     if not vars:
         raise EvalError(0, "eval_jet needs at least one chart variable binding")
-    m = next(iter(vars.values())).m
+    out = _eval(ast, vars, params)
+    return jets.jet_const(out, next(iter(vars.values())).m) if isinstance(out, _NUMBERS) else out
 
-    def rec(node) -> Jet2:
-        if isinstance(node, Num):
-            return jets.jet_const(node.value, m)
-        if isinstance(node, Ident):
-            if node.name in vars:
-                return vars[node.name]
-            if node.name in params:
-                return jets.jet_const(params[node.name], m)
-            if node.name in CONSTANTS:
-                return jets.jet_const(CONSTANTS[node.name], m)
-            raise EvalError(node.pos, f"unbound identifier {node.name!r}")
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Call):
-            try:
-                return jets.UNARY_FNS[node.fn](rec(node.arg))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalError(node.pos, str(exc)) from exc
-        # BinOp
-        left = rec(node.left)
+
+def _apply(fn, x):
+    """fn of a jet; of a number, the value of fn of its value-only jet."""
+    return fn(jets.jet_const(x, 0)).value if isinstance(x, _NUMBERS) else fn(x)
+
+
+def _combine(op, x, y):
+    """op of jets and numbers; of two numbers, the value of op of their
+    value-only jets."""
+    if isinstance(x, _NUMBERS) and isinstance(y, _NUMBERS):
+        return op(jets.jet_const(x, 0), jets.jet_const(y, 0)).value
+    return op(x, y)
+
+
+def _eval(node, vars: dict, params: dict):
+    """The Jet2 of ``node``, or a number where it reads no chart variable.
+    A module function, not a closure, so that an evaluation leaves no
+    reference cycle to hold its jets until a garbage collection."""
+    if isinstance(node, BinOp):
+        left = _eval(node.left, vars, params)
         try:
-            if node.op == "+":
-                return left + rec(node.right)
-            if node.op == "-":
-                return left - rec(node.right)
-            if node.op == "*":
-                return left * rec(node.right)
-            if node.op == "/":
-                return left / rec(node.right)
+            if node.op != "^":
+                return _combine(_BINARY[node.op], left, _eval(node.right, vars, params))
             # '^': exact power rule for integer literal exponents, else
             # exp(p * log(x))
             r = node.right
             if isinstance(r, Num) and r.is_int:
-                return jets.pow_const(left, int(r.value))
+                return _apply(lambda x: jets.pow_const(x, int(r.value)), left)
             if isinstance(r, Neg) and isinstance(r.arg, Num) and r.arg.is_int:
-                return jets.pow_const(left, -int(r.arg.value))
-            return jets.exp(rec(r) * jets.log(left))
+                return _apply(lambda x: jets.pow_const(x, -int(r.arg.value)), left)
+            return _apply(jets.exp, _combine(operator.mul, _eval(r, vars, params), _apply(jets.log, left)))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(node.pos, str(exc)) from exc
-
-    return rec(ast)
+    if isinstance(node, Ident):
+        if node.name in vars:
+            return vars[node.name]
+        if node.name in params:
+            return params[node.name]
+        if node.name in CONSTANTS:
+            return CONSTANTS[node.name]
+        raise EvalError(node.pos, f"unbound identifier {node.name!r}")
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Neg):
+        return -_eval(node.arg, vars, params)
+    arg = _eval(node.arg, vars, params)  # Call
+    try:
+        return _apply(jets.UNARY_FNS[node.fn], arg)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvalError(node.pos, str(exc)) from exc
 
 
 def eval_value(ast, bindings: dict) -> float:

@@ -1,21 +1,30 @@
-"""Exact generators for the named constructions, with analytic 2-jets.
+"""Exact generators for the named constructions, as exprlang templates.
 
+Each kind writes its coordinates as expressions in the chart variables and
+a few parameters, which ``exprlang.eval_jet`` differentiates like any
+scene's expressions.  The numbers derived from a kind's spec (a and b, cos r
+and sin r, the circle's cosh r and sinh r) are computed here and passed as
+parameters, one value per step for a scanned family (``Family.params``).
 Every generator validates its parameter constraints and self-checks the
 membership of its image at construction time; the theorem-1 family also runs
 a minimality oracle on its surface factor and the partial tube checks that
 its base normals are parallel and its profile stays on the fiber quadric.
+A spec key the kind does not take, or a numeric parameter that is not a
+number, is a SceneError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from functools import cache
 
 import numpy as np
 
 from . import exprlang, jets
 from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, SceneError
-from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
+from .immersion import Chart, Family, parse_coordinate, probe_grid
 from .jets import VecJet2
 
 __all__ = [
@@ -31,13 +40,25 @@ __all__ = [
 _PHI_MINIMAL_TOL = 1e-8  # the largest ||H_phi|| a theorem-1 surface factor allows on its probe grid
 
 
-def _const(value: float, m: int = 0):
-    # m is taken from the seed jets so closures can be shared across charts
-    return lambda us: jets.jet_const(value, us[0].m)
+def _real(value, name: str) -> float:
+    """``value`` as a float; anything but a real number is a SceneError
+    that names the parameter."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise SceneError(f"{name} must be a number, got {value!r}")
 
 
-def _zero(m: int = 0):
-    return _const(0.0)
+def _reals(params: dict, what: str) -> dict:
+    """The parameters of a spec's expressions, each checked by ``_real``."""
+    return {name: _real(value, f"{what} {name}") for name, value in params.items()}
+
+
+_template = cache(parse_coordinate)
+
+
+def _parsed(*templates) -> list:
+    """The ASTs of the gallery's templates, each parsed once per process."""
+    return [_template(t) for t in templates]
 
 
 def make_slice(space: ProductSpace, t0: float = 0.0) -> Chart:
@@ -48,48 +69,31 @@ def make_slice(space: ProductSpace, t0: float = 0.0) -> Chart:
 
 def _slice_family(space: ProductSpace, param: str, values: list, t0: float = 0.0) -> Chart:
     """The slices at the heights ``values``; see ``make_slice``."""
-    T0 = np.array(values, dtype=float)
-
-    def coords(t0):
-        m = 2
-        if space.epsilon == 1:
-            qc = [
-                lambda us: jets.cos(us[0]) * jets.cos(us[1]),
-                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-                lambda us: jets.sin(us[0]),
-            ]
-        else:
-            qc = [
-                lambda us: jets.cosh(us[0]) * jets.cosh(us[1]),
-                lambda us: jets.sinh(us[0]),
-                lambda us: jets.cosh(us[0]) * jets.sinh(us[1]),
-            ]
-        return qc + [_zero(m)] * (space.n - 2) + [_const(t0, m)]
-
+    if space.epsilon == 1:
+        qc = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)"]
+    else:
+        qc = ["cosh(u1)*cosh(u2)", "sinh(u1)", "cosh(u1)*sinh(u2)"]
     chart = Chart(
         space=space,
         m=2,
-        coords=coords(values[0]),
+        coords=_parsed(*qc, *["0"] * (space.n - 2), "t0"),
+        params={"t0": values[0]},
         domain=[(-0.6, 0.6), (-0.6, 0.6)],
         var_names=["u1", "u2"],
         label=f"slice(t0={values[0]})",
     )
-    return _with_family(chart, values, lambda steps: coords(T0[steps]), [f"slice(t0={v})" for v in values])
+    return _with_family(chart, values, {"t0": values}, [f"slice(t0={v})" for v in values])
 
 
-def _curve_coords(space: ProductSpace, curve: dict, m: int, var: str, var_names):
-    """Coordinate closures (n+1 of them) for a curve in the Q factor."""
+def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
+    """The ASTs of the n+1 coordinates of a curve in the Q factor, in u1,
+    and the parameters they read."""
     kind = curve.get("kind", "geodesic")
-    idx = var_names.index(var)
     if kind == "geodesic":
-        if space.epsilon == 1:
-            qc = [lambda us: jets.cos(us[idx]), lambda us: jets.sin(us[idx])]
-        else:
-            qc = [lambda us: jets.cosh(us[idx]), lambda us: jets.sinh(us[idx])]
-        qc += [_zero(m)] * (space.n - 1)
-        return qc
+        f, g = ("cos", "sin") if space.epsilon == 1 else ("cosh", "sinh")
+        return _parsed(f"{f}(u1)", f"{g}(u1)", *["0"] * (space.n - 1)), {}
     if kind == "circle":
-        r = float(curve["r"])
+        r = _real(curve.get("r"), "circle curve r")
         if r <= 0:
             raise ChartError("circle radius must be positive")
         if space.epsilon == 1:
@@ -98,33 +102,26 @@ def _curve_coords(space: ProductSpace, curve: dict, m: int, var: str, var_names)
             cr, sr = math.cos(r), math.sin(r)
         else:
             cr, sr = math.cosh(r), math.sinh(r)
-        qc = [
-            _const(cr, m),
-            lambda us: sr * jets.cos(us[idx]),
-            lambda us: sr * jets.sin(us[idx]),
-        ]
-        qc += [_zero(m)] * (space.n - 2)
-        return qc
+        return _parsed("cr", "sr*cos(u1)", "sr*sin(u1)", *["0"] * (space.n - 2)), {"cr": cr, "sr": sr}
     if kind == "exprs":
-        srcs = curve["coords"]
+        srcs = curve.get("coords", [])
         if len(srcs) != space.n + 1:
             raise ChartError(f"curve needs {space.n + 1} coordinate expressions")
-        params = curve.get("params", {})
-        return [wrap_expr(src, params, var_names) for src in srcs]
+        params = _reals(curve.get("params", {}), "curve param")
+        return [parse_coordinate(src, [*var_names, *params]) for src in srcs], params
     raise ChartError(f"unknown curve kind {kind!r}")
 
 
 def make_vertical_cylinder(space: ProductSpace, curve: dict | None = None) -> Chart:
     """gamma x R for a curve gamma in the Q factor; eta vanishes identically."""
     curve = curve or {"kind": "geodesic"}
-    m = 2
     var_names = ["u1", "s"]
-    coords = _curve_coords(space, curve, m, "u1", var_names)
-    coords.append(lambda us: us[1])
+    coords, params = _curve(space, curve, var_names)
     chart = Chart(
         space=space,
-        m=m,
-        coords=coords,
+        m=2,
+        coords=coords + _parsed("s"),
+        params=params,
         domain=[(-1.5, 1.5), (-1.0, 1.0)],
         var_names=var_names,
         s_index=1,
@@ -134,74 +131,51 @@ def make_vertical_cylinder(space: ProductSpace, curve: dict | None = None) -> Ch
     return chart
 
 
-def _phi_factor(space: ProductSpace, a: float, phi_kind: str, phi_params: dict):
-    """Surface-factor closures (3 Q slots + 1 R slot) over (u1, u2)."""
+def _phi_factor(space: ProductSpace, phi_kind: str, phi_params: dict) -> tuple[list, dict, list]:
+    """The surface factor phi over (u1, u2): the ASTs of its 4 coordinates
+    (3 Q slots and the R slot), which read a, the parameters it reads
+    besides a, and its domain."""
+    if phi_kind == "custom":
+        return _custom_phi(phi_params)
+    if phi_kind == "geodesic_cylinder":
+        f, g = ("cos", "sin") if space.epsilon == 1 else ("cosh", "sinh")
+        return _parsed(f"a*{f}(u1/a)", f"a*{g}(u1/a)", "0", "u2"), {}, [(-1.0, 1.0), (-1.0, 1.0)]
+    if phi_kind != "helicoid":
+        raise ChartError(f"unknown phi kind {phi_kind!r}")
+    lam = _real(phi_params.get("pitch", 0.5), "helicoid pitch")
+    if not 0.0 < lam <= 2.0:
+        raise ChartError("helicoid pitch must lie in (0, 2]")
     if space.epsilon == 1:
-        if phi_kind == "geodesic_cylinder":
-            qc = [
-                lambda us: a * jets.cos(us[0] / a),
-                lambda us: a * jets.sin(us[0] / a),
-                _zero(2),
-            ]
-            fr = lambda us: us[1]
-            dom = [(-1.0, 1.0), (-1.0, 1.0)]
-        elif phi_kind == "helicoid":
-            lam = float(phi_params.get("pitch", 0.5))
-            if not 0.0 < lam <= 2.0:
-                raise ChartError("helicoid pitch must lie in (0, 2]")
-            qc = [
-                lambda us: a * jets.cos(us[0]) * jets.cos(us[1]),
-                lambda us: a * jets.cos(us[0]) * jets.sin(us[1]),
-                lambda us: a * jets.sin(us[0]),
-            ]
-            fr = lambda us: lam * us[1]
-            dom = [(-math.pi / 2 + 0.2, math.pi / 2 - 0.2), (-1.0, 1.0)]
-        elif phi_kind == "custom":
-            qc, fr, dom = _custom_phi(phi_params)
-        else:
-            raise ChartError(f"unknown phi kind {phi_kind!r}")
+        qc = ["a*cos(u1)*cos(u2)", "a*cos(u1)*sin(u2)", "a*sin(u1)"]
+        dom = [(-math.pi / 2 + 0.2, math.pi / 2 - 0.2), (-1.0, 1.0)]
     else:
-        if phi_kind == "geodesic_cylinder":
-            qc = [
-                lambda us: a * jets.cosh(us[0] / a),
-                lambda us: a * jets.sinh(us[0] / a),
-                _zero(2),
-            ]
-            fr = lambda us: us[1]
-            dom = [(-1.0, 1.0), (-1.0, 1.0)]
-        elif phi_kind == "helicoid":
-            lam = float(phi_params.get("pitch", 0.5))
-            if not 0.0 < lam <= 2.0:
-                raise ChartError("helicoid pitch must lie in (0, 2]")
-            qc = [
-                lambda us: a * jets.cosh(us[0]),
-                lambda us: a * jets.sinh(us[0]) * jets.cos(us[1]),
-                lambda us: a * jets.sinh(us[0]) * jets.sin(us[1]),
-            ]
-            fr = lambda us: lam * us[1]
-            dom = [(-0.9, 0.9), (-1.0, 1.0)]
-        elif phi_kind == "custom":
-            qc, fr, dom = _custom_phi(phi_params)
-        else:
-            raise ChartError(f"unknown phi kind {phi_kind!r}")
-    return qc, fr, dom
+        qc = ["a*cosh(u1)", "a*sinh(u1)*cos(u2)", "a*sinh(u1)*sin(u2)"]
+        dom = [(-0.9, 0.9), (-1.0, 1.0)]
+    return _parsed(*qc, "lam*u2"), {"lam": lam}, dom
 
 
-def _custom_phi(phi_params: dict):
+def _custom_phi(phi_params: dict) -> tuple[list, dict, list]:
     srcs = phi_params.get("coords")
     if not srcs or len(srcs) != 4:
         raise ChartError("custom phi needs 4 coordinate expressions in (u1, u2)")
-    params = phi_params.get("params", {})
-    dom = [tuple(iv) for iv in phi_params.get("domain", [(-1.0, 1.0), (-1.0, 1.0)])]
-    coords = [wrap_expr(s, params, ["u1", "u2"]) for s in srcs]
-    return coords[:3], coords[3], dom
+    params = _reals(phi_params.get("params", {}), "custom phi param")
+    shadowed = sorted(set(params) & {"a", "b", "s"})
+    if shadowed:
+        raise SceneError(f"custom phi params {shadowed} would shadow the theorem-1 chart's own a, b or s")
+    dom = phi_params.get("domain", [(-1.0, 1.0), (-1.0, 1.0)])
+    pairs = isinstance(dom, (list, tuple)) and all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in dom)
+    if not pairs or len(dom) != 2:
+        raise SceneError(f"custom phi domain needs 2 intervals [lo, hi], got {dom!r}")
+    dom = [tuple(_real(x, "custom phi domain bound") for x in iv) for iv in dom]
+    return [parse_coordinate(s, ["u1", "u2", *params]) for s in srcs], params, dom
 
 
-def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool) -> list:
+def _phi_geometry_check(space, a, phi, params, u, count: int, check_T: bool) -> list:
     """Minimality oracle for the surface factor phi in Q^2_a x R, plus the
     nowhere-vanishing test on its T field, at ``count`` steps of a scan
     whose probe grids are the rows of ``u`` in turn: the error of each step,
-    else None.  ``a`` is one number or one per row."""
+    else None.  ``phi`` and ``params`` are as ``_phi_factor`` gives them,
+    and ``a`` is one number or one per row."""
     eps = space.epsilon
     sig = np.array([eps if eps == -1 else 1.0, 1.0, 1.0, 1.0])
 
@@ -212,8 +186,8 @@ def _phi_geometry_check(space, a, qc, fr, u, count: int, check_T: bool) -> list:
         return x.reshape(count, -1)
 
     # one batched jet over the probe grids; every step below is row by row
-    seeds = (jets.jet_var(0, u[:, 0], 2), jets.jet_var(1, u[:, 1], 2))
-    vj = VecJet2([qc[0](seeds), qc[1](seeds), qc[2](seeds), fr(seeds)])
+    seeds = {"u1": jets.jet_var(0, u[:, 0], 2), "u2": jets.jet_var(1, u[:, 1], 2)}
+    vj = VecJet2([exprlang.eval_jet(t, seeds, {**params, "a": a}) for t in phi])
     J = vj.jac  # (N, 4, 2)
     JtS = np.swapaxes(J * sig[:, None], -1, -2)
     phiq = vj.values.copy()
@@ -303,39 +277,30 @@ def _theorem1_family(
     spec = {"a": a, "a2": a2}
     ab, error = _each_step(values, lambda v: _theorem1_ab(space, **{**spec, param: v}))
     A, B = (np.array(x) for x in zip(*ab))
-
-    def coords(a, b):
-        qc, fr, _ = _phi_factor(space, a, phi_kind, phi_params)
-        cs = lambda us: b * jets.cos(us[2] / b)
-        sn = lambda us: b * jets.sin(us[2] / b)
-        if space.epsilon == 1:
-            return [cs, sn, qc[0], qc[1], qc[2], fr]
-        # timelike coordinate of the phi factor goes to slot 0
-        return [qc[0], qc[1], qc[2], cs, sn, fr]
-
-    phidom = _phi_factor(space, ab[0][0], phi_kind, phi_params)[2]
+    phi, params, phidom = _phi_factor(space, phi_kind, phi_params)
+    circle = _parsed("b*cos(s/b)", "b*sin(s/b)")
+    # eps = -1: the timelike coordinate of the phi factor goes to slot 0
+    coords = circle + phi if space.epsilon == 1 else phi[:3] + circle + phi[3:]
     grid = probe_grid(phidom, 5)
 
     def phi_errors(steps):
         at = np.repeat(steps, len(grid))
-        qc, fr, _ = _phi_factor(space, A[at], phi_kind, phi_params)
         u = np.tile(grid, (len(steps), 1))
-        return _phi_geometry_check(space, A[at], qc, fr, u, len(steps), check_T=phi_kind != "geodesic_cylinder")
+        return _phi_geometry_check(space, A[at], phi, params, u, len(steps), check_T=phi_kind != "geodesic_cylinder")
 
     smax = 1.2
     labels = [f"theorem1(a={a:g}, {phi_kind})" for a, _ in ab]
     chart = Chart(
         space=space,
         m=3,
-        coords=coords(*ab[0]),
-        params={"a": ab[0][0], "b": ab[0][1]},
+        coords=coords,
+        params={**params, "a": ab[0][0], "b": ab[0][1]},
         domain=[phidom[0], phidom[1], (-smax, smax)],
         var_names=["u1", "u2", "s"],
         s_index=2,
         label=labels[0],
     )
-    family = lambda steps: coords(A[steps], B[steps])
-    return _with_family(chart, values, family, labels, error, [(len(grid), phi_errors)])
+    return _with_family(chart, values, {"a": A, "b": B}, labels, error, [(len(grid), phi_errors)])
 
 
 def make_partial_tube(
@@ -345,11 +310,10 @@ def make_partial_tube(
     subbundle of a base curve in the Q factor."""
     base = base or {"kind": "geodesic"}
     var_names = ["u1", "s"]
-    m = 2
-    gamma = _curve_coords(space, base, m, "u1", var_names)
+    gamma, gparams = _curve(space, base, var_names)
 
     normals = base.get("normals")
-    k = int(base.get("k", 1)) if normals is None else len(normals)
+    k = int(_real(base.get("k", 1), "partial tube base k")) if normals is None else len(normals)
     if not 0 <= k <= 2:
         raise ChartError("partial tube supports k <= 2 parallel normals")
     if normals is None:
@@ -361,11 +325,11 @@ def make_partial_tube(
         for i in range(k):
             comps = ["0"] * (space.n + 1)
             comps[first + i] = "1"
-            normal_asts.append([parse_coordinate(c) for c in comps])
+            normal_asts.append(_parsed(*comps))
     else:
         normal_asts = []
         for srcs in normals:
-            asts = [parse_coordinate(s) if isinstance(s, str) else s for s in srcs]
+            asts = [parse_coordinate(s) for s in srcs]
             if len(asts) != space.n + 1:
                 raise ChartError(f"each normal needs {space.n + 1} components")
             normal_asts.append(asts)
@@ -375,37 +339,32 @@ def make_partial_tube(
         if space.epsilon == 1
         else ["cosh(0.4*s)", "sinh(0.4*s)", "0.6*s"][: k + 2]
     }
-    srcs = profile["coords"]
+    srcs = profile.get("coords", [])
     if len(srcs) != k + 2:
         raise ChartError(f"profile needs k+2 = {k + 2} components")
-    pparams = profile.get("params", {})
-    alpha_asts = [parse_coordinate(s) if isinstance(s, str) else s for s in srcs]
+    pparams = _reals(profile.get("params", {}), "profile param")
+    shadowed = sorted(set(pparams) & {*gparams, *var_names})
+    if shadowed:
+        raise SceneError(f"profile params {shadowed} would shadow a variable or base curve param of the tube")
+    alpha_asts = [parse_coordinate(s) for s in srcs]
 
     sdom = tuple(profile.get("domain", (-1.0, 1.0)))
     xdom = tuple(base.get("domain", (-1.2, 1.2)))
 
-    _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k)
+    _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom, k)
 
-    def coord_factory(slot: int):
-        def coord(us):
-            alphas = [
-                exprlang.eval_jet(t, {"s": us[1]}, pparams) for t in alpha_asts
-            ]
-            if slot == space.t_index:
-                return alphas[k + 1]
-            acc = alphas[0] * gamma[slot](us)
-            for i in range(k):
-                comp = exprlang.eval_jet(normal_asts[i][slot], {"u1": us[0]}, {})
-                acc = acc + alphas[1 + i] * comp
-            return acc
-
-        return coord
-
-    coords = [coord_factory(slot) for slot in range(space.ambient_dim)]
+    # alpha_0 gamma + sum_i alpha_i N_i in each Q slot, then alpha_{k+1} in the t slot
+    coords = []
+    for slot in range(space.n + 1):
+        acc = exprlang.BinOp("*", alpha_asts[0], gamma[slot])
+        for i in range(k):
+            acc = exprlang.BinOp("+", acc, exprlang.BinOp("*", alpha_asts[1 + i], normal_asts[i][slot]))
+        coords.append(acc)
     chart = Chart(
         space=space,
-        m=m,
-        coords=coords,
+        m=2,
+        coords=coords + [alpha_asts[k + 1]],
+        params={**gparams, **pparams},
         domain=[xdom, sdom],
         var_names=var_names,
         s_index=1,
@@ -424,15 +383,12 @@ def _tube_jet(ast, seed: dict, params: dict, what: str):
         raise ChartError(f"{what} {exprlang.to_source(ast)!r} failed: {exc}") from exc
 
 
-def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sdom, k):
+def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom, k):
     # identifiers unbound in a base normal (bound: u1) or profile component (bound: s, the params)
     named = [(f"base normal {i}, component {c}", t, {"u1"}) for i, n in enumerate(normal_asts) for c, t in enumerate(n)]
     named += [(f"profile component {i}", t, {"s", *pparams}) for i, t in enumerate(alpha_asts)]
     for what, ast, bound in named:
-        unbound = exprlang.free_vars(ast) - bound
-        if unbound:
-            source = exprlang.to_source(ast)
-            raise SceneError(f"cannot evaluate {what} {source!r}: unbound identifiers {sorted(unbound)}")
+        parse_coordinate(ast, bound, what)
 
     # base normals: orthonormal, tangent to Q, normal and parallel along
     # gamma, from exact jets at 7 base points
@@ -443,7 +399,8 @@ def _validate_tube_data(space, gamma, normal_asts, alpha_asts, pparams, xdom, sd
         out[:, : space.n + 1] = v
         return out
 
-    g = VecJet2([c((jets.jet_var(0, xs, 2), jets.jet_const(0.0, 2))) for c in gamma])
+    gseed = {"u1": jets.jet_var(0, xs, 2), "s": jets.jet_const(0.0, 2)}
+    g = VecJet2([exprlang.eval_jet(c, gseed, gparams) for c in gamma])
     gv, gt = padded(g.values), padded(g.jac[..., 0])
     seed = {"u1": jets.jet_var(0, xs, 1)}
     bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
@@ -511,35 +468,24 @@ def _cmc_product_family(space: ProductSpace, param: str, values: list, r: float 
     if n not in (3, 4):
         raise ChartError("cmc_product supports n in {3, 4}")
 
-    def coords(c0, s0):
-        if n == 3:
-            omega = [
-                lambda us: jets.cos(us[0]) * jets.cos(us[1]),
-                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-                lambda us: jets.sin(us[0]),
-            ]
-        else:
-            omega = [
-                lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.cos(us[2]),
-                lambda us: jets.cos(us[0]) * jets.cos(us[1]) * jets.sin(us[2]),
-                lambda us: jets.cos(us[0]) * jets.sin(us[1]),
-                lambda us: jets.sin(us[0]),
-            ]
-        return [_const(c0, m)] + [lambda us, w=w: s0 * w(us) for w in omega] + [lambda us: us[m - 1]]
+    if n == 3:
+        omega = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)"]
+    else:
+        omega = ["cos(u1)*cos(u2)*cos(u3)", "cos(u1)*cos(u2)*sin(u3)", "cos(u1)*sin(u2)", "sin(u1)"]
 
     minimal = " [minimal]" if space.epsilon == 1 else ""
     labels = [f"cmc_product(r={r:g})" + (minimal if abs(r - math.pi / 2) < 1e-12 else "") for r in values[: len(cs)]]
     chart = Chart(
         space=space,
         m=m,
-        coords=coords(*cs[0]),
-        params={"r": values[0]},
+        coords=_parsed("c0", *[f"s0*({w})" for w in omega], "s"),
+        params={"c0": cs[0][0], "s0": cs[0][1]},
         domain=[(-0.6, 0.6)] * (m - 1) + [(-1.0, 1.0)],
         var_names=[f"u{i + 1}" for i in range(m - 1)] + ["s"],
         s_index=m - 1,
         label=labels[0],
     )
-    return _with_family(chart, values, lambda steps: coords(C0[steps], S0[steps]), labels, error)
+    return _with_family(chart, values, {"c0": C0, "s0": S0}, labels, error)
 
 
 def _each_step(values: list, derive) -> tuple[list, Exception | None]:
@@ -556,13 +502,14 @@ def _each_step(values: list, derive) -> tuple[list, Exception | None]:
     return out, None
 
 
-def _with_family(chart: Chart, values: list, coords, labels: list, error=None, checks=()) -> Chart:
+def _with_family(chart: Chart, values: list, params: dict, labels: list, error=None, checks=()) -> Chart:
     """``chart``, the chart of the first step, as the family chart of the
-    steps before ``error`` whose chart-level checks pass: ``coords``,
+    steps before ``error`` whose chart-level checks pass: ``params``,
     ``labels`` and ``checks`` as in ``Family``.  Raises the error of the
     first step when it does not build."""
     steps = len(labels)
-    chart.family = Family(np.array(values[:steps], dtype=float), coords, labels[:steps], list(checks), error)
+    params = {name: np.array(v, dtype=float) for name, v in params.items()}
+    chart.family = Family(np.array(values[:steps], dtype=float), params, labels[:steps], list(checks), error)
     chart.validate_membership()
     return chart
 
@@ -587,7 +534,8 @@ GALLERY = {
         "family": _theorem1_family,
         "scans": ("a", "a2"),
         "params": {
-            "a": "surface-factor radius (or a2 = a^2)",
+            "a": "surface-factor radius",
+            "a2": "a^2, in place of a",
             "phi_kind": "geodesic_cylinder | helicoid | custom",
             "phi_params": "pitch for helicoid; coords/domain for custom",
         },
@@ -624,6 +572,12 @@ def make_chart(space: ProductSpace, spec: dict, scan: tuple | None = None) -> Ch
     kind = spec.pop("kind", None)
     if kind not in GALLERY:
         raise ChartError(f"unknown gallery kind {kind!r}")
+    unknown = sorted(set(spec) - set(GALLERY[kind]["params"]))
+    if unknown:
+        raise SceneError(f"gallery kind {kind} has no parameter {unknown[0]!r}; it takes {', '.join(GALLERY[kind]['params'])}")
+    for key in GALLERY[kind].get("scans", ()):  # the numeric parameters
+        if spec.get(key) is not None:
+            _real(spec[key], key)
     if scan is None:
         return GALLERY[kind]["factory"](space, **spec)
     param, values = scan

@@ -1,13 +1,13 @@
 """Charts into the product, per-point frames and the T/eta split of d_t.
 
-A chart is an m-parameter immersion into Q^n_eps x R given by one coordinate
-map per ambient slot.  Coordinate maps are either expression ASTs or plain
-Python callables over jets (the gallery generators use the latter, giving
-analytic 2-jets with no parse step).  Every chart holds a ``Family``: the
-steps of a parameter scan, or one step for a chart of one parameter value.
-Each batch row carries its step, step 0 unless given, and the coordinate
-maps read the scanned parameter row by row, so a run and a scan take one
-path.  A chart builds when ``Chart.validate_membership`` passes at step 0.
+A chart is an m-parameter immersion into Q^n_eps x R given by one
+expression per ambient slot (exprlang source or AST, the gallery's
+templates included), whose jets ``exprlang.eval_jet`` evaluates.  Every
+chart holds a ``Family``: the steps of a parameter scan, or one step for a
+chart of one parameter value.  Each batch row carries its step, step 0
+unless given, and the expressions read the parameters of the row's step,
+so a run and a scan take one path.  A chart builds when
+``Chart.validate_membership`` passes at step 0.
 A ``PointBatch`` holds the frames of a batch of points, T in the chart
 basis and the tangent ONB, and forms its normal projector once.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,30 +58,20 @@ _MEMBERSHIP_TOL = 1e-9  # the largest membership residual a build allows on its 
 _PROBES = 5  # probe grid points per axis of the membership check
 
 
-def parse_coordinate(src: str):
-    """The AST of a coordinate's source; source that does not parse is a
-    SceneError that quotes it."""
+def parse_coordinate(src, bound=None, what: str = "coordinate"):
+    """The AST of a coordinate's source, or the AST itself.  Source that
+    does not parse, and with ``bound`` given an expression that reads an
+    identifier neither ``bound`` nor the constants bind, is a SceneError
+    that quotes it."""
     try:
-        return exprlang.parse(src)
+        ast = exprlang.parse(src) if isinstance(src, str) else src
     except exprlang.ParseError as exc:
         raise SceneError(f"cannot parse coordinate {src!r}: {exc}") from exc
-
-
-def wrap_expr(src, params: dict, var_names: Sequence[str]) -> Callable:
-    """Jet closure of one coordinate given as an expression AST or source.
-    An identifier that neither ``var_names``, ``params`` nor the constants
-    bind is a SceneError that quotes the source."""
-    ast = parse_coordinate(src) if isinstance(src, str) else src
-    names = list(var_names)
-    unbound = exprlang.free_vars(ast) - set(names) - set(params)
+    unbound = set() if bound is None else exprlang.free_vars(ast) - set(bound)
     if unbound:
         source = src if isinstance(src, str) else exprlang.to_source(ast)
-        raise SceneError(f"cannot evaluate coordinate {source!r}: unbound identifiers {sorted(unbound)}")
-
-    def coord(us: Sequence[Jet2]) -> Jet2:
-        return exprlang.eval_jet(ast, dict(zip(names, us)), params)
-
-    return coord
+        raise SceneError(f"cannot evaluate {what} {source!r}: unbound identifiers {sorted(unbound)}")
+    return ast
 
 
 @dataclass
@@ -91,7 +80,7 @@ class Chart:
 
     space: ProductSpace
     m: int
-    coords: list  # callables jets -> Jet2, or ExprAst / source strings
+    coords: list  # ExprAst or source strings, one per ambient slot
     params: dict = field(default_factory=dict)
     domain: list = field(default_factory=list)  # [(lo, hi)] per variable
     var_names: list = field(default_factory=list)
@@ -110,11 +99,8 @@ class Chart:
             )
         if len(self.domain) != self.m:
             raise ChartError("domain must give one interval per chart variable")
-        self.coords = [
-            c if callable(c) else wrap_expr(c, self.params, self.var_names)
-            for c in self.coords
-        ]
-        self.family = Family(np.zeros(1), lambda steps: self.coords, [self.label])
+        self.coords = [parse_coordinate(c, [*self.var_names, *self.params]) for c in self.coords]
+        self.family = Family(np.zeros(1), {}, [self.label])
 
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
@@ -184,18 +170,20 @@ class Family:
     """The steps of a parameter scan, all on one chart; a chart of one
     parameter value is a family of one step.
 
-    Step s sets the scanned parameter to ``values[s]``.  ``coords(steps)``
-    gives the coordinate maps of batch rows at the steps ``steps`` (N,),
-    each map reading the parameter values of its row, and ``labels[s]`` is
-    the label of step s's chart.  ``checks`` are the chart-level checks of
-    a build that run before the membership check, in order, as (probe
-    points per step, check): ``check(steps)`` gives the error of each step
-    of ``steps``, else None.  The family keeps the steps before the first
-    one whose chart does not build, and ``error`` is the error of that step.
+    Step s sets the scanned parameter to ``values[s]``.  ``params`` maps
+    each parameter that varies with the step to its value at every step
+    (an array like ``values``): a batch row at step s evaluates the chart's
+    coordinates with ``params[name][s]`` in place of ``Chart.params``.
+    ``labels[s]`` is the label of step s's chart.  ``checks`` are the
+    chart-level checks of a build that run before the membership check, in
+    order, as (probe points per step, check): ``check(steps)`` gives the
+    error of each step of ``steps``, else None.  The family keeps the steps
+    before the first one whose chart does not build, and ``error`` is the
+    error of that step.
     """
 
     values: np.ndarray
-    coords: Callable
+    params: dict
     labels: list
     checks: list = field(default_factory=list)
     error: Exception | None = None
@@ -265,14 +253,15 @@ def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | Ch
     """The jet of the rows U (N, m) at the steps ``steps`` (N,) at ``order``,
     or the error of the first coordinate map that raises, which names the
     first point when N is 1."""
-    seeds = tuple(jets.jet_var(i, U[:, i], chart.m, order) for i in range(chart.m))
+    seeds = {name: jets.jet_var(i, U[:, i], chart.m, order) for i, name in enumerate(chart.var_names)}
+    params = {**chart.params, **{name: v[steps] for name, v in chart.family.params.items()}}
     comps = []
     # inf and NaN arise silently, as they do in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, coord in enumerate(chart.family.coords(steps)):
+        for k, ast in enumerate(chart.coords):
             try:
-                c = coord(seeds)
-            except (ValueError, ZeroDivisionError, OverflowError, exprlang.EvalError) as exc:
+                c = exprlang.eval_jet(ast, seeds, params)
+            except exprlang.EvalError as exc:
                 return ChartError(f"coordinate {k} failed at u={U[0].tolist()}: {exc}")
             # a coordinate that ignores the seeds comes back without the batch axis
             comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), *c.d[1:]))

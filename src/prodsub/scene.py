@@ -72,7 +72,7 @@ from .extrinsic import (
     ricci_residuals,
 )
 from .gallery import make_chart
-from .immersion import Chart, Family, parse_coordinate, probe_grid, wrap_expr
+from .immersion import Chart, Family, probe_grid
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -264,17 +264,11 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
     )
     if scan is not None:
         param, values = scan
-        asts = [parse_coordinate(src) for src in ex["coords"]]
-        free = set().union(*map(exprlang.free_vars, asts)) - set(chart.var_names)
+        free = set().union(*map(exprlang.free_vars, chart.coords)) - set(chart.var_names)
         if param not in free:
             raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
         V = np.array(values, dtype=float)
-
-        def coords(steps):
-            params = {**chart.params, param: V[steps]}
-            return [wrap_expr(ast, params, chart.var_names) for ast in asts]
-
-        chart.family = Family(V, coords, [chart.label] * len(V))
+        chart.family = Family(V, {param: V}, [chart.label] * len(V))
     chart.validate_membership()
     return chart
 

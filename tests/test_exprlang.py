@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,103 @@ def test_roundtrip_on_parsed_sources():
     for src, _, _ in VALUE_CASES:
         t = parse(src)
         assert parse(to_source(t)) == t
+
+
+# -- constant folding ---------------------------------------------------------
+
+
+def _unfolded(ast, vars: dict, params: dict):
+    """``eval_jet`` without constant folding: every number, parameter and
+    constant a constant jet, so that each product with one takes the
+    Leibniz rule (the evaluation that folding replaced)."""
+    m = next(iter(vars.values())).m
+
+    def rec(node):
+        if isinstance(node, Num):
+            return jets.jet_const(node.value, m)
+        if isinstance(node, Ident):
+            if node.name in vars:
+                return vars[node.name]
+            return jets.jet_const(params[node.name] if node.name in params else exprlang.CONSTANTS[node.name], m)
+        if isinstance(node, Neg):
+            return -rec(node.arg)
+        if isinstance(node, Call):
+            try:
+                return jets.UNARY_FNS[node.fn](rec(node.arg))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvalError(node.pos, str(exc)) from exc
+        left = rec(node.left)
+        try:
+            if node.op != "^":
+                return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__, "/": left.__truediv__}[node.op](rec(node.right))
+            r = node.right
+            if isinstance(r, Num) and r.is_int:
+                return jets.pow_const(left, int(r.value))
+            return jets.exp(rec(r) * jets.log(left))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(node.pos, str(exc)) from exc
+
+    return rec(ast)
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("src", ["2*pi*a", "sqrt(2)/3", "cos(a)^2 + e^(a/3) - a^-2", "c*(1 - a)/tanh(a)"])
+def test_a_constant_subtree_folds_to_the_unfolded_value(src):
+    # a float parameter and a row-array one: the folded value is the
+    # unfolded one bit for bit, alone and inside an expression of u1
+    ast, times = parse(src), parse(f"u1*({src}) + ({src})")
+    u1 = jets.jet_var(0, np.array([0.3, -0.7, 1.1]), 1, order=3)
+    for params in ({"a": 0.8, "c": 3.0}, {"a": np.array([0.2, 0.8, 1.4]), "c": np.array([1.0, -2.0, 0.5])}):
+        folded, unfolded = eval_jet(ast, {"u1": u1}, params), _unfolded(ast, {"u1": u1}, params)
+        assert _bits(folded.value) == _bits(unfolded.value)
+        assert not np.any(folded.grad) and not np.any(folded.hess)
+        folded, unfolded = eval_jet(times, {"u1": u1}, params), _unfolded(times, {"u1": u1}, params)
+        assert all(np.array_equal(x, y) for x, y in zip(folded.d, unfolded.d)) and len(folded.d) == len(unfolded.d)
+
+
+@pytest.mark.parametrize(
+    "src, pos, message",
+    [
+        ("log(0-1)", 0, "log: argument -1.0 outside the function domain"),
+        ("1/(2-2)", 1, "jet division by zero value"),
+        ("(0-1)^0.5", 5, "log: argument -1.0 outside the function domain"),
+        ("u1 + sqrt(2-3)*u1", 5, "sqrt: argument -1.0 outside the function domain"),
+        ("0*sqrt(-u1)", 2, "sqrt: argument -0.5 outside the function domain"),
+    ],
+)
+def test_a_folded_subtree_fails_as_the_unfolded_one(src, pos, message):
+    # the position and message the unfolded evaluation gives; nothing is
+    # simplified away, so 0*sqrt(-u1) still evaluates its sqrt
+    u1 = {"u1": jets.jet_var(0, 0.5, 1)}
+    for evaluate in (eval_jet, _unfolded):
+        with pytest.raises(EvalError) as err:
+            evaluate(parse(src), u1, {})
+        assert (err.value.pos, err.value.message) == (pos, message)
+
+
+def test_a_bare_number_coordinate_is_a_constant_jet():
+    for order in (0, 2, 3):
+        seeds = {"u1": jets.jet_var(0, np.array([0.1, 0.2]), 2, order), "u2": jets.jet_var(1, np.array([0.3, 0.4]), 2, order)}
+        m = seeds["u1"].m
+        for src, value in (("2.5", 2.5), ("-2*pi", -2 * np.pi), ("q", 1.5)):
+            got, want = eval_jet(parse(src), seeds, {"q": 1.5}), jets.jet_const(value, m)
+            assert [_bits(x) for x in got.d] == [_bits(x) for x in want.d], (src, order)
+
+
+def test_an_evaluation_leaves_no_reference_cycle():
+    # the jets an evaluation makes are freed when it returns, not held by a
+    # reference cycle until the next garbage collection
+    ast = parse("b*cos(s/b) + sqrt(2)*s^2.5 - log(1 + s)")
+    seeds = {"s": jets.jet_var(0, np.array([0.3, 0.5]), 1, order=3)}
+    eval_jet(ast, seeds, {"b": 0.7})  # fills the jet layer's plan caches
+    gc.collect()
+    gc.disable()
+    try:
+        eval_jet(ast, seeds, {"b": 0.7})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

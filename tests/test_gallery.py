@@ -14,7 +14,10 @@ from prodsub.gallery import (
     make_theorem1,
     make_vertical_cylinder,
 )
-from prodsub.immersion import probe_grid
+from prodsub import jets
+from prodsub.immersion import _coordinates, probe_grid
+from prodsub.jets import Jet2, VecJet2
+import reference_gallery
 from conftest import random_interior_points, theorem1_closed_forms
 
 
@@ -262,3 +265,78 @@ def test_membership_oracle_on_all_generators(all_gallery_charts):
             for u in probe_grid(ch.domain, 5)
         )
         assert worst <= 1e-12, ch.label
+
+
+def _template_cases(eps):
+    """(space, spec, scan) of every gallery kind at one sign of eps: one
+    step of each, a 61-step family of each scannable parameter, the circle
+    and ``exprs`` curves, the custom phi, the partial tube with k = 0, 1, 2
+    and on a circle, and cmc_product at n = 3 and 4."""
+    s3, s4 = ProductSpace(eps, 3), ProductSpace(eps, 4)
+    c, s = ("cos", "sin") if eps == 1 else ("cosh", "sinh")
+    a, a_range = (0.8, (0.3, 0.9)) if eps == 1 else (1.25, (1.1, 1.9))
+    steps = lambda lo, hi: list(np.linspace(lo, hi, 61))
+    circle = ["cos(q)", "sin(q)*cos(u1)", "sin(q)*sin(u1)", "0", "0"]
+    if eps == -1:
+        circle[:3] = ["cosh(q)", "sinh(q)*cos(u1)", "sinh(q)*sin(u1)"]
+    custom = {"coords": [f"q*{c}(u1/q)", f"q*{s}(u1/q)", "0", "u2"], "params": {"q": a}}
+    tube2 = [f"{c}(0.4*s)", f"{s}(0.4*s)*cos(0.3*s)", f"{s}(0.4*s)*sin(0.3*s)", "0.6*s"]
+    return [
+        (s4, {"kind": "slice", "t0": 0.25}, None),
+        (s4, {"kind": "slice"}, ("t0", steps(-1.0, 1.0))),
+        (s4, {"kind": "vertical_cylinder"}, None),
+        (s4, {"kind": "vertical_cylinder", "curve": {"kind": "circle", "r": 0.7}}, None),
+        (s4, {"kind": "vertical_cylinder", "curve": {"kind": "exprs", "coords": circle, "params": {"q": 0.7}}}, None),
+        (s4, {"kind": "theorem1", "a": a}, None),
+        (s4, {"kind": "theorem1", "a": a, "phi_kind": "helicoid", "phi_params": {"pitch": 0.5}}, None),
+        (s4, {"kind": "theorem1", "a": a, "phi_kind": "custom", "phi_params": custom}, None),
+        (s4, {"kind": "theorem1", "a": a}, ("a", steps(*a_range))),
+        (s4, {"kind": "theorem1", "a2": a * a, "phi_kind": "helicoid"}, ("a2", steps(*(x * x for x in a_range)))),
+        (s3, {"kind": "partial_tube", "base": {"kind": "geodesic", "k": 0}, "profile": {"coords": ["1", "0.6*s"]}}, None),
+        (s3, {"kind": "partial_tube"}, None),
+        (s4, {"kind": "partial_tube", "base": {"kind": "circle", "r": 0.5}}, None),
+        (s4, {"kind": "partial_tube", "base": {"kind": "geodesic", "k": 2}, "profile": {"coords": tube2}}, None),
+        (s3, {"kind": "cmc_product", "r": 0.7}, None),
+        (s4, {"kind": "cmc_product", "r": 0.7}, None),
+        (s3, {"kind": "cmc_product", "r": 0.7}, ("r", steps(0.2, 1.5))),
+    ]
+
+
+def _closure_jet(closures, U, m, order):
+    """The jet of the oracle's closures at the rows U (N, m), each
+    component broadcast to the batch as ``immersion._coordinates`` does."""
+    seeds = tuple(jets.jet_var(i, U[:, i], m, order) for i in range(m))
+    comps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coord in closures:
+            c = coord(seeds)
+            comps.append(c if c.value.ndim else Jet2(np.full(len(U), c.value), *c.d[1:]))
+    return VecJet2(comps)
+
+
+def _bits(x):
+    return x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_every_template_is_its_closure_bit_for_bit(eps):
+    # the templates against the hand-written closures they replaced
+    # (``reference_gallery``), at orders 0, 2, 3 and 4: every slot bit for
+    # bit, NaN and -0.0 included, at the probe grid and interior points of
+    # every step.  The partial tube's closures multiplied alpha_i by the
+    # constant jets of gamma and of the base normals, whose Leibniz terms
+    # add a +0.0 where a product with a number gives -0.0; its slots agree
+    # bit for bit up to the sign of a zero.
+    for space, spec, scan in _template_cases(eps):
+        chart = make_chart(space, spec, scan)
+        count = len(chart.family)
+        assert count == (len(scan[1]) if scan else 1), chart.label
+        grid = np.vstack([probe_grid(chart.domain, 3), random_interior_points(chart, 5, seed=50)])
+        U, steps = np.tile(grid, (count, 1)), np.repeat(np.arange(count), len(grid))
+        closures = reference_gallery.coords(space, spec, scan)(steps)
+        signed = 0.0 if spec["kind"] == "partial_tube" else -0.0  # x + -0.0 keeps the sign of a zero
+        for order in (0, 2, 3, 4):
+            got, want = _coordinates(chart, U, steps, order), _closure_jet(closures, U, chart.m, order)
+            assert len(got.d) == len(want.d), (chart.label, order)
+            for k, (x, y) in enumerate(zip(got.d, want.d)):
+                assert _bits(x + signed) == _bits(y + signed), (chart.label, scan and scan[0], order, k)

@@ -899,6 +899,34 @@ def test_an_unbound_identifier_in_a_partial_tube_is_a_scene_error(tmp_path, caps
     assert capsys.readouterr().err.strip() == f"scene error: cannot evaluate {message}"
 
 
+_CUSTOM_PHI = {"coords": ["q*cos(u1/q)", "q*sin(u1/q)", "0", "u2"], "params": {"q": 0.8}}
+
+
+@pytest.mark.parametrize(
+    "gallery, message",
+    [
+        ({"kind": "theorem1", "a": 0.8, "foo": 1},
+         "gallery kind theorem1 has no parameter 'foo'; it takes a, a2, phi_kind, phi_params"),
+        ({"kind": "vertical_cylinder", "curve": {"kind": "circle"}}, "circle curve r must be a number, got None"),
+        ({"kind": "theorem1", "a": 0.8, "phi_kind": "custom", "phi_params": {**_CUSTOM_PHI, "domain": [[-1.0, 1.0]]}},
+         "custom phi domain needs 2 intervals [lo, hi], got [[-1.0, 1.0]]"),
+        ({"kind": "theorem1", "a": "0.8"}, "a must be a number, got '0.8'"),
+        ({"kind": "vertical_cylinder", "curve": {"kind": "exprs", "coords": ["cos(q)", "sin(q)*cos(u1)", "sin(q)*sin(u1)",
+                                                                         "0", "0"], "params": {"q": "0.7"}}},
+         "curve param q must be a number, got '0.7'"),
+    ],
+    ids=["unknown_key", "circle_without_r", "one_domain_interval", "string_number", "string_param"],
+)
+def test_a_malformed_gallery_spec_is_a_scene_error(tmp_path, capsys, gallery, message):
+    # the schema checks only a gallery spec's kind; its other keys and its
+    # numbers are checked against what the kind declares
+    scene = {"ambient": {"epsilon": 1, "n": 4}, "immersion": {"gallery": gallery}, "checks": ["membership"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    assert main(["run", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"scene error: {message}"
+
+
 def test_an_unbound_identifier_is_a_scene_error_before_any_point(tmp_path, capsys, monkeypatch):
     def no_geometry(*args):
         raise AssertionError("a point was evaluated")
