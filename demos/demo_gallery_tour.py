@@ -2,6 +2,8 @@
 the frame-bundle data at a sample point: |T|, |eta|, the angle theta, the
 mean curvature and the codimension."""
 
+import numpy as np
+
 from prodsub import ProductSpace, analyze_point
 from prodsub.extrinsic import second_fundamental
 from prodsub.gallery import (
@@ -28,7 +30,8 @@ for eps in (1, -1):
     for ch in charts:
         rows = second_fundamental(analyze_point(ch, ch.center() + 0.07))  # a batch of one point
         codim = rows.normal_onb.shape[1]
-        table.append((eps, ch.label, rows.T_norm[0], rows.eta_norm[0], rows.theta[0], rows.H_norm[0], codim))
+        theta = np.arctan2(rows.eta_norm, rows.T_norm)[0]
+        table.append((eps, ch.label, rows.T_norm[0], rows.eta_norm[0], theta, rows.H_norm[0], codim))
 
 print(f"{'eps':>4} {'chart':38} {'|T|':>8} {'|eta|':>8} {'theta':>8} {'|H|':>9} {'codim':>5}")
 for eps, label, t, e, th, h, c in table:

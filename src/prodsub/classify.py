@@ -205,16 +205,13 @@ class E0Analysis:
     field is stacked over the rows of a batch."""
 
     eigenvalues: np.ndarray  # of A_H, E_0 block first then descending |.|
-    eigenvectors: np.ndarray  # columns, tangent-ONB coordinates
     dim_E0: np.ndarray
     aht: np.ndarray  # |A_H T|
     aetat: np.ndarray  # dist(A_eta T, E_0(H))
     offblock: np.ndarray  # off-diagonal blocks of A_{xi2}
     traceBS1: np.ndarray  # |trace B S1|
     a_last: np.ndarray  # A_{xi2} entry on the leading shape direction
-    form3_residual: np.ndarray | None  # m=3 only: gap to diag(0, 0, 3|H|)
     warn_eigengap: np.ndarray
-    frame: CodimTwoFrame
 
 
 def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: float) -> None:
@@ -229,12 +226,13 @@ def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: floa
             start = i
 
 
-def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
-    """Symmetric eigenanalysis of A_H with the kernel split, filling the
-    residuals of the codimension-2 biconservative block structure, for
-    every row of a batch: a stacked E0Analysis (None when the codimension
-    is not 2) and the rows' errors as in ``codim_two_frame``.  ``frame`` is
-    the rows' ``codim_two_frame``, taken here where None."""
+def e0_structure(rows: ExtrinsicRows, frame=None):
+    """Symmetric eigenanalysis of A_H with the kernel split at relative
+    tolerance ``TOL_EIG``, filling the residuals of the codimension-2
+    biconservative block structure, for every row of a batch: a stacked
+    E0Analysis (None when the codimension is not 2) and the rows' errors as
+    in ``codim_two_frame``.  ``frame`` is the rows' ``codim_two_frame``,
+    taken here where None."""
     frame, errors = frame or codim_two_frame(rows)
     if frame is None:
         return None, errors
@@ -244,7 +242,7 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
     A_H = rows.H_norm[:, None, None] * A1
     lam, V = np.linalg.eigh(A_H)
     absl = np.abs(lam)
-    tol_abs = tol_eig * np.maximum(np.max(absl, axis=-1), 1e-300)[:, None]
+    tol_abs = TOL_EIG * np.maximum(np.max(absl, axis=-1), 1e-300)[:, None]
     is_zero = absl <= tol_abs
     warn = np.any((absl > 0.1 * tol_abs) & (absl < 10.0 * tol_abs), axis=-1)
 
@@ -268,22 +266,15 @@ def e0_structure(rows: ExtrinsicRows, tol_eig: float = TOL_EIG, frame=None):
 
     w = (shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta) @ rows.T_onb[..., None])[..., 0]
     w0 = ((V * ~rest[:, None, :]) @ (Vt @ w[..., None]))[..., 0]
-    form3 = None
-    if m == 3:
-        want = np.sort(np.stack([0.0 * rows.H_norm, 0.0 * rows.H_norm, 3.0 * rows.H_norm], axis=-1))
-        form3 = np.max(np.abs(np.linalg.eigvalsh(A1) - want), axis=-1)
     e0 = E0Analysis(
         eigenvalues=lam,
-        eigenvectors=V,
         dim_E0=k0,
         aht=np.linalg.norm((A_H @ rows.T_onb[..., None])[..., 0], axis=-1),
         aetat=np.linalg.norm(w - w0, axis=-1),
         offblock=off,
         traceBS1=np.abs(np.sum(np.where(rest, d1 * d2, 0.0), axis=-1)),
         a_last=np.where(k0 < m, d2[np.arange(len(k0)), np.minimum(k0, m - 1)], 0.0),
-        form3_residual=form3,
         warn_eigengap=warn,
-        frame=frame,
     )
     return e0, errors
 

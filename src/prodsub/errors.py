@@ -6,7 +6,7 @@ class EngineError(Exception):
 
 
 class IrregularPoint(EngineError):
-    """The induced metric failed the rank / positive-definiteness test."""
+    """The induced metric is not finite or fails the regularity (det g) test."""
 
 
 class NullFrame(EngineError):

@@ -8,14 +8,14 @@ taken in closed form from the position jet of a batch (``JetDerivatives``).
 The metric, Christoffels, normal projector, T and eta come from the 2-jet,
 and so do their first chart derivatives; H, the Christoffels' derivatives
 and alpha(Y, Z) = P d2f(Y, Z) take their first derivatives from the 3-jet of
-a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules,
-the ONB connection and nabla^perp H are jet-exact at the sample itself.  The
-normal Laplacian of H reads the second derivatives of g, g^-1, P and H from
-the 4-jet of a batch evaluated at order 4.  No kernel differences.  The
-normal projector P is the batch's, formed once; its chart derivatives are
-applied to the vectors they act on and never formed as matrices, and every
-contraction is a matmul stacked per row, so that a row's value does not
-depend on its batch.
+a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules
+and nabla^perp H are jet-exact at the sample itself.  The normal Laplacian
+of H reads the second derivatives of g, g^-1, P and H from the 4-jet of a
+batch evaluated at order 4.  No kernel differences.  The normal projector P
+is the batch's, formed once; its chart derivatives are applied to the
+vectors they act on and never formed as matrices, and every contraction is
+a matmul stacked per row, so that a row's value does not depend on its
+batch.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "second_fundamental",
     "shape_operator",
     "christoffels",
-    "onb_connection",
     "normal_derivative_H",
     "normal_laplacian_H",
     "structure_residuals",
@@ -276,24 +275,6 @@ def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     g^-1 (N, m, m)."""
     low = 0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))  # Gamma_{ij,k}
     return np.einsum("nlk,nijk->nlij", g_inv, low)
-
-
-def onb_connection(rows: ExtrinsicRows) -> np.ndarray:
-    """Connection coefficients in the tangent ONB of every row,
-    conn[:, i, j, k] = <nabla_{E_i} E_j, E_k>, exact at jet level.
-
-    The tangent Gram-Schmidt is unpivoted, so E = C J^T with C = L^-1 for
-    g = L L^T, and d_q C = -Phi(C d_q g C^T) C, where Phi keeps the strict
-    lower triangle and half the diagonal.  Then
-    nabla_{f_q} E_j = sum_p (d_q C + C Gamma_q^T)[j, p] f_p with
-    Gamma_q[p, r] = Gamma^p_{qr}, and <f_p, E_k> = (g C^T)[p, k]."""
-    d = rows.derivatives
-    C = rows.tangent_coeffs[:, None]
-    Ct = np.swapaxes(C, -1, -2)
-    B = C @ d.dg @ Ct
-    dC = -(np.tril(B, -1) + 0.5 * B * np.eye(rows.chart.m)) @ C
-    M = dC + C @ d.gamma.transpose(0, 2, 3, 1)  # M[:, q, j, p]
-    return np.einsum("niq,nqjk->nijk", rows.tangent_coeffs, M @ (rows.g[:, None] @ Ct))
 
 
 def geometry(chart: Chart, U, steps=0, order: int = 2) -> ExtrinsicRows:

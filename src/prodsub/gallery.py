@@ -9,8 +9,9 @@ Every generator validates its parameter constraints and self-checks the
 membership of its image at construction time; the theorem-1 family also runs
 a minimality oracle on its surface factor and the partial tube checks that
 its base normals are parallel and its profile stays on the fiber quadric.
-A spec key the kind does not take, or a numeric parameter that is not a
-number, is a SceneError.
+A spec key the kind does not take, or a value that is not of the kind
+the key reads (a number, an object, a list of expressions, ...), is a
+SceneError that names the key.
 """
 
 from __future__ import annotations
@@ -40,17 +41,31 @@ __all__ = [
 _PHI_MINIMAL_TOL = 1e-8  # the largest ||H_phi|| a theorem-1 surface factor allows on its probe grid
 
 
+_KINDS = {  # what a spec value must be, in the words of the SceneError
+    "a number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of expressions": lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    "a list of lists of expressions": lambda v: isinstance(v, (list, tuple)) and all(map(_KINDS["a list of expressions"], v)),
+    "an interval [lo, hi]": lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_KINDS["a number"], v)),
+}
+
+
+def _checked(value, name: str, kind: str):
+    """``value`` where it is ``kind`` (a key of ``_KINDS``), else a SceneError that names it."""
+    if not _KINDS[kind](value):
+        raise SceneError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _real(value, name: str) -> float:
-    """``value`` as a float; anything but a real number is a SceneError
-    that names the parameter."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise SceneError(f"{name} must be a number, got {value!r}")
+    """``value`` as a float, checked as a number."""
+    return float(_checked(value, name, "a number"))
 
 
-def _reals(params: dict, what: str) -> dict:
-    """The parameters of a spec's expressions, each checked by ``_real``."""
-    return {name: _real(value, f"{what} {name}") for name, value in params.items()}
+def _reals(params, what: str) -> dict:
+    """The parameters of a spec's expressions, an object of numbers."""
+    return {name: _real(value, f"{what} {name}") for name, value in _checked(params, f"{what}s", "an object").items()}
 
 
 _template = cache(parse_coordinate)
@@ -61,14 +76,11 @@ def _parsed(*templates) -> list:
     return [_template(t) for t in templates]
 
 
-def make_slice(space: ProductSpace, t0: float = 0.0) -> Chart:
+def make_slice(space: ProductSpace, t0: float = 0.0, scan: tuple | None = None) -> Chart:
     """Coordinate patch of a totally geodesic Q^2 sitting in the slice
-    Q^n_eps x {t0}; T vanishes identically."""
-    return _slice_family(space, "t0", [t0])
-
-
-def _slice_family(space: ProductSpace, param: str, values: list, t0: float = 0.0) -> Chart:
-    """The slices at the heights ``values``; see ``make_slice``."""
+    Q^n_eps x {t0}; T vanishes identically.  ``scan`` = ("t0", values)
+    builds the family of the slices at those heights (see ``Family``)."""
+    _, values = scan or ("t0", [t0])
     if space.epsilon == 1:
         qc = ["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)"]
     else:
@@ -104,7 +116,7 @@ def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
             cr, sr = math.cosh(r), math.sinh(r)
         return _parsed("cr", "sr*cos(u1)", "sr*sin(u1)", *["0"] * (space.n - 2)), {"cr": cr, "sr": sr}
     if kind == "exprs":
-        srcs = curve.get("coords", [])
+        srcs = _checked(curve.get("coords", []), "curve coords", "a list of expressions")
         if len(srcs) != space.n + 1:
             raise ChartError(f"curve needs {space.n + 1} coordinate expressions")
         params = _reals(curve.get("params", {}), "curve param")
@@ -114,7 +126,7 @@ def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
 
 def make_vertical_cylinder(space: ProductSpace, curve: dict | None = None) -> Chart:
     """gamma x R for a curve gamma in the Q factor; eta vanishes identically."""
-    curve = curve or {"kind": "geodesic"}
+    curve = _checked(curve or {"kind": "geodesic"}, "curve", "an object")
     var_names = ["u1", "s"]
     coords, params = _curve(space, curve, var_names)
     chart = Chart(
@@ -155,8 +167,8 @@ def _phi_factor(space: ProductSpace, phi_kind: str, phi_params: dict) -> tuple[l
 
 
 def _custom_phi(phi_params: dict) -> tuple[list, dict, list]:
-    srcs = phi_params.get("coords")
-    if not srcs or len(srcs) != 4:
+    srcs = _checked(phi_params.get("coords", []), "custom phi coords", "a list of expressions")
+    if len(srcs) != 4:
         raise ChartError("custom phi needs 4 coordinate expressions in (u1, u2)")
     params = _reals(phi_params.get("params", {}), "custom phi param")
     shadowed = sorted(set(params) & {"a", "b", "s"})
@@ -170,7 +182,7 @@ def _custom_phi(phi_params: dict) -> tuple[list, dict, list]:
     return [parse_coordinate(s, ["u1", "u2", *params]) for s in srcs], params, dom
 
 
-def _phi_geometry_check(space, a, phi, params, u, count: int, check_T: bool) -> list:
+def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     """Minimality oracle for the surface factor phi in Q^2_a x R, plus the
     nowhere-vanishing test on its T field, at ``count`` steps of a scan
     whose probe grids are the rows of ``u`` in turn: the error of each step,
@@ -208,10 +220,8 @@ def _phi_geometry_check(space, a, phi, params, u, count: int, check_T: bool) -> 
     hvec = 0.5 * proj(hvec)
     # fmax/fmin skip NaN rows, as the running max/min over points did
     worst_h = np.fmax.reduce(per_step(np.sqrt(np.abs(sdot(hvec, hvec)))), axis=1, initial=0.0)
-    min_t = np.full(count, math.inf)
-    if check_T:
-        tq = J[:, 3, :, None]
-        min_t = np.fmin.reduce(per_step((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0]), axis=1, initial=math.inf)
+    tq = J[:, 3, :, None]
+    min_t = np.fmin.reduce(per_step((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0]), axis=1, initial=math.inf)
     errors = []
     for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
         if bad:
@@ -225,28 +235,11 @@ def _phi_geometry_check(space, a, phi, params, u, count: int, check_T: bool) -> 
     return errors
 
 
-def make_theorem1(
-    space: ProductSpace,
-    a: float | None = None,
-    phi_kind: str = "geodesic_cylinder",
-    phi_params: dict | None = None,
-    a2: float | None = None,
-) -> Chart:
-    """Circle-times-minimal-surface chart (b cos(s/b), b sin(s/b), phi(p)).
-
-    eps = +1 takes 0 < |a| < 1 with b = sqrt(1 - a^2); eps = -1 needs |a| > 1
-    and uses b = sqrt(a^2 - 1) so that the image stays on the quadric.
-    """
-    param = "a" if a is not None or a2 is None else "a2"
-    spec = {"a": a, "phi_kind": phi_kind, "phi_params": phi_params, "a2": a2}
-    return _theorem1_family(space, param, [spec[param]], **spec)
-
-
 def _theorem1_ab(space: ProductSpace, a: float | None, a2: float | None) -> tuple[float, float]:
     """a and b of ``make_theorem1``, which raises where a and a2 are not fit."""
     if a is None:
         if a2 is None:
-            raise ChartError("theorem1 needs a or a2")
+            raise SceneError("theorem1 needs a or a2")
         if a2 <= 0:
             raise ChartError("a2 must be positive")
         a = math.sqrt(a2)
@@ -261,21 +254,26 @@ def _theorem1_ab(space: ProductSpace, a: float | None, a2: float | None) -> tupl
     return a, math.sqrt(a * a - 1.0)
 
 
-def _theorem1_family(
+def make_theorem1(
     space: ProductSpace,
-    param: str,
-    values: list,
     a: float | None = None,
     phi_kind: str = "geodesic_cylinder",
     phi_params: dict | None = None,
     a2: float | None = None,
+    scan: tuple | None = None,
 ) -> Chart:
-    """The theorem-1 charts at the values of a or a2; see ``make_theorem1``."""
+    """Circle-times-minimal-surface chart (b cos(s/b), b sin(s/b), phi(p)).
+
+    eps = +1 takes 0 < |a| < 1 with b = sqrt(1 - a^2); eps = -1 needs |a| > 1
+    and uses b = sqrt(a^2 - 1) so that the image stays on the quadric.
+    ``scan`` = (param, values), param a or a2, builds the family of those
+    values (see ``Family``).
+    """
     if space.n != 4:
         raise ChartError("theorem1 charts live in Q^4_eps x R")
-    phi_params = phi_params or {}
-    spec = {"a": a, "a2": a2}
-    ab, error = _each_step(values, lambda v: _theorem1_ab(space, **{**spec, param: v}))
+    phi_params = _checked(phi_params or {}, "phi_params", "an object")
+    param, values = scan or (("a", [a]) if a is not None or a2 is None else ("a2", [a2]))
+    ab, error = _each_step(values, lambda v: _theorem1_ab(space, **{"a": a, "a2": a2, param: v}))
     A, B = (np.array(x) for x in zip(*ab))
     phi, params, phidom = _phi_factor(space, phi_kind, phi_params)
     circle = _parsed("b*cos(s/b)", "b*sin(s/b)")
@@ -286,7 +284,7 @@ def _theorem1_family(
     def phi_errors(steps):
         at = np.repeat(steps, len(grid))
         u = np.tile(grid, (len(steps), 1))
-        return _phi_geometry_check(space, A[at], phi, params, u, len(steps), check_T=phi_kind != "geodesic_cylinder")
+        return _phi_geometry_check(space, A[at], phi, params, u, len(steps))
 
     smax = 1.2
     labels = [f"theorem1(a={a:g}, {phi_kind})" for a, _ in ab]
@@ -308,12 +306,15 @@ def make_partial_tube(
 ) -> Chart:
     """Parallel transport of a profile curve through a flat parallel normal
     subbundle of a base curve in the Q factor."""
-    base = base or {"kind": "geodesic"}
+    base = _checked(base or {"kind": "geodesic"}, "base", "an object")
     var_names = ["u1", "s"]
     gamma, gparams = _curve(space, base, var_names)
 
     normals = base.get("normals")
-    k = int(_real(base.get("k", 1), "partial tube base k")) if normals is None else len(normals)
+    if normals is None:
+        k = _checked(base.get("k", 1), "partial tube base k", "an integer")
+    else:
+        k = len(_checked(normals, "base normals", "a list of lists of expressions"))
     if not 0 <= k <= 2:
         raise ChartError("partial tube supports k <= 2 parallel normals")
     if normals is None:
@@ -321,25 +322,19 @@ def make_partial_tube(
         first = 2 if base.get("kind", "geodesic") == "geodesic" else 3
         if first + k > space.n + 1:
             raise ChartError(f"base curve leaves no room for {k} normals in Q^{space.n}")
-        normal_asts = []
-        for i in range(k):
-            comps = ["0"] * (space.n + 1)
-            comps[first + i] = "1"
-            normal_asts.append(_parsed(*comps))
-    else:
-        normal_asts = []
-        for srcs in normals:
-            asts = [parse_coordinate(s) for s in srcs]
-            if len(asts) != space.n + 1:
-                raise ChartError(f"each normal needs {space.n + 1} components")
-            normal_asts.append(asts)
+        normals = [["1" if c == first + i else "0" for c in range(space.n + 1)] for i in range(k)]
+    normal_asts = []
+    for srcs in normals:
+        normal_asts.append([parse_coordinate(s) for s in srcs])
+        if len(srcs) != space.n + 1:
+            raise ChartError(f"each normal needs {space.n + 1} components")
 
-    profile = profile or {
+    profile = _checked(profile or {
         "coords": ["cos(0.4*s)", "sin(0.4*s)", "0.6*s"][: k + 2]
         if space.epsilon == 1
         else ["cosh(0.4*s)", "sinh(0.4*s)", "0.6*s"][: k + 2]
-    }
-    srcs = profile.get("coords", [])
+    }, "profile", "an object")
+    srcs = _checked(profile.get("coords", []), "profile coords", "a list of expressions")
     if len(srcs) != k + 2:
         raise ChartError(f"profile needs k+2 = {k + 2} components")
     pparams = _reals(profile.get("params", {}), "profile param")
@@ -348,8 +343,8 @@ def make_partial_tube(
         raise SceneError(f"profile params {shadowed} would shadow a variable or base curve param of the tube")
     alpha_asts = [parse_coordinate(s) for s in srcs]
 
-    sdom = tuple(profile.get("domain", (-1.0, 1.0)))
-    xdom = tuple(base.get("domain", (-1.2, 1.2)))
+    sdom = tuple(_checked(profile.get("domain", (-1.0, 1.0)), "profile domain", "an interval [lo, hi]"))
+    xdom = tuple(_checked(base.get("domain", (-1.2, 1.2)), "base domain", "an interval [lo, hi]"))
 
     _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom, k)
 
@@ -442,12 +437,6 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
             raise ChartError("profile violates alpha_{k+1}' != 0")
 
 
-def make_cmc_product(space: ProductSpace, r: float) -> Chart:
-    """N^{n-1} x R for N a geodesic sphere of radius r in Q^n_eps
-    (codimension 1; constant mean curvature, eta = 0)."""
-    return _cmc_product_family(space, "r", [r])
-
-
 def _cmc_product_cs(space: ProductSpace, r: float) -> tuple[float, float]:
     """cos r and sin r (cosh and sinh for eps = -1), where r is fit."""
     if space.epsilon == 1:
@@ -459,8 +448,11 @@ def _cmc_product_cs(space: ProductSpace, r: float) -> tuple[float, float]:
     return math.cosh(r), math.sinh(r)
 
 
-def _cmc_product_family(space: ProductSpace, param: str, values: list, r: float | None = None) -> Chart:
-    """The products at the radii ``values``; see ``make_cmc_product``."""
+def make_cmc_product(space: ProductSpace, r: float | None = None, scan: tuple | None = None) -> Chart:
+    """N^{n-1} x R for N a geodesic sphere of radius r in Q^n_eps
+    (codimension 1; constant mean curvature, eta = 0).  ``scan`` =
+    ("r", values) builds the family of those radii (see ``Family``)."""
+    _, values = scan or ("r", [_real(r, "r")])
     cs, error = _each_step(values, lambda r: _cmc_product_cs(space, r))
     C0, S0 = (np.array(x) for x in zip(*cs))
     n = space.n
@@ -516,22 +508,20 @@ def _with_family(chart: Chart, values: list, params: dict, labels: list, error=N
 
 GALLERY = {
     "slice": {
-        "factory": make_slice,
-        "family": _slice_family,
+        "build": make_slice,
         "scans": ("t0",),
         "params": {"t0": "height of the slice (default 0)"},
         "constraints": "none",
     },
     "vertical_cylinder": {
-        "factory": make_vertical_cylinder,
+        "build": make_vertical_cylinder,
         "params": {
             "curve": "{kind: geodesic | circle (r) | exprs (coords)} in the Q factor"
         },
         "constraints": "curve stays on Q^n_eps (membership oracle)",
     },
     "theorem1": {
-        "factory": make_theorem1,
-        "family": _theorem1_family,
+        "build": make_theorem1,
         "scans": ("a", "a2"),
         "params": {
             "a": "surface-factor radius",
@@ -543,7 +533,7 @@ GALLERY = {
         "phi minimal (||H_phi|| <= 1e-8) with T_phi nowhere zero",
     },
     "partial_tube": {
-        "factory": make_partial_tube,
+        "build": make_partial_tube,
         "params": {
             "base": "curve in Q^n_eps with k <= 2 parallel unit normals",
             "profile": "k+2 profile expressions alpha_i(s)",
@@ -551,8 +541,7 @@ GALLERY = {
         "constraints": "sum alpha_i^2 = 1 on the fiber quadric and alpha_{k+1}' != 0",
     },
     "cmc_product": {
-        "factory": make_cmc_product,
-        "family": _cmc_product_family,
+        "build": make_cmc_product,
         "scans": ("r",),
         "params": {"r": "geodesic-sphere radius in Q^n_eps"},
         "constraints": "eps=+1: 0 < r <= pi/2 (r = pi/2 is the minimal equator); eps=-1: r > 0",
@@ -579,9 +568,8 @@ def make_chart(space: ProductSpace, spec: dict, scan: tuple | None = None) -> Ch
         if spec.get(key) is not None:
             _real(spec[key], key)
     if scan is None:
-        return GALLERY[kind]["factory"](space, **spec)
-    param, values = scan
+        return GALLERY[kind]["build"](space, **spec)
     scans = GALLERY[kind].get("scans", ())
-    if param not in scans:
-        raise SceneError(f"cannot scan {param!r}: gallery kind {kind} scans {', '.join(scans) or 'no parameter'}")
-    return GALLERY[kind]["family"](space, param, values, **spec)
+    if scan[0] not in scans:
+        raise SceneError(f"cannot scan {scan[0]!r}: gallery kind {kind} scans {', '.join(scans) or 'no parameter'}")
+    return GALLERY[kind]["build"](space, **spec, scan=scan)

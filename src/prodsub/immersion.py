@@ -372,8 +372,6 @@ class PointBatch:
     T_norm: np.ndarray
     eta: np.ndarray
     eta_norm: np.ndarray
-    theta: np.ndarray
-    nu: np.ndarray | None  # <eta, xi_1> in codimension one, else None
     errors: list
     steps: np.ndarray  # (N,) the scan step of each row
 
@@ -405,7 +403,7 @@ class PointBatch:
         arrays = {
             f.name: getattr(self, f.name)[rows]
             for f in fields(self)
-            if f.name not in ("chart", "jet", "errors") and getattr(self, f.name) is not None
+            if f.name not in ("chart", "jet", "errors")
         }
         errors = self.errors[rows] if isinstance(rows, slice) else [self.errors[i] for i in np.arange(len(self))[rows]]
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
@@ -434,10 +432,9 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     errors = list(jet.errors)
 
     def fail(bad, make) -> None:
-        if np.any(bad):
-            for r in np.flatnonzero(bad):
-                if errors[r] is None:
-                    errors[r] = make(r)
+        for r in np.flatnonzero(bad):
+            if errors[r] is None:
+                errors[r] = make(r)
 
     sig = sp.signature
     J = jet.jac  # (N, n+2, m)
@@ -448,9 +445,8 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
     scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
     det = np.linalg.det(g)
+    # det g > 0 makes g positive definite: g = J^T S J has at most one negative eigenvalue (Sylvester)
     fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
-    eigmin = np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(m)))[:, 0]
-    fail(eigmin <= 0.0, lambda r: IrregularPoint(f"induced metric not positive definite at u={U[r].tolist()}"))
     irregular = np.array([e is not None for e in errors])
     g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))
 
@@ -493,8 +489,6 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
         T_norm=T_norm,
         eta=eta,
         eta_norm=eta_norm,
-        theta=np.arctan2(eta_norm, T_norm),
-        nu=inner(sp, eta, xi[:, 0]) if want == 1 else None,
         errors=errors,
         steps=steps,
     )

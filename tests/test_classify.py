@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodsub import ProductSpace, analyze_point
+from prodsub import ProductSpace, analyze_point, classify
 from prodsub.classify import (
     biconservative_residual,
     biharmonic_predicates,
@@ -180,7 +180,8 @@ def test_class_A_zero_when_T_vanishes(slice_s4):
 
 def test_e0_structure_theorem1(theorem1_cyl):
     forms = theorem1_closed_forms(0.8)
-    e0, errors = e0_structure(_rows(theorem1_cyl, [[0.3, -0.2, 0.4]]))
+    rows = _rows(theorem1_cyl, [[0.3, -0.2, 0.4]])
+    e0, errors = e0_structure(rows)
     assert errors == [None]
     assert e0.dim_E0[0] == 1
     assert np.allclose(
@@ -191,10 +192,7 @@ def test_e0_structure_theorem1(theorem1_cyl):
     assert e0.offblock[0] <= 1e-9
     assert e0.traceBS1[0] <= 1e-9
     assert abs(e0.a_last[0]) <= 1e-9
-    assert e0.frame.eta_gauge_fixed[0]  # eta = 0 on this chart
-    # the strict diag(0, 0, 3|H|) block form does not hold on this family:
-    # the kernel of A_H is one-dimensional and the gap is b/a
-    assert e0.form3_residual[0] == pytest.approx(0.75, abs=1e-9)
+    assert codim_two_frame(rows)[0].eta_gauge_fixed[0]  # eta = 0 on this chart
     assert e0.dim_E0[0] + np.sum(np.abs(e0.eigenvalues[0]) > 1e-9) == 3
 
 
@@ -210,12 +208,13 @@ def test_e0_invalid_on_wrong_codimension(slice_s4):
     assert isinstance(errors[0], InvalidFrame) and "codimension" in str(errors[0])
 
 
-def test_e0_eigengap_warning_band(theorem1_cyl):
+def test_e0_eigengap_warning_band(theorem1_cyl, monkeypatch):
     # with the default tolerance the spectrum is clean; a tolerance chosen
     # so that the small eigenvalue lands inside (0.1 tol, 10 tol) warns
     rows = _rows(theorem1_cyl, [[0.3, -0.2, 0.4]])
     assert not e0_structure(rows)[0].warn_eigengap[0]
-    assert e0_structure(rows, tol_eig=0.25)[0].warn_eigengap[0]
+    monkeypatch.setattr(classify, "TOL_EIG", 0.25)
+    assert e0_structure(rows)[0].warn_eigengap[0]
 
 
 def test_codim_two_frame_orthonormal(theorem1_heli):

@@ -13,7 +13,6 @@ from prodsub.extrinsic import (
     christoffels,
     normal_derivative_H,
     normal_laplacian_H,
-    onb_connection,
     ricci_residuals,
     second_fundamental,
     shape_operator,
@@ -116,28 +115,6 @@ def test_theorem1_s_curves_unit_speed_circles(theorem1_cyl):
     f_s = vj.jac[:, :, 2]
     assert np.allclose(inner(theorem1_cyl.space, f_s, f_s), 1.0, atol=1e-10, rtol=0)
     assert np.allclose(np.linalg.norm(vj.second(2, 2), axis=-1), 1 / b, atol=1e-10, rtol=0)
-
-
-def test_onb_connection_antisymmetric(theorem1_heli):
-    conn = onb_connection(_rows(theorem1_heli, [[0.3, -0.2, 0.5]]))[0]
-    assert np.abs(conn + conn.transpose(0, 2, 1)).max() <= 1e-6
-
-
-def test_onb_connection_matches_fd_of_the_frame(all_gallery_charts):
-    """The jet-exact connection against one finite-difference layer of the
-    tangent frame field, <d_{E_i} E_j, E_k>."""
-    for ch in all_gallery_charts:
-        m = ch.m
-        U = random_interior_points(ch, 3, seed=12)
-        rows = _rows(ch, U)
-        conn = onb_connection(rows)
-        for r, u in enumerate(U):
-            d_frames = np.array(
-                [[fd_gradient(lambda v: analyze_point(ch, v).tangent_onb[0, j], u, p) for p in range(m)] for j in range(m)]
-            )  # (j, p, ambient)
-            E, C = rows.tangent_onb[r], rows.tangent_coeffs[r]
-            want = np.array([[inner(ch.space, E, C[i] @ d_frames[j]) for j in range(m)] for i in range(m)])
-            assert np.abs(conn[r] - want).max() <= 1e-8, ch.label
 
 
 def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):

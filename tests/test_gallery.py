@@ -217,7 +217,7 @@ def test_cmc_product_equator_minimal_and_vertical():
     assert "minimal" in ch.label
     rows = _rows(ch, [[0.1, 0.2, -0.1]])
     assert rows.H_norm[0] <= 1e-14
-    assert rows.nu is not None and abs(rows.nu[0]) <= 1e-14
+    assert rows.eta_norm[0] <= 1e-14
 
 
 def test_cmc_product_parameter_range():

@@ -1,9 +1,9 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodsub import analyze_point, evaluate_jet, inner, membership_residual
+from prodsub import ProductSpace, analyze_point, evaluate_jet, inner, membership_residual
 from prodsub.errors import IrregularPoint, NullFrame
 from prodsub.immersion import Chart, gram_schmidt, probe_grid
 from conftest import random_interior_points
@@ -37,7 +37,6 @@ def test_slice_point_geometry(slice_s4):
     assert b.errors == [None]
     assert b.T_norm[0] <= 1e-15
     assert b.eta_norm[0] == pytest.approx(1.0, abs=1e-14)
-    assert b.theta[0] == pytest.approx(math.pi / 2, abs=1e-14)
 
 
 def test_vertical_cylinder_point_geometry(vcyl_geodesic):
@@ -45,7 +44,6 @@ def test_vertical_cylinder_point_geometry(vcyl_geodesic):
     assert b.errors == [None]
     assert b.T_norm[0] == pytest.approx(1.0, abs=1e-14)
     assert b.eta_norm[0] <= 1e-15
-    assert b.theta[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_helicoid_T_strictly_interior_and_nonconstant(theorem1_heli):
@@ -134,7 +132,27 @@ def test_chart_membership_validation_rejects_bad_chart(s4):
         chart.validate_membership()
 
 
-def test_nu_defined_only_in_codimension_one(cmc_s3, theorem1_cyl):
-    b = analyze_point(cmc_s3, [[0.1, 0.2, -0.3]])
-    assert b.nu is not None and abs(b.nu[0]) <= 1e-14  # vertical product: eta = 0
-    assert analyze_point(theorem1_cyl, [[0.1, 0.2, -0.3]]).nu is None
+def test_an_indefinite_metric_is_irregular():
+    # on eps = -1 the first slot is timelike, so g = diag(-1, 1) at every point
+    chart = Chart(space=ProductSpace(-1, 2), m=2, coords=["2 + u1", "u2", "0", "0"], domain=[(-1.0, 1.0)] * 2)
+    b = analyze_point(chart, probe_grid(chart.domain, 3))
+    assert all(isinstance(e, IrregularPoint) and str(e).startswith("det g = -1.000e+00") for e in b.errors)
+
+
+# the rows (constant, then one coefficient per chart variable) of linear
+# charts into E^5; small coefficients make null, timelike and dependent
+# columns frequent
+_COEF = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_LINEAR = st.integers(1, 3).flatmap(lambda m: st.lists(st.lists(_COEF, min_size=m + 1, max_size=m + 1), min_size=5, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, -1]), _LINEAR)
+def test_a_metric_that_is_not_positive_definite_is_irregular(eps, rows):
+    # the metric of a linear chart is the same at every point
+    m = len(rows[0]) - 1
+    coords = [" + ".join([f"({r[0]})"] + [f"({c})*u{i + 1}" for i, c in enumerate(r[1:])]) for r in rows]
+    chart = Chart(space=ProductSpace(eps, 3), m=m, coords=coords, domain=[(-1.0, 1.0)] * m)
+    b = analyze_point(chart, probe_grid(chart.domain, 2))
+    bad = np.linalg.eigvalsh(b.g)[:, 0] <= 0.0
+    assert all(isinstance(e, IrregularPoint) for e, flag in zip(b.errors, bad) if flag)

@@ -914,8 +914,26 @@ _CUSTOM_PHI = {"coords": ["q*cos(u1/q)", "q*sin(u1/q)", "0", "u2"], "params": {"
         ({"kind": "vertical_cylinder", "curve": {"kind": "exprs", "coords": ["cos(q)", "sin(q)*cos(u1)", "sin(q)*sin(u1)",
                                                                          "0", "0"], "params": {"q": "0.7"}}},
          "curve param q must be a number, got '0.7'"),
+        ({"kind": "partial_tube", "base": 5}, "base must be an object, got 5"),
+        ({"kind": "vertical_cylinder", "curve": "circle"}, "curve must be an object, got 'circle'"),
+        ({"kind": "partial_tube", "profile": [1]}, "profile must be an object, got [1]"),
+        ({"kind": "theorem1", "a": 0.8, "phi_kind": "helicoid", "phi_params": 3}, "phi_params must be an object, got 3"),
+        ({"kind": "cmc_product"}, "r must be a number, got None"),
+        ({"kind": "theorem1"}, "theorem1 needs a or a2"),
+        ({"kind": "partial_tube", "base": {"kind": "geodesic", "k": 1.5}}, "partial tube base k must be an integer, got 1.5"),
+        ({"kind": "theorem1", "a": 0.8, "phi_kind": "custom", "phi_params": {"coords": "abcd"}},
+         "custom phi coords must be a list of expressions, got 'abcd'"),
+        ({"kind": "partial_tube", "base": {"kind": "geodesic", "normals": [5]}},
+         "base normals must be a list of lists of expressions, got [5]"),
+        ({"kind": "vertical_cylinder", "curve": {"kind": "exprs", "coords": ["cos(u1)", "sin(u1)", "0", "0", "0"],
+                                                 "params": [1]}},
+         "curve params must be an object, got [1]"),
+        ({"kind": "partial_tube", "profile": {"coords": ["cos(0.4*s)", "sin(0.4*s)", "0.6*s"], "domain": 5}},
+         "profile domain must be an interval [lo, hi], got 5"),
     ],
-    ids=["unknown_key", "circle_without_r", "one_domain_interval", "string_number", "string_param"],
+    ids=["unknown_key", "circle_without_r", "one_domain_interval", "string_number", "string_param", "base_not_object",
+         "curve_not_object", "profile_not_object", "phi_params_not_object", "cmc_without_r", "theorem1_without_a",
+         "fractional_k", "coords_not_a_list", "normal_not_a_list", "params_not_object", "domain_not_interval"],
 )
 def test_a_malformed_gallery_spec_is_a_scene_error(tmp_path, capsys, gallery, message):
     # the schema checks only a gallery spec's kind; its other keys and its
