@@ -22,13 +22,14 @@ of which fails: an error at a sample center, coordinate overflows, a NaN
 chart, a scan step that does not build, an unbound identifier, scans whose
 first or second step leaves the product, scans whose first failing step is
 a later step (off the product, a domain error, or off the product just
-before a step that raises), a scan whose every step raises, fifteen malformed
+before a step that raises), a scan whose every step raises, twenty malformed
 gallery specs (an unknown key, a circle without r, a custom phi domain of
 one interval, a number given as a string, a base, curve, profile or
 phi_params that is not an object, a cmc_product without r, a theorem1
 without a or a2, a fractional k, custom phi coords that are a string, base
-normals that are not lists, curve params that are not an object and a
-profile domain that is not an interval), scenes the schema rejects
+normals that are not lists, curve params that are not an object, a
+profile domain that is not an interval, a null t0, a null a, and an unknown
+curve, phi and gallery kind), scenes the schema rejects
 (``epsilon: 2``, an immersion of both kinds, an unknown key in
 ``expressions``) and runs whose ``--samples 0`` or ``--seed -1``
 the schema rejects.  Compares the reports (less ``wall_time_s``), the CSV
@@ -212,7 +213,7 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
     "gallery_one_domain_interval": (_gallery(1, 4, {"kind": "theorem1", "a": 0.8, "phi_kind": "custom", "phi_params": {
         "coords": ["q*cos(u1/q)", "q*sin(u1/q)", "0", "u2"], "params": {"q": 0.8}, "domain": [[-1.0, 1.0]]}}), ["run"]),
     "gallery_string_number": (_edited("theorem1_cylinder.json", ("immersion", "gallery", "a"), "0.8"), ["run"]),
-    # nested values of the wrong type, a missing r or a and a fractional k
+    # nested values of the wrong type, a missing r or a, a fractional k, a null number and unknown kinds
     **{f"gallery_{name}": (_gallery(1, 4, spec), ["run"]) for name, spec in {
         "base_not_object": {"kind": "partial_tube", "base": 5},
         "curve_not_object": {"kind": "vertical_cylinder", "curve": "circle"},
@@ -227,6 +228,11 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
             "kind": "exprs", "coords": ["cos(u1)", "sin(u1)", "0", "0", "0"], "params": [1]}},
         "domain_not_interval": {"kind": "partial_tube", "profile": {
             "coords": ["cos(0.4*s)", "sin(0.4*s)", "0.6*s"], "domain": 5}},
+        "null_t0": {"kind": "slice", "t0": None},
+        "null_a": {"kind": "theorem1", "a": None, "a2": 0.5},
+        "unknown_curve_kind": {"kind": "vertical_cylinder", "curve": {"kind": "spiral"}},
+        "unknown_phi_kind": {"kind": "theorem1", "a": 0.8, "phi_kind": "catenoid"},
+        "unknown_gallery_kind": {"kind": "torus"},
     }.items()},
     "zero_samples": (_corpus("theorem1_cylinder.json"), ["run", "--samples", "0"]),
     "negative_seed": (_corpus("theorem1_cylinder.json"), ["run", "--seed", "-1"]),

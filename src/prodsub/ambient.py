@@ -51,9 +51,6 @@ class ProductSpace:
         s.flags.writeable = False
         return s
 
-    def q_part(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v)[..., : self.n + 1]
-
     def q_padded(self, p: np.ndarray) -> np.ndarray:
         """Position vector of the quadric factor, zero in the t slot (per
         row for stacked points)."""
@@ -89,7 +86,7 @@ def membership_residual(space: ProductSpace, p: np.ndarray):
 
     One point gives a float; stacked points (..., n+2) give one value each."""
     p = np.asarray(p, dtype=float)
-    pq = space.q_part(p)
+    pq = p[..., : space.n + 1]
     out = np.abs(np.add.reduce(pq * pq * space.signature[: space.n + 1], axis=-1) - space.epsilon)
     if space.epsilon == -1:
         out = np.where(p[..., 0] <= 0.0, math.inf, out)

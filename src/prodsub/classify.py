@@ -252,7 +252,7 @@ def e0_structure(rows: ExtrinsicRows, frame=None):
     V = np.take_along_axis(V, order[:, None, :], axis=-1)
     for r in np.flatnonzero(np.any(np.abs(np.diff(lam, axis=-1)) <= 10.0 * tol_abs, axis=-1)):
         _rotate_groups(lam[r], V[r], A2[r], tol_abs[r, 0])
-    V = np.swapaxes(_sign_fix(np.swapaxes(V, -1, -2)), -1, -2)
+    # the columns of V keep eigh's signs: every residual below is even in each column
 
     k0 = np.sum(is_zero, axis=-1)
     rest = np.arange(m) >= k0[:, None]  # the E_0 columns come first
@@ -319,7 +319,7 @@ def circle_geometry(chart: Chart) -> dict:
     U[1:, s] = np.linspace(lo + pad, hi - pad, 9)
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
-    acc = vj.second(s, s)[0]
+    acc = vj.d2[0, :, s, s]
     kappa = float(np.linalg.norm(acc))
     radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
 

@@ -110,6 +110,9 @@ _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+_LEVELS = (("+", "-"), ("*", "/"))  # binary operators by increasing precedence
+
+
 class _Parser:
     def __init__(self, source: str):
         self.src = source
@@ -140,22 +143,17 @@ class _Parser:
             raise ParseError(self.pos, f"trailing input {self._describe()}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self._peek() in ("+", "-"):
+    def expr(self, level: int = 0):
+        """A left-associative chain of the operators of ``_LEVELS[level]``
+        over operands of the next level; past the last level, a factor."""
+        if level == len(_LEVELS):
+            return self.factor()
+        node = self.expr(level + 1)
+        while self._peek() in _LEVELS[level]:
             pos = self.pos
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.term(), pos=pos)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self._peek() in ("*", "/"):
-            pos = self.pos
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.factor(), pos=pos)
+            node = BinOp(op, node, self.expr(level + 1), pos=pos)
         return node
 
     def factor(self):

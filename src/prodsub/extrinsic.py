@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import ProductSpace, inner
+from .ambient import ProductSpace, curvature, inner
 from .immersion import Chart, PointBatch, analyze_point, project
 
 __all__ = [
@@ -322,12 +322,6 @@ def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     return rows.proj_normal((rows.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0])
 
 
-def _wedge(sp: ProductSpace, a, b, c) -> np.ndarray:
-    """(a ^ b) c = <b, c> a - <a, c> b, signature-weighted, for vectors (n+2,) or stacked (N, n+2)."""
-    bc, ac = (np.asarray(inner(sp, v, c))[..., None] for v in (b, a))
-    return bc * a - ac * b
-
-
 def structure_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, a: np.ndarray) -> dict:
     """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors
     (N, n+2)) at every row of a batch evaluated at order 3, for chart
@@ -346,24 +340,24 @@ def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def gauss_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + eps-terms) as ambient
-    vectors (N, n+2) for chart directions X, Y, Z (N, m) at every row of a
-    batch evaluated at order 3.  R comes from the Christoffels and their
-    exact derivatives DG[:, i, l, j, k] = d_i Gamma^l_jk."""
+    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + the tangent part of the
+    ambient curvature) as ambient vectors (N, n+2) for chart directions
+    X, Y, Z (N, m) at every row of a batch evaluated at order 3.  R comes
+    from the Christoffels and their exact derivatives
+    DG[:, i, l, j, k] = d_i Gamma^l_jk."""
     d, sp = rows.derivatives, rows.chart.space
     n, m = X.shape
     DG, G = d.dgamma, d.gamma
     DX, DY = ((v[:, None] @ DG.reshape(n, m, -1)).reshape(n, m, m, m) for v in (X, Y))
     GX, GY = ((v[:, None, None] @ G)[:, :, 0] for v in (X, Y))  # GX[l, p] = Gamma^l_ip X^i
     curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + (GX @ _d2(G, Y, Z)[..., None] - GY @ _d2(G, X, Z)[..., None])[..., 0]
-    E, T = rows.tangent_onb, rows.T_ambient
+    E = rows.tangent_onb
     Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
     A_YZ, A_XZ = (shape_operator(sp, rows.normal_onb, rows.alpha, _alpha(rows, v, Z)) for v in (Y, X))
     X_onb, Y_onb = (inner(sp, E, v[:, None])[..., None] for v in (Xa, Ya))
     rhs = np.swapaxes(A_YZ @ X_onb - A_XZ @ Y_onb, -1, -2) @ E
-    eps_terms = _wedge(sp, Xa, Ya, Za) + inner(sp, Xa, T)[:, None] * _wedge(sp, Ya, T, Za)
-    eps_terms -= inner(sp, Ya, T)[:, None] * _wedge(sp, Xa, T, Za)
-    return (rows.jet.jac @ curv[..., None])[..., 0] - rhs[:, 0] - sp.epsilon * eps_terms
+    R = curvature(sp, Xa, Ya, Za)
+    return (rows.jet.jac @ curv[..., None])[..., 0] - rhs[:, 0] - (R - rows.proj_normal(R))
 
 
 def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -371,14 +365,15 @@ def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.n
     directions X, Y, Z (N, m) at every row of a batch evaluated at order 3.
     The nabla_X Y terms cancel between the two sides because coordinate
     fields commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z)
-    - alpha(Y, nab_X Z) + alpha(X, nab_Y Z) against eps <(X ^ Y) T, Z> eta,
-    where d_X alpha is the exact derivative of the field P d2f(Y, Z)."""
-    d, sp = rows.derivatives, rows.chart.space
+    - alpha(Y, nab_X Z) + alpha(X, nab_Y Z) against the normal part
+    P R(X,Y)Z of the ambient curvature, where d_X alpha is the exact
+    derivative of the field P d2f(Y, Z)."""
+    d = rows.derivatives
     dYZ, dXZ = (d.d_alpha(v, Z) for v in (Y, X))
     nab_XZ, nab_YZ = (_d2(d.gamma, v, Z) for v in (X, Y))
     lhs = rows.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(rows, Y, nab_XZ) + _alpha(rows, X, nab_YZ)
     Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
-    return lhs - sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, rows.T_ambient), Za)[:, None] * rows.eta
+    return lhs - rows.proj_normal(curvature(rows.chart.space, Xa, Ya, Za))
 
 
 def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:

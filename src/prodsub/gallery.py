@@ -11,7 +11,8 @@ a minimality oracle on its surface factor and the partial tube checks that
 its base normals are parallel and its profile stays on the fiber quadric.
 A spec key the kind does not take, or a value that is not of the kind
 the key reads (a number, an object, a list of expressions, ...), is a
-SceneError that names the key.
+SceneError that names the key, and so is an unknown gallery, curve or phi
+kind.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
             raise ChartError(f"curve needs {space.n + 1} coordinate expressions")
         params = _reals(curve.get("params", {}), "curve param")
         return [parse_coordinate(src, [*var_names, *params]) for src in srcs], params
-    raise ChartError(f"unknown curve kind {kind!r}")
+    raise SceneError(f"unknown curve kind {kind!r}")
 
 
 def make_vertical_cylinder(space: ProductSpace, curve: dict | None = None) -> Chart:
@@ -153,7 +154,7 @@ def _phi_factor(space: ProductSpace, phi_kind: str, phi_params: dict) -> tuple[l
         f, g = ("cos", "sin") if space.epsilon == 1 else ("cosh", "sinh")
         return _parsed(f"a*{f}(u1/a)", f"a*{g}(u1/a)", "0", "u2"), {}, [(-1.0, 1.0), (-1.0, 1.0)]
     if phi_kind != "helicoid":
-        raise ChartError(f"unknown phi kind {phi_kind!r}")
+        raise SceneError(f"unknown phi kind {phi_kind!r}")
     lam = _real(phi_params.get("pitch", 0.5), "helicoid pitch")
     if not 0.0 < lam <= 2.0:
         raise ChartError("helicoid pitch must lie in (0, 2]")
@@ -188,40 +189,31 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     whose probe grids are the rows of ``u`` in turn: the error of each step,
     else None.  ``phi`` and ``params`` are as ``_phi_factor`` gives them,
     and ``a`` is one number or one per row."""
-    eps = space.epsilon
-    sig = np.array([eps if eps == -1 else 1.0, 1.0, 1.0, 1.0])
-
-    def sdot(x, y):
-        return np.sum(sig * x * y, axis=-1)
-
-    def per_step(x):
-        return x.reshape(count, -1)
-
+    plane = ProductSpace(space.epsilon, 2)  # Q^2_eps x R, the surface factor's ambient
     # one batched jet over the probe grids; every step below is row by row
     seeds = {"u1": jets.jet_var(0, u[:, 0], 2), "u2": jets.jet_var(1, u[:, 1], 2)}
     vj = VecJet2([exprlang.eval_jet(t, seeds, {**params, "a": a}) for t in phi])
     J = vj.jac  # (N, 4, 2)
-    JtS = np.swapaxes(J * sig[:, None], -1, -2)
-    phiq = vj.values.copy()
-    phiq[:, 3] = 0.0
+    JtS = np.swapaxes(J * plane.signature[:, None], -1, -2)
+    phiq = plane.q_padded(vj.values)
     g = JtS @ J
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
-    degenerate = np.any(per_step(det <= 1e-14), axis=1)
+    degenerate = np.any((det <= 1e-14).reshape(count, -1), axis=1)
     g_inv = np.linalg.inv(np.where((det <= 1e-14)[:, None, None], np.eye(2), g))
 
     def proj(v):
-        out = v - (sdot(v, phiq) / (eps * a * a))[:, None] * phiq
+        out = v - (inner(plane, v, phiq) / (plane.epsilon * a * a))[:, None] * phiq
         return out - (J @ g_inv @ JtS @ out[..., None])[..., 0]
 
     hvec = np.zeros_like(phiq)
     for i in range(2):
         for j in range(2):
-            hvec += g_inv[:, i, j, None] * vj.second(i, j)
+            hvec += g_inv[:, i, j, None] * vj.d2[..., i, j]
     hvec = 0.5 * proj(hvec)
     # fmax/fmin skip NaN rows, as the running max/min over points did
-    worst_h = np.fmax.reduce(per_step(np.sqrt(np.abs(sdot(hvec, hvec)))), axis=1, initial=0.0)
+    worst_h = np.fmax.reduce(np.sqrt(np.abs(inner(plane, hvec, hvec))).reshape(count, -1), axis=1, initial=0.0)
     tq = J[:, 3, :, None]
-    min_t = np.fmin.reduce(per_step((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0]), axis=1, initial=math.inf)
+    min_t = np.fmin.reduce((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0].reshape(count, -1), axis=1, initial=math.inf)
     errors = []
     for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
         if bad:
@@ -560,12 +552,12 @@ def make_chart(space: ProductSpace, spec: dict, scan: tuple | None = None) -> Ch
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in GALLERY:
-        raise ChartError(f"unknown gallery kind {kind!r}")
+        raise SceneError(f"unknown gallery kind {kind!r}")
     unknown = sorted(set(spec) - set(GALLERY[kind]["params"]))
     if unknown:
         raise SceneError(f"gallery kind {kind} has no parameter {unknown[0]!r}; it takes {', '.join(GALLERY[kind]['params'])}")
     for key in GALLERY[kind].get("scans", ()):  # the numeric parameters
-        if spec.get(key) is not None:
+        if key in spec:
             _real(spec[key], key)
     if scan is None:
         return GALLERY[kind]["build"](space, **spec)

@@ -268,44 +268,29 @@ def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | Ch
     return VecJet2(comps)
 
 
-def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, drop_tol=1e-8):
+def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, drop_tol: float = 1e-8):
     """Signature-aware modified Gram-Schmidt on every row of a stack (N, c, k).
 
     Returns (basis, coeffs, count, errors): the first count[r] vectors of
     basis[r] are the selected unit vectors, coeffs[r, i] expresses basis
     vector i over the inputs (without pivoting only), and errors[r] is the
     NullFrame row r raises, else None.  Without ``pivot`` the inputs are
-    taken in order and one with <v,v> <= drop_tol fails its row.  With
-    ``pivot`` each row takes its own largest remaining |<v,v>| (argmax,
-    first index on ties), stops once that falls below ``drop_tol`` and
-    fails if the vector taken is timelike.  Rows never mix, and the values
-    of a failed row mean nothing (callers silence numpy's warnings for them).
+    taken in order and no row fails: the caller has checked that they span
+    a positive definite space (``analyze_point``'s det g test), and a row
+    where they do not holds values that mean nothing.  With ``pivot`` each
+    row takes its own largest remaining |<v,v>| (argmax, first index on
+    ties), stops once that falls below ``drop_tol`` and fails if the vector
+    taken is timelike.  Rows never mix, and the values of a failed row mean
+    nothing (callers silence numpy's warnings for them).
     """
     work = np.array(vectors, dtype=float)
     n_rows, c, _ = work.shape
-    drop_tol = np.broadcast_to(np.asarray(drop_tol, dtype=float), (n_rows,))
     errors = [None] * n_rows
-
-    def fail(bad, nrm2, kind) -> None:
-        for r in np.flatnonzero(bad):
-            if errors[r] is None:
-                if kind == "pivot":
-                    msg = f"pivoted Gram-Schmidt selected <v,v>={nrm2[r]:.3e} < 0"
-                elif nrm2[r] > -drop_tol[r]:
-                    msg = f"Gram-Schmidt hit a near-null vector (<v,v>={nrm2[r]:.3e})"
-                else:
-                    msg = f"Gram-Schmidt hit a timelike vector (<v,v>={nrm2[r]:.3e})"
-                errors[r] = NullFrame(msg)
-
     if not pivot:
         coeffs = np.tile(np.eye(c), (n_rows, 1, 1))
         for j in range(c):
             v = work[:, j]
-            nrm2 = inner(space, v, v)
-            bad = nrm2 <= drop_tol
-            if bad.any():
-                fail(bad, nrm2, "order")
-            s = np.sqrt(np.abs(nrm2))[:, None]
+            s = np.sqrt(np.abs(inner(space, v, v)))[:, None]
             e = v / s
             ce = coeffs[:, j] / s
             work[:, j] = e
@@ -327,9 +312,10 @@ def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, 
         nrm2 = n2[rows, j]
         active &= ~(np.abs(nrm2) < drop_tol)
         bad = active & (nrm2 < 0.0)
-        if bad.any():
-            fail(bad, nrm2, "pivot")
-            active &= ~bad
+        for r in np.flatnonzero(bad):
+            if errors[r] is None:
+                errors[r] = NullFrame(f"pivoted Gram-Schmidt selected <v,v>={nrm2[r]:.3e} < 0")
+        active &= ~bad
         if not active.any():
             break
         e = work[rows, j] / np.sqrt(np.abs(nrm2))[:, None]
@@ -445,13 +431,14 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
     scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
     det = np.linalg.det(g)
-    # det g > 0 makes g positive definite: g = J^T S J has at most one negative eigenvalue (Sylvester)
+    # the tangent frame's only regularity test.  det g > 0 makes g positive definite: g = J^T S J
+    # has at most one negative eigenvalue (Sylvester).  The tangent MGS pivots multiply to det g
+    # and none exceeds scale, so each is above 1e-12 scale on a row that passes.
     fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
     irregular = np.array([e is not None for e in errors])
     g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))
 
-    E, C, _, gs_errors = gram_schmidt(sp, np.swapaxes(J, -1, -2), False, 1e-12 * scale)
-    fail(np.array([e is not None for e in gs_errors]), lambda r: gs_errors[r])
+    E, C, _, _ = gram_schmidt(sp, np.swapaxes(J, -1, -2))
 
     # normal frame: project the canonical basis onto the complement of
     # span(tangent) + span(p_Q), then pivoted MGS.  The tangent projection

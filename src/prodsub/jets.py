@@ -481,10 +481,6 @@ class VecJet2:
         out.m, out.d, out.errors = self.m, [x[i] for x in self.d], None
         return out
 
-    def second(self, i: int, j: int) -> np.ndarray:
-        """Mixed second derivative vector d^2 f / du_i du_j, shape (k,)."""
-        return self.d2[..., i, j]
-
 
 def fd_gradient(field, u, i: int, step: float | None = None) -> np.ndarray:
     """Derivative of a vector-valued field along chart direction ``i``:

@@ -8,7 +8,10 @@ vectors.  ``deta``, ``dH``, ``d_alpha`` and ``d2H`` multiply the dense
 arrays, and ``normal_laplacian_H`` and ``ricci_residuals`` are the kernels
 of the same names written against them.  ``proj_normal`` is the normal
 projection by modified Gram-Schmidt that the matrix P replaced, and ``_d2``
-contracts d2 with n+2 matmuls per row.
+contracts d2 with n+2 matmuls per row.  ``gauss_curvature_term`` and
+``codazzi_curvature_term`` are the ambient curvature terms of the Gauss
+and Codazzi equations written through T, the forms that the tangent and
+normal parts of ``ambient.curvature`` replaced.
 """
 
 from functools import cached_property
@@ -22,6 +25,28 @@ from prodsub.extrinsic import JetDerivatives
 def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d2f(v, w) as columns (N, n+2, 1) for chart vectors v, w (N, m)."""
     return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
+
+
+def _wedge(sp, a, b, c) -> np.ndarray:
+    """(a ^ b) c = <b, c> a - <a, c> b, signature-weighted, for stacked vectors (N, n+2)."""
+    bc, ac = (inner(sp, v, c)[..., None] for v in (b, a))
+    return bc * a - ac * b
+
+
+def gauss_curvature_term(rows, Xa, Ya, Za) -> np.ndarray:
+    """eps ((X ^ Y) Z + <X, T> (Y ^ T) Z - <Y, T> (X ^ T) Z) (N, n+2) for
+    tangent vectors Xa, Ya, Za (N, n+2): the tangent part of R(X,Y)Z."""
+    sp, T = rows.chart.space, rows.T_ambient
+    terms = _wedge(sp, Xa, Ya, Za) + inner(sp, Xa, T)[:, None] * _wedge(sp, Ya, T, Za)
+    terms -= inner(sp, Ya, T)[:, None] * _wedge(sp, Xa, T, Za)
+    return sp.epsilon * terms
+
+
+def codazzi_curvature_term(rows, Xa, Ya, Za) -> np.ndarray:
+    """eps <(X ^ Y) T, Z> eta (N, n+2) for tangent vectors Xa, Ya, Za
+    (N, n+2): the normal part of R(X,Y)Z."""
+    sp = rows.chart.space
+    return sp.epsilon * inner(sp, _wedge(sp, Xa, Ya, rows.T_ambient), Za)[:, None] * rows.eta
 
 
 def proj_normal(b, v) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prodsub import ProductSpace, analyze_point, inner
+from prodsub.ambient import curvature
 from prodsub.extrinsic import (
     JetDerivatives,
     T_eta_residuals,
@@ -20,7 +21,7 @@ from prodsub.extrinsic import (
 )
 from prodsub.gallery import make_theorem1
 from prodsub.jets import fd_gradient
-from conftest import random_interior_points, theorem1_closed_forms
+from conftest import gallery_charts, random_interior_points, theorem1_closed_forms
 import reference_extrinsic
 
 
@@ -60,8 +61,8 @@ def test_theorem1_against_explicit_normal_oracle(theorem1_cyl):
     assert abs(inner(sp, xi, sp.q_padded(vj.values))) <= 1e-14
     for i in range(3):
         assert abs(inner(sp, xi, vj.jac[:, i])) <= 1e-14
-    f_ss = vj.second(2, 2)
-    f_11 = vj.second(0, 0)
+    f_ss = vj.d2[..., 2, 2]
+    f_11 = vj.d2[..., 0, 0]
     assert inner(sp, f_ss, xi) == pytest.approx(a / b, abs=1e-12)
     assert inner(sp, f_11, xi) == pytest.approx(-b / a, abs=1e-12)
     # H = ((a^2-b^2)/(3ab)) xi
@@ -114,7 +115,7 @@ def test_theorem1_s_curves_unit_speed_circles(theorem1_cyl):
     vj = analyze_point(theorem1_cyl, random_interior_points(theorem1_cyl, 5, seed=4)).jet
     f_s = vj.jac[:, :, 2]
     assert np.allclose(inner(theorem1_cyl.space, f_s, f_s), 1.0, atol=1e-10, rtol=0)
-    assert np.allclose(np.linalg.norm(vj.second(2, 2), axis=-1), 1 / b, atol=1e-10, rtol=0)
+    assert np.allclose(np.linalg.norm(vj.d2[..., 2, 2], axis=-1), 1 / b, atol=1e-10, rtol=0)
 
 
 def test_jet_derivatives_match_fd_of_the_fields(all_gallery_charts):
@@ -293,16 +294,30 @@ def test_structure_residuals_theorem1(kind, s4):
 
 
 def test_codazzi_rhs_antisymmetric_in_XY(theorem1_heli):
-    from prodsub.extrinsic import _wedge
-
     sp = theorem1_heli.space
     b = analyze_point(theorem1_heli, [[0.2, 0.3, -0.4]])
     rng = np.random.default_rng(9)
-    X, Y, Z = (b.jet.jac[0] @ v for v in rng.standard_normal((3, 3)))
-    T, eta = b.T_ambient[0], b.eta[0]
-    rhs = sp.epsilon * inner(sp, _wedge(sp, X, Y, T), Z) * eta
-    rhs_swapped = sp.epsilon * inner(sp, _wedge(sp, Y, X, T), Z) * eta
-    assert np.allclose(rhs, -rhs_swapped, atol=0)
+    X, Y, Z = (b.jet.jac @ v[:, None] for v in rng.standard_normal((3, 3)))
+    rhs = b.proj_normal(curvature(sp, X[..., 0], Y[..., 0], Z[..., 0]))
+    rhs_swapped = b.proj_normal(curvature(sp, Y[..., 0], X[..., 0], Z[..., 0]))
+    assert np.array_equal(rhs, -rhs_swapped)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_the_curvature_terms_are_the_T_based_forms(eps):
+    # the tangent and normal parts of ambient.curvature, which Gauss and
+    # Codazzi read, against the terms written through T and eta
+    # (``reference_extrinsic``): d_t projects to T tangentially and to eta
+    # normally, so the two forms agree up to rounding
+    rng = np.random.default_rng(12)
+    for ch in gallery_charts(eps):
+        rows = _rows(ch, random_interior_points(ch, 20, seed=13))
+        Xa, Ya, Za = np.moveaxis(rows.jet.jac @ rng.standard_normal((20, ch.m, 3)), -1, 0)
+        R = curvature(ch.space, Xa, Ya, Za)
+        scale = np.fmax(1.0, np.prod([np.linalg.norm(v, axis=-1) for v in (Xa, Ya, Za)], axis=0))[:, None]
+        tangent, normal = R - rows.proj_normal(R), rows.proj_normal(R)
+        assert np.all(np.abs(tangent - reference_extrinsic.gauss_curvature_term(rows, Xa, Ya, Za)) <= 1e-15 * scale), ch.label
+        assert np.all(np.abs(normal - reference_extrinsic.codazzi_curvature_term(rows, Xa, Ya, Za)) <= 1e-15 * scale), ch.label
 
 
 def test_T_eta_residuals(vcyl_geodesic, slice_s4, theorem1_heli):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prodsub import ProductSpace, analyze_point, evaluate_jet, membership_residual
-from prodsub.errors import ChartError
+from prodsub.errors import ChartError, SceneError
 from prodsub.extrinsic import geometry, normal_derivative_H, second_fundamental, shape_operator
 from prodsub.gallery import (
     GALLERY,
@@ -239,7 +239,7 @@ def test_gallery_registry_and_factory(s4):
     assert "sum alpha_i^2 = 1" in GALLERY["partial_tube"]["constraints"]
     ch = make_chart(s4, {"kind": "slice", "t0": 0.1})
     assert ch.label.startswith("slice")
-    with pytest.raises(ChartError, match="unknown gallery kind"):
+    with pytest.raises(SceneError, match="unknown gallery kind"):
         make_chart(s4, {"kind": "nope"})
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsub import ProductSpace, analyze_point, evaluate_jet, inner, membership_residual
-from prodsub.errors import IrregularPoint, NullFrame
+from prodsub.errors import IrregularPoint
 from prodsub.immersion import Chart, gram_schmidt, probe_grid
 from conftest import random_interior_points
 
@@ -98,13 +98,12 @@ def test_gram_schmidt_idempotent_on_orthonormal(s4):
     assert np.abs(coeffs[0] - np.eye(3)).max() <= 1e-14
 
 
-def test_gram_schmidt_null_vector_raises(h4):
-    # the row of a null vector records the NullFrame it raises; the other row is clean
-    null = np.array([1.0, 1.0, 0, 0, 0, 0])  # <v,v> = 0 in the Lorentz inner
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, _, errors = gram_schmidt(h4, np.array([[null], [np.eye(6)[2]]]))
-    assert isinstance(errors[0], NullFrame) and "near-null" in str(errors[0])
-    assert errors[1] is None
+def test_a_null_tangent_vector_is_irregular(h4):
+    # f_1 = (1, 1, 0, ...) is null in the Lorentz inner, so det g = 0: the
+    # det test flags the point before the tangent frame is built
+    chart = Chart(space=h4, m=1, coords=["2 + u1", "u1", "0", "0", "0", "0"], domain=[(-1.0, 1.0)])
+    b = analyze_point(chart, probe_grid(chart.domain, 3))
+    assert all(isinstance(e, IrregularPoint) and str(e).startswith("det g = 0.000e+00") for e in b.errors)
 
 
 def test_irregular_point_raises(s4):
@@ -156,3 +155,21 @@ def test_a_metric_that_is_not_positive_definite_is_irregular(eps, rows):
     b = analyze_point(chart, probe_grid(chart.domain, 2))
     bad = np.linalg.eigvalsh(b.g)[:, 0] <= 0.0
     assert all(isinstance(e, IrregularPoint) for e, flag in zip(b.errors, bad) if flag)
+    # nor does a tangent frame pass whose Gram-Schmidt pivot, taken in order,
+    # is near-null or timelike
+    assert all(isinstance(e, IrregularPoint) for e, flag in zip(b.errors, _small_mgs_pivot(chart.space, b)) if flag)
+
+
+def _small_mgs_pivot(space, b):
+    """The rows whose tangent vectors, taken in order by modified
+    Gram-Schmidt, meet a pivot <v,v> <= 1e-12 max(1, max g_ii)."""
+    tol = 1e-12 * np.fmax(1.0, np.max(np.abs(np.diagonal(b.g, axis1=-2, axis2=-1)), axis=-1))
+    work = np.swapaxes(b.jet.jac, -1, -2).copy()
+    small = np.zeros(len(work), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(work.shape[1]):
+            nrm2 = inner(space, work[:, j], work[:, j])
+            small |= nrm2 <= tol
+            e = work[:, j] / np.sqrt(np.abs(nrm2))[:, None]
+            work[:, j + 1 :] -= inner(space, work[:, j + 1 :], e[:, None])[..., None] * e[:, None]
+    return small

@@ -930,10 +930,16 @@ _CUSTOM_PHI = {"coords": ["q*cos(u1/q)", "q*sin(u1/q)", "0", "u2"], "params": {"
          "curve params must be an object, got [1]"),
         ({"kind": "partial_tube", "profile": {"coords": ["cos(0.4*s)", "sin(0.4*s)", "0.6*s"], "domain": 5}},
          "profile domain must be an interval [lo, hi], got 5"),
+        ({"kind": "slice", "t0": None}, "t0 must be a number, got None"),
+        ({"kind": "theorem1", "a": None, "a2": 0.5}, "a must be a number, got None"),
+        ({"kind": "vertical_cylinder", "curve": {"kind": "spiral"}}, "unknown curve kind 'spiral'"),
+        ({"kind": "theorem1", "a": 0.8, "phi_kind": "catenoid"}, "unknown phi kind 'catenoid'"),
+        ({"kind": "torus"}, "unknown gallery kind 'torus'"),
     ],
     ids=["unknown_key", "circle_without_r", "one_domain_interval", "string_number", "string_param", "base_not_object",
          "curve_not_object", "profile_not_object", "phi_params_not_object", "cmc_without_r", "theorem1_without_a",
-         "fractional_k", "coords_not_a_list", "normal_not_a_list", "params_not_object", "domain_not_interval"],
+         "fractional_k", "coords_not_a_list", "normal_not_a_list", "params_not_object", "domain_not_interval",
+         "null_t0", "null_a", "unknown_curve_kind", "unknown_phi_kind", "unknown_gallery_kind"],
 )
 def test_a_malformed_gallery_spec_is_a_scene_error(tmp_path, capsys, gallery, message):
     # the schema checks only a gallery spec's kind; its other keys and its
