@@ -188,13 +188,14 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
 def class_A_residual(rows: ExtrinsicRows) -> np.ndarray:
     """Deviation of T from being an eigenvector of every shape operator,
     relative to max(1, |A_xi|), for every row of a batch; zero by
-    convention where T vanishes."""
+    convention where T vanishes.  |A_xi| is the spectral norm of the
+    symmetric alpha^a, its largest |eigenvalue|."""
     t = rows.T_onb
     At = (rows.alpha @ t[:, None, :, None])[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = (At[..., None, :] @ t[:, None, :, None])[..., 0] / (t[:, None, :] @ t[:, :, None])
         dev = np.linalg.norm(At - coef * t[:, None, :], axis=-1)
-    worst = np.max(dev / np.maximum(1.0, np.linalg.norm(rows.alpha, 2, axis=(-2, -1))), axis=-1, initial=0.0)
+    worst = np.max(dev / np.maximum(1.0, np.max(np.abs(np.linalg.eigvalsh(rows.alpha)), axis=-1)), axis=-1, initial=0.0)
     return np.where(rows.T_norm <= DEGENERATE["T_class_a"], 0.0, worst)
 
 

@@ -102,12 +102,12 @@ def _cmd_run(args) -> int:
         jobs=max(1, args.jobs),
         csv_path=args.csv,
     )
+    text = json.dumps(report, indent=2) if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(text)
     else:
         print(f"scene: {args.scene}  chart: {report['chart']}  samples: {report['samples']}")
         for c in report["checks"]:

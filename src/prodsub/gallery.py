@@ -199,7 +199,7 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     g = JtS @ J
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
     degenerate = np.any((det <= 1e-14).reshape(count, -1), axis=1)
-    g_inv = np.linalg.inv(np.where((det <= 1e-14)[:, None, None], np.eye(2), g))
+    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(det <= 1e-14, 1.0, det)[:, None, None]  # adj g / det g
 
     def proj(v):
         out = v - (inner(plane, v, phiq) / (plane.epsilon * a * a))[:, None] * phiq

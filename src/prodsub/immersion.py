@@ -338,10 +338,10 @@ def project(P: np.ndarray, v) -> np.ndarray:
 class PointBatch:
     """Frame-bundle samples of a chart at N points, stacked on a leading axis.
 
-    ``errors[i]`` is the IrregularPoint or NullFrame that point i raises on
-    its own, else None; the array rows of a failed point mean nothing.
-    ``P`` is formed on first use, and the copies ``take`` and ``replace``
-    make form their own.
+    ``errors[i]`` is the IrregularPoint or NullFrame that point i raises on its own, else None;
+    the array rows of a failed point mean nothing.  ``g_inv`` is C^T C from the tangent
+    coefficients C, so ``det g`` is all ``analyze_point`` asks LAPACK for.  ``P`` is formed on
+    first use, and the copies ``take`` and ``replace`` make form their own.
     """
 
     chart: Chart
@@ -431,14 +431,13 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
     scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
     det = np.linalg.det(g)
-    # the tangent frame's only regularity test.  det g > 0 makes g positive definite: g = J^T S J
-    # has at most one negative eigenvalue (Sylvester).  The tangent MGS pivots multiply to det g
-    # and none exceeds scale, so each is above 1e-12 scale on a row that passes.
+    # the tangent frame's only regularity test, and its only LAPACK call.  det g > 0 makes g positive
+    # definite: g = J^T S J has at most one negative eigenvalue (Sylvester).  The tangent MGS pivots
+    # multiply to det g and none exceeds scale, so each is above 1e-12 scale on a row that passes.
     fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
-    irregular = np.array([e is not None for e in errors])
-    g_inv = np.linalg.inv(np.where(irregular[:, None, None], np.eye(m), g))
-
+    # E = C J^T is orthonormal, so C g C^T = I and g^-1 = C^T C (inf or NaN on irregular rows)
     E, C, _, _ = gram_schmidt(sp, np.swapaxes(J, -1, -2))
+    g_inv = np.swapaxes(C, -1, -2) @ C
 
     # normal frame: project the canonical basis onto the complement of
     # span(tangent) + span(p_Q), then pivoted MGS.  The tangent projection

@@ -174,6 +174,36 @@ def test_class_A_fails_on_tilted_graph():
     assert engine >= 1e-2
 
 
+def _class_a_with_svd_scale(rows):
+    """class_A_residual as it was with the batched SVD 2-norm for |A_xi|."""
+    t = rows.T_onb
+    At = (rows.alpha @ t[:, None, :, None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = (At[..., None, :] @ t[:, None, :, None])[..., 0] / (t[:, None, :] @ t[:, :, None])
+        dev = np.linalg.norm(At - coef * t[:, None, :], axis=-1)
+    worst = np.max(dev / np.maximum(1.0, np.linalg.norm(rows.alpha, 2, axis=(-2, -1))), axis=-1, initial=0.0)
+    return np.where(rows.T_norm <= classify.DEGENERATE["T_class_a"], 0.0, worst)
+
+
+def test_class_A_scale_is_the_spectral_norm(all_gallery_charts):
+    # the scale max |eigvalsh(alpha^a)| against the SVD 2-norm, on charts
+    # where |A_xi| > 1 sets it and on the tilted graph, where class A fails
+    tilted = Chart(
+        space=ProductSpace(1, 2),
+        m=2,
+        coords=["cos(u1)*cos(u2)", "cos(u1)*sin(u2)", "sin(u1)", "0.3*u1+0.25*u2^2"],
+        domain=[(-0.6, 0.6), (-0.6, 0.6)],
+    )
+    above_one = 0
+    for ch in [*all_gallery_charts, tilted]:
+        rows = _rows(ch, random_interior_points(ch, 40, seed=37))
+        above_one += int(np.any(np.linalg.norm(rows.alpha, 2, axis=(-2, -1)) > 1.0))
+        ref = _class_a_with_svd_scale(rows)
+        got = class_A_residual(rows)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), ch.label
+    assert above_one >= 6
+
+
 def test_class_A_zero_when_T_vanishes(slice_s4):
     assert class_A_residual(_rows(slice_s4, [[0.1, 0.2]]))[0] == 0.0
 

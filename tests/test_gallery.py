@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_theorem1_minimality_oracle_rejects_nonminimal_phi(s4):
         make_theorem1(
             s4, a=a, phi_kind="custom", phi_params={"coords": coords}
         )
+
+
+@pytest.mark.parametrize("t_coord", ["0", "u2^3"])
+def test_theorem1_custom_phi_with_a_degenerate_metric_is_rejected_silently(s4, t_coord):
+    # d/du2 vanishes everywhere, or on the probe grid's u2 = 0 line: the
+    # closed-form 2x2 inverse divides those rows by 1, not by det g = 0
+    coords = ["0.8*cos(u1/0.8)", "0.8*sin(u1/0.8)", "0", t_coord]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="phi factor is degenerate"):
+            make_theorem1(s4, a=0.8, phi_kind="custom", phi_params={"coords": coords})
 
 
 def test_theorem1_custom_phi_accepts_the_geodesic_cylinder(s4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,10 +102,27 @@ def test_gram_schmidt_idempotent_on_orthonormal(s4):
 
 def test_a_null_tangent_vector_is_irregular(h4):
     # f_1 = (1, 1, 0, ...) is null in the Lorentz inner, so det g = 0: the
-    # det test flags the point before the tangent frame is built
+    # det test flags the point before the tangent frame is built, and the
+    # frame's coefficients on that row (and its g^-1) warn of nothing
     chart = Chart(space=h4, m=1, coords=["2 + u1", "u1", "0", "0", "0", "0"], domain=[(-1.0, 1.0)])
-    b = analyze_point(chart, probe_grid(chart.domain, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = analyze_point(chart, probe_grid(chart.domain, 3))
     assert all(isinstance(e, IrregularPoint) and str(e).startswith("det g = 0.000e+00") for e in b.errors)
+
+
+def test_g_inv_from_the_tangent_frame_is_the_inverse_metric(all_gallery_charts):
+    # g^-1 = C^T C from the tangent MGS coefficients, against LAPACK's inverse
+    for ch in all_gallery_charts:
+        b = analyze_point(ch, random_interior_points(ch, 50, seed=31))
+        ok = np.array([e is None for e in b.errors])
+        assert ok.all(), ch.label
+        g, g_inv = b.g[ok], b.g_inv[ok]
+        ref = np.linalg.inv(g)
+        bound = 1e-13 * np.linalg.cond(g)
+        rel = np.max(np.abs(g_inv - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+        assert np.all(rel <= bound), ch.label
+        assert np.all(np.max(np.abs(g_inv @ g - np.eye(ch.m)), axis=(-2, -1)) <= bound), ch.label
 
 
 def test_irregular_point_raises(s4):
