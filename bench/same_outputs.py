@@ -185,7 +185,7 @@ _SCAN_P = ["scan", "--param", "p", "--from", "-0.035", "--to", "0.345", "--steps
 _OVERFLOW = "u1 + 0*((1e200*exp(-10000*(u1 - 0.32)^2))*(1e200*exp(-10000*(u1 - 0.32)^2)))"
 NARROW = {  # name: scene; every sample lies within 5e-4, the step of the old difference layer, of the edge
     "stencil_domain": _latitude("0.5 + u1", "sqrt(u1)", (0.0, 1e-4), [2, 1]),  # of the domain of sqrt(u1)
-    "stencil_irregular": _latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]),  # of det g > 1e-12
+    "stencil_irregular": _latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]),  # of u1 = 0, where g degenerates
 }
 FAILING = {  # name: (scene, the command's arguments after --scene)
     "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),

@@ -30,6 +30,7 @@ __all__ = [
     "biconservative_residual",
     "biharmonic_predicates",
     "biharmonic_residual",
+    "pmc_residual",
     "class_A_residual",
     "e0_structure",
     "splitting_residual",
@@ -40,7 +41,7 @@ __all__ = [
 
 TOL_EIG = 1e-7
 
-#: PMC holds where every |nabla^perp_p H| is at or below this
+#: PMC holds where |nabla^perp H| (``pmc_residual``) is at or below this
 TOL_PMC = 1e-6
 
 #: degeneracy thresholds: a point whose quantity is at or below its entry
@@ -154,6 +155,13 @@ def biharmonic_predicates(rows: ExtrinsicRows, frame=None) -> tuple[np.ndarray, 
     return tr + t2 - rows.chart.m, tr + rows.chart.space.epsilon * (t2 - rows.chart.m)
 
 
+def pmc_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
+    """|nabla^perp H| of every row, given nabla^perp H (N, m, n+2) in chart
+    directions: the root sum of squares of nabla^perp_{E_a} H over the
+    tangent ONB E, which is the same in every ONB and so in every chart."""
+    return np.linalg.norm((rows.tangent_coeffs @ nabla_H).reshape(len(nabla_H), -1), axis=-1)
+
+
 def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     """The biharmonic normal residual of every row, given nabla^perp H
     (N, m, n+2) there.
@@ -161,7 +169,7 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     normal: the norm of trace alpha(., A_H .) - lap^perp H
     + trace (R(., H) .)^perp; minimal: whether H vanishes (|H| at or below
     DEGENERATE["H_minimal"]); nested: whether lap^perp H was taken, which
-    it is where PMC fails (some |nabla^perp_p H| above TOL_PMC, the default
+    it is where PMC fails (``pmc_residual`` above TOL_PMC, the default
     tolerance of the pmc check, whatever tolerance a run gives that check)
     and H does not vanish, and is 0 elsewhere, so a zero ``nabla_H``
     assumes PMC.  The nested rows are evaluated again at order 4, in one
@@ -174,7 +182,7 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     small-hypersphere locus in the round sphere.
     """
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(np.max(np.linalg.norm(nabla_H, axis=-1), axis=-1) <= TOL_PMC) & ~minimal
+    nested = ~(pmc_residual(rows, nabla_H) <= TOL_PMC) & ~minimal
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:

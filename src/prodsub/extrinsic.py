@@ -1,21 +1,22 @@
 """Second fundamental form, mean curvature, normal connection and the
-residuals of the first-order structure equations, as array kernels over
-an ``ExtrinsicRows``: a PointBatch with its alpha, H and |H|, whose fields
+Gauss, Codazzi and Ricci equations, as array kernels over an
+``ExtrinsicRows``: a PointBatch with its alpha, H and |H|, whose fields
 every kernel reads directly.
 
 Derivative depth discipline: every quantity is exact ("jet level") and
 taken in closed form from the position jet of a batch (``JetDerivatives``).
 The metric, Christoffels, normal projector, T and eta come from the 2-jet,
-and so do their first chart derivatives; H, the Christoffels' derivatives
-and alpha(Y, Z) = P d2f(Y, Z) take their first derivatives from the 3-jet of
-a batch evaluated at order 3.  So Gauss, Codazzi, Ricci, the T/eta rules
-and nabla^perp H are jet-exact at the sample itself.  The normal Laplacian
-of H reads the second derivatives of g, g^-1, P and H from the 4-jet of a
-batch evaluated at order 4.  No kernel differences.  The normal projector P
-is the batch's, formed once; its chart derivatives are applied to the
-vectors they act on and never formed as matrices, and every contraction is
-a matmul stacked per row, so that a row's value does not depend on its
-batch.
+and so do their first chart derivatives; H and the Christoffels take their
+first derivatives from the 3-jet of a batch evaluated at order 3.  So the
+structure equations, the T/eta rules and nabla^perp H are jet-exact at the
+sample itself.  The Gauss, Codazzi and Ricci residuals are full tensors in
+the tangent and normal ONBs, one component per frame index, so no residual
+depends on a chosen direction.  The normal Laplacian of H reads the second
+derivatives of g, g^-1, P and H from the 4-jet of a batch evaluated at
+order 4.  No kernel differences.  The normal projector P is the batch's,
+formed once; its chart derivatives are applied to the vectors they act on
+and never formed as matrices, and every contraction is a matmul stacked per
+row, so that a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import ProductSpace, curvature, inner
+from .ambient import ProductSpace, inner
 from .immersion import Chart, PointBatch, analyze_point, project
 
 __all__ = [
@@ -83,6 +84,11 @@ class ExtrinsicRows(PointBatch):
         """The rows' ``JetDerivatives``, shared by the kernels that read them."""
         return JetDerivatives(self)
 
+    @cached_property
+    def d_normals(self) -> np.ndarray:
+        """(d_i P) xi_s (N, m, r, n+2), which Codazzi and Ricci share."""
+        return self.derivatives.dP_apply(self.normal_onb)
+
 
 def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
     """alpha (N, r, m, m) in the tangent ONB, H (N, n+2) and |H| (N,) from
@@ -118,7 +124,6 @@ class JetDerivatives:
     - dH[:, i] = d_i H for H = P tr / m, with tr = g^jl d2_jl
     - dgamma[:, i, l, j, k] = d_i Gamma^l_jk, with
       Gamma^l_jk = g^lq <d2_jk, J_q>
-    - ``d_alpha(v, w)``[:, i] = d_i (P d2f(v, w)) for fixed chart vectors
     - d2g[:, p, q] = d_p d_q g, d2g_inv[:, p, q] = d_p d_q g^-1 and
       ``d2P_apply(v)``[:, p, q] = (d_p d_q P) v
 
@@ -240,11 +245,6 @@ class JetDerivatives:
         out = _rmul(self._inner(d2, J), self.dg_inv).reshape(shape) + _rmul(dlow.reshape(self.n, -1, self.m), self.g_inv).reshape(shape)
         return out.transpose(0, 3, 4, 1, 2)  # [:, j, k, i, l] -> [:, i, l, j, k]
 
-    def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """d_i (P d2f(v, w)) (N, m, n+2) for chart vectors v, w (N, m) held fixed."""
-        vw = (v[:, :, None] * w[:, None]).reshape(self.n, 1, -1)
-        return self.dP_apply(_d2(self.jet.d2, v, w)) + project(self._P, _rmul(vw, self._dd2)[:, 0])
-
     @cached_property
     def d2g(self) -> np.ndarray:
         # <d_pq J_j, J_l> + <d_p J_j, d_q J_l>, and the same with j, l (and then p, q) swapped
@@ -322,75 +322,74 @@ def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     return rows.proj_normal((rows.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0])
 
 
-def structure_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, a: np.ndarray) -> dict:
-    """Gauss, Codazzi and Ricci residuals (LHS - RHS as ambient vectors
-    (N, n+2)) at every row of a batch evaluated at order 3, for chart
-    directions X, Y, Z (N, m) and normal indices a (N,); Gauss and Codazzi
-    do not use ``a``, Ricci does not use Z."""
-    return {
-        "gauss": gauss_residuals(rows, X, Y, Z),
-        "codazzi": codazzi_residuals(rows, X, Y, Z),
-        "ricci": ricci_residuals(rows, X, Y, a),
-    }
+def structure_residuals(rows: ExtrinsicRows) -> dict:
+    """The Gauss, Codazzi and Ricci tensors of every row of a batch
+    evaluated at order 3, by name."""
+    return {"gauss": gauss_residuals(rows), "codazzi": codazzi_residuals(rows), "ricci": ricci_residuals(rows)}
 
 
-def _alpha(b: PointBatch, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """alpha(v, w) = P d2f(v, w) (N, n+2) at every row, for chart vectors v, w (N, m)."""
-    return b.proj_normal(_d2(b.jet.d2, v, w))
+def _frame(t: np.ndarray, *mats: np.ndarray) -> np.ndarray:
+    """t (N, ..., i, j, ...) with its last len(mats) axes taken to a frame by
+    one matrix (N, a, i) per axis, out[..., a, b, ...] = sum M0[a, i]
+    M1[b, j] ... t[..., i, j, ...]: one matmul per row and axis."""
+    n, lead = len(t), t.ndim - len(mats)
+    for M in reversed(mats):
+        t = np.moveaxis((t.reshape(n, -1, M.shape[-1]) @ np.swapaxes(M, -1, -2)).reshape(*t.shape[:-1], -1), -1, lead)
+    return t
 
 
-def gauss_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + the tangent part of the
-    ambient curvature) as ambient vectors (N, n+2) for chart directions
-    X, Y, Z (N, m) at every row of a batch evaluated at order 3.  R comes
-    from the Christoffels and their exact derivatives
-    DG[:, i, l, j, k] = d_i Gamma^l_jk."""
-    d, sp = rows.derivatives, rows.chart.space
-    n, m = X.shape
-    DG, G = d.dgamma, d.gamma
-    DX, DY = ((v[:, None] @ DG.reshape(n, m, -1)).reshape(n, m, m, m) for v in (X, Y))
-    GX, GY = ((v[:, None, None] @ G)[:, :, 0] for v in (X, Y))  # GX[l, p] = Gamma^l_ip X^i
-    curv = _d2(DX, Y, Z) - _d2(DY, X, Z) + (GX @ _d2(G, Y, Z)[..., None] - GY @ _d2(G, X, Z)[..., None])[..., 0]
-    E = rows.tangent_onb
-    Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)  # pushed forward
-    A_YZ, A_XZ = (shape_operator(sp, rows.normal_onb, rows.alpha, _alpha(rows, v, Z)) for v in (Y, X))
-    X_onb, Y_onb = (inner(sp, E, v[:, None])[..., None] for v in (Xa, Ya))
-    rhs = np.swapaxes(A_YZ @ X_onb - A_XZ @ Y_onb, -1, -2) @ E
-    R = curvature(sp, Xa, Ya, Za)
-    return (rows.jet.jac @ curv[..., None])[..., 0] - rhs[:, 0] - (R - rows.proj_normal(R))
+def gauss_residuals(rows: ExtrinsicRows) -> np.ndarray:
+    """The Gauss equation in the tangent ONB E, (N, m, m, m, m):
+    R_abcd - (<alpha_bc, alpha_ad> - <alpha_ac, alpha_bd>) - Rbar_abcd with
+    R_abcd = <R(E_a, E_b)E_c, E_d> from the Christoffels and their exact
+    derivatives, and Rbar_abcd = eps (h_bc h_ad - h_ac h_bd) with
+    h = I - T T^T, as the t component drops out of the ambient curvature."""
+    d, C, T = rows.derivatives, rows.tangent_coeffs, rows.T_onb
+    n, m = T.shape
+    G = d.gamma
+    # K[:, i, l, j, k] = d_i Gamma^l_jk + Gamma^l_ip Gamma^p_jk, so R^l_ijk = K[i, l, j, k] - K[j, l, i, k]
+    K = d.dgamma + (np.swapaxes(G, 1, 2).reshape(n, m * m, m) @ G.reshape(n, m, m * m)).reshape(d.dgamma.shape)
+    R = _frame(K - K.transpose(0, 3, 2, 1, 4), C, C @ rows.g, C, C)  # [:, a, d, b, c] = R_abcd
+    F = rows.alpha.reshape(n, -1, m * m)
+    h = (np.eye(m) - T[:, :, None] * T[:, None]).reshape(n, m * m, 1)
+    Q = (np.swapaxes(F, -1, -2) @ F + rows.chart.space.epsilon * h * np.swapaxes(h, -1, -2)).reshape(R.shape)
+    # Q[:, x, y, z, w] = <alpha_xy, alpha_zw> + eps h_xy h_zw, and the right side is Q[b, c, a, d] - Q[a, c, b, d]
+    return (R - Q + Q.transpose(0, 1, 4, 3, 2)).transpose(0, 1, 3, 4, 2)
 
 
-def codazzi_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Codazzi equation LHS - RHS as ambient vectors (N, n+2) for chart
-    directions X, Y, Z (N, m) at every row of a batch evaluated at order 3.
-    The nabla_X Y terms cancel between the two sides because coordinate
-    fields commute, leaving P d_X alpha(Y,Z) - P d_Y alpha(X,Z)
-    - alpha(Y, nab_X Z) + alpha(X, nab_Y Z) against the normal part
-    P R(X,Y)Z of the ambient curvature, where d_X alpha is the exact
-    derivative of the field P d2f(Y, Z)."""
-    d = rows.derivatives
-    dYZ, dXZ = (d.d_alpha(v, Z) for v in (Y, X))
-    nab_XZ, nab_YZ = (_d2(d.gamma, v, Z) for v in (X, Y))
-    lhs = rows.proj_normal((X[:, None] @ dYZ - Y[:, None] @ dXZ)[:, 0]) - _alpha(rows, Y, nab_XZ) + _alpha(rows, X, nab_YZ)
-    Xa, Ya, Za = np.moveaxis(rows.jet.jac @ np.stack([X, Y, Z], axis=-1), -1, 0)
-    return lhs - rows.proj_normal(curvature(rows.chart.space, Xa, Ya, Za))
+def codazzi_residuals(rows: ExtrinsicRows) -> np.ndarray:
+    """The Codazzi equation in the tangent and normal ONBs, (N, m, m, m, r):
+    (nabla_a alpha)_bc - (nabla_b alpha)_ac - <Rbar(E_a, E_b)E_c, xi_s>.
+    In chart directions <xi_s, d_i (P d2_jk)> = <(d_i P) xi_s, d2_jk>
+    + <xi_s, d3_ijk>, as P is self-adjoint and fixes xi_s; the third
+    derivatives and the alpha(nabla_i f_j, f_k) terms are symmetric in i, j
+    and cancel, leaving D_ijk = <(d_i P) xi_s, d2_jk> - Gamma^l_ik
+    <xi_s, d2_jl> to antisymmetrize, so the 2-jet suffices.  The normal
+    part of Rbar(E_a, E_b)E_c is eps (delta_ac T_b - delta_bc T_a) eta."""
+    C, T, xi = rows.tangent_coeffs, rows.T_onb, rows.normal_onb
+    n, m = T.shape
+    r, sp, d2 = xi.shape[1], rows.chart.space, rows.jet.d2.reshape(n, -1, m * m)
+    a = ((xi * sp.signature) @ d2).reshape(n, r * m, m)  # [:, (s, j), l] = <xi_s, d2_jl>
+    dxi = np.swapaxes(rows.d_normals * sp.signature, 1, 2).reshape(n, r * m, -1)  # [:, (s, i)] = S (d_i P) xi_s
+    D = (dxi @ d2).reshape(n, r, m, m, m) - np.swapaxes((a @ rows.derivatives.gamma.reshape(n, m, m * m)).reshape(n, r, m, m, m), 2, 3)
+    eta = inner(sp, xi, rows.eta[:, None])[:, :, None, None, None]
+    W = _frame(D, C, C, C) - sp.epsilon * eta * np.eye(m)[:, None] * T[:, None, None, :, None]  # [:, s, a, b, c]
+    return np.moveaxis(W - np.swapaxes(W, 2, 3), 1, -1)
 
 
-def ricci_residuals(rows: ExtrinsicRows, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Ricci equation LHS - RHS against normal a[r] as ambient vectors
-    (N, n+2), for chart directions X, Y (N, m) and normal indices a (N,) of
-    every row, exact at jet level.  With the projector field P and the
-    extension xi = P xi0, R^perp(X,Y)xi = P [D_X P, D_Y P] xi0 (coordinate
-    fields commute); the right side is P d2(X, A_xi Y) - P d2(A_xi X, Y)."""
-    d, n = rows.derivatives, len(rows)
-    on, C = np.arange(n), rows.tangent_coeffs
-    # A_xi on chart coordinates: chart -> ONB is C g, ONB -> chart is C^T
-    AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ rows.g @ v[..., None])[..., 0] for v in (X, Y))
-    XY = np.stack([X, Y], axis=1)
-    DXi = XY @ d.dP_apply(rows.normal_onb[on, a])  # [:, 0] = D_X P xi0, [:, 1] = D_Y P xi0
-    DD = (XY @ d.dP_apply(DXi).reshape(n, rows.chart.m, -1)).reshape(n, 2, 2, -1)  # [:, s, t] = D_s P D_t P xi0
-    lhs = DD[:, 0, 1] - DD[:, 1, 0]
-    return rows.proj_normal(lhs - _d2(rows.jet.d2, X, AY) + _d2(rows.jet.d2, AX, Y))
+def ricci_residuals(rows: ExtrinsicRows) -> np.ndarray:
+    """The Ricci equation in the tangent and normal ONBs, (N, m, m, r, r):
+    <R^perp(E_a, E_b)xi_s, xi_t> - <[A_s, A_t]E_a, E_b>.  With the
+    projector field P, R^perp(X, Y)xi = P [D_X P, D_Y P] xi, so
+    <R^perp(E_a, E_b)xi_s, xi_t> = <V_at, V_bs> - <V_bt, V_as> with
+    V_as = (d_{E_a} P) xi_s.  The ambient <Rbar(E_a, E_b)xi_s, xi_t> is
+    eps T_a T_b (eta_s eta_t - eta_t eta_s) = 0."""
+    sp, alpha = rows.chart.space, rows.alpha
+    n, r, m, _ = alpha.shape
+    V = (rows.tangent_coeffs @ rows.d_normals.reshape(n, m, -1)).reshape(n, m * r, -1)
+    M = ((V * sp.signature) @ np.swapaxes(V, -1, -2)).reshape(n, m, r, m, r).transpose(0, 1, 3, 4, 2)  # [:, a, b, s, t] = <V_at, V_bs>
+    AA = alpha[:, :, None] @ alpha[:, None]  # [:, s, t] = A_s A_t, whose (b, a) entry is <A_s A_t E_a, E_b>
+    return M - np.swapaxes(M, 1, 2) + (AA - np.swapaxes(AA, 1, 2)).transpose(0, 3, 4, 1, 2)
 
 
 def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -398,14 +397,6 @@ def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     x (N, L, m) and stacked arrays M (N, ..., m): one matmul per row."""
     n, L = x.shape[:2]
     return (x @ np.swapaxes(M.reshape(n, -1, M.shape[-1]), -1, -2)).reshape(n, L, *M.shape[1:-1])
-
-
-def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d2(v, w) (N, K) for stacked second derivatives d2 (N, K, m, m) and
-    chart vectors v, w (N, m): the outer product v w^T times d2 with its
-    chart axes flattened, one matmul per row."""
-    vw = (v[:, :, None] * w[:, None]).reshape(len(v), 1, -1)
-    return _rmul(vw, d2.reshape(*d2.shape[:2], -1))[:, 0]
 
 
 def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:

@@ -429,12 +429,15 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
 
     finite = np.isfinite(g).all(axis=(-2, -1))
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
-    scale = np.fmax(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
     det = np.linalg.det(g)
     # the tangent frame's only regularity test, and its only LAPACK call.  det g > 0 makes g positive
-    # definite: g = J^T S J has at most one negative eigenvalue (Sylvester).  The tangent MGS pivots
-    # multiply to det g and none exceeds scale, so each is above 1e-12 scale on a row that passes.
-    fail(det <= 1e-12 * scale**m, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
+    # definite: g = J^T S J has at most one negative eigenvalue (Sylvester); a negative g_ii would make
+    # the floor negative.  det g / prod g_ii is unit-free, at most 1 (Hadamard), and bounds every
+    # tangent MGS pivot p_j, as prod p_j = det g and p_j <= g_jj: each p_j is above 1e-12 g_jj on a
+    # row that passes, whatever the chart's scale.
+    regular = (det > 1e-12 * np.prod(diag, axis=-1)) & np.all(diag > 0.0, axis=-1)
+    fail(~regular, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
     # E = C J^T is orthonormal, so C g C^T = I and g^-1 = C^T C (inf or NaN on irregular rows)
     E, C, _, _ = gram_schmidt(sp, np.swapaxes(J, -1, -2))
     g_inv = np.swapaxes(C, -1, -2) @ C

@@ -6,7 +6,7 @@ checks to run and optional tolerance overrides.
 
 A run checks its samples a chunk at a time: one batched geometry call per
 chunk of up to ``immersion._BATCH_POINTS`` (512) samples, at the jet order
-its checks need (3 when one reads a derivative of H, alpha or the
+its checks need (3 when one reads a derivative of H or of the
 Christoffels, else 2), and one call of each CHECKS entry on the chunk's
 arrays, which returns a residual, a note and a degenerate flag per sample.
 Every entry is array code over the samples themselves, and no entry
@@ -16,9 +16,9 @@ results stay one column per check from the kernel to the report and the
 CSV: chunks, and the blocks of
 samples that ``--jobs N`` computes in the run's process and forked children,
 follow sample order, so joining a check's columns gives row i for sample i.
-Residuals are deterministic functions of (scene, seed): nothing reduces
-across samples, and a check's draws hash (seed, sample index, stream, draw),
-so neither the chunking nor the blocks change values.
+Residuals are deterministic functions of (scene, seed), and the seed only
+places random samples: nothing reduces across samples, and no check draws
+anything, so neither the chunking nor the blocks change values.
 
 A parameter scan is one such run on one family chart (``Family``), whose
 scanned parameter takes one value per batch row: every step's samples go
@@ -59,6 +59,7 @@ from .classify import (
     class_A_residual,
     codim_two_frame,
     e0_structure,
+    pmc_residual,
     splitting_residual,
 )
 from .errors import ChartError, EngineError, RowFailure, SceneError
@@ -84,11 +85,9 @@ __all__ = [
     "CHECK_TABLE",
     "CHECKS",
     "RNG_NAME",
-    "DRAWS_NAME",
 ]
 
 RNG_NAME = "numpy-PCG64"  # the sample positions
-DRAWS_NAME = "splitmix64-keyed"  # the directions of gauss, codazzi and ricci
 
 SCENE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -311,7 +310,6 @@ class Chunk:
 
     chart: Chart
     indices: np.ndarray
-    seed: int
     geo: ExtrinsicRows
 
     def __len__(self) -> int:
@@ -385,50 +383,21 @@ def _chk_biharmonic_predicate(c: Chunk):
     return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # the SplitMix64 increment
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finaliser, a bijection of uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def keyed_draws(seed: int, indices: np.ndarray, stream: int, m: int, codim: int):
-    """X, Y, Z (N, m) unit directions and a (N,) index in [0, codim) from
-    draws 0..6m of each sample, SplitMix64 hashes of (seed, sample index,
-    stream, draw) with every 64-bit word of the seed in the key: 3m
-    Box-Muller normals, normalised, then the last draw modulo codim."""
-    key = np.zeros(1, np.uint64)
-    for word in [(seed >> s) & (2**64 - 1) for s in range(0, max(seed.bit_length(), 1), 64)] + [stream]:
-        key = _mix(key + _GOLDEN + np.uint64(word))
-    start = _mix(key + np.asarray(indices, np.uint64) * _GOLDEN)
-    bits = _mix(start[:, None] + np.arange(1, 6 * m + 2, dtype=np.uint64) * _GOLDEN)
-    u = ((bits[:, :-1] >> np.uint64(11)) + 0.5) * 2.0**-53  # (N, 6m) in (0, 1)
-    v = (np.sqrt(-2.0 * np.log(u[:, : 3 * m])) * np.cos(2.0 * np.pi * u[:, 3 * m :])).reshape(-1, 3, m)
-    X, Y, Z = (v / np.linalg.norm(v, axis=2, keepdims=True)).transpose(1, 0, 2)
-    return X, Y, Z, (bits[:, -1] % np.uint64(codim)).astype(int)
-
-
-def _draws(c: Chunk, name: str):
-    """``keyed_draws`` of the chunk's samples on the check's stream."""
-    return keyed_draws(c.seed, c.indices, CHECK_TABLE[name].stream, c.chart.m, c.geo.normal_onb.shape[1])
+def _tensor_max(t: np.ndarray) -> np.ndarray:
+    """The largest |component| of each row's tensor t (N, ...)."""
+    return np.max(np.abs(t.reshape(len(t), -1)), axis=-1)
 
 
 def _chk_ricci(c: Chunk):
-    X, Y, _, a = _draws(c, "ricci")
-    return np.linalg.norm(ricci_residuals(c.geo, X, Y, a), axis=-1), None, False
+    return _tensor_max(ricci_residuals(c.geo)), None, False
 
 
 def _chk_gauss(c: Chunk):
-    X, Y, Z, _ = _draws(c, "gauss")
-    return np.linalg.norm(gauss_residuals(c.geo, X, Y, Z), axis=-1), None, False
+    return _tensor_max(gauss_residuals(c.geo)), None, False
 
 
 def _chk_codazzi(c: Chunk):
-    X, Y, Z, _ = _draws(c, "codazzi")
-    return np.linalg.norm(codazzi_residuals(c.geo, X, Y, Z), axis=-1), None, False
+    return _tensor_max(codazzi_residuals(c.geo)), None, False
 
 
 def _chk_vector_t(c: Chunk):
@@ -454,7 +423,7 @@ def _chk_e0(c: Chunk):
 
 
 def _chk_pmc(c: Chunk):
-    return np.max(np.linalg.norm(c.nabla_H, axis=-1), axis=-1), None, False
+    return pmc_residual(c.geo, c.nabla_H), None, False
 
 
 def _chk_biconservative_full(c: Chunk):
@@ -496,18 +465,15 @@ class Check:
     ``chart_level`` kernel maps the chart to one residual, note and flag.
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
-    derivative of H, alpha or the Christoffels; a run evaluates its samples
+    derivative of H or of the Christoffels; a run evaluates its samples
     at the highest order of its checks; ``biharmonic_normal`` takes its
-    nesting samples again at order 4 itself.  ``stream`` keys the draws of a
-    check that makes them (``keyed_draws``): fixed numbers, so that adding
-    a check moves no other's draws.
+    nesting samples again at order 4 itself.
     """
 
     kernel: Callable
     tol: float | tuple[float, float]
     order: int = 2
     chart_level: bool = False
-    stream: int | None = None
 
     def tolerance(self, space: ProductSpace) -> float:
         return self.tol[space.epsilon == -1] if isinstance(self.tol, tuple) else self.tol
@@ -523,14 +489,14 @@ CHECK_TABLE = {
     "biharmonic_predicate": Check(_chk_biharmonic_predicate, 1e-6),
     "class_a": Check(_chk_class_a, 1e-9),
     "e0": Check(_chk_e0, 1e-8),
-    "ricci": Check(_chk_ricci, 1e-5, stream=13),
+    "ricci": Check(_chk_ricci, 1e-5),
     "vector_t": Check(_chk_vector_t, 1e-5),
     "vector_eta": Check(_chk_vector_eta, 1e-5),
     "pmc": Check(_chk_pmc, TOL_PMC, order=3),
     "biconservative_full": Check(_chk_biconservative_full, 1e-5, order=3),
     "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, order=3),
-    "gauss": Check(_chk_gauss, 1e-5, order=3, stream=8),
-    "codazzi": Check(_chk_codazzi, 1e-5, order=3, stream=5),
+    "gauss": Check(_chk_gauss, 1e-5, order=3),
+    "codazzi": Check(_chk_codazzi, 1e-5),
     "splitting": Check(_chk_splitting, 1e-12, chart_level=True),
     "circle": Check(_chk_circle, 1e-8, chart_level=True),
 }
@@ -557,7 +523,7 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
     return tols
 
 
-def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
+def _chunks(chart: Chart, names: list, samples: np.ndarray, rows):
     """The chunks of a run, in row order.
 
     Row r is sample r % n of the n ``samples`` at scan step r // n (a run
@@ -571,7 +537,7 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows, seed: int):
     for first in range(0, len(rows), immersion._BATCH_POINTS):
         part = slice(first, first + immersion._BATCH_POINTS)
         geo = geometry(chart, samples[ids[part]], steps[part], order)
-        yield Chunk(chart, ids[part], seed, geo)
+        yield Chunk(chart, ids[part], geo)
 
 
 def _chunk_columns(chunk: Chunk, names: list) -> dict:
@@ -605,13 +571,13 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     return columns
 
 
-def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int) -> list:
+def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows) -> list:
     """The columns of each chunk of the given rows, in order.  Raises the
     first error in (step, sample, check) order."""
-    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, rows, seed)]
+    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, rows)]
 
 
-def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int, jobs: int):
+def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, jobs: int):
     """``_compute_rows`` of ``rows`` and the run's ``parallel`` record.  With jobs > 1, a forked child
     computes each of ``jobs`` contiguous blocks of ``rows`` after the first and pipes back its result
     or error.  Children fork from the last block on, so the rows no child took, which this process
@@ -626,7 +592,7 @@ def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int
                 if children[0][0] == 0:  # the child: it leaves through os._exit on every path
                     try:
                         try:
-                            result = _compute_rows(chart, names, samples, block, seed)
+                            result = _compute_rows(chart, names, samples, block)
                         except Exception as exc:
                             result = exc
                         with pipes[-1] as out:
@@ -639,7 +605,7 @@ def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, seed: int
         except OSError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         parallel = {"requested": jobs, "used": 1 + len(children), "fallback_reason": reason}
-        parts = _compute_rows(chart, names, samples, rows[:head], seed)
+        parts = _compute_rows(chart, names, samples, rows[:head])
         for pid, pipe in list(children):
             data, status = pipe.read(), os.waitpid(pid, 0)[1]
             children.remove((pid, pipe))
@@ -714,9 +680,9 @@ def run_scene(
 
     Exit-code semantics live in the CLI; here FAIL is only recorded in the
     report.  With ``jobs > 1`` this process computes the first contiguous block
-    of samples and a forked child each other one; each sample's draws depend
-    on (seed, sample index, stream) alone, so verdicts and CSV rows are
-    identical for any job count.
+    of samples and a forked child each other one; each sample's residuals
+    depend on that sample alone, so verdicts and CSV rows are identical for
+    any job count.
 
     ``scene`` must come from ``load_scene`` or have passed
     ``validate_scene``: only the sampling block merged with
@@ -746,7 +712,6 @@ def _run_checks(
     csv_path: str | None,
 ) -> dict:
     """The body of ``run_scene`` on an already validated scene and its chart."""
-    seed = int(sampling.get("seed", 0))
     # a check named twice runs once, where it is first named
     names = list(dict.fromkeys(checks if checks is not None else scene.get("checks", [])))
     if not names:
@@ -760,7 +725,7 @@ def _run_checks(
     per_sample = [n for n in names if not CHECK_TABLE[n].chart_level]
 
     rows = np.arange(len(samples) if per_sample else 0)  # chart-level checks alone take no rows
-    chunks, parallel = _pooled_rows(chart, per_sample, samples, rows, seed, jobs)
+    chunks, parallel = _pooled_rows(chart, per_sample, samples, rows, jobs)
     columns = {}
     for name in names:
         if CHECK_TABLE[name].chart_level:
@@ -776,7 +741,7 @@ def _run_checks(
 
     return {
         "engine": {"name": "prodsub", "version": __version__},
-        "rng": {"name": RNG_NAME, "seed": seed, "directions": DRAWS_NAME},
+        "rng": {"name": RNG_NAME, "seed": int(sampling.get("seed", 0))},
         "scene": scene,
         "chart": chart.label,
         "samples": len(samples),
@@ -844,7 +809,7 @@ def scan_parameter(
         centers = geometry(chart, np.tile(chart.center(), (len(family), 1)), np.arange(len(family)))
         last = next((s for s, e in enumerate(centers.errors) if e is not None), last)
     rows = np.arange(min(last + 1, len(family)) * n)
-    results, _ = _pooled_rows(chart, [residual], samples, rows, int(sampling.get("seed", 0)), jobs)
+    results, _ = _pooled_rows(chart, [residual], samples, rows, jobs)
     if last < len(family):
         raise centers.errors[last]
     if family.error is not None:

@@ -5,10 +5,14 @@ dense arrays, ``dP`` (N, m, n+2, n+2) and ``d2P`` (N, m, m, n+2, n+2), and
 takes ``dg``, ``trace``, ``dgamma``, ``d2g`` and ``d2H`` by ``np.einsum``:
 the forms that ``JetDerivatives`` replaced with products applied to
 vectors.  ``deta``, ``dH``, ``d_alpha`` and ``d2H`` multiply the dense
-arrays, and ``normal_laplacian_H`` and ``ricci_residuals`` are the kernels
-of the same names written against them.  ``proj_normal`` is the normal
-projection by modified Gram-Schmidt that the matrix P replaced, and ``_d2``
-contracts d2 with n+2 matmuls per row.  ``gauss_curvature_term`` and
+arrays, and ``normal_laplacian_H`` is the kernel of the same name written
+against them.  ``gauss_residuals``, ``codazzi_residuals`` and
+``ricci_residuals`` are the directional forms of the structure equations
+that the ONB tensors of ``prodsub.extrinsic`` replaced: each takes chart
+directions X, Y, Z (N, m) (and for Ricci a normal index a (N,)) and gives
+the residual as ambient vectors (N, n+2), with the derivatives read from
+the dense forms.  ``proj_normal`` is the normal projection by modified
+Gram-Schmidt that the matrix P replaced.  ``gauss_curvature_term`` and
 ``codazzi_curvature_term`` are the ambient curvature terms of the Gauss
 and Codazzi equations written through T, the forms that the tangent and
 normal parts of ``ambient.curvature`` replaced.
@@ -18,13 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from prodsub.ambient import inner
-from prodsub.extrinsic import JetDerivatives
+from prodsub.ambient import curvature, inner
+from prodsub.extrinsic import JetDerivatives, shape_operator
 
 
-def _d2(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d2f(v, w) as columns (N, n+2, 1) for chart vectors v, w (N, m)."""
-    return (v[:, None, None, :] @ d2 @ w[:, None, :, None])[..., 0]
+def _vec(d2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d2(v, w) (N, K) for stacked second derivatives d2 (N, K, m, m) and chart vectors v, w (N, m)."""
+    return np.einsum("nkij,ni,nj->nk", d2, v, w)
 
 
 def _wedge(sp, a, b, c) -> np.ndarray:
@@ -109,7 +113,7 @@ class DenseJetDerivatives(JetDerivatives):
 
     def d_alpha(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         d3vw = np.einsum("ncjli,nj,nl->nic", self.jet.d3, v, w)
-        return (self.dP @ _d2(self.jet.d2, v, w)[:, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
+        return (self.dP @ _vec(self.jet.d2, v, w)[:, None, :, None])[..., 0] + (self.P[:, None] @ d3vw[..., None])[..., 0]
 
     @cached_property
     def d2g(self) -> np.ndarray:
@@ -156,13 +160,42 @@ def normal_laplacian_H(rows, d: DenseJetDerivatives, nabla_H: np.ndarray) -> np.
     return rows.proj_normal(out)
 
 
+def gauss_residuals(rows, d: DenseJetDerivatives, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R(X,Y)Z - (A_{alpha(Y,Z)}X - A_{alpha(X,Z)}Y + the tangent part of the
+    ambient curvature) for chart directions X, Y, Z, R from the Christoffels
+    and their derivatives d_i Gamma^l_jk = DG[:, i, l, j, k]."""
+    sp, DG, G = rows.chart.space, d.dgamma, d.gamma
+    curv = np.einsum("ni,nj,nk,niljk->nl", X, Y, Z, DG) - np.einsum("ni,nj,nk,niljk->nl", Y, X, Z, DG)
+    curv += np.einsum("nlip,ni,np->nl", G, X, _vec(G, Y, Z)) - np.einsum("nlip,ni,np->nl", G, Y, _vec(G, X, Z))
+    E = rows.tangent_onb
+    Xa, Ya, Za = (np.einsum("nki,ni->nk", rows.jet.jac, v) for v in (X, Y, Z))
+    A_YZ, A_XZ = (shape_operator(sp, rows.normal_onb, rows.alpha, rows.proj_normal(_vec(rows.jet.d2, v, Z))) for v in (Y, X))
+    X_onb, Y_onb = (inner(sp, E, v[:, None]) for v in (Xa, Ya))
+    rhs = np.einsum("nab,nb,nak->nk", A_YZ, X_onb, E) - np.einsum("nab,nb,nak->nk", A_XZ, Y_onb, E)
+    R = curvature(sp, Xa, Ya, Za)
+    return np.einsum("nki,ni->nk", rows.jet.jac, curv) - rhs - (R - rows.proj_normal(R))
+
+
+def codazzi_residuals(rows, d: DenseJetDerivatives, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """P d_X alpha(Y,Z) - P d_Y alpha(X,Z) - alpha(Y, nab_X Z) + alpha(X, nab_Y Z)
+    - P R(X,Y)Z for chart directions X, Y, Z held fixed: the nabla_X Y terms
+    cancel because coordinate fields commute."""
+    dYZ, dXZ = (d.d_alpha(v, Z) for v in (Y, X))
+    nab_XZ, nab_YZ = (_vec(d.gamma, v, Z) for v in (X, Y))
+    lhs = np.einsum("ni,nik->nk", X, dYZ) - np.einsum("ni,nik->nk", Y, dXZ)
+    lhs += _vec(rows.jet.d2, X, nab_YZ) - _vec(rows.jet.d2, Y, nab_XZ)
+    Xa, Ya, Za = (np.einsum("nki,ni->nk", rows.jet.jac, v) for v in (X, Y, Z))
+    return rows.proj_normal(lhs - curvature(rows.chart.space, Xa, Ya, Za))
+
+
 def ricci_residuals(rows, d: DenseJetDerivatives, X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``extrinsic.ricci_residuals`` from the commutator of the dense D_X P and D_Y P."""
+    """P [D_X P, D_Y P] xi_a - P d2(X, A_xi Y) + P d2(A_xi X, Y) from the
+    dense D_X P and D_Y P, for chart directions X, Y and normal indices a."""
     dP = d.dP
     n_rows, m, k = dP.shape[:3]
     on, C = np.arange(n_rows), rows.tangent_coeffs
     DPX, DPY = ((v[:, None] @ dP.reshape(n_rows, m, k * k)).reshape(n_rows, k, k) for v in (X, Y))
     AX, AY = ((np.swapaxes(C, -1, -2) @ rows.alpha[on, a] @ C @ rows.g @ v[..., None])[..., 0] for v in (X, Y))
     lhs = (DPX @ DPY - DPY @ DPX) @ rows.normal_onb[on, a][..., None]
-    vec = lhs - _d2(rows.jet.d2, X, AY) + _d2(rows.jet.d2, AX, Y)
-    return (rows.P @ vec)[..., 0]
+    vec = lhs[..., 0] - _vec(rows.jet.d2, X, AY) + _vec(rows.jet.d2, AX, Y)
+    return rows.proj_normal(vec)

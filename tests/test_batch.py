@@ -158,7 +158,7 @@ def test_pmc_check_reads_its_center_alone(monkeypatch, theorem1_cyl):
     # FieldCache keeps a point's order-3 geometry for the kernels
     calls = _count_analyze(monkeypatch)
     u = theorem1_cyl.center() + np.array([0.1, -0.2, 0.3])
-    _run_rows(theorem1_cyl, ["pmc"], u[None], 0)
+    _run_rows(theorem1_cyl, ["pmc"], u[None])
     assert calls == [((1, 3), 3)]
     cache = FieldCache(theorem1_cyl)
     normal_derivative_H(cache.geometry(u[None]))
@@ -379,10 +379,10 @@ def test_a_non_finite_metric_fails_only_its_own_sample(s4):
     assert [e and str(e) for e in rows.errors] == [None, "induced metric not finite at u=[0.5, 0.1]", None]
     assert _same_other_rows(rows, geometry(chart, U[[0, 2]]), 1)
     names = ["membership", "class_a", "pmc"]
-    assert _outcome(_run_rows, chart, names, U, 0) == (
+    assert _outcome(_run_rows, chart, names, U) == (
         "check membership failed at sample 1, u=[0.5, 0.1]: induced metric not finite at u=[0.5, 0.1]"
     )
-    assert len(_rows(chart, names, U, [0, 2], 0)) == 2 * len(names)
+    assert len(_rows(chart, names, U, [0, 2])) == 2 * len(names)
 
 
 def _narrow_scene(tmp_path, theta, t, u1_domain, grid):
@@ -414,8 +414,9 @@ def _narrow_scene(tmp_path, theta, t, u1_domain, grid):
         # the first sample sits at u1 = 2e-6, 2e-6 from the edge of the
         # domain of sqrt(u1)
         ("0.5 + u1", "sqrt(u1)", [0.0, 1e-4], [2, 1]),
-        # latitude and height u1^3 give det g = 18 u1^4 cos^2(0.5 + u1^3),
-        # below 1e-12 for u1 < 5.75e-4: the sample at u1 = 5.8e-4 is regular
+        # latitude and height u1^3 give g = diag(18 u1^4, cos^2(0.5 + u1^3)),
+        # which degenerates at u1 = 0: the sample at u1 = 5.8e-4, where
+        # det g = 1.6e-12, is regular
         ("0.5 + u1^3", "u1^3", [5.7e-4, 5.9e-4], [1, 1]),
     ],
     ids=["domain_edge", "irregular_point"],
@@ -438,11 +439,11 @@ POINTWISE_CHECKS = [
 ]
 
 
-def _rows(chart, names, samples, indices, seed):
+def _rows(chart, names, samples, indices):
     """The chunk columns of ``_compute_rows`` flattened into (check, index,
     u, value, note, degenerate) records, sample by sample in the order of
     ``names``."""
-    chunks = prodsub.scene._compute_rows(chart, names, samples, indices, seed)
+    chunks = prodsub.scene._compute_rows(chart, names, samples, indices)
     cells = {  # each check's (value, note, degenerate) in the order of indices
         name: [cell for c in chunks for cell in zip(c[name][0].tolist(), c[name][1], c[name][2].tolist())]
         for name in names
@@ -450,17 +451,17 @@ def _rows(chart, names, samples, indices, seed):
     return [(name, idx, samples[idx].tolist(), *cells[name][j]) for j, idx in enumerate(indices) for name in names]
 
 
-def _reference_rows(chart, names, samples, seed):
+def _reference_rows(chart, names, samples):
     """The rows of each sample on its own: one chunk of one sample per call,
     so its geometry and its checks see no other sample."""
     rows = []
     for idx in range(len(samples)):
-        rows += _rows(chart, names, samples, [idx], seed)
+        rows += _rows(chart, names, samples, [idx])
     return rows
 
 
-def _run_rows(chart, names, samples, seed):
-    return _rows(chart, names, samples, range(len(samples)), seed)
+def _run_rows(chart, names, samples):
+    return _rows(chart, names, samples, range(len(samples)))
 
 
 def _outcome(rows_of, *args):
@@ -524,13 +525,13 @@ def test_order_three_checks_cover_every_derivative_check(monkeypatch, request, c
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     for name in sorted(prodsub.scene.CHECKS):
         calls.clear()
-        _run_rows(chart, [name], samples, 0)
+        _run_rows(chart, [name], samples)
         order = prodsub.scene.CHECK_TABLE[name].order
         nested = name == "biharmonic_normal" and chart_fixture == "theorem1_heli"
         assert calls == [((3, m), order)] + [((3, m), 4)] * nested, name
     assert not fd_calls
     third = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.order == 3}
-    assert third == {"gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"}
+    assert third == {"gauss", "pmc", "biconservative_full", "biharmonic_normal"}
     assert {c.order for c in prodsub.scene.CHECK_TABLE.values()} == {2, 3}
 
 
@@ -550,7 +551,7 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     samples = random_interior_points(chart, 4, seed=5)
     kernel = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     calls = _count_analyze(monkeypatch)
-    rows = _run_rows(chart, STRUCTURE_CHECKS, samples, 0)
+    rows = _run_rows(chart, STRUCTURE_CHECKS, samples)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
@@ -558,7 +559,7 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     assert len(kernel) == 1
     monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks
     kernel.clear()
-    assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples, 0), rows)
+    assert _same_rows(_run_rows(chart, STRUCTURE_CHECKS, samples), rows)
     assert len(kernel) == 2
 
 
@@ -584,22 +585,20 @@ def _jet_cases(s4, all_gallery_charts):
 def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_charts):
     # every gallery kind at both signs of eps and the three *_expr scenes:
     # the exact derivatives of an order-3 chunk (the 3-jet itself,
-    # nabla^perp H, d Gamma and d (P d2f(Y, Z))) against fd_gradient of the
+    # nabla^perp H, d Gamma and (d_i P) xi_s) against fd_gradient of the
     # 2-jet fields point by point, within finite-difference accuracy
     for ch in batch_charts:
         m = ch.m
         samples = random_interior_points(ch, 3, seed=13)
-        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3), 0)
-        d = chunk.geo.derivatives
-        Y, Z = np.random.default_rng(3).standard_normal((2, 3, m))
-        dYZ = d.d_alpha(Y, Z)
+        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3))
+        d, xi = chunk.geo.derivatives, chunk.geo.normal_onb
         cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):
             fields = {
                 "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), chunk.geo.jet.d3[r]),
                 "nabla_H": (lambda v: cache.geometry(v).H[0], d.dH[r]),
                 "dgamma": (lambda v: cache.geometry(v).derivatives.gamma[0].ravel(), d.dgamma[r]),
-                "d_alpha": (lambda v: prodsub.extrinsic._alpha(cache.geometry(v), Y[r : r + 1], Z[r : r + 1])[0], dYZ[r]),
+                "d_normals": (lambda v: cache.geometry(v).proj_normal(xi[r : r + 1]).ravel(), chunk.geo.d_normals[r]),
             }
             for name, (field, exact) in fields.items():
                 fd = np.array([fd_gradient(field, u, i) for i in range(m)])  # direction first
@@ -800,7 +799,7 @@ def test_nested_laplacians_match_the_per_point_oracle(batch_charts, theorem1_hel
             assert _same(normal_laplacian_H(one, normal_derivative_H(one))[0], lap[r]), ch.label
     # the helicoid's residuals against those of the finite-difference layer
     samples = random_interior_points(theorem1_heli, 3, seed=13)
-    got = _run_rows(theorem1_heli, ["biharmonic_normal"], samples, 0)
+    got = _run_rows(theorem1_heli, ["biharmonic_normal"], samples)
     layer = [0.3392440555713899, 0.2517519883860234, 0.17764274368394148]
     assert all(abs(r[3] - v) <= 1e-8 * max(1.0, abs(v)) for r, v in zip(got, layer))
 
@@ -816,7 +815,7 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
     samples = prodsub.scene.sample_points(chart, sampling)
     m, names = chart.m, ["biharmonic_normal"]
     calls = _count_analyze(monkeypatch)
-    rows = _run_rows(chart, names, samples, 0)
+    rows = _run_rows(chart, names, samples)
     assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     splits = [
         (2, [(2, m), (2, m), (1, m)]),
@@ -827,7 +826,7 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
         with monkeypatch.context() as mp:
             mp.setattr(prodsub.immersion, "_BATCH_POINTS", value)
             calls.clear()
-            assert _same_rows(_run_rows(chart, names, samples, 0), rows), value
+            assert _same_rows(_run_rows(chart, names, samples), rows), value
             assert [s for s, order in calls if order == 4] == nested_calls, value
     csv = []
     for jobs in (1, 2, 4):
@@ -890,7 +889,7 @@ def test_jet_exact_checks_close_to_rounding(all_gallery_charts):
     # eps) and every corpus scene with its own sampling
     names = ["ricci", "vector_t", "vector_eta"]
     for ch in all_gallery_charts:
-        rows = _run_rows(ch, names, random_interior_points(ch, 20, seed=7), 7)
+        rows = _run_rows(ch, names, random_interior_points(ch, 20, seed=7))
         assert max(r[3] for r in rows) <= 1e-12, ch.label
     for path in sorted(SCENES.glob("*.json")):
         rep = prodsub.scene.run_scene(_load(path.name), checks=names)
@@ -903,24 +902,24 @@ def test_run_rows_equal_the_per_sample_loop(batch_charts):
         samples = random_interior_points(ch, 3, seed=17)
         names = []
         for name in sorted(prodsub.scene.CHECKS):
-            ref = _outcome(_reference_rows, ch, [name], samples, 9)
+            ref = _outcome(_reference_rows, ch, [name], samples)
             if isinstance(ref, str):  # the check raises on this chart, and so must the run
-                assert _outcome(_run_rows, ch, [name], samples, 9) == ref, (ch.label, name)
+                assert _outcome(_run_rows, ch, [name], samples) == ref, (ch.label, name)
             else:
                 names.append(name)
         assert names, ch.label
         pointwise = [n for n in names if prodsub.scene.CHECK_TABLE[n].order < 3]
         for subset in (names, pointwise):
-            ref = _reference_rows(ch, subset, samples, 9)
-            assert _same_rows(_run_rows(ch, subset, samples, 9), ref), (ch.label, subset)
+            ref = _reference_rows(ch, subset, samples)
+            assert _same_rows(_run_rows(ch, subset, samples), ref), (ch.label, subset)
 
 
 def test_a_long_run_splits_into_batches_of_whole_samples(monkeypatch, theorem1_cyl):
     samples = random_interior_points(theorem1_cyl, 5, seed=6)
-    whole = _run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1)
+    whole = _run_rows(theorem1_cyl, ["pmc", "class_a"], samples)
     monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)
     calls = _count_analyze(monkeypatch)
-    assert _same_rows(_run_rows(theorem1_cyl, ["pmc", "class_a"], samples, 1), whole)
+    assert _same_rows(_run_rows(theorem1_cyl, ["pmc", "class_a"], samples), whole)
     assert calls == [((2, 3), 3), ((2, 3), 3), ((1, 3), 3)]
 
 
@@ -961,7 +960,7 @@ def test_error_at_a_sample_center_matches_the_per_sample_loop(
     path, scene = _center_error_scene(tmp_path, t_coord, grid, checks)
     chart = build_chart(scene)
     samples = prodsub.scene.sample_points(chart, scene["sampling"])
-    ref = _outcome(_reference_rows, chart, checks, samples, 0)
+    ref = _outcome(_reference_rows, chart, checks, samples)
     assert ref.startswith(f"check membership failed at sample {bad_sample}, u=")
     assert main(["run", "--scene", str(path)]) == 3
     assert capsys.readouterr().err.strip() == f"computation error: {ref}"
@@ -979,20 +978,20 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
     for ch in batch_charts:
         samples = random_interior_points(ch, 4, seed=29)
         for name in sorted(prodsub.scene.CHECKS):
-            ref = _outcome(_reference_rows, ch, [name], samples, 3)
+            ref = _outcome(_reference_rows, ch, [name], samples)
             if isinstance(ref, str):
                 continue  # the check raises on this chart (wrong codimension)
             for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
-                rows = _rows(ch, [name], samples, order, 3)
+                rows = _rows(ch, [name], samples, order)
                 assert _same_rows(_rows_by_sample(rows), ref), (ch.label, name, order)
-            split = _run_rows(ch, [name], samples[:1], 3)
-            split += _rows(ch, [name], samples, [1, 2, 3], 3)
+            split = _run_rows(ch, [name], samples[:1])
+            split += _rows(ch, [name], samples, [1, 2, 3])
             assert _same_rows(split, ref), (ch.label, name)
 
 
 def _chunk_of(batch):
     """The chunk of one sample whose geometry is the batch of one ``batch``."""
-    return prodsub.scene.Chunk(batch.chart, np.array([0]), 0, second_fundamental(batch))
+    return prodsub.scene.Chunk(batch.chart, np.array([0]), second_fundamental(batch))
 
 
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):

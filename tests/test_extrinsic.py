@@ -14,7 +14,6 @@ from prodsub.extrinsic import (
     christoffels,
     normal_derivative_H,
     normal_laplacian_H,
-    ricci_residuals,
     second_fundamental,
     shape_operator,
     structure_residuals,
@@ -153,9 +152,6 @@ def test_applied_projector_derivatives_match_the_dense_forms(all_gallery_charts)
             for n in (1, 61):
                 rows = _rows(ch, random_interior_points(ch, n, seed=17), order)
                 d, o = rows.derivatives, reference_extrinsic.DenseJetDerivatives(rows)
-                rng = np.random.default_rng(n + order)
-                X, Y, Z = rng.standard_normal((3, n, ch.m))
-                a = rng.integers(0, rows.normal_onb.shape[1], n)
                 E = np.broadcast_to(np.eye(k), (n, k, k))  # (d_i P) e_j is column j of d_i P
                 pairs = {
                     "dg": (d.dg, o.dg),
@@ -163,9 +159,8 @@ def test_applied_projector_derivatives_match_the_dense_forms(all_gallery_charts)
                     "dP": (np.swapaxes(d.dP_apply(E), -1, -2), o.dP),
                     "dH": (d.dH, o.dH),
                     "deta": (d.deta, o.deta),
-                    "d_alpha": (d.d_alpha(Y, Z), o.d_alpha(Y, Z)),
                     "dgamma": (d.dgamma, o.dgamma),
-                    "ricci": (ricci_residuals(rows, X, Y, a), reference_extrinsic.ricci_residuals(rows, o, X, Y, a)),
+                    "d_normals": (rows.d_normals, (o.dP[:, :, None] @ rows.normal_onb[:, None, :, :, None])[..., 0]),
                 }
                 if order == 4:
                     nabla_H = normal_derivative_H(rows)
@@ -273,10 +268,11 @@ def test_normal_derivative_H_pmc_vs_not(theorem1_cyl, theorem1_heli, slice_s4):
 
 
 def test_structure_residuals_slice(slice_s4):
-    X, Y, Z = np.array([[[1.0, 0.4]], [[-0.3, 1.0]], [[0.7, 0.2]]])
-    res = structure_residuals(_rows(slice_s4, [[0.15, -0.2]]), X, Y, Z, np.array([1]))
-    for name, v in res.items():
-        assert np.linalg.norm(v) <= 1e-8, name
+    res = structure_residuals(_rows(slice_s4, [[0.15, -0.2]]))
+    shapes = {"gauss": (1, 2, 2, 2, 2), "codazzi": (1, 2, 2, 2, 3), "ricci": (1, 2, 2, 3, 3)}
+    assert {name: t.shape for name, t in res.items()} == shapes
+    for name, t in res.items():
+        assert np.abs(t).max() <= 1e-14, name
 
 
 @pytest.mark.parametrize("kind", ["geodesic_cylinder", "helicoid"])
@@ -284,13 +280,42 @@ def test_structure_residuals_theorem1(kind, s4):
     ch = make_theorem1(
         s4, a=0.8, phi_kind=kind, phi_params={"pitch": 0.5} if kind == "helicoid" else {}
     )
-    rng = np.random.default_rng(8)
-    U = random_interior_points(ch, 8, seed=8)
-    draws = [(rng.standard_normal((3, 3)), int(rng.integers(0, 2))) for _ in U]  # per point: X, Y, Z, then a
-    X, Y, Z = np.stack([d[0] for d in draws], axis=1)
-    res = structure_residuals(_rows(ch, U), X, Y, Z, np.array([d[1] for d in draws]))
-    for name, v in res.items():
-        assert np.linalg.norm(v, axis=-1).max() <= 1e-5, (kind, name)
+    res = structure_residuals(_rows(ch, random_interior_points(ch, 8, seed=8)))
+    assert {name: t.shape for name, t in res.items()} == {
+        "gauss": (8, 3, 3, 3, 3), "codazzi": (8, 3, 3, 3, 2), "ricci": (8, 3, 3, 2, 2),
+    }
+    for name, t in res.items():
+        assert np.abs(t).max() <= 1e-14, (kind, name)
+
+
+def test_onb_tensors_match_the_directional_oracle(all_gallery_charts):
+    """The Gauss, Codazzi and Ricci tensors contracted with random chart
+    directions X, Y, Z and a normal index a, against the directional
+    kernels of ``reference_extrinsic`` they replaced, as ambient vectors,
+    within 1e-14 max(1, |X||Y||Z|): every gallery kind at both signs of eps.
+    A chart vector X has the ONB components C g X."""
+    for ch in all_gallery_charts:
+        n = 40
+        rows = _rows(ch, random_interior_points(ch, n, seed=37))
+        o = reference_extrinsic.DenseJetDerivatives(rows)
+        rng = np.random.default_rng(41)
+        X, Y, Z = rng.standard_normal((3, n, ch.m))
+        a = rng.integers(0, rows.normal_onb.shape[1], n)
+        x, y, z = ((rows.tangent_coeffs @ rows.g @ v[..., None])[..., 0] for v in (X, Y, Z))
+        res, E, xi = structure_residuals(rows), rows.tangent_onb, rows.normal_onb
+        got = {
+            "gauss": np.einsum("nabcd,na,nb,nc,ndk->nk", res["gauss"], x, y, z, E),
+            "codazzi": np.einsum("nabcs,na,nb,nc,nsk->nk", res["codazzi"], x, y, z, xi),
+            "ricci": np.einsum("nabt,na,nb,ntk->nk", res["ricci"][np.arange(n), :, :, a], x, y, xi),
+        }
+        want = {
+            "gauss": reference_extrinsic.gauss_residuals(rows, o, X, Y, Z),
+            "codazzi": reference_extrinsic.codazzi_residuals(rows, o, X, Y, Z),
+            "ricci": reference_extrinsic.ricci_residuals(rows, o, X, Y, a),
+        }
+        scale = np.fmax(1.0, np.prod(np.linalg.norm([X, Y, Z], axis=-1), axis=0))[:, None]
+        for name in got:
+            assert np.all(np.abs(got[name] - want[name]) <= 1e-14 * scale), (ch.label, name)
 
 
 def test_codazzi_rhs_antisymmetric_in_XY(theorem1_heli):

@@ -155,6 +155,11 @@ def test_an_indefinite_metric_is_irregular():
     chart = Chart(space=ProductSpace(-1, 2), m=2, coords=["2 + u1", "u2", "0", "0"], domain=[(-1.0, 1.0)] * 2)
     b = analyze_point(chart, probe_grid(chart.domain, 3))
     assert all(isinstance(e, IrregularPoint) and str(e).startswith("det g = -1.000e+00") for e in b.errors)
+    # g = [[-1, 0, 0], [0, 1, 1], [0, 1, 1]]: det g = 0 lies above 1e-12 prod g_ii < 0, and only the
+    # negative g_11 flags it
+    chart = Chart(space=ProductSpace(-1, 3), m=3, coords=["2 + u1", "u2 + u3", "0", "0", "0"], domain=[(-1.0, 1.0)] * 3)
+    b = analyze_point(chart, probe_grid(chart.domain, 2))
+    assert all(isinstance(e, IrregularPoint) and str(e).startswith("det g = 0.000e+00") for e in b.errors)
 
 
 # the rows (constant, then one coefficient per chart variable) of linear

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -510,9 +511,8 @@ def test_a_tolerance_for_an_unknown_check_is_a_scene_error(capsys, tmp_path):
 
 
 def test_adding_a_check_moves_no_random_stream(monkeypatch, tmp_path):
-    # gauss, codazzi and ricci draw their directions from streams keyed by
-    # their records; a new check whose name sorts first leaves their
-    # residuals byte for byte as they were
+    # no check draws anything, so a new check whose name sorts first leaves
+    # the residuals of gauss, codazzi and ricci byte for byte as they were
     def run(csv):
         path = tmp_path / csv
         run_scene(_load("theorem1_cylinder.json"), checks=["gauss", "codazzi", "ricci"], csv_path=str(path))
@@ -524,94 +524,44 @@ def test_adding_a_check_moves_no_random_stream(monkeypatch, tmp_path):
     monkeypatch.setitem(prodsub.scene.CHECKS, "aaa_dummy", dummy.kernel)
     assert sorted(prodsub.scene.CHECKS)[0] == "aaa_dummy"
     assert run("after.csv") == before
-    assert {n: c.stream for n, c in prodsub.scene.CHECK_TABLE.items() if c.stream is not None} == {
-        "ricci": 13, "gauss": 8, "codazzi": 5,
-    }
-
-
-@pytest.mark.parametrize("m, codim", [(2, 2), (3, 3), (4, 4)])
-def test_keyed_draws_are_isotropic_directions_and_uniform_indices(m, codim):
-    X, Y, Z, a = prodsub.scene.keyed_draws(0, np.arange(20_000), 8, m, codim)
-    for V in (X, Y, Z):
-        assert V.shape == (20_000, m)
-        assert np.allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0, atol=1e-15)
-        assert np.linalg.norm(V.mean(axis=0)) < 0.03
-        assert np.max(np.abs(V.T @ V / len(V) - np.eye(m) / m)) < 0.03
-    freq = np.bincount(a, minlength=codim) / len(a)
-    assert len(freq) == codim and np.all(np.abs(freq - 1 / codim) < 0.02)
-
-
-def test_keyed_draws_differ_between_streams_and_seeds():
-    def draws(seed, stream):
-        return np.concatenate(prodsub.scene.keyed_draws(seed, np.arange(50), stream, 3, 2)[:3], axis=1)
-
-    keys = [(seed, stream) for seed in (0, 1, 2, 2**64, 2**64 + 1) for stream in (13, 8, 5)]
-    blocks = [draws(*k) for k in keys]
-    for i in range(len(keys)):
-        for j in range(i):
-            assert not np.any(np.all(blocks[i] == blocks[j], axis=1)), (keys[i], keys[j])
-    # a sample's draws are those of its index, whatever the other samples are
-    X, Y, Z, a = prodsub.scene.keyed_draws(7, np.array([5, 2, 9]), 8, 3, 2)
-    X1, Y1, Z1, a1 = prodsub.scene.keyed_draws(7, np.array([9]), 8, 3, 2)
-    assert np.array_equal(X[2:], X1) and np.array_equal(Z[2:], Z1) and a[2] == a1[0]
-
-
-def test_keyed_draws_are_pinned():
-    # (seed 0, samples 0-2, the gauss stream): a change of the hash shows here
-    X, _, _, a = prodsub.scene.keyed_draws(0, np.arange(3), 8, 3, 2)
-    want = [
-        [-0.5909843793698986, -0.15065152139113971, 0.7924907459669865],
-        [-0.4415621629237624, 0.4592031957195097, -0.7708146867536181],
-        [0.390050452081325, 0.7896400435450404, -0.4736340849868609],
-    ]
-    np.testing.assert_allclose(X, want, rtol=1e-13, atol=0)
-    assert a.tolist() == [0, 0, 1]
-
-
-def _keyed_draw_reference(seed, index, stream, m, codim):
-    """``keyed_draws`` of one sample in Python integers, which do not wrap."""
-    mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
-
-    def mix(z):
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
-    key = 0
-    for word in [(seed >> s) & mask for s in range(0, max(seed.bit_length(), 1), 64)] + [stream]:
-        key = mix((key + golden + word) & mask)
-    start = mix((key + index * golden) & mask)
-    bits = [mix((start + j * golden) & mask) for j in range(1, 6 * m + 2)]
-    u = [((b >> 11) + 0.5) * 2.0**-53 for b in bits]
-    v = np.array([math.sqrt(-2 * math.log(u[k])) * math.cos(2 * math.pi * u[3 * m + k]) for k in range(3 * m)])
-    v = v.reshape(3, m)
-    return v / np.linalg.norm(v, axis=1, keepdims=True), bits[-1] % codim
-
-
-def test_keyed_draws_match_the_per_sample_reference():
-    indices = np.array([0, 1, 511, 12345, 2**40])
-    for seed in (0, 5, 2**64 + 1, 2**130 + 7):
-        for stream, m, codim in ((13, 2, 2), (8, 3, 3), (5, 4, 1)):
-            X, Y, Z, a = prodsub.scene.keyed_draws(seed, indices, stream, m, codim)
-            for row, i in enumerate(indices.tolist()):
-                want, want_a = _keyed_draw_reference(seed, i, stream, m, codim)
-                np.testing.assert_allclose([X[row], Y[row], Z[row]], want, rtol=0, atol=1e-14)
-                assert a[row] == want_a
 
 
 def test_seeds_past_64_bits_do_not_alias(tmp_path):
-    # the cylinder samples a grid, so only the drawn directions see the seed
+    # the cylinder samples a grid and gauss draws nothing, so no seed, of
+    # whatever size, changes its column
     def gauss(seed):
         path = tmp_path / f"{seed}.csv"
         report = run_scene(_load("theorem1_cylinder.json"), checks=["gauss"], sampling_override={"seed": seed},
                            csv_path=str(path))
-        # the report names both generators: of the sample positions and of the draws
-        assert report["rng"] == {"name": "numpy-PCG64", "seed": seed, "directions": "splitmix64-keyed"}
+        # the report names the one generator, of the sample positions
+        assert report["rng"] == {"name": "numpy-PCG64", "seed": seed}
         return [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
 
     columns = [gauss(s) for s in (0, 2**64, 2**64 + 1)]
     assert len(columns[0]) == 64
-    assert columns[0] != columns[1] and columns[1] != columns[2] and columns[0] != columns[2]
+    assert columns[0] == columns[1] == columns[2]
+
+
+def test_a_chart_with_a_small_metric_is_regular(tmp_path, capsys):
+    # the cylinder in v = u / 0.005 has g = 2.5e-5 I, cond(g) = 1 and det g
+    # = 1.6e-14: regular, with the verdicts of the original chart
+    scene = _load("theorem1_cylinder_expr.json")
+    ex = scene["immersion"]["expressions"]
+    names = "|".join(ex["var_names"])
+    small = copy.deepcopy(scene)
+    small["immersion"]["expressions"].update(
+        coords=[re.sub(rf"\b({names})\b", r"(0.005*\1)", c) for c in ex["coords"]],
+        domain=[[lo / 0.005, hi / 0.005] for lo, hi in ex["domain"]],
+    )
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(small))
+    capsys.readouterr()
+    assert main(["run", "--scene", str(path), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = run_scene(scene)
+    assert [(c["name"], c["verdict"]) for c in got["checks"]] == [(c["name"], c["verdict"]) for c in want["checks"]]
+    b = prodsub.immersion.analyze_point(build_chart(small), sample_points(build_chart(small), small["sampling"]))
+    assert np.allclose(b.g, 2.5e-5 * np.eye(3), rtol=1e-12, atol=0) and b.errors == [None] * len(b)
 
 
 def test_scan_single_step():
