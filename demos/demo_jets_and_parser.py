@@ -4,7 +4,7 @@ expression language that scene files use for coordinate functions."""
 import numpy as np
 
 from prodsub import jets
-from prodsub.exprlang import eval_jet, eval_value, free_vars, parse, to_source
+from prodsub.exprlang import eval_jet, free_vars, parse, to_source
 
 # A 2-jet carries value, gradient and Hessian through arithmetic exactly.
 x = jets.jet_var(0, 3.0, m=2)
@@ -31,8 +31,10 @@ for src in ("2+3*4", "-u1^2", "2^3^2", "b*cos(s/b)"):
     print(f"\n{src!r}")
     print("  canonical print:", to_source(ast))
     print("  free variables :", sorted(free_vars(ast)))
-bindings = {"u1": 3.0, "b": 0.6, "s": 0.0}
-print("\n-u1^2 at u1=3:", eval_value(parse("-u1^2"), bindings))
+# An expression that reads no chart variable folds to a number: here u1 is
+# bound as a parameter, and the value is that of plain float arithmetic.
+folded = eval_jet(parse("-u1^2"), {"s": jets.jet_var(0, 0.0, m=1)}, {"u1": 3.0})
+print("\n-u1^2 at u1=3:", float(folded.value))
 j = eval_jet(
     parse("b*cos(s/b)"),
     {"s": jets.jet_var(0, 0.0, m=1)},

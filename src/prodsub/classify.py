@@ -11,13 +11,13 @@ even in each xi_a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ambient import curvature, inner
 from .errors import InvalidFrame
-from .extrinsic import ExtrinsicRows, geometry, normal_derivative_H, normal_laplacian_H, shape_operator
+from .extrinsic import ExtrinsicRows, normal_derivative_H, normal_laplacian_H, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -172,8 +172,10 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     it is where PMC fails (``pmc_residual`` above TOL_PMC, the default
     tolerance of the pmc check, whatever tolerance a run gives that check)
     and H does not vanish, and is 0 elsewhere, so a zero ``nabla_H``
-    assumes PMC.  The nested rows are evaluated again at order 4, in one
-    geometry call, for the closed-form ``normal_laplacian_H``.
+    assumes PMC.  The nested rows take one order-4 ``evaluate_jet`` call,
+    for the closed-form ``normal_laplacian_H``, and keep their own frames,
+    g^-1, alpha and H, which are the same at every jet order bit for bit
+    (``analyze_point``).
 
     The curvature trace enters with coefficient one: that is the form whose
     restriction to the parallel-H biconservative case reduces to the
@@ -186,7 +188,8 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
-        lap[at] = normal_laplacian_H(geometry(rows.chart, rows.u[at], rows.steps[at], order=4), nabla_H[at])
+        fourth = replace(rows.take(at), jet=evaluate_jet(rows.chart, rows.u[at], rows.steps[at], order=4))
+        lap[at] = normal_laplacian_H(fourth, nabla_H[at])
     A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
     trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ rows.normal_onb)[:, 0]
     curv = rows.proj_normal(_curvature_trace(rows))
@@ -314,7 +317,8 @@ def splitting_residual(chart: Chart) -> float:
 
 def circle_geometry(chart: Chart) -> dict:
     """Curvature radius and plane rank of the s-curve through the chart
-    center (read at the center and at 9 points along it), and the gap to
+    center (read at the center and at 9 points along it), in any
+    parametrisation of s, and the gap to
     the radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
     s-curve's normal curvature at the center (E_s the unit s direction);
     the gap is inf where c^2 + eps <= 0."""
@@ -328,8 +332,10 @@ def circle_geometry(chart: Chart) -> dict:
     U[1:, s] = np.linspace(lo + pad, hi - pad, 9)
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
-    acc = vj.d2[0, :, s, s]
-    kappa = float(np.linalg.norm(acc))
+    vel, acc = vj.jac[0, :, s], vj.d2[0, :, s, s]
+    speed2 = vel @ vel  # the curvature of a curve of any speed
+    with np.errstate(divide="ignore", invalid="ignore"):  # f_s = 0 is irregular: analyze_point raises below
+        kappa = float(np.linalg.norm(acc - (acc @ vel / speed2) * vel) / speed2)
     radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
 
     diffs = vj.values[2:] - vj.values[1]

@@ -30,7 +30,6 @@ from .jets import Jet2
 __all__ = [
     "parse",
     "eval_jet",
-    "eval_value",
     "free_vars",
     "to_source",
     "ParseError",
@@ -297,34 +296,6 @@ def _eval(node, vars: dict, params: dict):
         return _apply(jets.UNARY_FNS[node.fn], arg)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalError(node.pos, str(exc)) from exc
-
-
-def eval_value(ast, bindings: dict) -> float:
-    """Plain real evaluation (reference semantics for the jet path)."""
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Ident):
-        if ast.name in bindings:
-            return float(bindings[ast.name])
-        if ast.name in CONSTANTS:
-            return CONSTANTS[ast.name]
-        raise EvalError(ast.pos, f"unbound identifier {ast.name!r}")
-    if isinstance(ast, Neg):
-        return -eval_value(ast.arg, bindings)
-    if isinstance(ast, Call):
-        fn = getattr(math, ast.fn)
-        return fn(eval_value(ast.arg, bindings))
-    a = eval_value(ast.left, bindings)
-    b = eval_value(ast.right, bindings)
-    if ast.op == "+":
-        return a + b
-    if ast.op == "-":
-        return a - b
-    if ast.op == "*":
-        return a * b
-    if ast.op == "/":
-        return a / b
-    return a**b
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -236,8 +236,9 @@ def evaluate_jet(chart: Chart, u, steps=0, order: int = 2) -> VecJet2:
     jet, errors = _coordinates(chart, U, steps, order), [None] * n
     if isinstance(jet, ChartError):
         alone = [_coordinates(chart, U[r : r + 1], steps[r : r + 1], order) for r in range(n)]
-        nan = Jet2(*(np.full_like(x, np.nan) for x in jets.jet_var(0, U[:, 0], chart.m, order).d))
-        jet = VecJet2([nan] * len(chart.coords))
+        jet = VecJet2([jets.jet_var(0, U[:, 0], chart.m, order)] * len(chart.coords))
+        for x in jet.d:
+            x.fill(np.nan)
         for r, one in enumerate(alone):
             if not isinstance(one, ChartError):
                 for x, y in zip(jet.d, one.d):

@@ -3,14 +3,21 @@ seeds (``jet_var(..., order=k)``).
 
 A ``Jet2`` keeps the derivative tensors of a scalar quantity with respect to
 the chart coordinates in one list indexed by order, and a missing slot counts
-as zero.  Slot k >= 1 is stored with the derivative axes first and the sample
-axis last, ``d[k]`` (m,) * k + (N,), so every term below is an elementwise
-operation over contiguous rows of N samples, and a number or a row array (N,)
-scales a slot as it stands.  A single point or a constant has N = 1 there and
-broadcasts against batches.  The views ``value``, ``grad``, ``hess``, ``d3``
-and ``d4`` give the slots with the batch axis first, as (N,) + (m,) * k, or
-without one; ``VecJet2`` stacks the components once into contiguous
-(N, k, m, ...) arrays, the layout every consumer reads.
+as zero.  So does an absent one: ``d[k]`` may be None for k >= 2 where slot k
+is zero by construction.  The seeds of ``jet_var``, the constants of
+``jet_const`` and ``pow_const(x, 0)`` carry their value and gradient only,
+a number scales or negates a jet slot by slot, and a product or a function
+of jets skips every term with an absent factor, so a linear subexpression
+such as ``s/b`` multiplies no zero tensors.  Slot k >= 1 is stored with the
+derivative axes first and the sample axis last, ``d[k]`` (m,) * k + (N,), so
+every term below is an elementwise operation over contiguous rows of N
+samples, and a number or a row array (N,) scales a slot as it stands.  A
+single point or a constant has N = 1 there and broadcasts against batches.
+The views ``value``, ``grad``, ``hess``, ``d3`` and ``d4`` give the slots
+with the batch axis first, as (N,) + (m,) * k, or without one, and zeros for
+an absent slot; ``VecJet2`` stacks the components once into contiguous
+(N, k, m, ...) arrays, with zeros for absent slots, the layout every
+consumer reads.
 
 All arithmetic is the truncated Taylor rule of every order (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a product is the
@@ -141,8 +148,10 @@ def _compose_plan(k: int) -> tuple:
 
 def _view(k: int):
     def slot(self):  # the sample axis first, or none where the value has no batch of its length
-        x = self.d[k] if k < len(self.d) else None
-        return x if x is None else np.moveaxis(x, -1, 0) if x.shape[-1:] == self.d[0].shape else x[..., 0]
+        if k >= len(self.d):
+            return None
+        x = np.zeros((self.m,) * k + self.d[1].shape[-1:]) if self.d[k] is None else self.d[k]
+        return np.moveaxis(x, -1, 0) if x.shape[-1:] == self.d[0].shape else x[..., 0]
 
     return property(slot)
 
@@ -154,8 +163,9 @@ class Jet2:
     operands broadcast.  ``value``, ``grad``, ``hess``, ``d3`` and ``d4``
     view the slots as value (N,), grad (N, m) and so on, or as grad (m,)
     where the value has no batch of the slot's length (a single point, or a
-    constant of a row array); None past the order.  A jet without a
-    gradient slot has no derivative direction (m = 0).
+    constant of a row array); zeros for an absent slot (None in ``d``) and
+    None past the order.  A jet without a gradient slot has no derivative
+    direction (m = 0).
     """
 
     __slots__ = ("d", "m")
@@ -165,7 +175,7 @@ class Jet2:
     grad, hess, d3, d4 = (_view(k) for k in range(1, 5))
 
     def __init__(self, *d):
-        self.d = [np.asarray(x, dtype=float) for x in d]
+        self.d = [x if x is None else np.asarray(x, dtype=float) for x in d]
         self.m = self.d[1].shape[0] if len(self.d) > 1 else 0
 
     order = property(lambda self: len(self.d) - 1)
@@ -191,12 +201,12 @@ class Jet2:
         return Jet2(*(x if y is None else -y if x is None else x - y for x, y in _pairs(self, other)))
 
     def __rsub__(self, other) -> "Jet2":
-        return Jet2(_number(other) - self.value, *(-x for x in self.d[1:]))
+        return Jet2(_number(other) - self.value, *(None if x is None else -x for x in self.d[1:]))
 
     def __mul__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
             c = _number(other)
-            return Jet2(*(x * c for x in self.d))
+            return Jet2(*(None if x is None else x * c for x in self.d))
         a, b = zip(*_pairs(self, other))
         return Jet2(*(_leibniz(a, b, k) for k in range(len(a))))
 
@@ -214,7 +224,7 @@ class Jet2:
         return _reciprocal(self) * other
 
     def __neg__(self) -> "Jet2":
-        return Jet2(*(-x for x in self.d))
+        return Jet2(*(None if x is None else -x for x in self.d))
 
     def __pow__(self, p) -> "Jet2":
         return pow_const(self, p)
@@ -255,38 +265,43 @@ def _compose(a: Jet2, table) -> Jet2:
     """f(a) from the derivative table f, f', ... of f at a.value by Faa di
     Bruno's formula: slot k sums, over the partitions of k into blocks, the
     shuffles of the product of a's slots of the block sizes, times f^(number
-    of blocks).  Each product extends that of its blocks but the last.
-    ``table`` yields the entries, and only those up to a's order are drawn."""
+    of blocks).  Each product extends that of its blocks but the last, and
+    a partition with an absent block (None) adds nothing.  ``table`` yields
+    the entries, and only those up to a's order are drawn."""
     table = list(islice(table, len(a.d)))
     d, products = [table[0]], {}
     for k in range(1, len(a.d)):
         out = None
         for sizes, head, s, ix, iy, shuffles in _compose_plan(k):
-            t = products[sizes] = products[head][ix] * a.d[s][iy] if head else a.d[s]
-            out = _add(out, _summed(t, shuffles) * table[len(sizes)])
+            t = a.d[s]
+            if head:
+                t = None if t is None or products[head] is None else products[head][ix] * t[iy]
+            products[sizes] = t
+            if t is not None:
+                out = _add(out, _summed(t, shuffles) * table[len(sizes)])
         d.append(out)
     return Jet2(*d)
 
 
 def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
     """Seed jet of ``order`` for chart variable ``index`` of ``m``: a unit
-    gradient and zero slots above it.  At order 0 the seed is its value
-    alone, a jet over no derivative direction (m = 0), so that the constants
-    a coordinate map builds with the seeds' m carry no derivative either.
+    gradient and absent (zero) slots above it.  At order 0 the seed is its
+    value alone, a jet over no derivative direction (m = 0), so that the
+    constants a coordinate map builds with the seeds' m carry no derivative
+    either.
 
     ``value`` is one number or a batch (N,) of them."""
     if not 0 <= index < m:
         raise ValueError(f"variable index {index} out of range for m={m}")
     value = np.array(value, dtype=float)
-    slots = [value] + [np.zeros((m,) * k + (value.shape or (1,))) for k in range(1, order + 1)]
-    if order:
-        slots[1][index] = 1.0
-    return Jet2(*slots)
+    grad = np.zeros((m,) + (value.shape or (1,)))
+    grad[index] = 1.0
+    return Jet2(value, grad, *[None] * (order - 1)) if order else Jet2(value)
 
 
 def jet_const(value, m: int) -> Jet2:
-    """Constant jet of a number or a row array (N,): zero derivatives, or the value alone where m = 0."""
-    return Jet2(value, np.zeros((m, 1)), np.zeros((m, m, 1))) if m else Jet2(value)
+    """Constant jet of a number or a row array (N,): a zero gradient, or the value alone where m = 0."""
+    return Jet2(value, np.zeros((m, 1)), None) if m else Jet2(value)
 
 
 def _unary(table):
@@ -402,8 +417,8 @@ def pow_const(a: Jet2, p: float) -> Jet2:
         p = int(p)
     v = a.value
     if isinstance(p, int):
-        if p == 0:  # the constant 1, as ``jet_const`` gives it
-            return Jet2(np.ones_like(v), *map(np.zeros_like, a.d[1:3]))
+        if p == 0:  # the constant 1, as ``jet_const`` gives it, up to order 2
+            return Jet2(np.ones_like(v), *map(np.zeros_like, a.d[1:2]), *[None] * len(a.d[2:3]))
         if p < 0 and np.any(v == 0.0):
             raise ZeroDivisionError("pow_const: zero base with negative exponent")
         table, c = [], 1
@@ -445,10 +460,11 @@ class VecJet2:
     ``d[k]`` (k_c, m^k) stacks the k-th derivatives of the k_c components,
     with d[k][c, i, j, ...] = d^k f_c / du_i du_j ...: ``values`` (k_c,),
     ``jac`` (k_c, m), ``d2`` (k_c, m, m) always, and ``d3`` and ``d4`` where
-    a component carries that slot (zero for the components without it),
-    else None.  A batch of N points adds a leading axis to each.  ``errors``
-    is None, or on a batch from ``immersion.evaluate_jet`` the error of each
-    row whose point could not be evaluated (its rows hold NaN), else None.
+    a component carries that slot (zero for the components without it or
+    with it absent), else None.  A batch of N points adds a leading axis to
+    each.  ``errors`` is None, or on a batch from ``immersion.evaluate_jet``
+    the error of each row whose point could not be evaluated (its rows hold
+    NaN), else None.
     """
 
     __slots__ = ("m", "d", "errors")
@@ -468,7 +484,7 @@ class VecJet2:
             out = np.empty(shape + (len(jets),) + (m,) * k)
             rows = out.transpose(*range(1, k + 2), 0) if shape else out[..., None]  # the jets' layout
             for c, j in enumerate(jets):
-                rows[c] = j.d[k] if k <= j.order else 0.0
+                rows[c] = 0.0 if k > j.order or j.d[k] is None else j.d[k]
             self.d.append(out)
 
     def __len__(self) -> int:

@@ -466,8 +466,8 @@ class Check:
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H or of the Christoffels; a run evaluates its samples
-    at the highest order of its checks; ``biharmonic_normal`` takes its
-    nesting samples again at order 4 itself.
+    at the highest order of its checks; ``biharmonic_normal`` takes one
+    order-4 jet of its nesting samples itself and reuses their frames.
     """
 
     kernel: Callable

@@ -1,8 +1,11 @@
 """Golden grammar suite: 25 pinned cases covering precedence, the
 right-associative '^' that binds tighter than unary minus, numbers, and
-errors with exact byte positions."""
+errors with exact byte positions; and ``eval_value``, the plain real
+evaluator whose values are the reference semantics of the jet path."""
 
 import math
+
+from prodsub.exprlang import CONSTANTS, Call, EvalError, Ident, Neg, Num
 
 # (source, bindings, expected value)
 VALUE_CASES = [
@@ -38,3 +41,31 @@ ERROR_CASES = [
 ]
 
 assert len(VALUE_CASES) + len(ERROR_CASES) == 25
+
+
+def eval_value(ast, bindings: dict) -> float:
+    """Plain real evaluation of an AST with ``math`` and Python floats."""
+    if isinstance(ast, Num):
+        return ast.value
+    if isinstance(ast, Ident):
+        if ast.name in bindings:
+            return float(bindings[ast.name])
+        if ast.name in CONSTANTS:
+            return CONSTANTS[ast.name]
+        raise EvalError(ast.pos, f"unbound identifier {ast.name!r}")
+    if isinstance(ast, Neg):
+        return -eval_value(ast.arg, bindings)
+    if isinstance(ast, Call):
+        fn = getattr(math, ast.fn)
+        return fn(eval_value(ast.arg, bindings))
+    a = eval_value(ast.left, bindings)
+    b = eval_value(ast.right, bindings)
+    if ast.op == "+":
+        return a + b
+    if ast.op == "-":
+        return a - b
+    if ast.op == "*":
+        return a * b
+    if ast.op == "/":
+        return a / b
+    return a**b

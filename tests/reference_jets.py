@@ -11,6 +11,10 @@ sample axis last.  ``BATCH_FIRST`` lists what to put in place of
 ``prodsub.jets`` names so that its unary functions and ``pow_const`` build
 these jets from their own derivative tables, and ``batch_first_seeds(U, m,
 order)`` gives their seeds at any order.
+
+``DENSE``: seeds and constants of ``prodsub.jets`` itself with explicit zero
+slots above the gradient, where ``jets.jet_var`` and ``jets.jet_const`` leave
+them absent, so that every rule multiplies and adds the zero tensors.
 """
 
 from functools import cache, reduce
@@ -522,3 +526,21 @@ def batch_first_seeds(U, m: int, order: int) -> tuple:
 
 # the names of ``prodsub.jets`` to replace, and with what
 BATCH_FIRST = {"_compose": BatchFirstJet._compose, "Jet2": BatchFirstJet, "jet_const": batch_first_const}
+
+
+def dense_jet_var(index: int, value, m: int, order: int = 2) -> jets.Jet2:
+    """``jets.jet_var`` with zero slots above the unit gradient."""
+    value = np.array(value, dtype=float)
+    slots = [value] + [np.zeros((m,) * k + (value.shape or (1,))) for k in range(1, order + 1)]
+    if order:
+        slots[1][index] = 1.0
+    return jets.Jet2(*slots)
+
+
+def dense_jet_const(value, m: int) -> jets.Jet2:
+    """``jets.jet_const`` with a zero Hessian."""
+    return jets.Jet2(value, np.zeros((m, 1)), np.zeros((m, m, 1))) if m else jets.Jet2(value)
+
+
+# the names of ``prodsub.jets`` to replace for the dense seeds
+DENSE = {"jet_var": dense_jet_var, "jet_const": dense_jet_const}

@@ -357,11 +357,11 @@ def test_criterion_7_invariant_suites():
 
 def test_criterion_8_parser_suite():
     crit = Criterion("CRITERION 8 (grammar goldens + round-trip)")
-    from prodsub.exprlang import ParseError, eval_value, parse, to_source
+    from prodsub.exprlang import ParseError, parse, to_source
 
     bad = []
     for src, bindings, expected in grammar_cases.VALUE_CASES:
-        got = eval_value(parse(src), bindings)
+        got = grammar_cases.eval_value(parse(src), bindings)
         if not math.isclose(got, expected, rel_tol=1e-15, abs_tol=0.0):
             bad.append(f"{src!r} -> {got!r}, want {expected!r}")
     for src, pos in grammar_cases.ERROR_CASES:

@@ -166,20 +166,54 @@ def test_pmc_check_reads_its_center_alone(monkeypatch, theorem1_cyl):
     assert calls == [((1, 3), 3)] * 2
 
 
+def _count_nested_jets(monkeypatch):
+    """Record the (points, jet order) of every ``evaluate_jet`` call of
+    ``classify``, which takes the 4-jets of the nested rows."""
+    calls = []
+    original = prodsub.classify.evaluate_jet
+
+    def counting(chart, u, steps=0, order=2):
+        calls.append((np.array(u), order))
+        return original(chart, u, steps, order)
+
+    monkeypatch.setattr(prodsub.classify, "evaluate_jet", counting)
+    return calls
+
+
 def test_nested_laplacian_takes_one_order_four_call(monkeypatch, theorem1_heli):
-    # the rows of a batch that nest, and only those, go to one geometry call
-    # at order 4: here rows 0 and 2, as row 1 counts as PMC
-    seen = []
-    original = prodsub.extrinsic.analyze_point
-    monkeypatch.setattr(prodsub.extrinsic, "analyze_point", lambda ch, u, *args: seen.append((np.array(u), *args)) or original(ch, u, *args))
+    # the rows of a batch that nest, and only those, go to one evaluate_jet
+    # call at order 4 and keep the frames of the batch's one analyze_point
+    # call: here rows 0 and 2, as row 1 counts as PMC
+    calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     U = random_interior_points(theorem1_heli, 3, seed=4)
     rows = geometry(theorem1_heli, U, order=3)
     nabla_H = normal_derivative_H(rows)
     nabla_H[1] = 0.0
     r = prodsub.classify.biharmonic_residual(rows, nabla_H)
     assert r["nested"].tolist() == [True, False, True]
-    assert [(u.shape, args[-1]) for u, *args in seen] == [((3, 3), 3), ((2, 3), 4)]
-    assert _same(seen[1][0], U[[0, 2]])
+    assert calls == [((3, 3), 3)]
+    assert [(u.shape, order) for u, order in fourth] == [((2, 3), 4)]
+    assert _same(fourth[0][0], U[[0, 2]])
+
+
+def test_nested_rows_reuse_the_frames_of_their_batch(monkeypatch, all_gallery_charts):
+    # every gallery kind at both signs of eps: the normal Laplacian of the
+    # nested rows is bit for bit the one of a fresh order-4 geometry call of
+    # them.  nabla^perp H is moved off PMC, so that every row with H != 0
+    # nests; it enters both sides alike.  The slices and geodesic vertical
+    # cylinders are minimal and nest nothing.
+    laps = []
+    original = prodsub.classify.normal_laplacian_H
+    monkeypatch.setattr(prodsub.classify, "normal_laplacian_H", lambda rows, W: laps.append(original(rows, W)) or laps[-1])
+    for ch in all_gallery_charts:
+        U = random_interior_points(ch, 4, seed=21)
+        rows = geometry(ch, U, order=3)
+        nabla_H = normal_derivative_H(rows) + 1e-3
+        laps.clear()
+        at = np.flatnonzero(prodsub.classify.biharmonic_residual(rows, nabla_H)["nested"])
+        assert at.size == (0 if np.all(rows.H_norm == 0.0) else len(U)) and len(laps) == bool(at.size), ch.label
+        if at.size:
+            assert _same(laps[0], original(geometry(ch, U[at], order=4), nabla_H[at])), ch.label
 
 
 def test_validate_membership_is_one_batched_jet(monkeypatch, theorem1_cyl):
@@ -516,19 +550,22 @@ def test_order_three_checks_cover_every_derivative_check(monkeypatch, request, c
     # a check that reads the 3-jet but whose record lacks order 3 would find
     # no d3 in its chunk and raise.  Each check alone takes one geometry
     # call of its samples, at its own order; the nested Laplacian, where PMC
-    # fails (the helicoid), adds one call of its samples at order 4.  No run
-    # calls fd_gradient.
+    # fails (the helicoid), adds one evaluate_jet call of its samples at
+    # order 4.  No run calls fd_gradient.
     chart = request.getfixturevalue(chart_fixture)
     samples = random_interior_points(chart, 3, seed=4)
     m = chart.m
-    calls = _count_analyze(monkeypatch)
+    calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     fd_calls = _count_calls(monkeypatch, "fd_gradient")
     for name in sorted(prodsub.scene.CHECKS):
         calls.clear()
+        fourth.clear()
         _run_rows(chart, [name], samples)
         order = prodsub.scene.CHECK_TABLE[name].order
         nested = name == "biharmonic_normal" and chart_fixture == "theorem1_heli"
-        assert calls == [((3, m), order)] + [((3, m), 4)] * nested, name
+        assert calls == [((3, m), order)], name
+        assert [(u.shape, o) for u, o in fourth] == [((3, m), 4)] * nested, name
+        assert all(_same(u, samples) for u, _ in fourth), name
     assert not fd_calls
     third = {n for n, c in prodsub.scene.CHECK_TABLE.items() if c.order == 3}
     assert third == {"gauss", "pmc", "biconservative_full", "biharmonic_normal"}
@@ -545,17 +582,20 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     # once per chunk: pmc, biharmonic_normal and biconservative_full share
     # the chunk's nabla^perp H.  The geometry is one call of the N sample
     # centers at order 3, with no stencil around them; the nested Laplacian
-    # (the helicoid's four samples) adds one call of them at order 4.
+    # (the helicoid's four samples) adds one evaluate_jet call of them at
+    # order 4.
     chart = request.getfixturevalue(chart_fixture)
     m = chart.m
     samples = random_interior_points(chart, 4, seed=5)
     kernel = _count_calls(monkeypatch, "normal_derivative_H", (prodsub.extrinsic, prodsub.classify, prodsub.scene))
-    calls = _count_analyze(monkeypatch)
+    calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
     nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
-    assert calls == [((4, m), 3)] + ([((4, m), 4)] if nested else [])
+    assert calls == [((4, m), 3)]
+    assert [(u.shape, o) for u, o in fourth] == ([((4, m), 4)] if nested else [])
+    assert all(_same(u, samples) for u, _ in fourth)
     assert len(kernel) == 1
     monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks
     kernel.clear()
@@ -683,18 +723,30 @@ def _coordinate_jets(monkeypatch, coords, U, m, order, patch={}, seeds=_seeds):
 
 
 def _same_jet(ref, new) -> bool:
-    """value, grad, hess and d3 bit for bit; a missing or empty slot of the
-    oracle is missing or empty in the general jet."""
+    """value, grad, hess and d3 bit for bit, or absent in the general jet
+    where the oracle's slot is zero (``_same_slot``); a missing or empty
+    slot of the oracle is missing or empty in the general jet."""
     if isinstance(ref, str) or isinstance(new, str):
         return ref == new
-    for name in ("value", "grad", "hess", "d3"):
+    for k, name in enumerate(("value", "grad", "hess", "d3")):
         a, b = getattr(ref, name), getattr(new, name)
         if a is None or a.size == 0:
             if not (b is None or b.size == 0):
                 return False
-        elif b is None or not _same(a, b):
+        elif b is None or not _same_slot(a, b, new.d[k] is None):
             return False
     return True
+
+
+def _same_slot(ref, view, absent: bool) -> bool:
+    """The oracle's slot ``ref`` against the general jet's ``view`` of it:
+    where the general jet holds the slot, bit for bit with NaN included
+    but -0.0 read as 0.0 (the oracle adds the +0.0 terms of its zero slots,
+    which turn a -0.0 sum into 0.0); where it is absent, ``ref`` is exactly
+    zero at every entry (either sign, no NaN)."""
+    if absent:
+        return bool(np.all(np.asarray(ref) == 0.0))
+    return _same(*(np.where(np.asarray(x) == 0.0, 0.0, x) for x in (ref, view)))
 
 
 def _coordinate_maps(ch, steps):
@@ -718,8 +770,10 @@ def _coordinate_cases(s4, all_gallery_charts):
 
 def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gallery_charts):
     # orders 0, 2 and 3 give the values, gradients, Hessians and third
-    # derivatives of the hand-written rules bit for bit, NaN and -0.0
-    # included, and the same errors: every coordinate map of every gallery
+    # derivatives of the hand-written rules bit for bit up to the sign of
+    # zero, NaN included, where the general jet holds the slot, and leave a
+    # slot absent only where the rules give exact zeros; and the same errors:
+    # every coordinate map of every gallery
     # kind at both signs of eps, every corpus scene, the 61-step family and
     # a failing chart (``_jet_cases``), and the grammar suite
     for coords, U, m in _coordinate_cases(s4, all_gallery_charts):
@@ -731,11 +785,12 @@ def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gall
 
 def _same_slots(ref, new) -> bool:
     """Every slot of the batch-first jet bit for bit in the general jet's
-    views, and no slot more or less; errors by type and message."""
+    views, or absent there where it is zero (``_same_slot``), and no slot
+    more or less; errors by type and message."""
     if isinstance(ref, str) or isinstance(new, str):
         return ref == new
     views = [new.value, new.grad, new.hess, new.d3, new.d4][: len(new.d)]
-    return len(ref.d) == len(new.d) and all(_same(a, b) for a, b in zip(ref.d, views))
+    return len(ref.d) == len(new.d) and all(_same_slot(a, b, x is None) for a, b, x in zip(ref.d, views, new.d))
 
 
 # functions of arguments with non-zero second derivatives, whose sums of
@@ -748,8 +803,9 @@ _NESTED = [f"{fn}({_INNER})" for fn in jets.UNARY_FNS if fn != "neg"] + [
 
 def test_sample_last_jets_reproduce_the_batch_first_rules(monkeypatch, s4, all_gallery_charts):
     # orders 0 to 4 give every slot of the general rules on the batch-first
-    # layout (``reference_jets.BatchFirstJet``) bit for bit, NaN and -0.0
-    # included, and the same errors: the cases of the hand-written oracle
+    # layout (``reference_jets.BatchFirstJet``) bit for bit up to the sign of
+    # zero, NaN included, or leave it absent where those rules give exact
+    # zeros, and the same errors: the cases of the hand-written oracle
     # and the _NESTED expressions at 40 random points
     points = np.random.default_rng(5).uniform(0.2, 0.9, (40, 3))
     nested = [lambda us, ast=exprlang.parse(src): exprlang.eval_jet(ast, dict(zip("xyz", us)), {}) for src in _NESTED]
@@ -759,6 +815,34 @@ def test_sample_last_jets_reproduce_the_batch_first_rules(monkeypatch, s4, all_g
             new = _coordinate_jets(monkeypatch, coords, U, m, order)
             assert all(isinstance(a, (str, reference_jets.BatchFirstJet)) for a in ref)
             assert all(_same_slots(a, b) for a, b in zip(ref, new)), order
+
+
+def test_absent_slots_change_no_jet(monkeypatch, s4, all_gallery_charts):
+    # the seeds and constants with zero slots above the gradient
+    # (``reference_jets.DENSE``) give every array of the jets bit for bit up
+    # to the sign of zero, NaN included, and the same errors, at orders 0
+    # to 4: ``evaluate_jet`` on the cases of ``_jet_cases`` (every gallery
+    # kind at both signs of eps, every corpus scene, the 61-step family and
+    # a failing chart) and the _NESTED expressions at 40 random points
+    cases = _jet_cases(s4, all_gallery_charts)
+    points = np.random.default_rng(5).uniform(0.2, 0.9, (40, 3))
+    nested = [exprlang.parse(src) for src in _NESTED]
+
+    def all_jets(order):
+        seeds = {name: jets.jet_var(i, points[:, i], 3, order) for i, name in enumerate("xyz")}
+        with np.errstate(all="ignore"):
+            expressions = jets.VecJet2([exprlang.eval_jet(ast, seeds, {}) for ast in nested])
+        return [evaluate_jet(ch, U, steps, order) for ch, U, steps in cases] + [expressions]
+
+    for order in range(5):
+        with monkeypatch.context() as mp:
+            for name, value in reference_jets.DENSE.items():
+                mp.setattr(jets, name, value)
+            dense = all_jets(order)
+        for ref, new in zip(dense, all_jets(order)):
+            assert len(ref.d) == len(new.d) == max(3, order + 1), order
+            assert all(_same_slot(a, b, False) for a, b in zip(ref.d, new.d)), order
+            assert [e and str(e) for e in ref.errors or []] == [e and str(e) for e in new.errors or []], order
 
 
 # the step of the finite-difference layer the normal Laplacian once took
@@ -806,15 +890,15 @@ def test_nested_laplacians_match_the_per_point_oracle(batch_charts, theorem1_hel
 
 def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path):
     # the helicoid's biharmonic_normal rows, whole, when _BATCH_POINTS
-    # splits the chunk (and with it the order-4 call of the nesting
-    # samples) into calls of two or three samples, or takes all five in one
-    # call, and under --jobs 1/2/4
+    # splits the chunk (and with it the order-4 evaluate_jet call of the
+    # nesting samples) into calls of two or three samples, or takes all five
+    # in one call, and under --jobs 1/2/4
     scene = _load("theorem1_helicoid.json")
     sampling = {"mode": "random", "counts": 5, "seed": 3}
     chart = build_chart(scene)
     samples = prodsub.scene.sample_points(chart, sampling)
     m, names = chart.m, ["biharmonic_normal"]
-    calls = _count_analyze(monkeypatch)
+    calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     rows = _run_rows(chart, names, samples)
     assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
     splits = [
@@ -826,8 +910,11 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
         with monkeypatch.context() as mp:
             mp.setattr(prodsub.immersion, "_BATCH_POINTS", value)
             calls.clear()
+            fourth.clear()
             assert _same_rows(_run_rows(chart, names, samples), rows), value
-            assert [s for s, order in calls if order == 4] == nested_calls, value
+            assert calls == [(s, 3) for s in nested_calls], value
+            assert [(u.shape, o) for u, o in fourth] == [(s, 4) for s in nested_calls], value
+            assert _same(np.vstack([u for u, _ in fourth]), samples), value
     csv = []
     for jobs in (1, 2, 4):
         path = tmp_path / f"jobs{jobs}.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodsub import ProductSpace, analyze_point, classify
+from prodsub import ProductSpace, analyze_point, classify, exprlang
 from prodsub.classify import (
     biconservative_residual,
     biharmonic_predicates,
@@ -310,6 +310,29 @@ def test_circle_geometry_theorem1(s4, h4):
         r = circle_geometry(make_theorem1(space, a=a))
         assert r["radius"] == pytest.approx(b, abs=1e-10)
         assert r["plane_rank"] == 2
+        assert r["c"] == pytest.approx(a / b, abs=1e-12)
+        assert r["gap"] <= 1e-14
+
+
+def test_circle_geometry_does_not_depend_on_the_speed_of_s(s4, h4):
+    # the theorem1 chart with s replaced by 2s on half the s-domain is the
+    # same submanifold: its s-circle has radius b, the relation closes
+    fast = {"b*cos(s/b)": "b*cos(2*s/b)", "b*sin(s/b)": "b*sin(2*s/b)"}
+    for space, a in ((s4, 0.8), (h4, 1.25)):
+        b = math.sqrt(abs(1.0 - a * a))
+        chart = make_theorem1(space, a=a)
+        rescaled = Chart(
+            space=space,
+            m=3,
+            coords=[fast.get(exprlang.to_source(c), c) for c in chart.coords],
+            params=chart.params,
+            domain=[*chart.domain[:2], (-0.6, 0.6)],
+            var_names=chart.var_names,
+            s_index=2,
+        )
+        assert sum(exprlang.to_source(c) in fast.values() for c in rescaled.coords) == 2
+        r = circle_geometry(rescaled)
+        assert r["radius"] == pytest.approx(b, abs=1e-10)
         assert r["c"] == pytest.approx(a / b, abs=1e-12)
         assert r["gap"] <= 1e-14
 

@@ -13,12 +13,11 @@ from prodsub.exprlang import (
     Num,
     ParseError,
     eval_jet,
-    eval_value,
     free_vars,
     parse,
     to_source,
 )
-from grammar_cases import ERROR_CASES, VALUE_CASES
+from grammar_cases import ERROR_CASES, VALUE_CASES, eval_value
 
 
 @pytest.mark.parametrize("src,bindings,expected", VALUE_CASES)
@@ -218,7 +217,8 @@ def test_a_constant_subtree_folds_to_the_unfolded_value(src):
         assert _bits(folded.value) == _bits(unfolded.value)
         assert not np.any(folded.grad) and not np.any(folded.hess)
         folded, unfolded = eval_jet(times, {"u1": u1}, params), _unfolded(times, {"u1": u1}, params)
-        assert all(np.array_equal(x, y) for x, y in zip(folded.d, unfolded.d)) and len(folded.d) == len(unfolded.d)
+        views = [(j.value, j.grad, j.hess, j.d3, j.d4) for j in (folded, unfolded)]
+        assert all(np.array_equal(x, y) for x, y in zip(*views)) and len(folded.d) == len(unfolded.d)
 
 
 @pytest.mark.parametrize(
