@@ -3,14 +3,19 @@
 The hand-written jet rules of orders 2 and 3: value, gradient, Hessian and
 third-order slot, each rule written out for its order.  ``seeds(U, m,
 order)`` gives the seed jets of a batch of points U (N, m) at order 0
-(values over no derivative direction), 2 or 3.
+(values over no derivative direction), 2 or 3.  Their slots above the
+gradient, and a constant's Hessian, are ``ABSENT``, an exact zero that
+every term it enters leaves out, as ``prodsub.jets`` leaves out the terms of
+its absent (None) slots.
 
 ``BatchFirstJet``: the general rules of every order on the batch-first
 layout, slot k (N,) + (m,) * k, which ``prodsub.jets`` replaced with the
 sample axis last.  ``BATCH_FIRST`` lists what to put in place of
 ``prodsub.jets`` names so that its unary functions and ``pow_const`` build
 these jets from their own derivative tables, and ``batch_first_seeds(U, m,
-order)`` gives their seeds at any order.
+order)`` gives their seeds at any order.  Its seeds and constants leave
+the slots above the gradient None, and its rules skip every term of a None
+slot, as ``prodsub.jets`` does.
 
 ``DENSE``: seeds and constants of ``prodsub.jets`` itself with explicit zero
 slots above the gradient, where ``jets.jet_var`` and ``jets.jet_const`` leave
@@ -51,6 +56,46 @@ def _check_range(arg, *results, power: bool = False) -> None:
         raise OverflowError("math range error")
 
 
+class _Absent:
+    """An absent slot: exactly zero, so a product with it is absent and a sum
+    leaves it out; indexing, negation and ``np.swapaxes`` keep it absent."""
+
+    __array_ufunc__ = None  # numpy arrays and scalars defer to the operators below
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __getitem__(self, index):
+        return self
+
+    def swapaxes(self, *axes):
+        return self
+
+
+ABSENT = _Absent()
+
+
+def _slot(x):
+    """A slot as a float array, or None or ``ABSENT`` as it stands."""
+    return x if x is None or x is ABSENT else np.asarray(x, dtype=float)
+
+
 def _check_same_m(a: "Jet2", b: "Jet2") -> None:
     if a.m != b.m:
         raise ValueError(f"jet dimension mismatch: {a.m} vs {b.m}")
@@ -78,6 +123,7 @@ def _outer(a, b):
 class Jet2:
     """Truncated jet: value, gradient (m,), symmetric Hessian (m, m) and,
     at order 3, the symmetric third derivatives ``d3`` (m, m, m), else None.
+    The Hessian and ``d3`` may be ``ABSENT``.
 
     Every field may carry one leading batch axis: value (N,), grad (N, m),
     hess (N, m, m) and d3 (N, m, m, m) hold the jets of N points, and every
@@ -91,8 +137,8 @@ class Jet2:
     def __init__(self, value, grad: np.ndarray, hess: np.ndarray, d3=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
-        self.d3 = None if d3 is None else np.asarray(d3, dtype=float)
+        self.hess = _slot(hess)
+        self.d3 = _slot(d3)
         self.m = self.grad.shape[-1]
 
     def __repr__(self) -> str:
@@ -182,12 +228,13 @@ def _hg(h, g):
 def _sym3(t):
     """t_ijk + t_ikj + t_jki: the symmetric part (times three) of a t that is
     symmetric in its first two indices."""
-    return t + np.swapaxes(t, -1, -2) + np.moveaxis(t, -1, -3)
+    t_ikj = np.swapaxes(t, -1, -2)
+    return t + t_ikj + np.swapaxes(t_ikj, -2, -3)
 
 
 def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
-    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot,
-    with a zero third-order slot at ``order`` 3.
+    """Seed jet for chart variable ``index`` of ``m``: unit gradient slot and
+    an absent Hessian, with an absent third-order slot at ``order`` 3.
 
     ``value`` is one number or a batch (N,) of them."""
     if not 0 <= index < m:
@@ -195,13 +242,13 @@ def jet_var(index: int, value, m: int, order: int = 2) -> Jet2:
     value = np.array(value, dtype=float)
     grad = np.zeros(value.shape + (m,))
     grad[..., index] = 1.0
-    d3 = np.zeros(value.shape + (m, m, m)) if order == 3 else None
-    return Jet2(value, grad, np.zeros(value.shape + (m, m)), d3)
+    return Jet2(value, grad, ABSENT, ABSENT if order == 3 else None)
 
 
 def jet_const(value, m: int) -> Jet2:
-    """Constant jet of one number, or of a row array (N,) with one per batch row."""
-    return Jet2(value, np.zeros(m), np.zeros((m, m)))
+    """Constant jet of one number, or of a row array (N,) with one per batch
+    row: a zero gradient and an absent Hessian."""
+    return Jet2(value, np.zeros(m), ABSENT)
 
 
 def _reciprocal(a: Jet2) -> Jet2:
@@ -309,7 +356,7 @@ def pow_const(a: Jet2, p: float) -> Jet2:
     v = a.value
     if isinstance(p, int):
         if p == 0:
-            return Jet2(np.ones_like(v), np.zeros_like(a.grad), np.zeros_like(a.hess))
+            return Jet2(np.ones_like(v), np.zeros_like(a.grad), ABSENT)
         if p < 0 and np.any(v == 0.0):
             raise ZeroDivisionError("pow_const: zero base with negative exponent")
         with np.errstate(over="ignore"):
@@ -397,13 +444,13 @@ def _partitions(k: int) -> tuple:
 class BatchFirstJet:
     """Truncated jet: ``d[k]`` holds the symmetric k-th derivatives (m,) * k
     for k up to the order, with one leading batch axis where the slot has
-    one; a missing slot counts as zero."""
+    one; a missing slot, or one that is None, counts as zero."""
 
     __slots__ = ("d", "m")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
     def __init__(self, *d):
-        self.d = [np.asarray(x, dtype=float) for x in d]
+        self.d = [_slot(x) for x in d]
         self.m = self.d[1].shape[-1] if len(self.d) > 1 else 0
 
     value = property(lambda self: self.d[0])
@@ -422,12 +469,12 @@ class BatchFirstJet:
         return BatchFirstJet(*(x if y is None else -y if x is None else x - y for x, y in self._pairs(other)))
 
     def __rsub__(self, other):
-        return BatchFirstJet(_number(other) - self.value, *(-x for x in self.d[1:]))
+        return BatchFirstJet(_number(other) - self.value, *(None if x is None else -x for x in self.d[1:]))
 
     def __mul__(self, other):
         if not isinstance(other, BatchFirstJet):
             c = _number(other)
-            return BatchFirstJet(*(x * _trail(c, k) for k, x in enumerate(self.d)))
+            return BatchFirstJet(*(None if x is None else x * _trail(c, k) for k, x in enumerate(self.d)))
         a, b = zip(*self._pairs(other))
         return BatchFirstJet(*(self._leibniz(a, b, k) for k in range(len(a))))
 
@@ -445,7 +492,7 @@ class BatchFirstJet:
         return jets._reciprocal(self) * other
 
     def __neg__(self):
-        return BatchFirstJet(*(-x for x in self.d))
+        return BatchFirstJet(*(None if x is None else -x for x in self.d))
 
     def __pow__(self, p):
         return jets.pow_const(self, p)
@@ -493,12 +540,15 @@ class BatchFirstJet:
         """f(a) from the derivative table f, f', ... of f at a.value by Faa di
         Bruno's formula: slot k sums, over the partitions of k into blocks, the
         shuffles of the product of a's slots of the block sizes, times f^(number
-        of blocks).  ``table`` is any iterable of the entries, drawn whole."""
+        of blocks), and a partition with a None block adds nothing.  ``table``
+        is any iterable of the entries, drawn whole."""
         table = list(table)
         d = [table[0]]
         for k in range(1, a.order + 1):
             out = None
             for sizes in _partitions(k):
+                if any(a.d[s] is None for s in sizes):
+                    continue
                 t, p = a.d[sizes[0]], sizes[0]
                 for s in sizes[1:]:
                     t, p = BatchFirstJet._outer(t, p, a.d[s], s), p + s
@@ -509,17 +559,17 @@ class BatchFirstJet:
 
 
 def batch_first_const(value, m: int) -> BatchFirstJet:
-    return BatchFirstJet(value, np.zeros(m), np.zeros((m, m))) if m else BatchFirstJet(value)
+    return BatchFirstJet(value, np.zeros(m), None) if m else BatchFirstJet(value)
 
 
 def batch_first_seeds(U, m: int, order: int) -> tuple:
-    """The seed jets of the points U (N, m) at ``order``: unit gradients and zero slots above them."""
+    """The seed jets of the points U (N, m) at ``order``: unit gradients and None slots above them."""
     out = []
     for i in range(m):
         value = np.array(U[:, i], dtype=float)
         grad = np.zeros(value.shape + (m,))
         grad[..., i] = 1.0
-        slots = [value, grad] + [np.zeros(value.shape + (m,) * k) for k in range(2, order + 1)]
+        slots = [value, grad] + [None] * (order - 1)
         out.append(BatchFirstJet(*slots[: order + 1]))
     return tuple(out)
 

@@ -723,30 +723,30 @@ def _coordinate_jets(monkeypatch, coords, U, m, order, patch={}, seeds=_seeds):
 
 
 def _same_jet(ref, new) -> bool:
-    """value, grad, hess and d3 bit for bit, or absent in the general jet
-    where the oracle's slot is zero (``_same_slot``); a missing or empty
-    slot of the oracle is missing or empty in the general jet."""
+    """value, grad, hess and d3 bit for bit, NaN and -0.0 included; a slot
+    is absent in the general jet (None, or missing) where it is
+    ``reference_jets.ABSENT`` in the oracle, and held where the oracle holds
+    it; a missing or empty slot of the oracle is missing or empty in the
+    general jet."""
     if isinstance(ref, str) or isinstance(new, str):
         return ref == new
     for k, name in enumerate(("value", "grad", "hess", "d3")):
         a, b = getattr(ref, name), getattr(new, name)
-        if a is None or a.size == 0:
+        held = k < len(new.d) and new.d[k] is not None
+        if a is reference_jets.ABSENT:
+            if held:
+                return False
+        elif a is None or a.size == 0:
             if not (b is None or b.size == 0):
                 return False
-        elif b is None or not _same_slot(a, b, new.d[k] is None):
+        elif not held or not _same(a, b):
             return False
     return True
 
 
-def _same_slot(ref, view, absent: bool) -> bool:
-    """The oracle's slot ``ref`` against the general jet's ``view`` of it:
-    where the general jet holds the slot, bit for bit with NaN included
-    but -0.0 read as 0.0 (the oracle adds the +0.0 terms of its zero slots,
-    which turn a -0.0 sum into 0.0); where it is absent, ``ref`` is exactly
-    zero at every entry (either sign, no NaN)."""
-    if absent:
-        return bool(np.all(np.asarray(ref) == 0.0))
-    return _same(*(np.where(np.asarray(x) == 0.0, 0.0, x) for x in (ref, view)))
+def _same_but_zero_signs(a, b) -> bool:
+    """``_same`` with -0.0 read as 0.0."""
+    return _same(*(np.where(np.asarray(x) == 0.0, 0.0, x) for x in (a, b)))
 
 
 def _coordinate_maps(ch, steps):
@@ -770,12 +770,12 @@ def _coordinate_cases(s4, all_gallery_charts):
 
 def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gallery_charts):
     # orders 0, 2 and 3 give the values, gradients, Hessians and third
-    # derivatives of the hand-written rules bit for bit up to the sign of
-    # zero, NaN included, where the general jet holds the slot, and leave a
-    # slot absent only where the rules give exact zeros; and the same errors:
-    # every coordinate map of every gallery
-    # kind at both signs of eps, every corpus scene, the 61-step family and
-    # a failing chart (``_jet_cases``), and the grammar suite
+    # derivatives of the hand-written rules bit for bit, NaN and -0.0
+    # included, leave absent the slots those rules leave ``ABSENT`` from
+    # their seeds and constants, and give the same errors: every coordinate
+    # map of every gallery kind at both signs of eps, every corpus scene,
+    # the 61-step family and a failing chart (``_jet_cases``), and the
+    # grammar suite
     for coords, U, m in _coordinate_cases(s4, all_gallery_charts):
         for order in (0, 2, 3):
             ref = _coordinate_jets(monkeypatch, coords, U, m, order, _HAND_WRITTEN, reference_jets.seeds)
@@ -785,12 +785,14 @@ def test_general_jets_reproduce_the_hand_written_rules(monkeypatch, s4, all_gall
 
 def _same_slots(ref, new) -> bool:
     """Every slot of the batch-first jet bit for bit in the general jet's
-    views, or absent there where it is zero (``_same_slot``), and no slot
+    views, NaN and -0.0 included, None in both or in neither, and no slot
     more or less; errors by type and message."""
     if isinstance(ref, str) or isinstance(new, str):
         return ref == new
     views = [new.value, new.grad, new.hess, new.d3, new.d4][: len(new.d)]
-    return len(ref.d) == len(new.d) and all(_same_slot(a, b, x is None) for a, b, x in zip(ref.d, views, new.d))
+    return len(ref.d) == len(new.d) and all(
+        (a is None) == (x is None) and (a is None or _same(a, b)) for a, b, x in zip(ref.d, views, new.d)
+    )
 
 
 # functions of arguments with non-zero second derivatives, whose sums of
@@ -803,10 +805,10 @@ _NESTED = [f"{fn}({_INNER})" for fn in jets.UNARY_FNS if fn != "neg"] + [
 
 def test_sample_last_jets_reproduce_the_batch_first_rules(monkeypatch, s4, all_gallery_charts):
     # orders 0 to 4 give every slot of the general rules on the batch-first
-    # layout (``reference_jets.BatchFirstJet``) bit for bit up to the sign of
-    # zero, NaN included, or leave it absent where those rules give exact
-    # zeros, and the same errors: the cases of the hand-written oracle
-    # and the _NESTED expressions at 40 random points
+    # layout (``reference_jets.BatchFirstJet``) bit for bit, NaN and -0.0
+    # included, leave absent the slots those rules leave None, and give the
+    # same errors: the cases of the hand-written oracle and the _NESTED
+    # expressions at 40 random points
     points = np.random.default_rng(5).uniform(0.2, 0.9, (40, 3))
     nested = [lambda us, ast=exprlang.parse(src): exprlang.eval_jet(ast, dict(zip("xyz", us)), {}) for src in _NESTED]
     for coords, U, m in _coordinate_cases(s4, all_gallery_charts) + [(nested, points, 3)]:
@@ -841,7 +843,7 @@ def test_absent_slots_change_no_jet(monkeypatch, s4, all_gallery_charts):
             dense = all_jets(order)
         for ref, new in zip(dense, all_jets(order)):
             assert len(ref.d) == len(new.d) == max(3, order + 1), order
-            assert all(_same_slot(a, b, False) for a, b in zip(ref.d, new.d)), order
+            assert all(_same_but_zero_signs(a, b) for a, b in zip(ref.d, new.d)), order
             assert [e and str(e) for e in ref.errors or []] == [e and str(e) for e in new.errors or []], order
 
 
