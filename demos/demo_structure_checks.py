@@ -7,7 +7,7 @@ import numpy as np
 
 from prodsub import ProductSpace
 from prodsub.classify import biconservative_residual, class_A_residual, pmc_residual
-from prodsub.extrinsic import T_eta_residuals, geometry, normal_derivative_H, structure_residuals
+from prodsub.extrinsic import T_eta_residuals, geometry, structure_residuals
 from prodsub.gallery import make_theorem1
 
 rng = np.random.default_rng(0)
@@ -19,7 +19,7 @@ for kind, params in (("geodesic_cylinder", {}), ("helicoid", {"pitch": 0.5})):
     rows = geometry(ch, U, order=3)  # the ten points' 3-jets and frames in one batch
     # every component of the Gauss, Codazzi and Ricci tensors in the tangent and normal ONBs
     worst = {k: float(np.abs(t).max()) for k, t in structure_residuals(rows).items()}
-    worst["pmc"] = float(pmc_residual(rows, normal_derivative_H(rows)).max())
+    worst["pmc"] = float(pmc_residual(rows).max())
     for k, v in worst.items():
         print(f"  max {k:8s} residual: {v:.3e}")
     center = geometry(ch, (ch.center() + 0.05)[None], order=3)

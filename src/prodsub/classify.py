@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import curvature, inner
 from .errors import InvalidFrame
-from .extrinsic import ExtrinsicRows, normal_derivative_H, normal_laplacian_H, shape_operator
+from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_laplacian_H, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -44,71 +44,6 @@ TOL_EIG = 1e-7
 #: PMC holds where |nabla^perp H| (``pmc_residual``) is at or below this
 TOL_PMC = 1e-6
 
-#: degeneracy thresholds: a point whose quantity is at or below its entry
-#: counts as T = 0, H = 0 or eta = 0 for the named use
-DEGENERATE = {
-    "T_biconservative": 1e-10,  # the biconservative check's slice-type points
-    "T_class_a": 1e-8,  # class A is zero by convention
-    "H_minimal": 1e-9,  # biharmonic_residual's minimal flag
-    "H_frame": 1e-10,  # xi_1 = H/|H| of the codim-2 frame is undefined
-    "eta_frame": 1e-8,  # |eta| and |eta_perp|: xi_2 is gauge-fixed instead
-    "frame_completion": 1e-10,  # no normal is left to gauge-fix xi_2 with
-}
-
-
-def _sign_fix(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Each vector of v (..., k) flipped so that its first entry above tol
-    in absolute value is positive."""
-    big = np.abs(v) > tol
-    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
-    return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
-
-
-@dataclass
-class CodimTwoFrame:
-    """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
-    codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
-    is gauge-fixed as the unit normal orthogonal to xi_1.  Every field is
-    stacked over the rows of a batch."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    eta_gauge_fixed: np.ndarray
-
-
-def codim_two_frame(rows: ExtrinsicRows):
-    """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
-    (None when the codimension is not 2) and a list with the InvalidFrame
-    each row raises, else None.  The fields of a failed row mean nothing."""
-    sp = rows.chart.space
-    n_rows, codim = rows.normal_onb.shape[:2]
-    if codim != 2:
-        return None, [InvalidFrame(f"codimension is {codim}, need exactly 2")] * n_rows
-    tol_eta = DEGENERATE["eta_frame"]
-    xi, all_rows = rows.normal_onb, np.arange(n_rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi1 = rows.H / rows.H_norm[:, None]
-        eta_perp = rows.eta - inner(sp, rows.eta, xi1)[:, None] * xi1
-        perp_norm = np.sqrt(np.maximum(inner(sp, eta_perp, eta_perp), 0.0))
-        fixed = ~((rows.eta_norm > tol_eta) & (perp_norm > tol_eta))
-        # eta = 0 (or eta parallel to H): complete the frame orthogonally
-        w = xi - inner(sp, xi, xi1[:, None])[..., None] * xi1[:, None]
-        w_norm = np.sqrt(np.maximum(inner(sp, w, w), 0.0))
-        best = np.argmax(w_norm, axis=1)
-        w_best = w_norm[all_rows, best]
-        fill = _sign_fix(w[all_rows, best] / w_best[:, None])
-        xi2 = np.where(fixed[:, None], fill, eta_perp / perp_norm[:, None])
-        A1, A2 = (shape_operator(sp, xi, rows.alpha, v) for v in (xi1, xi2))
-    stuck = fixed & ~(w_best >= DEGENERATE["frame_completion"])
-    errors = [
-        InvalidFrame("H vanishes; xi_1 = H/|H| is undefined") if h
-        else InvalidFrame("cannot complete the codim-2 frame") if s else None
-        for h, s in zip((rows.H_norm <= DEGENERATE["H_frame"]).tolist(), stuck.tolist())
-    ]
-    return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
-
 
 def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
     """|eps <H, eta> T| of every row, the biconservative criterion under
@@ -122,11 +57,11 @@ def _curvature_trace(rows: ExtrinsicRows) -> np.ndarray:
     return curvature(rows.chart.space, E, rows.H[:, None], E).sum(axis=1)
 
 
-def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
+def biconservative_full(rows: ExtrinsicRows) -> np.ndarray:
     """Norm of the tangential bitension vector
     m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T of every
-    row, from nabla^perp_{d_p} H (N, m, n+2) in chart directions."""
-    sp, m, E = rows.chart.space, rows.chart.m, rows.tangent_onb
+    row, from the rows' nabla^perp_{d_p} H (N, m, n+2) in chart directions."""
+    sp, m, E, W = rows.chart.space, rows.chart.m, rows.tangent_onb, rows.nabla_H
     # d_p |H|^2 = 2 <d_p H, H> = 2 <nabla^perp_p H, H>, as H is normal
     grad_hh = rows.jet.jac @ rows.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
     # A_{nabla^perp_{E_i} H} for every i, of which trace A takes column i
@@ -138,15 +73,14 @@ def biconservative_full(rows: ExtrinsicRows, W: np.ndarray) -> np.ndarray:
 def biconservative_residual(rows: ExtrinsicRows) -> dict:
     """simple: ``biconservative_simple``; full: ``biconservative_full``, at
     every row of a batch evaluated at order 3."""
-    return {"simple": biconservative_simple(rows), "full": biconservative_full(rows, normal_derivative_H(rows))}
+    return {"simple": biconservative_simple(rows), "full": biconservative_full(rows)}
 
 
-def biharmonic_predicates(rows: ExtrinsicRows, frame=None) -> tuple[np.ndarray, np.ndarray]:
+def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
-    trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the codim-2
-    frame is undefined.  ``frame`` is the rows' ``codim_two_frame``, taken
-    here where None."""
-    frame, errors = frame or codim_two_frame(rows)
+    trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the rows'
+    codim-2 frame is undefined."""
+    frame, errors = rows.frame
     undefined = np.array([e is not None for e in errors])
     if frame is None:
         return np.full(len(rows), math.nan), np.full(len(rows), math.nan)
@@ -155,24 +89,24 @@ def biharmonic_predicates(rows: ExtrinsicRows, frame=None) -> tuple[np.ndarray, 
     return tr + t2 - rows.chart.m, tr + rows.chart.space.epsilon * (t2 - rows.chart.m)
 
 
-def pmc_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
-    """|nabla^perp H| of every row, given nabla^perp H (N, m, n+2) in chart
-    directions: the root sum of squares of nabla^perp_{E_a} H over the
-    tangent ONB E, which is the same in every ONB and so in every chart."""
-    return np.linalg.norm((rows.tangent_coeffs @ nabla_H).reshape(len(nabla_H), -1), axis=-1)
+def pmc_residual(rows: ExtrinsicRows) -> np.ndarray:
+    """|nabla^perp H| of every row, from the rows' nabla^perp H (N, m, n+2)
+    in chart directions: the root sum of squares of nabla^perp_{E_a} H over
+    the tangent ONB E, which is the same in every ONB and so in every chart."""
+    return np.linalg.norm((rows.tangent_coeffs @ rows.nabla_H).reshape(len(rows), -1), axis=-1)
 
 
-def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
-    """The biharmonic normal residual of every row, given nabla^perp H
-    (N, m, n+2) there.
+def biharmonic_residual(rows: ExtrinsicRows) -> dict:
+    """The biharmonic normal residual of every row, from the rows'
+    nabla^perp H (N, m, n+2).
 
     normal: the norm of trace alpha(., A_H .) - lap^perp H
     + trace (R(., H) .)^perp; minimal: whether H vanishes (|H| at or below
     DEGENERATE["H_minimal"]); nested: whether lap^perp H was taken, which
     it is where PMC fails (``pmc_residual`` above TOL_PMC, the default
     tolerance of the pmc check, whatever tolerance a run gives that check)
-    and H does not vanish, and is 0 elsewhere, so a zero ``nabla_H``
-    assumes PMC.  The nested rows take one order-4 ``evaluate_jet`` call,
+    and H does not vanish, and is 0 elsewhere, so rows whose ``nabla_H``
+    is zero assume PMC.  The nested rows take one order-4 ``evaluate_jet`` call,
     for the closed-form ``normal_laplacian_H``, and keep their own frames,
     g^-1, alpha and H, which are the same at every jet order bit for bit
     (``analyze_point``).
@@ -184,12 +118,12 @@ def biharmonic_residual(rows: ExtrinsicRows, nabla_H: np.ndarray) -> dict:
     small-hypersphere locus in the round sphere.
     """
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(pmc_residual(rows, nabla_H) <= TOL_PMC) & ~minimal
+    nested = ~(pmc_residual(rows) <= TOL_PMC) & ~minimal
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
         fourth = replace(rows.take(at), jet=evaluate_jet(rows.chart, rows.u[at], rows.steps[at], order=4))
-        lap[at] = normal_laplacian_H(fourth, nabla_H[at])
+        lap[at] = normal_laplacian_H(fourth, rows.nabla_H[at])
     A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
     trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ rows.normal_onb)[:, 0]
     curv = rows.proj_normal(_curvature_trace(rows))
@@ -238,14 +172,13 @@ def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: floa
             start = i
 
 
-def e0_structure(rows: ExtrinsicRows, frame=None):
+def e0_structure(rows: ExtrinsicRows):
     """Symmetric eigenanalysis of A_H with the kernel split at relative
     tolerance ``TOL_EIG``, filling the residuals of the codimension-2
     biconservative block structure, for every row of a batch: a stacked
-    E0Analysis (None when the codimension is not 2) and the rows' errors as
-    in ``codim_two_frame``.  ``frame`` is the rows' ``codim_two_frame``,
-    taken here where None."""
-    frame, errors = frame or codim_two_frame(rows)
+    E0Analysis (None when the codimension is not 2) and the errors of the
+    rows' ``codim_two_frame``."""
+    frame, errors = rows.frame
     if frame is None:
         return None, errors
     m = rows.chart.m

@@ -1,7 +1,7 @@
-"""Second fundamental form, mean curvature, normal connection and the
-Gauss, Codazzi and Ricci equations, as array kernels over an
-``ExtrinsicRows``: a PointBatch with its alpha, H and |H|, whose fields
-every kernel reads directly.
+"""Second fundamental form, mean curvature, normal connection, the
+codimension-2 frame and the Gauss, Codazzi and Ricci equations, as array
+kernels over an ``ExtrinsicRows``: a PointBatch with its alpha, H and |H|,
+whose fields every kernel reads directly.
 
 Derivative depth discipline: every quantity is exact ("jet level") and
 taken in closed form from the position jet of a batch (``JetDerivatives``).
@@ -27,15 +27,19 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import ProductSpace, inner
+from .errors import InvalidFrame
 from .immersion import Chart, PointBatch, analyze_point, project
 
 __all__ = [
+    "CodimTwoFrame",
+    "DEGENERATE",
     "ExtrinsicRows",
     "FieldCache",
     "JetDerivatives",
     "geometry",
     "second_fundamental",
     "shape_operator",
+    "codim_two_frame",
     "christoffels",
     "normal_derivative_H",
     "normal_laplacian_H",
@@ -52,6 +56,72 @@ def shape_operator(sp: ProductSpace, xi: np.ndarray, alpha: np.ndarray, w) -> np
     (..., r, n+2), alpha (..., r, m, m) and normal vectors w (..., n+2)."""
     c = inner(sp, xi, np.asarray(w)[..., None, :])
     return (c[..., None, None] * alpha).sum(axis=-3)
+
+
+#: degeneracy thresholds: a point whose quantity is at or below its entry
+#: counts as T = 0, H = 0 or eta = 0 for the named use
+DEGENERATE = {
+    "T_biconservative": 1e-10,  # the biconservative check's slice-type points
+    "T_class_a": 1e-8,  # class A is zero by convention
+    "H_minimal": 1e-9,  # biharmonic_residual's minimal flag
+    "H_frame": 1e-10,  # xi_1 = H/|H| of the codim-2 frame is undefined
+    "eta_frame": 1e-8,  # |eta| and |eta_perp|: xi_2 is gauge-fixed instead
+    "frame_completion": 1e-10,  # no normal is left to gauge-fix xi_2 with
+}
+
+
+def _sign_fix(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Each vector of v (..., k) flipped so that its first entry above tol
+    in absolute value is positive."""
+    big = np.abs(v) > tol
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
+
+
+@dataclass
+class CodimTwoFrame:
+    """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
+    codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
+    is gauge-fixed as the unit normal orthogonal to xi_1.  Every field is
+    stacked over the rows of a batch."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+    eta_gauge_fixed: np.ndarray
+
+
+def codim_two_frame(rows: ExtrinsicRows):
+    """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
+    (None when the codimension is not 2) and a list with the InvalidFrame
+    each row raises, else None.  The fields of a failed row mean nothing."""
+    sp = rows.chart.space
+    n_rows, codim = rows.normal_onb.shape[:2]
+    if codim != 2:
+        return None, [InvalidFrame(f"codimension is {codim}, need exactly 2")] * n_rows
+    tol_eta = DEGENERATE["eta_frame"]
+    xi, all_rows = rows.normal_onb, np.arange(n_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi1 = rows.H / rows.H_norm[:, None]
+        eta_perp = rows.eta - inner(sp, rows.eta, xi1)[:, None] * xi1
+        perp_norm = np.sqrt(np.maximum(inner(sp, eta_perp, eta_perp), 0.0))
+        fixed = ~((rows.eta_norm > tol_eta) & (perp_norm > tol_eta))
+        # eta = 0 (or eta parallel to H): complete the frame orthogonally
+        w = xi - inner(sp, xi, xi1[:, None])[..., None] * xi1[:, None]
+        w_norm = np.sqrt(np.maximum(inner(sp, w, w), 0.0))
+        best = np.argmax(w_norm, axis=1)
+        w_best = w_norm[all_rows, best]
+        fill = _sign_fix(w[all_rows, best] / w_best[:, None])
+        xi2 = np.where(fixed[:, None], fill, eta_perp / perp_norm[:, None])
+        A1, A2 = (shape_operator(sp, xi, rows.alpha, v) for v in (xi1, xi2))
+    stuck = fixed & ~(w_best >= DEGENERATE["frame_completion"])
+    errors = [
+        InvalidFrame("H vanishes; xi_1 = H/|H| is undefined") if h
+        else InvalidFrame("cannot complete the codim-2 frame") if s else None
+        for h, s in zip((rows.H_norm <= DEGENERATE["H_frame"]).tolist(), stuck.tolist())
+    ]
+    return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
 
 
 def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
@@ -72,8 +142,11 @@ def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
 class ExtrinsicRows(PointBatch):
     """A PointBatch with its ``second_fundamental``: alpha (N, r, m, m),
     H (N, n+2) and |H| (N,) stacked.  In an orthonormal frame alpha[:, a] is
-    the shape operator A_{xi_a} in the tangent ONB.  The batch kernels of
-    the checks read the rows."""
+    the shape operator A_{xi_a} in the tangent ONB.  A run's chunk is one
+    ExtrinsicRows, the one argument of every check kernel, and the
+    intermediates that several kernels read are cached properties of it,
+    each computed on first use; the copies ``take`` and ``replace`` make
+    compute their own, and a test may assign one to inject its value."""
 
     alpha: np.ndarray
     H: np.ndarray
@@ -88,6 +161,22 @@ class ExtrinsicRows(PointBatch):
     def d_normals(self) -> np.ndarray:
         """(d_i P) xi_s (N, m, r, n+2), which Codazzi and Ricci share."""
         return self.derivatives.dP_apply(self.normal_onb)
+
+    @cached_property
+    def nabla_H(self) -> np.ndarray:
+        """``normal_derivative_H`` (N, m, n+2), which pmc, the full
+        biconservative check and the biharmonic normal part share."""
+        return normal_derivative_H(self)
+
+    @cached_property
+    def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
+        """``T_eta_residuals``, which vector_t and vector_eta share."""
+        return T_eta_residuals(self)
+
+    @cached_property
+    def frame(self) -> tuple:
+        """``codim_two_frame``, which e0 and biharmonic_predicate share."""
+        return codim_two_frame(self)
 
 
 def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):

@@ -8,7 +8,9 @@ A run checks its samples a chunk at a time: one batched geometry call per
 chunk of up to ``immersion._BATCH_POINTS`` (512) samples, at the jet order
 its checks need (3 when one reads a derivative of H or of the
 Christoffels, else 2), and one call of each CHECKS entry on the chunk's
-arrays, which returns a residual, a note and a degenerate flag per sample.
+``ExtrinsicRows``, which returns a residual, a note and a degenerate flag
+per sample; what several entries read, such as nabla^perp H or the codim-2
+frame, is a cached property of the rows, computed once per chunk.
 Every entry is array code over the samples themselves, and no entry
 differences: the normal Laplacian of H, where PMC fails, evaluates the
 chunk's samples that need it again at order 4, in one geometry call.  The
@@ -39,8 +41,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,21 +58,12 @@ from .classify import (
     biharmonic_residual,
     circle_geometry,
     class_A_residual,
-    codim_two_frame,
     e0_structure,
     pmc_residual,
     splitting_residual,
 )
 from .errors import ChartError, EngineError, RowFailure, SceneError
-from .extrinsic import (
-    ExtrinsicRows,
-    T_eta_residuals,
-    codazzi_residuals,
-    gauss_residuals,
-    geometry,
-    normal_derivative_H,
-    ricci_residuals,
-)
+from .extrinsic import ExtrinsicRows, codazzi_residuals, gauss_residuals, geometry, ricci_residuals
 from .gallery import make_chart
 from .immersion import Chart, Family, probe_grid
 
@@ -297,84 +289,47 @@ def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
 # check registry
 
 
-@dataclass
-class Chunk:
-    """Samples of a run checked together, the argument of every CHECKS entry.
-
-    ``geo`` is the samples' geometry as arrays: their PointBatch with alpha
-    (N, r, m, m), H (N, n+2) and |H| (N,), whose ``errors[i]`` is the error
-    of sample i's geometry, else None; its jets have the order of the
-    requested checks.  ``indices`` count the samples within a scan step;
-    ``geo.u`` holds the samples and ``geo.steps`` the step of each.
-    """
-
-    chart: Chart
-    indices: np.ndarray
-    geo: ExtrinsicRows
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @cached_property
-    def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
-        """``T_eta_residuals`` of the samples, which vector_t and vector_eta share."""
-        return T_eta_residuals(self.geo)
-
-    @cached_property
-    def frame(self) -> tuple:
-        """``codim_two_frame`` of the samples, which e0 and biharmonic_predicate share."""
-        return codim_two_frame(self.geo)
-
-    @cached_property
-    def nabla_H(self) -> np.ndarray:
-        """nabla^perp H (N, m, n+2), which pmc, biconservative_full and biharmonic_normal share."""
-        return normal_derivative_H(self.geo)
-
-    def take(self, rows: slice) -> "Chunk":
-        return replace(self, indices=self.indices[rows], geo=self.geo.take(rows))
-
-
-def _slice_type(c: "Chunk", values: np.ndarray, tol_key: str):
+def _slice_type(geo: ExtrinsicRows, values: np.ndarray, tol_key: str):
     """``values`` with the rows where T = 0 noted and flagged degenerate."""
-    flat = c.geo.T_norm <= DEGENERATE[tol_key]
+    flat = geo.T_norm <= DEGENERATE[tol_key]
     return values, ["T = 0 (slice-type point)" if f else None for f in flat.tolist()], flat
 
 
-def _chk_membership(c: Chunk):
-    return membership_residual(c.chart.space, c.geo.jet.values), None, False
+def _chk_membership(geo: ExtrinsicRows):
+    return membership_residual(geo.chart.space, geo.jet.values), None, False
 
 
-def _chk_frames(c: Chunk):
-    b, sp = c.geo, c.chart.space
-    frame = np.concatenate([b.tangent_onb, b.normal_onb], axis=1)
+def _chk_frames(geo: ExtrinsicRows):
+    sp = geo.chart.space
+    frame = np.concatenate([geo.tangent_onb, geo.normal_onb], axis=1)
     gram = inner(sp, frame[:, :, None], frame[:, None])  # one dot per pair, so symmetric
-    off_quadric = inner(sp, b.normal_onb, sp.q_padded(b.jet.values)[:, None])
+    off_quadric = inner(sp, geo.normal_onb, sp.q_padded(geo.jet.values)[:, None])
     worst = np.max(np.abs(gram - np.eye(frame.shape[1])), axis=(1, 2))
     return np.maximum(worst, np.max(np.abs(off_quadric), axis=1)), None, False
 
 
-def _chk_unit_norm(c: Chunk):
-    return np.abs(c.geo.T_norm**2 + c.geo.eta_norm**2 - 1.0), None, False
+def _chk_unit_norm(geo: ExtrinsicRows):
+    return np.abs(geo.T_norm**2 + geo.eta_norm**2 - 1.0), None, False
 
 
-def _chk_h_eta(c: Chunk):
-    return np.abs(inner(c.chart.space, c.geo.H, c.geo.eta)), None, False
+def _chk_h_eta(geo: ExtrinsicRows):
+    return np.abs(inner(geo.chart.space, geo.H, geo.eta)), None, False
 
 
-def _chk_mean_curvature(c: Chunk):
-    return c.geo.H_norm, "reports |H| itself, not a residual", False
+def _chk_mean_curvature(geo: ExtrinsicRows):
+    return geo.H_norm, "reports |H| itself, not a residual", False
 
 
-def _chk_biconservative(c: Chunk):
-    return _slice_type(c, biconservative_simple(c.geo), "T_biconservative")
+def _chk_biconservative(geo: ExtrinsicRows):
+    return _slice_type(geo, biconservative_simple(geo), "T_biconservative")
 
 
-def _chk_class_a(c: Chunk):
-    return _slice_type(c, class_A_residual(c.geo), "T_class_a")
+def _chk_class_a(geo: ExtrinsicRows):
+    return _slice_type(geo, class_A_residual(geo), "T_class_a")
 
 
-def _chk_biharmonic_predicate(c: Chunk):
-    pred, pred_eps = biharmonic_predicates(c.geo, c.frame)
+def _chk_biharmonic_predicate(geo: ExtrinsicRows):
+    pred, pred_eps = biharmonic_predicates(geo)
     undefined = np.isnan(pred)
     notes = [
         "codim-2 frame undefined (H = 0 or wrong codimension)" if bad else f"eps-explicit candidate {p:.6g}"
@@ -388,28 +343,28 @@ def _tensor_max(t: np.ndarray) -> np.ndarray:
     return np.max(np.abs(t.reshape(len(t), -1)), axis=-1)
 
 
-def _chk_ricci(c: Chunk):
-    return _tensor_max(ricci_residuals(c.geo)), None, False
+def _chk_ricci(geo: ExtrinsicRows):
+    return _tensor_max(ricci_residuals(geo)), None, False
 
 
-def _chk_gauss(c: Chunk):
-    return _tensor_max(gauss_residuals(c.geo)), None, False
+def _chk_gauss(geo: ExtrinsicRows):
+    return _tensor_max(gauss_residuals(geo)), None, False
 
 
-def _chk_codazzi(c: Chunk):
-    return _tensor_max(codazzi_residuals(c.geo)), None, False
+def _chk_codazzi(geo: ExtrinsicRows):
+    return _tensor_max(codazzi_residuals(geo)), None, False
 
 
-def _chk_vector_t(c: Chunk):
-    return c.t_eta[0], None, False
+def _chk_vector_t(geo: ExtrinsicRows):
+    return geo.t_eta[0], None, False
 
 
-def _chk_vector_eta(c: Chunk):
-    return c.t_eta[1], None, False
+def _chk_vector_eta(geo: ExtrinsicRows):
+    return geo.t_eta[1], None, False
 
 
-def _chk_e0(c: Chunk):
-    e0, errors = e0_structure(c.geo, frame=c.frame)
+def _chk_e0(geo: ExtrinsicRows):
+    e0, errors = e0_structure(geo)
     vanish = [e is not None and "H vanishes" in str(e) for e in errors]
     for i, (e, v) in enumerate(zip(errors, vanish)):
         if e is not None and not v:
@@ -422,22 +377,22 @@ def _chk_e0(c: Chunk):
     return np.where(vanish, 0.0, val), notes, np.array(vanish)
 
 
-def _chk_pmc(c: Chunk):
-    return pmc_residual(c.geo, c.nabla_H), None, False
+def _chk_pmc(geo: ExtrinsicRows):
+    return pmc_residual(geo), None, False
 
 
-def _chk_biconservative_full(c: Chunk):
-    return biconservative_full(c.geo, c.nabla_H), None, False
+def _chk_biconservative_full(geo: ExtrinsicRows):
+    return biconservative_full(geo), None, False
 
 
 _NESTED_NOTE = "PMC not verified; normal Laplacian exact from the 4-jet"
 
 
-def _chk_biharmonic_normal(c: Chunk):
+def _chk_biharmonic_normal(geo: ExtrinsicRows):
     """``biharmonic_residual``, which nests where |nabla^perp H| exceeds
     TOL_PMC, the pmc check's default tolerance: a run's override of the pmc
     tolerance changes the pmc verdict, not where this check nests."""
-    r = biharmonic_residual(c.geo, c.nabla_H)
+    r = biharmonic_residual(geo)
     notes = [
         "H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(r["minimal"], r["nested"])
     ]
@@ -460,9 +415,10 @@ def _chk_circle(chart: Chart):
 class Check:
     """Every fact about one check.
 
-    ``kernel`` maps a Chunk of N samples to (N,) residuals, (N,) notes (or
-    one note for all) and an (N,) degenerate mask (or one flag for all); a
-    ``chart_level`` kernel maps the chart to one residual, note and flag.
+    ``kernel`` maps the ExtrinsicRows of a chunk of N samples to (N,)
+    residuals, (N,) notes (or one note for all) and an (N,) degenerate mask
+    (or one flag for all); a ``chart_level`` kernel maps the chart to one
+    residual, note and flag.
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H or of the Christoffels; a run evaluates its samples
@@ -524,7 +480,9 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
 
 
 def _chunks(chart: Chart, names: list, samples: np.ndarray, rows):
-    """The chunks of a run, in row order.
+    """The chunks of a run, in row order, each as (ids, geo): the indices
+    of its samples within their scan step and their ExtrinsicRows, whose
+    ``errors[i]`` is the error of sample i's geometry, else None.
 
     Row r is sample r % n of the n ``samples`` at scan step r // n (a run
     of one step has the rows of its sample indices).  The rows' points go
@@ -536,22 +494,22 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows):
     order = max((CHECK_TABLE[c].order for c in names), default=2)
     for first in range(0, len(rows), immersion._BATCH_POINTS):
         part = slice(first, first + immersion._BATCH_POINTS)
-        geo = geometry(chart, samples[ids[part]], steps[part], order)
-        yield Chunk(chart, ids[part], geo)
+        yield ids[part], geometry(chart, samples[ids[part]], steps[part], order)
 
 
-def _chunk_columns(chunk: Chunk, names: list) -> dict:
-    """The columns of a chunk: for each check in ``names``, its (N,)
-    residuals, N notes and (N,) degenerate mask, one row per sample.
+def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
+    """The columns of a chunk (ids, geo) of ``_chunks``: for each check in
+    ``names``, its (N,) residuals, N notes and (N,) degenerate mask, one row
+    per sample.
 
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
     which fails in every check."""
-    n, errors = len(chunk), chunk.geo.errors
+    n, errors = len(geo), geo.errors
     bad = next((i for i, e in enumerate(errors) if e is not None), n)
     failures = [] if bad == n else [(bad, 0, errors[bad])]
     columns = {}
-    live = chunk.take(slice(0, bad))
+    live = geo.take(slice(0, bad))
     for pos, name in enumerate(names if bad else ()):
         try:
             values, notes, degen = CHECKS[name](live)
@@ -566,7 +524,7 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
         raise EngineError(
-            f"check {names[pos]} failed at sample {chunk.indices[row]}, u={chunk.geo.u[row].tolist()}: {exc}"
+            f"check {names[pos]} failed at sample {ids[row]}, u={geo.u[row].tolist()}: {exc}"
         ) from exc
     return columns
 
@@ -574,7 +532,7 @@ def _chunk_columns(chunk: Chunk, names: list) -> dict:
 def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows) -> list:
     """The columns of each chunk of the given rows, in order.  Raises the
     first error in (step, sample, check) order."""
-    return [_chunk_columns(chunk, names) for chunk in _chunks(chart, names, samples, rows)]
+    return [_chunk_columns(ids, geo, names) for ids, geo in _chunks(chart, names, samples, rows)]
 
 
 def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, jobs: int):

@@ -29,7 +29,6 @@ from prodsub.classify import (
 from prodsub.extrinsic import (
     T_eta_residuals,
     geometry,
-    normal_derivative_H,
     second_fundamental,
     shape_operator,
     structure_residuals,
@@ -78,7 +77,7 @@ def test_criterion_1_theorem1_forward():
         rows = geometry(ch, _grid_samples(ch, [10, 10, 10]), order=3)  # one batch of 10^3 samples
         worst = {
             "h_eta": np.abs(inner(ch.space, rows.H, rows.eta)).max(),
-            "pmc": pmc_residual(rows, normal_derivative_H(rows)).max(),
+            "pmc": pmc_residual(rows).max(),
             "full": biconservative_residual(rows)["full"].max(),
             "class_a": class_A_residual(rows).max(),
         }
@@ -100,7 +99,7 @@ def test_criterion_2_theorem1_only_if():
         crit.check(f"lambda={lam}: minimality oracle ||H_phi|| <= 1e-8", True, "construction passed")
         pts = random_interior_points(ch, 1000, seed=int(lam * 1000))
         rows = geometry(ch, pts, order=3)
-        pmc = pmc_residual(rows, normal_derivative_H(rows))
+        pmc = pmc_residual(rows)
         frac = np.count_nonzero(pmc >= 1e-3) / len(pts)
         crit.check(
             f"lambda={lam}: |nabla^perp H| >= 1e-3 at >= 90% of 10^3 samples",
@@ -329,10 +328,11 @@ def test_criterion_7_invariant_suites():
         # biharmonic_residual assumes PMC: a zero nabla^perp H takes no normal Laplacian
         bicon = biconservative_residual(rows)
         e0, _ = e0_structure(rows)
+        rows.nabla_H = np.zeros((1, ch.m, ch.space.ambient_dim))
         return [
             bicon["simple"],
             bicon["full"],
-            biharmonic_residual(rows, np.zeros((1, ch.m, ch.space.ambient_dim)))["normal"],
+            biharmonic_residual(rows)["normal"],
             biharmonic_predicates(rows)[0],
             class_A_residual(rows),
             e0.aht,

@@ -187,9 +187,9 @@ def test_nested_laplacian_takes_one_order_four_call(monkeypatch, theorem1_heli):
     calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     U = random_interior_points(theorem1_heli, 3, seed=4)
     rows = geometry(theorem1_heli, U, order=3)
-    nabla_H = normal_derivative_H(rows)
-    nabla_H[1] = 0.0
-    r = prodsub.classify.biharmonic_residual(rows, nabla_H)
+    rows.nabla_H = normal_derivative_H(rows)
+    rows.nabla_H[1] = 0.0
+    r = prodsub.classify.biharmonic_residual(rows)
     assert r["nested"].tolist() == [True, False, True]
     assert calls == [((3, 3), 3)]
     assert [(u.shape, order) for u, order in fourth] == [((2, 3), 4)]
@@ -208,9 +208,9 @@ def test_nested_rows_reuse_the_frames_of_their_batch(monkeypatch, all_gallery_ch
     for ch in all_gallery_charts:
         U = random_interior_points(ch, 4, seed=21)
         rows = geometry(ch, U, order=3)
-        nabla_H = normal_derivative_H(rows) + 1e-3
+        rows.nabla_H = nabla_H = normal_derivative_H(rows) + 1e-3
         laps.clear()
-        at = np.flatnonzero(prodsub.classify.biharmonic_residual(rows, nabla_H)["nested"])
+        at = np.flatnonzero(prodsub.classify.biharmonic_residual(rows)["nested"])
         assert at.size == (0 if np.all(rows.H_norm == 0.0) else len(U)) and len(laps) == bool(at.size), ch.label
         if at.size:
             assert _same(laps[0], original(geometry(ch, U[at], order=4), nabla_H[at])), ch.label
@@ -603,6 +603,24 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     assert len(kernel) == 2
 
 
+@pytest.mark.parametrize("checks, name", [
+    (["e0", "biharmonic_predicate"], "codim_two_frame"),
+    (["vector_t", "vector_eta"], "T_eta_residuals"),
+])
+def test_checks_that_share_a_kernel_take_it_once_per_chunk(monkeypatch, theorem1_cyl, checks, name):
+    # both consumers of the codim-2 frame, and both of the T/eta residuals,
+    # read one cached property of the chunk's rows, as the three checks
+    # that read nabla^perp H do above
+    samples = random_interior_points(theorem1_cyl, 4, seed=5)
+    kernel = _count_calls(monkeypatch, name, (prodsub.extrinsic, prodsub.classify, prodsub.scene))
+    rows = _run_rows(theorem1_cyl, checks, samples)
+    assert len(kernel) == 1
+    monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", 2)  # two chunks
+    kernel.clear()
+    assert _same_rows(_run_rows(theorem1_cyl, checks, samples), rows)
+    assert len(kernel) == 2
+
+
 def _rel_gap(got, want) -> float:
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
@@ -630,22 +648,22 @@ def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_chart
     for ch in batch_charts:
         m = ch.m
         samples = random_interior_points(ch, 3, seed=13)
-        (chunk,) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3))
-        d, xi = chunk.geo.derivatives, chunk.geo.normal_onb
+        ((_, geo),) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3))
+        d, xi = geo.derivatives, geo.normal_onb
         cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):
             fields = {
-                "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), chunk.geo.jet.d3[r]),
+                "d3": (lambda v: evaluate_jet(ch, v).d2.ravel(), geo.jet.d3[r]),
                 "nabla_H": (lambda v: cache.geometry(v).H[0], d.dH[r]),
                 "dgamma": (lambda v: cache.geometry(v).derivatives.gamma[0].ravel(), d.dgamma[r]),
-                "d_normals": (lambda v: cache.geometry(v).proj_normal(xi[r : r + 1]).ravel(), chunk.geo.d_normals[r]),
+                "d_normals": (lambda v: cache.geometry(v).proj_normal(xi[r : r + 1]).ravel(), geo.d_normals[r]),
             }
             for name, (field, exact) in fields.items():
                 fd = np.array([fd_gradient(field, u, i) for i in range(m)])  # direction first
                 if name == "d3":
                     exact = np.moveaxis(exact, -1, 0)
                 elif name == "nabla_H":  # the normal projection of both, as a run takes it
-                    exact, fd = chunk.nabla_H[r], cache.geometry(u).proj_normal(fd[None])[0]
+                    exact, fd = geo.nabla_H[r], cache.geometry(u).proj_normal(fd[None])[0]
                 assert _rel_gap(exact.reshape(fd.shape), fd) <= 1e-8, (ch.label, name)
     # the third-order slot changes nothing of the 2-jet, failing rows included
     for ch, U, steps in _jet_cases(s4, all_gallery_charts):
@@ -1078,11 +1096,6 @@ def test_every_check_is_independent_of_its_batch(batch_charts):
             assert _same_rows(split, ref), (ch.label, name)
 
 
-def _chunk_of(batch):
-    """The chunk of one sample whose geometry is the batch of one ``batch``."""
-    return prodsub.scene.Chunk(batch.chart, np.array([0]), second_fundamental(batch))
-
-
 def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
     # every per-sample check, the five that read the 3-jet included
     for ch in batch_charts:
@@ -1092,11 +1105,11 @@ def test_jet_level_checks_are_invariant_under_normal_sign_flips(batch_charts):
             flips = [[-1.0 if (k >> a) & 1 else 1.0 for a in range(codim)] for k in range(1, 2**codim)]
             for name in sorted(prodsub.scene.CHECKS):
                 try:
-                    base = prodsub.scene.CHECKS[name](_chunk_of(b))
+                    base = prodsub.scene.CHECKS[name](second_fundamental(b))
                 except prodsub.errors.RowFailure:
                     continue  # e0 off codimension 2
                 for signs in flips:
-                    values, notes, degen = prodsub.scene.CHECKS[name](_chunk_of(b.with_flipped_normals(signs)))
+                    values, notes, degen = prodsub.scene.CHECKS[name](second_fundamental(b.with_flipped_normals(signs)))
                     want = np.asarray(base[0], dtype=float)
                     got = np.asarray(values, dtype=float)
                     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (ch.label, name, signs)
@@ -1159,9 +1172,9 @@ def test_the_criterion_4a_scans_never_nest(monkeypatch, name, lo, hi):
     # biharmonic_normal; on both PMC families it stays 6 digits below TOL_PMC
     real, seen = prodsub.scene.biharmonic_residual, []
 
-    def recording(rows, nabla_H):
-        seen.append(np.linalg.norm(nabla_H, axis=-1))
-        return real(rows, nabla_H)
+    def recording(rows):
+        seen.append(np.linalg.norm(rows.nabla_H, axis=-1))
+        return real(rows)
 
     monkeypatch.setattr(prodsub.scene, "biharmonic_residual", recording)
     prodsub.scene.scan_parameter(_load(name), "a2", lo, hi, 61, "biharmonic_normal")

@@ -29,7 +29,8 @@ def _biharmonic_at_center(chart):
     """biharmonic_residual at the chart center assuming PMC (a zero
     nabla^perp H), with the predicates there."""
     rows = _rows(chart, chart.center()[None])
-    r = biharmonic_residual(rows, np.zeros((1, chart.m, chart.space.ambient_dim)))
+    rows.nabla_H = np.zeros((1, chart.m, chart.space.ambient_dim))
+    r = biharmonic_residual(rows)
     pred, pred_eps = biharmonic_predicates(rows)
     return {"normal": r["normal"][0], "minimal": r["minimal"][0], "predicate": pred[0], "predicate_eps": pred_eps[0]}
 
@@ -57,7 +58,8 @@ def test_biharmonic_closed_forms(theorem1_cyl):
     a, b = 0.8, 0.6
     forms = theorem1_closed_forms(a)
     rows = _rows(theorem1_cyl, [[0.2, -0.3, 0.4]])
-    r = biharmonic_residual(rows, np.zeros((1, 3, 6)))
+    rows.nabla_H = np.zeros((1, 3, 6))
+    r = biharmonic_residual(rows)
     pred, pred_eps = biharmonic_predicates(rows)
     want_pred = forms["trace_A1_sq"] + 1.0 - 3.0
     assert pred[0] == pytest.approx(want_pred, abs=1e-10)
@@ -264,8 +266,9 @@ def _classifier_residuals(rows):
     """The gauge-invariant classifier residuals at the rows of a batch
     evaluated at order 3, biharmonic_residual assuming PMC (a zero
     nabla^perp H)."""
-    bicon = biconservative_residual(rows)
-    bih = biharmonic_residual(rows, np.zeros((len(rows), rows.chart.m, rows.H.shape[1])))
+    bicon = biconservative_residual(rows)  # before the zero nabla^perp H below
+    rows.nabla_H = np.zeros((len(rows), rows.chart.m, rows.H.shape[1]))
+    bih = biharmonic_residual(rows)
     e0, _ = e0_structure(rows)
     return {
         "class_a": class_A_residual(rows),

@@ -293,14 +293,22 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+_PMC_SAMPLING = {"mode": "grid", "grid": [2, 2, 2]}
+
+
 def _pmc_run(jobs):
     # 8 samples: blocks of 4/4 under --jobs 2 and 3/3/2 under --jobs 3
-    sampling = {"mode": "grid", "grid": [2, 2, 2]}
-    return run_scene(_load("theorem1_cylinder.json"), checks=["pmc"], sampling_override=sampling, jobs=jobs)
+    return run_scene(_load("theorem1_cylinder.json"), checks=["pmc"], sampling_override=_PMC_SAMPLING, jobs=jobs)
+
+
+def _pmc_ids(rows):
+    """The sample index of each of the rows that the pmc kernel of ``_pmc_run`` gets."""
+    samples = sample_points(build_chart(_load("theorem1_cylinder.json")), _PMC_SAMPLING)
+    return np.array([np.flatnonzero((samples == u).all(axis=1))[0] for u in rows.u])
 
 
 def _patch_pmc(monkeypatch, fault):
-    """Make the pmc kernel call ``fault(chunk)`` before it runs."""
+    """Make the pmc kernel call ``fault(rows)`` before it runs."""
     original = prodsub.scene.CHECKS["pmc"]
     monkeypatch.setitem(prodsub.scene.CHECKS, "pmc", lambda c: fault(c) or original(c))
 
@@ -312,9 +320,10 @@ def test_forked_runs_leave_no_child_behind(monkeypatch, jobs):
     _no_child_left()
 
     def planted(c):  # samples 5 and 6 lie in the last block(s), which children compute
-        bad = np.flatnonzero(np.isin(c.indices, [5, 6]))
+        ids = _pmc_ids(c)
+        bad = np.flatnonzero(np.isin(ids, [5, 6]))
         if len(bad):
-            raise prodsub.errors.RowFailure(int(bad[0]), ChartError(f"planted at {c.indices[bad[0]]}"))
+            raise prodsub.errors.RowFailure(int(bad[0]), ChartError(f"planted at {ids[bad[0]]}"))
 
     _patch_pmc(monkeypatch, planted)
     msgs = []
@@ -359,7 +368,7 @@ def test_a_child_that_dies_or_raises_is_an_error_of_its_block(monkeypatch):
 
     def child_raises(c):
         if os.getpid() != parent:
-            raise ZeroDivisionError(f"planted in a child at sample {c.indices[0]}")
+            raise ZeroDivisionError(f"planted in a child at sample {_pmc_ids(c)[0]}")
 
     _patch_pmc(monkeypatch, child_raises)
     with pytest.raises(ZeroDivisionError, match="^planted in a child at sample 4$"):
