@@ -17,7 +17,12 @@ criterion-4a scans of ``biharmonic_normal`` over a2 and the scans of t0
 and r on generated scenes; the runs of the generated scenes in ``NARROW``
 with ``--out`` and ``--csv``: ``biharmonic_normal`` off PMC on charts
 narrower than a stencil, next to a domain edge and next to an irregular
-point; and the runs and scans of the generated scenes in ``FAILING``, each
+point; the runs of the generated scenes in ``SCALED`` with ``--out`` and
+``--csv``, for their own checks: gallery builds whose tests read chart
+units, the custom phi ``L*u`` geodesic cylinder at L = 1e-4 and partial
+tubes at L = 1e-9 over the base ``(cos(L*u1), sin(L*u1), 0, 0)``, with a
+base normal at 45 degrees to gamma' and one that turns at unit rate per
+arc length; and the runs and scans of the generated scenes in ``FAILING``, each
 of which fails: an error at a sample center, coordinate overflows, a NaN
 chart, a scan step that does not build, an unbound identifier, scans whose
 first or second step leaves the product, scans whose first failing step is
@@ -187,6 +192,18 @@ NARROW = {  # name: scene; every sample lies within 5e-4, the step of the old di
     "stencil_domain": _latitude("0.5 + u1", "sqrt(u1)", (0.0, 1e-4), [2, 1]),  # of the domain of sqrt(u1)
     "stencil_irregular": _latitude("0.5 + u1^3", "u1^3", (5.7e-4, 5.9e-4), [1, 1]),  # of u1 = 0, where g degenerates
 }
+def _tube_at_speed(L: float, normal: list) -> dict:
+    """The partial tube over the S^3 geodesic (cos(L*u1), sin(L*u1), 0, 0), at speed L, with one base normal."""
+    base = {"kind": "exprs", "coords": [f"cos({L!r}*u1)", f"sin({L!r}*u1)", "0", "0"], "normals": [normal]}
+    return _gallery(1, 3, {"kind": "partial_tube", "base": base})
+
+
+SCALED = {  # name: scene; builds whose gallery tests once read chart units
+    "custom_phi_L1e-4": _gallery(1, 4, {"kind": "theorem1", "a": 0.8, "phi_kind": "custom", "phi_params": {
+        "coords": ["0.8*cos(0.0001*u1/0.8)", "0.8*sin(0.0001*u1/0.8)", "0", "0.0001*u2"]}}),
+    "tube_oblique_normal_L1e-9": _tube_at_speed(1e-9, ["0", "0.7071067811865476", "0.7071067811865476", "0"]),
+    "tube_turning_normal_L1e-9": _tube_at_speed(1e-9, ["0", "0", "cos(1e-09*u1)", "sin(1e-09*u1)"]),
+}
 FAILING = {  # name: (scene, the command's arguments after --scene)
     "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),
     "overflow_raises": (_s2("u1", [3, 3], ["membership"], s="cos(u2) + (exp(1000*u1) - exp(1000*u1))"), ["run"]),
@@ -240,10 +257,11 @@ FAILING = {  # name: (scene, the command's arguments after --scene)
 
 
 def write_generated(root: Path) -> None:
-    """The scenes of ``GALLERY``, ``NARROW`` and ``FAILING`` as
-    ``gallery/<name>.json``, ``narrow/<name>.json`` and ``failing/<name>.json``
-    under ``root``."""
-    for folder, scenes in (("gallery", GALLERY), ("narrow", NARROW), ("failing", {k: v[0] for k, v in FAILING.items()})):
+    """The scenes of ``GALLERY``, ``NARROW``, ``SCALED`` and ``FAILING`` as
+    ``<folder>/<name>.json`` under ``root``, in the folders ``gallery``,
+    ``narrow``, ``scaled`` and ``failing``."""
+    failing = {k: v[0] for k, v in FAILING.items()}
+    for folder, scenes in (("gallery", GALLERY), ("narrow", NARROW), ("scaled", SCALED), ("failing", failing)):
         (root / folder).mkdir()
         for name, scene in scenes.items():
             (root / folder / f"{name}.json").write_text(json.dumps(scene))
@@ -272,9 +290,9 @@ def invocations(root: Path) -> dict:
             argv = ["scan", "--scene", scene, "--param", param, "--from", lo, "--to", hi, "--steps", "61"]
             argv += ["--residual", residual, "--jobs", str(jobs), "--out", f"{name}.dat"]
             out[name] = (cli + argv, [f"{name}.dat"], ("stdout", "stderr"))
-        for label in NARROW:
-            name = f"narrow.{label}.jobs{jobs}"
-            argv = ["run", "--scene", f"narrow/{label}.json", "--jobs", str(jobs), "--out", f"{name}.json"]
+        for folder, label in [*(("narrow", k) for k in NARROW), *(("scaled", k) for k in SCALED)]:
+            name = f"{folder}.{label}.jobs{jobs}"
+            argv = ["run", "--scene", f"{folder}/{label}.json", "--jobs", str(jobs), "--out", f"{name}.json"]
             argv += ["--csv", f"{name}.csv"]
             out[name] = (cli + argv, [f"{name}.json", f"{name}.csv"], ("stdout", "stderr"))
         for label, (_, (command, *args)) in FAILING.items():

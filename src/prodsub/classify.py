@@ -105,8 +105,8 @@ def biharmonic_residual(rows: ExtrinsicRows) -> dict:
     DEGENERATE["H_minimal"]); nested: whether lap^perp H was taken, which
     it is where PMC fails (``pmc_residual`` above TOL_PMC, the default
     tolerance of the pmc check, whatever tolerance a run gives that check)
-    and H does not vanish, and is 0 elsewhere, so rows whose ``nabla_H``
-    is zero assume PMC.  The nested rows take one order-4 ``evaluate_jet`` call,
+    and H does not vanish, and is 0 elsewhere, so rows whose ``nabla_H`` is
+    zero assume PMC.  The nested rows take one order-4 ``evaluate_jet`` call,
     for the closed-form ``normal_laplacian_H``, and keep their own frames,
     g^-1, alpha and H, which are the same at every jet order bit for bit
     (``analyze_point``).

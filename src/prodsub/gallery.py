@@ -26,7 +26,7 @@ import numpy as np
 from . import exprlang, jets
 from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, SceneError
-from .immersion import Chart, Family, parse_coordinate, probe_grid
+from .immersion import Chart, Family, parse_coordinate, probe_grid, regular_metric
 from .jets import VecJet2
 
 __all__ = [
@@ -198,8 +198,9 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     phiq = plane.q_padded(vj.values)
     g = JtS @ J
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
-    degenerate = np.any((det <= 1e-14).reshape(count, -1), axis=1)
-    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(det <= 1e-14, 1.0, det)[:, None, None]  # adj g / det g
+    regular = regular_metric(det, g)  # the rule of a chart's own points, unit-free
+    degenerate = ~np.all(regular.reshape(count, -1), axis=1)
+    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / np.where(regular, det, 1.0)[:, None, None]  # adj g / det g
 
     def proj(v):
         out = v - (inner(plane, v, phiq) / (plane.epsilon * a * a))[:, None] * phiq
@@ -389,13 +390,14 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
     gseed = {"u1": jets.jet_var(0, xs, 2), "s": jets.jet_const(0.0, 2)}
     g = VecJet2([exprlang.eval_jet(c, gseed, gparams) for c in gamma])
     gv, gt = padded(g.values), padded(g.jac[..., 0])
+    speed = np.sqrt(np.abs(inner(space, gt, gt)))  # |gamma'|, which takes both tests below to arc length
     seed = {"u1": jets.jet_var(0, xs, 1)}
     bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
     xis = []
     for i, asts in enumerate(normal_asts):
         nj = VecJet2([_tube_jet(t, seed, {}, f"base normal {i}, component {c}") for c, t in enumerate(asts)])
         xi, d = padded(nj.values), padded(nj.jac[..., 0])
-        normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)))
+        normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)) / speed)
         bad[:, i, 0] = (np.abs(inner(space, xi, xi) - 1.0) > 1e-8) | (normal > 1e-8)
         for other in xis:
             bad[:, i, 1] |= np.abs(inner(space, xi, other)) > 1e-8
@@ -403,7 +405,7 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
         # parallelism: project D_x xi onto the normal space of gamma in Q
         d = d - space.epsilon * inner(space, d, gv)[:, None] * gv
         d = d - (inner(space, d, gt) / inner(space, gt, gt))[:, None] * gt
-        bad[:, i, 2] = np.sqrt(np.abs(inner(space, d, d))) > 1e-6
+        bad[:, i, 2] = np.sqrt(np.abs(inner(space, d, d))) / speed > 1e-6
     if bad.any():
         _, i, test = np.argwhere(bad)[0]  # the first in (point, normal, test) order
         raise ChartError(

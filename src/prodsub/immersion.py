@@ -32,6 +32,7 @@ __all__ = [
     "analyze_point",
     "gram_schmidt",
     "probe_grid",
+    "regular_metric",
 ]
 
 # most points in one geometry call: a run slices its samples into calls of
@@ -396,6 +397,17 @@ class PointBatch:
         return replace(self, jet=self.jet.row(rows), errors=errors, **arrays)
 
 
+def regular_metric(det: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Whether each metric g (N, m, m) = J^T S J with determinant ``det``
+    (N,) is regular: det g > 1e-12 prod g_ii with every g_ii > 0, so g is
+    positive definite (it has at most one negative eigenvalue, Sylvester).
+    det g / prod g_ii is unit-free, at most 1 (Hadamard), and bounds every
+    tangent MGS pivot p_j, as prod p_j = det g and p_j <= g_jj: each p_j is
+    above 1e-12 g_jj on a row that passes, whatever the chart's scale."""
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    return (det > 1e-12 * np.prod(diag, axis=-1)) & np.all(diag > 0.0, axis=-1)
+
+
 def analyze_point(chart: Chart, u, steps=0, order: int = 2) -> PointBatch:
     """Metric, orthonormal frames and the d_t = f_* T + eta decomposition
     at every row of ``u`` (N, m); a single point (m,) is a batch of one.
@@ -430,14 +442,8 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
 
     finite = np.isfinite(g).all(axis=(-2, -1))
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    det = np.linalg.det(g)
-    # the tangent frame's only regularity test, and its only LAPACK call.  det g > 0 makes g positive
-    # definite: g = J^T S J has at most one negative eigenvalue (Sylvester); a negative g_ii would make
-    # the floor negative.  det g / prod g_ii is unit-free, at most 1 (Hadamard), and bounds every
-    # tangent MGS pivot p_j, as prod p_j = det g and p_j <= g_jj: each p_j is above 1e-12 g_jj on a
-    # row that passes, whatever the chart's scale.
-    regular = (det > 1e-12 * np.prod(diag, axis=-1)) & np.all(diag > 0.0, axis=-1)
+    det = np.linalg.det(g)  # the tangent frame's only regularity test, and its only LAPACK call
+    regular = regular_metric(det, g)
     fail(~regular, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
     # E = C J^T is orthonormal, so C g C^T = I and g^-1 = C^T C (inf or NaN on irregular rows)
     E, C, _, _ = gram_schmidt(sp, np.swapaxes(J, -1, -2))

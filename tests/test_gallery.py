@@ -103,6 +103,16 @@ def test_theorem1_custom_phi_with_a_degenerate_metric_is_rejected_silently(s4, t
             make_theorem1(s4, a=0.8, phi_kind="custom", phi_params={"coords": coords})
 
 
+@pytest.mark.parametrize("L", [1.0, 1e-2, 1e-4])
+def test_theorem1_custom_phi_builds_at_any_scale_of_its_variables(s4, L):
+    # the geodesic cylinder in u -> L u has g = L^2 I, regular at any L:
+    # the phi oracle's degeneracy floor is unit-free, as a chart's own is
+    coords = [f"0.8*cos({L!r}*u1/0.8)", f"0.8*sin({L!r}*u1/0.8)", "0", f"{L!r}*u2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_theorem1(s4, a=0.8, phi_kind="custom", phi_params={"coords": coords})
+
+
 def test_theorem1_custom_phi_accepts_the_geodesic_cylinder(s4):
     coords = ["0.8*cos(u1/0.8)", "0.8*sin(u1/0.8)", "0", "u2"]
     ch = make_theorem1(s4, a=0.8, phi_kind="custom", phi_params={"coords": coords})
@@ -206,6 +216,22 @@ def test_partial_tube_rejects_a_base_normal_that_is_not_parallel(eps):
     base = {"kind": "geodesic", "normals": [turning, ["0", "0", "2", "0"]]}
     with pytest.raises(ChartError, match="base normal 0 is not parallel along gamma"):
         make_partial_tube(ProductSpace(eps, 3), base=base, profile=TUBE_PROFILE_K2[eps])
+
+
+@pytest.mark.parametrize("L", [1e-9, 1.0, 1e3])
+def test_partial_tube_base_normal_tests_do_not_depend_on_the_speed_of_the_base(L):
+    # gamma = (cos Lu1, sin Lu1, 0, 0) at speed L: a normal at 45 degrees to
+    # gamma' and one that turns at unit rate per arc length fail at every
+    # speed, and a constant normal builds at every speed
+    def tube(normal):
+        base = {"kind": "exprs", "coords": [f"cos({L!r}*u1)", f"sin({L!r}*u1)", "0", "0"], "normals": [normal]}
+        return make_partial_tube(ProductSpace(1, 3), base=base)
+
+    with pytest.raises(ChartError, match="base normal 0 is not unit-normal along gamma"):
+        tube(["0", "0.7071067811865476", "0.7071067811865476", "0"])
+    with pytest.raises(ChartError, match="base normal 0 is not parallel along gamma"):
+        tube(["0", "0", f"cos({L!r}*u1)", f"sin({L!r}*u1)"])
+    tube(["0", "0", "1", "0"])
 
 
 def test_partial_tube_k0_reduces_to_vertical_cylinder():
