@@ -70,8 +70,8 @@ def inner(space: ProductSpace, x: np.ndarray, y: np.ndarray):
     Two vectors give a float; stacked vectors (..., n+2) give the products
     over the last axis, one BLAS dot per row, so a row's value does not
     depend on the other rows."""
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x = x if isinstance(x, np.ndarray) else np.asarray(x)
+    y = y if isinstance(y, np.ndarray) else np.asarray(y)
     if x.ndim > 1 or y.ndim > 1:
         if space.epsilon == -1:
             x = x * space.signature

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ambient import curvature, inner
+from .ambient import inner
 from .errors import InvalidFrame
-from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_laplacian_H, shape_operator
+from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_laplacian_H, pmc_residual, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -51,12 +51,6 @@ def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
     return np.abs(inner(rows.chart.space, rows.H, rows.eta)) * rows.T_norm
 
 
-def _curvature_trace(rows: ExtrinsicRows) -> np.ndarray:
-    """trace R(., H) . = sum_i R(E_i, H) E_i of every row, (N, n+2)."""
-    E = rows.tangent_onb
-    return curvature(rows.chart.space, E, rows.H[:, None], E).sum(axis=1)
-
-
 def biconservative_full(rows: ExtrinsicRows) -> np.ndarray:
     """Norm of the tangential bitension vector
     m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T of every
@@ -66,7 +60,7 @@ def biconservative_full(rows: ExtrinsicRows) -> np.ndarray:
     grad_hh = rows.jet.jac @ rows.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
     # A_{nabla^perp_{E_i} H} for every i, of which trace A takes column i
     A = shape_operator(sp, rows.normal_onb[:, None], rows.alpha[:, None], rows.tangent_coeffs @ W)
-    onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, E, _curvature_trace(rows)[:, None])
+    onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, E, rows.curvature_trace[:, None])
     return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
 
 
@@ -80,20 +74,12 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the rows'
     codim-2 frame is undefined."""
-    frame, errors = rows.frame
-    undefined = np.array([e is not None for e in errors])
+    frame = rows.frame[0]
     if frame is None:
         return np.full(len(rows), math.nan), np.full(len(rows), math.nan)
-    tr = np.where(undefined, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
+    tr = np.where(frame.failed, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
     t2 = rows.T_norm**2
     return tr + t2 - rows.chart.m, tr + rows.chart.space.epsilon * (t2 - rows.chart.m)
-
-
-def pmc_residual(rows: ExtrinsicRows) -> np.ndarray:
-    """|nabla^perp H| of every row, from the rows' nabla^perp H (N, m, n+2)
-    in chart directions: the root sum of squares of nabla^perp_{E_a} H over
-    the tangent ONB E, which is the same in every ONB and so in every chart."""
-    return np.linalg.norm((rows.tangent_coeffs @ rows.nabla_H).reshape(len(rows), -1), axis=-1)
 
 
 def biharmonic_residual(rows: ExtrinsicRows) -> dict:
@@ -118,7 +104,7 @@ def biharmonic_residual(rows: ExtrinsicRows) -> dict:
     small-hypersphere locus in the round sphere.
     """
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
-    nested = ~(pmc_residual(rows) <= TOL_PMC) & ~minimal
+    nested = ~(rows.pmc <= TOL_PMC) & ~minimal
     lap = np.zeros_like(rows.H)
     at = np.flatnonzero(nested)
     if at.size:
@@ -126,7 +112,7 @@ def biharmonic_residual(rows: ExtrinsicRows) -> dict:
         lap[at] = normal_laplacian_H(fourth, rows.nabla_H[at])
     A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
     trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ rows.normal_onb)[:, 0]
-    curv = rows.proj_normal(_curvature_trace(rows))
+    curv = rows.proj_normal(rows.curvature_trace)
     return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
@@ -182,7 +168,7 @@ def e0_structure(rows: ExtrinsicRows):
     if frame is None:
         return None, errors
     m = rows.chart.m
-    failed = np.array([e is not None for e in errors])[:, None, None]
+    failed = frame.failed[:, None, None]
     A1, A2 = np.where(failed, 0.0, frame.A1), np.where(failed, 0.0, frame.A2)
     A_H = rows.H_norm[:, None, None] * A1
     lam, V = np.linalg.eigh(A_H)
@@ -201,7 +187,7 @@ def e0_structure(rows: ExtrinsicRows):
 
     k0 = np.sum(is_zero, axis=-1)
     rest = np.arange(m) >= k0[:, None]  # the E_0 columns come first
-    Vt = np.swapaxes(V, -1, -2)
+    Vt = V.swapaxes(-1, -2)
     d1 = np.diagonal(Vt @ A1 @ V, axis1=-2, axis2=-1)
     M2 = Vt @ A2 @ V
     d2 = np.diagonal(M2, axis1=-2, axis2=-1)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import ProductSpace, inner
+from .ambient import ProductSpace, curvature, inner
 from .errors import InvalidFrame
 from .immersion import Chart, PointBatch, analyze_point, project
 
@@ -43,6 +43,7 @@ __all__ = [
     "christoffels",
     "normal_derivative_H",
     "normal_laplacian_H",
+    "pmc_residual",
     "structure_residuals",
     "gauss_residuals",
     "codazzi_residuals",
@@ -83,19 +84,21 @@ class CodimTwoFrame:
     """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
     codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
     is gauge-fixed as the unit normal orthogonal to xi_1.  Every field is
-    stacked over the rows of a batch."""
+    stacked over the rows of a batch; ``failed`` marks the rows whose
+    frame is undefined, whose other fields mean nothing."""
 
     xi1: np.ndarray
     xi2: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     eta_gauge_fixed: np.ndarray
+    failed: np.ndarray
 
 
 def codim_two_frame(rows: ExtrinsicRows):
     """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
     (None when the codimension is not 2) and a list with the InvalidFrame
-    each row raises, else None.  The fields of a failed row mean nothing."""
+    each row raises, else None."""
     sp = rows.chart.space
     n_rows, codim = rows.normal_onb.shape[:2]
     if codim != 2:
@@ -115,13 +118,12 @@ def codim_two_frame(rows: ExtrinsicRows):
         fill = _sign_fix(w[all_rows, best] / w_best[:, None])
         xi2 = np.where(fixed[:, None], fill, eta_perp / perp_norm[:, None])
         A1, A2 = (shape_operator(sp, xi, rows.alpha, v) for v in (xi1, xi2))
-    stuck = fixed & ~(w_best >= DEGENERATE["frame_completion"])
-    errors = [
-        InvalidFrame("H vanishes; xi_1 = H/|H| is undefined") if h
-        else InvalidFrame("cannot complete the codim-2 frame") if s else None
-        for h, s in zip((rows.H_norm <= DEGENERATE["H_frame"]).tolist(), stuck.tolist())
-    ]
-    return CodimTwoFrame(xi1, xi2, A1, A2, fixed), errors
+    vanish = rows.H_norm <= DEGENERATE["H_frame"]
+    failed = vanish | (fixed & ~(w_best >= DEGENERATE["frame_completion"]))
+    errors = [None] * n_rows
+    for r in np.flatnonzero(failed).tolist():
+        errors[r] = InvalidFrame("H vanishes; xi_1 = H/|H| is undefined" if vanish[r] else "cannot complete the codim-2 frame")
+    return CodimTwoFrame(xi1, xi2, A1, A2, fixed, failed), errors
 
 
 def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
@@ -169,6 +171,19 @@ class ExtrinsicRows(PointBatch):
         return normal_derivative_H(self)
 
     @cached_property
+    def pmc(self) -> np.ndarray:
+        """``pmc_residual`` (N,), which the pmc check and the nesting rule
+        of the biharmonic normal part share."""
+        return pmc_residual(self)
+
+    @cached_property
+    def curvature_trace(self) -> np.ndarray:
+        """trace R(., H) . = sum_i R(E_i, H) E_i (N, n+2), which the full
+        biconservative check and the biharmonic normal part share."""
+        E = self.tangent_onb
+        return curvature(self.chart.space, E, self.H[:, None], E).sum(axis=1)
+
+    @cached_property
     def t_eta(self) -> tuple[np.ndarray, np.ndarray]:
         """``T_eta_residuals``, which vector_t and vector_eta share."""
         return T_eta_residuals(self)
@@ -185,8 +200,8 @@ def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):
     (N, n+2, m, m) and frame coefficients C (N, m, m)."""
     n_rows, k, m, _ = d2.shape
     a_chart = ((sp.signature * xi) @ d2.reshape(n_rows, k, m * m)).reshape(n_rows, -1, m, m)
-    a_onb = C[:, None] @ a_chart @ np.swapaxes(C, -1, -2)[:, None]
-    alpha = 0.5 * (a_onb + np.swapaxes(a_onb, -1, -2))
+    a_onb = C[:, None] @ a_chart @ C.swapaxes(-1, -2)[:, None]
+    alpha = 0.5 * (a_onb + a_onb.swapaxes(-1, -2))
     traces = np.diagonal(alpha, axis1=-2, axis2=-1).sum(axis=-1)
     H = (traces[:, None, :] @ xi)[:, 0] / m
     H_norm = np.sqrt(np.maximum(inner(sp, H, H), 0.0))
@@ -234,12 +249,12 @@ class JetDerivatives:
 
     def _inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """<a_I, b_K> (N, I, K) of two jet slots, each with its chart axes flattened."""
-        return np.swapaxes(self._flat(a), -1, -2) @ (self.space.signature[:, None] * self._flat(b))
+        return self._flat(a).swapaxes(-1, -2) @ (self.space.signature[:, None] * self._flat(b))
 
     @cached_property
     def dg(self) -> np.ndarray:
-        A = np.swapaxes(self._inner(self.jet.d2, self.jet.jac).reshape(self.n, self.m, self.m, -1), 1, 2)  # [:, k, i, j] = <d2_ik, J_j>
-        return A + np.swapaxes(A, -1, -2)
+        A = self._inner(self.jet.d2, self.jet.jac).reshape(self.n, self.m, self.m, -1).swapaxes(1, 2)  # [:, k, i, j] = <d2_ik, J_j>
+        return A + A.swapaxes(-1, -2)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -253,7 +268,7 @@ class JetDerivatives:
     def _cols(self) -> np.ndarray:
         """[J, d_i J, d_i p^, p^] (N, k, 2m + m*m + 1), (i, j) flattened in
         d_i J: row vectors w times it give J^T w, d_i J^T w, <d_i p^, w> and <p^, w>."""
-        C = np.concatenate([self.jet.jac, self._flat(np.swapaxes(self.jet.d2, -1, -2)), self.jet.jac, self.jet.values[..., None]], -1)
+        C = np.concatenate([self.jet.jac, self._flat(self.jet.d2.swapaxes(-1, -2)), self.jet.jac, self.jet.values[..., None]], -1)
         C[:, self.space.t_index, -self.m - 1 :] = 0.0  # d_i p^ = q_padded(J_i) and p^ = q_padded(p)
         return C
 
@@ -271,7 +286,7 @@ class JetDerivatives:
         and u of ``_parts``: -[eps (<p^, w> d_i p^ + <d_i p^, w> p^) + (d_i J) x + J u_i]."""
         n, m, C = self.n, self.m, self._cols
         _, R, x, u = self._parts(v)
-        dphat, phat = np.swapaxes(C[:, None, :, -m - 1 : -1], -1, -2), C[:, None, None, :, -1]
+        dphat, phat = C[:, None, :, -m - 1 : -1].swapaxes(-1, -2), C[:, None, None, :, -1]
         eps = R[..., -1:, None] * dphat + R[..., -m - 1 : -1, None] * phat
         out = _rmul(x, self.jet.d2.transpose(0, 3, 1, 2)) + _rmul(u.reshape(n, -1, m), self.jet.jac).reshape(eps.shape)
         return -np.moveaxis(out + self.space.epsilon * eps, 2, 1).reshape(n, m, *np.shape(v)[1:])
@@ -289,15 +304,15 @@ class JetDerivatives:
         R2, shape = w @ D, (n, w.shape[1], m, m)
         Z = _rmul(R[..., m : m + m * m].reshape(n, -1, m), self.dg_inv).reshape(shape + (m,))  # [:, :, p, q] = (d_q g^-1) d_p J^T w
         y = _rmul(R2[..., : m**3].reshape(n, -1, m), self.g_inv).reshape(Z.shape) + _rmul(R[..., :m], self.d2g_inv)
-        y += Z + np.swapaxes(Z, 2, 3)
+        y += Z + Z.swapaxes(2, 3)
         # [:, :, q, p] = (d_p J) u_q, which enters with its (p, q) transpose
         half = _rmul(u.reshape(n, -1, m), self.jet.d2.transpose(0, 3, 1, 2)).reshape(shape + (k,))
-        r, dphat = R[..., -m - 1 : -1], np.swapaxes(C[..., -m - 1 : -1], -1, -2)
+        r, dphat = R[..., -m - 1 : -1], C[..., -m - 1 : -1].swapaxes(-1, -2)
         half += self.space.epsilon * r[:, :, None, :, None] * dphat[:, None, :, None]  # eps <d_q p^, w> d_p p^
-        ddphat = np.swapaxes(D[..., m**3 :], -1, -2).reshape(n, 1, m, m, k)
+        ddphat = D[..., m**3 :].swapaxes(-1, -2).reshape(n, 1, m, m, k)
         eps = R[..., -1, None, None, None] * ddphat + R2[..., m**3 :].reshape(shape + (1,)) * C[:, None, None, None, :, -1]
         out = _rmul(x, self.jet.d3.transpose(0, 3, 4, 1, 2)) + _rmul(y.reshape(n, -1, m), J).reshape(half.shape)
-        out += self.space.epsilon * eps + half + np.swapaxes(half, 2, 3)
+        out += self.space.epsilon * eps + half + half.swapaxes(2, 3)
         return -np.moveaxis(out, 1, 3).reshape(n, m, m, *np.shape(v)[1:])
 
     @cached_property
@@ -330,7 +345,7 @@ class JetDerivatives:
     @cached_property
     def dgamma(self) -> np.ndarray:
         shape, J, d2 = (self.n,) + (self.m,) * 4, self.jet.jac, self.jet.d2
-        dlow = self._inner(self.jet.d3, J).reshape(shape) + np.swapaxes(self._inner(d2, d2).reshape(shape), -1, -2)  # d_i Gamma_{jk,q}
+        dlow = self._inner(self.jet.d3, J).reshape(shape) + self._inner(d2, d2).reshape(shape).swapaxes(-1, -2)  # d_i Gamma_{jk,q}
         out = _rmul(self._inner(d2, J), self.dg_inv).reshape(shape) + _rmul(dlow.reshape(self.n, -1, self.m), self.g_inv).reshape(shape)
         return out.transpose(0, 3, 4, 1, 2)  # [:, j, k, i, l] -> [:, i, l, j, k]
 
@@ -340,7 +355,7 @@ class JetDerivatives:
         shape, d2 = (self.n,) + (self.m,) * 4, self.jet.d2
         A = self._inner(self.jet.d3, self.jet.jac).reshape(shape).transpose(0, 2, 3, 1, 4)  # [:, p, q, j, l]
         B = self._inner(d2, d2).reshape(shape).transpose(0, 2, 4, 1, 3)
-        return A + np.swapaxes(A, -1, -2) + B + np.swapaxes(B, 1, 2)
+        return A + A.swapaxes(-1, -2) + B + B.swapaxes(1, 2)
 
     @cached_property
     def d2g_inv(self) -> np.ndarray:
@@ -351,11 +366,11 @@ class JetDerivatives:
     def d2H(self) -> np.ndarray:
         (tr, d_tr), n, m, k = self.trace, self.n, self.m, self.k
         X = _rmul(self.dg_inv.reshape(n, m, m * m), self._dd2)  # [:, p, q] = d_p g^-1 : d_q d2
-        d2_tr = _rmul(self.d2g_inv.reshape(n, m * m, m * m), self._flat(self.jet.d2)).reshape(X.shape) + X + np.swapaxes(X, 1, 2)
+        d2_tr = _rmul(self.d2g_inv.reshape(n, m * m, m * m), self._flat(self.jet.d2)).reshape(X.shape) + X + X.swapaxes(1, 2)
         d2_tr += _rmul(self.g_inv.reshape(n, 1, m * m), np.moveaxis(self.jet.d4, (-2, -1), (1, 2)).reshape(n, m, m, k, -1))[:, 0]
         Y = self.dP_apply(d_tr)  # [:, q, p] = d_q P d_p tr
         PX = self.d2P_apply(tr) + project(self._P, d2_tr)
-        return (PX + Y + np.swapaxes(Y, 1, 2)) / m
+        return (PX + Y + Y.swapaxes(1, 2)) / m
 
 
 def christoffels(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -399,6 +414,13 @@ def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
     return rows.proj_normal(rows.derivatives.dH)
 
 
+def pmc_residual(rows: ExtrinsicRows) -> np.ndarray:
+    """|nabla^perp H| of every row, from the rows' nabla^perp H (N, m, n+2)
+    in chart directions: the root sum of squares of nabla^perp_{E_a} H over
+    the tangent ONB E, which is the same in every ONB and so in every chart."""
+    return np.linalg.norm((rows.tangent_coeffs @ rows.nabla_H).reshape(len(rows), -1), axis=-1)
+
+
 def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     """Trace Laplacian of H in the normal bundle (N, n+2) at every row of a
     batch evaluated at order 4, given nabla^perp H (N, m, n+2) there, in
@@ -407,7 +429,7 @@ def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
     d = rows.derivatives
     n, m, k = d.n, d.m, d.k
     dW = d.dP_apply(d.dH) + d.d2H  # [:, p, q], less the outer P
-    corr = np.swapaxes(d.gamma.reshape(n, m, m * m), -1, -2) @ nabla_H  # [:, (p, q)] = Gamma^k_pq nabla^perp_k H
+    corr = d.gamma.reshape(n, m, m * m).swapaxes(-1, -2) @ nabla_H  # [:, (p, q)] = Gamma^k_pq nabla^perp_k H
     return rows.proj_normal((rows.g_inv.reshape(n, 1, m * m) @ (dW.reshape(n, m * m, k) - corr))[:, 0])
 
 
@@ -423,7 +445,7 @@ def _frame(t: np.ndarray, *mats: np.ndarray) -> np.ndarray:
     M1[b, j] ... t[..., i, j, ...]: one matmul per row and axis."""
     n, lead = len(t), t.ndim - len(mats)
     for M in reversed(mats):
-        t = np.moveaxis((t.reshape(n, -1, M.shape[-1]) @ np.swapaxes(M, -1, -2)).reshape(*t.shape[:-1], -1), -1, lead)
+        t = np.moveaxis((t.reshape(n, -1, M.shape[-1]) @ M.swapaxes(-1, -2)).reshape(*t.shape[:-1], -1), -1, lead)
     return t
 
 
@@ -437,11 +459,11 @@ def gauss_residuals(rows: ExtrinsicRows) -> np.ndarray:
     n, m = T.shape
     G = d.gamma
     # K[:, i, l, j, k] = d_i Gamma^l_jk + Gamma^l_ip Gamma^p_jk, so R^l_ijk = K[i, l, j, k] - K[j, l, i, k]
-    K = d.dgamma + (np.swapaxes(G, 1, 2).reshape(n, m * m, m) @ G.reshape(n, m, m * m)).reshape(d.dgamma.shape)
+    K = d.dgamma + (G.swapaxes(1, 2).reshape(n, m * m, m) @ G.reshape(n, m, m * m)).reshape(d.dgamma.shape)
     R = _frame(K - K.transpose(0, 3, 2, 1, 4), C, C @ rows.g, C, C)  # [:, a, d, b, c] = R_abcd
     F = rows.alpha.reshape(n, -1, m * m)
     h = (np.eye(m) - T[:, :, None] * T[:, None]).reshape(n, m * m, 1)
-    Q = (np.swapaxes(F, -1, -2) @ F + rows.chart.space.epsilon * h * np.swapaxes(h, -1, -2)).reshape(R.shape)
+    Q = (F.swapaxes(-1, -2) @ F + rows.chart.space.epsilon * h * h.swapaxes(-1, -2)).reshape(R.shape)
     # Q[:, x, y, z, w] = <alpha_xy, alpha_zw> + eps h_xy h_zw, and the right side is Q[b, c, a, d] - Q[a, c, b, d]
     return (R - Q + Q.transpose(0, 1, 4, 3, 2)).transpose(0, 1, 3, 4, 2)
 
@@ -459,11 +481,11 @@ def codazzi_residuals(rows: ExtrinsicRows) -> np.ndarray:
     n, m = T.shape
     r, sp, d2 = xi.shape[1], rows.chart.space, rows.jet.d2.reshape(n, -1, m * m)
     a = ((xi * sp.signature) @ d2).reshape(n, r * m, m)  # [:, (s, j), l] = <xi_s, d2_jl>
-    dxi = np.swapaxes(rows.d_normals * sp.signature, 1, 2).reshape(n, r * m, -1)  # [:, (s, i)] = S (d_i P) xi_s
-    D = (dxi @ d2).reshape(n, r, m, m, m) - np.swapaxes((a @ rows.derivatives.gamma.reshape(n, m, m * m)).reshape(n, r, m, m, m), 2, 3)
+    dxi = (rows.d_normals * sp.signature).swapaxes(1, 2).reshape(n, r * m, -1)  # [:, (s, i)] = S (d_i P) xi_s
+    D = (dxi @ d2).reshape(n, r, m, m, m) - (a @ rows.derivatives.gamma.reshape(n, m, m * m)).reshape(n, r, m, m, m).swapaxes(2, 3)
     eta = inner(sp, xi, rows.eta[:, None])[:, :, None, None, None]
     W = _frame(D, C, C, C) - sp.epsilon * eta * np.eye(m)[:, None] * T[:, None, None, :, None]  # [:, s, a, b, c]
-    return np.moveaxis(W - np.swapaxes(W, 2, 3), 1, -1)
+    return np.moveaxis(W - W.swapaxes(2, 3), 1, -1)
 
 
 def ricci_residuals(rows: ExtrinsicRows) -> np.ndarray:
@@ -476,16 +498,16 @@ def ricci_residuals(rows: ExtrinsicRows) -> np.ndarray:
     sp, alpha = rows.chart.space, rows.alpha
     n, r, m, _ = alpha.shape
     V = (rows.tangent_coeffs @ rows.d_normals.reshape(n, m, -1)).reshape(n, m * r, -1)
-    M = ((V * sp.signature) @ np.swapaxes(V, -1, -2)).reshape(n, m, r, m, r).transpose(0, 1, 3, 4, 2)  # [:, a, b, s, t] = <V_at, V_bs>
+    M = ((V * sp.signature) @ V.swapaxes(-1, -2)).reshape(n, m, r, m, r).transpose(0, 1, 3, 4, 2)  # [:, a, b, s, t] = <V_at, V_bs>
     AA = alpha[:, :, None] @ alpha[:, None]  # [:, s, t] = A_s A_t, whose (b, a) entry is <A_s A_t E_a, E_b>
-    return M - np.swapaxes(M, 1, 2) + (AA - np.swapaxes(AA, 1, 2)).transpose(0, 3, 4, 1, 2)
+    return M - M.swapaxes(1, 2) + (AA - AA.swapaxes(1, 2)).transpose(0, 3, 4, 1, 2)
 
 
 def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """M x over the last axis of M, (N, L) + M.shape[1:-1], for row vectors
     x (N, L, m) and stacked arrays M (N, ..., m): one matmul per row."""
     n, L = x.shape[:2]
-    return (x @ np.swapaxes(M.reshape(n, -1, M.shape[-1]), -1, -2)).reshape(n, L, *M.shape[1:-1])
+    return (x @ M.reshape(n, -1, M.shape[-1]).swapaxes(-1, -2)).reshape(n, L, *M.shape[1:-1])
 
 
 def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
@@ -495,9 +517,9 @@ def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     d, sp, C = rows.derivatives, rows.chart.space, rows.tangent_coeffs
     # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
     GT = (d.gamma.transpose(0, 2, 1, 3) @ rows.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
-    nab_T = C @ (d.dT + GT) @ np.swapaxes(rows.jet.jac, -1, -2)
+    nab_T = C @ (d.dT + GT) @ rows.jet.jac.swapaxes(-1, -2)
     A_eta = shape_operator(sp, rows.normal_onb, rows.alpha, rows.eta)
-    vt = nab_T - np.swapaxes(A_eta, -1, -2) @ rows.tangent_onb
-    alpha_T = np.swapaxes((rows.alpha @ rows.T_onb[:, None, :, None])[..., 0], -1, -2) @ rows.normal_onb
+    vt = nab_T - A_eta.swapaxes(-1, -2) @ rows.tangent_onb
+    alpha_T = (rows.alpha @ rows.T_onb[:, None, :, None])[..., 0].swapaxes(-1, -2) @ rows.normal_onb
     veta = alpha_T + C @ rows.proj_normal(d.deta)
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))

@@ -194,7 +194,7 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     seeds = {"u1": jets.jet_var(0, u[:, 0], 2), "u2": jets.jet_var(1, u[:, 1], 2)}
     vj = VecJet2([exprlang.eval_jet(t, seeds, {**params, "a": a}) for t in phi])
     J = vj.jac  # (N, 4, 2)
-    JtS = np.swapaxes(J * plane.signature[:, None], -1, -2)
+    JtS = (J * plane.signature[:, None]).swapaxes(-1, -2)
     phiq = plane.q_padded(vj.values)
     g = JtS @ J
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
@@ -214,7 +214,7 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     # fmax/fmin skip NaN rows, as the running max/min over points did
     worst_h = np.fmax.reduce(np.sqrt(np.abs(inner(plane, hvec, hvec))).reshape(count, -1), axis=1, initial=0.0)
     tq = J[:, 3, :, None]
-    min_t = np.fmin.reduce((np.swapaxes(tq, -1, -2) @ g_inv @ tq)[:, 0, 0].reshape(count, -1), axis=1, initial=math.inf)
+    min_t = np.fmin.reduce((tq.swapaxes(-1, -2) @ g_inv @ tq)[:, 0, 0].reshape(count, -1), axis=1, initial=math.inf)
     errors = []
     for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
         if bad:
@@ -417,17 +417,16 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
     for s in np.linspace(sdom[0] + 0.02, sdom[1] - 0.02, 9):
         seed = {"s": jets.jet_var(0, float(s), 1)}
         avals = [_tube_jet(t, seed, pparams, f"profile component {i}") for i, t in enumerate(alpha_asts)]
-        quad = sum(
-            (1.0 if (i > 0 or space.epsilon == 1) else -1.0) * avals[i].value ** 2
-            for i in range(k + 1)
-        )
+        signs = [-1.0 if i == 0 and space.epsilon == -1 else 1.0 for i in range(k + 2)]
+        quad = sum(sign * a.value**2 for sign, a in zip(signs[: k + 1], avals))
         if abs(quad - space.epsilon) > 1e-9:
             raise ChartError(
                 f"profile leaves the fiber quadric: sum alpha_i^2 = {quad:.6f}"
             )
         if space.epsilon == -1 and avals[0].value <= 0:
             raise ChartError("profile alpha_0 must stay positive for eps=-1")
-        if abs(avals[k + 1].grad[0]) < 1e-8:
+        speed = math.sqrt(abs(sum(sign * a.grad[0] ** 2 for sign, a in zip(signs, avals))))  # |alpha'(s)|
+        if not abs(avals[k + 1].grad[0]) > 1e-8 * speed:  # a unit-free test, as the base normals'
             raise ChartError("profile violates alpha_{k+1}' != 0")
 
 

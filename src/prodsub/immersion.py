@@ -333,7 +333,7 @@ def project(P: np.ndarray, v) -> np.ndarray:
     """P v (N, ..., n+2) for stacked matrices P (N, n+2, n+2) and vectors
     v (N, ..., n+2): one matmul per row."""
     v = np.asarray(v, dtype=float)
-    return (v.reshape(len(P), -1, v.shape[-1]) @ np.swapaxes(P, -1, -2)).reshape(v.shape)
+    return (v.reshape(len(P), -1, v.shape[-1]) @ P.swapaxes(-1, -2)).reshape(v.shape)
 
 
 @dataclass
@@ -373,7 +373,7 @@ class PointBatch:
         the normal subspace, not on the frame, so it is a smooth field."""
         sp, E = self.chart.space, self.tangent_onb
         phat = sp.q_padded(self.jet.values)
-        EtE = np.swapaxes(E, -1, -2) @ E
+        EtE = E.swapaxes(-1, -2) @ E
         return np.eye(sp.ambient_dim) - (sp.epsilon * phat[:, :, None] * phat[:, None, :] + EtE) * sp.signature
 
     def proj_normal(self, v: np.ndarray) -> np.ndarray:
@@ -437,8 +437,8 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
 
     sig = sp.signature
     J = jet.jac  # (N, n+2, m)
-    g = np.swapaxes(J * sig[:, None], -1, -2) @ J
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    g = (J * sig[:, None]).swapaxes(-1, -2) @ J
+    g = 0.5 * (g + g.swapaxes(-1, -2))
 
     finite = np.isfinite(g).all(axis=(-2, -1))
     fail(~finite, lambda r: IrregularPoint(f"induced metric not finite at u={U[r].tolist()}"))
@@ -446,8 +446,8 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     regular = regular_metric(det, g)
     fail(~regular, lambda r: IrregularPoint(f"det g = {det[r]:.3e} at u={U[r].tolist()}"))
     # E = C J^T is orthonormal, so C g C^T = I and g^-1 = C^T C (inf or NaN on irregular rows)
-    E, C, _, _ = gram_schmidt(sp, np.swapaxes(J, -1, -2))
-    g_inv = np.swapaxes(C, -1, -2) @ C
+    E, C, _, _ = gram_schmidt(sp, J.swapaxes(-1, -2))
+    g_inv = C.swapaxes(-1, -2) @ C
 
     # normal frame: project the canonical basis onto the complement of
     # span(tangent) + span(p_Q), then pivoted MGS.  The tangent projection
@@ -455,7 +455,7 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     # the normals, the second brings the frame defect back under 2 ulp.
     phat = sp.q_padded(pos)
     cands = np.eye(sp.ambient_dim) - (sp.epsilon * (sig * phat))[:, :, None] * phat[:, None, :]
-    Et = np.swapaxes(E, -1, -2)
+    Et = E.swapaxes(-1, -2)
     for _ in range(2):
         cands = cands - ((cands * sig) @ Et) @ E
     xi, _, count, nf_errors = gram_schmidt(sp, cands, True, 1e-8)

@@ -8,9 +8,10 @@ A run checks its samples a chunk at a time: one batched geometry call per
 chunk of up to ``immersion._BATCH_POINTS`` (512) samples, at the jet order
 its checks need (3 when one reads a derivative of H or of the
 Christoffels, else 2), and one call of each CHECKS entry on the chunk's
-``ExtrinsicRows``, which returns a residual, a note and a degenerate flag
-per sample; what several entries read, such as nabla^perp H or the codim-2
-frame, is a cached property of the rows, computed once per chunk.
+``ExtrinsicRows``, which returns a residual and a degenerate flag per
+sample and the set of the chunk's notes; what several entries read, such
+as nabla^perp H or the codim-2 frame, is a cached property of the rows,
+computed once per chunk.
 Every entry is array code over the samples themselves, and no entry
 differences: the normal Laplacian of H, where PMC fails, evaluates the
 chunk's samples that need it again at order 4, in one geometry call.  The
@@ -59,7 +60,6 @@ from .classify import (
     circle_geometry,
     class_A_residual,
     e0_structure,
-    pmc_residual,
     splitting_residual,
 )
 from .errors import ChartError, EngineError, RowFailure, SceneError
@@ -292,7 +292,7 @@ def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
 def _slice_type(geo: ExtrinsicRows, values: np.ndarray, tol_key: str):
     """``values`` with the rows where T = 0 noted and flagged degenerate."""
     flat = geo.T_norm <= DEGENERATE[tol_key]
-    return values, ["T = 0 (slice-type point)" if f else None for f in flat.tolist()], flat
+    return values, {"T = 0 (slice-type point)"} if flat.any() else None, flat
 
 
 def _chk_membership(geo: ExtrinsicRows):
@@ -317,7 +317,7 @@ def _chk_h_eta(geo: ExtrinsicRows):
 
 
 def _chk_mean_curvature(geo: ExtrinsicRows):
-    return geo.H_norm, "reports |H| itself, not a residual", False
+    return geo.H_norm, {"reports |H| itself, not a residual"}, False
 
 
 def _chk_biconservative(geo: ExtrinsicRows):
@@ -331,10 +331,9 @@ def _chk_class_a(geo: ExtrinsicRows):
 def _chk_biharmonic_predicate(geo: ExtrinsicRows):
     pred, pred_eps = biharmonic_predicates(geo)
     undefined = np.isnan(pred)
-    notes = [
-        "codim-2 frame undefined (H = 0 or wrong codimension)" if bad else f"eps-explicit candidate {p:.6g}"
-        for bad, p in zip(undefined.tolist(), pred_eps.tolist())
-    ]
+    notes = {f"eps-explicit candidate {p:.6g}" for p in set(pred_eps[~undefined].tolist())}
+    if undefined.any():
+        notes.add("codim-2 frame undefined (H = 0 or wrong codimension)")
     return np.where(undefined, 0.0, np.abs(pred)), notes, undefined
 
 
@@ -365,20 +364,20 @@ def _chk_vector_eta(geo: ExtrinsicRows):
 
 def _chk_e0(geo: ExtrinsicRows):
     e0, errors = e0_structure(geo)
-    vanish = [e is not None and "H vanishes" in str(e) for e in errors]
-    for i, (e, v) in enumerate(zip(errors, vanish)):
-        if e is not None and not v:
-            raise RowFailure(i, e)
+    vanish, notes = np.zeros(len(geo), dtype=bool), set()
+    for i in np.flatnonzero(geo.frame[0].failed).tolist() if e0 is not None else [0]:  # no frame: row 0 fails
+        if "H vanishes" not in str(errors[i]):
+            raise RowFailure(i, errors[i])
+        vanish[i] = True
+        notes.add(str(errors[i]))
     val = np.max([e0.aht, e0.aetat, e0.offblock, e0.traceBS1, np.abs(e0.a_last)], axis=0)
-    notes = [
-        str(e) if v else f"dim_E0={k}" + ("; eigengap warning" if w else "")
-        for e, v, k, w in zip(errors, vanish, e0.dim_E0.tolist(), e0.warn_eigengap.tolist())
-    ]
-    return np.where(vanish, 0.0, val), notes, np.array(vanish)
+    kinds = set(zip(e0.dim_E0[~vanish].tolist(), e0.warn_eigengap[~vanish].tolist()))
+    notes |= {f"dim_E0={k}" + ("; eigengap warning" if w else "") for k, w in kinds}
+    return np.where(vanish, 0.0, val), notes, vanish
 
 
 def _chk_pmc(geo: ExtrinsicRows):
-    return pmc_residual(geo), None, False
+    return geo.pmc, None, False
 
 
 def _chk_biconservative_full(geo: ExtrinsicRows):
@@ -393,9 +392,7 @@ def _chk_biharmonic_normal(geo: ExtrinsicRows):
     TOL_PMC, the pmc check's default tolerance: a run's override of the pmc
     tolerance changes the pmc verdict, not where this check nests."""
     r = biharmonic_residual(geo)
-    notes = [
-        "H = 0 (minimal point)" if h else _NESTED_NOTE if n else None for h, n in zip(r["minimal"], r["nested"])
-    ]
+    notes = {note for note, at in (("H = 0 (minimal point)", r["minimal"]), (_NESTED_NOTE, r["nested"])) if at.any()}
     return r["normal"], notes, r["minimal"]
 
 
@@ -416,9 +413,11 @@ class Check:
     """Every fact about one check.
 
     ``kernel`` maps the ExtrinsicRows of a chunk of N samples to (N,)
-    residuals, (N,) notes (or one note for all) and an (N,) degenerate mask
-    (or one flag for all); a ``chart_level`` kernel maps the chart to one
-    residual, note and flag.
+    residuals, the set of the distinct notes of its rows (None for none)
+    and an (N,) degenerate mask (or one flag for all); a ``chart_level``
+    kernel maps the chart to one residual, note (or None) and flag.  A
+    report joins a check's notes over the chunks as a set, so a note says
+    that some row has it, not which.
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H or of the Christoffels; a run evaluates its samples
@@ -499,8 +498,8 @@ def _chunks(chart: Chart, names: list, samples: np.ndarray, rows):
 
 def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
     """The columns of a chunk (ids, geo) of ``_chunks``: for each check in
-    ``names``, its (N,) residuals, N notes and (N,) degenerate mask, one row
-    per sample.
+    ``names``, its (N,) residuals, the set of its notes and its (N,)
+    degenerate mask, one row per sample.
 
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
@@ -516,11 +515,7 @@ def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
         except RowFailure as f:
             failures.append((f.args[0], pos, f.args[1]))
             continue
-        columns[name] = (
-            np.broadcast_to(np.asarray(values, dtype=float), (bad,)),
-            notes if isinstance(notes, list) else [notes] * bad,
-            np.broadcast_to(np.asarray(degen, dtype=bool), (bad,)),
-        )
+        columns[name] = (values, notes or set(), degen if np.ndim(degen) else np.broadcast_to(degen, (bad,)))
     if failures:
         row, pos, exc = min(failures, key=lambda f: f[:2])
         raise EngineError(
@@ -589,32 +584,41 @@ def _points(name: str, samples: np.ndarray, chart: Chart) -> np.ndarray:
 
 def _merge_stats(columns: dict, samples: np.ndarray, chart: Chart, names: list, tols: dict):
     """The report entry of each check in ``names`` from its column
-    (values, notes, degenerate) in ``columns``, and whether any fails.
-    The worst row counts a non-finite residual as largest and takes the
-    lowest index of equals."""
+    (values, the set of its notes, degenerate) in ``columns``, and whether
+    any fails.  The worst row counts a non-finite residual as largest and
+    takes the lowest index of equals.  The statistics of the columns of one
+    length, all per-sample checks or all chart-level ones, come from one
+    pass over their (checks, N) stack."""
+    stats, by_len = {}, {}
+    for name in names:
+        by_len.setdefault(len(columns[name][0]), []).append(name)
+    for group in by_len.values():
+        V, D = (np.array([columns[name][k] for name in group]) for k in (0, 2))
+        finite = np.isfinite(V)
+        per_check = (finite.all(axis=1), (~D).any(axis=1), np.where(D, -np.inf, V).max(axis=1),
+                     np.where(finite, V, np.inf).argmax(axis=1), np.count_nonzero(D, axis=1), V.max(axis=1), V.mean(axis=1))
+        stats.update(zip(group, zip(*(x.tolist() for x in per_check))))
     checks_report = []
     any_fail = False
     for name in names:
-        values, notes, degen = columns[name]
+        finite, any_live, live_max, worst, degenerate, top, mean = stats[name]
         tol = tols[name] if name in tols else CHECK_TABLE[name].tolerance(chart.space)
-        summary = sorted({n for n in notes if n})
-        live = values[~degen]
-        if not np.all(np.isfinite(values)):
+        summary = sorted(columns[name][1])
+        if not finite:
             verdict = "FAIL"
             summary.append("non-finite residual encountered")
-        elif live.size:
-            verdict = "PASS" if live.max() <= tol else "FAIL"
+        elif any_live:
+            verdict = "PASS" if live_max <= tol else "FAIL"
         else:
             verdict = "DEGENERATE"
         any_fail |= verdict == "FAIL"
-        worst = int(np.argmax(np.where(np.isfinite(values), values, np.inf)))
         checks_report.append(
             {
                 "name": name,
-                "samples_evaluated": len(values),
-                "samples_degenerate": int(np.count_nonzero(degen)),
-                "max_residual": float(np.max(values)),
-                "mean_residual": float(np.mean(values)),
+                "samples_evaluated": len(columns[name][0]),
+                "samples_degenerate": degenerate,
+                "max_residual": top,
+                "mean_residual": mean,
                 "argmax_index": worst,
                 "argmax_u": _points(name, samples, chart)[worst].tolist(),
                 "verdict": verdict,
@@ -688,10 +692,10 @@ def _run_checks(
     for name in names:
         if CHECK_TABLE[name].chart_level:
             value, note, degen = CHECK_TABLE[name].kernel(chart)
-            columns[name] = (np.array([value], dtype=float), [note], np.array([degen]))
+            columns[name] = (np.array([value], dtype=float), {note} - {None}, np.array([degen]))
         else:
             values, notes, degen = zip(*(c[name] for c in chunks))
-            columns[name] = (np.concatenate(values), [x for n in notes for x in n], np.concatenate(degen))
+            columns[name] = (np.concatenate(values), set().union(*notes), np.concatenate(degen))
     checks_report, any_fail = _merge_stats(columns, samples, chart, names, tols)
 
     if csv_path:

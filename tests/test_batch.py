@@ -475,11 +475,11 @@ POINTWISE_CHECKS = [
 
 def _rows(chart, names, samples, indices):
     """The chunk columns of ``_compute_rows`` flattened into (check, index,
-    u, value, note, degenerate) records, sample by sample in the order of
-    ``names``."""
+    u, value, notes, degenerate) records, sample by sample in the order of
+    ``names``, where notes is the note set of the check on the row's chunk."""
     chunks = prodsub.scene._compute_rows(chart, names, samples, indices)
-    cells = {  # each check's (value, note, degenerate) in the order of indices
-        name: [cell for c in chunks for cell in zip(c[name][0].tolist(), c[name][1], c[name][2].tolist())]
+    cells = {  # each check's (value, notes, degenerate) in the order of indices
+        name: [(v, frozenset(c[name][1]), d) for c in chunks for v, d in zip(c[name][0].tolist(), c[name][2].tolist())]
         for name in names
     }
     return [(name, idx, samples[idx].tolist(), *cells[name][j]) for j, idx in enumerate(indices) for name in names]
@@ -505,9 +505,16 @@ def _outcome(rows_of, *args):
         return str(exc)
 
 
+def _notes(rows) -> dict:
+    """Each check's notes over the rows: the union of its chunks' note sets."""
+    return {name: frozenset().union(*(r[4] for r in rows if r[0] == name)) for name in {r[0] for r in rows}}
+
+
 def _same_rows(a, b) -> bool:
-    return len(a) == len(b) and all(
-        x[:3] == y[:3] and x[4:] == y[4:] and _same(x[3], y[3]) for x, y in zip(a, b)
+    """Whether a and b hold the same records, bit for bit, less their
+    chunks' notes, and the same notes for each check."""
+    return len(a) == len(b) and _notes(a) == _notes(b) and all(
+        x[:3] == y[:3] and x[5:] == y[5:] and _same(x[3], y[3]) for x, y in zip(a, b)
     )
 
 
@@ -591,8 +598,8 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
     calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     rows = _run_rows(chart, STRUCTURE_CHECKS, samples)
     assert len(rows) == 4 * len(STRUCTURE_CHECKS)
-    nested = sum(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
-    assert nested == (4 if chart_fixture == "theorem1_heli" else 0)
+    nested = chart_fixture == "theorem1_heli"
+    assert _notes(rows)["biharmonic_normal"] == ({prodsub.scene._NESTED_NOTE} if nested else set())
     assert calls == [((4, m), 3)]
     assert [(u.shape, o) for u, o in fourth] == ([((4, m), 4)] if nested else [])
     assert all(_same(u, samples) for u, _ in fourth)
@@ -606,11 +613,14 @@ def test_a_structure_run_takes_nabla_perp_H_once_per_sample(monkeypatch, request
 @pytest.mark.parametrize("checks, name", [
     (["e0", "biharmonic_predicate"], "codim_two_frame"),
     (["vector_t", "vector_eta"], "T_eta_residuals"),
+    (["pmc", "biharmonic_normal"], "pmc_residual"),
+    (["biconservative_full", "biharmonic_normal"], "curvature"),
 ])
 def test_checks_that_share_a_kernel_take_it_once_per_chunk(monkeypatch, theorem1_cyl, checks, name):
-    # both consumers of the codim-2 frame, and both of the T/eta residuals,
-    # read one cached property of the chunk's rows, as the three checks
-    # that read nabla^perp H do above
+    # both consumers of the codim-2 frame, of the T/eta residuals, of
+    # |nabla^perp H| (the pmc check and the nesting rule) and of the
+    # curvature trace read one cached property of the chunk's rows, as the
+    # three checks that read nabla^perp H do above
     samples = random_interior_points(theorem1_cyl, 4, seed=5)
     kernel = _count_calls(monkeypatch, name, (prodsub.extrinsic, prodsub.classify, prodsub.scene))
     rows = _run_rows(theorem1_cyl, checks, samples)
@@ -920,7 +930,7 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
     m, names = chart.m, ["biharmonic_normal"]
     calls, fourth = _count_analyze(monkeypatch), _count_nested_jets(monkeypatch)
     rows = _run_rows(chart, names, samples)
-    assert all(r[4] == prodsub.scene._NESTED_NOTE for r in rows)
+    assert _notes(rows) == {"biharmonic_normal": {prodsub.scene._NESTED_NOTE}}
     splits = [
         (2, [(2, m), (2, m), (1, m)]),
         (3, [(3, m), (2, m)]),
@@ -941,6 +951,33 @@ def test_nested_laplacian_rows_do_not_depend_on_the_splits(monkeypatch, tmp_path
         prodsub.scene.run_scene(scene, checks=names, sampling_override=sampling, jobs=jobs, csv_path=str(path))
         csv.append(path.read_bytes())
     assert csv[0] == csv[1] == csv[2]
+
+
+@pytest.mark.parametrize("scene_name, want", [
+    # every sample nests on the helicoid, whose eps-explicit candidate
+    # differs from sample to sample (None: not pinned); on the cylinder none
+    # nests, and neither has a slice-type point
+    ("theorem1_helicoid.json", {"biharmonic_normal": prodsub.scene._NESTED_NOTE, "class_a": "", "biharmonic_predicate": None}),
+    ("slice_expr.json", {"biconservative": "T = 0 (slice-type point)", "class_a": "T = 0 (slice-type point)"}),
+    ("theorem1_cylinder.json", {
+        "e0": "dim_E0=1", "biharmonic_predicate": "eps-explicit candidate 0.340278", "biharmonic_normal": "", "class_a": "",
+    }),
+])
+def test_report_notes_do_not_depend_on_how_rows_are_split(monkeypatch, scene_name, want):
+    # a check's notes are the union of its chunks' note sets: chunks of 7
+    # samples or one chunk, in one process or two, give the same report
+    # notes, and a chunk with no flagged row adds none
+    scene, sampling = _load(scene_name), {"mode": "random", "counts": 300, "seed": 5}
+    reports = []
+    for points in (7, prodsub.immersion._BATCH_POINTS):
+        monkeypatch.setattr(prodsub.immersion, "_BATCH_POINTS", points)
+        for jobs in (1, 2):
+            rep = prodsub.scene.run_scene(scene, checks=list(want), sampling_override=sampling, jobs=jobs)
+            reports.append({c["name"]: c["notes"] for c in rep["checks"]})
+    assert all(r == reports[0] for r in reports)
+    assert {name: reports[0][name] for name in want if want[name] is not None} == {
+        name: note for name, note in want.items() if note is not None
+    }
 
 
 FIVE_CHECKS = ["gauss", "codazzi", "pmc", "biconservative_full", "biharmonic_normal"]

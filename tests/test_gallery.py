@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,18 @@ def test_partial_tube_base_normal_tests_do_not_depend_on_the_speed_of_the_base(L
     with pytest.raises(ChartError, match="base normal 0 is not parallel along gamma"):
         tube(["0", "0", f"cos({L!r}*u1)", f"sin({L!r}*u1)"])
     tube(["0", "0", "1", "0"])
+
+
+@pytest.mark.parametrize("L", [1e-9, 1.0, 1e3])
+def test_partial_tube_profile_test_does_not_depend_on_the_speed_of_the_profile(L):
+    # the default k = 1 profile written in s -> L s builds at every speed,
+    # and a profile whose last component is constant fails at every speed
+    def tube(last):
+        return make_partial_tube(ProductSpace(1, 3), profile={"coords": [f"cos(0.4*{L!r}*s)", f"sin(0.4*{L!r}*s)", last]})
+
+    tube(f"0.6*{L!r}*s")
+    with pytest.raises(ChartError, match=re.escape("profile violates alpha_{k+1}' != 0")):
+        tube("0.5")
 
 
 def test_partial_tube_k0_reduces_to_vertical_cylinder():

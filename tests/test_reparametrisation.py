@@ -72,7 +72,11 @@ def _run(chart: Chart, samples: np.ndarray):
     """Each check's column (values, notes, degenerate) and its report entry."""
     names = _names(chart)
     chunks = _compute_rows(chart, names, samples, np.arange(len(samples)))
-    columns = {name: tuple(np.concatenate([c[name][k] for c in chunks]) for k in (0, 1, 2)) for name in names}
+    columns = {
+        name: (np.concatenate([c[name][0] for c in chunks]), set().union(*(c[name][1] for c in chunks)),
+               np.concatenate([c[name][2] for c in chunks]))
+        for name in names
+    }
     report, _ = _merge_stats(columns, samples, chart, names, {})
     return columns, {r["name"]: r for r in report}
 

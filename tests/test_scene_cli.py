@@ -754,7 +754,7 @@ def test_nonfinite_residual_fails_with_diagnostic():
 
     chart = build_chart(_load("slice.json"))
     samples = np.array([[0.1, 0.2], [0.3, 0.4]])
-    columns = {"membership": (np.array([float("nan"), 0.0]), [None, None], np.array([False, False]))}
+    columns = {"membership": (np.array([float("nan"), 0.0]), set(), np.array([False, False]))}
     report, any_fail = _merge_stats(columns, samples, chart, ["membership"], {})
     assert any_fail
     assert report[0]["verdict"] == "FAIL"
@@ -766,7 +766,7 @@ def test_mixed_degenerate_and_live_samples():
 
     chart = build_chart(_load("slice.json"))
     samples = np.array([[0.1, 0.2], [0.3, 0.4]])
-    columns = {"class_a": (np.array([0.0, 1e-12]), ["T = 0 (slice-type point)", None], np.array([True, False]))}
+    columns = {"class_a": (np.array([0.0, 1e-12]), {"T = 0 (slice-type point)"}, np.array([True, False]))}
     report, any_fail = _merge_stats(columns, samples, chart, ["class_a"], {})
     assert not any_fail
     assert report[0]["verdict"] == "PASS"  # live samples decide the verdict
@@ -1035,8 +1035,8 @@ def test_worst_sample_counts_non_finite_first_and_breaks_ties_by_index():
     chart = build_chart(_load("slice.json"))
     samples = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     columns = {
-        "membership": (np.array([2.0, float("nan"), float("inf")]), [None] * 3, np.array([False, False, False])),
-        "class_a": (np.array([0.0, 3.0, 3.0]), ["T = 0 (slice-type point)", None, None], np.array([True, False, False])),
+        "membership": (np.array([2.0, float("nan"), float("inf")]), set(), np.array([False, False, False])),
+        "class_a": (np.array([0.0, 3.0, 3.0]), {"T = 0 (slice-type point)"}, np.array([True, False, False])),
     }
     report, _ = _merge_stats(columns, samples, chart, ["membership", "class_a"], {})
     assert [(c["argmax_index"], c["argmax_u"], c["samples_degenerate"]) for c in report] == [
