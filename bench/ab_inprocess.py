@@ -13,8 +13,11 @@ that the side's own ``perfbench/workload.py`` lists (``invocations``), with
 round to round, so that drift of the host's speed falls on both alike.
 Prints each side's median pass time and CPU time (this process and its
 children) with their quartiles, and in how many rounds the change took less.
-Times are raw seconds of this host, not the benchmark's reference-host
-seconds; the pairs only compare the two sides.
+For each it then applies the rule by which a benchmark claim is judged: the
+change must take less in at least nine tenths of the pairs (ties count for
+neither side), and the base's median must exceed the change's by more than
+the base's interquartile range.  Times are raw seconds of this host, not the
+benchmark's reference-host seconds; the pairs only compare the two sides.
 """
 
 from __future__ import annotations
@@ -110,9 +113,16 @@ def main(argv=None) -> int:
     for metric in ("wall", "cpu"):
         for side in SIDES:
             print(f"  {metric:4} {side:6} {_summary(getattr(sides[side], metric))}")
-        wins = sum(c < b for b, c in zip(getattr(base, metric), getattr(change, metric)))
-        ratio = median(getattr(change, metric)) / median(getattr(base, metric)) - 1.0
+        b, c = getattr(base, metric), getattr(change, metric)
+        wins = sum(y < x for x, y in zip(b, c))
+        ratio = median(c) / median(b) - 1.0
         print(f"  {metric:4} change took less in {wins} of {args.rounds} pairs, median {ratio:+.1%}")
+        q1, _, q3 = quantiles(b, n=4, method="inclusive")
+        most, gap = wins >= 0.9 * args.rounds, median(b) - median(c)
+        print(
+            f"  {metric:4} claim rule: at least 9/10 pairs {'yes' if most else 'no'}; median gap {gap:.5f} s"
+            f" {'>' if gap > q3 - q1 else '<='} base IQR {q3 - q1:.5f} s; gain {'met' if most and gap > q3 - q1 else 'not met'}"
+        )
     return 0
 
 

@@ -426,7 +426,7 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
         if space.epsilon == -1 and avals[0].value <= 0:
             raise ChartError("profile alpha_0 must stay positive for eps=-1")
         speed = math.sqrt(abs(sum(sign * a.grad[0] ** 2 for sign, a in zip(signs, avals))))  # |alpha'(s)|
-        if not abs(avals[k + 1].grad[0]) > 1e-8 * speed:  # a unit-free test, as the base normals'
+        if abs(avals[k + 1].grad[0]) <= 1e-8 * speed:  # relative to the speed, as the base normal tests
             raise ChartError("profile violates alpha_{k+1}' != 0")
 
 
