@@ -74,7 +74,7 @@ def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the rows'
     codim-2 frame is undefined."""
-    frame = rows.frame[0]
+    frame = rows.frame
     if frame is None:
         return np.full(len(rows), math.nan), np.full(len(rows), math.nan)
     tr = np.where(frame.failed, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
@@ -158,15 +158,15 @@ def _rotate_groups(lam: np.ndarray, V: np.ndarray, A2: np.ndarray, tol_abs: floa
             start = i
 
 
-def e0_structure(rows: ExtrinsicRows):
+def e0_structure(rows: ExtrinsicRows) -> E0Analysis | None:
     """Symmetric eigenanalysis of A_H with the kernel split at relative
     tolerance ``TOL_EIG``, filling the residuals of the codimension-2
     biconservative block structure, for every row of a batch: a stacked
-    E0Analysis (None when the codimension is not 2) and the errors of the
-    rows' ``codim_two_frame``."""
-    frame, errors = rows.frame
+    E0Analysis, whose rows where the rows' ``codim_two_frame`` failed mean
+    nothing, or None when the codimension is not 2."""
+    frame = rows.frame
     if frame is None:
-        return None, errors
+        return None
     m = rows.chart.m
     failed = frame.failed[:, None, None]
     A1, A2 = np.where(failed, 0.0, frame.A1), np.where(failed, 0.0, frame.A2)
@@ -197,7 +197,7 @@ def e0_structure(rows: ExtrinsicRows):
 
     w = (shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta) @ rows.T_onb[..., None])[..., 0]
     w0 = ((V * ~rest[:, None, :]) @ (Vt @ w[..., None]))[..., 0]
-    e0 = E0Analysis(
+    return E0Analysis(
         eigenvalues=lam,
         dim_E0=k0,
         aht=np.linalg.norm((A_H @ rows.T_onb[..., None])[..., 0], axis=-1),
@@ -207,7 +207,6 @@ def e0_structure(rows: ExtrinsicRows):
         a_last=np.where(k0 < m, d2[np.arange(len(k0)), np.minimum(k0, m - 1)], 0.0),
         warn_eigengap=warn,
     )
-    return e0, errors
 
 
 def _raise_first(errors: list) -> None:
@@ -226,12 +225,9 @@ def splitting_residual(chart: Chart) -> float:
     s = chart.s_index
     jet = evaluate_jet(chart, probe_grid(chart.domain, 4))
     _raise_first(jet.errors)
-    d2 = jet.d2
-    worst = 0.0
-    for i in range(chart.m):
-        if i != s:
-            worst = max(worst, float(np.fmax.reduce(np.linalg.norm(d2[:, :, s, i], axis=-1))))
-    return worst
+    # |d2 f / ds du_i| (N, m), each norm over one contiguous row as a row of d2[:, :, s, i] sums
+    mixed = np.linalg.norm(np.ascontiguousarray(np.moveaxis(jet.d2[:, :, s], 1, -1)), axis=-1)
+    return float(np.fmax.reduce(np.delete(mixed, s, axis=-1), axis=None, initial=0.0))
 
 
 def circle_geometry(chart: Chart) -> dict:

@@ -27,7 +27,6 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import ProductSpace, curvature, inner
-from .errors import InvalidFrame
 from .immersion import Chart, PointBatch, analyze_point, project
 
 __all__ = [
@@ -84,25 +83,27 @@ class CodimTwoFrame:
     """The distinguished normal frame xi_1 = H/|H|, xi_2 = eta/|eta| of the
     codimension-2 analysis; when eta = 0 (vertical-cylinder degeneracy) xi_2
     is gauge-fixed as the unit normal orthogonal to xi_1.  Every field is
-    stacked over the rows of a batch; ``failed`` marks the rows whose
-    frame is undefined, whose other fields mean nothing."""
+    stacked over the rows of a batch.  ``vanish`` marks the rows where H
+    vanishes (|H| at or below DEGENERATE["H_frame"]) and ``failed`` the rows
+    whose frame is undefined: those and the rows where no normal is left to
+    complete it.  The other fields of a failed row mean nothing."""
 
     xi1: np.ndarray
     xi2: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     eta_gauge_fixed: np.ndarray
+    vanish: np.ndarray
     failed: np.ndarray
 
 
-def codim_two_frame(rows: ExtrinsicRows):
-    """The codim-2 frame of every row of a batch: a stacked CodimTwoFrame
-    (None when the codimension is not 2) and a list with the InvalidFrame
-    each row raises, else None."""
+def codim_two_frame(rows: ExtrinsicRows) -> CodimTwoFrame | None:
+    """The codim-2 frame of every row of a batch, stacked, or None when the
+    codimension is not 2."""
     sp = rows.chart.space
     n_rows, codim = rows.normal_onb.shape[:2]
     if codim != 2:
-        return None, [InvalidFrame(f"codimension is {codim}, need exactly 2")] * n_rows
+        return None
     tol_eta = DEGENERATE["eta_frame"]
     xi, all_rows = rows.normal_onb, np.arange(n_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -120,10 +121,7 @@ def codim_two_frame(rows: ExtrinsicRows):
         A1, A2 = (shape_operator(sp, xi, rows.alpha, v) for v in (xi1, xi2))
     vanish = rows.H_norm <= DEGENERATE["H_frame"]
     failed = vanish | (fixed & ~(w_best >= DEGENERATE["frame_completion"]))
-    errors = [None] * n_rows
-    for r in np.flatnonzero(failed).tolist():
-        errors[r] = InvalidFrame("H vanishes; xi_1 = H/|H| is undefined" if vanish[r] else "cannot complete the codim-2 frame")
-    return CodimTwoFrame(xi1, xi2, A1, A2, fixed, failed), errors
+    return CodimTwoFrame(xi1, xi2, A1, A2, fixed, vanish, failed)
 
 
 def second_fundamental(batch: PointBatch) -> "ExtrinsicRows":
@@ -189,7 +187,7 @@ class ExtrinsicRows(PointBatch):
         return T_eta_residuals(self)
 
     @cached_property
-    def frame(self) -> tuple:
+    def frame(self) -> CodimTwoFrame | None:
         """``codim_two_frame``, which e0 and biharmonic_predicate share."""
         return codim_two_frame(self)
 

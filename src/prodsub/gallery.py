@@ -95,7 +95,7 @@ def make_slice(space: ProductSpace, t0: float = 0.0, scan: tuple | None = None) 
         var_names=["u1", "u2"],
         label=f"slice(t0={values[0]})",
     )
-    return _with_family(chart, values, {"t0": values}, [f"slice(t0={v})" for v in values])
+    return _with_family(chart, {"t0": values}, [f"slice(t0={v})" for v in values])
 
 
 def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
@@ -183,12 +183,12 @@ def _custom_phi(phi_params: dict) -> tuple[list, dict, list]:
     return [parse_coordinate(s, ["u1", "u2", *params]) for s in srcs], params, dom
 
 
-def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
+def _phi_geometry_check(space, a, phi, params, u, count: int):
     """Minimality oracle for the surface factor phi in Q^2_a x R, plus the
     nowhere-vanishing test on its T field, at ``count`` steps of a scan
-    whose probe grids are the rows of ``u`` in turn: the error of each step,
-    else None.  ``phi`` and ``params`` are as ``_phi_factor`` gives them,
-    and ``a`` is one number or one per row."""
+    whose probe grids are the rows of ``u`` in turn: (step, error) of the
+    first step that fails, else None.  ``phi`` and ``params`` are as
+    ``_phi_factor`` gives them, and ``a`` is one number or one per row."""
     plane = ProductSpace(space.epsilon, 2)  # Q^2_eps x R, the surface factor's ambient
     # one batched jet over the probe grids; every step below is row by row
     seeds = {"u1": jets.jet_var(0, u[:, 0], 2), "u2": jets.jet_var(1, u[:, 1], 2)}
@@ -215,17 +215,15 @@ def _phi_geometry_check(space, a, phi, params, u, count: int) -> list:
     worst_h = np.fmax.reduce(np.sqrt(np.abs(inner(plane, hvec, hvec))).reshape(count, -1), axis=1, initial=0.0)
     tq = J[:, 3, :, None]
     min_t = np.fmin.reduce((tq.swapaxes(-1, -2) @ g_inv @ tq)[:, 0, 0].reshape(count, -1), axis=1, initial=math.inf)
-    errors = []
-    for bad, h, t in zip(degenerate.tolist(), worst_h.tolist(), min_t.tolist()):
-        if bad:
-            errors.append(ChartError("phi factor is degenerate on the probe grid"))
-        elif h > _PHI_MINIMAL_TOL:
-            errors.append(ChartError(f"phi is not minimal: ||H_phi|| reaches {h:.3e} > {_PHI_MINIMAL_TOL:.1e}"))
-        elif t < 1e-10:
-            errors.append(ChartError("T_phi vanishes somewhere on the probe grid"))
-        else:
-            errors.append(None)
-    return errors
+    failing = np.flatnonzero(degenerate | (worst_h > _PHI_MINIMAL_TOL) | (min_t < 1e-10))
+    if not failing.size:
+        return None
+    i = int(failing[0])
+    if degenerate[i]:
+        return i, ChartError("phi factor is degenerate on the probe grid")
+    if worst_h[i] > _PHI_MINIMAL_TOL:
+        return i, ChartError(f"phi is not minimal: ||H_phi|| reaches {worst_h[i]:.3e} > {_PHI_MINIMAL_TOL:.1e}")
+    return i, ChartError("T_phi vanishes somewhere on the probe grid")
 
 
 def _theorem1_ab(space: ProductSpace, a: float | None, a2: float | None) -> tuple[float, float]:
@@ -274,7 +272,7 @@ def make_theorem1(
     coords = circle + phi if space.epsilon == 1 else phi[:3] + circle + phi[3:]
     grid = probe_grid(phidom, 5)
 
-    def phi_errors(steps):
+    def phi_failure(steps):
         at = np.repeat(steps, len(grid))
         u = np.tile(grid, (len(steps), 1))
         return _phi_geometry_check(space, A[at], phi, params, u, len(steps))
@@ -291,7 +289,7 @@ def make_theorem1(
         s_index=2,
         label=labels[0],
     )
-    return _with_family(chart, values, {"a": A, "b": B}, labels, error, [(len(grid), phi_errors)])
+    return _with_family(chart, {"a": A, "b": B}, labels, error, [(len(grid), phi_failure)])
 
 
 def make_partial_tube(
@@ -382,30 +380,28 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
     # gamma, from exact jets at 7 base points
     xs = np.linspace(xdom[0] + 0.02, xdom[1] - 0.02, 7)
 
-    def padded(v):  # Q vectors (or one for all points) as rows of E^{n+2}, zero in the t slot
-        out = np.zeros((len(xs), space.ambient_dim))
-        out[:, : space.n + 1] = v
+    def padded(v):  # Q vectors (7 or 1, ..., n+1) as vectors of E^{n+2} at the 7 points, zero in the t slot
+        out = np.zeros((len(xs), *v.shape[1:-1], space.ambient_dim))
+        out[..., : space.n + 1] = v
         return out
 
     gseed = {"u1": jets.jet_var(0, xs, 2), "s": jets.jet_const(0.0, 2)}
     g = VecJet2([exprlang.eval_jet(c, gseed, gparams) for c in gamma])
-    gv, gt = padded(g.values), padded(g.jac[..., 0])
+    gv, gt = padded(g.values)[:, None], padded(g.jac[..., 0])[:, None]
     speed = np.sqrt(np.abs(inner(space, gt, gt)))  # |gamma'|, which takes both tests below to arc length
-    seed = {"u1": jets.jet_var(0, xs, 1)}
     bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
-    xis = []
-    for i, asts in enumerate(normal_asts):
-        nj = VecJet2([_tube_jet(t, seed, {}, f"base normal {i}, component {c}") for c, t in enumerate(asts)])
-        xi, d = padded(nj.values), padded(nj.jac[..., 0])
+    if k:
+        seed = {"u1": jets.jet_var(0, xs, 1)}
+        nj = VecJet2([_tube_jet(t, seed, {}, f"base normal {i}, component {c}") for i, asts in enumerate(normal_asts) for c, t in enumerate(asts)])
+        xi, d = (padded(x.reshape(-1, k, space.n + 1)) for x in (nj.values, nj.jac[..., 0]))  # (point, normal, n+2)
+        gram = inner(space, xi[:, :, None], xi[:, None])
         normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)) / speed)
-        bad[:, i, 0] = (np.abs(inner(space, xi, xi) - 1.0) > 1e-8) | (normal > 1e-8)
-        for other in xis:
-            bad[:, i, 1] |= np.abs(inner(space, xi, other)) > 1e-8
-        xis.append(xi)
+        bad[..., 0] = (np.abs(np.diagonal(gram, axis1=1, axis2=2) - 1.0) > 1e-8) | (normal > 1e-8)
+        bad[..., 1] = np.tril(np.abs(gram) > 1e-8, -1).any(axis=-1)  # against the normals before it
         # parallelism: project D_x xi onto the normal space of gamma in Q
-        d = d - space.epsilon * inner(space, d, gv)[:, None] * gv
-        d = d - (inner(space, d, gt) / inner(space, gt, gt))[:, None] * gt
-        bad[:, i, 2] = np.sqrt(np.abs(inner(space, d, d))) / speed > 1e-6
+        d = d - space.epsilon * inner(space, d, gv)[..., None] * gv
+        d = d - (inner(space, d, gt) / inner(space, gt, gt))[..., None] * gt
+        bad[..., 2] = np.sqrt(np.abs(inner(space, d, d))) / speed > 1e-6
     if bad.any():
         _, i, test = np.argwhere(bad)[0]  # the first in (point, normal, test) order
         raise ChartError(
@@ -470,7 +466,7 @@ def make_cmc_product(space: ProductSpace, r: float | None = None, scan: tuple | 
         s_index=m - 1,
         label=labels[0],
     )
-    return _with_family(chart, values, {"c0": C0, "s0": S0}, labels, error)
+    return _with_family(chart, {"c0": C0, "s0": S0}, labels, error)
 
 
 def _each_step(values: list, derive) -> tuple[list, Exception | None]:
@@ -487,14 +483,13 @@ def _each_step(values: list, derive) -> tuple[list, Exception | None]:
     return out, None
 
 
-def _with_family(chart: Chart, values: list, params: dict, labels: list, error=None, checks=()) -> Chart:
+def _with_family(chart: Chart, params: dict, labels: list, error=None, checks=()) -> Chart:
     """``chart``, the chart of the first step, as the family chart of the
     steps before ``error`` whose chart-level checks pass: ``params``,
-    ``labels`` and ``checks`` as in ``Family``.  Raises the error of the
-    first step when it does not build."""
-    steps = len(labels)
+    ``labels`` (one per step before ``error``) and ``checks`` as in
+    ``Family``.  Raises the error of the first step when it does not build."""
     params = {name: np.array(v, dtype=float) for name, v in params.items()}
-    chart.family = Family(np.array(values[:steps], dtype=float), params, labels[:steps], list(checks), error)
+    chart.family = Family(params, labels, list(checks), error)
     chart.validate_membership()
     return chart
 

@@ -57,6 +57,7 @@ _PROBE_POINTS = 8192
 
 _MEMBERSHIP_TOL = 1e-9  # the largest membership residual a build allows on its probe grid
 _PROBES = 5  # probe grid points per axis of the membership check
+_DROP_TOL = 1e-8  # the pivoted Gram-Schmidt stops where the largest remaining |<v,v>| is below this
 
 
 def parse_coordinate(src, bound=None, what: str = "coordinate"):
@@ -101,7 +102,7 @@ class Chart:
         if len(self.domain) != self.m:
             raise ChartError("domain must give one interval per chart variable")
         self.coords = [parse_coordinate(c, [*self.var_names, *self.params]) for c in self.coords]
-        self.family = Family(np.zeros(1), {}, [self.label])
+        self.family = Family({}, [self.label])
 
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
@@ -115,55 +116,53 @@ class Chart:
         that step gives on its own; raises that error when step 0 fails."""
         family = self.family
         grid = probe_grid(self.domain, _PROBES)
-        for points, check in [*family.checks, (len(grid), lambda steps: self.membership_errors(steps, grid))]:
+        for points, check in [*family.checks, (len(grid), lambda steps: self.membership_failure(steps, grid))]:
             per = max(1, _PROBE_POINTS // points)
             for first in range(0, len(family), per):
                 block = np.arange(first, min(first + per, len(family)))
-                errors = check(block)
-                bad = next((i for i, e in enumerate(errors) if e is not None), None)
-                if bad is not None:
-                    family.stop(int(block[bad]), errors[bad])
+                failure = check(block)
+                if failure is not None:
+                    family.stop(int(block[failure[0]]), failure[1])
                     break
         if not len(family):
             raise family.error
 
-    def membership_errors(self, steps, grid) -> list:
-        """The membership check at each scan step of ``steps`` up to the
-        first that fails: the error of a step whose probe grid ``grid``
-        (P, m) leaves the product past ``_MEMBERSHIP_TOL``, else None; a
-        step after the first failure may read None.  Membership reads no
-        derivative, so the grids are evaluated for values only.  The grids
-        of several steps are one batched evaluation; when a coordinate map
-        raises on it, the steps are split in halves, first half first,
-        until the first failing step stands alone.  A single step is one
-        ``evaluate_jet`` call, in which a step with a probe point whose
-        coordinates fail takes the error of the first such point.  A
-        non-finite residual at any probe point counts as the worst and
-        fails as well."""
+    def membership_failure(self, steps, grid):
+        """The membership check at the scan steps ``steps``: (position in
+        ``steps``, error) of the first step whose probe grid ``grid`` (P, m)
+        leaves the product past ``_MEMBERSHIP_TOL``, else None.  Membership
+        reads no derivative, so the grids are evaluated for values only.
+        The grids of several steps are one batched evaluation; when a
+        coordinate map raises on it, the steps are split in halves, first
+        half first, until the first failing step stands alone.  A single
+        step is one ``evaluate_jet`` call, in which a step with a probe
+        point whose coordinates fail takes the error of the first such
+        point.  A non-finite residual at any probe point counts as the worst
+        and fails as well."""
         count = len(steps)
         U, at = np.tile(grid, (count, 1)), np.repeat(steps, len(grid))
         if count == 1:
             jet = evaluate_jet(self, U, at, order=0)
-            failed = [next((e for e in jet.errors if e is not None), None)]
+            error = next((e for e in jet.errors if e is not None), None)
+            if error is not None:
+                return 0, error
         else:
-            jet, failed = _coordinates(self, U, at, 0), [None] * count
+            jet, half = _coordinates(self, U, at, 0), count // 2
             if isinstance(jet, ChartError):
-                head = self.membership_errors(steps[: count // 2], grid)
-                if any(e is not None for e in head):
-                    return head + [None] * (count - count // 2)
-                return head + self.membership_errors(steps[count // 2 :], grid)
+                head = self.membership_failure(steps[:half], grid)
+                if head is not None:
+                    return head
+                tail = self.membership_failure(steps[half:], grid)
+                return None if tail is None else (half + tail[0], tail[1])
         # a step past the first failure may overflow; its residual is then not finite
         with np.errstate(over="ignore", invalid="ignore"):
             worst = np.max(membership_residual(self.space, jet.values).reshape(count, -1), axis=1, initial=0.0)
-        return [
-            e
-            if e is not None or w <= _MEMBERSHIP_TOL
-            else ChartError(
-                f"chart {self.family.labels[s] or '<unnamed>'} leaves the product: "
-                f"membership residual {w:.3e} > {_MEMBERSHIP_TOL:.1e}"
-            )
-            for e, w, s in zip(failed, worst.tolist(), steps)
-        ]
+        over = np.flatnonzero(~(worst <= _MEMBERSHIP_TOL))
+        if not over.size:
+            return None
+        i = int(over[0])
+        label = self.family.labels[steps[i]] or "<unnamed>"
+        return i, ChartError(f"chart {label} leaves the product: membership residual {worst[i]:.3e} > {_MEMBERSHIP_TOL:.1e}")
 
 
 @dataclass
@@ -171,30 +170,28 @@ class Family:
     """The steps of a parameter scan, all on one chart; a chart of one
     parameter value is a family of one step.
 
-    Step s sets the scanned parameter to ``values[s]``.  ``params`` maps
-    each parameter that varies with the step to its value at every step
-    (an array like ``values``): a batch row at step s evaluates the chart's
+    ``params`` maps each parameter that varies with the step to its value
+    at every step (an array): a batch row at step s evaluates the chart's
     coordinates with ``params[name][s]`` in place of ``Chart.params``.
-    ``labels[s]`` is the label of step s's chart.  ``checks`` are the
-    chart-level checks of a build that run before the membership check, in
-    order, as (probe points per step, check): ``check(steps)`` gives the
-    error of each step of ``steps``, else None.  The family keeps the steps
-    before the first one whose chart does not build, and ``error`` is the
-    error of that step.
+    ``labels[s]`` is the label of step s's chart, one per step.  ``checks``
+    are the chart-level checks of a build that run before the membership
+    check, in order, as (probe points per step, check): ``check(steps)``
+    gives (position in ``steps``, error) of the first step of ``steps``
+    that fails, else None.  The family keeps the steps before the first one
+    whose chart does not build, and ``error`` is the error of that step.
     """
 
-    values: np.ndarray
     params: dict
     labels: list
     checks: list = field(default_factory=list)
     error: Exception | None = None
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.labels)
 
     def stop(self, step: int, error: Exception) -> None:
         """Keep the steps before ``step``, whose chart raises ``error``."""
-        self.values, self.labels, self.error = self.values[:step], self.labels[:step], error
+        self.labels, self.error = self.labels[:step], error
 
 
 def probe_grid(domain, counts=5):
@@ -270,7 +267,7 @@ def _coordinates(chart: Chart, U: np.ndarray, steps, order: int) -> VecJet2 | Ch
     return VecJet2(comps)
 
 
-def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, drop_tol: float = 1e-8):
+def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False):
     """Signature-aware modified Gram-Schmidt on every row of a stack (N, c, k).
 
     Returns (basis, coeffs, count, errors): the first count[r] vectors of
@@ -281,7 +278,7 @@ def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, 
     a positive definite space (``analyze_point``'s det g test), and a row
     where they do not holds values that mean nothing.  With ``pivot`` each
     row takes its own largest remaining |<v,v>| (argmax, first index on
-    ties), stops once that falls below ``drop_tol`` and fails if the vector
+    ties), stops once that falls below ``_DROP_TOL`` and fails if the vector
     taken is timelike.  Rows never mix, and the values of a failed row mean
     nothing (callers silence numpy's warnings for them).
     """
@@ -312,7 +309,7 @@ def gram_schmidt(space: ProductSpace, vectors: np.ndarray, pivot: bool = False, 
         n2 = inner(space, work, work)
         j = np.argmax(np.where(alive, np.abs(n2), -np.inf), axis=1)
         nrm2 = n2[rows, j]
-        active &= ~(np.abs(nrm2) < drop_tol)
+        active &= ~(np.abs(nrm2) < _DROP_TOL)
         bad = active & (nrm2 < 0.0)
         for r in np.flatnonzero(bad):
             if errors[r] is None:
@@ -458,7 +455,7 @@ def _analyze(chart: Chart, U: np.ndarray, steps, order: int) -> PointBatch:
     Et = E.swapaxes(-1, -2)
     for _ in range(2):
         cands = cands - ((cands * sig) @ Et) @ E
-    xi, _, count, nf_errors = gram_schmidt(sp, cands, True, 1e-8)
+    xi, _, count, nf_errors = gram_schmidt(sp, cands, True)
     fail(np.array([e is not None for e in nf_errors]), lambda r: nf_errors[r])
     want = sp.n + 1 - m
     fail(count != want, lambda r: NullFrame(f"normal frame has {count[r]} vectors, expected {want}"))

@@ -62,7 +62,7 @@ from .classify import (
     e0_structure,
     splitting_residual,
 )
-from .errors import ChartError, EngineError, RowFailure, SceneError
+from .errors import ChartError, EngineError, InvalidFrame, RowFailure, SceneError
 from .extrinsic import ExtrinsicRows, codazzi_residuals, gauss_residuals, geometry, ricci_residuals
 from .gallery import make_chart
 from .immersion import Chart, Family, probe_grid
@@ -259,7 +259,7 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
         if param not in free:
             raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
         V = np.array(values, dtype=float)
-        chart.family = Family(V, {param: V}, [chart.label] * len(V))
+        chart.family = Family({param: V}, [chart.label] * len(V))
     chart.validate_membership()
     return chart
 
@@ -330,7 +330,7 @@ def _chk_class_a(geo: ExtrinsicRows):
 
 def _chk_biharmonic_predicate(geo: ExtrinsicRows):
     pred, pred_eps = biharmonic_predicates(geo)
-    undefined = np.isnan(pred)
+    undefined = np.ones(len(geo), dtype=bool) if geo.frame is None else geo.frame.failed
     notes = {f"eps-explicit candidate {p:.6g}" for p in set(pred_eps[~undefined].tolist())}
     if undefined.any():
         notes.add("codim-2 frame undefined (H = 0 or wrong codimension)")
@@ -363,13 +363,17 @@ def _chk_vector_eta(geo: ExtrinsicRows):
 
 
 def _chk_e0(geo: ExtrinsicRows):
-    e0, errors = e0_structure(geo)
-    vanish, notes = np.zeros(len(geo), dtype=bool), set()
-    for i in np.flatnonzero(geo.frame[0].failed).tolist() if e0 is not None else [0]:  # no frame: row 0 fails
-        if "H vanishes" not in str(errors[i]):
-            raise RowFailure(i, errors[i])
-        vanish[i] = True
-        notes.add(str(errors[i]))
+    """``e0_structure``: rows where H vanishes are degenerate, and a frame
+    that is undefined otherwise (wrong codimension, or no normal left to
+    complete it) fails its first row."""
+    e0, frame = e0_structure(geo), geo.frame
+    if e0 is None:
+        raise RowFailure(0, InvalidFrame(f"codimension is {geo.normal_onb.shape[1]}, need exactly 2"))
+    broken = np.flatnonzero(frame.failed & ~frame.vanish)
+    if broken.size:
+        raise RowFailure(int(broken[0]), InvalidFrame("cannot complete the codim-2 frame"))
+    vanish = frame.vanish
+    notes = {"H vanishes; xi_1 = H/|H| is undefined"} if vanish.any() else set()
     val = np.max([e0.aht, e0.aetat, e0.offblock, e0.traceBS1, np.abs(e0.a_last)], axis=0)
     kinds = set(zip(e0.dim_E0[~vanish].tolist(), e0.warn_eigengap[~vanish].tolist()))
     notes |= {f"dim_E0={k}" + ("; eigengap warning" if w else "") for k, w in kinds}

@@ -251,8 +251,9 @@ def test_criterion_5_structure_equation_suite():
 def test_criterion_6_codim2_biconservative_structure():
     crit = Criterion("CRITERION 6 (codimension-2 block structure)")
     ch = make_theorem1(ProductSpace(1, 4), a=0.8)
-    e0, errors = e0_structure(second_fundamental(analyze_point(ch, _grid_samples(ch, [5, 5, 5]))))
-    assert not any(errors)
+    rows = second_fundamental(analyze_point(ch, _grid_samples(ch, [5, 5, 5])))
+    e0 = e0_structure(rows)
+    assert not rows.frame.failed.any()
     worst = {name: np.abs(getattr(e0, name)).max() for name in ("aht", "aetat", "traceBS1", "offblock", "a_last")}
     crit.check("|A_H T| <= 1e-8", worst["aht"] <= 1e-8, f"max {worst['aht']:.2e}")
     crit.check(
@@ -327,7 +328,7 @@ def test_criterion_7_invariant_suites():
     def classifier_residuals(rows):
         # biharmonic_residual assumes PMC: a zero nabla^perp H takes no normal Laplacian
         bicon = biconservative_residual(rows)
-        e0, _ = e0_structure(rows)
+        e0 = e0_structure(rows)
         rows.nabla_H = np.zeros((1, ch.m, ch.space.ambient_dim))
         return [
             bicon["simple"],

@@ -14,10 +14,11 @@ from prodsub.classify import (
     e0_structure,
     splitting_residual,
 )
-from prodsub.errors import InvalidFrame
+from prodsub.errors import EngineError, InvalidFrame
 from prodsub.extrinsic import geometry, second_fundamental
 from prodsub.gallery import make_cmc_product, make_slice, make_theorem1
 from prodsub.immersion import Chart
+from prodsub.scene import run_scene
 from conftest import random_interior_points, theorem1_closed_forms
 
 
@@ -213,8 +214,8 @@ def test_class_A_zero_when_T_vanishes(slice_s4):
 def test_e0_structure_theorem1(theorem1_cyl):
     forms = theorem1_closed_forms(0.8)
     rows = _rows(theorem1_cyl, [[0.3, -0.2, 0.4]])
-    e0, errors = e0_structure(rows)
-    assert errors == [None]
+    e0 = e0_structure(rows)
+    assert not rows.frame.failed.any()
     assert e0.dim_E0[0] == 1
     assert np.allclose(
         np.sort(e0.eigenvalues[0]), forms["H_norm"] * forms["eig_A1"], atol=1e-10
@@ -224,34 +225,54 @@ def test_e0_structure_theorem1(theorem1_cyl):
     assert e0.offblock[0] <= 1e-9
     assert e0.traceBS1[0] <= 1e-9
     assert abs(e0.a_last[0]) <= 1e-9
-    assert codim_two_frame(rows)[0].eta_gauge_fixed[0]  # eta = 0 on this chart
+    assert codim_two_frame(rows).eta_gauge_fixed[0]  # eta = 0 on this chart
     assert e0.dim_E0[0] + np.sum(np.abs(e0.eigenvalues[0]) > 1e-9) == 3
+
+
+def _e0_scene(n):
+    """The slice in Q^n x R, whose H vanishes, with the e0 check alone."""
+    return {
+        "ambient": {"epsilon": 1, "n": n},
+        "immersion": {"gallery": {"kind": "slice"}},
+        "sampling": {"mode": "grid", "grid": [2, 2]},
+        "checks": ["e0"],
+    }
 
 
 def test_e0_invalid_on_minimal_chart():
     ch = make_slice(ProductSpace(1, 3), 0.0)  # codim 2 here, H = 0
-    _, errors = e0_structure(_rows(ch, [[0.1, 0.2]]))
-    assert isinstance(errors[0], InvalidFrame) and "H vanishes" in str(errors[0])
+    rows = _rows(ch, [[0.1, 0.2]])
+    assert e0_structure(rows) is not None  # codimension 2: the frame is formed and flags the row
+    assert rows.frame.vanish[0] and rows.frame.failed[0]
+    # the run counts the rows where H vanishes as degenerate, with the frame's note
+    (entry,) = run_scene(_e0_scene(3))["checks"]
+    assert entry["verdict"] == "DEGENERATE" and entry["samples_degenerate"] == 4
+    assert "H vanishes" in entry["notes"]
 
 
 def test_e0_invalid_on_wrong_codimension(slice_s4):
-    e0, errors = e0_structure(_rows(slice_s4, [[0.1, 0.2]]))
-    assert e0 is None
-    assert isinstance(errors[0], InvalidFrame) and "codimension" in str(errors[0])
+    rows = _rows(slice_s4, [[0.1, 0.2]])
+    assert e0_structure(rows) is None
+    assert codim_two_frame(rows) is None
+    # the run fails at its first sample, with the frame's error
+    with pytest.raises(EngineError) as info:
+        run_scene(_e0_scene(4))
+    assert isinstance(info.value.__cause__, InvalidFrame)
+    assert "codimension is 3, need exactly 2" in str(info.value)
 
 
 def test_e0_eigengap_warning_band(theorem1_cyl, monkeypatch):
     # with the default tolerance the spectrum is clean; a tolerance chosen
     # so that the small eigenvalue lands inside (0.1 tol, 10 tol) warns
     rows = _rows(theorem1_cyl, [[0.3, -0.2, 0.4]])
-    assert not e0_structure(rows)[0].warn_eigengap[0]
+    assert not e0_structure(rows).warn_eigengap[0]
     monkeypatch.setattr(classify, "TOL_EIG", 0.25)
-    assert e0_structure(rows)[0].warn_eigengap[0]
+    assert e0_structure(rows).warn_eigengap[0]
 
 
 def test_codim_two_frame_orthonormal(theorem1_heli):
-    fr, errors = codim_two_frame(_rows(theorem1_heli, [[0.2, 0.4, -0.3]]))
-    assert errors == [None]
+    fr = codim_two_frame(_rows(theorem1_heli, [[0.2, 0.4, -0.3]]))
+    assert not fr.failed.any()
     sp = theorem1_heli.space
     from prodsub.ambient import inner
 
@@ -269,7 +290,7 @@ def _classifier_residuals(rows):
     bicon = biconservative_residual(rows)  # before the zero nabla^perp H below
     rows.nabla_H = np.zeros((len(rows), rows.chart.m, rows.H.shape[1]))
     bih = biharmonic_residual(rows)
-    e0, _ = e0_structure(rows)
+    e0 = e0_structure(rows)
     return {
         "class_a": class_A_residual(rows),
         "simple": bicon["simple"],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsub import ProductSpace, analyze_point, evaluate_jet, inner, membership_residual
-from prodsub.errors import IrregularPoint
+from prodsub.errors import IrregularPoint, NullFrame
 from prodsub.immersion import Chart, gram_schmidt, probe_grid
 from conftest import random_interior_points
 
@@ -98,6 +98,17 @@ def test_gram_schmidt_idempotent_on_orthonormal(s4):
     assert errors == [None] and count[0] == 3
     assert np.abs(basis[0] - vecs).max() <= 1e-14
     assert np.abs(coeffs[0] - np.eye(3)).max() <= 1e-14
+
+
+def test_pivoted_gram_schmidt_fails_where_it_takes_a_timelike_vector(h4):
+    # the pivot takes each row's largest |<v,v>|: row 0's is the timelike
+    # 2 e_0, so the row fails, while row 1 takes its spacelike vectors
+    e = np.eye(6)
+    basis, _, count, errors = gram_schmidt(h4, np.array([[2.0 * e[0], e[1]], [0.5 * e[2], e[1]]]), pivot=True)
+    assert isinstance(errors[0], NullFrame)
+    assert str(errors[0]) == "pivoted Gram-Schmidt selected <v,v>=-4.000e+00 < 0"
+    assert errors[1] is None and count.tolist() == [0, 2]
+    assert np.array_equal(basis[1], e[[1, 2]])
 
 
 def test_a_null_tangent_vector_is_irregular(h4):

@@ -652,13 +652,15 @@ def test_cli_scene_error_exit_2(tmp_path, capsys):
         assert main([*scan, "--steps", steps]) == 2, steps
 
 
-def test_cli_computation_error_exit_3(tmp_path):
+def test_cli_computation_error_exit_3(tmp_path, capsys):
     # e0 needs codimension 2; the slice in Q^4 x R has codimension 3
     scene = json.loads((SCENES / "slice.json").read_text())
     scene["checks"] = ["e0"]
     p = tmp_path / "s.json"
     p.write_text(json.dumps(scene))
     assert main(["run", "--scene", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "check e0 failed at sample 0" in err and "codimension is 3, need exactly 2" in err
 
 
 def test_cli_overrides(tmp_path):
@@ -759,6 +761,26 @@ def test_nonfinite_residual_fails_with_diagnostic():
     assert any_fail
     assert report[0]["verdict"] == "FAIL"
     assert "non-finite" in report[0]["notes"]
+
+
+def test_a_nan_predicate_on_a_defined_frame_is_non_finite_not_degenerate():
+    # the predicate's undefined rows are those of the codim-2 frame: a NaN
+    # where the frame is defined (here alpha, read after H is formed) fails
+    # as every other check's NaN does, and is not counted as degenerate
+    from prodsub.extrinsic import geometry
+    from prodsub.scene import _chk_biharmonic_predicate, _merge_stats
+
+    chart = build_chart(_load("theorem1_cylinder.json"))
+    samples = np.array([[0.1, 0.2, 0.3], [0.3, -0.2, 0.4]])
+    rows = geometry(chart, samples)
+    rows.alpha[0] = np.nan
+    values, notes, degen = _chk_biharmonic_predicate(rows)
+    assert np.isnan(values[0]) and not degen.any()
+    assert np.isfinite(rows.H).all() and not rows.frame.failed.any()
+    report, any_fail = _merge_stats({"biharmonic_predicate": (values, notes, degen)}, samples, chart, ["biharmonic_predicate"], {})
+    assert any_fail and report[0]["verdict"] == "FAIL" and report[0]["samples_degenerate"] == 0
+    assert "non-finite residual encountered" in report[0]["notes"]
+    assert "codim-2 frame undefined" not in report[0]["notes"]
 
 
 def test_mixed_degenerate_and_live_samples():
