@@ -363,16 +363,12 @@ def _chk_vector_eta(geo: ExtrinsicRows):
 
 
 def _chk_e0(geo: ExtrinsicRows):
-    """``e0_structure``: rows where H vanishes are degenerate, and a frame
-    that is undefined otherwise (wrong codimension, or no normal left to
-    complete it) fails its first row."""
     e0, frame = e0_structure(geo), geo.frame
     if e0 is None:
         raise RowFailure(0, InvalidFrame(f"codimension is {geo.normal_onb.shape[1]}, need exactly 2"))
-    broken = np.flatnonzero(frame.failed & ~frame.vanish)
+    vanish, broken = frame.vanish, np.flatnonzero(frame.failed & ~frame.vanish)  # H = 0 is degenerate, not broken
     if broken.size:
         raise RowFailure(int(broken[0]), InvalidFrame("cannot complete the codim-2 frame"))
-    vanish = frame.vanish
     notes = {"H vanishes; xi_1 = H/|H| is undefined"} if vanish.any() else set()
     val = np.max([e0.aht, e0.aetat, e0.offblock, e0.traceBS1, np.abs(e0.a_last)], axis=0)
     kinds = set(zip(e0.dim_E0[~vanish].tolist(), e0.warn_eigengap[~vanish].tolist()))
