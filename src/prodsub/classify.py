@@ -225,7 +225,7 @@ def splitting_residual(chart: Chart) -> float:
     s = chart.s_index
     jet = evaluate_jet(chart, probe_grid(chart.domain, 4))
     _raise_first(jet.errors)
-    # [:, i] = |d2 f / ds du_i|, each summed over a contiguous row: numpy sums k >= 8 entries in another order otherwise
+    # [:, i] = |d2 f / ds du_i|, over contiguous rows: numpy sums 8 or more strided entries in another order
     mixed = np.linalg.norm(np.ascontiguousarray(np.moveaxis(jet.d2[:, :, s], 1, -1)), axis=-1)
     return float(np.fmax.reduce(np.delete(mixed, s, axis=-1), axis=None, initial=0.0))
 

@@ -392,7 +392,7 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
     bad = np.zeros((len(xs), k, 3), dtype=bool)  # per point and normal: unit-normal, orthonormal, parallel
     if k:
         seed = {"u1": jets.jet_var(0, xs, 1)}
-        nj = VecJet2([_tube_jet(t, seed, {}, f"base normal {i}, component {c}") for i, asts in enumerate(normal_asts) for c, t in enumerate(asts)])
+        nj = VecJet2([_tube_jet(t, seed, {}, what) for what, t, _ in named[: k * (space.n + 1)]])  # every normal's components
         xi, d = (padded(x.reshape(-1, k, space.n + 1)) for x in (nj.values, nj.jac[..., 0]))  # (point, normal, n+2)
         gram = inner(space, xi[:, :, None], xi[:, None])
         normal = np.maximum(np.abs(inner(space, xi, gv)), np.abs(inner(space, xi, gt)) / speed)
