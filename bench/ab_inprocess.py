@@ -1,7 +1,6 @@
 """In-process A/B pairs of one benchmark workload: a base revision against a change.
 
     python bench/ab_inprocess.py --base REV [--change REV] --workload NAME --rounds K [--seed N]
-    python bench/ab_inprocess.py --aa REV --workload NAME --rounds K [--seed N]
 
 Exports the committed files of both revisions (``--change`` defaults to
 ``HEAD``) with ``record.py``'s ``export`` and imports each export's
@@ -9,10 +8,10 @@ Exports the committed files of both revisions (``--change`` defaults to
 BLAS thread pools pinned to one thread before numpy loads.  The base is
 exported to a directory ``a`` and imported as ``prodsub_a``, the change to
 ``b`` and ``prodsub_b``: names of equal length, so that neither side's paths
-and module names are longer than the other's.  ``--aa REV`` is an A/A run:
-both sides export ``REV``, so every difference it reports is noise, and a
-claim the rule below would accept from it shows that the harness, not the
-code, decides.  After one warm-up pass of each side, every
+and module names are longer than the other's.  ``--base REV --change REV``
+is an A/A run: both sides export one commit, so every difference it reports
+is noise, and a claim the rule below would accept from it shows that the
+harness, not the code, decides.  After one warm-up pass of each side, every
 round runs one pass of each: ``cli.main`` on every invocation of the workload
 that the side's own ``perfbench/workload.py`` lists (``invocations``), with
 ``--out`` in a temporary directory.  The side that runs first switches from
@@ -92,23 +91,18 @@ def _summary(values: list) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", help="the revision the change is measured against")
+    ap.add_argument("--base", required=True, help="the revision the change is measured against")
     ap.add_argument("--change", default="HEAD", help="the revision of the change (default HEAD)")
-    ap.add_argument("--aa", metavar="REV", help="an A/A run: REV on both sides, in place of --base and --change")
     ap.add_argument("--workload", required=True, help="sweep, structure, pointwise or pool")
     ap.add_argument("--rounds", type=int, default=20, help="pairs of passes (default 20)")
     ap.add_argument("--seed", type=int, default=11, help="the benchmark seed (default 11)")
     args = ap.parse_args(argv)
-    if args.aa:
-        args.base = args.change = args.aa
-    elif not args.base:
-        ap.error("give --base REV, or --aa REV for an A/A run")
 
     work = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        sides = {}
+        sides, shas = {}, set()
         for side in SIDES:
-            export(getattr(args, side), work / TAGS[side])
+            shas.add(export(getattr(args, side), work / TAGS[side]))
             sides[side] = Side(TAGS[side], work / TAGS[side], args.workload, args.seed, work)
         for s in sides.values():
             s.one_pass()  # warm-up
@@ -121,7 +115,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     base, change = sides["base"], sides["change"]
-    kind = "A/A" if args.aa else "A/B"
+    kind = "A/A" if len(shas) == 1 else "A/B"
     print(f"{args.workload}: {args.rounds} in-process {kind} pairs, {args.base} against {args.change}")
     for metric in ("wall", "cpu"):
         for side in SIDES:

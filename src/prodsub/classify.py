@@ -73,11 +73,9 @@ def biconservative_residual(rows: ExtrinsicRows) -> dict:
 def biharmonic_predicates(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """trace A_{xi1}^2 + |T|^2 - m and the eps-explicit candidate
     trace A_{xi1}^2 + eps (|T|^2 - m) of every row, NaN where the rows'
-    codim-2 frame is undefined."""
-    frame = rows.frame
-    if frame is None:
-        return np.full(len(rows), math.nan), np.full(len(rows), math.nan)
-    tr = np.where(frame.failed, math.nan, np.trace(frame.A1 @ frame.A1, axis1=-2, axis2=-1))
+    codim-2 frame is undefined (``frame_undefined``)."""
+    tr = math.nan if rows.frame is None else np.trace(rows.frame.A1 @ rows.frame.A1, axis1=-2, axis2=-1)
+    tr = np.where(rows.frame_undefined, math.nan, tr)
     t2 = rows.T_norm**2
     return tr + t2 - rows.chart.m, tr + rows.chart.space.epsilon * (t2 - rows.chart.m)
 

@@ -39,6 +39,7 @@ __all__ = [
     "second_fundamental",
     "shape_operator",
     "codim_two_frame",
+    "codim_two_mismatch",
     "christoffels",
     "normal_derivative_H",
     "normal_laplacian_H",
@@ -97,15 +98,19 @@ class CodimTwoFrame:
     failed: np.ndarray
 
 
+def codim_two_mismatch(rows: ExtrinsicRows) -> str | None:
+    """Why the rows have no codim-2 frame, or None when their codimension is 2."""
+    codim = rows.normal_onb.shape[1]
+    return None if codim == 2 else f"codimension is {codim}, need exactly 2"
+
+
 def codim_two_frame(rows: ExtrinsicRows) -> CodimTwoFrame | None:
     """The codim-2 frame of every row of a batch, stacked, or None when the
     codimension is not 2."""
-    sp = rows.chart.space
-    n_rows, codim = rows.normal_onb.shape[:2]
-    if codim != 2:
+    if codim_two_mismatch(rows):
         return None
+    sp, xi, all_rows = rows.chart.space, rows.normal_onb, np.arange(len(rows.normal_onb))
     tol_eta = DEGENERATE["eta_frame"]
-    xi, all_rows = rows.normal_onb, np.arange(n_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi1 = rows.H / rows.H_norm[:, None]
         eta_perp = rows.eta - inner(sp, rows.eta, xi1)[:, None] * xi1
@@ -190,6 +195,11 @@ class ExtrinsicRows(PointBatch):
     def frame(self) -> CodimTwoFrame | None:
         """``codim_two_frame``, which e0 and biharmonic_predicate share."""
         return codim_two_frame(self)
+
+    @cached_property
+    def frame_undefined(self) -> np.ndarray:
+        """The rows with no codim-2 frame (N,): ``frame.failed``, or every row without a frame."""
+        return np.ones(len(self), dtype=bool) if self.frame is None else self.frame.failed
 
 
 def _sff(sp: ProductSpace, xi: np.ndarray, d2: np.ndarray, C: np.ndarray):

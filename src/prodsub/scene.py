@@ -63,7 +63,7 @@ from .classify import (
     splitting_residual,
 )
 from .errors import ChartError, EngineError, InvalidFrame, RowFailure, SceneError
-from .extrinsic import ExtrinsicRows, codazzi_residuals, gauss_residuals, geometry, ricci_residuals
+from .extrinsic import ExtrinsicRows, codazzi_residuals, codim_two_mismatch, gauss_residuals, geometry, ricci_residuals
 from .gallery import make_chart
 from .immersion import Chart, Family, probe_grid
 
@@ -330,7 +330,7 @@ def _chk_class_a(geo: ExtrinsicRows):
 
 def _chk_biharmonic_predicate(geo: ExtrinsicRows):
     pred, pred_eps = biharmonic_predicates(geo)
-    undefined = np.ones(len(geo), dtype=bool) if geo.frame is None else geo.frame.failed
+    undefined = geo.frame_undefined
     notes = {f"eps-explicit candidate {p:.6g}" for p in set(pred_eps[~undefined].tolist())}
     if undefined.any():
         notes.add("codim-2 frame undefined (H = 0 or wrong codimension)")
@@ -365,7 +365,7 @@ def _chk_vector_eta(geo: ExtrinsicRows):
 def _chk_e0(geo: ExtrinsicRows):
     e0, frame = e0_structure(geo), geo.frame
     if e0 is None:
-        raise RowFailure(0, InvalidFrame(f"codimension is {geo.normal_onb.shape[1]}, need exactly 2"))
+        raise RowFailure(0, InvalidFrame(codim_two_mismatch(geo)))
     vanish, broken = frame.vanish, np.flatnonzero(frame.failed & ~frame.vanish)  # H = 0 is degenerate, not broken
     if broken.size:
         raise RowFailure(int(broken[0]), InvalidFrame("cannot complete the codim-2 frame"))
@@ -779,17 +779,14 @@ def scan_parameter(
 
     maxima = np.concatenate([r[residual][0] for r in results]).reshape(len(family), n).max(axis=1)
     scan_rows = [{"value": v, "max_residual": float(x)} for v, x in zip(values, maxima)]
+    brackets = []
     if signed:
         for row, p in zip(scan_rows, biharmonic_predicates(centers)[0].tolist()):
             row["signed"] = p
-
-    brackets = []
-    if signed:
         for a, b in zip(scan_rows, scan_rows[1:]):
             sa, sb = a["signed"], b["signed"]
-            if np.isfinite(sa) and np.isfinite(sb):
-                if sa == 0.0 or (sa < 0) != (sb < 0):
-                    brackets.append((a["value"], b["value"]))
+            if np.isfinite(sa) and np.isfinite(sb) and (sa == 0.0 or (sa < 0) != (sb < 0)):
+                brackets.append((a["value"], b["value"]))
     resid = [r["max_residual"] for r in scan_rows]
     i_min = int(np.nanargmin(resid))
     return {
@@ -806,10 +803,8 @@ def format_scan_table(scan: dict) -> str:
     lines = [f"# {scan['param']}  max_{scan['residual']}"]
     for row in scan["rows"]:
         lines.append(f"{row['value']:.12g}  {row['max_residual']:.12g}")
-    if scan["brackets"]:
-        for a, b in scan["brackets"]:
-            lines.append(f"# sign-change bracket: [{a:.12g}, {b:.12g}]")
-    else:
+    lines += [f"# sign-change bracket: [{a:.12g}, {b:.12g}]" for a, b in scan["brackets"]]
+    if not scan["brackets"]:
         lines.append(
             f"# no sign change; min residual {scan['min_residual']:.6g} "
             f"at {scan['param']} = {scan['min_at']:.12g}"
