@@ -3,9 +3,12 @@
     python bench/record.py --pr N --base REV
 
 Exports the committed files of ``REV`` and of ``HEAD`` with ``git
-archive`` into a temporary directory, and runs each export's own,
-unchanged ``perfbench/run.py --trace 0`` on every workload of its
-BENCHMARK.json, for the ``run_seconds`` that file fixes, ``PAIRS`` times:
+archive`` into the directories ``a`` (the base) and ``b`` (the change) of a
+temporary directory: names of equal length, as in ``ab_inprocess.py``, so
+that neither side's paths are longer than the other's.  ``--base HEAD`` is
+an A/A record.  Runs each export's own, unchanged ``perfbench/run.py
+--trace 0`` on every workload of its BENCHMARK.json, for the
+``run_seconds`` that file fixes, ``PAIRS`` times:
 as pairs of one base and one change run that alternate which side runs
 first, so that drift of the host load falls on both alike.  Writes
 ``BENCH_<N>.json`` at the repository root: per revision, workload and
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 11
 SIDES = ("base", "change")
+TAGS = {"base": "a", "change": "b"}  # each side's export directory, of equal lengths
 
 
 def git(*args: str) -> str:
@@ -73,8 +77,8 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
-        shas = {side: export(revs[side], work / side) for side in SIDES}
-        spec = json.loads((work / "change" / "BENCHMARK.json").read_text())
+        shas = {side: export(revs[side], work / TAGS[side]) for side in SIDES}
+        spec = json.loads((work / TAGS["change"] / "BENCHMARK.json").read_text())
         seconds, workloads = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         runs = {side: {w: [] for w in workloads} for side in SIDES}
@@ -82,7 +86,7 @@ def main(argv=None) -> int:
         for pair in range(PAIRS):
             for workload in workloads:
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    env, metrics = run_once(work / side, workload, seconds, SEED)
+                    env, metrics = run_once(work / TAGS[side], workload, seconds, SEED)
                     runs[side][workload].append(metrics)
                     print(f"{pair + 1}/{PAIRS} {workload} {side}: pass_s {metrics['pass_s']:.4f}", flush=True)
     finally:

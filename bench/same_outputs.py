@@ -22,7 +22,8 @@ point; the runs of the generated scenes in ``SCALED`` with ``--out`` and
 units, the custom phi ``L*u`` geodesic cylinder at L = 1e-4 and partial
 tubes at L = 1e-9 over the base ``(cos(L*u1), sin(L*u1), 0, 0)``, with a
 base normal at 45 degrees to gamma' and one that turns at unit rate per
-arc length; and the runs and scans of the generated scenes in ``FAILING``, each
+arc length, and the k = 0 partial tube of profile ``(1, log(100*s))`` over
+s in [0.001, 0.011]; and the runs and scans of the generated scenes in ``FAILING``, each
 of which fails: an error at a sample center, coordinate overflows, a NaN
 chart, a scan step that does not build, an unbound identifier, scans whose
 first or second step leaves the product, scans whose first failing step is
@@ -203,6 +204,8 @@ SCALED = {  # name: scene; builds whose gallery tests once read chart units
         "coords": ["0.8*cos(0.0001*u1/0.8)", "0.8*sin(0.0001*u1/0.8)", "0", "0.0001*u2"]}}),
     "tube_oblique_normal_L1e-9": _tube_at_speed(1e-9, ["0", "0.7071067811865476", "0.7071067811865476", "0"]),
     "tube_turning_normal_L1e-9": _tube_at_speed(1e-9, ["0", "0", "cos(1e-09*u1)", "sin(1e-09*u1)"]),
+    "tube_log_profile_L1e-2": _gallery(1, 3, {"kind": "partial_tube", "base": {"kind": "geodesic", "k": 0},
+                                              "profile": {"coords": ["1", "log(100*s)"], "domain": [0.001, 0.011]}}),
 }
 FAILING = {  # name: (scene, the command's arguments after --scene)
     "center_domain": (_s2("u1 + 0*sqrt((u1 - 0.32)^2 - 0.0001)", [4, 1], ["membership", "class_a"]), ["run"]),

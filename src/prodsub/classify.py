@@ -230,7 +230,7 @@ def splitting_residual(chart: Chart) -> float:
 
 def circle_geometry(chart: Chart) -> dict:
     """Curvature radius and plane rank of the s-curve through the chart
-    center (read at the center and at 9 points along it), in any
+    center (read at the center and at 9 probe points along it), in any
     parametrisation of s, and the gap to
     the radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
     s-curve's normal curvature at the center (E_s the unit s direction);
@@ -239,10 +239,8 @@ def circle_geometry(chart: Chart) -> dict:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
     u0 = chart.center()
-    lo, hi = chart.domain[s]
-    pad = 0.02 * (hi - lo)
     U = np.repeat(u0[None], 10, axis=0)
-    U[1:, s] = np.linspace(lo + pad, hi - pad, 9)
+    U[1:, s] = probe_grid([chart.domain[s]], 9)[:, 0]
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
     vel, acc = vj.jac[0, :, s], vj.d2[0, :, s, s]

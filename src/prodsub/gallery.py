@@ -26,7 +26,7 @@ import numpy as np
 from . import exprlang, jets
 from .ambient import ProductSpace, inner
 from .errors import ChartError, EngineError, SceneError
-from .immersion import Chart, Family, parse_coordinate, probe_grid, regular_metric
+from .immersion import Chart, parse_coordinate, probe_grid, regular_metric
 from .jets import VecJet2
 
 __all__ = [
@@ -95,7 +95,7 @@ def make_slice(space: ProductSpace, t0: float = 0.0, scan: tuple | None = None) 
         var_names=["u1", "u2"],
         label=f"slice(t0={values[0]})",
     )
-    return _with_family(chart, {"t0": values}, [f"slice(t0={v})" for v in values])
+    return chart.with_family({"t0": values}, [f"slice(t0={v})" for v in values])
 
 
 def _curve(space: ProductSpace, curve: dict, var_names) -> tuple[list, dict]:
@@ -289,7 +289,7 @@ def make_theorem1(
         s_index=2,
         label=labels[0],
     )
-    return _with_family(chart, {"a": A, "b": B}, labels, error, [(len(grid), phi_failure)])
+    return chart.with_family({"a": A, "b": B}, labels, error, [(len(grid), phi_failure)])
 
 
 def make_partial_tube(
@@ -337,7 +337,7 @@ def make_partial_tube(
     sdom = tuple(_checked(profile.get("domain", (-1.0, 1.0)), "profile domain", "an interval [lo, hi]"))
     xdom = tuple(_checked(base.get("domain", (-1.2, 1.2)), "base domain", "an interval [lo, hi]"))
 
-    _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom, k)
+    _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom)
 
     # alpha_0 gamma + sum_i alpha_i N_i in each Q slot, then alpha_{k+1} in the t slot
     coords = []
@@ -369,7 +369,8 @@ def _tube_jet(ast, seed: dict, params: dict, what: str):
         raise ChartError(f"{what} {exprlang.to_source(ast)!r} failed: {exc}") from exc
 
 
-def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom, k):
+def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams, xdom, sdom):
+    k = len(normal_asts)
     # identifiers unbound in a base normal (bound: u1) or profile component (bound: s, the params)
     named = [(f"base normal {i}, component {c}", t, {"u1"}) for i, n in enumerate(normal_asts) for c, t in enumerate(n)]
     named += [(f"profile component {i}", t, {"s", *pparams}) for i, t in enumerate(alpha_asts)]
@@ -377,8 +378,8 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
         parse_coordinate(ast, bound, what)
 
     # base normals: orthonormal, tangent to Q, normal and parallel along
-    # gamma, from exact jets at 7 base points
-    xs = np.linspace(xdom[0] + 0.02, xdom[1] - 0.02, 7)
+    # gamma, from exact jets at the 7 probe points of the base domain
+    xs = probe_grid([xdom], 7)[:, 0]
 
     def padded(v):  # Q vectors (7 or 1, ..., n+1) as vectors of E^{n+2} at the 7 points, zero in the t slot
         out = np.zeros((len(xs), *v.shape[1:-1], space.ambient_dim))
@@ -409,8 +410,8 @@ def _validate_tube_data(space, gamma, gparams, normal_asts, alpha_asts, pparams,
              f"base normal {i} is not parallel along gamma"][test]
         )
 
-    # profile constraints on the quadric fiber
-    for s in np.linspace(sdom[0] + 0.02, sdom[1] - 0.02, 9):
+    # profile constraints on the quadric fiber, at the 9 probe points of the profile domain
+    for s in probe_grid([sdom], 9)[:, 0]:
         seed = {"s": jets.jet_var(0, float(s), 1)}
         avals = [_tube_jet(t, seed, pparams, f"profile component {i}") for i, t in enumerate(alpha_asts)]
         signs = [-1.0 if i == 0 and space.epsilon == -1 else 1.0 for i in range(k + 2)]
@@ -466,7 +467,7 @@ def make_cmc_product(space: ProductSpace, r: float | None = None, scan: tuple | 
         s_index=m - 1,
         label=labels[0],
     )
-    return _with_family(chart, {"c0": C0, "s0": S0}, labels, error)
+    return chart.with_family({"c0": C0, "s0": S0}, labels, error)
 
 
 def _each_step(values: list, derive) -> tuple[list, Exception | None]:
@@ -481,17 +482,6 @@ def _each_step(values: list, derive) -> tuple[list, Exception | None]:
                 raise
             return out, exc
     return out, None
-
-
-def _with_family(chart: Chart, params: dict, labels: list, error=None, checks=()) -> Chart:
-    """``chart``, the chart of the first step, as the family chart of the
-    steps before ``error`` whose chart-level checks pass: ``params``,
-    ``labels`` (one per step before ``error``) and ``checks`` as in
-    ``Family``.  Raises the error of the first step when it does not build."""
-    params = {name: np.array(v, dtype=float) for name, v in params.items()}
-    chart.family = Family(params, labels, list(checks), error)
-    chart.validate_membership()
-    return chart
 
 
 GALLERY = {

@@ -107,6 +107,17 @@ class Chart:
     def center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
 
+    def with_family(self, params: dict, labels: list, error=None, checks=()) -> Chart:
+        """This chart, the chart of the first step, as the family chart of
+        the steps before ``error`` whose chart-level checks pass:
+        ``params``, ``labels`` (one per step before ``error``) and
+        ``checks`` as in ``Family``.  Raises the error of the first step
+        when it does not build."""
+        params = {name: np.array(v, dtype=float) for name, v in params.items()}
+        self.family = Family(params, labels, list(checks), error)
+        self.validate_membership()
+        return self
+
     def validate_membership(self) -> None:
         """Run the family's chart-level checks and then the membership check
         over the probe grids of all its steps, in blocks of whole steps of
@@ -195,7 +206,8 @@ class Family:
 
 
 def probe_grid(domain, counts=5):
-    """Regular grid over the domain box, inset 2% from each edge.
+    """Regular grid over the domain box, inset 2% from each edge: the one
+    inset of every probe set and sample box.
 
     ``counts`` is one point count for every axis or a list with one per axis;
     an axis with count 1 takes the midpoint of its inset interval.

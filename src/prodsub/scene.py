@@ -65,7 +65,7 @@ from .classify import (
 from .errors import ChartError, EngineError, InvalidFrame, RowFailure, SceneError
 from .extrinsic import ExtrinsicRows, codazzi_residuals, codim_two_mismatch, gauss_residuals, geometry, ricci_residuals
 from .gallery import make_chart
-from .immersion import Chart, Family, probe_grid
+from .immersion import Chart, probe_grid
 
 __all__ = [
     "SCENE_SCHEMA",
@@ -253,21 +253,21 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
         s_index=ex.get("s_index"),
         label=ex.get("label", "expressions"),
     )
-    if scan is not None:
-        param, values = scan
-        free = set().union(*map(exprlang.free_vars, chart.coords)) - set(chart.var_names)
-        if param not in free:
-            raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
-        V = np.array(values, dtype=float)
-        chart.family = Family({param: V}, [chart.label] * len(V))
-    chart.validate_membership()
-    return chart
+    if scan is None:
+        return chart.with_family({}, [chart.label])
+    param, values = scan
+    free = set().union(*map(exprlang.free_vars, chart.coords)) - set(chart.var_names)
+    if param not in free:
+        raise SceneError(f"cannot scan {param!r}: the expressions read no parameter of that name")
+    return chart.with_family({param: values}, [chart.label] * len(values))
 
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
-    """Deterministic sample set, inset 2% from the domain boundary.  The
-    inset protects no stencil any more (no check differences); it stays so
-    that the samples of a scene and seed do not move."""
+    """Deterministic sample set in the domain inset as ``probe_grid`` insets
+    it: a grid is a probe grid, and random samples fill the box between
+    its first and last probe points.  The inset protects no stencil any
+    more (no check differences); it stays so that the samples of a scene
+    and seed do not move."""
     if sampling.get("mode", "grid") == "grid":
         counts = sampling.get("grid")
         if counts is None:
@@ -275,10 +275,7 @@ def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
         elif len(counts) != chart.m:
             raise SceneError(f"grid needs {chart.m} axis counts")
         return probe_grid(chart.domain, counts)
-    lo = np.array([d[0] for d in chart.domain])
-    hi = np.array([d[1] for d in chart.domain])
-    pad = 0.02 * (hi - lo)
-    lo, hi = lo + pad, hi - pad
+    lo, hi = probe_grid(chart.domain, 2)[[0, -1]]
     n = int(sampling.get("counts", 100))
     seed = int(sampling.get("seed", 0))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -478,28 +475,13 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
     return tols
 
 
-def _chunks(chart: Chart, names: list, samples: np.ndarray, rows):
-    """The chunks of a run, in row order, each as (ids, geo): the indices
-    of its samples within their scan step and their ExtrinsicRows, whose
-    ``errors[i]`` is the error of sample i's geometry, else None.
-
-    Row r is sample r % n of the n ``samples`` at scan step r // n (a run
-    of one step has the rows of its sample indices).  The rows' points go
-    to ``geometry`` in calls of ``_BATCH_POINTS`` samples, at the highest
-    jet order of the checks in ``names``; each call gives one chunk.
-    """
-    rows, n = np.asarray(rows, dtype=int), len(samples)
-    ids, steps = rows % n, rows // n
-    order = max((CHECK_TABLE[c].order for c in names), default=2)
-    for first in range(0, len(rows), immersion._BATCH_POINTS):
-        part = slice(first, first + immersion._BATCH_POINTS)
-        yield ids[part], geometry(chart, samples[ids[part]], steps[part], order)
-
-
 def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
-    """The columns of a chunk (ids, geo) of ``_chunks``: for each check in
+    """The columns of a chunk of ``_compute_rows``: for each check in
     ``names``, its (N,) residuals, the set of its notes and its (N,)
-    degenerate mask, one row per sample.
+    degenerate mask, one row per sample.  ``ids`` are the indices of the
+    chunk's samples within their scan step, and ``geo`` their
+    ExtrinsicRows, whose ``errors[i]`` is the error of sample i's
+    geometry, else None.
 
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
@@ -526,8 +508,21 @@ def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
 
 def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows) -> list:
     """The columns of each chunk of the given rows, in order.  Raises the
-    first error in (step, sample, check) order."""
-    return [_chunk_columns(ids, geo, names) for ids, geo in _chunks(chart, names, samples, rows)]
+    first error in (step, sample, check) order.
+
+    Row r is sample r % n of the n ``samples`` at scan step r // n (a run
+    of one step has the rows of its sample indices).  The rows' points go
+    to ``geometry`` in chunks of ``_BATCH_POINTS`` samples, at the highest
+    jet order of the checks in ``names``.
+    """
+    rows, n = np.asarray(rows, dtype=int), len(samples)
+    ids, steps = rows % n, rows // n
+    order = max((CHECK_TABLE[c].order for c in names), default=2)
+    out = []
+    for first in range(0, len(rows), immersion._BATCH_POINTS):
+        part = slice(first, first + immersion._BATCH_POINTS)
+        out.append(_chunk_columns(ids[part], geometry(chart, samples[ids[part]], steps[part], order), names))
+    return out
 
 
 def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, jobs: int):

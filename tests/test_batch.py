@@ -658,7 +658,7 @@ def test_chunk_differences_match_fd_gradient(s4, all_gallery_charts, batch_chart
     for ch in batch_charts:
         m = ch.m
         samples = random_interior_points(ch, 3, seed=13)
-        ((_, geo),) = prodsub.scene._chunks(ch, ["pmc"], samples, range(3))
+        geo = geometry(ch, samples, order=3)  # the order of a run of pmc
         d, xi = geo.derivatives, geo.normal_onb
         cache = FieldCache(ch)  # each point a batch of one
         for r, u in enumerate(samples):

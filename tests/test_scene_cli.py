@@ -838,7 +838,8 @@ def test_a_coordinate_that_does_not_parse_is_a_scene_error(tmp_path, capsys):
 
 
 def test_an_expression_that_fails_while_a_chart_builds_exits_3(tmp_path, capsys):
-    # the partial tube evaluates its base normals itself, outside the chart's coordinate maps
+    # the partial tube evaluates its base normals itself, outside the chart's coordinate maps;
+    # its first base probe point is u1 = -1.2 + 0.02 * 2.4 = -1.152
     normal = ["0", "0", "sqrt(u1 - 5)", "0"]
     scene = {
         "ambient": {"epsilon": 1, "n": 3},
@@ -850,7 +851,7 @@ def test_an_expression_that_fails_while_a_chart_builds_exits_3(tmp_path, capsys)
     assert main(["run", "--scene", str(path)]) == 3
     assert capsys.readouterr().err.strip() == (
         "computation error: base normal 0, component 2 'sqrt(u1 - 5)' failed: "
-        "at position 0: sqrt: argument -6.18 outside the function domain"
+        "at position 0: sqrt: argument -6.152 outside the function domain"
     )
 
 
