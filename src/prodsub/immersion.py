@@ -108,11 +108,9 @@ class Chart:
         return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
 
     def with_family(self, params: dict, labels: list, error=None, checks=()) -> Chart:
-        """This chart, the chart of the first step, as the family chart of
-        the steps before ``error`` whose chart-level checks pass:
-        ``params``, ``labels`` (one per step before ``error``) and
-        ``checks`` as in ``Family``.  Raises the error of the first step
-        when it does not build."""
+        """This chart of the first step, built as the family chart of the steps
+        before ``error`` whose chart-level checks pass (``params``, ``labels``
+        and ``checks`` as in ``Family``); raises where the first step fails."""
         params = {name: np.array(v, dtype=float) for name, v in params.items()}
         self.family = Family(params, labels, list(checks), error)
         self.validate_membership()

@@ -263,11 +263,9 @@ def _expression_chart(space: ProductSpace, ex: dict, scan: tuple | None) -> Char
 
 
 def sample_points(chart: Chart, sampling: dict) -> np.ndarray:
-    """Deterministic sample set in the domain inset as ``probe_grid`` insets
-    it: a grid is a probe grid, and random samples fill the box between
-    its first and last probe points.  The inset protects no stencil any
-    more (no check differences); it stays so that the samples of a scene
-    and seed do not move."""
+    """Deterministic sample set: a probe grid, or random samples in the box of
+    the 2-point probe grid.  Its inset protects no stencil any more; it
+    stays so that the samples of a scene and seed do not move."""
     if sampling.get("mode", "grid") == "grid":
         counts = sampling.get("grid")
         if counts is None:
@@ -476,12 +474,10 @@ def _tolerances(scene: dict, overrides: dict | None) -> dict:
 
 
 def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
-    """The columns of a chunk of ``_compute_rows``: for each check in
+    """The columns of a chunk of ``_compute_rows``, the step indices ``ids``
+    of its samples and their ExtrinsicRows ``geo``: for each check in
     ``names``, its (N,) residuals, the set of its notes and its (N,)
-    degenerate mask, one row per sample.  ``ids`` are the indices of the
-    chunk's samples within their scan step, and ``geo`` their
-    ExtrinsicRows, whose ``errors[i]`` is the error of sample i's
-    geometry, else None.
+    degenerate mask, one row per sample.
 
     A failing chunk raises the error of its first (sample, check) pair: the
     checks run on the samples before the first one whose geometry fails,
@@ -507,22 +503,16 @@ def _chunk_columns(ids: np.ndarray, geo: ExtrinsicRows, names: list) -> dict:
 
 
 def _compute_rows(chart: Chart, names: list, samples: np.ndarray, rows) -> list:
-    """The columns of each chunk of the given rows, in order.  Raises the
-    first error in (step, sample, check) order.
-
-    Row r is sample r % n of the n ``samples`` at scan step r // n (a run
-    of one step has the rows of its sample indices).  The rows' points go
-    to ``geometry`` in chunks of ``_BATCH_POINTS`` samples, at the highest
-    jet order of the checks in ``names``.
-    """
+    """The columns of each chunk of the given rows, in order: row r is sample
+    r % n of the n ``samples`` at scan step r // n, and each chunk is one
+    ``geometry`` call of ``_BATCH_POINTS`` rows at the highest jet order of
+    the checks in ``names``.  Raises the first error in (step, sample, check)
+    order."""
     rows, n = np.asarray(rows, dtype=int), len(samples)
     ids, steps = rows % n, rows // n
     order = max((CHECK_TABLE[c].order for c in names), default=2)
-    out = []
-    for first in range(0, len(rows), immersion._BATCH_POINTS):
-        part = slice(first, first + immersion._BATCH_POINTS)
-        out.append(_chunk_columns(ids[part], geometry(chart, samples[ids[part]], steps[part], order), names))
-    return out
+    parts = [slice(first, first + immersion._BATCH_POINTS) for first in range(0, len(rows), immersion._BATCH_POINTS)]
+    return [_chunk_columns(ids[p], geometry(chart, samples[ids[p]], steps[p], order), names) for p in parts]
 
 
 def _pooled_rows(chart: Chart, names: list, samples: np.ndarray, rows, jobs: int):
