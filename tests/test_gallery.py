@@ -249,10 +249,9 @@ def test_partial_tube_profile_test_does_not_depend_on_the_speed_of_the_profile(L
 
 @pytest.mark.parametrize("coords, domain", [(["1", "log(s)"], [0.1, 1.1]), (["1", "log(100*s)"], [0.001, 0.011])])
 def test_partial_tube_probes_its_profile_inside_its_domain_at_every_scale(coords, domain):
-    # one profile at L = 1 and at L = 1e-2: its probe points are inset 2%
-    # of the interval, as every probe grid's, so log reads only positive s
-    tube = make_partial_tube(ProductSpace(1, 3), base={"kind": "geodesic", "k": 0}, profile={"coords": coords, "domain": domain})
-    assert tube.domain[1] == tuple(domain)
+    # one profile at L = 1 and at L = 1e-2 builds at both: its probe points
+    # are inset 2% of the interval, as every probe grid's, so log reads only s > 0
+    make_partial_tube(ProductSpace(1, 3), base={"kind": "geodesic", "k": 0}, profile={"coords": coords, "domain": domain})
 
 
 def test_partial_tube_k0_reduces_to_vertical_cylinder():
