@@ -290,25 +290,13 @@ def _slice_type(geo: ExtrinsicRows, values: np.ndarray, tol_key: str):
     return values, {"T = 0 (slice-type point)"} if flat.any() else None, flat
 
 
-def _chk_membership(geo: ExtrinsicRows):
-    return membership_residual(geo.chart.space, geo.jet.values), None, False
-
-
-def _chk_frames(geo: ExtrinsicRows):
+def _frames_residual(geo: ExtrinsicRows) -> np.ndarray:
     sp = geo.chart.space
     frame = np.concatenate([geo.tangent_onb, geo.normal_onb], axis=1)
     gram = inner(sp, frame[:, :, None], frame[:, None])  # one dot per pair, so symmetric
     off_quadric = inner(sp, geo.normal_onb, sp.q_padded(geo.jet.values)[:, None])
     worst = np.max(np.abs(gram - np.eye(frame.shape[1])), axis=(1, 2))
-    return np.maximum(worst, np.max(np.abs(off_quadric), axis=1)), None, False
-
-
-def _chk_unit_norm(geo: ExtrinsicRows):
-    return np.abs(geo.T_norm**2 + geo.eta_norm**2 - 1.0), None, False
-
-
-def _chk_h_eta(geo: ExtrinsicRows):
-    return np.abs(inner(geo.chart.space, geo.H, geo.eta)), None, False
+    return np.maximum(worst, np.max(np.abs(off_quadric), axis=1))
 
 
 def _chk_mean_curvature(geo: ExtrinsicRows):
@@ -337,26 +325,6 @@ def _tensor_max(t: np.ndarray) -> np.ndarray:
     return np.max(np.abs(t.reshape(len(t), -1)), axis=-1)
 
 
-def _chk_ricci(geo: ExtrinsicRows):
-    return _tensor_max(ricci_residuals(geo)), None, False
-
-
-def _chk_gauss(geo: ExtrinsicRows):
-    return _tensor_max(gauss_residuals(geo)), None, False
-
-
-def _chk_codazzi(geo: ExtrinsicRows):
-    return _tensor_max(codazzi_residuals(geo)), None, False
-
-
-def _chk_vector_t(geo: ExtrinsicRows):
-    return geo.t_eta[0], None, False
-
-
-def _chk_vector_eta(geo: ExtrinsicRows):
-    return geo.t_eta[1], None, False
-
-
 def _chk_e0(geo: ExtrinsicRows):
     e0, frame = e0_structure(geo), geo.frame
     if e0 is None:
@@ -371,14 +339,6 @@ def _chk_e0(geo: ExtrinsicRows):
     return np.where(vanish, 0.0, val), notes, vanish
 
 
-def _chk_pmc(geo: ExtrinsicRows):
-    return geo.pmc, None, False
-
-
-def _chk_biconservative_full(geo: ExtrinsicRows):
-    return biconservative_full(geo), None, False
-
-
 _NESTED_NOTE = "PMC not verified; normal Laplacian exact from the 4-jet"
 
 
@@ -389,10 +349,6 @@ def _chk_biharmonic_normal(geo: ExtrinsicRows):
     r = biharmonic_residual(geo)
     notes = {note for note, at in (("H = 0 (minimal point)", r["minimal"]), (_NESTED_NOTE, r["nested"])) if at.any()}
     return r["normal"], notes, r["minimal"]
-
-
-def _chk_splitting(chart: Chart):
-    return splitting_residual(chart), None, False
 
 
 def _chk_circle(chart: Chart):
@@ -407,12 +363,13 @@ def _chk_circle(chart: Chart):
 class Check:
     """Every fact about one check.
 
-    ``kernel`` maps the ExtrinsicRows of a chunk of N samples to (N,)
-    residuals, the set of the distinct notes of its rows (None for none)
-    and an (N,) degenerate mask (or one flag for all); a ``chart_level``
-    kernel maps the chart to one residual, note (or None) and flag.  A
-    report joins a check's notes over the chunks as a set, so a note says
-    that some row has it, not which.
+    ``kernel`` maps the ExtrinsicRows of a chunk of N samples to its (N,)
+    residuals, or to them, the set of the distinct notes of its rows (None
+    for none) and an (N,) degenerate mask (or one flag for all); a
+    ``chart_level`` kernel maps the chart to one residual, or to it, one
+    note (or None) and one flag.  A residual column is never a tuple, so
+    ``column`` tells the two apart.  A report joins a check's notes over
+    the chunks as a set, so a note says that some row has it, not which.
     ``tol`` is the default tolerance, or its pair (eps = +1, eps = -1).
     ``order`` is the jet order the kernel reads, 3 where it takes a
     derivative of H or of the Christoffels; a run evaluates its samples
@@ -428,31 +385,38 @@ class Check:
     def tolerance(self, space: ProductSpace) -> float:
         return self.tol[space.epsilon == -1] if isinstance(self.tol, tuple) else self.tol
 
+    def column(self, arg):
+        """(residuals, notes, degenerate) of the kernel on ``arg``: a kernel
+        that returns its residuals alone notes nothing and flags no row."""
+        out = self.kernel(arg)
+        return out if isinstance(out, tuple) else (out, None, False)
 
+
+# one lambda a line, so that a profile's <lambda> names its check by line number
 CHECK_TABLE = {
-    "membership": Check(_chk_membership, 1e-9),
-    "frames": Check(_chk_frames, (1e-12, 1e-10)),
-    "unit_norm": Check(_chk_unit_norm, 1e-10),
-    "h_eta": Check(_chk_h_eta, 1e-9),
+    "membership": Check(lambda geo: membership_residual(geo.chart.space, geo.jet.values), 1e-9),
+    "frames": Check(_frames_residual, (1e-12, 1e-10)),
+    "unit_norm": Check(lambda geo: np.abs(geo.T_norm**2 + geo.eta_norm**2 - 1.0), 1e-10),
+    "h_eta": Check(lambda geo: np.abs(inner(geo.chart.space, geo.H, geo.eta)), 1e-9),
     "mean_curvature": Check(_chk_mean_curvature, math.inf),
     "biconservative": Check(_chk_biconservative, 1e-9),
     "biharmonic_predicate": Check(_chk_biharmonic_predicate, 1e-6),
     "class_a": Check(_chk_class_a, 1e-9),
     "e0": Check(_chk_e0, 1e-8),
-    "ricci": Check(_chk_ricci, 1e-5),
-    "vector_t": Check(_chk_vector_t, 1e-5),
-    "vector_eta": Check(_chk_vector_eta, 1e-5),
-    "pmc": Check(_chk_pmc, TOL_PMC, order=3),
-    "biconservative_full": Check(_chk_biconservative_full, 1e-5, order=3),
+    "ricci": Check(lambda geo: _tensor_max(ricci_residuals(geo)), 1e-5),
+    "vector_t": Check(lambda geo: geo.t_eta[0], 1e-5),
+    "vector_eta": Check(lambda geo: geo.t_eta[1], 1e-5),
+    "pmc": Check(lambda geo: geo.pmc, TOL_PMC, order=3),
+    "biconservative_full": Check(biconservative_full, 1e-5, order=3),
     "biharmonic_normal": Check(_chk_biharmonic_normal, 1e-4, order=3),
-    "gauss": Check(_chk_gauss, 1e-5, order=3),
-    "codazzi": Check(_chk_codazzi, 1e-5),
-    "splitting": Check(_chk_splitting, 1e-12, chart_level=True),
+    "gauss": Check(lambda geo: _tensor_max(gauss_residuals(geo)), 1e-5, order=3),
+    "codazzi": Check(lambda geo: _tensor_max(codazzi_residuals(geo)), 1e-5),
+    "splitting": Check(splitting_residual, 1e-12, chart_level=True),
     "circle": Check(_chk_circle, 1e-8, chart_level=True),
 }
 
-# the kernels of the per-sample checks, which a run calls through this view
-CHECKS = {name: c.kernel for name, c in CHECK_TABLE.items() if not c.chart_level}
+# the columns of the per-sample checks, which a run calls through this view
+CHECKS = {name: c.column for name, c in CHECK_TABLE.items() if not c.chart_level}
 
 
 def _tolerances(scene: dict, overrides: dict | None) -> dict:
@@ -676,7 +640,7 @@ def _run_checks(
     columns = {}
     for name in names:
         if CHECK_TABLE[name].chart_level:
-            value, note, degen = CHECK_TABLE[name].kernel(chart)
+            value, note, degen = CHECK_TABLE[name].column(chart)
             columns[name] = (np.array([value], dtype=float), {note} - {None}, np.array([degen]))
         else:
             values, notes, degen = zip(*(c[name] for c in chunks))
