@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import inner
 from .errors import InvalidFrame
-from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_laplacian_H, pmc_residual, shape_operator
+from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_components, normal_laplacian_H, pmc_residual, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -54,14 +54,15 @@ def biconservative_simple(rows: ExtrinsicRows) -> np.ndarray:
 def biconservative_full(rows: ExtrinsicRows) -> np.ndarray:
     """Norm of the tangential bitension vector
     m grad|H|^2 + 4 trace A_{nab^perp H} + 4 trace (R(., H) .)^T of every
-    row, from the rows' nabla^perp_{d_p} H (N, m, n+2) in chart directions."""
-    sp, m, E, W = rows.chart.space, rows.chart.m, rows.tangent_onb, rows.nabla_H
-    # d_p |H|^2 = 2 <d_p H, H> = 2 <nabla^perp_p H, H>, as H is normal
-    grad_hh = rows.jet.jac @ rows.g_inv @ (2.0 * inner(sp, W, rows.H[:, None]))[..., None]
+    row, from the rows' nabla^perp_{d_p} H (N, m, n+2) in chart directions,
+    by its components in the tangent ONB E."""
+    sp, C, W = rows.chart.space, rows.tangent_coeffs, rows.tangent_coeffs @ rows.nabla_H
+    # <grad |H|^2, E_a> = E_a |H|^2 = 2 <nabla^perp_{E_a} H, H>, as H is normal
+    grad_hh = 2.0 * inner(sp, W, rows.H[:, None])
     # A_{nabla^perp_{E_i} H} for every i, of which trace A takes column i
-    A = shape_operator(sp, rows.normal_onb[:, None], rows.alpha[:, None], rows.tangent_coeffs @ W)
-    onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, E, rows.curvature_trace[:, None])
-    return np.linalg.norm(m * grad_hh[..., 0] + 4.0 * (onb[:, None] @ E)[:, 0], axis=-1)
+    A = shape_operator(sp, rows.normal_onb[:, None], rows.alpha[:, None], W)
+    onb = np.diagonal(A, axis1=1, axis2=3).sum(axis=-1) + inner(sp, rows.tangent_onb, rows.curvature_trace[:, None])
+    return np.linalg.norm(rows.chart.m * grad_hh + 4.0 * onb, axis=-1)
 
 
 def biconservative_residual(rows: ExtrinsicRows) -> dict:
@@ -103,14 +104,15 @@ def biharmonic_residual(rows: ExtrinsicRows) -> dict:
     """
     minimal = rows.H_norm <= DEGENERATE["H_minimal"]
     nested = ~(rows.pmc <= TOL_PMC) & ~minimal
-    lap = np.zeros_like(rows.H)
+    # every term by its components <., xi_s> in the normal ONB
+    lap = np.zeros(rows.normal_onb.shape[:2])
     at = np.flatnonzero(nested)
     if at.size:
         fourth = replace(rows.take(at), jet=evaluate_jet(rows.chart, rows.u[at], rows.steps[at], order=4))
-        lap[at] = normal_laplacian_H(fourth, rows.nabla_H[at])
+        lap[at] = normal_components(fourth, normal_laplacian_H(fourth, rows.nabla_H[at]))
     A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
-    trace_alpha = (np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)[:, None] @ rows.normal_onb)[:, 0]
-    curv = rows.proj_normal(rows.curvature_trace)
+    trace_alpha = np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)
+    curv = normal_components(rows, rows.curvature_trace)
     return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
@@ -243,10 +245,11 @@ def circle_geometry(chart: Chart) -> dict:
     U[1:, s] = probe_grid([chart.domain[s]], 9)[:, 0]
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
-    vel, acc = vj.jac[0, :, s], vj.d2[0, :, s, s]
-    speed2 = vel @ vel  # the curvature of a curve of any speed
+    sp, vel, acc = chart.space, vj.jac[0, :, s], vj.d2[0, :, s, s]
+    speed2 = np.float64(inner(sp, vel, vel))  # the curvature of a curve of any speed
     with np.errstate(divide="ignore", invalid="ignore"):  # f_s = 0 is irregular: analyze_point raises below
-        kappa = float(np.linalg.norm(acc - (acc @ vel / speed2) * vel) / speed2)
+        k = acc - (inner(sp, acc, vel) / speed2) * vel
+        kappa = float(np.sqrt(max(inner(sp, k, k), 0.0)) / speed2)
     radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
 
     diffs = vj.values[2:] - vj.values[1]

@@ -11,7 +11,9 @@ first derivatives from the 3-jet of a batch evaluated at order 3.  So the
 structure equations, the T/eta rules and nabla^perp H are jet-exact at the
 sample itself.  The Gauss, Codazzi and Ricci residuals are full tensors in
 the tangent and normal ONBs, one component per frame index, so no residual
-depends on a chosen direction.  The normal Laplacian of H reads the second
+depends on a chosen direction; every residual vector is likewise taken by
+its ONB components (``normal_components``), so that its norm is the
+metric's for either sign of eps and not a Euclidean norm of E^{n+2}.  The normal Laplacian of H reads the second
 derivatives of g, g^-1, P and H from the 4-jet of a batch evaluated at
 order 4.  No kernel differences.  The normal projector P is the batch's,
 formed once; its chart derivatives are applied to the vectors they act on
@@ -43,6 +45,7 @@ __all__ = [
     "christoffels",
     "normal_derivative_H",
     "normal_laplacian_H",
+    "normal_components",
     "pmc_residual",
     "structure_residuals",
     "gauss_residuals",
@@ -422,11 +425,21 @@ def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
     return rows.proj_normal(rows.derivatives.dH)
 
 
+def normal_components(rows: PointBatch, v: np.ndarray) -> np.ndarray:
+    """<v, xi_s> (N, ..., r) of vectors v (N, ..., n+2) against the rows'
+    normal ONB xi: a normal vector's components, whose root sum of squares
+    is its norm in the metric for either sign of eps."""
+    n, xi = len(rows), rows.normal_onb
+    return ((v * rows.chart.space.signature).reshape(n, -1, xi.shape[-1]) @ xi.swapaxes(-1, -2)).reshape(*v.shape[:-1], -1)
+
+
 def pmc_residual(rows: ExtrinsicRows) -> np.ndarray:
     """|nabla^perp H| of every row, from the rows' nabla^perp H (N, m, n+2)
-    in chart directions: the root sum of squares of nabla^perp_{E_a} H over
-    the tangent ONB E, which is the same in every ONB and so in every chart."""
-    return np.linalg.norm((rows.tangent_coeffs @ rows.nabla_H).reshape(len(rows), -1), axis=-1)
+    in chart directions: the root sum of squares of its components
+    <nabla^perp_{E_a} H, xi_s> over the tangent and normal ONBs, which is
+    the same in every ONB and so in every chart and under every isometry."""
+    comps = normal_components(rows, rows.tangent_coeffs @ rows.nabla_H)
+    return np.linalg.norm(comps.reshape(len(rows), -1), axis=-1)
 
 
 def normal_laplacian_H(rows: ExtrinsicRows, nabla_H: np.ndarray) -> np.ndarray:
@@ -521,13 +534,15 @@ def _rmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (vt, veta) of nabla_X T = A_eta X and
     alpha(X, T) = -nabla^perp_X eta for every row, maximized over the
-    tangent ONB directions, exact at jet level."""
-    d, sp, C = rows.derivatives, rows.chart.space, rows.tangent_coeffs
+    tangent ONB directions, exact at jet level.  Each residual vector is
+    taken by its components in the tangent or normal ONB, so its norm is
+    the metric's."""
+    d, C = rows.derivatives, rows.tangent_coeffs
     # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
     GT = (d.gamma.transpose(0, 2, 1, 3) @ rows.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
-    nab_T = C @ (d.dT + GT) @ rows.jet.jac.swapaxes(-1, -2)
-    A_eta = shape_operator(sp, rows.normal_onb, rows.alpha, rows.eta)
-    vt = nab_T - A_eta.swapaxes(-1, -2) @ rows.tangent_onb
-    alpha_T = (rows.alpha @ rows.T_onb[:, None, :, None])[..., 0].swapaxes(-1, -2) @ rows.normal_onb
-    veta = alpha_T + C @ rows.proj_normal(d.deta)
+    # <nabla_{E_i} T, E_a> = C (nabla T) g C^T, as E_a = C[a, l] f_l
+    nab_T = C @ (d.dT + GT) @ (C @ rows.g).swapaxes(-1, -2)
+    vt = nab_T - shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta).swapaxes(-1, -2)
+    alpha_T = (rows.alpha @ rows.T_onb[:, None, :, None])[..., 0].swapaxes(-1, -2)  # [i, s] = <alpha(E_i, T), xi_s>
+    veta = alpha_T + normal_components(rows, C @ d.deta)  # <P v, xi_s> = <v, xi_s>
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))

@@ -70,6 +70,19 @@ def test_biharmonic_closed_forms(theorem1_cyl):
     assert not r["minimal"][0] and not r["nested"][0]
 
 
+@pytest.mark.parametrize("a2", [1.3, 1.5, 1.9])
+def test_biharmonic_closed_forms_eps_minus_one(a2):
+    """For eps = -1 the residual is the metric norm |H| |trace A1^2 - 2 eps|
+    of the closed forms at every sample of the homogeneous family, not a
+    Euclidean norm of E^{n+2}, which moves from sample to sample."""
+    forms = theorem1_closed_forms(math.sqrt(a2), eps=-1)
+    chart = make_theorem1(ProductSpace(-1, 4), a2=a2)
+    r = biharmonic_residual(geometry(chart, random_interior_points(chart, 24, seed=3), order=3))
+    want = forms["H_norm"] * abs(forms["trace_A1_sq"] + 2.0)
+    assert not r["minimal"].any() and not r["nested"].any()
+    assert np.all(np.abs(r["normal"] - want) <= 1e-12 * want)
+
+
 def test_biharmonic_family_zero_is_the_minimal_point(s4):
     """Both the direct residual and the predicate vanish only at a^2 = 1/2,
     where H = 0 (the family's honest biharmonic locus is the minimal point)."""
