@@ -487,9 +487,6 @@ class VecJet2:
                 rows[c] = 0.0 if k > j.order or j.d[k] is None else j.d[k]
             self.d.append(out)
 
-    def __len__(self) -> int:
-        return self.values.shape[-1]
-
     def row(self, i) -> "VecJet2":
         """The jet of point ``i`` of a batch; an index array or a slice gives
         a smaller batch, and None makes a single jet a batch of one."""
