@@ -10,13 +10,16 @@ an A/A record.  Runs each export's own, unchanged ``perfbench/run.py
 --trace 0`` on every workload of its BENCHMARK.json, for the
 ``run_seconds`` that file fixes, ``PAIRS`` times:
 as pairs of one base and one change run that alternate which side runs
-first, so that drift of the host load falls on both alike.  Writes
+first, so that drift of the host load falls on both alike.  Every two
+pairs the two exports swap directories (``placement``), so that each side
+runs from each directory in 4 to 6 of the pairs and a bias of the path
+falls on both alike, too.  Writes
 ``BENCH_<N>.json`` at the repository root: per revision, workload and
 metric the median and quartiles over the pairs, per workload and metric
 the number of pairs in which the change reads better (by the direction
-BENCHMARK.json gives), and the git SHAs, the machine and the numpy
-version the runs reported.  Times are the benchmark's reference-host
-seconds.
+BENCHMARK.json gives), each pair's run order and directories, and the git
+SHAs, the machine and the numpy version the runs reported.  Times are the
+benchmark's reference-host seconds.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 11
 SIDES = ("base", "change")
-TAGS = {"base": "a", "change": "b"}  # each side's export directory, of equal lengths
+DIRS = ("a", "b")  # the export directories, of equal lengths
 
 
 def git(*args: str) -> str:
@@ -50,6 +53,13 @@ def export(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def placement(pair: int) -> dict:
+    """Each side's export directory in ``pair``: the base's is ``a`` in pairs 0, 1, 4, 5, 8
+    and 9 and ``b`` in the others, a schedule that crosses the run order's."""
+    swap = pair // 2 % 2
+    return {side: DIRS[(i + swap) % 2] for i, side in enumerate(SIDES)}
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> tuple[dict, dict]:
@@ -77,16 +87,23 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
-        shas = {side: export(revs[side], work / TAGS[side]) for side in SIDES}
-        spec = json.loads((work / TAGS["change"] / "BENCHMARK.json").read_text())
+        where = placement(0)
+        shas = {side: export(revs[side], work / where[side]) for side in SIDES}
+        spec = json.loads((work / where["change"] / "BENCHMARK.json").read_text())
         seconds, workloads = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         runs = {side: {w: [] for w in workloads} for side in SIDES}
-        env = {}
+        env, schedule = {}, []
         for pair in range(PAIRS):
+            if placement(pair) != where:  # exchange the two exports' directories
+                for src, dst in (("a", "t"), ("b", "a"), ("t", "b")):
+                    (work / src).rename(work / dst)
+                where = placement(pair)
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            schedule.append({"first": order[0], **where})
             for workload in workloads:
-                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    env, metrics = run_once(work / TAGS[side], workload, seconds, SEED)
+                for side in order:
+                    env, metrics = run_once(work / where[side], workload, seconds, SEED)
                     runs[side][workload].append(metrics)
                     print(f"{pair + 1}/{PAIRS} {workload} {side}: pass_s {metrics['pass_s']:.4f}", flush=True)
     finally:
@@ -99,6 +116,7 @@ def main(argv=None) -> int:
             "seconds": seconds,
             "seed": SEED,
             "pairs": PAIRS,
+            "schedule": schedule,
             "units": "reference-host seconds for times",
         },
         "machine": {
