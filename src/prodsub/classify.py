@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import inner
 from .errors import InvalidFrame
-from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_components, normal_laplacian_H, pmc_residual, shape_operator
+from .extrinsic import DEGENERATE, CodimTwoFrame, ExtrinsicRows, codim_two_frame, normal_laplacian_H, pmc_residual, shape_operator
 from .immersion import Chart, analyze_point, evaluate_jet, probe_grid
 
 __all__ = [
@@ -109,10 +109,10 @@ def biharmonic_residual(rows: ExtrinsicRows) -> dict:
     at = np.flatnonzero(nested)
     if at.size:
         fourth = replace(rows.take(at), jet=evaluate_jet(rows.chart, rows.u[at], rows.steps[at], order=4))
-        lap[at] = normal_components(fourth, normal_laplacian_H(fourth, rows.nabla_H[at]))
+        lap[at] = inner(rows.chart.space, normal_laplacian_H(fourth, rows.nabla_H[at])[:, None], fourth.normal_onb)
     A_H = shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.H)
     trace_alpha = np.trace(rows.alpha @ A_H[:, None], axis1=-2, axis2=-1)
-    curv = normal_components(rows, rows.curvature_trace)
+    curv = inner(rows.chart.space, rows.curvature_trace[:, None], rows.normal_onb)
     return {"normal": np.linalg.norm(trace_alpha - lap + curv, axis=-1), "minimal": minimal, "nested": nested}
 
 
@@ -246,7 +246,7 @@ def circle_geometry(chart: Chart) -> dict:
     vj = evaluate_jet(chart, U)
     _raise_first(vj.errors)
     sp, vel, acc = chart.space, vj.jac[0, :, s], vj.d2[0, :, s, s]
-    speed2 = np.float64(inner(sp, vel, vel))  # the curvature of a curve of any speed
+    speed2 = np.float64(inner(sp, vel, vel))  # divides as numpy does, also by 0; for a curve of any speed
     with np.errstate(divide="ignore", invalid="ignore"):  # f_s = 0 is irregular: analyze_point raises below
         k = acc - (inner(sp, acc, vel) / speed2) * vel
         kappa = float(np.sqrt(max(inner(sp, k, k), 0.0)) / speed2)

@@ -11,9 +11,9 @@ first derivatives from the 3-jet of a batch evaluated at order 3.  So the
 structure equations, the T/eta rules and nabla^perp H are jet-exact at the
 sample itself.  The Gauss, Codazzi and Ricci residuals are full tensors in
 the tangent and normal ONBs, one component per frame index, so no residual
-depends on a chosen direction; every residual vector is likewise taken by
-its ONB components (``normal_components``), so that its norm is the
-metric's for either sign of eps and not a Euclidean norm of E^{n+2}.  The normal Laplacian of H reads the second
+depends on a chosen direction, and every residual vector is taken by its
+ONB components, <v, xi_s> for a normal vector v, so that its norm is the
+metric's for either sign of eps.  The normal Laplacian of H reads the second
 derivatives of g, g^-1, P and H from the 4-jet of a batch evaluated at
 order 4.  No kernel differences.  The normal projector P is the batch's,
 formed once; its chart derivatives are applied to the vectors they act on
@@ -45,7 +45,6 @@ __all__ = [
     "christoffels",
     "normal_derivative_H",
     "normal_laplacian_H",
-    "normal_components",
     "pmc_residual",
     "structure_residuals",
     "gauss_residuals",
@@ -425,20 +424,12 @@ def normal_derivative_H(rows: ExtrinsicRows) -> np.ndarray:
     return rows.proj_normal(rows.derivatives.dH)
 
 
-def normal_components(rows: PointBatch, v: np.ndarray) -> np.ndarray:
-    """<v, xi_s> (N, ..., r) of vectors v (N, ..., n+2) against the rows'
-    normal ONB xi: a normal vector's components, whose root sum of squares
-    is its norm in the metric for either sign of eps."""
-    n, xi = len(rows), rows.normal_onb
-    return ((v * rows.chart.space.signature).reshape(n, -1, xi.shape[-1]) @ xi.swapaxes(-1, -2)).reshape(*v.shape[:-1], -1)
-
-
 def pmc_residual(rows: ExtrinsicRows) -> np.ndarray:
     """|nabla^perp H| of every row, from the rows' nabla^perp H (N, m, n+2)
     in chart directions: the root sum of squares of its components
     <nabla^perp_{E_a} H, xi_s> over the tangent and normal ONBs, which is
     the same in every ONB and so in every chart and under every isometry."""
-    comps = normal_components(rows, rows.tangent_coeffs @ rows.nabla_H)
+    comps = inner(rows.chart.space, (rows.tangent_coeffs @ rows.nabla_H)[:, :, None], rows.normal_onb[:, None])
     return np.linalg.norm(comps.reshape(len(rows), -1), axis=-1)
 
 
@@ -544,5 +535,5 @@ def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     nab_T = C @ (d.dT + GT) @ (C @ rows.g).swapaxes(-1, -2)
     vt = nab_T - shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta).swapaxes(-1, -2)
     alpha_T = (rows.alpha @ rows.T_onb[:, None, :, None])[..., 0].swapaxes(-1, -2)  # [i, s] = <alpha(E_i, T), xi_s>
-    veta = alpha_T + normal_components(rows, C @ d.deta)  # <P v, xi_s> = <v, xi_s>
+    veta = alpha_T + inner(rows.chart.space, (C @ d.deta)[:, :, None], rows.normal_onb[:, None])  # <P v, xi_s> = <v, xi_s>
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))
