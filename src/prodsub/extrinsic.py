@@ -528,12 +528,12 @@ def T_eta_residuals(rows: ExtrinsicRows) -> tuple[np.ndarray, np.ndarray]:
     tangent ONB directions, exact at jet level.  Each residual vector is
     taken by its components in the tangent or normal ONB, so its norm is
     the metric's."""
-    d, C = rows.derivatives, rows.tangent_coeffs
+    d, sp, C = rows.derivatives, rows.chart.space, rows.tangent_coeffs
     # row i: nabla_{E_i} T - A_eta E_i and alpha(E_i, T) + nabla^perp_{E_i} eta
     GT = (d.gamma.transpose(0, 2, 1, 3) @ rows.T_coeffs[:, None, :, None])[..., 0]  # [p, k]: Gamma^k_pq T^q
     # <nabla_{E_i} T, E_a> = C (nabla T) g C^T, as E_a = C[a, l] f_l
     nab_T = C @ (d.dT + GT) @ (C @ rows.g).swapaxes(-1, -2)
-    vt = nab_T - shape_operator(rows.chart.space, rows.normal_onb, rows.alpha, rows.eta).swapaxes(-1, -2)
+    vt = nab_T - shape_operator(sp, rows.normal_onb, rows.alpha, rows.eta).swapaxes(-1, -2)
     alpha_T = (rows.alpha @ rows.T_onb[:, None, :, None])[..., 0].swapaxes(-1, -2)  # [i, s] = <alpha(E_i, T), xi_s>
-    veta = alpha_T + inner(rows.chart.space, (C @ d.deta)[:, :, None], rows.normal_onb[:, None])  # <P v, xi_s> = <v, xi_s>
+    veta = alpha_T + inner(sp, (C @ d.deta)[:, :, None], rows.normal_onb[:, None])  # <P v, xi_s> = <v, xi_s>
     return tuple(np.max(np.linalg.norm(v, axis=-1), axis=-1) for v in (vt, veta))
