@@ -236,7 +236,8 @@ def circle_geometry(chart: Chart) -> dict:
     parametrisation of s, and the gap to
     the radius relation 1/sqrt(c^2 + eps) with c = |alpha(E_s, E_s)|, the
     s-curve's normal curvature at the center (E_s the unit s direction);
-    the gap is inf where c^2 + eps <= 0."""
+    the gap is inf where c^2 + eps <= 0, and the radius NaN (gap inf) where
+    the curvature vector is timelike or null but not zero (eps = -1)."""
     if chart.s_index is None:
         raise InvalidFrame("chart has no designated s variable")
     s = chart.s_index
@@ -249,8 +250,9 @@ def circle_geometry(chart: Chart) -> dict:
     speed2 = np.float64(inner(sp, vel, vel))  # divides as numpy does, also by 0; for a curve of any speed
     with np.errstate(divide="ignore", invalid="ignore"):  # f_s = 0 is irregular: analyze_point raises below
         k = acc - (inner(sp, acc, vel) / speed2) * vel
-        kappa = float(np.sqrt(max(inner(sp, k, k), 0.0)) / speed2)
-    radius = math.inf if kappa <= 1e-12 else 1.0 / kappa
+        straight = bool(np.linalg.norm(k) <= 1e-12 * speed2)  # k = 0 in E^{n+2}, not only null
+        kappa = float(np.sqrt(inner(sp, k, k)) / speed2)  # NaN where k is timelike (eps = -1)
+    radius = math.inf if straight else 1.0 / kappa if kappa > 0.0 else math.nan
 
     diffs = vj.values[2:] - vj.values[1]
     sv = np.linalg.svd(diffs, compute_uv=False)

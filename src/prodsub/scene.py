@@ -353,7 +353,7 @@ def _chk_biharmonic_normal(geo: ExtrinsicRows):
 
 def _chk_circle(chart: Chart):
     r = circle_geometry(chart)
-    if not math.isfinite(r["radius"]):
+    if r["radius"] == math.inf:
         return 0.0, "straight s-curves (radius = inf)", True
     note = f"radius={r['radius']:.9g}, plane_rank={r['plane_rank']}, c={r['c']:.9g}"
     return r["gap"], note, False

@@ -18,7 +18,7 @@ from prodsub.errors import EngineError, InvalidFrame
 from prodsub.extrinsic import geometry, second_fundamental
 from prodsub.gallery import make_cmc_product, make_slice, make_theorem1
 from prodsub.immersion import Chart
-from prodsub.scene import run_scene
+from prodsub.scene import build_chart, run_scene
 from conftest import random_interior_points, theorem1_closed_forms
 
 
@@ -378,3 +378,30 @@ def test_circle_geometry_straight_lines(vcyl_circle):
     r = circle_geometry(vcyl_circle)
     assert math.isinf(r["radius"])
     assert r["plane_rank"] == 1
+
+
+def test_circle_fails_on_a_hyperbola_s_curve():
+    """The vertical cylinder over a geodesic of H^2 with s along the
+    geodesic: the s-curve (cosh s, sinh s) has the timelike curvature
+    vector p^ in E^{n+2}, so it is neither a circle nor straight, and
+    c = 0 makes c^2 + eps < 0.  The check fails on a non-finite residual
+    instead of calling the s-curves straight."""
+    scene = {
+        "ambient": {"epsilon": -1, "n": 2},
+        "immersion": {
+            "expressions": {
+                "m": 2,
+                "coords": ["cosh(s)", "sinh(s)", "0", "u1"],
+                "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+                "var_names": ["s", "u1"],
+                "s_index": 0,
+            }
+        },
+        "sampling": {"mode": "grid", "grid": [2, 2]},
+        "checks": ["circle"],
+    }
+    r = circle_geometry(build_chart(scene))
+    assert math.isnan(r["radius"]) and r["c"] == 0.0 and r["gap"] == math.inf
+    (entry,) = run_scene(scene)["checks"]
+    assert entry["verdict"] == "FAIL" and entry["samples_degenerate"] == 0
+    assert "non-finite residual encountered" in entry["notes"]
