@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodsub import ProductSpace
+from prodsub import ProductSpace, exprlang
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -19,6 +19,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name, outcome in sorted(rows):
             terminalreporter.write_line(f"{name}: {'PASS' if outcome == 'PASSED' else 'FAIL'}")
+from prodsub.scene import CHECKS, _compute_rows
 from prodsub.gallery import (
     make_cmc_product,
     make_partial_tube,
@@ -131,4 +132,26 @@ def theorem1_closed_forms(a: float, eps: int = 1) -> dict:
         "H_norm": h,
         "eig_A1": np.array(eig),
         "trace_A1_sq": (a / b) ** 2 + (b / a) ** 2,
+    }
+
+
+def num(x) -> exprlang.Num:
+    """The AST of the number ``x``."""
+    return exprlang.Num(float(x), False)
+
+
+def per_sample_checks(chart) -> list:
+    """The per-sample checks, less e0 where the codimension is not 2, which it raises on."""
+    return [n for n in sorted(CHECKS) if n != "e0" or chart.space.n + 1 - chart.m == 2]
+
+
+def check_columns(chart, samples: np.ndarray) -> dict:
+    """Each per-sample check's column (values, the set of its notes,
+    degenerate) over ``samples``."""
+    names = per_sample_checks(chart)
+    chunks = _compute_rows(chart, names, samples, np.arange(len(samples)))
+    return {
+        name: (np.concatenate([c[name][0] for c in chunks]), set().union(*(c[name][1] for c in chunks)),
+               np.concatenate([c[name][2] for c in chunks]))
+        for name in names
     }

@@ -6,12 +6,13 @@ slots (0, 1) or (0, 3), the t-translation t -> t + 0.4 or the t-reflection
 t -> -t.  The moved chart meets the isometric image of the same points at
 the same chart coordinates, so every residual that is a metric quantity
 stays the same, and one that takes a Euclidean norm of E^{n+2} vectors
-moves under a boost.  The theorem-1 charts (geodesic cylinder and
-helicoid, both signs of eps) run every per-sample check and the
-chart-level ``splitting`` and ``circle`` checks on both charts: a residual
-of at least 1e-6 agrees within 1e-9 relative, and a smaller one stays
-within the check's tolerance, as does the circle radius.  ``class_a``
-keeps only its verdict per sample (``GAUGE_DEPENDENT``).
+moves under a boost.  Every gallery kind at both signs of eps runs every
+per-sample check, and where it designates an s variable the chart-level
+``splitting`` and ``circle`` checks and the circle radius: a residual of
+at least 1e-6 (inf included) agrees within 1e-9 relative, a smaller one
+stays within the check's tolerance, and the radius agrees within 1e-9
+relative (inf and NaN included).  ``class_a`` and ``splitting`` keep only
+their verdicts (``VERDICT_ONLY``).
 """
 
 import math
@@ -21,20 +22,19 @@ import pytest
 
 from prodsub import ProductSpace, exprlang
 from prodsub.classify import circle_geometry
-from prodsub.gallery import make_theorem1
 from prodsub.immersion import Chart
-from prodsub.scene import CHECK_TABLE, CHECKS, _compute_rows
-from conftest import random_interior_points
+from prodsub.scene import CHECK_TABLE
+from conftest import check_columns, gallery_charts, num, random_interior_points
 
 RAPIDITY = 0.3
-# class_a's residual is a maximum over the vectors of the normal ONB, which
-# an isometry turns: only whether it is within tolerance is invariant
-GAUGE_DEPENDENT = {"class_a"}
+# only whether these residuals are within tolerance is invariant: class_a's
+# is a maximum over the vectors of the normal ONB, which an isometry turns,
+# and splitting's the Euclidean norm of the mixed derivatives in E^{n+2}
+VERDICT_ONLY = {"class_a", "splitting"}
 
 
 def _moved(chart: Chart, L: np.ndarray, c: np.ndarray) -> Chart:
     """The chart u -> L f(u) + c, with every other field as in ``chart``."""
-    num = lambda x: exprlang.Num(float(x), False)  # noqa: E731
     term = lambda w, ast: ast if w == 1.0 else exprlang.Neg(ast) if w == -1.0 else exprlang.BinOp("*", num(w), ast)  # noqa: E731
     coords = []
     for row, shift in zip(L, c):
@@ -53,6 +53,17 @@ def _moved(chart: Chart, L: np.ndarray, c: np.ndarray) -> Chart:
         s_index=chart.s_index,
         label=f"{chart.label} moved",
     )
+
+
+def _columns(chart: Chart, samples: np.ndarray) -> dict:
+    """Each per-sample check's residuals and degenerate mask, and with a
+    designated s variable each chart-level check's residual and flag."""
+    out = {name: (values, degen) for name, (values, _, degen) in check_columns(chart, samples).items()}
+    if chart.s_index is not None:
+        for name in ("splitting", "circle"):
+            value, _, degen = CHECK_TABLE[name].column(chart)
+            out[name] = (np.array([value]), np.array([degen]))
+    return out
 
 
 def _isometries(space: ProductSpace) -> list:
@@ -74,41 +85,26 @@ def _isometries(space: ProductSpace) -> list:
     return out
 
 
-def _columns(chart: Chart, samples: np.ndarray) -> dict:
-    """Each per-sample check's residuals and degenerate mask, and each
-    chart-level check's residual and flag."""
-    names = sorted(CHECKS)
-    chunks = _compute_rows(chart, names, samples, np.arange(len(samples)))
-    out = {n: (np.concatenate([c[n][0] for c in chunks]), np.concatenate([c[n][2] for c in chunks])) for n in names}
-    for name in ("splitting", "circle"):
-        value, _, degen = CHECK_TABLE[name].column(chart)
-        out[name] = (np.array([value]), np.array([degen]))
-    return out
+def _charts():
+    return [(ch.label + f" eps={eps:+d}", ch) for eps in (1, -1) for ch in gallery_charts(eps)]
 
 
-CHARTS = {
-    f"{phi} eps={eps:+d}": (eps, phi) for eps in (1, -1) for phi in ("geodesic_cylinder", "helicoid")
-}
-
-
-@pytest.mark.parametrize("eps, phi", CHARTS.values(), ids=list(CHARTS))
-def test_every_check_is_invariant_under_ambient_isometries(eps, phi):
-    space = ProductSpace(eps, 4)
-    chart = make_theorem1(space, a=0.8 if eps == 1 else 1.25, phi_kind=phi,
-                          phi_params={"pitch": 0.5} if phi == "helicoid" else None)
+@pytest.mark.parametrize("label, chart", _charts(), ids=[label for label, _ in _charts()])
+def test_every_check_is_invariant_under_ambient_isometries(label, chart):
     samples = random_interior_points(chart, 6, seed=61)
     want = _columns(chart, samples)
-    radius = circle_geometry(chart)["radius"]
-    for what, L, c in _isometries(space):
+    radius = circle_geometry(chart)["radius"] if chart.s_index is not None else None
+    for what, L, c in _isometries(chart.space):
         moved = _moved(chart, L, c)
         got = _columns(moved, samples)
         for name, (values, degen) in want.items():
-            where, tol = (what, name), CHECK_TABLE[name].tolerance(space)
+            where, tol = (label, what, name), CHECK_TABLE[name].tolerance(chart.space)
             assert np.array_equal(got[name][1], degen), where
-            if name in GAUGE_DEPENDENT:
+            if name in VERDICT_ONLY:
                 assert np.array_equal(got[name][0] <= tol, values <= tol), where
                 continue
             big = values >= 1e-6
-            assert np.all(np.abs(got[name][0][big] - values[big]) <= 1e-9 * values[big]), where
+            assert np.all(np.isclose(got[name][0][big], values[big], rtol=1e-9, atol=0.0)), where
             assert np.all(got[name][0][~big] <= tol), where
-        assert circle_geometry(moved)["radius"] == pytest.approx(radius, rel=1e-9), what
+        if radius is not None:
+            assert np.isclose(circle_geometry(moved)["radius"], radius, rtol=1e-9, atol=0.0, equal_nan=True), (label, what)

@@ -20,8 +20,8 @@ import pytest
 
 from prodsub import exprlang
 from prodsub.immersion import Chart
-from prodsub.scene import CHECKS, _compute_rows, _merge_stats, build_chart, load_scene
-from conftest import gallery_charts, random_interior_points
+from prodsub.scene import _merge_stats, build_chart, load_scene
+from conftest import check_columns, gallery_charts, num, random_interior_points
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 EXPR_SCENES = ("theorem1_cylinder_expr.json", "slice_expr.json", "vertical_cylinder_expr.json")
@@ -43,7 +43,6 @@ def _substitute(ast, mapping: dict):
 
 def _mapped(chart: Chart, L: np.ndarray, c: np.ndarray) -> Chart:
     """The chart v -> f(L v + c), whose domain is the box around the image of f's."""
-    num = lambda x: exprlang.Num(float(x), False)  # noqa: E731
     mapping = {}
     for i, name in enumerate(chart.var_names):
         expr = num(c[i])
@@ -63,21 +62,10 @@ def _mapped(chart: Chart, L: np.ndarray, c: np.ndarray) -> Chart:
     )
 
 
-def _names(chart: Chart) -> list:
-    """The per-sample checks, less e0 where the codimension is not 2, which it raises on."""
-    return [n for n in sorted(CHECKS) if n != "e0" or chart.space.n + 1 - chart.m == 2]
-
-
 def _run(chart: Chart, samples: np.ndarray):
     """Each check's column (values, notes, degenerate) and its report entry."""
-    names = _names(chart)
-    chunks = _compute_rows(chart, names, samples, np.arange(len(samples)))
-    columns = {
-        name: (np.concatenate([c[name][0] for c in chunks]), set().union(*(c[name][1] for c in chunks)),
-               np.concatenate([c[name][2] for c in chunks]))
-        for name in names
-    }
-    report, _ = _merge_stats(columns, samples, chart, names, {})
+    columns = check_columns(chart, samples)
+    report, _ = _merge_stats(columns, samples, chart, list(columns), {})
     return columns, {r["name"]: r for r in report}
 
 
@@ -101,7 +89,7 @@ def test_every_check_is_invariant_under_reparametrisation(label, chart):
         c = np.linspace(0.1, 0.3, chart.m)
         mapped = _mapped(chart, L, c)
         got_columns, got_report = _run(mapped, np.linalg.solve(L, (samples - c).T).T)
-        for name in _names(chart):
+        for name in columns:
             want, got = columns[name][0], got_columns[name][0]
             where = (label, k, name)
             assert got_report[name]["verdict"] == report[name]["verdict"], where
