@@ -380,18 +380,20 @@ def test_circle_geometry_straight_lines(vcyl_circle):
     assert r["plane_rank"] == 1
 
 
-def test_circle_fails_on_a_hyperbola_s_curve():
-    """The vertical cylinder over a geodesic of H^2 with s along the
-    geodesic: the s-curve (cosh s, sinh s) has the timelike curvature
-    vector p^ in E^{n+2}, so it is neither a circle nor straight, and
-    c = 0 makes c^2 + eps < 0.  The check fails on a non-finite residual
-    instead of calling the s-curves straight."""
+@pytest.mark.parametrize("curve", [["cosh(s)", "sinh(s)", "0"], ["1 + s*s/2", "s", "s*s/2"]],
+                         ids=["hyperbola", "horocycle"])
+def test_circle_fails_on_a_hyperbola_or_horocycle_s_curve(curve):
+    """The vertical cylinder over a geodesic or a horocycle of H^2 with s
+    along the curve: the s-curve has a timelike (geodesic) or null
+    (horocycle) curvature vector in E^{n+2}, so it is neither a circle nor
+    straight, and c^2 + eps is -1 or 0.  The check fails on a non-finite
+    residual instead of calling the s-curves straight."""
     scene = {
         "ambient": {"epsilon": -1, "n": 2},
         "immersion": {
             "expressions": {
                 "m": 2,
-                "coords": ["cosh(s)", "sinh(s)", "0", "u1"],
+                "coords": [*curve, "u1"],
                 "domain": [[-1.0, 1.0], [-1.0, 1.0]],
                 "var_names": ["s", "u1"],
                 "s_index": 0,
@@ -401,7 +403,7 @@ def test_circle_fails_on_a_hyperbola_s_curve():
         "checks": ["circle"],
     }
     r = circle_geometry(build_chart(scene))
-    assert math.isnan(r["radius"]) and r["c"] == 0.0 and r["gap"] == math.inf
+    assert math.isnan(r["radius"]) and r["gap"] == math.inf
     (entry,) = run_scene(scene)["checks"]
     assert entry["verdict"] == "FAIL" and entry["samples_degenerate"] == 0
     assert "non-finite residual encountered" in entry["notes"]
